@@ -27,11 +27,12 @@ bool FaultProjector::IsDown(NodeId v) const {
   return down_mask_[static_cast<std::size_t>(v)] != 0;
 }
 
-bool FaultProjector::Survives(const QuotaSnapshot& base, NodeId v,
-                              std::int32_t d) const {
-  if (tree_.is_root(v)) return true;
-  if (down_mask_[static_cast<std::size_t>(v)] != 0) return false;
-  return base.CellOf(v, d) >= 0;
+bool FaultProjector::Keeps(NodeId v, std::int32_t /*d*/) const {
+  return tree_.is_root(v) || down_mask_[static_cast<std::size_t>(v)] == 0;
+}
+
+bool FaultProjector::KeepsAll(const QuotaSnapshot& /*base*/) const {
+  return down_.empty();
 }
 
 void FaultProjector::Project(const QuotaSnapshot& base) {
@@ -40,7 +41,7 @@ void FaultProjector::Project(const QuotaSnapshot& base) {
 }
 
 void FaultProjector::ApplyEvents(Span<const FaultEvent> events) {
-  bool transitioned = false;
+  if (events.empty()) return;
   for (const FaultEvent& e : events) {
     const NodeId v = e.node;
     WEBWAVE_REQUIRE(v >= 0 && v < tree_.size(), "event node out of range");
@@ -54,13 +55,19 @@ void FaultProjector::ApplyEvents(Span<const FaultEvent> events) {
       mask = 0;
     }
     pending_transitions_.push_back(v);
-    transitioned = true;
   }
-  if (transitioned) {
-    down_.clear();
-    for (NodeId v = 0; v < tree_.size(); ++v)
-      if (down_mask_[static_cast<std::size_t>(v)] != 0) down_.push_back(v);
-  }
+  // Only the batch's nodes changed status: recovered nodes leave the down
+  // set and crashed ones join it — no sweep of the tree.
+  const auto is_down = [this](NodeId v) {
+    return down_mask_[static_cast<std::size_t>(v)] != 0;
+  };
+  down_.erase(std::remove_if(down_.begin(), down_.end(),
+                             [&](NodeId v) { return !is_down(v); }),
+              down_.end());
+  for (const FaultEvent& e : events)
+    if (is_down(e.node)) down_.push_back(e.node);
+  std::sort(down_.begin(), down_.end());
+  down_.erase(std::unique(down_.begin(), down_.end()), down_.end());
 }
 
 bool FaultProjector::Refresh(const QuotaSnapshot& base,
@@ -73,16 +80,13 @@ bool FaultProjector::Refresh(const QuotaSnapshot& base,
   // The documents whose clamped cells can differ: the dirty lanes (their
   // base cells moved) plus every document in a transitioned node's base
   // row (its copies just vanished or came back, re-routing their spill).
-  std::vector<std::int32_t> affected(dirty_lanes.begin(), dirty_lanes.end());
+  affected_.InsertAll(dirty_lanes);
   const std::int32_t* docs = base.cell_docs();
   for (const NodeId v : pending_transitions_)
     for (std::int64_t c = base.row_begin(v); c < base.row_end(v); ++c)
-      affected.push_back(docs[c]);
+      affected_.Insert(docs[c]);
   pending_transitions_.clear();
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  return Reproject(base, affected);
+  return Reproject(base);
 }
 
 bool FaultProjector::Refresh(const QuotaSnapshot& base,

@@ -11,7 +11,8 @@
 // fraction re-derivation (q+S)/(A+S), home-cell synthesis, bit-identical
 // pass-through of untouched cells — is SpillProjector's
 // (store/spill_projector.h), shared with the capacity plane; this class
-// contributes only the survivor predicate: live and holding a base copy.
+// contributes only the survivor predicate: a base copy survives iff its
+// node is live.
 //
 // Refresh is the event-proportional path: given the transition batch from
 // FaultSchedule::NextEvents (plus the demand-side dirty lanes, if the
@@ -89,10 +90,10 @@ class FaultProjector : public SpillProjector {
   bool IsDown(NodeId v) const;
 
  protected:
-  // A copy survives iff its node is live and holds a base copy; the root
-  // is always live and absorbs any remainder (home-cell synthesis).
-  bool Survives(const QuotaSnapshot& base, NodeId v,
-                std::int32_t d) const override;
+  // A base copy survives iff its node is live; the root is always live
+  // and absorbs any remainder (home-cell synthesis).
+  bool Keeps(NodeId v, std::int32_t d) const override;
+  bool KeepsAll(const QuotaSnapshot& base) const override;
 
  private:
   std::vector<NodeId> down_;             // ascending

@@ -1,6 +1,5 @@
 #include "serve/epoch_driver.h"
 
-#include <algorithm>
 #include <string>
 
 #include "util/check.h"
@@ -117,28 +116,22 @@ EpochDriver::Report EpochDriver::ApplyEpoch(
   mark(kRefresh);
 
   // The affected-document set grows through the layers: demand-side
-  // dirty lanes, then whatever cells the capacity re-clamp rebuilt.
-  std::vector<std::int32_t> affected(report.dirty.begin(),
-                                     report.dirty.end());
+  // dirty lanes, then whatever cells the capacity re-clamp rebuilt — its
+  // last_affected_docs(), which already covers the dirty lanes.
+  Span<const std::int32_t> affected(report.dirty);
   report.projections_in_place = true;
   if (capacity_ != nullptr) {
-    report.projections_in_place &= capacity_->Refresh(
-        snap_, Span<const int>(report.dirty.data(), report.dirty.size()));
+    report.projections_in_place &= capacity_->Refresh(snap_, affected);
     WEBWAVE_REQUIRE(capacity_->ConservesTotalRate(snap_),
                     "capacity clamping lost quota rate");
-    const Span<const std::int32_t> cap_docs = capacity_->last_affected_docs();
-    affected.insert(affected.end(), cap_docs.begin(), cap_docs.end());
-    std::sort(affected.begin(), affected.end());
-    affected.erase(std::unique(affected.begin(), affected.end()),
-                   affected.end());
+    affected = capacity_->last_affected_docs();
   }
   mark(kClamp);
   if (faults_ != nullptr) {
     faults_->ApplyEvents(fault_events);
     const QuotaSnapshot& base = capacity_ != nullptr ? capacity_->clamped()
                                                      : snap_;
-    report.projections_in_place &= faults_->Refresh(
-        base, Span<const int>(affected.data(), affected.size()));
+    report.projections_in_place &= faults_->Refresh(base, affected);
     WEBWAVE_REQUIRE(faults_->ConservesTotalRate(base),
                     "re-homing lost quota rate");
   } else {
@@ -151,8 +144,7 @@ EpochDriver::Report EpochDriver::ApplyEpoch(
     // The plane serves serving(); hint its refresh with the epoch's
     // affected columns when no projector rewrote the whole table shape.
     if (capacity_ == nullptr && faults_ == nullptr) {
-      plane_->Refresh(snap_, Span<const std::int32_t>(affected.data(),
-                                                      affected.size()));
+      plane_->Refresh(snap_, affected);
     } else {
       plane_->Refresh(serving());
       InstallDown(*plane_);

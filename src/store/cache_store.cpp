@@ -14,10 +14,19 @@ void QuotaWeightedEviction::KeepSet(const QuotaSnapshot& snapshot, NodeId v,
   kept->clear();
   const std::int64_t begin = snapshot.row_begin(v);
   const std::int64_t end = snapshot.row_end(v);
-  order_.clear();
-  for (std::int64_t c = begin; c < end; ++c) order_.push_back(c);
   const double* rates = snapshot.cell_rates();
   const std::int32_t* docs = snapshot.cell_docs();
+  // A row that fits whole is what the greedy pass below admits anyway —
+  // every cell fits on its turn — and it is already doc-ascending.
+  std::uint64_t row_bytes = 0;
+  for (std::int64_t c = begin; c < end; ++c) row_bytes += sizes.bytes(docs[c]);
+  if (*bytes_used + row_bytes <= budget) {
+    kept->assign(docs + begin, docs + end);
+    *bytes_used += row_bytes;
+    return;
+  }
+  order_.clear();
+  for (std::int64_t c = begin; c < end; ++c) order_.push_back(c);
   // Decreasing rate/byte; the tie-break on the cell index is a tie-break
   // on the doc id (rows are doc-ascending), so the order — and with it
   // the keep set — is fully deterministic.
@@ -114,8 +123,7 @@ void CacheStore::Admit(const QuotaSnapshot& snapshot) {
 }
 
 void CacheStore::Readmit(const QuotaSnapshot& snapshot,
-                         Span<const NodeId> nodes,
-                         std::vector<DocId>* changed_docs) {
+                         Span<const NodeId> nodes, MarkSet* changed_docs) {
   WEBWAVE_REQUIRE(snapshot.node_count() == node_count(),
                   "snapshot does not match the store");
   for (const NodeId v : nodes) {
@@ -129,9 +137,9 @@ void CacheStore::Readmit(const QuotaSnapshot& snapshot,
     while (a < row_scratch_.size() || b < now.size()) {
       if (b == now.size() ||
           (a < row_scratch_.size() && row_scratch_[a] < now[b]))
-        changed_docs->push_back(row_scratch_[a++]);
+        changed_docs->Insert(row_scratch_[a++]);
       else if (a == row_scratch_.size() || now[b] < row_scratch_[a])
-        changed_docs->push_back(now[b++]);
+        changed_docs->Insert(now[b++]);
       else
         ++a, ++b;
     }

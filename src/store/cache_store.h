@@ -23,6 +23,7 @@
 // the nodes whose snapshot rows changed (CapacityProjector feeds it the
 // nodes holding dirty-lane cells), reporting which documents' residency
 // actually moved so downstream re-projection stays churn-proportional.
+// resident_cells() tells the projector when nothing was evicted at all.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,7 @@
 #include "serve/quota_snapshot.h"
 #include "store/document_sizes.h"
 #include "tree/routing_tree.h"
+#include "util/mark_set.h"
 #include "util/span.h"
 
 namespace webwave {
@@ -44,7 +46,9 @@ class QuotaWeightedEviction {
   // fit the budget, ascending doc id, and adds their bytes to
   // *bytes_used: cells are taken in decreasing rate/byte order (ties:
   // lower doc id first), each admitted iff it still fits — smaller
-  // documents may slip under a large one that did not.
+  // documents may slip under a large one that did not.  A row whose
+  // bytes fit whole is kept whole without ranking: O(row), not
+  // O(row log row).
   void KeepSet(const QuotaSnapshot& snapshot, NodeId v,
                const DocumentSizes& sizes, std::uint64_t budget,
                std::vector<DocId>* kept, std::uint64_t* bytes_used);
@@ -86,12 +90,11 @@ class CacheStore {
 
   // Re-ranks only `nodes` (ascending, unique) against their current
   // `snapshot` rows.  Documents whose residency changed at any of the
-  // nodes are appended to `changed_docs` (duplicates possible across
-  // nodes; the caller dedups).  Rows not listed keep their keep sets —
-  // correct whenever their snapshot rows are unchanged, because the keep
-  // set is a pure function of the row.
+  // nodes are inserted into `changed_docs`.  Rows not listed keep their
+  // keep sets — correct whenever their snapshot rows are unchanged,
+  // because the keep set is a pure function of the row.
   void Readmit(const QuotaSnapshot& snapshot, Span<const NodeId> nodes,
-               std::vector<DocId>* changed_docs);
+               MarkSet* changed_docs);
 
  private:
   void AdmitRow(const QuotaSnapshot& snapshot, NodeId v);

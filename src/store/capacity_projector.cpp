@@ -1,7 +1,5 @@
 #include "store/capacity_projector.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace webwave {
@@ -12,10 +10,14 @@ CapacityProjector::CapacityProjector(const RoutingTree& tree, CacheStore store)
                   "store does not match the tree");
 }
 
-bool CapacityProjector::Survives(const QuotaSnapshot& base, NodeId v,
-                                 std::int32_t d) const {
-  (void)base;  // residency was decided by Admit/Readmit over the base rows
+bool CapacityProjector::Keeps(NodeId v, std::int32_t d) const {
   return store_.Resident(v, d);
+}
+
+bool CapacityProjector::KeepsAll(const QuotaSnapshot& base) const {
+  // Residency was decided over base's rows, and every row keeps a subset
+  // of its cells: the counts match only when no row evicted anything.
+  return store_.resident_cells() == base.cell_count();
 }
 
 void CapacityProjector::Project(const QuotaSnapshot& base) {
@@ -23,6 +25,7 @@ void CapacityProjector::Project(const QuotaSnapshot& base) {
                   "snapshot does not match the store");
   store_.Admit(base);
   ProjectAll(base);
+  touched_.Reset(store_.node_count());
 }
 
 bool CapacityProjector::Refresh(const QuotaSnapshot& base,
@@ -37,29 +40,18 @@ bool CapacityProjector::Refresh(const QuotaSnapshot& base,
   // occupying — nodes where it was resident before (its old clamped
   // cells).  Re-ranking anywhere else would reproduce the stored keep
   // set: it is a pure function of an unchanged row.
-  std::vector<NodeId> touched;
   for (const int d : dirty_lanes) {
-    const Span<const NodeId> now = base.DocNodes(d);
-    touched.insert(touched.end(), now.begin(), now.end());
-    const Span<const NodeId> before = clamped().DocNodes(d);
-    touched.insert(touched.end(), before.begin(), before.end());
+    touched_.InsertAll(base.DocNodes(d));
+    touched_.InsertAll(clamped().DocNodes(d));
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-
-  std::vector<DocId> changed;
-  store_.Readmit(base, Span<const NodeId>(touched.data(), touched.size()),
-                 &changed);
+  touched_.Drain(&touched_nodes_);
 
   // The documents whose clamped cells can differ: the dirty lanes (their
   // rates moved) plus every document some re-ranked node admitted or
   // evicted (their spill routing moved).
-  std::vector<std::int32_t> affected(dirty_lanes.begin(), dirty_lanes.end());
-  affected.insert(affected.end(), changed.begin(), changed.end());
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  return Reproject(base, affected);
+  affected_.InsertAll(dirty_lanes);
+  store_.Readmit(base, Span<const NodeId>(touched_nodes_), &affected_);
+  return Reproject(base);
 }
 
 }  // namespace webwave

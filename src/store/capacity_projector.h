@@ -27,6 +27,9 @@
 // dirty lane can evict a clean lane's copy, and the union is exactly the
 // set whose clamped cells can change.  The result is cell-identical to a
 // full Project(base) (asserted under ChurnSchedule churn by store_test).
+// Both sets are mark arrays (util/mark_set.h), and when the store
+// evicted nothing the clamp installs the base itself, so an epoch costs
+// the re-ranked rows plus one snapshot copy — nothing per document.
 //
 // Everything here is a pure serial function of (base, store state):
 // deterministic across thread counts and lane_block widths by
@@ -41,6 +44,7 @@
 #include "store/cache_store.h"
 #include "store/spill_projector.h"
 #include "tree/routing_tree.h"
+#include "util/mark_set.h"
 #include "util/span.h"
 
 namespace webwave {
@@ -56,8 +60,8 @@ class CapacityProjector : public SpillProjector {
   // Incremental re-projection after a closed-loop epoch (requires a
   // prior Project): `base` must be the maintained snapshot *after* its
   // RefreshFromBatch, `dirty_lanes` the engine's dirty set that drove
-  // it (ascending).  Returns true when the clamped CSR shape held and
-  // values were rewritten in place.
+  // it (ascending).  Returns true when the clamped CSR shape held.
+  // last_affected_docs() afterwards covers every dirty lane.
   bool Refresh(const QuotaSnapshot& base, Span<const int> dirty_lanes);
 
   const CacheStore& store() const { return store_; }
@@ -65,11 +69,14 @@ class CapacityProjector : public SpillProjector {
  protected:
   // A copy survives iff the store kept it resident (the home is resident
   // for the whole catalog by definition).
-  bool Survives(const QuotaSnapshot& base, NodeId v,
-                std::int32_t d) const override;
+  bool Keeps(NodeId v, std::int32_t d) const override;
+  bool KeepsAll(const QuotaSnapshot& base) const override;
 
  private:
   CacheStore store_;
+  // Refresh scratch: the nodes to re-rank, marked, then drained ascending.
+  MarkSet touched_;
+  std::vector<NodeId> touched_nodes_;
 };
 
 }  // namespace webwave

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/check.h"
 
@@ -48,18 +49,20 @@ void SpillProjector::ProjectDoc(const QuotaSnapshot& base, std::int32_t d) {
   out.clear();
 
   // Pass 1 — excised copies spill their whole quota onto the nearest
-  // surviving ancestor copy (the home at worst; Survives is true there,
-  // so the climb terminates before running off the root).  Cells are
+  // surviving ancestor copy (the home at worst, so the climb terminates
+  // before running off the root).  Only the climb visits nodes that may
+  // hold no base copy, so only the climb looks the cell up.  Cells are
   // visited node-ascending, so the spill sums accumulate in a fixed
   // order no matter how the snapshot was produced.
   double spilled = 0;
   std::int64_t evicted = 0;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const NodeId v = nodes[i];
-    if (Survives(base, v, d)) continue;
+    if (Keeps(v, d)) continue;
     const double q = rates[cells[i]];
     NodeId u = tree_.parent(v);
-    while (!Survives(base, u, d)) u = tree_.parent(u);
+    while (!tree_.is_root(u) && !(Keeps(u, d) && base.CellOf(u, d) >= 0))
+      u = tree_.parent(u);
     if (spill_[static_cast<std::size_t>(u)] == 0.0) spill_touched_.push_back(u);
     spill_[static_cast<std::size_t>(u)] += q;
     spilled += q;
@@ -74,7 +77,7 @@ void SpillProjector::ProjectDoc(const QuotaSnapshot& base, std::int32_t d) {
   bool home_has_cell = false;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const NodeId v = nodes[i];
-    if (!Survives(base, v, d)) continue;
+    if (!Keeps(v, d)) continue;
     const double q = rates[cells[i]];
     const double f = fracs[cells[i]];
     const double s = spill_[static_cast<std::size_t>(v)];
@@ -105,86 +108,107 @@ void SpillProjector::ProjectDoc(const QuotaSnapshot& base, std::int32_t d) {
   doc_evicted_[static_cast<std::size_t>(d)] = evicted;
 }
 
-void SpillProjector::Assemble(const std::vector<std::int32_t>& affected) {
+void SpillProjector::Assemble() {
   const int nodes = tree_.size();
-  const int docs = static_cast<int>(doc_scratch_.size());
-  std::vector<std::uint8_t> is_affected(static_cast<std::size_t>(docs), 0);
+  const std::size_t docs = doc_scratch_.size();
+  const std::vector<std::int32_t>& affected = last_affected_;
+  std::vector<std::uint8_t> is_affected(docs, 0);
   for (const std::int32_t d : affected)
     is_affected[static_cast<std::size_t>(d)] = 1;
+  // Unaffected documents keep their current clamped cells.  On the first
+  // projection every document is affected and the old snapshot is never
+  // read.
+  const bool keep_old = affected.size() < docs;
 
-  // Counting sort of the fresh cells by node; filling document-ascending
-  // makes every node's slice doc-ascending, the CSR row order.
-  std::vector<std::int64_t> off(static_cast<std::size_t>(nodes) + 1, 0);
-  std::size_t fresh_count = 0;
-  for (const std::int32_t d : affected) {
-    const std::vector<DocCell>& col = doc_scratch_[static_cast<std::size_t>(d)];
-    fresh_count += col.size();
-    for (const DocCell& c : col) ++off[static_cast<std::size_t>(c.node) + 1];
-  }
-  for (int v = 0; v < nodes; ++v)
-    off[static_cast<std::size_t>(v) + 1] += off[static_cast<std::size_t>(v)];
-  std::vector<std::int32_t> fresh_doc(fresh_count);
-  std::vector<double> fresh_rate(fresh_count);
-  std::vector<double> fresh_frac(fresh_count);
-  std::vector<std::int64_t> fill(off.begin(), off.end() - 1);
-  for (const std::int32_t d : affected)
-    for (const DocCell& c : doc_scratch_[static_cast<std::size_t>(d)]) {
-      const std::size_t slot =
-          static_cast<std::size_t>(fill[static_cast<std::size_t>(c.node)]++);
-      fresh_doc[slot] = d;
-      fresh_rate[slot] = c.rate;
-      fresh_frac[slot] = c.frac;
-    }
+  // The result is built in spare_ and swapped in, so its arrays' storage
+  // is reused epoch over epoch.  Column sizes are known up front, so
+  // column d's entries can be filled as its cells are emitted.
+  QuotaSnapshot& out = spare_;
+  out.nodes_ = nodes;
+  out.docs_ = static_cast<int>(docs);
+  out.col_off_.assign(docs + 1, 0);
+  for (std::size_t d = 0; d < docs; ++d)
+    out.col_off_[d + 1] =
+        out.col_off_[d] +
+        static_cast<std::int64_t>(
+            is_affected[d] != 0
+                ? doc_scratch_[d].size()
+                : clamped_.DocNodes(static_cast<std::int32_t>(d)).size());
+  const std::size_t cells = static_cast<std::size_t>(out.col_off_[docs]);
+  out.row_off_.assign(static_cast<std::size_t>(nodes) + 1, 0);
+  out.doc_.resize(cells);
+  out.rate_.resize(cells);
+  out.frac_.resize(cells);
+  out.col_cells_.resize(cells);
+  out.col_nodes_.resize(cells);
+  out.total_ = 0;
+  std::vector<std::int64_t> col_fill(out.col_off_.begin(),
+                                     out.col_off_.end() - 1);
+  std::size_t slot = 0;
+  const auto emit = [&](NodeId v, std::int32_t d, double rate, double frac) {
+    out.doc_[slot] = d;
+    out.rate_[slot] = rate;
+    out.frac_[slot] = frac;
+    out.total_ += rate;  // cell order, as a Builder over the cells would
+    const std::size_t k =
+        static_cast<std::size_t>(col_fill[static_cast<std::size_t>(d)]++);
+    out.col_cells_[k] = static_cast<std::int64_t>(slot);
+    out.col_nodes_[k] = v;
+    ++slot;
+  };
 
-  // Merge with the previous clamped cells of unaffected documents, row by
-  // row — the structural-merge shape of QuotaSnapshot::RefreshFromBatch.
-  // On the first projection every document is affected and the old
-  // snapshot is empty, so this degenerates to a straight fill.
-  const bool has_old = !clamped_.row_off_.empty();
-  QuotaSnapshot merged;
-  merged.nodes_ = nodes;
-  merged.docs_ = docs;
-  merged.row_off_.assign(static_cast<std::size_t>(nodes) + 1, 0);
-  const std::size_t reserve = clamped_.doc_.size() + fresh_count;
-  merged.doc_.reserve(reserve);
-  merged.rate_.reserve(reserve);
-  merged.frac_.reserve(reserve);
+  // Row by row, merge the old row's unaffected cells with the affected
+  // documents' scratch cells at this node.  Each scratch column is
+  // node-ascending, so a cursor per affected document walks it once, and
+  // both sequences are doc-ascending (affected is), so the output is
+  // written strictly in CSR order.
+  std::vector<std::size_t> cursor(affected.size(), 0);
   for (NodeId v = 0; v < nodes; ++v) {
-    std::int64_t old = has_old ? clamped_.row_begin(v) : 0;
-    const std::int64_t old_end = has_old ? clamped_.row_end(v) : 0;
-    std::int64_t fr = off[static_cast<std::size_t>(v)];
-    const std::int64_t fr_end = off[static_cast<std::size_t>(v) + 1];
+    std::int64_t old = keep_old ? clamped_.row_begin(v) : 0;
+    const std::int64_t old_end = keep_old ? clamped_.row_end(v) : 0;
+    std::size_t a = 0;
     while (true) {
       while (old < old_end &&
              is_affected[static_cast<std::size_t>(
-                 clamped_.doc_[static_cast<std::size_t>(old)])])
+                 clamped_.doc_[static_cast<std::size_t>(old)])] != 0)
         ++old;
-      const bool take_old = old < old_end;
-      const bool take_fresh = fr < fr_end;
-      if (!take_old && !take_fresh) break;
-      // An affected document never survives in the old row, so the two
-      // doc sequences are disjoint and a strict comparison merges them.
-      if (take_fresh &&
-          (!take_old || fresh_doc[static_cast<std::size_t>(fr)] <
-                            clamped_.doc_[static_cast<std::size_t>(old)])) {
-        merged.doc_.push_back(fresh_doc[static_cast<std::size_t>(fr)]);
-        merged.rate_.push_back(fresh_rate[static_cast<std::size_t>(fr)]);
-        merged.frac_.push_back(fresh_frac[static_cast<std::size_t>(fr)]);
-        merged.total_ += fresh_rate[static_cast<std::size_t>(fr)];
-        ++fr;
+      while (a < affected.size()) {
+        const std::vector<DocCell>& col =
+            doc_scratch_[static_cast<std::size_t>(affected[a])];
+        if (cursor[a] < col.size() && col[cursor[a]].node == v) break;
+        ++a;
+      }
+      const bool has_old = old < old_end;
+      const bool has_fresh = a < affected.size();
+      if (!has_old && !has_fresh) break;
+      if (has_fresh &&
+          (!has_old ||
+           affected[a] < clamped_.doc_[static_cast<std::size_t>(old)])) {
+        const DocCell& c =
+            doc_scratch_[static_cast<std::size_t>(affected[a])][cursor[a]++];
+        emit(v, affected[a], c.rate, c.frac);
+        ++a;
       } else {
-        merged.doc_.push_back(clamped_.doc_[static_cast<std::size_t>(old)]);
-        merged.rate_.push_back(clamped_.rate_[static_cast<std::size_t>(old)]);
-        merged.frac_.push_back(clamped_.frac_[static_cast<std::size_t>(old)]);
-        merged.total_ += clamped_.rate_[static_cast<std::size_t>(old)];
-        ++old;
+        const std::size_t o = static_cast<std::size_t>(old++);
+        emit(v, clamped_.doc_[o], clamped_.rate_[o], clamped_.frac_[o]);
       }
     }
-    merged.row_off_[static_cast<std::size_t>(v) + 1] =
-        static_cast<std::int64_t>(merged.doc_.size());
+    out.row_off_[static_cast<std::size_t>(v) + 1] =
+        static_cast<std::int64_t>(slot);
   }
-  merged.BuildColumnIndex();  // Reproject's in-place path needs the columns
-  clamped_ = std::move(merged);
+  std::swap(clamped_, spare_);
+}
+
+bool SpillProjector::PassThrough(const QuotaSnapshot& base) {
+  const bool same_shape =
+      clamped_.row_off_ == base.row_off_ && clamped_.doc_ == base.doc_;
+  if (base.col_off_.empty()) base.BuildColumnIndex();
+  clamped_ = base;  // column index included: Reproject reads it next epoch
+  clamped_.incremental_ = false;
+  clamped_.min_rate_ = 0;
+  std::fill(doc_spill_.begin(), doc_spill_.end(), 0.0);
+  std::fill(doc_evicted_.begin(), doc_evicted_.end(), 0);
+  return same_shape;
 }
 
 void SpillProjector::ProjectAll(const QuotaSnapshot& base) {
@@ -194,20 +218,24 @@ void SpillProjector::ProjectAll(const QuotaSnapshot& base) {
   doc_spill_.assign(static_cast<std::size_t>(docs), 0.0);
   doc_evicted_.assign(static_cast<std::size_t>(docs), 0);
   doc_scratch_.resize(static_cast<std::size_t>(docs));
-  std::vector<std::int32_t> all(static_cast<std::size_t>(docs));
-  for (int d = 0; d < docs; ++d) all[static_cast<std::size_t>(d)] = d;
-  for (const std::int32_t d : all) ProjectDoc(base, d);
-  clamped_ = QuotaSnapshot();  // Assemble merges against an empty snapshot
-  Assemble(all);
-  last_affected_ = std::move(all);
+  affected_.Reset(docs);
+  last_affected_.resize(static_cast<std::size_t>(docs));
+  std::iota(last_affected_.begin(), last_affected_.end(), 0);
   projected_ = true;
+  if (KeepsAll(base)) {
+    PassThrough(base);
+    return;
+  }
+  for (const std::int32_t d : last_affected_) ProjectDoc(base, d);
+  Assemble();
 }
 
-bool SpillProjector::Reproject(const QuotaSnapshot& base,
-                               const std::vector<std::int32_t>& affected) {
+bool SpillProjector::Reproject(const QuotaSnapshot& base) {
   WEBWAVE_REQUIRE(projected_, "Reproject needs a prior ProjectAll");
-  last_affected_ = affected;
+  affected_.Drain(&last_affected_);
+  const std::vector<std::int32_t>& affected = last_affected_;
   if (affected.empty()) return true;
+  if (KeepsAll(base)) return PassThrough(base);
 
   for (const std::int32_t d : affected) ProjectDoc(base, d);
 
@@ -242,7 +270,7 @@ bool SpillProjector::Reproject(const QuotaSnapshot& base,
     }
     return true;
   }
-  Assemble(affected);
+  Assemble();
   return false;
 }
 

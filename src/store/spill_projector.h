@@ -16,6 +16,11 @@
 // re-project; the per-document projection, the CSR merge/assembly, the
 // in-place value rewrite and the conservation check live here.
 //
+// A projection that excises no base cell is the base snapshot itself,
+// cell for cell (no spill, so every cell passes through).  When the
+// subclass reports that (KeepsAll), the base is installed as the clamped
+// snapshot directly — a copy, not a per-document pass and a CSR rebuild.
+//
 // Everything is a pure serial function of (base snapshot, predicate
 // state): deterministic across thread counts and lane_block widths, so
 // the engine's bit-identity guarantees carry through any projection
@@ -29,6 +34,7 @@
 #include "obs/metric_registry.h"
 #include "serve/quota_snapshot.h"
 #include "tree/routing_tree.h"
+#include "util/mark_set.h"
 #include "util/span.h"
 
 namespace webwave {
@@ -74,31 +80,37 @@ class SpillProjector {
  protected:
   explicit SpillProjector(const RoutingTree& tree);
 
-  // Does (v, d) keep its copy under this projection?  Must return true
-  // at the root — the home is the authoritative origin, and the spill
-  // climb terminates there.  Called only while a ProjectAll/Reproject is
-  // consuming `base`.
-  virtual bool Survives(const QuotaSnapshot& base, NodeId v,
-                        std::int32_t d) const = 0;
+  // Does v's base copy of d survive this projection?  Asked only about
+  // nodes that hold a base copy of d (the spill climb checks that itself
+  // with CellOf) and must be true at the root — the home is the
+  // authoritative origin, and the climb terminates there.  Called only
+  // while a ProjectAll/Reproject is consuming a base snapshot.
+  virtual bool Keeps(NodeId v, std::int32_t d) const = 0;
+
+  // True only when Keeps holds for every cell of `base`: the projection
+  // then installs `base` as is.
+  virtual bool KeepsAll(const QuotaSnapshot& base) const = 0;
 
   // Full projection of every document; replaces the clamped snapshot and
   // all stats.  Requires base.node_count() == tree size.
   void ProjectAll(const QuotaSnapshot& base);
 
   // Incremental re-projection (requires a prior ProjectAll): re-projects
-  // exactly `affected` (ascending, unique) — the subclass promises every
-  // other document's base column *and* predicate outcomes are unchanged.
-  // When every affected document kept its clamped copy set, cell values
-  // are rewritten in place through the column index (total_rate by
-  // deltas); otherwise clean rows and fresh cells merge into a rebuilt
-  // CSR.  Either way the result is cell-identical to a full ProjectAll.
-  // Returns true when the in-place path sufficed.
-  bool Reproject(const QuotaSnapshot& base,
-                 const std::vector<std::int32_t>& affected);
+  // exactly the documents marked in affected_ (and empties it) — the
+  // subclass promises every other document's base column *and* predicate
+  // outcomes are unchanged.  When every affected document kept its
+  // clamped copy set, cell values are rewritten in place through the
+  // column index (total_rate by deltas); otherwise clean rows and fresh
+  // cells merge into a rebuilt CSR; when KeepsAll, the base is installed.
+  // Whichever path runs, the result is cell-identical to a full
+  // ProjectAll.  Returns true when the clamped CSR shape held.
+  bool Reproject(const QuotaSnapshot& base);
 
   bool projected() const { return projected_; }
 
   const RoutingTree& tree_;
+  // The documents the next Reproject re-projects; subclasses mark them.
+  MarkSet affected_;
 
  private:
   // One clamped cell of a single document's projection.
@@ -112,12 +124,16 @@ class SpillProjector {
   // doc_scratch_[d] (node ascending) and refreshes doc_spill_[d] /
   // doc_evicted_[d].
   void ProjectDoc(const QuotaSnapshot& base, std::int32_t d);
-  // Rebuilds clamped_ from scratch rows `fresh` (sorted by (node, doc))
-  // merged with the current clamped cells of unaffected documents; with
-  // every document affected this is the full assembly.
-  void Assemble(const std::vector<std::int32_t>& affected);
+  // Rebuilds clamped_, column index included, from the scratch cells of
+  // last_affected_ and the current clamped cells of every other
+  // document; with every document affected this is the full assembly.
+  void Assemble();
+  // Installs `base` as clamped_ with zero spill stats (the KeepsAll
+  // case); returns true when clamped_ already had base's CSR shape.
+  bool PassThrough(const QuotaSnapshot& base);
 
   QuotaSnapshot clamped_;
+  QuotaSnapshot spare_;  // Assemble's output buffer, swapped with clamped_
   bool projected_ = false;
 
   std::vector<double> doc_spill_;          // per document, last projection

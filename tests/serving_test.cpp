@@ -1,8 +1,9 @@
 // The serving data plane: deterministic request streams, quota snapshots,
-// proportional routing, bit-identical threading, and the closed loop
-// (measure -> fold -> re-diffuse) beating home-only under a rotating hot
-// spot.
+// proportional routing, bit-identical threading, the EpochDriver's
+// clamp -> re-home -> install chain, and the closed loop (measure -> fold
+// -> re-diffuse) beating home-only under a rotating hot spot.
 #include "serve/closed_loop.h"
+#include "serve/epoch_driver.h"
 #include "serve/placement_policy.h"
 #include "serve/quota_snapshot.h"
 #include "serve/request_gen.h"
@@ -16,7 +17,12 @@
 
 #include "core/webwave_batch.h"
 #include "doc/placement.h"
+#include "fault/fault_projector.h"
+#include "fault/fault_schedule.h"
 #include "sim/churn.h"
+#include "store/cache_store.h"
+#include "store/capacity_projector.h"
+#include "store/document_sizes.h"
 #include "tree/builders.h"
 
 namespace webwave {
@@ -528,6 +534,111 @@ TEST(ServingPlane, RefreshTracksSnapshotTotalWhenOfferedRateFloats) {
   const std::vector<std::int32_t> changed = {0};
   plane.Refresh(snap, Span<const std::int32_t>(changed.data(), changed.size()));
   EXPECT_TRUE(plane.TablesEqual(ServingPlane(tree, snap, opt)));
+}
+
+// Epoch driver ------------------------------------------------------------
+
+// ApplyEpoch's incremental chain — snapshot refresh, capacity Refresh,
+// fault ApplyEvents + Refresh, plane refresh — against the from-scratch
+// chain on the same base every epoch: a fresh capacity Project, a fresh
+// fault Project over its output, and a freshly constructed plane.
+void ExpectDriverMatchesAFreshChain(double multiple) {
+  SCOPED_TRACE(multiple);
+  Rng rng(61);
+  const RoutingTree tree = MakeRandomTree(80, rng);
+  const int docs = 6;
+  ChurnScheduleOptions copt;
+  copt.pattern = ChurnPattern::kRotatingHotSpot;
+  copt.doc_count = docs;
+  copt.hot_fraction = 0.2;
+  copt.rotation_epochs = 4;
+  ChurnSchedule churn(tree, copt);
+  BatchWebWaveSimulator sim(tree, churn.Lanes(), {});
+  // Every lane at its floating-point fixed point, where it steps clean,
+  // and epochs long enough to get back there: an epoch's dirty set is
+  // then the lanes its own events moved, not the whole catalog.
+  for (int s = 0; s < 5000 && (s == 0 || sim.dirty_lane_count() > 0); ++s) {
+    sim.ClearDirtyLanes();
+    sim.Step();
+  }
+
+  FaultScheduleOptions fopt;
+  fopt.pattern = FaultPattern::kLeafCohort;
+  fopt.crash_fraction = 0.2;
+  fopt.outage_epochs = 2;
+  // Windows turn over on odd epochs, so the even epochs' capacity
+  // coupling reaches the fault layer through the driver alone.
+  fopt.start_epoch = 2;
+  fopt.seed = 3;
+  FaultSchedule faults(tree, fopt);
+
+  const DocumentSizes sizes = DocumentSizes::LogNormal(docs, 4096, 1.0, 17);
+  CapacityProjector capacity(
+      tree, CacheStore::WorkingSetStore(tree, sizes, multiple));
+  FaultProjector rehome(tree);
+  EpochDriver::Options dopt;
+  dopt.steps_per_epoch = 1000;
+  dopt.min_rate = 1e-3;
+  EpochDriver driver(sim, dopt);
+  driver.AttachCapacity(&capacity);
+  driver.AttachFaults(&rehome);
+  ServingOptions sopt;
+  sopt.offered_rate = 100.0;
+  ServingPlane plane(tree, driver.serving(), sopt);
+  driver.InstallDown(plane);
+  driver.AttachPlane(&plane);
+
+  bool saw_down = false, saw_coupling = false;
+  for (int epoch = 0; epoch < 8; ++epoch) {
+    // The hot spot moves one document per epoch.
+    std::vector<DemandEvent> demand;
+    for (const DemandEvent& e : churn.NextEvents())
+      if (e.doc == epoch % docs) demand.push_back(e);
+    const std::vector<FaultEvent> events = faults.NextEvents();
+    const EpochDriver::Report report = driver.ApplyEpoch(
+        Span<DemandEvent>(demand.data(), demand.size()),
+        Span<const FaultEvent>(events.data(), events.size()));
+    EXPECT_LT(report.dirty.size(), static_cast<std::size_t>(docs));
+    // A dirty lane moved a clean document's residency, and no crash or
+    // recovery re-homes it anyway: the driver must hand it on.
+    saw_coupling = saw_coupling ||
+                   (events.empty() && capacity.last_affected_docs().size() >
+                                          report.dirty.size());
+
+    CapacityProjector fresh_capacity(
+        tree, CacheStore::WorkingSetStore(tree, sizes, multiple));
+    fresh_capacity.Project(driver.snapshot());
+    FaultProjector fresh_rehome(tree);
+    fresh_rehome.SetDown(
+        Span<const NodeId>(faults.down().data(), faults.down().size()));
+    fresh_rehome.Project(fresh_capacity.clamped());
+    ExpectSameCells(driver.serving(), fresh_rehome.clamped(), "driver chain");
+    EXPECT_EQ(capacity.evicted_cells(), fresh_capacity.evicted_cells())
+        << "epoch " << epoch;
+    EXPECT_EQ(rehome.evicted_cells(), fresh_rehome.evicted_cells())
+        << "epoch " << epoch;
+    if (multiple >= 1.0) {
+      EXPECT_EQ(capacity.evicted_cells(), 0);
+    } else {
+      EXPECT_GT(capacity.evicted_cells(), 0);
+    }
+    ASSERT_EQ(rehome.down(), faults.down()) << "epoch " << epoch;
+    saw_down = saw_down || !faults.down().empty();
+
+    ServingPlane fresh_plane(tree, fresh_rehome.clamped(), sopt);
+    fresh_plane.SetDownNodes(
+        Span<const NodeId>(faults.down().data(), faults.down().size()));
+    EXPECT_TRUE(plane.TablesEqual(fresh_plane)) << "epoch " << epoch;
+  }
+  EXPECT_TRUE(saw_down) << "no epoch had a crashed node";
+  if (multiple < 1.0) {
+    EXPECT_TRUE(saw_coupling) << "no dirty lane moved a clean document";
+  }
+}
+
+TEST(EpochDriver, ServingMatchesAFreshProjectionChainEveryEpoch) {
+  ExpectDriverMatchesAFreshChain(1.0);   // zero eviction: the pass-through
+  ExpectDriverMatchesAFreshChain(0.35);  // evicting: spill every epoch
 }
 
 // Closed loop -------------------------------------------------------------

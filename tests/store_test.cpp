@@ -123,6 +123,77 @@ TEST(QuotaWeightedEviction, KeepsHighestRatePerByteAndLetsSmallDocsSlipIn) {
   EXPECT_EQ(kept[0], 0);
 }
 
+// The admission rule the slow way: rank the whole row by rate/byte (ties
+// to the lower document), admit greedily, report the keep set ascending.
+std::vector<DocId> ReferenceKeepSet(const QuotaSnapshot& snap, NodeId v,
+                                    const DocumentSizes& sizes,
+                                    std::uint64_t budget,
+                                    std::uint64_t* bytes_used) {
+  std::vector<std::int64_t> order;
+  for (std::int64_t c = snap.row_begin(v); c < snap.row_end(v); ++c)
+    order.push_back(c);
+  const auto density = [&](std::int64_t c) {
+    return snap.cell_rates()[c] /
+           static_cast<double>(sizes.bytes(snap.cell_docs()[c]));
+  };
+  // Rows are doc-ascending, so a stable sort breaks ties to the lower doc.
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::int64_t a, std::int64_t b) {
+                     return density(a) > density(b);
+                   });
+  std::vector<DocId> kept;
+  for (const std::int64_t c : order) {
+    const std::uint64_t size = sizes.bytes(snap.cell_docs()[c]);
+    if (*bytes_used + size <= budget) {
+      *bytes_used += size;
+      kept.push_back(snap.cell_docs()[c]);
+    }
+  }
+  std::sort(kept.begin(), kept.end());
+  return kept;
+}
+
+TEST(QuotaWeightedEviction, KeepSetMatchesTheRankedGreedyWhetherOrNotTheRowFits) {
+  Rng rng(59);
+  const int docs = 12;
+  QuotaWeightedEviction policy;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint64_t> bytes(static_cast<std::size_t>(docs));
+    for (auto& b : bytes) b = 1 + rng.NextBelow(5000);
+    const DocumentSizes sizes = DocumentSizes::FromBytes(bytes);
+    QuotaSnapshot::Builder builder(2, docs);
+    std::uint64_t row_bytes = 0;
+    for (DocId d = 0; d < docs; ++d)
+      if (d == 0 || rng.NextBernoulli(0.6)) {
+        // Integer rates make equal densities, and with them the doc-id
+        // tie-break, common.
+        builder.Add(1, d, static_cast<double>(1 + rng.NextBelow(4)));
+        row_bytes += bytes[static_cast<std::size_t>(d)];
+      }
+    const QuotaSnapshot snap = std::move(builder).Build();
+    const std::uint64_t start = trial % 4 == 0 ? rng.NextBelow(100) : 0;
+    // A random budget, the row exactly at budget (kept whole), and the
+    // row one byte over it (ranked: something must go).
+    for (const std::uint64_t budget :
+         {rng.NextBelow(row_bytes + row_bytes / 5 + 1), start + row_bytes,
+          start + row_bytes - 1}) {
+      std::vector<DocId> kept;
+      std::uint64_t used = start, want_used = start;
+      policy.KeepSet(snap, 1, sizes, budget, &kept, &used);
+      const std::vector<DocId> want =
+          ReferenceKeepSet(snap, 1, sizes, budget, &want_used);
+      EXPECT_EQ(kept, want) << "trial " << trial << " budget " << budget;
+      EXPECT_EQ(used, want_used) << "trial " << trial << " budget " << budget;
+      const std::int64_t cells = snap.row_end(1) - snap.row_begin(1);
+      if (budget == start + row_bytes) {
+        EXPECT_EQ(static_cast<std::int64_t>(kept.size()), cells);
+      } else if (budget == start + row_bytes - 1) {
+        EXPECT_LT(static_cast<std::int64_t>(kept.size()), cells);
+      }
+    }
+  }
+}
+
 TEST(CacheStore, HomeIsNeverBudgetedAndAlwaysResident) {
   const RoutingTree tree = MakeChain(3);
   QuotaSnapshot::Builder b(3, 2);
@@ -293,7 +364,30 @@ TEST(CapacityProjector, PipelineBitIdenticalAcrossThreadsAndLaneBlocks) {
 
 // Incremental refresh -----------------------------------------------------
 
-TEST(CapacityProjector, RefreshMatchesFullProjectionAcrossChurnEpochs) {
+// One store of the churn scenario below: nodes at most `core_depth` deep
+// get the whole working set, every node below them `multiple` of it.
+struct RefreshBudget {
+  const char* name;
+  double min_rate;  // the base snapshot's cell floor
+  int core_depth;
+  double multiple;
+};
+
+CacheStore RefreshStore(const RoutingTree& tree, int docs,
+                        const RefreshBudget& budget) {
+  DocumentSizes sizes = DocumentSizes::LogNormal(docs, 2048, 1.1, 29);
+  const double total = static_cast<double>(sizes.total_bytes());
+  std::vector<std::uint64_t> budgets(static_cast<std::size_t>(tree.size()));
+  for (NodeId v = 0; v < tree.size(); ++v)
+    budgets[static_cast<std::size_t>(v)] = static_cast<std::uint64_t>(
+        (tree.depth(v) <= budget.core_depth ? 1.0 : budget.multiple) * total);
+  return CacheStore(tree, std::move(sizes), std::move(budgets));
+}
+
+// Runs the rotating-hot-spot churn scenario against one store: every
+// Refresh must be cell-identical to a fresh Project of the same base.
+void ExpectRefreshMatchesFullProjection(const RefreshBudget& budget) {
+  SCOPED_TRACE(budget.name);
   Rng rng(47);
   const RoutingTree tree = MakeRandomTree(400, rng);
   const int docs = 10;
@@ -307,20 +401,16 @@ TEST(CapacityProjector, RefreshMatchesFullProjectionAcrossChurnEpochs) {
   BatchWebWaveSimulator sim(tree, schedule.Lanes(), {});
   for (int s = 0; s < 30; ++s) sim.Step();
 
-  // A floor high enough that demand shifts move cells across it: the
-  // base snapshot's copy sets must actually change shape for the
-  // structural path to be exercised.
-  const double min_rate = 1e-3;
-  QuotaSnapshot base = QuotaSnapshot::FromBatch(sim, min_rate);
+  QuotaSnapshot base = QuotaSnapshot::FromBatch(sim, budget.min_rate);
   sim.ClearDirtyLanes();
-  CapacityProjector incr(
-      tree, CacheStore::WorkingSetStore(
-                tree, DocumentSizes::LogNormal(docs, 2048, 1.1, 29), 0.35));
+  CapacityProjector incr(tree, RefreshStore(tree, docs, budget));
   incr.Project(base);
 
   NodeId gentle_leaf = 0;
   while (!tree.is_leaf(gentle_leaf)) ++gentle_leaf;
   bool saw_in_place = false, saw_rebuild = false;
+  bool evicting = incr.evicted_cells() > 0;
+  int to_quiet = 0, to_evicting = 0;
   for (int epoch = 0; epoch < 8; ++epoch) {
     if (epoch < 6) {
       // Churn epochs: the rotating window moves, and on odd epochs
@@ -349,20 +439,98 @@ TEST(CapacityProjector, RefreshMatchesFullProjectionAcrossChurnEpochs) {
     saw_in_place = saw_in_place || in_place;
     saw_rebuild = saw_rebuild || !in_place;
 
-    CapacityProjector full(
-        tree, CacheStore::WorkingSetStore(
-                  tree, DocumentSizes::LogNormal(docs, 2048, 1.1, 29), 0.35));
+    CapacityProjector full(tree, RefreshStore(tree, docs, budget));
     full.Project(base);
     ExpectSameCells(incr.clamped(), full.clamped(), "epoch refresh");
     EXPECT_NEAR(incr.spilled_rate(), full.spilled_rate(),
                 1e-9 * (1 + full.spilled_rate()))
         << "epoch " << epoch;
     EXPECT_EQ(incr.evicted_cells(), full.evicted_cells()) << "epoch " << epoch;
+    if (budget.multiple >= 1.0) {
+      EXPECT_EQ(incr.evicted_cells(), 0) << "epoch " << epoch;
+      ExpectSameCells(incr.clamped(), base, "zero-eviction refresh");
+    }
+    const bool now_evicting = incr.evicted_cells() > 0;
+    to_quiet += evicting && !now_evicting;
+    to_evicting += !evicting && now_evicting;
+    evicting = now_evicting;
   }
   // The scenario is built to hit both paths; losing either silently
   // halves the coverage.
   EXPECT_TRUE(saw_rebuild) << "no epoch exercised the structural rebuild";
-  EXPECT_TRUE(saw_in_place) << "no epoch exercised the in-place rewrite";
+  if (budget.core_depth == 0) {
+    EXPECT_TRUE(saw_in_place) << "no epoch exercised the in-place rewrite";
+  } else {
+    EXPECT_GT(to_quiet, 0) << "no refresh went from spilling to pass-through";
+    EXPECT_GT(to_evicting, 0) << "no refresh went from pass-through to spilling";
+  }
+}
+
+TEST(CapacityProjector, RefreshMatchesFullProjectionAcrossChurnEpochs) {
+  // A floor high enough that demand shifts move cells across it, so the
+  // base snapshot's copy sets change shape and the structural path runs.
+  // Every node holds nearly the whole catalog at that floor, so a uniform
+  // budget below 1x evicts on every epoch and one at 1x on none.  The
+  // toggling store instead raises the floor until rows come and go, and
+  // spares a core that always holds a full row; whole epochs then pass
+  // with no eviction anywhere, between epochs that spill.
+  for (const RefreshBudget& budget :
+       {RefreshBudget{"0.35x, evicting", 1e-3, 0, 0.35},
+        RefreshBudget{"1x, zero eviction", 1e-3, 0, 1.0},
+        RefreshBudget{"1x core, 0.7x edge, toggling", 1.0, 3, 0.7}})
+    ExpectRefreshMatchesFullProjection(budget);
+}
+
+// The byte budget couples documents: one lane surging at many nodes
+// evicts other documents' copies there, and collapsing again frees the
+// budget for them.  With every other lane at its fixed point, the dirty
+// set is that one lane, so Refresh must find the clean documents whose
+// residency moved through the re-ranked rows alone.
+TEST(CapacityProjector, RefreshFollowsOneDirtyLaneIntoCleanDocuments) {
+  Rng rng(67);
+  const RoutingTree tree = MakeRandomTree(60, rng);
+  const int docs = 6;
+  std::vector<std::vector<double>> lanes(static_cast<std::size_t>(docs));
+  for (auto& lane : lanes) {
+    lane.assign(static_cast<std::size_t>(tree.size()), 0.0);
+    for (auto& r : lane) r = rng.NextDouble(0, 3);
+  }
+  BatchWebWaveSimulator sim(tree, lanes, {});
+  // Diffuse every lane to its floating-point fixed point, where it steps
+  // clean.
+  for (int s = 0; s < 5000 && (s == 0 || sim.dirty_lane_count() > 0); ++s) {
+    sim.ClearDirtyLanes();
+    sim.Step();
+  }
+  QuotaSnapshot base = QuotaSnapshot::FromBatch(sim, 1e-3);
+  sim.ClearDirtyLanes();
+  const auto store = [&] {
+    return CacheStore::WorkingSetStore(
+        tree, DocumentSizes::LogNormal(docs, 2048, 1.1, 31), 0.5);
+  };
+  CapacityProjector incr(tree, store());
+  incr.Project(base);
+
+  const int surging = 2;
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    std::vector<DemandEvent> events;
+    for (NodeId v = 0; v < tree.size(); v += 2)
+      events.push_back({surging, v, epoch % 2 == 0 ? 60.0 : 0.0});
+    sim.ApplyDemandEvents(events);
+    for (int s = 0; s < 1500; ++s) sim.Step();
+    const std::vector<int> dirty = sim.DirtyLanes();
+    ASSERT_EQ(dirty, std::vector<int>{surging}) << "epoch " << epoch;
+    base.RefreshFromBatch(sim);
+    sim.ClearDirtyLanes();
+    incr.Refresh(base, Span<const int>(dirty.data(), dirty.size()));
+
+    CapacityProjector full(tree, store());
+    full.Project(base);
+    ExpectSameCells(incr.clamped(), full.clamped(), "one dirty lane");
+    EXPECT_EQ(incr.evicted_cells(), full.evicted_cells()) << "epoch " << epoch;
+    EXPECT_GT(incr.last_affected_docs().size(), 1u)
+        << "epoch " << epoch << ": the surge moved no clean document";
+  }
 }
 
 TEST(CapacityProjector, RefreshWithNoDirtyLanesIsANoOp) {

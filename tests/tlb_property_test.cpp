@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 namespace webwave {
 namespace {
@@ -32,15 +33,18 @@ std::vector<double> RandomRates(int n, Rng& rng, bool integral,
   return rates;
 }
 
+// Both fields are 64-bit so the struct has no padding: gtest names each
+// case after the bytes of its parameter, and padding bytes are garbage.
 struct TlbCase {
-  int nodes;
+  std::int64_t nodes;
   std::uint64_t seed;
 };
 
 class SmallTreeOracle : public ::testing::TestWithParam<TlbCase> {};
 
 TEST_P(SmallTreeOracle, WebFoldMatchesBruteForceAndRegions) {
-  const auto [n, seed] = GetParam();
+  const int n = static_cast<int>(GetParam().nodes);
+  const std::uint64_t seed = GetParam().seed;
   Rng rng(seed);
   for (int round = 0; round < 30; ++round) {
     const RoutingTree tree = MakeRandomTree(n, rng);
@@ -75,7 +79,8 @@ INSTANTIATE_TEST_SUITE_P(
 class LargerTreeAgreement : public ::testing::TestWithParam<TlbCase> {};
 
 TEST_P(LargerTreeAgreement, WebFoldMatchesMaxMeanRegions) {
-  const auto [n, seed] = GetParam();
+  const int n = static_cast<int>(GetParam().nodes);
+  const std::uint64_t seed = GetParam().seed;
   Rng rng(seed);
   for (int round = 0; round < 8; ++round) {
     const RoutingTree tree =
