@@ -109,6 +109,28 @@ void ServingPlane::BuildTables() {
     ws.stamp.assign(tokens_per_block_.size(), 0);
     ws.avail.assign(tokens_per_block_.size(), 0);
   }
+
+  // The per-node document bitmap FindCell tests.  A cell's rank among
+  // its row's set bits is its offset in the row only while rows are
+  // strictly ascending, so that is checked here, not assumed.
+  const std::int32_t docs = snapshot_.doc_count();
+  words_per_node_ = (static_cast<std::size_t>(docs) + 63) / 64;
+  doc_bits_.assign(
+      static_cast<std::size_t>(snapshot_.node_count()) * words_per_node_, 0);
+  const std::int32_t* cell_docs = snapshot_.cell_docs();
+  for (NodeId v = 0; v < snapshot_.node_count(); ++v) {
+    std::uint64_t* row =
+        doc_bits_.data() + static_cast<std::size_t>(v) * words_per_node_;
+    const std::int64_t end = snapshot_.row_end(v);
+    std::int32_t prev = -1;
+    for (std::int64_t c = snapshot_.row_begin(v); c < end; ++c) {
+      const std::int32_t d = cell_docs[c];
+      WEBWAVE_REQUIRE(d > prev && d < docs,
+                      "snapshot rows must hold strictly ascending documents");
+      row[static_cast<std::size_t>(d) >> 6] |= std::uint64_t{1} << (d & 63);
+      prev = d;
+    }
+  }
 }
 
 bool ServingPlane::Refresh(QuotaSnapshot snapshot) {
@@ -155,10 +177,12 @@ bool ServingPlane::RefreshImpl(QuotaSnapshot snapshot,
     return false;
   }
 
-  // In-place: rewrite only the changed cells' rows.  When the budget
-  // scale moved (offered_rate tracking the snapshot total) every cell's
-  // token rate moved with it, so the hint no longer bounds the change
-  // set and the whole table is re-diffed.
+  // In-place: rewrite only the changed cells' rows.  The document
+  // bitmap depends on the row offsets and cell documents alone, which
+  // the shape check just proved unchanged, so it is kept as is.  When
+  // the budget scale moved (offered_rate tracking the snapshot total)
+  // every cell's token rate moved with it, so the hint no longer bounds
+  // the change set and the whole table is re-diffed.
   const bool scale_held = per_block == per_block_;
   per_block_ = per_block;
   const double* rates = snapshot_.cell_rates();
@@ -232,7 +256,8 @@ bool ServingPlane::TablesEqual(const ServingPlane& other) const {
         serve_prob_[c] != other.serve_prob_[c] ||
         token_index_[c] != other.token_index_[c])
       return false;
-  return tokens_per_block_ == other.tokens_per_block_;
+  return tokens_per_block_ == other.tokens_per_block_ &&
+         doc_bits_ == other.doc_bits_;
 }
 
 void ServingPlane::AttachRegistry(MetricRegistry* registry,
@@ -267,6 +292,16 @@ void ServingPlane::ResetMetrics() {
 
 namespace {
 
+// Set bits of x, branch-free (SWAR).  The default x86-64 target has no
+// popcnt instruction, so __builtin_popcountll would be a libgcc call on
+// the serve path; this is a dozen inline integer ops.
+inline std::int64_t PopCount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<std::int64_t>((x * 0x0101010101010101ULL) >> 56);
+}
+
 // Per-request trace emitter: a null sink (the untraced 99.994%) makes
 // Emit a no-op, so the hot loop's only tracing cost is the sampling hash.
 struct TraceSink {
@@ -295,22 +330,19 @@ struct TraceSink {
 // ServeWireSegment (the netd entry point): both transports must make
 // identical decisions, so the decision code exists exactly once.
 
-// First copy of d at v; rows are doc-ascending, so long rows (leaves
-// often hold most of the catalog) take a binary search, short ones a
-// scan.
+// Whether v holds d is one bit of v's document bitmap; the cell is the
+// row start plus the rank of that bit (the set bits below it), because
+// BuildTables proved each row strictly doc-ascending.  One code path for
+// every row length, and no branch on the row's contents.
 std::int64_t ServingPlane::FindCell(NodeId v, std::int32_t d) const {
-  const std::int32_t* cell_docs = snapshot_.cell_docs();
-  const std::int64_t begin = snapshot_.row_begin(v);
-  const std::int64_t end = snapshot_.row_end(v);
-  if (end - begin > 12) {
-    const std::int32_t* it =
-        std::lower_bound(cell_docs + begin, cell_docs + end, d);
-    if (it != cell_docs + end && *it == d) return it - cell_docs;
-    return -1;
-  }
-  for (std::int64_t c = begin; c < end && cell_docs[c] <= d; ++c)
-    if (cell_docs[c] == d) return c;
-  return -1;
+  const std::uint64_t* row =
+      doc_bits_.data() + static_cast<std::size_t>(v) * words_per_node_;
+  const std::size_t w = static_cast<std::size_t>(d) >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (d & 63);
+  if ((row[w] & bit) == 0) return -1;
+  std::int64_t rank = PopCount64(row[w] & (bit - 1));
+  for (std::size_t i = 0; i < w; ++i) rank += PopCount64(row[i]);
+  return snapshot_.row_begin(v) + rank;
 }
 
 // Token bucket: block k's grant is floor(r·(k+1)+u) − floor(r·k+u), a

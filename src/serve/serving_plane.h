@@ -27,14 +27,16 @@
 // burstiness is absorbed at the copies instead of overflowing to the
 // home.
 //
-// The hot loop is allocation-free: CSR row walks over flat arrays, a
-// parent-pointer climb, integer counters.  Serve() sweeps request blocks
-// on a WorkerPool with the repo's deterministic static partition; every
-// block is processed start-to-finish by exactly one worker against
-// per-worker budget scratch keyed by block id, and all metrics are
-// integer counts merged per worker — so serving results are bit-identical
-// at every thread count, the same guarantee the batch simulator gives
-// (asserted at 1/2/8 threads by serving_test).
+// The hot loop is allocation-free: a per-node document bitmap answers
+// "does this node hold a copy?" with one bit test and finds the copy's
+// CSR cell by a popcount rank, then a parent-pointer climb and integer
+// counters.  Serve() sweeps request blocks on a WorkerPool with the
+// repo's deterministic static partition; every block is processed
+// start-to-finish by exactly one worker against per-worker budget
+// scratch keyed by block id, and all metrics are integer counts merged
+// per worker — so serving results are bit-identical at every thread
+// count, the same guarantee the batch simulator gives (asserted at 1/2/8
+// threads by serving_test).
 //
 // Failover (the fault plane's data-plane half): SetDownNodes marks a set
 // of crashed nodes.  A request reaching a down node cannot query it — it
@@ -164,7 +166,7 @@ class ServingPlane {
   enum class WireServe { kServed, kForwarded, kDropped };
 
   // Serves one wire GetRequest through exactly the admission core
-  // ProcessBlock runs — same row search, same token grants, same
+  // ProcessBlock runs — same bitmap lookup, same token grants, same
   // thinning draws, same failover backoff — but resumable across
   // processes: the walk starts at in.origin_node with in.ttl_hops edges
   // already climbed and in.failed attempts already burned.
@@ -242,7 +244,9 @@ class ServingPlane {
                     const Request* reqs, std::size_t count);
   // The admission core, shared verbatim by ProcessBlock and
   // ServeWireSegment (all inline in the .cpp):
-  //   FindCell      — CSR row search for (v, d); -1 when v holds no copy.
+  //   FindCell      — the cell of (v, d) from doc_bits_: bit test, then
+  //                   row_begin(v) + rank of the bit; -1 when v holds no
+  //                   copy.
   //   TokenGrant    — block k's whole-token grant for a token cell,
   //                   floor(r·(k+1)+u) − floor(r·k+u).
   //   ThinningAdmit — the (req_id, cell) thinning draw against
@@ -256,8 +260,8 @@ class ServingPlane {
   static std::uint64_t BackoffSlots(std::uint64_t req_id,
                                     std::uint32_t failed);
   // Recomputes serve_prob_ / token_index_ / tokens_per_block_ (and the
-  // per-worker token scratch) from snapshot_ — the constructor's table
-  // build, shared with Refresh's full-rebuild path.
+  // per-worker token scratch) and doc_bits_ from snapshot_ — the
+  // constructor's table build, shared with Refresh's full-rebuild path.
   void BuildTables();
   bool RefreshImpl(QuotaSnapshot snapshot,
                    Span<const std::int32_t> changed_docs, bool have_hint);
@@ -279,6 +283,12 @@ class ServingPlane {
   std::vector<double> tokens_per_block_;  // per token cell
   double per_block_ = 0;  // slack · block_size / scale rate, cached by
                           // BuildTables so Refresh can detect scale moves
+  // One bit per (node, document), words_per_node_ = ⌈D/64⌉ words per
+  // node, node-major: bit d of v's row is set iff v holds a copy of d.
+  // Derived from the snapshot's rows; Refresh's in-place path keeps it
+  // (it proved the rows unchanged), every full rebuild recomputes it.
+  std::vector<std::uint64_t> doc_bits_;
+  std::size_t words_per_node_ = 0;
   // Per node, 1 = crashed; empty means every node is live (the hot loop
   // skips the mask probe entirely in that case).
   std::vector<std::uint8_t> down_;

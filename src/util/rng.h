@@ -14,7 +14,13 @@
 namespace webwave {
 
 // SplitMix64 step; used for seeding and as a cheap stateless mixer.
-std::uint64_t SplitMix64(std::uint64_t& state);
+// Inline because every counter-based draw on the serve path reduces to it.
+inline std::uint64_t SplitMix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 // One uniform double in [0, 1) as a pure function of a counter: the
 // SplitMix64 finalizer scaled to 53 bits.  The counter-based determinism

@@ -441,6 +441,102 @@ TEST(ServingPlane, WebWavePlacementBeatsHomeOnlyMaxLoad) {
   EXPECT_LT(max_webwave, max_home / 10);
 }
 
+// The bitmap lookup past one word: a 130-document catalog gives every
+// node three bitmap words, so a copy's rank counts set bits in earlier
+// words.  Every cell thins, and its decision is certain: fraction 1
+// always admits, fraction 1e-18 never does.  The two kinds alternate
+// along each row, so a lookup that finds the wrong cell of the right
+// row changes where a request is served.  Each request must be served
+// at the nearest ancestor-or-self whose copy admits — the reference
+// below finds it with QuotaSnapshot::CellOf.
+TEST(ServingPlane, BitmapLookupFindsCopiesAcrossWordBoundaries) {
+  Rng rng(131);
+  const RoutingTree tree = MakeRandomTree(300, rng);
+  const int docs = 130;
+  // Row kinds by v % 8; kind 6 is a full row, kind 7 a random 30 %.
+  const std::vector<std::vector<std::int32_t>> patterns = {
+      {},                          // empty row
+      {0, 63, 64, 127, 128, 129},  // every word edge
+      {62, 63, 64, 65},            // straddles words 0 and 1
+      {126, 127, 128, 129},        // straddles words 1 and 2
+      {129},                       // last document only
+      {0},                         // first document only
+  };
+  const auto admits = [](NodeId v, std::int32_t d) {
+    return (v + d) % 3 != 0;
+  };
+  QuotaSnapshot::Builder b(tree.size(), docs);
+  for (NodeId v = 0; v < tree.size(); ++v) {
+    const std::size_t kind = static_cast<std::size_t>(v % 8);
+    for (std::int32_t d = 0; d < docs; ++d) {
+      const bool held =
+          kind == 6   ? true
+          : kind == 7 ? rng.NextBernoulli(0.3)
+                      : std::count(patterns[kind].begin(),
+                                   patterns[kind].end(), d) > 0;
+      if (held) b.Add(v, d, 1.0, admits(v, d) ? 1.0 : 1e-18);
+    }
+  }
+  const QuotaSnapshot snap = std::move(b).Build();
+
+  // One request per (node, document); the reference climb's answers.
+  std::vector<Request> batch;
+  std::vector<NodeId> want_node;
+  std::vector<std::uint64_t> want_hops;
+  ServingMetrics want;
+  want.served_per_node.assign(static_cast<std::size_t>(tree.size()), 0);
+  for (NodeId v = 0; v < tree.size(); ++v)
+    for (std::int32_t d = 0; d < docs; ++d) {
+      batch.push_back(Request{v, d});
+      NodeId u = v;
+      std::uint64_t hops = 0;
+      while (u != tree.root() && (snap.CellOf(u, d) < 0 || !admits(u, d))) {
+        u = tree.parent(u);
+        ++hops;
+      }
+      want_node.push_back(u);
+      want_hops.push_back(hops);
+      ++want.served_per_node[static_cast<std::size_t>(u)];
+      want.hop_sum += hops;
+    }
+
+  // A huge offered rate keeps every cell below one token per block.
+  ServingOptions wire_opt;
+  wire_opt.block_size = 1;
+  wire_opt.offered_rate = 1e6;
+  ServingPlane wire(tree, snap, wire_opt);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    GetRequest in;
+    in.req_id = i;
+    in.doc = batch[i].doc;
+    in.origin_node = batch[i].node;
+    GetRequest fwd;
+    GetReply reply;
+    ASSERT_EQ(wire.ServeWireSegment(in, &fwd, &reply),
+              ServingPlane::WireServe::kServed);
+    ASSERT_EQ(reply.serving_node, want_node[i])
+        << "node " << batch[i].node << " doc " << batch[i].doc;
+    ASSERT_EQ(reply.hops, want_hops[i])
+        << "node " << batch[i].node << " doc " << batch[i].doc;
+  }
+
+  std::vector<ServingMetrics> results;
+  for (const int threads : {1, 2}) {
+    ServingOptions opt;
+    opt.threads = threads;
+    opt.block_size = 4096;
+    opt.offered_rate = 1e6;
+    ServingPlane plane(tree, snap, opt);
+    plane.Serve(batch);
+    results.push_back(plane.metrics());
+  }
+  EXPECT_TRUE(results[0] == results[1]);
+  EXPECT_EQ(results[0].served_per_node, want.served_per_node);
+  EXPECT_EQ(results[0].hop_sum, want.hop_sum);
+  EXPECT_EQ(results[0].requests, batch.size());
+  EXPECT_TRUE(results[0] == wire.metrics());
+}
+
 // Incremental plane refresh ----------------------------------------------
 
 // The data-plane analogue of RefreshFromBatch: installing a new snapshot
