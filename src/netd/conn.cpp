@@ -29,7 +29,6 @@ void FrameConn::ResetFd(int new_fd) {
   fd_ = new_fd;
   closed_ = false;
   in_.clear();
-  in_start_ = 0;
 }
 
 bool FrameConn::Flush() {
@@ -62,39 +61,42 @@ bool FrameConn::Flush() {
 
 bool FrameConn::OnReadable(
     const std::function<void(const WireMessage&)>& on_frame) {
-  std::uint8_t buf[1 << 16];
+  std::uint8_t buf[kReadChunkBytes];
   for (;;) {
     const ssize_t n = ::read(fd_, buf, sizeof buf);
     if (n > 0) {
       in_.insert(in_.end(), buf, buf + n);
+      DecodeFrames(on_frame);
       if (static_cast<std::size_t>(n) == sizeof buf) continue;
     } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       // drained
     } else if (n < 0 && errno == EINTR) {
       continue;
     } else {
-      closed_ = true;  // EOF or reset; deliver what already arrived
+      closed_ = true;  // EOF or reset; what already arrived was delivered
     }
     break;
   }
-  // Cut complete frames.  The consumed prefix is trimmed lazily so a
-  // burst of small frames costs one memmove, not one per frame.
+  return !closed_;
+}
+
+void FrameConn::DecodeFrames(
+    const std::function<void(const WireMessage&)>& on_frame) {
+  // Cut every complete frame, then trim the consumed prefix once: a
+  // chunk of small frames costs one memmove of its partial tail.
+  std::size_t pos = 0;
   for (;;) {
     WireMessage msg;
     std::size_t consumed = 0;
-    const auto st = MessageCodec::Decode(
-        in_.data() + in_start_, in_.size() - in_start_, &msg, &consumed);
+    const auto st = MessageCodec::Decode(in_.data() + pos, in_.size() - pos,
+                                         &msg, &consumed);
     if (st == MessageCodec::DecodeStatus::kNeedMore) break;
     WEBWAVE_REQUIRE(st == MessageCodec::DecodeStatus::kOk,
                     "byte-garbage on a netd connection");
-    in_start_ += consumed;
+    pos += consumed;
     on_frame(msg);
   }
-  if (in_start_ > 0) {
-    in_.erase(in_.begin(), in_.begin() + static_cast<std::ptrdiff_t>(in_start_));
-    in_start_ = 0;
-  }
-  return !closed_;
+  in_.erase(in_.begin(), in_.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
 }  // namespace webwave

@@ -1,11 +1,17 @@
 // FrameConn — a non-blocking stream socket speaking wire/codec.h frames.
 //
-// Reads accumulate into a buffer and are cut into frames by
-// MessageCodec::Decode (kNeedMore keeps bytes for the next readable
-// event; kError is a protocol violation and poisons the connection).
-// Writes append encoded frames to an output buffer and flush as much as
-// the socket accepts; the owner toggles the event loop's write interest
-// off `want_write()` after each send/flush.
+// Reads come in chunks of up to kReadChunkBytes; after every chunk the
+// buffer is cut into frames by MessageCodec::Decode, so it never holds
+// more than one chunk plus a partial frame (kNeedMore keeps that tail for
+// the next chunk; kError is a protocol violation and poisons the
+// connection).
+//
+// Writes are batched.  Send() only encodes and queues; the socket is
+// written when the queue reaches kFlushThresholdBytes or when the owner
+// calls Flush().  Owners flush once per read batch or timer round, so a
+// batch of replies costs one write(2), and turn on the event loop's
+// write interest only when `want_write()` is still true after a flush
+// (the socket returned EAGAIN).
 //
 // Robustness contract (PR 9): a short write leaves the unsent suffix
 // queued and the next Flush resumes mid-frame at the exact byte offset —
@@ -20,9 +26,12 @@
 // outbox_bytes()/outbox_peak() expose the queued-output depth for the
 // daemon's watermark policy: a forward that would push a peer conn past
 // the high-watermark is shed into the failover path instead of buffering
-// unboundedly behind a slow or dead peer.
+// unboundedly behind a slow or dead peer.  kFlushThresholdBytes must stay
+// well below that watermark (1 MiB by default), or a batch's own queued
+// forwards would start to shed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -42,17 +51,21 @@ class FrameConn {
   int fd() const { return fd_; }
   bool closed() const { return closed_; }
 
-  // Encodes and queues one message, then flushes opportunistically.
+  // A queue this deep is written by the Send that filled it, without
+  // waiting for the owner's Flush: it bounds the outbox of a long batch.
+  static constexpr std::size_t kFlushThresholdBytes = std::size_t{64} << 10;
+
+  // Encodes and queues one message; writes only once the queue reaches
+  // kFlushThresholdBytes.  A write failure there surfaces as closed() and
+  // as false from the owner's next Flush.
   template <typename Message>
   void Send(const Message& m) {
     MessageCodec::Encode(m, &out_);
-    NotePeak();
-    Flush();
+    Queued();
   }
   void SendControl(MsgType type) {
     MessageCodec::EncodeControl(type, &out_);
-    NotePeak();
-    Flush();
+    Queued();
   }
 
   // Writes as much queued output as the socket accepts.  Returns false
@@ -76,22 +89,26 @@ class FrameConn {
   std::size_t outbox_bytes() const { return out_.size() - out_start_; }
   std::size_t outbox_peak() const { return outbox_peak_; }
 
-  // Drains the socket and invokes on_frame for every complete frame.
-  // Returns false on EOF or error (the connection is done); throws on
-  // byte-garbage (a protocol violation is a bug in this fleet, not an
-  // operational event).
+  // Drains the socket and invokes on_frame for every complete frame, in
+  // order, cutting frames after each chunk read.  Returns false on EOF or
+  // error (the connection is done); throws on byte-garbage (a protocol
+  // violation is a bug in this fleet, not an operational event).
   bool OnReadable(const std::function<void(const WireMessage&)>& on_frame);
 
  private:
-  void NotePeak() {
+  // The most one read(2) takes; frames are cut after every chunk.
+  static constexpr std::size_t kReadChunkBytes = std::size_t{64} << 10;
+
+  void Queued() {
     if (outbox_bytes() > outbox_peak_) outbox_peak_ = outbox_bytes();
+    if (outbox_bytes() >= kFlushThresholdBytes) Flush();
   }
+  void DecodeFrames(const std::function<void(const WireMessage&)>& on_frame);
 
   int fd_;
   bool closed_ = false;
   bool connecting_ = false;
-  std::vector<std::uint8_t> in_;
-  std::size_t in_start_ = 0;   // consumed prefix of in_
+  std::vector<std::uint8_t> in_;  // at most one chunk plus a partial frame
   std::vector<std::uint8_t> out_;
   std::size_t out_start_ = 0;  // consumed prefix of out_ (lazy trim)
   std::size_t outbox_peak_ = 0;

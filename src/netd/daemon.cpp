@@ -58,17 +58,7 @@ CacheServerDaemon::CacheServerDaemon(const NetdClusterConfig& config,
   reg_shed_forwards_ = registry_.Counter("netd.shed_forwards");
   reg_reconnects_ = registry_.Counter("netd.reconnects");
   reg_outbox_peak_ = registry_.Gauge("netd.outbox_peak_bytes");
-  hist_queue_delay_ = hists_.Register("netd.frame_queue_delay_ns");
   hist_serve_ = hists_.Register("netd.serve_time_ns");
-  hist_control_ = hists_.Register("netd.control_time_ns");
-  hist_poll_iter_ = hists_.Register("netd.loop_poll_iter_ns");
-  hist_timer_lag_ = hists_.Register("netd.loop_timer_lag_ns");
-  EventLoop::LatencySink sink;
-  sink.clock = &clock_;
-  sink.poll_iter = &hists_.At(hist_poll_iter_);
-  sink.timer_lag = &hists_.At(hist_timer_lag_);
-  sink.max_stall_ns = &max_stall_ns_;
-  loop_.AttachLatencyPlane(sink);
 }
 
 CacheServerDaemon::~CacheServerDaemon() {
@@ -104,16 +94,17 @@ void CacheServerDaemon::AdoptConn(int fd) {
   conns_[fd] = std::make_unique<FrameConn>(fd);
   flight_.Note(FlightEventKind::kConnUp, static_cast<std::uint64_t>(fd),
                /*arg=*/0);  // arg 0: accepted (incoming) conn
-  loop_.WatchRead(fd, [this, fd] {
-    const auto it = conns_.find(fd);
-    if (it == conns_.end()) return;
-    // Queue delay is measured from here: every frame this read batch
-    // dispatches waited at least since the batch began.
-    read_batch_start_ns_ = clock_.NowNanos();
-    const bool alive = it->second->OnReadable(
-        [this, fd](const WireMessage& m) { OnFrame(fd, m); });
-    if (!alive) DropConn(fd);
-  });
+  loop_.WatchRead(fd, [this, fd] { OnConnReadable(fd); });
+}
+
+void CacheServerDaemon::OnConnReadable(int fd) {
+  const auto it = conns_.find(fd);
+  if (it == conns_.end()) return;
+  const bool alive = it->second->OnReadable(
+      [this, fd](const WireMessage& m) { OnFrame(fd, m); });
+  // Replies to a half-closed client still go out before the conn goes.
+  FlushQueued();
+  if (!alive) DropConn(fd);
 }
 
 void CacheServerDaemon::DropConn(int fd) {
@@ -126,41 +117,47 @@ void CacheServerDaemon::DropConn(int fd) {
   conns_.erase(it);  // closes the fd
 }
 
-void CacheServerDaemon::UpdateWriteInterest(int fd) {
+void CacheServerDaemon::FlushQueued() {
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    const int fd = it->first;
+    const bool queued = it->second->outbox_bytes() > 0;
+    ++it;  // FlushConn may erase fd's entry
+    if (queued) FlushConn(fd);
+  }
+  for (int s = 0; s < config_.server_count; ++s) {
+    const PeerLink& link = peers_[static_cast<std::size_t>(s)];
+    if (link.conn && link.conn->outbox_bytes() > 0) FlushPeer(s);
+  }
+}
+
+void CacheServerDaemon::FlushConn(int fd) {
   const auto it = conns_.find(fd);
   if (it == conns_.end()) return;
   FrameConn* c = it->second.get();
-  NoteOutboxPeak(*c);
-  if (c->closed()) {
+  if (!c->Flush() || c->closed()) {
     DropConn(fd);
     return;
   }
-  loop_.SetWriteInterest(fd, c->want_write(), [this, fd] {
-    const auto it2 = conns_.find(fd);
-    if (it2 == conns_.end()) return;
-    it2->second->Flush();
-    UpdateWriteInterest(fd);
-  });
+  loop_.SetWriteInterest(fd, c->want_write(), [this, fd] { FlushConn(fd); });
 }
 
 void CacheServerDaemon::OnFrame(int from_fd, const WireMessage& msg) {
-  // Queue delay: how long this frame sat behind its read batch before
-  // its handler ran.  Service time: the handler itself.  Both real
-  // wall-clock — shipped and dumped, never identity-asserted.
-  const std::uint64_t t0 = clock_.NowNanos();
-  hists_.At(hist_queue_delay_)
-      .Record(t0 >= read_batch_start_ns_ ? t0 - read_batch_start_ns_ : 0);
   const std::uint64_t frame_detail =
       msg.type == MsgType::kGetRequest  ? msg.get.req_id
       : msg.type == MsgType::kGetReply  ? msg.reply.req_id
                                         : 0;
   flight_.Note(FlightEventKind::kFrameIn, frame_detail,
                static_cast<std::uint32_t>(msg.type));
+  // Request service time: the serve decision plus queueing its reply or
+  // forward.  The write itself comes once per read batch (FlushQueued).
+  // Real wall-clock — shipped and dumped, never identity-asserted.
+  const bool request = msg.type == MsgType::kGetRequest;
+  const std::uint64_t t0 = request ? clock_.NowNanos() : 0;
   DispatchFrame(from_fd, msg);
-  const std::uint64_t t1 = clock_.NowNanos();
-  hists_
-      .At(msg.type == MsgType::kGetRequest ? hist_serve_ : hist_control_)
-      .Record(t1 >= t0 ? t1 - t0 : 0);
+  if (request) {
+    const std::uint64_t t1 = clock_.NowNanos();
+    hists_.At(hist_serve_).Record(t1 >= t0 ? t1 - t0 : 0);
+  }
 }
 
 void CacheServerDaemon::DispatchFrame(int from_fd, const WireMessage& msg) {
@@ -176,10 +173,7 @@ void CacheServerDaemon::DispatchFrame(int from_fd, const WireMessage& msg) {
       const int dest = it->second;
       pending_.erase(it);
       const auto cit = conns_.find(dest);
-      if (cit != conns_.end()) {
-        cit->second->Send(msg.reply);
-        UpdateWriteInterest(dest);
-      }
+      if (cit != conns_.end()) cit->second->Send(msg.reply);
       break;
     }
     case MsgType::kLoadGossip:
@@ -189,14 +183,17 @@ void CacheServerDaemon::DispatchFrame(int from_fd, const WireMessage& msg) {
       const auto it = conns_.find(from_fd);
       if (it != conns_.end()) {
         // v4: counters plus the request service-time histogram, so the
-        // live scraper collects fleet-wide latency for free.
+        // live scraper collects fleet-wide latency for free.  Live conns'
+        // outbox peaks fold in here; dead ones folded when they went.
+        for (const auto& entry : conns_) NoteOutboxPeak(*entry.second);
+        for (const PeerLink& link : peers_)
+          if (link.conn) NoteOutboxPeak(*link.conn);
         StatsReply reply;
         reply.counters = Counters();
         reply.hist = WireHistogram::From(hists_.At(hist_serve_));
         it->second->Send(reply);
         flight_.Note(FlightEventKind::kFrameOut, 0,
                      static_cast<std::uint32_t>(MsgType::kStatsReply));
-        UpdateWriteInterest(from_fd);
       }
       break;
     }
@@ -205,20 +202,14 @@ void CacheServerDaemon::DispatchFrame(int from_fd, const WireMessage& msg) {
       // SIGKILL: the loadgen drains the fleet, asks for the ring, and
       // only kills once the reply (and the stats/trace scrapes) landed.
       const auto it = conns_.find(from_fd);
-      if (it != conns_.end()) {
-        it->second->Send(FlightSnapshot());
-        UpdateWriteInterest(from_fd);
-      }
+      if (it != conns_.end()) it->second->Send(FlightSnapshot());
       break;
     }
     case MsgType::kTraceRequest: {
       // The trace scrape: ship every TraceEvent this shard recorded.  The
       // loadgen merges and canonicalizes the per-daemon streams.
       const auto it = conns_.find(from_fd);
-      if (it != conns_.end()) {
-        it->second->Send(plane_->trace());
-        UpdateWriteInterest(from_fd);
-      }
+      if (it != conns_.end()) it->second->Send(plane_->trace());
       break;
     }
     case MsgType::kQuotaDelta:
@@ -241,7 +232,6 @@ void CacheServerDaemon::DispatchFrame(int from_fd, const WireMessage& msg) {
           h.sender = static_cast<std::uint32_t>(index_);
           h.epoch = epoch_;
           it->second->Send(h);
-          UpdateWriteInterest(from_fd);
         }
       }
       break;
@@ -268,7 +258,6 @@ void CacheServerDaemon::HandleRequest(int from_fd, const GetRequest& req) {
         it->second->Send(reply);
         flight_.Note(FlightEventKind::kFrameOut, reply.req_id,
                      static_cast<std::uint32_t>(MsgType::kGetReply));
-        UpdateWriteInterest(from_fd);
       }
       break;
     }
@@ -293,10 +282,7 @@ void CacheServerDaemon::HandleRequest(int from_fd, const GetRequest& req) {
         shed.version = epoch_;
         registry_.Add(reg_shed_forwards_, 1);
         const auto it = conns_.find(from_fd);
-        if (it != conns_.end()) {
-          it->second->Send(shed);
-          UpdateWriteInterest(from_fd);
-        }
+        if (it != conns_.end()) it->second->Send(shed);
         break;
       }
       pending_[req.req_id] = from_fd;
@@ -304,7 +290,6 @@ void CacheServerDaemon::HandleRequest(int from_fd, const GetRequest& req) {
       registry_.Add(reg_net_forwards_, 1);
       flight_.Note(FlightEventKind::kFrameOut, fwd.req_id,
                    static_cast<std::uint32_t>(MsgType::kGetRequest));
-      UpdatePeerWriteInterest(target);
       break;
     }
   }
@@ -395,19 +380,18 @@ void CacheServerDaemon::FinishConnect(int s) {
   link.conn->set_connecting(false);
   flight_.Note(FlightEventKind::kConnUp, static_cast<std::uint64_t>(s),
                /*arg=*/1);  // arg 1: outgoing peer link
-  loop_.WatchRead(fd, [this, s] {
-    PeerLink& l = peers_[static_cast<std::size_t>(s)];
-    if (l.st != PeerLink::St::kLive || !l.conn) return;
-    read_batch_start_ns_ = clock_.NowNanos();
-    const bool alive = l.conn->OnReadable(
-        [this, fd2 = l.conn->fd()](const WireMessage& m) { OnFrame(fd2, m); });
-    if (!alive) PeerConnDown(s);
-  });
-  if (!link.conn->Flush()) {
-    PeerConnDown(s);
-    return;
-  }
-  UpdatePeerWriteInterest(s);
+  loop_.WatchRead(fd, [this, s] { OnPeerReadable(s); });
+  FlushPeer(s);
+}
+
+void CacheServerDaemon::OnPeerReadable(int s) {
+  PeerLink& link = peers_[static_cast<std::size_t>(s)];
+  if (link.st != PeerLink::St::kLive || !link.conn) return;
+  const bool alive = link.conn->OnReadable(
+      [this, fd = link.conn->fd()](const WireMessage& m) { OnFrame(fd, m); });
+  // A dead link's queue cannot be replayed: retire it before flushing.
+  if (!alive) PeerConnDown(s);
+  FlushQueued();
 }
 
 void CacheServerDaemon::ConnectFailed(int s) {
@@ -448,25 +432,15 @@ void CacheServerDaemon::PeerConnDown(int s) {
                /*arg=*/1);
 }
 
-void CacheServerDaemon::UpdatePeerWriteInterest(int s) {
+void CacheServerDaemon::FlushPeer(int s) {
   PeerLink& link = peers_[static_cast<std::size_t>(s)];
-  if (!link.conn) return;
-  NoteOutboxPeak(*link.conn);
-  if (link.st != PeerLink::St::kLive) return;  // corked; nothing to flush
-  if (link.conn->closed()) {
+  if (!link.conn || link.st != PeerLink::St::kLive) return;  // corked
+  if (!link.conn->Flush() || link.conn->closed()) {
     PeerConnDown(s);
     return;
   }
-  const int fd = link.conn->fd();
-  loop_.SetWriteInterest(fd, link.conn->want_write(), [this, s] {
-    PeerLink& l = peers_[static_cast<std::size_t>(s)];
-    if (l.st != PeerLink::St::kLive || !l.conn) return;
-    if (!l.conn->Flush()) {
-      PeerConnDown(s);
-      return;
-    }
-    UpdatePeerWriteInterest(s);
-  });
+  loop_.SetWriteInterest(link.conn->fd(), link.conn->want_write(),
+                         [this, s] { FlushPeer(s); });
 }
 
 void CacheServerDaemon::CancelPeerTimer(int s) {
@@ -540,7 +514,7 @@ void CacheServerDaemon::GossipTick() {
   FrameConn* peer = ConnTo(target);
   peer->Send(g);
   registry_.Add(reg_gossip_sent_, 1);
-  UpdatePeerWriteInterest(target);
+  FlushPeer(target);
 }
 
 void CacheServerDaemon::NoteOutboxPeak(const FrameConn& c) {

@@ -77,7 +77,17 @@ class CacheServerDaemon {
   void OnAcceptable();
   void AdoptConn(int fd);
   void DropConn(int fd);
-  void UpdateWriteInterest(int fd);
+  // Read callbacks: dispatch the batch, then FlushQueued.  Members, not
+  // lambda bodies, because a conn-down inside them unwatches the fd and
+  // destroys the calling closure.
+  void OnConnReadable(int fd);
+  void OnPeerReadable(int s);  // a live outgoing peer link
+  // Writes every connection's queued frames: once per read batch, so a
+  // batch's replies and forwards cost one write(2) per connection.
+  void FlushQueued();
+  // Flushes one conn; asks the loop for POLLOUT only while the socket
+  // still refuses bytes (EAGAIN), and retires the conn if the peer died.
+  void FlushConn(int fd);
   void OnFrame(int from_fd, const WireMessage& msg);
   void DispatchFrame(int from_fd, const WireMessage& msg);
   void HandleRequest(int from_fd, const GetRequest& req);
@@ -90,7 +100,7 @@ class CacheServerDaemon {
   void FinishConnect(int s);    // uncork, watch, flush
   void ConnectFailed(int s);    // park + counter-hash backoff retry
   void PeerConnDown(int s);     // a live peer conn died
-  void UpdatePeerWriteInterest(int s);
+  void FlushPeer(int s);        // FlushConn for a live peer link
   void CancelPeerTimer(int s);
   // Dither-phased retry delay in ms for attempt `attempt` to server `s`
   // — same hash law as serving backoff, 1 ms slots.
@@ -149,13 +159,7 @@ class CacheServerDaemon {
   // HistogramRegistry so exposition and the wire read the same store.
   SteadyClock clock_;
   HistogramRegistry hists_;
-  HistogramRegistry::Id hist_queue_delay_{};  // frame read -> handler start
-  HistogramRegistry::Id hist_serve_{};        // kGetRequest service time
-  HistogramRegistry::Id hist_control_{};      // non-data frame service time
-  HistogramRegistry::Id hist_poll_iter_{};    // event-loop dispatch duration
-  HistogramRegistry::Id hist_timer_lag_{};    // timer fire lag
-  std::uint64_t max_stall_ns_ = 0;            // event-loop max-stall gauge
-  std::uint64_t read_batch_start_ns_ = 0;     // current read batch's t0
+  HistogramRegistry::Id hist_serve_{};  // kGetRequest service time
   FlightRecorder flight_;
 };
 

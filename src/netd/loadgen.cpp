@@ -60,6 +60,7 @@ void LoadgenClient::ConnectOne(int s) {
     if (c == nullptr) return;
     const bool alive =
         c->OnReadable([this, s](const WireMessage& m) { OnFrame(s, m); });
+    FlushAll();
     if (!alive && !shutdown_sent_) {
       failed_ = true;  // a daemon died under us, unscheduled
       loop_.Stop(1);
@@ -69,7 +70,6 @@ void LoadgenClient::ConnectOne(int s) {
   hello.kind = PeerKind::kLoadgen;
   hello.sender = 0;
   conns_[static_cast<std::size_t>(s)]->Send(hello);
-  UpdateWriteInterest(s);
 }
 
 void LoadgenClient::DropServerConn(int s) {
@@ -90,6 +90,7 @@ void LoadgenClient::ScheduleRefill() {
   loop_.AddTimer(0, [this] {
     tokens_ = config_.tokens_per_tick;
     TrySend();
+    FlushAll();
     if (next_ < config_.total_requests) ScheduleRefill();
   });
 }
@@ -114,7 +115,6 @@ void LoadgenClient::TrySend() {
     const int s = OwnerMap()[static_cast<std::size_t>(r.node)];
     sent_ns_[next_] = clock_.NowNanos();
     conns_[static_cast<std::size_t>(s)]->Send(g);
-    UpdateWriteInterest(s);
     ++next_;
     ++in_flight_;
     --tokens_;
@@ -211,8 +211,7 @@ void LoadgenClient::OnFrame(int server, const WireMessage& msg) {
         // destroys that conn.
         result_->retired.push_back(msg.stats);
         result_->retired_hist.push_back(reply_hist);
-        if (++victim_replies_ == victim_replies_needed_)
-          loop_.AddTimer(0, [this] { DoKillsAndRestarts(); });
+        if (++victim_replies_ == victim_replies_needed_) ScheduleKills();
         break;
       }
       if (boundary_ == Boundary::kBarrier) {
@@ -246,8 +245,7 @@ void LoadgenClient::OnFrame(int server, const WireMessage& msg) {
       if (boundary_ == Boundary::kVictimStats) {
         // Same re-entrancy hazard as the stats branch above: never tear
         // the delivering conn down from inside its own read callback.
-        if (++victim_replies_ == victim_replies_needed_)
-          loop_.AddTimer(0, [this] { DoKillsAndRestarts(); });
+        if (++victim_replies_ == victim_replies_needed_) ScheduleKills();
         break;
       }
       if (++trace_received_ == live_count_) BeginFlightDump();
@@ -264,8 +262,7 @@ void LoadgenClient::OnFrame(int server, const WireMessage& msg) {
       dump.events = msg.flight.events;
       result_->flights.push_back(std::move(dump));
       if (boundary_ == Boundary::kVictimStats) {
-        if (++victim_replies_ == victim_replies_needed_)
-          loop_.AddTimer(0, [this] { DoKillsAndRestarts(); });
+        if (++victim_replies_ == victim_replies_needed_) ScheduleKills();
         break;
       }
       if (++flight_received_ == live_count_) Shutdown();
@@ -293,6 +290,7 @@ void LoadgenClient::OnFrame(int server, const WireMessage& msg) {
 void LoadgenClient::ScheduleScrape() {
   loop_.AddTimer(config_.stats_scrape_period_ms, [this] {
     StartScrape();
+    FlushAll();
     if (!stats_phase_ && !shutdown_sent_) ScheduleScrape();
   });
 }
@@ -311,7 +309,6 @@ void LoadgenClient::StartScrape() {
   for (int s = 0; s < config_.server_count; ++s) {
     if (!live_[static_cast<std::size_t>(s)]) continue;
     conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kStatsRequest);
-    UpdateWriteInterest(s);
   }
 }
 
@@ -339,8 +336,14 @@ void LoadgenClient::BeginBoundary() {
           MsgType::kTraceRequest);
     conns_[static_cast<std::size_t>(s)]->SendControl(
         MsgType::kFlightRequest);
-    UpdateWriteInterest(s);
   }
+}
+
+void LoadgenClient::ScheduleKills() {
+  loop_.AddTimer(0, [this] {
+    DoKillsAndRestarts();
+    FlushAll();
+  });
 }
 
 void LoadgenClient::DoKillsAndRestarts() {
@@ -397,7 +400,6 @@ void LoadgenClient::ShipEpoch() {
     // FIFO barrier: the stats reply acknowledges that both control
     // frames above were applied before any epoch-e request arrives.
     c->SendControl(MsgType::kStatsRequest);
-    UpdateWriteInterest(s);
     server_epoch_[static_cast<std::size_t>(s)] =
         static_cast<std::uint32_t>(e);
   }
@@ -423,7 +425,6 @@ void LoadgenClient::BeginFinalStats() {
   for (int s = 0; s < config_.server_count; ++s) {
     if (!live_[static_cast<std::size_t>(s)]) continue;
     conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kStatsRequest);
-    UpdateWriteInterest(s);
   }
 }
 
@@ -432,7 +433,6 @@ void LoadgenClient::BeginTraceDump() {
   for (int s = 0; s < config_.server_count; ++s) {
     if (!live_[static_cast<std::size_t>(s)]) continue;
     conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kTraceRequest);
-    UpdateWriteInterest(s);
   }
 }
 
@@ -441,7 +441,6 @@ void LoadgenClient::BeginFlightDump() {
   for (int s = 0; s < config_.server_count; ++s) {
     if (!live_[static_cast<std::size_t>(s)]) continue;
     conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kFlightRequest);
-    UpdateWriteInterest(s);
   }
 }
 
@@ -457,16 +456,21 @@ void LoadgenClient::Shutdown() {
   loop_.Stop(0);
 }
 
-void LoadgenClient::UpdateWriteInterest(int server) {
+void LoadgenClient::FlushAll() {
+  for (int s = 0; s < config_.server_count; ++s) {
+    const FrameConn* c = conns_[static_cast<std::size_t>(s)].get();
+    if (c != nullptr && c->outbox_bytes() > 0) FlushConn(s);
+  }
+}
+
+void LoadgenClient::FlushConn(int server) {
   FrameConn* c = conns_[static_cast<std::size_t>(server)].get();
   if (c == nullptr) return;
-  const int fd = c->fd();
-  loop_.SetWriteInterest(fd, c->want_write(), [this, server] {
-    FrameConn* c2 = conns_[static_cast<std::size_t>(server)].get();
-    if (c2 == nullptr) return;
-    c2->Flush();
-    UpdateWriteInterest(server);
-  });
+  // A dead daemon surfaces as EOF on the read side; the write result
+  // adds nothing.
+  c->Flush();
+  loop_.SetWriteInterest(c->fd(), c->want_write(),
+                         [this, server] { FlushConn(server); });
 }
 
 const QuotaSnapshot& LoadgenClient::Snap(std::size_t epoch) {
@@ -510,6 +514,7 @@ bool LoadgenClient::Run(NetdRunResult* result) {
                                       : config_.epochs[0].requests;
   window_cur_ = static_cast<std::uint64_t>(config_.window);
   ConnectAll();
+  FlushAll();
   ScheduleRefill();
   if (config_.stats_scrape_period_ms > 0) ScheduleScrape();
   loop_.AddTimer(kRunTimeoutMs, [this] {

@@ -92,7 +92,12 @@ class LoadgenClient {
   void TrySend();
   void AdaptWindow(double load);
   void OnFrame(int server, const WireMessage& msg);
-  void UpdateWriteInterest(int server);
+  // Writes every conn's queued frames.  Sends only queue, so each read
+  // batch and each timer callback ends with one FlushAll: a pass of
+  // TrySend or a control round costs one write(2) per daemon.
+  void FlushAll();
+  // Flushes one conn; POLLOUT stays on only while the socket is full.
+  void FlushConn(int server);
   // Mid-run scraping: a repeating timer fires StartScrape, which issues
   // one kStatsRequest round unless one is already in flight (or the run
   // has moved to its final phases / an epoch boundary).
@@ -100,6 +105,9 @@ class LoadgenClient {
   void StartScrape();
   // The epoch-boundary sequence, in firing order.
   void BeginBoundary();
+  // Runs DoKillsAndRestarts off a 0 ms timer: the reply that completes a
+  // victim scrape arrives through the victim's own conn, which it drops.
+  void ScheduleKills();
   void DoKillsAndRestarts();
   void ShipEpoch();
   void FinishBoundary();

@@ -5,7 +5,7 @@
 //   * EventLoop — the timer wheel fires in delay order (including delays
 //     past one wheel revolution) and CancelTimer really cancels.
 //   * FrameConn — frames survive a real socketpair byte stream, however
-//     the kernel slices it.
+//     the kernel slices it; sends queue until a flush or the threshold.
 //   * Segment fleet == oracle — the load-bearing theorem: K segment
 //     planes fed the stream by explicit message routing accumulate
 //     *identical* ServingMetrics (every counter, every vector) to one
@@ -19,6 +19,7 @@
 
 #include <sys/socket.h>
 
+#include <cerrno>
 #include <csignal>
 #include <vector>
 
@@ -262,10 +263,14 @@ TEST(NetdFrameConn, FramesSurviveASocketpairStream) {
   a.Send(req);
   a.Send(gossip);
   a.SendControl(MsgType::kStatsRequest);
+  ASSERT_TRUE(a.Flush());
 
   std::vector<WireMessage> got;
-  while (got.size() < 3)
+  int rounds = 0;
+  while (got.size() < 3) {
     ASSERT_TRUE(b.OnReadable([&](const WireMessage& m) { got.push_back(m); }));
+    ASSERT_LT(++rounds, 100000) << "frames never arrived";
+  }
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].type, MsgType::kGetRequest);
   EXPECT_EQ(got[0].get, req);
@@ -311,8 +316,8 @@ TEST(NetdFrameConn, PeerCloseMidFrameIsACleanConnDown) {
   EXPECT_EQ(got[0].get, req);
 }
 
-// Writing into a dead peer is EPIPE, not SIGPIPE: the conn marks itself
-// closed and Flush reports false — the owner's conn-down event.
+// Writing into a dead peer is EPIPE, not SIGPIPE: Flush reports false and
+// the conn marks itself closed — the owner's conn-down event.
 TEST(NetdFrameConn, WriteToDeadPeerClosesInsteadOfCrashing) {
   std::signal(SIGPIPE, SIG_IGN);
   int fds[2];
@@ -323,9 +328,9 @@ TEST(NetdFrameConn, WriteToDeadPeerClosesInsteadOfCrashing) {
 
   GetRequest req;
   req.req_id = 4;
-  writer.Send(req);  // Send flushes opportunistically and eats the EPIPE
-  EXPECT_TRUE(writer.closed());
+  writer.Send(req);  // queues only
   EXPECT_FALSE(writer.Flush());
+  EXPECT_TRUE(writer.closed());
 }
 
 // A frame far larger than the socket buffer goes out in many short
@@ -350,6 +355,7 @@ TEST(NetdFrameConn, ShortWritesResumeMidFrame) {
     events[i].aux = static_cast<std::uint8_t>(i);
   }
   a.Send(events);
+  ASSERT_TRUE(a.Flush());
   EXPECT_TRUE(a.want_write()) << "the frame should not fit in one write";
 
   std::vector<WireMessage> got;
@@ -367,6 +373,170 @@ TEST(NetdFrameConn, ShortWritesResumeMidFrame) {
     ASSERT_EQ(got[0].trace[i], events[i]) << "record " << i;
   EXPECT_EQ(a.outbox_bytes(), 0u);
   EXPECT_GT(a.outbox_peak(), std::size_t{1} << 17);
+}
+
+// Send only queues: nothing reaches the peer until the owner flushes or
+// the queue reaches kFlushThresholdBytes, and every frame then decodes in
+// order.
+TEST(NetdFrameConn, SendQueuesUntilFlushOrThreshold) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  MakeNonBlocking(fds[0]);
+  MakeNonBlocking(fds[1]);
+  FrameConn a(fds[0]);
+  FrameConn b(fds[1]);
+  const auto peer_readable = [&] {
+    std::uint8_t byte;
+    const ssize_t n = ::recv(fds[1], &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+    if (n < 0) {
+      EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
+    }
+    return n > 0;
+  };
+  constexpr std::size_t kFrame =
+      MessageCodec::kHeaderSize + MessageCodec::kGetRequestSize;
+  std::uint64_t sent = 0;
+  const auto send_next = [&] {
+    GetRequest g;
+    g.req_id = sent++;
+    g.doc = static_cast<DocId>(g.req_id % 16);
+    a.Send(g);
+  };
+
+  for (int i = 0; i < 3; ++i) send_next();
+  EXPECT_EQ(a.outbox_bytes(), 3 * kFrame);
+  EXPECT_FALSE(peer_readable());
+  // One frame short of the threshold: still nothing on the wire.
+  while (a.outbox_bytes() + kFrame < FrameConn::kFlushThresholdBytes)
+    send_next();
+  EXPECT_FALSE(peer_readable());
+  // The send that takes the queue to the threshold writes it.
+  send_next();
+  EXPECT_TRUE(peer_readable());
+  EXPECT_LT(a.outbox_bytes(), FrameConn::kFlushThresholdBytes);
+  for (int i = 0; i < 5; ++i) send_next();
+  ASSERT_TRUE(a.Flush());
+  EXPECT_EQ(a.outbox_bytes(), 0u);
+  EXPECT_FALSE(a.want_write());
+
+  std::vector<std::uint64_t> ids;
+  int rounds = 0;
+  while (ids.size() < sent) {
+    ASSERT_TRUE(b.OnReadable([&](const WireMessage& m) {
+      ASSERT_EQ(m.type, MsgType::kGetRequest);
+      ids.push_back(m.get.req_id);
+    }));
+    ASSERT_LT(++rounds, 100000) << "frames never arrived";
+  }
+  ASSERT_EQ(ids.size(), sent);
+  for (std::uint64_t i = 0; i < sent; ++i) ASSERT_EQ(ids[i], i);
+}
+
+// Frame i of a deterministic mixed stream: requests, replies, and trace
+// replies of varying length.  Every 40th frame is a trace longer than a
+// read chunk, so some frames always span two reads.
+GetRequest MixedRequest(std::uint64_t i) {
+  GetRequest g;
+  g.req_id = i;
+  g.doc = static_cast<DocId>(i % 64);
+  g.origin_node = static_cast<NodeId>(i % 1009);
+  g.ttl_hops = static_cast<std::uint16_t>(i % 5);
+  return g;
+}
+
+GetReply MixedReply(std::uint64_t i) {
+  GetReply r;
+  r.req_id = i;
+  r.doc = static_cast<DocId>(i % 61);
+  r.serving_node = static_cast<NodeId>(i % 997);
+  r.result = i % 4 == 0 ? GetResult::kDropped : GetResult::kServed;
+  r.hops = static_cast<std::uint16_t>(i % 7);
+  r.load = 0.5 * static_cast<double>(i);
+  r.version = static_cast<std::uint32_t>(i / 3);
+  return r;
+}
+
+std::vector<TraceEvent> MixedTrace(std::uint64_t i) {
+  const std::size_t n = i % 40 == 2 ? 3000 : i % 37;
+  std::vector<TraceEvent> events(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    events[k].req_id = i;
+    events[k].detail = k;
+    events[k].node = static_cast<NodeId>((i + k) % 101);
+    events[k].seq = static_cast<std::uint16_t>(k);
+    events[k].kind = TraceEventKind::kArrival;
+    events[k].aux = static_cast<std::uint8_t>(i + k);
+  }
+  return events;
+}
+
+// Queues frame i on `c`; returns its encoded size.
+std::size_t SendMixedFrame(FrameConn* c, std::uint64_t i) {
+  std::vector<std::uint8_t> bytes;
+  switch (i % 3) {
+    case 0:
+      MessageCodec::Encode(MixedRequest(i), &bytes);
+      c->Send(MixedRequest(i));
+      break;
+    case 1:
+      MessageCodec::Encode(MixedReply(i), &bytes);
+      c->Send(MixedReply(i));
+      break;
+    default:
+      MessageCodec::Encode(MixedTrace(i), &bytes);
+      c->Send(MixedTrace(i));
+      break;
+  }
+  return bytes.size();
+}
+
+void ExpectMixedFrame(const WireMessage& m, std::uint64_t i) {
+  switch (i % 3) {
+    case 0:
+      ASSERT_EQ(m.type, MsgType::kGetRequest) << "frame " << i;
+      ASSERT_EQ(m.get, MixedRequest(i)) << "frame " << i;
+      break;
+    case 1:
+      ASSERT_EQ(m.type, MsgType::kGetReply) << "frame " << i;
+      ASSERT_EQ(m.reply, MixedReply(i)) << "frame " << i;
+      break;
+    default:
+      ASSERT_EQ(m.type, MsgType::kTraceReply) << "frame " << i;
+      ASSERT_EQ(m.trace, MixedTrace(i)) << "frame " << i;
+      break;
+  }
+}
+
+// Frames are cut after every chunk read, so chunk edges land inside
+// frames: the partial tail must carry over byte-exactly, delivering each
+// frame exactly once and in order.
+TEST(NetdFrameConn, FramesStraddlingReadChunksDecodeInOrder) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  MakeNonBlocking(fds[0]);
+  MakeNonBlocking(fds[1]);
+  FrameConn a(fds[0]);
+  FrameConn b(fds[1]);
+
+  std::uint64_t got = 0;
+  const auto check = [&](const WireMessage& m) { ExpectMixedFrame(m, got++); };
+  std::uint64_t sent = 0;
+  std::size_t bytes = 0;
+  while (bytes < (std::size_t{3} << 20)) {
+    bytes += SendMixedFrame(&a, sent++);
+    // The socket buffer is full once a threshold write left bytes queued.
+    if (a.outbox_bytes() >= FrameConn::kFlushThresholdBytes) {
+      ASSERT_TRUE(b.OnReadable(check));
+    }
+  }
+  int rounds = 0;
+  while (got < sent) {
+    ASSERT_TRUE(a.Flush());
+    ASSERT_TRUE(b.OnReadable(check));
+    ASSERT_LT(++rounds, 100000) << "frames never arrived";
+  }
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(a.outbox_bytes(), 0u);
 }
 
 TEST(NetdSegments, FleetOfSegmentPlanesMatchesOracleExactly) {
