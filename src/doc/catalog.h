@@ -62,6 +62,15 @@ class DemandMatrix {
   void set(NodeId v, DocId d, double rate);
   void add(NodeId v, DocId d, double rate);
 
+  // Node v's doc_count() rates, contiguous: the unchecked bulk form of
+  // at/set for whole-matrix sweeps.  Writers keep every rate >= 0.
+  const double* row(NodeId v) const {
+    return rates_.data() + static_cast<std::size_t>(v) * docs_;
+  }
+  double* row(NodeId v) {
+    return rates_.data() + static_cast<std::size_t>(v) * docs_;
+  }
+
   // Row sum: the node's total spontaneous rate E_v.
   double NodeTotal(NodeId v) const;
   // Column sum: the document's global request rate.

@@ -4,6 +4,7 @@
 
 #include "core/webfold.h"
 #include "util/check.h"
+#include "util/row_pool.h"
 
 namespace webwave {
 
@@ -23,20 +24,25 @@ PlacementResult DerivePlacement(const RoutingTree& tree,
 
   // Bottom-up: at each node the passing flow per document is its own
   // demand plus what children forwarded; the node claims its TLB load
-  // from the hottest flows first, forwarding the rest.
-  std::vector<std::vector<double>> fwd(
-      static_cast<std::size_t>(tree.size()),
-      std::vector<double>(static_cast<std::size_t>(docs), 0.0));
+  // from the hottest flows first, forwarding the rest.  v's flow row
+  // holds its arriving flow while v is placed and what it forwards once
+  // it is done; the parent's visit sums it and frees it.
+  const std::size_t dd = static_cast<std::size_t>(docs);
+  RowPool fwd(dd);
+  std::vector<std::int32_t> slot(static_cast<std::size_t>(tree.size()));
+  std::vector<DocId> order(dd);
   for (const NodeId v : tree.postorder()) {
-    std::vector<double> arrive(static_cast<std::size_t>(docs));
-    for (DocId d = 0; d < docs; ++d)
-      arrive[static_cast<std::size_t>(d)] = demand.at(v, d);
-    for (const NodeId c : tree.children(v))
-      for (DocId d = 0; d < docs; ++d)
-        arrive[static_cast<std::size_t>(d)] +=
-            fwd[static_cast<std::size_t>(c)][static_cast<std::size_t>(d)];
+    const std::int32_t s = fwd.Acquire();
+    slot[static_cast<std::size_t>(v)] = s;
+    double* arrive = fwd.row(s);
+    std::copy(demand.row(v), demand.row(v) + dd, arrive);
+    for (const NodeId c : tree.children(v)) {
+      const std::int32_t cs = slot[static_cast<std::size_t>(c)];
+      const double* crow = fwd.row(cs);
+      for (std::size_t d = 0; d < dd; ++d) arrive[d] += crow[d];
+      fwd.Release(cs);
+    }
 
-    std::vector<DocId> order(static_cast<std::size_t>(docs));
     for (DocId d = 0; d < docs; ++d) order[static_cast<std::size_t>(d)] = d;
     std::sort(order.begin(), order.end(), [&](DocId a, DocId b) {
       const double ra = arrive[static_cast<std::size_t>(a)];
@@ -44,29 +50,29 @@ PlacementResult DerivePlacement(const RoutingTree& tree,
       if (ra != rb) return ra > rb;
       return a < b;
     });
+    std::vector<double>& quota = result.quota[static_cast<std::size_t>(v)];
     double remaining = tlb.load[static_cast<std::size_t>(v)];
     for (const DocId d : order) {
       if (remaining <= 1e-12) break;
-      const double take =
-          std::min(remaining, arrive[static_cast<std::size_t>(d)]);
+      const std::size_t di = static_cast<std::size_t>(d);
+      const double take = std::min(remaining, arrive[di]);
       if (take <= 1e-12) continue;
-      result.quota[static_cast<std::size_t>(v)][static_cast<std::size_t>(d)] =
-          take;
-      arrive[static_cast<std::size_t>(d)] -= take;
+      quota[di] = take;
+      arrive[di] -= take;
       remaining -= take;
-      result.copies[static_cast<std::size_t>(d)].push_back({v, take});
-      if (!tree.is_root(v)) ++result.copy_count[static_cast<std::size_t>(d)];
+      result.copies[di].push_back({v, take});
+      if (!tree.is_root(v)) ++result.copy_count[di];
     }
     WEBWAVE_ASSERT(remaining <= 1e-6 * (1 + tlb.load[static_cast<std::size_t>(v)]),
                    "TLB load exceeded the flow passing the node");
-    fwd[static_cast<std::size_t>(v)] = std::move(arrive);
   }
   // The root absorbs everything left over (it holds all copies).
-  for (DocId d = 0; d < docs; ++d)
-    WEBWAVE_ASSERT(
-        fwd[static_cast<std::size_t>(tree.root())][static_cast<std::size_t>(d)] <=
-            1e-6 * (1 + demand.Total()),
-        "flow escaped past the home server");
+  const double* root_fwd =
+      fwd.row(slot[static_cast<std::size_t>(tree.root())]);
+  const double total = demand.Total();
+  for (std::size_t d = 0; d < dd; ++d)
+    WEBWAVE_ASSERT(root_fwd[d] <= 1e-6 * (1 + total),
+                   "flow escaped past the home server");
   return result;
 }
 

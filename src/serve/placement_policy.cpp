@@ -37,9 +37,10 @@ DemandMatrix DemandFromLanes(const std::vector<std::vector<double>>& lanes) {
     const auto& lane = lanes[static_cast<std::size_t>(d)];
     WEBWAVE_REQUIRE(lane.size() == static_cast<std::size_t>(nodes),
                     "lanes differ in length");
+    // Only positive rates are written, so the matrix stays non-negative.
     for (int v = 0; v < nodes; ++v)
       if (lane[static_cast<std::size_t>(v)] > 0)
-        demand.set(v, d, lane[static_cast<std::size_t>(v)]);
+        demand.row(v)[d] = lane[static_cast<std::size_t>(v)];
   }
   return demand;
 }

@@ -5,6 +5,7 @@
 
 #include "core/webwave_batch.h"
 #include "util/check.h"
+#include "util/row_pool.h"
 
 namespace webwave {
 
@@ -83,36 +84,37 @@ QuotaSnapshot QuotaSnapshot::FromPlacement(const RoutingTree& tree,
   const int docs = demand.doc_count();
   // Recompute the per-document flows the placement decomposed, bottom-up:
   // arrive = own demand + what the children forwarded after serving their
-  // quotas; a copy's serve fraction is quota / arrive.
+  // quotas; a copy's serve fraction is quota / arrive.  A node's flow row
+  // lives until its parent sums it; fraction is node-major, D per node.
   const std::size_t dd = static_cast<std::size_t>(docs);
-  std::vector<double> flow(static_cast<std::size_t>(nodes) * dd, 0.0);
-  std::vector<std::vector<double>> fraction(
-      static_cast<std::size_t>(nodes), std::vector<double>(dd, 1.0));
+  RowPool flow(dd);
+  std::vector<std::int32_t> slot(static_cast<std::size_t>(nodes));
+  std::vector<double> fraction(static_cast<std::size_t>(nodes) * dd, 1.0);
   for (const NodeId v : tree.postorder()) {
-    double* row = flow.data() + static_cast<std::size_t>(v) * dd;
-    for (std::size_t d = 0; d < dd; ++d)
-      row[d] = demand.at(v, static_cast<DocId>(d));
+    const std::int32_t s = flow.Acquire();
+    slot[static_cast<std::size_t>(v)] = s;
+    double* row = flow.row(s);
+    std::copy(demand.row(v), demand.row(v) + dd, row);
     for (const NodeId c : tree.children(v)) {
-      const double* crow = flow.data() + static_cast<std::size_t>(c) * dd;
+      const std::int32_t cs = slot[static_cast<std::size_t>(c)];
+      const double* crow = flow.row(cs);
       for (std::size_t d = 0; d < dd; ++d) row[d] += crow[d];
+      flow.Release(cs);
     }
-    const std::vector<double>& quota =
-        placement.quota[static_cast<std::size_t>(v)];
+    const double* quota = placement.quota[static_cast<std::size_t>(v)].data();
+    double* frac = fraction.data() + static_cast<std::size_t>(v) * dd;
     for (std::size_t d = 0; d < dd; ++d) {
       const double q = quota[d];
-      if (q > 0 && row[d] > 0)
-        fraction[static_cast<std::size_t>(v)][d] = std::min(1.0, q / row[d]);
+      if (q > 0 && row[d] > 0) frac[d] = std::min(1.0, q / row[d]);
       row[d] = std::max(0.0, row[d] - q);
     }
   }
   Builder b(nodes, docs);
   for (NodeId v = 0; v < nodes; ++v) {
-    const std::vector<double>& row =
-        placement.quota[static_cast<std::size_t>(v)];
+    const std::size_t off = static_cast<std::size_t>(v) * dd;
+    const double* quota = placement.quota[static_cast<std::size_t>(v)].data();
     for (std::int32_t d = 0; d < docs; ++d)
-      if (row[static_cast<std::size_t>(d)] > min_rate)
-        b.Add(v, d, row[static_cast<std::size_t>(d)],
-              fraction[static_cast<std::size_t>(v)][static_cast<std::size_t>(d)]);
+      if (quota[d] > min_rate) b.Add(v, d, quota[d], fraction[off + d]);
   }
   return std::move(b).Build();
 }

@@ -35,26 +35,31 @@ inline double UnitDraw(std::uint64_t seed, std::uint64_t counter) {
   return CounterUnitDouble(seed + counter * 0x9e3779b97f4a7c15ULL);
 }
 
-// Inverse-CDF sample: first index whose cdf value exceeds u.
-inline std::size_t SampleCdf(const std::vector<double>& cdf, double u) {
-  return static_cast<std::size_t>(
-      std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-}
+}  // namespace
 
-// Prefix sums normalized to end exactly at 1 (so every u in [0,1) lands).
-std::vector<double> NormalizedCdf(const std::vector<double>& weights,
-                                  double total) {
-  std::vector<double> cdf(weights.size());
+GuidedCdf::GuidedCdf(const std::vector<double>& weights)
+    : cdf_(weights.size()) {
+  WEBWAVE_REQUIRE(!weights.empty() && weights.size() < (1ULL << 32),
+                  "a CDF needs between 1 and 2^32 - 1 entries");
+  double total = 0;
+  for (const double w : weights) total += w;
+  WEBWAVE_REQUIRE(total > 0, "a CDF needs a positive total weight");
   double acc = 0;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     acc += weights[i];
-    cdf[i] = acc / total;
+    cdf_[i] = acc / total;
   }
-  cdf.back() = 1.0;
-  return cdf;
+  cdf_.back() = 1.0;
+  // guide_[k] = upper_bound(k/m): both sequences ascend, so one merge.
+  const std::size_t m = cdf_.size();
+  guide_.resize(m + 1);
+  std::size_t i = 0;
+  for (std::size_t k = 0; k <= m; ++k) {
+    const double edge = static_cast<double>(k) / static_cast<double>(m);
+    while (i < m && cdf_[i] <= edge) ++i;
+    guide_[k] = static_cast<std::uint32_t>(i);
+  }
 }
-
-}  // namespace
 
 DemandComponent ZipfLeafComponent(const RoutingTree& tree, int doc_count,
                                   double rate_per_leaf, double exponent) {
@@ -150,22 +155,14 @@ RequestGenerator::RequestGenerator(const RoutingTree& tree, int doc_count,
     }
     WEBWAVE_REQUIRE(origin_total > 0 && doc_total > 0,
                     "a component with positive rate needs positive weights");
-    Component s;
-    s.rate = c.rate;
-    s.origin_cdf = NormalizedCdf(c.origin_weights, origin_total);
-    s.doc_cdf = NormalizedCdf(c.doc_weights, doc_total);
-    s.source = i;
-    sampled_.push_back(std::move(s));
+    sampled_.push_back(
+        {c.rate, GuidedCdf(c.origin_weights), GuidedCdf(c.doc_weights), i});
     total_rate_ += c.rate;
   }
   WEBWAVE_REQUIRE(total_rate_ > 0, "the mixture offers no requests");
-  component_cdf_.resize(sampled_.size());
-  double acc = 0;
-  for (std::size_t i = 0; i < sampled_.size(); ++i) {
-    acc += sampled_[i].rate;
-    component_cdf_[i] = acc / total_rate_;
-  }
-  component_cdf_.back() = 1.0;
+  std::vector<double> rates;
+  for (const Component& comp : sampled_) rates.push_back(comp.rate);
+  component_cdf_ = GuidedCdf(rates);
 }
 
 void RequestGenerator::NextBatch(std::size_t count,
@@ -175,12 +172,12 @@ void RequestGenerator::NextBatch(std::size_t count,
     const std::uint64_t k = 3 * (position_ + i);
     const std::size_t c = sampled_.size() == 1
                               ? 0
-                              : SampleCdf(component_cdf_, UnitDraw(seed_, k));
+                              : component_cdf_.Sample(UnitDraw(seed_, k));
     const Component& comp = sampled_[c];
-    (*out)[i].node = static_cast<NodeId>(
-        SampleCdf(comp.origin_cdf, UnitDraw(seed_, k + 1)));
+    (*out)[i].node =
+        static_cast<NodeId>(comp.origin.Sample(UnitDraw(seed_, k + 1)));
     (*out)[i].doc =
-        static_cast<DocId>(SampleCdf(comp.doc_cdf, UnitDraw(seed_, k + 2)));
+        static_cast<DocId>(comp.doc.Sample(UnitDraw(seed_, k + 2)));
   }
   position_ += count;
 }

@@ -20,6 +20,7 @@
 // which serving_test asserts against ChurnSchedule.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -66,6 +67,44 @@ DemandComponent FlashCrowdComponent(const RoutingTree& tree, int doc_count,
                                     double rate_per_node, DocId hot_doc,
                                     NodeId epicenter);
 
+// The sampler ------------------------------------------------------------
+
+// Inverse-CDF sampling over non-negative weights: Sample(u) is the first
+// index whose normalized prefix sum exceeds u, exactly
+// std::upper_bound(cdf(), u), for any u in [0, 1).
+//
+// A guide table makes the lookup O(1) expected instead of O(log m): with
+// m = cdf().size(), guide[k] is the upper_bound index of k/m, built once
+// by one merge sweep.  A draw u lies in bucket j = ⌊u·m⌋, so its answer lies
+// between guide[j-1] and guide[j+2] — one bucket of slack on each side
+// absorbs the rounding of u·m and of k/m, which is far below a bucket —
+// and the binary search runs only there.  The result is the full
+// search's index bit for bit; only its cost changes.
+class GuidedCdf {
+ public:
+  // Normalizes the prefix sums of `weights` (≥ 0, positive total) by
+  // their total, forcing the last entry to exactly 1.0 so every u in
+  // [0, 1) lands.  Throws on an empty or zero-total weight vector.
+  explicit GuidedCdf(const std::vector<double>& weights);
+  GuidedCdf() = default;  // empty: Sample must not be called
+
+  const std::vector<double>& cdf() const { return cdf_; }
+
+  std::size_t Sample(double u) const {
+    const std::size_t m = cdf_.size();
+    std::size_t j = static_cast<std::size_t>(u * static_cast<double>(m));
+    if (j >= m) j = m - 1;
+    const double* lo = cdf_.data() + guide_[j == 0 ? 0 : j - 1];
+    const double* hi = cdf_.data() + guide_[j + 2 < m ? j + 2 : m];
+    return static_cast<std::size_t>(std::upper_bound(lo, hi, u) -
+                                    cdf_.data());
+  }
+
+ private:
+  std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;  // m + 1 entries
+};
+
 // The generator ----------------------------------------------------------
 
 class RequestGenerator {
@@ -101,9 +140,9 @@ class RequestGenerator {
  private:
   struct Component {
     double rate = 0;
-    std::vector<double> origin_cdf;  // over nodes, normalized to 1
-    std::vector<double> doc_cdf;     // over documents, normalized to 1
-    std::size_t source = 0;          // index into components_ (copy-safe)
+    GuidedCdf origin;        // over nodes
+    GuidedCdf doc;           // over documents
+    std::size_t source = 0;  // index into components_ (copy-safe)
   };
 
   int nodes_;
@@ -113,7 +152,7 @@ class RequestGenerator {
   double total_rate_ = 0;
   std::vector<DemandComponent> components_;  // kept for ExpectedLanes
   std::vector<Component> sampled_;
-  std::vector<double> component_cdf_;  // over sampled_, normalized to 1
+  GuidedCdf component_cdf_;  // over sampled_, by rate
 };
 
 }  // namespace webwave

@@ -114,22 +114,18 @@ void ServingPlane::BuildTables() {
   // its row's set bits is its offset in the row only while rows are
   // strictly ascending, so that is checked here, not assumed.
   const std::int32_t docs = snapshot_.doc_count();
-  words_per_node_ = (static_cast<std::size_t>(docs) + 63) / 64;
-  doc_bits_.assign(
-      static_cast<std::size_t>(snapshot_.node_count()) * words_per_node_, 0);
+  doc_bits_.Reset(snapshot_.node_count(), docs);
   const std::int32_t* cell_docs = snapshot_.cell_docs();
   for (NodeId v = 0; v < snapshot_.node_count(); ++v) {
-    std::uint64_t* row =
-        doc_bits_.data() + static_cast<std::size_t>(v) * words_per_node_;
+    const std::int64_t begin = snapshot_.row_begin(v);
     const std::int64_t end = snapshot_.row_end(v);
     std::int32_t prev = -1;
-    for (std::int64_t c = snapshot_.row_begin(v); c < end; ++c) {
-      const std::int32_t d = cell_docs[c];
-      WEBWAVE_REQUIRE(d > prev && d < docs,
+    for (std::int64_t c = begin; c < end; ++c) {
+      WEBWAVE_REQUIRE(cell_docs[c] > prev && cell_docs[c] < docs,
                       "snapshot rows must hold strictly ascending documents");
-      row[static_cast<std::size_t>(d) >> 6] |= std::uint64_t{1} << (d & 63);
-      prev = d;
+      prev = cell_docs[c];
     }
+    doc_bits_.AssignRow(v, cell_docs + begin, cell_docs + end);
   }
 }
 
@@ -335,8 +331,7 @@ struct TraceSink {
 // BuildTables proved each row strictly doc-ascending.  One code path for
 // every row length, and no branch on the row's contents.
 std::int64_t ServingPlane::FindCell(NodeId v, std::int32_t d) const {
-  const std::uint64_t* row =
-      doc_bits_.data() + static_cast<std::size_t>(v) * words_per_node_;
+  const std::uint64_t* row = doc_bits_.row(v);
   const std::size_t w = static_cast<std::size_t>(d) >> 6;
   const std::uint64_t bit = std::uint64_t{1} << (d & 63);
   if ((row[w] & bit) == 0) return -1;

@@ -64,6 +64,7 @@
 #include "serve/quota_snapshot.h"
 #include "serve/request_gen.h"
 #include "tree/routing_tree.h"
+#include "util/bit_rows.h"
 #include "util/span.h"
 #include "util/worker_pool.h"
 #include "wire/message.h"
@@ -283,12 +284,11 @@ class ServingPlane {
   std::vector<double> tokens_per_block_;  // per token cell
   double per_block_ = 0;  // slack · block_size / scale rate, cached by
                           // BuildTables so Refresh can detect scale moves
-  // One bit per (node, document), words_per_node_ = ⌈D/64⌉ words per
-  // node, node-major: bit d of v's row is set iff v holds a copy of d.
-  // Derived from the snapshot's rows; Refresh's in-place path keeps it
-  // (it proved the rows unchanged), every full rebuild recomputes it.
-  std::vector<std::uint64_t> doc_bits_;
-  std::size_t words_per_node_ = 0;
+  // One bit per (node, document), node-major: bit d of v's row is set
+  // iff v holds a copy of d.  Derived from the snapshot's rows;
+  // Refresh's in-place path keeps it (it proved the rows unchanged),
+  // every full rebuild recomputes it.
+  BitRows doc_bits_;
   // Per node, 1 = crashed; empty means every node is live (the hot loop
   // skips the mask probe entirely in that case).
   std::vector<std::uint8_t> down_;

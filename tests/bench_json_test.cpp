@@ -54,7 +54,9 @@ TEST(BenchJson, EscapesStrings) {
   // No raw control byte survives (the document's own newlines are the only
   // bytes below 0x20).
   for (const char c : doc)
-    if (c != '\n') EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+    }
 }
 
 TEST(BenchJson, DoublesRoundTrip) {

@@ -263,7 +263,9 @@ TEST(RunBatchChurnTest, TracksMovingPerLaneTlb) {
     EXPECT_LE(run.epochs[e].distance_at_end,
               run.epochs[e].distance_after_shock + 1e-9)
         << "epoch " << e << " must not end farther than it started";
-    if (e > 0) EXPECT_GT(run.epochs[e].events, 0u);
+    if (e > 0) {
+      EXPECT_GT(run.epochs[e].events, 0u);
+    }
   }
 }
 

@@ -193,9 +193,10 @@ TEST(NetdCluster, PartitionOwnersIsMonotoneUpTheTree) {
   // Walking toward the root never increases the owning server index —
   // the property that lets reply retracing assume no shard revisits.
   for (NodeId v = 0; v < tree.size(); ++v)
-    if (!tree.is_root(v))
+    if (!tree.is_root(v)) {
       EXPECT_LE(owner[static_cast<std::size_t>(tree.parent(v))],
                 owner[static_cast<std::size_t>(v)]);
+    }
   // Every server owns something on a tree this size.
   std::vector<int> count(5, 0);
   for (const int s : owner) ++count[static_cast<std::size_t>(s)];

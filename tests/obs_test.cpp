@@ -461,7 +461,9 @@ TEST(LatencyHistogram, SparseFormRoundTripsBitExactly) {
   // Strictly ascending indices, no zero counts — the canonical encoding.
   for (std::size_t i = 0; i < sparse.size(); ++i) {
     EXPECT_NE(sparse[i].count, 0u);
-    if (i > 0) EXPECT_GT(sparse[i].index, sparse[i - 1].index);
+    if (i > 0) {
+      EXPECT_GT(sparse[i].index, sparse[i - 1].index);
+    }
   }
   EXPECT_TRUE(LatencyHistogram::FromSparse(sparse, h.sum()) == h);
 }

@@ -6,10 +6,15 @@
 #include "doc/catalog.h"
 #include "doc/placement.h"
 #include "serve/placement_policy.h"
+#include "serve/quota_snapshot.h"
+#include "serve/request_gen.h"
 #include "sim/churn.h"
 #include "tree/builders.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 namespace webwave {
 namespace {
@@ -133,6 +138,158 @@ TEST_P(PlacementSweep, RandomInstancesStayConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlacementSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// The flat-array placement against the vector-of-vectors one -------------
+//
+// DerivePlacement and WebWaveTlbPolicy::Place sweep node-major flat
+// arrays.  ReferencePlacement and ReferencePlace are test-local copies of
+// the per-node-vector loops they replaced; every quota, copy list, copy
+// count and snapshot cell must come out bit-identical.
+
+PlacementResult ReferencePlacement(const RoutingTree& tree,
+                                   const DemandMatrix& demand) {
+  const int docs = demand.doc_count();
+  const WebFoldResult tlb = WebFold(tree, demand.NodeTotals());
+  PlacementResult result;
+  result.node_loads = tlb.load;
+  result.quota.assign(static_cast<std::size_t>(tree.size()),
+                      std::vector<double>(static_cast<std::size_t>(docs), 0.0));
+  result.copies.assign(static_cast<std::size_t>(docs), {});
+  result.copy_count.assign(static_cast<std::size_t>(docs), 1);
+  std::vector<std::vector<double>> fwd(
+      static_cast<std::size_t>(tree.size()),
+      std::vector<double>(static_cast<std::size_t>(docs), 0.0));
+  for (const NodeId v : tree.postorder()) {
+    std::vector<double> arrive(static_cast<std::size_t>(docs));
+    for (DocId d = 0; d < docs; ++d)
+      arrive[static_cast<std::size_t>(d)] = demand.at(v, d);
+    for (const NodeId c : tree.children(v))
+      for (DocId d = 0; d < docs; ++d)
+        arrive[static_cast<std::size_t>(d)] +=
+            fwd[static_cast<std::size_t>(c)][static_cast<std::size_t>(d)];
+    std::vector<DocId> order(static_cast<std::size_t>(docs));
+    for (DocId d = 0; d < docs; ++d) order[static_cast<std::size_t>(d)] = d;
+    std::sort(order.begin(), order.end(), [&](DocId a, DocId b) {
+      const double ra = arrive[static_cast<std::size_t>(a)];
+      const double rb = arrive[static_cast<std::size_t>(b)];
+      if (ra != rb) return ra > rb;
+      return a < b;
+    });
+    double remaining = tlb.load[static_cast<std::size_t>(v)];
+    for (const DocId d : order) {
+      if (remaining <= 1e-12) break;
+      const double take =
+          std::min(remaining, arrive[static_cast<std::size_t>(d)]);
+      if (take <= 1e-12) continue;
+      result.quota[static_cast<std::size_t>(v)][static_cast<std::size_t>(d)] =
+          take;
+      arrive[static_cast<std::size_t>(d)] -= take;
+      remaining -= take;
+      result.copies[static_cast<std::size_t>(d)].push_back({v, take});
+      if (!tree.is_root(v)) ++result.copy_count[static_cast<std::size_t>(d)];
+    }
+    fwd[static_cast<std::size_t>(v)] = std::move(arrive);
+  }
+  return result;
+}
+
+QuotaSnapshot ReferencePlace(const RoutingTree& tree,
+                             const std::vector<std::vector<double>>& lanes) {
+  const int docs = static_cast<int>(lanes.size());
+  const int nodes = tree.size();
+  DemandMatrix demand(nodes, docs);
+  for (int d = 0; d < docs; ++d)
+    for (int v = 0; v < nodes; ++v)
+      if (lanes[static_cast<std::size_t>(d)][static_cast<std::size_t>(v)] > 0)
+        demand.set(v, d,
+                   lanes[static_cast<std::size_t>(d)][static_cast<std::size_t>(v)]);
+  const PlacementResult placement = ReferencePlacement(tree, demand);
+  const std::size_t dd = static_cast<std::size_t>(docs);
+  std::vector<double> flow(static_cast<std::size_t>(nodes) * dd, 0.0);
+  std::vector<std::vector<double>> fraction(
+      static_cast<std::size_t>(nodes), std::vector<double>(dd, 1.0));
+  for (const NodeId v : tree.postorder()) {
+    double* row = flow.data() + static_cast<std::size_t>(v) * dd;
+    for (std::size_t d = 0; d < dd; ++d)
+      row[d] = demand.at(v, static_cast<DocId>(d));
+    for (const NodeId c : tree.children(v)) {
+      const double* crow = flow.data() + static_cast<std::size_t>(c) * dd;
+      for (std::size_t d = 0; d < dd; ++d) row[d] += crow[d];
+    }
+    const std::vector<double>& quota =
+        placement.quota[static_cast<std::size_t>(v)];
+    for (std::size_t d = 0; d < dd; ++d) {
+      const double q = quota[d];
+      if (q > 0 && row[d] > 0)
+        fraction[static_cast<std::size_t>(v)][d] = std::min(1.0, q / row[d]);
+      row[d] = std::max(0.0, row[d] - q);
+    }
+  }
+  QuotaSnapshot::Builder b(nodes, docs);
+  for (NodeId v = 0; v < nodes; ++v)
+    for (std::int32_t d = 0; d < docs; ++d) {
+      const double q =
+          placement.quota[static_cast<std::size_t>(v)][static_cast<std::size_t>(d)];
+      if (q > 0)
+        b.Add(v, d, q,
+              fraction[static_cast<std::size_t>(v)][static_cast<std::size_t>(d)]);
+    }
+  return std::move(b).Build();
+}
+
+TEST(Placement, FlatArraysMatchTheVectorOfVectorsLoopBitForBit) {
+  for (const int docs : {1, 16, 64, 100}) {
+    for (const std::uint64_t seed : {5u, 6u}) {
+      Rng rng(seed);
+      const RoutingTree tree = MakeRandomTree(seed == 5u ? 400 : 1500, rng);
+      // Two demand shapes: a rotating hot spot over the leaves (Zipf
+      // catalog, many equal rates, so the sort's tie-break matters) and
+      // uniform random demand at every node, internal ones included.
+      std::vector<std::vector<std::vector<double>>> demands;
+      demands.push_back(
+          RequestGenerator(tree, docs,
+                           {RotatingHotSpotComponent(tree, docs, 1.0, 30.0,
+                                                     0.1, 2, 8)},
+                           seed)
+              .ExpectedLanes());
+      demands.push_back(UniformRandomDemand(tree, docs, 3.0, rng).DocColumns());
+      for (std::size_t k = 0; k < demands.size(); ++k) {
+        const auto& lanes = demands[k];
+        SCOPED_TRACE(::testing::Message() << "docs " << docs << " seed "
+                                          << seed << " demand " << k);
+        const DemandMatrix demand = DemandFromLanes(lanes);
+        const PlacementResult got = DerivePlacement(tree, demand);
+        const PlacementResult want = ReferencePlacement(tree, demand);
+        ASSERT_EQ(got.quota, want.quota);
+        ASSERT_EQ(got.node_loads, want.node_loads);
+        ASSERT_EQ(got.copy_count, want.copy_count);
+        ASSERT_EQ(got.copies.size(), want.copies.size());
+        for (std::size_t d = 0; d < want.copies.size(); ++d) {
+          ASSERT_EQ(got.copies[d].size(), want.copies[d].size()) << "doc " << d;
+          for (std::size_t i = 0; i < want.copies[d].size(); ++i) {
+            ASSERT_EQ(got.copies[d][i].node, want.copies[d][i].node);
+            ASSERT_EQ(got.copies[d][i].rate, want.copies[d][i].rate);
+          }
+        }
+
+        const QuotaSnapshot snap = WebWaveTlbPolicy().Place(tree, lanes);
+        const QuotaSnapshot ref = ReferencePlace(tree, lanes);
+        ASSERT_EQ(snap.cell_count(), ref.cell_count());
+        for (NodeId v = 0; v < tree.size(); ++v) {
+          ASSERT_EQ(snap.row_begin(v), ref.row_begin(v)) << "node " << v;
+          ASSERT_EQ(snap.row_end(v), ref.row_end(v)) << "node " << v;
+        }
+        for (std::int64_t c = 0; c < ref.cell_count(); ++c) {
+          ASSERT_EQ(snap.cell_docs()[c], ref.cell_docs()[c]) << "cell " << c;
+          ASSERT_EQ(snap.cell_rates()[c], ref.cell_rates()[c]) << "cell " << c;
+          ASSERT_EQ(snap.cell_fractions()[c], ref.cell_fractions()[c])
+              << "cell " << c;
+        }
+        ASSERT_EQ(snap.total_rate(), ref.total_rate());
+      }
+    }
+  }
+}
 
 // Churned demand ----------------------------------------------------------
 //

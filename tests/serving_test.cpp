@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/webwave_batch.h"
@@ -24,6 +27,7 @@
 #include "store/capacity_projector.h"
 #include "store/document_sizes.h"
 #include "tree/builders.h"
+#include "util/rng.h"
 
 namespace webwave {
 namespace {
@@ -127,6 +131,133 @@ TEST(RequestGenerator, RotatingComponentMatchesChurnScheduleLanes) {
             1e-9)
             << "epoch " << epoch << " doc " << d << " node " << v;
     schedule.NextEvents();
+  }
+}
+
+// The sampler ---------------------------------------------------------------
+//
+// GuidedCdf must return exactly the full-range inverse-CDF search it
+// replaced.  The references below are that search and the normalization
+// it ran on, kept here as test-local copies.
+
+std::vector<double> ReferenceCdf(const std::vector<double>& weights) {
+  double total = 0;
+  for (const double w : weights) total += w;
+  std::vector<double> cdf(weights.size());
+  double acc = 0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    acc += weights[i];
+    cdf[i] = acc / total;
+  }
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+std::size_t ReferenceSample(const std::vector<double>& cdf, double u) {
+  return static_cast<std::size_t>(
+      std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+TEST(GuidedCdf, EqualsTheFullSearchAtEveryBucketEdge) {
+  std::vector<std::vector<double>> cases;
+  // Uniform weights put CDF entries exactly on the bucket edges k/m,
+  // where a draw one ulp below an edge can round into the next bucket.
+  cases.push_back(std::vector<double>(1000, 1.0));
+  cases.push_back(std::vector<double>(3, 1.0));
+  cases.push_back({3.5});  // single entry
+  // Zero-weight runs, as internal nodes give an origin field: leading,
+  // inner and trailing ones (the trailing run ends on the forced 1.0).
+  std::vector<double> runs(777);
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    runs[i] = (i % 7 < 3 || i < 20 || i > 760) ? 0.0 : 1.0 + i % 5;
+  cases.push_back(runs);
+  cases.push_back({0.0, 0.0, 2.0, 0.0, 0.0});
+  cases.push_back({1.0, 2.0, 0.0, 0.0, 0.0});
+  // A heavy head and a light tail: buckets holding many entries.
+  std::vector<double> zipf(64);
+  for (std::size_t i = 0; i < zipf.size(); ++i)
+    zipf[i] = 1.0 / static_cast<double>(i + 1);
+  cases.push_back(zipf);
+  std::vector<double> spiky(5000, 1e-9);
+  spiky[17] = 1.0;
+  spiky[4000] = 3.0;
+  cases.push_back(spiky);
+
+  for (std::size_t n = 0; n < cases.size(); ++n) {
+    const GuidedCdf sampler(cases[n]);
+    const std::vector<double> cdf = ReferenceCdf(cases[n]);
+    ASSERT_EQ(sampler.cdf(), cdf) << "case " << n;
+    ASSERT_EQ(sampler.cdf().back(), 1.0) << "case " << n;
+    const std::size_t m = cdf.size();
+    EXPECT_EQ(sampler.Sample(0.0), ReferenceSample(cdf, 0.0)) << "case " << n;
+    for (std::size_t k = 0; k <= m; ++k) {
+      const double edge = static_cast<double>(k) / static_cast<double>(m);
+      for (const double u : {std::nextafter(edge, 0.0), edge,
+                             std::nextafter(edge, 2.0)}) {
+        if (u < 0 || u >= 1) continue;
+        ASSERT_EQ(sampler.Sample(u), ReferenceSample(cdf, u))
+            << "case " << n << " k " << k << " u " << u;
+      }
+    }
+  }
+}
+
+TEST(GuidedCdf, RejectsEmptyAndZeroWeights) {
+  EXPECT_THROW(GuidedCdf(std::vector<double>{}), std::invalid_argument);
+  EXPECT_THROW(GuidedCdf(std::vector<double>{0.0, 0.0}),
+               std::invalid_argument);
+}
+
+// The stream a plain upper_bound sampler draws: request i takes counters
+// 3i (component), 3i+1 (origin) and 3i+2 (document).
+std::vector<Request> ReferenceStream(const std::vector<DemandComponent>& mix,
+                                     std::uint64_t seed, std::size_t count) {
+  const auto draw = [&](std::uint64_t counter) {
+    return CounterUnitDouble(seed + counter * 0x9e3779b97f4a7c15ULL);
+  };
+  std::vector<double> rates;
+  for (const DemandComponent& c : mix) rates.push_back(c.rate);
+  const std::vector<double> component_cdf = ReferenceCdf(rates);
+  std::vector<std::vector<double>> origin, doc;
+  for (const DemandComponent& c : mix) {
+    origin.push_back(ReferenceCdf(c.origin_weights));
+    doc.push_back(ReferenceCdf(c.doc_weights));
+  }
+  std::vector<Request> out(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t k = 3 * i;
+    const std::size_t c =
+        mix.size() == 1 ? 0 : ReferenceSample(component_cdf, draw(k));
+    out[i].node = static_cast<NodeId>(ReferenceSample(origin[c], draw(k + 1)));
+    out[i].doc = static_cast<DocId>(ReferenceSample(doc[c], draw(k + 2)));
+  }
+  return out;
+}
+
+TEST(RequestGenerator, StreamEqualsAPlainUpperBoundSampler) {
+  Rng rng(12);
+  const RoutingTree tree = MakeRandomTree(5000, rng);
+  const int docs = 64;
+  const std::vector<std::pair<std::vector<DemandComponent>, std::size_t>>
+      mixes = {
+          {{RotatingHotSpotComponent(tree, docs, 1.0, 50.0, 0.05, 1, 8)},
+           1000000},
+          {{RotatingHotSpotComponent(tree, docs, 1.0, 50.0, 0.05, 3, 8),
+            FlashCrowdComponent(tree, docs, 4.0, 7,
+                                tree.children(tree.root()).front()),
+            ZipfLeafComponent(tree, docs, 0.5, 0.8)},
+           200000},
+      };
+  for (std::size_t n = 0; n < mixes.size(); ++n) {
+    const auto& [mix, count] = mixes[n];
+    RequestGenerator gen(tree, docs, mix, 2027);
+    std::vector<Request> got;
+    gen.NextBatch(count, &got);
+    const std::vector<Request> want = ReferenceStream(mix, 2027, count);
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(got[i].node, want[i].node) << "mix " << n << " request " << i;
+      ASSERT_EQ(got[i].doc, want[i].doc) << "mix " << n << " request " << i;
+    }
   }
 }
 

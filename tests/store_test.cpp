@@ -213,6 +213,84 @@ TEST(CacheStore, HomeIsNeverBudgetedAndAlwaysResident) {
   EXPECT_EQ(store.resident_cells(), 2);
 }
 
+// Resident(v, d) is a bit test; the keep lists stay the reference.  Every
+// (v, d) must agree with a binary search of ResidentDocs(v), after Admit
+// and after every partial Readmit of a churn sequence, at catalog sizes
+// on both sides of the 64-document word boundary.
+TEST(CacheStore, ResidencyBitsMatchTheKeepListsAcrossChurn) {
+  for (const int docs : {63, 64, 65, 130}) {
+    SCOPED_TRACE(::testing::Message() << docs << " documents");
+    Rng rng(static_cast<std::uint64_t>(docs));
+    const RoutingTree tree = MakeRandomTree(150, rng);
+    ChurnScheduleOptions copt;
+    copt.doc_count = docs;
+    copt.hot_fraction = 0.2;
+    copt.rotation_epochs = 4;
+    ChurnSchedule schedule(tree, copt);
+    BatchWebWaveSimulator sim(tree, schedule.Lanes(), {});
+    for (int s = 0; s < 10; ++s) sim.Step();
+    QuotaSnapshot base = QuotaSnapshot::FromBatch(sim, 1e-3);
+    CacheStore store = CacheStore::WorkingSetStore(
+        tree, DocumentSizes::LogNormal(docs, 2048, 1.1, 5), 0.3);
+
+    const auto check = [&](const char* where) {
+      for (NodeId v = 0; v < tree.size(); ++v) {
+        const std::vector<DocId>& row = store.ResidentDocs(v);
+        for (DocId d = 0; d < docs; ++d)
+          ASSERT_EQ(store.Resident(v, d),
+                    v == store.home() ||
+                        std::binary_search(row.begin(), row.end(), d))
+              << where << ": node " << v << " doc " << d;
+        // Outside the catalog: the home still holds everything, no
+        // other node holds anything.
+        for (const DocId d : {-1, docs, docs + 1, docs + 64})
+          ASSERT_EQ(store.Resident(v, d), v == store.home())
+              << where << ": node " << v << " doc " << d;
+      }
+    };
+    store.Admit(base);
+    check("admit");
+    ASSERT_GT(store.resident_cells(), 0);
+    ASSERT_LT(store.resident_cells(), base.cell_count());
+
+    MarkSet changed;
+    for (int epoch = 0; epoch < 6; ++epoch) {
+      sim.ApplyDemandEvents(schedule.NextEvents());
+      for (int s = 0; s < 6; ++s) sim.Step();
+      base.RefreshFromBatch(sim);
+      // Re-rank a third of the rows (all of them on the last epoch), so
+      // stale and fresh rows sit side by side in the bitmap.
+      std::vector<NodeId> nodes;
+      for (NodeId v = 0; v < tree.size(); ++v)
+        if (epoch == 5 || v % 3 == epoch % 3) nodes.push_back(v);
+      std::vector<std::vector<DocId>> before(
+          static_cast<std::size_t>(tree.size()));
+      for (NodeId v = 0; v < tree.size(); ++v)
+        before[static_cast<std::size_t>(v)] = store.ResidentDocs(v);
+      changed.Reset(docs);
+      store.Readmit(base, Span<const NodeId>(nodes.data(), nodes.size()),
+                    &changed);
+      check("readmit");
+      // The documents Readmit reports as moved are exactly those that
+      // entered or left some re-ranked node's keep list.
+      std::vector<std::int32_t> reported, moved;
+      changed.Drain(&reported);
+      for (DocId d = 0; d < docs; ++d)
+        for (const NodeId v : nodes) {
+          const std::vector<DocId>& was = before[static_cast<std::size_t>(v)];
+          const std::vector<DocId>& now = store.ResidentDocs(v);
+          if (std::binary_search(was.begin(), was.end(), d) !=
+              std::binary_search(now.begin(), now.end(), d)) {
+            moved.push_back(d);
+            break;
+          }
+        }
+      EXPECT_EQ(reported, moved) << "epoch " << epoch;
+      EXPECT_FALSE(reported.empty()) << "epoch " << epoch;
+    }
+  }
+}
+
 // Projection -------------------------------------------------------------
 
 TEST(CapacityProjector, SpillClimbsToTheNearestSurvivingAncestor) {
