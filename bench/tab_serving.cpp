@@ -308,10 +308,10 @@ int main() {
   // bit-identical and clean); the other 5 % are flash-crowd lanes: each
   // owns a fixed hot stretch of the leaf ring whose request intensity is
   // redrawn every epoch.  Early epochs grow the hot lanes' copy sets
-  // (diffusion still filling their request paths), exercising the
-  // structural merge; once the paths are provisioned the copy sets
-  // freeze and refreshes run fully in place.  Each epoch re-snapshots
-  // both ways and asserts the results identical cell for cell.
+  // (diffusion still filling their request paths), so the CSR shape
+  // moves; once the paths are provisioned the copy sets freeze and the
+  // shape holds (the "shape" column).  Each epoch re-snapshots both ways
+  // and asserts the results identical cell for cell.
   const int snap_nodes = EnvInt("WEBWAVE_SNAP_NODES", smoke ? 5000 : 200000);
   const int snap_docs = EnvInt("WEBWAVE_SNAP_DOCS", smoke ? 20 : 128);
   const int snap_epochs = EnvInt("WEBWAVE_SNAP_EPOCHS", smoke ? 3 : 12);
@@ -343,8 +343,8 @@ int main() {
 
   // At this floor a lane's copy set is "every path node diffusion has
   // ever provisioned" — it grows while the frontier sweeps the (fixed)
-  // request paths, then freezes, which is what moves the refresh from the
-  // structural merge onto the in-place path in the later epochs.
+  // request paths, then freezes, which is what lets the snapshot's shape
+  // (and with it the plane's in-place refresh) hold in the later epochs.
   const double snap_min_rate = 1e-12;
   QuotaSnapshot incr = QuotaSnapshot::FromBatch(snap_sim, snap_min_rate);
   snap_sim.ClearDirtyLanes();
@@ -358,7 +358,7 @@ int main() {
       EnvInt("WEBWAVE_SERVING_BLOCK", std::max(65536, snap_nodes));
   ServingPlane inc_plane(snap_tree, incr, snap_sopt);
 
-  AsciiTable snap_table({"epoch", "dirty lanes", "cells", "mode", "full ms",
+  AsciiTable snap_table({"epoch", "dirty lanes", "cells", "shape", "full ms",
                          "incremental ms", "speedup", "plane full ms",
                          "plane incr ms", "identical"});
   for (int epoch = 0; epoch < snap_epochs; ++epoch) {
@@ -422,7 +422,7 @@ int main() {
 
     snap_table.AddRow(
         {std::to_string(epoch), AsciiTable::Int(dirty),
-         AsciiTable::Int(full.cell_count()), in_place ? "in-place" : "merge",
+         AsciiTable::Int(full.cell_count()), in_place ? "held" : "moved",
          AsciiTable::Num(full_ms, 2), AsciiTable::Num(incr_ms, 2),
          AsciiTable::Num(full_ms / std::max(1e-9, incr_ms), 1) + "x",
          AsciiTable::Num(plane_full_ms, 2), AsciiTable::Num(plane_incr_ms, 2),

@@ -1,6 +1,7 @@
 #include "fault/fault_projector.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/check.h"
 
@@ -11,15 +12,20 @@ FaultProjector::FaultProjector(const RoutingTree& tree)
       down_mask_(static_cast<std::size_t>(tree.size()), 0) {}
 
 void FaultProjector::SetDown(Span<const NodeId> down) {
-  std::fill(down_mask_.begin(), down_mask_.end(), 0);
-  down_.assign(down.begin(), down.end());
-  std::sort(down_.begin(), down_.end());
-  down_.erase(std::unique(down_.begin(), down_.end()), down_.end());
-  for (const NodeId v : down_) {
+  std::vector<NodeId> next(down.begin(), down.end());
+  std::sort(next.begin(), next.end());
+  next.erase(std::unique(next.begin(), next.end()), next.end());
+  for (const NodeId v : next) {
     WEBWAVE_REQUIRE(v >= 0 && v < tree_.size(), "down node out of range");
     WEBWAVE_REQUIRE(!tree_.is_root(v), "the home never crashes");
-    down_mask_[static_cast<std::size_t>(v)] = 1;
   }
+  // The nodes in exactly one of the old and new sets flipped status.
+  std::set_symmetric_difference(down_.begin(), down_.end(), next.begin(),
+                                next.end(),
+                                std::back_inserter(pending_transitions_));
+  for (const NodeId v : down_) down_mask_[static_cast<std::size_t>(v)] = 0;
+  for (const NodeId v : next) down_mask_[static_cast<std::size_t>(v)] = 1;
+  down_ = std::move(next);
 }
 
 bool FaultProjector::IsDown(NodeId v) const {
@@ -27,8 +33,10 @@ bool FaultProjector::IsDown(NodeId v) const {
   return down_mask_[static_cast<std::size_t>(v)] != 0;
 }
 
-bool FaultProjector::Keeps(NodeId v, std::int32_t /*d*/) const {
-  return tree_.is_root(v) || down_mask_[static_cast<std::size_t>(v)] == 0;
+void FaultProjector::KeepRow(const QuotaSnapshot& base, NodeId v,
+                             std::uint8_t* keep) const {
+  std::fill(keep, keep + (base.row_end(v) - base.row_begin(v)),
+            down_mask_[static_cast<std::size_t>(v)] == 0 ? 1 : 0);
 }
 
 bool FaultProjector::KeepsAll(const QuotaSnapshot& /*base*/) const {

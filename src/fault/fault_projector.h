@@ -10,20 +10,22 @@
 // service, it never destroys it.  The spill law — ancestor climb,
 // fraction re-derivation (q+S)/(A+S), home-cell synthesis, bit-identical
 // pass-through of untouched cells — is SpillProjector's
-// (store/spill_projector.h), shared with the capacity plane; this class
-// contributes only the survivor predicate: a base copy survives iff its
-// node is live.
+// (store/spill_projector.h), shared with the capacity plane, and runs as
+// one node-major projection over the base rows; this class contributes
+// only the survivor predicate: a base row survives whole iff its node is
+// live.
 //
-// Refresh is the event-proportional path: given the transition batch from
-// FaultSchedule::NextEvents (plus the demand-side dirty lanes, if the
-// base itself moved this epoch), it re-projects only the documents whose
-// clamped cells can differ — the dirty lanes plus every document in a
-// transitioned node's base row.  That union is exact: a crash or
-// recovery at node v only re-routes quota belonging to documents v holds
-// a base copy of (live nodes without a copy never absorb spill, so
-// transit nodes cannot couple other documents in).  The result is
-// cell-identical to a full Project against the same down set (asserted
-// by fault_test across interleaved churn and fault epochs).
+// Refresh re-projects when anything can have moved: given the transition
+// batch from FaultSchedule::NextEvents (plus the demand-side dirty lanes,
+// if the base itself moved this epoch), the documents whose clamped cells
+// can differ are the dirty lanes plus every document in a transitioned
+// node's base row.  That union is exact: a crash or recovery at node v
+// only re-routes quota belonging to documents v holds a base copy of
+// (live nodes without a copy never absorb spill, so transit nodes cannot
+// couple other documents in).  An empty union leaves the clamped
+// snapshot as it is; otherwise the whole projection runs again.  The
+// result is cell-identical to a full Project against the same down set
+// (asserted by fault_test across interleaved churn and fault epochs).
 //
 // Layering under finite storage: run CapacityProjector first and feed
 // its clamped() snapshot here as the base.  Then a crashed node's
@@ -53,9 +55,11 @@ class FaultProjector : public SpillProjector {
  public:
   explicit FaultProjector(const RoutingTree& tree);
 
-  // Replaces the down set (no projection).  Nodes must be in range,
-  // unique after sorting, and never the root — a dead home is an
-  // unpublished catalog, not a fault-tolerance scenario.
+  // Replaces the down set (no projection).  Nodes must be in range and
+  // never the root — a dead home is an unpublished catalog, not a
+  // fault-tolerance scenario; duplicates collapse.  Every node whose
+  // status flips is banked like an ApplyEvents transition, so the next
+  // Refresh re-projects its row.
   void SetDown(Span<const NodeId> down);
 
   // Full projection of `base` against the current down set.
@@ -74,9 +78,8 @@ class FaultProjector : public SpillProjector {
   // re-projects `dirty_lanes` (the demand-side lanes whose base cells
   // moved this epoch; empty when the base is unchanged) plus every
   // document in the base row of a node ApplyEvents transitioned since
-  // the last projection.  Returns true when the clamped CSR shape held
-  // and values were rewritten in place.  Signature-compatible with
-  // CapacityProjector::Refresh.
+  // the last projection.  Returns true when the clamped CSR shape held.
+  // Signature-compatible with CapacityProjector::Refresh.
   bool Refresh(const QuotaSnapshot& base, Span<const int> dirty_lanes);
 
   // Convenience composition of ApplyEvents + Refresh (the historical
@@ -92,14 +95,16 @@ class FaultProjector : public SpillProjector {
  protected:
   // A base copy survives iff its node is live; the root is always live
   // and absorbs any remainder (home-cell synthesis).
-  bool Keeps(NodeId v, std::int32_t d) const override;
+  void KeepRow(const QuotaSnapshot& base, NodeId v,
+               std::uint8_t* keep) const override;
   bool KeepsAll(const QuotaSnapshot& base) const override;
 
  private:
   std::vector<NodeId> down_;             // ascending
   std::vector<std::uint8_t> down_mask_;  // per node, 1 = crashed
-  // Nodes ApplyEvents transitioned since the last Project/Refresh; their
-  // base rows join the next Refresh's affected set.
+  // Nodes SetDown/ApplyEvents transitioned since the last
+  // Project/Refresh; their base rows join the next Refresh's affected
+  // set.
   std::vector<NodeId> pending_transitions_;
 };
 

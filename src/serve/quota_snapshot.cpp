@@ -142,9 +142,6 @@ QuotaSnapshot QuotaSnapshot::FromBatch(const BatchWebWaveSimulator& batch,
   QuotaSnapshot s = std::move(b).Build();
   s.incremental_ = true;
   s.min_rate_ = min_rate;
-  // The column index is built lazily by the first RefreshFromBatch:
-  // one-shot snapshots (and the full rebuilds the bench times against)
-  // should not pay for refresh machinery they never use.
   return s;
 }
 
@@ -174,112 +171,80 @@ bool QuotaSnapshot::RefreshFromBatch(const BatchWebWaveSimulator& batch) {
                   "RefreshFromBatch needs a FromBatch-produced snapshot");
   WEBWAVE_REQUIRE(batch.node_count() == nodes_ && batch.doc_count() == docs_,
                   "snapshot does not match the batch engine");
-  if (col_off_.empty()) BuildColumnIndex();
+  RefreshScratch& x = scratch_;
   const std::vector<int> dirty = batch.DirtyLanes();
-  // One merged engine sweep collects the dirty lanes' fresh cells in
-  // ExportQuotas order — the only part that touches the engine, O(dirty
-  // lanes), not O(catalog).
-  std::vector<BatchWebWaveSimulator::QuotaCell> fresh_cells;
-  std::int64_t expect = 0;  // last refresh's dirty-lane cell count
-  for (const int d : dirty)
-    expect += col_off_[static_cast<std::size_t>(d) + 1] -
-              col_off_[static_cast<std::size_t>(d)];
-  fresh_cells.reserve(static_cast<std::size_t>(expect) + 1024);
-  batch.ExportLanesQuotas(Span<const int>(dirty.data(), dirty.size()),
-                          min_rate_, &fresh_cells);
 
-  // Fast path: every dirty lane kept its copy set (same cells, same
-  // nodes), so the CSR structure stands and only rates and fractions are
-  // rewritten in place.  The check and the rewrite are one fused pass —
-  // a mid-stream shape mismatch just falls through to the structural
-  // merge below, which rebuilds everything and makes the partial writes
-  // harmless.  total_ absorbs the rate deltas — the one field that can
-  // drift ulps from a fresh build's summation order.
-  bool same_shape = true;
-  {
-    std::vector<std::int64_t> at(static_cast<std::size_t>(docs_), 0);
-    for (const int d : dirty)
-      at[static_cast<std::size_t>(d)] = col_off_[static_cast<std::size_t>(d)];
-    for (std::size_t i = 0; same_shape && i < fresh_cells.size(); ++i) {
-      const BatchWebWaveSimulator::QuotaCell& c = fresh_cells[i];
-      const std::size_t d = static_cast<std::size_t>(c.doc);
-      std::int64_t& cursor = at[d];
-      if (cursor >= col_off_[d + 1] ||
-          col_nodes_[static_cast<std::size_t>(cursor)] != c.node) {
-        same_shape = false;
-        break;
-      }
-      const std::size_t cell = static_cast<std::size_t>(
-          col_cells_[static_cast<std::size_t>(cursor++)]);
-      total_ += c.served - rate_[cell];
-      rate_[cell] = c.served;
-      frac_[cell] = BatchFraction(c.served, c.forwarded);
-    }
-    for (const int d : dirty)
-      same_shape = same_shape &&
-                   at[static_cast<std::size_t>(d)] ==
-                       col_off_[static_cast<std::size_t>(d) + 1];
-    if (same_shape) return true;
-  }
+  // The new CSR is built in the scratch arrays (cleared, so their storage
+  // is reused) in exactly the order Builder::Add sees the cells in
+  // FromBatch, and total re-accumulates in that order, so the result is
+  // byte-identical to a fresh build.
+  x.doc.clear();
+  x.rate.clear();
+  x.frac.clear();
+  x.row_off.resize(static_cast<std::size_t>(nodes_) + 1);
+  x.row_off[0] = 0;
+  double total = 0;
+  const auto append = [&](std::int32_t d, double rate, double frac) {
+    x.doc.push_back(d);
+    x.rate.push_back(rate);
+    x.frac.push_back(frac);
+    total += rate;
+  };
+  NodeId open_row = 0;  // rows below it are complete
+  const auto close_rows_below = [&](NodeId v) {
+    for (; open_row < v; ++open_row)
+      x.row_off[static_cast<std::size_t>(open_row) + 1] =
+          static_cast<std::int64_t>(x.doc.size());
+  };
 
-  // Structural path: some dirty lane gained or lost copies, so row
-  // lengths shift.  Rebuild the CSR by merging the *old snapshot's* clean
-  // cells with the fresh dirty cells row by row — O(old cells + new
-  // cells) over the snapshot arrays, still never a rescan of the engine's
-  // clean lanes.  Cells are appended in exactly the order Builder::Add
-  // sees them in FromBatch, and total re-accumulates in that order, so
-  // the result is byte-identical to a fresh build.
-  std::vector<std::uint8_t> is_dirty(static_cast<std::size_t>(docs_), 0);
-  for (const int d : dirty) is_dirty[static_cast<std::size_t>(d)] = 1;
-  QuotaSnapshot merged;
-  merged.nodes_ = nodes_;
-  merged.docs_ = docs_;
-  merged.incremental_ = true;
-  merged.min_rate_ = min_rate_;
-  merged.row_off_.assign(static_cast<std::size_t>(nodes_) + 1, 0);
-  const std::size_t reserve = doc_.size() + fresh_cells.size();
-  merged.doc_.reserve(reserve);
-  merged.rate_.reserve(reserve);
-  merged.frac_.reserve(reserve);
-  std::size_t fresh = 0;  // next unconsumed dirty cell, (node, doc) order
-  for (NodeId v = 0; v < nodes_; ++v) {
-    std::int64_t old = row_begin(v);
-    const std::int64_t old_end = row_end(v);
-    while (true) {
-      // Skip the old row's dirty-lane cells: the fresh export replaces
-      // them (possibly with nothing).
-      while (old < old_end &&
-             is_dirty[static_cast<std::size_t>(
-                 doc_[static_cast<std::size_t>(old)])])
-        ++old;
-      const bool has_old = old < old_end;
-      const bool has_fresh =
-          fresh < fresh_cells.size() && fresh_cells[fresh].node == v;
-      if (!has_old && !has_fresh) break;
-      const bool take_fresh =
-          has_fresh && (!has_old || fresh_cells[fresh].doc <
-                                        doc_[static_cast<std::size_t>(old)]);
-      if (take_fresh) {
-        merged.doc_.push_back(fresh_cells[fresh].doc);
-        merged.rate_.push_back(fresh_cells[fresh].served);
-        merged.frac_.push_back(BatchFraction(fresh_cells[fresh].served,
-                                             fresh_cells[fresh].forwarded));
-        merged.total_ += fresh_cells[fresh].served;
-        ++fresh;
-      } else {
-        merged.doc_.push_back(doc_[static_cast<std::size_t>(old)]);
-        merged.rate_.push_back(rate_[static_cast<std::size_t>(old)]);
-        merged.frac_.push_back(frac_[static_cast<std::size_t>(old)]);
-        merged.total_ += rate_[static_cast<std::size_t>(old)];
-        ++old;
+  if (dirty.size() == static_cast<std::size_t>(docs_)) {
+    // Every lane is dirty, so no old cell survives: the engine's export
+    // is the new CSR, streamed straight into the scratch arrays.
+    batch.ExportQuotas(min_rate_, [&](NodeId v, std::int32_t d, double served,
+                                      double forwarded) {
+      close_rows_below(v);
+      append(d, served, BatchFraction(served, forwarded));
+    });
+  } else {
+    // One merged engine sweep collects the dirty lanes' fresh cells in
+    // ExportQuotas order — the only part that touches the engine, O(dirty
+    // lanes), not O(catalog) — and one pass merges them, row by row, with
+    // the old rows' clean cells.  An old cell of a dirty lane is dropped:
+    // the fresh export replaces it (possibly with nothing).
+    x.fresh.clear();
+    batch.ExportLanesQuotas(Span<const int>(dirty.data(), dirty.size()),
+                            min_rate_, &x.fresh);
+    x.dirty.assign(static_cast<std::size_t>(docs_), 0);
+    for (const int d : dirty) x.dirty[static_cast<std::size_t>(d)] = 1;
+    const auto append_if_clean = [&](std::size_t old) {
+      if (x.dirty[static_cast<std::size_t>(doc_[old])] == 0)
+        append(doc_[old], rate_[old], frac_[old]);
+    };
+    const BatchWebWaveSimulator::QuotaCell* fresh = x.fresh.data();
+    const BatchWebWaveSimulator::QuotaCell* const fresh_end =
+        fresh + x.fresh.size();
+    for (NodeId v = 0; v < nodes_; ++v) {
+      std::size_t old = static_cast<std::size_t>(row_begin(v));
+      const std::size_t old_end = static_cast<std::size_t>(row_end(v));
+      for (; fresh != fresh_end && fresh->node == v; ++fresh) {
+        for (; old < old_end && doc_[old] < fresh->doc; ++old)
+          append_if_clean(old);
+        append(fresh->doc, fresh->served,
+               BatchFraction(fresh->served, fresh->forwarded));
       }
+      for (; old < old_end; ++old) append_if_clean(old);
+      close_rows_below(v + 1);
     }
-    merged.row_off_[static_cast<std::size_t>(v) + 1] =
-        static_cast<std::int64_t>(merged.doc_.size());
   }
-  merged.BuildColumnIndex();  // this snapshot is refreshed again by design
-  *this = std::move(merged);
-  return false;
+  close_rows_below(nodes_);
+  const bool same_shape = x.row_off == row_off_ && x.doc == doc_;
+  row_off_.swap(x.row_off);
+  doc_.swap(x.doc);
+  rate_.swap(x.rate);
+  frac_.swap(x.frac);
+  total_ = total;
+  col_off_.clear();  // the column index is rebuilt on demand
+  return same_shape;
 }
 
 std::int64_t QuotaSnapshot::CellOf(NodeId v, std::int32_t d) const {

@@ -17,31 +17,29 @@
 // diffused copy set of §7.
 //
 // Batch-produced snapshots can be refreshed *incrementally*:
-// RefreshFromBatch rewrites only the cells of lanes the engine marked
-// dirty since the last export (a per-document column index maps a lane to
-// its cells), so a closed-loop epoch that churned k of D documents pays
-// O(k·copies) instead of O(nodes·documents) — the same churn-proportional
-// cost ApplyDemandEvents already has on the control plane.  When a dirty
-// lane's copy *set* changed (not just its rates) the CSR structure must
-// shift; the refresh then merges the old snapshot's clean cells with the
-// fresh dirty cells row by row — O(cells) over the snapshot arrays, but
-// still never a rescan of the engine's clean lanes.  Either way the
-// result is cell-for-cell identical to a fresh FromBatch(batch, min_rate)
-// (asserted by serving_test); only total_rate() may differ in the last
-// ulps on the in-place path, which applies rate deltas instead of
-// re-summing.
+// RefreshFromBatch re-exports only the lanes the engine marked dirty since
+// the last export and merges them, row by row, with the old snapshot's
+// clean cells — one sequential O(cells) pass over the snapshot arrays,
+// never a rescan of the engine's clean lanes.  When every lane is dirty
+// no clean cell is left to merge, and the engine's export streams
+// straight into the new CSR instead.  Either way the CSR is built in
+// buffers the snapshot keeps and swaps with its live arrays, so a
+// closed-loop epoch allocates nothing.  The result is byte-identical to a
+// fresh FromBatch(batch, min_rate), total_rate() included (asserted by
+// serving_test): cells arrive in FromBatch's order and the total is
+// re-summed in that order.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/webwave_batch.h"
 #include "doc/placement.h"
 #include "tree/routing_tree.h"
 #include "util/span.h"
 
 namespace webwave {
 
-class BatchWebWaveSimulator;
 class SpillProjector;
 
 class QuotaSnapshot {
@@ -85,19 +83,17 @@ class QuotaSnapshot {
 
   // The batch engine's current served rates, via its ExportQuotas hook;
   // fractions come from the engine's tracked flows, served/(served +
-  // forwarded).  Batch-produced snapshots carry a per-document column
-  // index and remember min_rate, so RefreshFromBatch can update them in
-  // place later.
+  // forwarded).  Batch-produced snapshots remember min_rate, so
+  // RefreshFromBatch can re-sync them later.
   static QuotaSnapshot FromBatch(const BatchWebWaveSimulator& batch,
                                  double min_rate = 0);
 
   // Incrementally re-syncs a FromBatch snapshot with the engine: only the
-  // cells of batch.DirtyLanes() are re-exported (rates and fractions
-  // rewritten in place through the column index); clean lanes' cells are
-  // untouched.  When a dirty lane's copy set changed shape, the old clean
-  // cells and the fresh dirty cells are merged into a rebuilt CSR without
-  // rescanning the engine.  Returns true when the in-place path sufficed.
-  // The caller decides when the dirty set is consumed — typically
+  // cells of batch.DirtyLanes() are re-exported, then merged with the old
+  // clean cells into the CSR (streamed in whole when every lane is
+  // dirty); clean lanes' cells keep their values.
+  // Returns true when the CSR shape (row offsets and cell documents)
+  // held.  The caller decides when the dirty set is consumed — typically
   // batch.ClearDirtyLanes() right after this returns.  Requires *this to
   // have been produced by FromBatch (or a prior RefreshFromBatch) against
   // an engine with the same node/document counts.
@@ -131,19 +127,19 @@ class QuotaSnapshot {
   // Number of copies of document d across all nodes (cells in column d).
   std::vector<std::int64_t> CopiesPerDoc() const;
 
-  // Column view for per-document sweeps (the capacity projector and the
-  // serving plane's incremental refresh): the nodes holding document d,
-  // ascending, and the matching cell indices.  Built lazily on first use
-  // and kept fresh by every structural rebuild; views are invalidated by
-  // the next structural change.  Not thread-safe against the lazy build —
-  // call once before handing the snapshot to parallel readers.
+  // Column view for per-document readers (the serving plane's hinted
+  // refresh, tests): the nodes holding document d, ascending, and the
+  // matching cell indices.  Built lazily on first use; every refresh or
+  // projection that rewrites the snapshot drops it, and views are
+  // invalidated with it.  Not thread-safe against the lazy build — call
+  // once before handing the snapshot to parallel readers.
   Span<const NodeId> DocNodes(std::int32_t d) const;
   Span<const std::int64_t> DocCells(std::int32_t d) const;
 
  private:
   // The spill projectors (capacity clamping and the fault plane) own a
-  // clamped QuotaSnapshot and rewrite its cell values in place on the
-  // incremental path (store/spill_projector).
+  // clamped QuotaSnapshot and write its CSR arrays directly
+  // (store/spill_projector).
   friend class SpillProjector;
   // The wire serializer reconstructs a snapshot byte-exactly — including
   // total_, which an Add-by-Add rebuild would re-sum in a different
@@ -160,13 +156,34 @@ class QuotaSnapshot {
   std::vector<double> rate_;
   std::vector<double> frac_;
 
-  // Column index for incremental refresh and the DocNodes/DocCells view:
-  // document d's cells are col_cells_[col_off_[d] .. col_off_[d+1]), node
-  // ascending, with col_nodes_ the matching node per cell.  Built lazily
-  // (mutable: the view is logically const), rebuilt by every structural
-  // refresh.
+  // RefreshFromBatch's reusable buffers: the dirty lanes' fresh export
+  // and the dirty-document marks (used only while some lane is clean),
+  // and the CSR arrays built before they are swapped with the live ones.
+  // Scratch, not state: a copy of the snapshot starts with empty
+  // buffers, so copying a maintained snapshot never copies them.
+  struct RefreshScratch {
+    RefreshScratch() = default;
+    RefreshScratch(const RefreshScratch&) {}
+    RefreshScratch& operator=(const RefreshScratch&) { return *this; }
+    RefreshScratch(RefreshScratch&&) = default;
+    RefreshScratch& operator=(RefreshScratch&&) = default;
+
+    std::vector<BatchWebWaveSimulator::QuotaCell> fresh;
+    std::vector<std::uint8_t> dirty;
+    std::vector<std::int64_t> row_off;
+    std::vector<std::int32_t> doc;
+    std::vector<double> rate;
+    std::vector<double> frac;
+  };
+
   bool incremental_ = false;
   double min_rate_ = 0;
+  RefreshScratch scratch_;
+
+  // Column index for the DocNodes/DocCells view: document d's cells are
+  // col_cells_[col_off_[d] .. col_off_[d+1]), node ascending, with
+  // col_nodes_ the matching node per cell.  Built lazily (mutable: the
+  // view is logically const); an empty col_off_ means "not built".
   mutable std::vector<std::int64_t> col_off_;    // docs_ + 1 entries
   mutable std::vector<std::int64_t> col_cells_;  // cell index per column entry
   mutable std::vector<NodeId> col_nodes_;        // node per column entry

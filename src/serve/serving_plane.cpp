@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <thread>
+#include <utility>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -129,22 +130,8 @@ void ServingPlane::BuildTables() {
   }
 }
 
-bool ServingPlane::Refresh(QuotaSnapshot snapshot) {
-  return RefreshImpl(std::move(snapshot), Span<const std::int32_t>(), false);
-}
-
-bool ServingPlane::Refresh(QuotaSnapshot snapshot,
-                           Span<const std::int32_t> changed_docs) {
-  // Re-wrapped as a prvalue: Span<const T> parameters must be copy-elided
-  // (an lvalue copy would instantiate std::vector<const T> during overload
-  // resolution, which is ill-formed).
-  return RefreshImpl(
-      std::move(snapshot),
-      Span<const std::int32_t>(changed_docs.data(), changed_docs.size()),
-      true);
-}
-
-bool ServingPlane::RefreshImpl(QuotaSnapshot snapshot,
+template <typename Snapshot>
+bool ServingPlane::RefreshImpl(Snapshot&& snapshot,
                                Span<const std::int32_t> changed_docs,
                                bool have_hint) {
   WEBWAVE_REQUIRE(snapshot.node_count() == snapshot_.node_count() &&
@@ -167,7 +154,7 @@ bool ServingPlane::RefreshImpl(QuotaSnapshot snapshot,
   const double per_block = options_.budget_slack *
                            static_cast<double>(options_.block_size) /
                            scale_rate;
-  snapshot_ = std::move(snapshot);
+  snapshot_ = std::forward<Snapshot>(snapshot);  // copy- or move-assigned
   if (!same_shape) {
     BuildTables();
     return false;
@@ -217,6 +204,33 @@ bool ServingPlane::RefreshImpl(QuotaSnapshot snapshot,
     return false;
   }
   return true;
+}
+
+bool ServingPlane::Refresh(const QuotaSnapshot& snapshot) {
+  return RefreshImpl(snapshot, Span<const std::int32_t>(), false);
+}
+
+bool ServingPlane::Refresh(QuotaSnapshot&& snapshot) {
+  return RefreshImpl(std::move(snapshot), Span<const std::int32_t>(), false);
+}
+
+// The hinted overloads re-wrap the span as a prvalue: Span<const T>
+// parameters must be copy-elided (an lvalue copy would instantiate
+// std::vector<const T> during overload resolution, which is ill-formed).
+bool ServingPlane::Refresh(const QuotaSnapshot& snapshot,
+                           Span<const std::int32_t> changed_docs) {
+  return RefreshImpl(
+      snapshot,
+      Span<const std::int32_t>(changed_docs.data(), changed_docs.size()),
+      true);
+}
+
+bool ServingPlane::Refresh(QuotaSnapshot&& snapshot,
+                           Span<const std::int32_t> changed_docs) {
+  return RefreshImpl(
+      std::move(snapshot),
+      Span<const std::int32_t>(changed_docs.data(), changed_docs.size()),
+      true);
 }
 
 void ServingPlane::SetDownNodes(Span<const NodeId> down) {

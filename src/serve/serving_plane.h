@@ -195,19 +195,25 @@ class ServingPlane {
   // Installs a new snapshot without tearing the plane down — the
   // data-plane analogue of QuotaSnapshot::RefreshFromBatch.  When the
   // CSR shape is unchanged, only the admission rows whose cells changed
-  // are recomputed: the hinted overload touches just `changed_docs`'
+  // are recomputed: the hinted overloads touch just `changed_docs`'
   // cells through the snapshot's column index (the caller promises every
   // other cell is value-identical — the dirty/affected sets of the
-  // closed loop are exactly that promise); the unhinted overload diffs
+  // closed loop are exactly that promise); the unhinted overloads diff
   // every cell.  A shape change, or a cell crossing the token/thinning
   // regime boundary (which renumbers the compact token slots), falls
   // back to a full table rebuild.  Either way the admission tables end
   // up byte-identical to constructing a fresh plane from the snapshot
   // (asserted by serving_test via TablesEqual); accumulated metrics and
   // block numbering continue.  Returns true when the in-place path
-  // sufficed.  The tree and catalog shape cannot change.
-  bool Refresh(QuotaSnapshot snapshot);
-  bool Refresh(QuotaSnapshot snapshot, Span<const std::int32_t> changed_docs);
+  // sufficed.  The tree and catalog shape cannot change.  The const&
+  // overloads copy-assign into the plane's existing snapshot storage;
+  // the && overloads take the caller's arrays.
+  bool Refresh(const QuotaSnapshot& snapshot);
+  bool Refresh(QuotaSnapshot&& snapshot);
+  bool Refresh(const QuotaSnapshot& snapshot,
+               Span<const std::int32_t> changed_docs);
+  bool Refresh(QuotaSnapshot&& snapshot,
+               Span<const std::int32_t> changed_docs);
 
   // True iff the two planes would admit any request stream identically
   // from the same block position: same snapshot cells, admission tables
@@ -264,7 +270,11 @@ class ServingPlane {
   // per-worker token scratch) and doc_bits_ from snapshot_ — the
   // constructor's table build, shared with Refresh's full-rebuild path.
   void BuildTables();
-  bool RefreshImpl(QuotaSnapshot snapshot,
+  // Every Refresh overload: `snapshot` is a const QuotaSnapshot& (copied
+  // in) or a QuotaSnapshot&& (moved in).  Defined and instantiated in the
+  // .cpp only.
+  template <typename Snapshot>
+  bool RefreshImpl(Snapshot&& snapshot,
                    Span<const std::int32_t> changed_docs, bool have_hint);
 
   QuotaSnapshot snapshot_;

@@ -59,7 +59,6 @@ CacheStore::CacheStore(const RoutingTree& tree, DocumentSizes sizes,
       "one byte budget per tree node");
   used_.assign(budgets_.size(), 0);
   kept_.resize(budgets_.size());
-  resident_.Reset(tree.size(), sizes_.doc_count());
 }
 
 CacheStore CacheStore::WorkingSetStore(const RoutingTree& tree,
@@ -92,7 +91,8 @@ std::uint64_t CacheStore::total_bytes_used() const {
 bool CacheStore::Resident(NodeId v, DocId d) const {
   if (v == home_) return true;
   WEBWAVE_REQUIRE(v >= 0 && v < node_count(), "node out of range");
-  return d >= 0 && d < sizes_.doc_count() && resident_.Test(v, d);
+  const std::vector<DocId>& kept = kept_[static_cast<std::size_t>(v)];
+  return std::binary_search(kept.begin(), kept.end(), d);
 }
 
 const std::vector<DocId>& CacheStore::ResidentDocs(NodeId v) const {
@@ -113,7 +113,6 @@ void CacheStore::AdmitRow(const QuotaSnapshot& snapshot, NodeId v) {
   } else {
     policy_.KeepSet(snapshot, v, sizes_, budgets_[vv], &kept_[vv],
                     &used_[vv]);
-    resident_.AssignRow(v, kept_[vv].begin(), kept_[vv].end());
   }
   resident_cells_ += static_cast<std::int64_t>(kept_[vv].size());
 }

@@ -22,14 +22,13 @@
 // Admission is row-incremental: Admit re-ranks every node, Readmit only
 // the nodes whose snapshot rows changed (CapacityProjector feeds it the
 // nodes holding dirty-lane cells), reporting which documents' residency
-// actually moved so downstream re-projection stays churn-proportional.
+// actually moved, the documents whose clamped cells can change.
 // resident_cells() tells the projector when nothing was evicted at all.
 //
-// Residency is held twice, for two kinds of reader: the ascending keep
-// list per node (ResidentDocs, and Readmit's old/new diff) and a
-// node-major bitmap over the catalog, so Resident(v, d) — asked once per
-// base cell and per spill hop by CapacityProjector — is one bit test.
-// AdmitRow rewrites both for its node.
+// Residency is the ascending keep list per node (ResidentDocs, and
+// Readmit's old/new diff).  CapacityProjector reads it one whole row at a
+// time, merged against the snapshot row the list was decided over, so
+// no per-(node, document) index is kept beside it.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +37,6 @@
 #include "serve/quota_snapshot.h"
 #include "store/document_sizes.h"
 #include "tree/routing_tree.h"
-#include "util/bit_rows.h"
 #include "util/mark_set.h"
 #include "util/span.h"
 
@@ -87,7 +85,8 @@ class CacheStore {
 
   // Residency after the last Admit/Readmit.  The home is resident for
   // every document by definition; elsewhere a document outside the
-  // catalog is never resident.
+  // catalog is never resident.  Resident is a binary search of the keep
+  // list.
   bool Resident(NodeId v, DocId d) const;
   const std::vector<DocId>& ResidentDocs(NodeId v) const;
   std::int64_t resident_cells() const { return resident_cells_; }
@@ -111,7 +110,6 @@ class CacheStore {
   std::vector<std::uint64_t> budgets_;
   std::vector<std::uint64_t> used_;
   std::vector<std::vector<DocId>> kept_;  // per node, ascending doc id
-  BitRows resident_;  // bit d of row v iff d is in kept_[v] (not the home)
   std::int64_t resident_cells_ = 0;
   NodeId home_;
   QuotaWeightedEviction policy_;

@@ -16,20 +16,22 @@
 // pass-through of untouched cells, conservation of total rate — lives in
 // SpillProjector (store/spill_projector.h), shared with the fault
 // plane's FaultProjector; this class contributes only the survivor
-// predicate (store residency) and the churn-proportional bookkeeping.
+// predicate (store residency, one row-merge against the keep list) and
+// the bookkeeping that decides which rows to re-rank.
 //
-// Refresh is the churn-proportional path, mirroring
-// QuotaSnapshot::RefreshFromBatch one layer down: given the freshly
-// re-synced base snapshot and the engine's dirty-lane set, it re-ranks
-// admission only at nodes whose rows hold dirty cells (or held resident
-// ones), then re-projects dirty lanes ∪ documents whose residency moved
-// — capacity couples documents through the shared byte budget, so a
-// dirty lane can evict a clean lane's copy, and the union is exactly the
-// set whose clamped cells can change.  The result is cell-identical to a
-// full Project(base) (asserted under ChurnSchedule churn by store_test).
-// Both sets are mark arrays (util/mark_set.h), and when the store
-// evicted nothing the clamp installs the base itself, so an epoch costs
-// the re-ranked rows plus one snapshot copy — nothing per document.
+// Refresh mirrors QuotaSnapshot::RefreshFromBatch one layer down: given
+// the freshly re-synced base snapshot and the engine's dirty-lane set, it
+// re-ranks admission only at nodes whose rows hold dirty cells (or held
+// resident ones) — found by one scan of the rows against a dirty-document
+// mark — then re-projects when the dirty lanes or the documents whose
+// residency moved are non-empty.  Capacity couples documents through the
+// shared byte budget, so a dirty lane can evict a clean lane's copy; that
+// union is exactly the set whose clamped cells can change, and it is what
+// last_affected_docs() reports.  The result is cell-identical to a full
+// Project(base) (asserted under ChurnSchedule churn by store_test).  When
+// the store evicted nothing the clamp copies the base in; otherwise one
+// node-major projection runs.  Either way an epoch costs O(cells), read
+// sequentially, plus the re-ranked rows.
 //
 // Everything here is a pure serial function of (base, store state):
 // deterministic across thread counts and lane_block widths by
@@ -44,7 +46,6 @@
 #include "store/cache_store.h"
 #include "store/spill_projector.h"
 #include "tree/routing_tree.h"
-#include "util/mark_set.h"
 #include "util/span.h"
 
 namespace webwave {
@@ -67,15 +68,17 @@ class CapacityProjector : public SpillProjector {
   const CacheStore& store() const { return store_; }
 
  protected:
-  // A copy survives iff the store kept it resident (the home is resident
-  // for the whole catalog by definition).
-  bool Keeps(NodeId v, std::int32_t d) const override;
+  // A copy survives iff the store kept it resident: v's keep list is a
+  // doc-ascending subset of its base row, so one merge marks the row.
+  void KeepRow(const QuotaSnapshot& base, NodeId v,
+               std::uint8_t* keep) const override;
   bool KeepsAll(const QuotaSnapshot& base) const override;
 
  private:
   CacheStore store_;
-  // Refresh scratch: the nodes to re-rank, marked, then drained ascending.
-  MarkSet touched_;
+  // Refresh scratch: per document, 1 = dirty this refresh; the nodes to
+  // re-rank, ascending.
+  std::vector<std::uint8_t> dirty_doc_;
   std::vector<NodeId> touched_nodes_;
 };
 

@@ -71,11 +71,6 @@ DocumentSizes DocumentSizes::FromBytes(std::vector<std::uint64_t> bytes) {
   return DocumentSizes(std::move(bytes));
 }
 
-std::uint64_t DocumentSizes::bytes(DocId d) const {
-  WEBWAVE_REQUIRE(d >= 0 && d < doc_count(), "document out of range");
-  return bytes_[static_cast<std::size_t>(d)];
-}
-
 std::uint64_t DocumentSizes::max_bytes() const {
   return *std::max_element(bytes_.begin(), bytes_.end());
 }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "doc/catalog.h"
+#include "util/check.h"
 
 namespace webwave {
 
@@ -51,7 +52,12 @@ class DocumentSizes {
   static DocumentSizes FromBytes(std::vector<std::uint64_t> bytes);
 
   int doc_count() const { return static_cast<int>(bytes_.size()); }
-  std::uint64_t bytes(DocId d) const;
+  // Inline: the admission policy asks once per cell of every re-ranked
+  // row.
+  std::uint64_t bytes(DocId d) const {
+    WEBWAVE_REQUIRE(d >= 0 && d < doc_count(), "document out of range");
+    return bytes_[static_cast<std::size_t>(d)];
+  }
   // Sum over the catalog: the working set one full copy of everything
   // occupies — the natural unit for per-node budgets (cache_store.h).
   std::uint64_t total_bytes() const { return total_; }

@@ -8,9 +8,7 @@
 
 namespace webwave {
 
-SpillProjector::SpillProjector(const RoutingTree& tree) : tree_(tree) {
-  spill_.assign(static_cast<std::size_t>(tree.size()), 0.0);
-}
+SpillProjector::SpillProjector(const RoutingTree& tree) : tree_(tree) {}
 
 double SpillProjector::spilled_rate() const {
   double total = 0;
@@ -39,171 +37,142 @@ bool SpillProjector::ConservesTotalRate(const QuotaSnapshot& base,
          rel_tol * (1.0 + std::abs(base.total_rate()));
 }
 
-void SpillProjector::ProjectDoc(const QuotaSnapshot& base, std::int32_t d) {
-  const Span<const NodeId> nodes = base.DocNodes(d);
-  const Span<const std::int64_t> cells = base.DocCells(d);
+bool SpillProjector::Sweep(const QuotaSnapshot& base) {
+  WEBWAVE_REQUIRE(&base != &clamped_,
+                  "a projection cannot consume its own output");
+  const int nodes = base.node_count();
+  const int docs = base.doc_count();
+  const std::size_t cells = static_cast<std::size_t>(base.cell_count());
+  const std::int32_t* doc = base.cell_docs();
   const double* rates = base.cell_rates();
   const double* fracs = base.cell_fractions();
   const NodeId home = tree_.root();
-  std::vector<DocCell>& out = doc_scratch_[static_cast<std::size_t>(d)];
-  out.clear();
+  keep_.resize(cells);
+  cell_spill_.resize(cells, 0.0);  // zero wherever keep_ is not kSpillTarget
+  home_spill_.assign(static_cast<std::size_t>(docs), 0.0);
+  doc_spill_.assign(static_cast<std::size_t>(docs), 0.0);
+  doc_evicted_.assign(static_cast<std::size_t>(docs), 0);
 
-  // Pass 1 — excised copies spill their whole quota onto the nearest
-  // surviving ancestor copy (the home at worst, so the climb terminates
-  // before running off the root).  Only the climb visits nodes that may
-  // hold no base copy, so only the climb looks the cell up.  Cells are
-  // visited node-ascending, so the spill sums accumulate in a fixed
-  // order no matter how the snapshot was produced.
-  double spilled = 0;
-  std::int64_t evicted = 0;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const NodeId v = nodes[i];
-    if (Keeps(v, d)) continue;
-    const double q = rates[cells[i]];
+  // Sweep 1 — which base cells survive.  Every later sweep reads these
+  // flags, ancestors' included, so they are all decided first.
+  for (NodeId v = 0; v < nodes; ++v) {
+    std::uint8_t* keep = keep_.data() + base.row_begin(v);
+    if (v == home)
+      std::fill(keep, keep + (base.row_end(v) - base.row_begin(v)), kKept);
+    else
+      KeepRow(base, v, keep);
+  }
+
+  // Sweep 2 — each excised copy spills its whole quota onto the nearest
+  // surviving ancestor copy, the home at worst, so the climb ends before
+  // running off the root.  spill_target is that copy's base cell, or -1
+  // when the climb reaches a home holding no base cell of d.
+  const auto spill_target = [&](NodeId v, std::int32_t d) {
     NodeId u = tree_.parent(v);
-    while (!tree_.is_root(u) && !(Keeps(u, d) && base.CellOf(u, d) >= 0))
-      u = tree_.parent(u);
-    if (spill_[static_cast<std::size_t>(u)] == 0.0) spill_touched_.push_back(u);
-    spill_[static_cast<std::size_t>(u)] += q;
-    spilled += q;
-    ++evicted;
-  }
-
-  // Pass 2 — emit the surviving copies.  A cell with no spill passes
-  // through bit-identical; a spill target's quota grows by S and its
-  // fraction is recomputed against the arrival flow implied by the base
-  // fraction (A = q/f), which also grew by S — the excised copies
-  // between the target and the spill sources absorb nothing anymore.
-  bool home_has_cell = false;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const NodeId v = nodes[i];
-    if (!Keeps(v, d)) continue;
-    const double q = rates[cells[i]];
-    const double f = fracs[cells[i]];
-    const double s = spill_[static_cast<std::size_t>(v)];
-    if (v == home) home_has_cell = true;
-    if (s == 0.0) {
-      out.push_back({v, q, f});
-    } else {
-      const double arrive = f >= 1.0 ? q : q / f;
-      out.push_back({v, q + s, std::min(1.0, (q + s) / (arrive + s))});
+    for (; !tree_.is_root(u); u = tree_.parent(u)) {
+      const std::int64_t t = base.CellOf(u, d);
+      if (t >= 0 && keep_[static_cast<std::size_t>(t)] != kExcised) return t;
     }
-  }
-  const double home_spill = spill_[static_cast<std::size_t>(home)];
-  if (!home_has_cell && home_spill > 0.0) {
-    // The document had no home copy in the base snapshot (everything was
-    // absorbed below); the spilled remainder materializes one.
-    const DocCell cell{home, home_spill, 1.0};
-    out.insert(std::lower_bound(out.begin(), out.end(), cell,
-                                [](const DocCell& a, const DocCell& b) {
-                                  return a.node < b.node;
-                                }),
-               cell);
-  }
+    return base.CellOf(u, d);
+  };
+  std::int64_t kept = 0;
+  for (NodeId v = 0; v < nodes; ++v)
+    for (std::int64_t c = base.row_begin(v); c < base.row_end(v); ++c) {
+      if (keep_[static_cast<std::size_t>(c)] != kExcised) {
+        ++kept;
+        continue;
+      }
+      const std::int32_t d = doc[c];
+      const double q = rates[c];
+      const std::int64_t target = spill_target(v, d);
+      if (target >= 0) {
+        keep_[static_cast<std::size_t>(target)] = kSpillTarget;
+        cell_spill_[static_cast<std::size_t>(target)] += q;
+      } else {
+        home_spill_[static_cast<std::size_t>(d)] += q;
+      }
+      doc_spill_[static_cast<std::size_t>(d)] += q;
+      ++doc_evicted_[static_cast<std::size_t>(d)];
+    }
+  std::int64_t synthesized = 0;
+  for (const double s : home_spill_) synthesized += s > 0.0;
 
-  for (const NodeId u : spill_touched_)
-    spill_[static_cast<std::size_t>(u)] = 0.0;
-  spill_touched_.clear();
-  doc_spill_[static_cast<std::size_t>(d)] = spilled;
-  doc_evicted_[static_cast<std::size_t>(d)] = evicted;
-}
-
-void SpillProjector::Assemble() {
-  const int nodes = tree_.size();
-  const std::size_t docs = doc_scratch_.size();
-  const std::vector<std::int32_t>& affected = last_affected_;
-  std::vector<std::uint8_t> is_affected(docs, 0);
-  for (const std::int32_t d : affected)
-    is_affected[static_cast<std::size_t>(d)] = 1;
-  // Unaffected documents keep their current clamped cells.  On the first
-  // projection every document is affected and the old snapshot is never
-  // read.
-  const bool keep_old = affected.size() < docs;
-
-  // The result is built in spare_ and swapped in, so its arrays' storage
-  // is reused epoch over epoch.  Column sizes are known up front, so
-  // column d's entries can be filled as its cells are emitted.
-  QuotaSnapshot& out = spare_;
+  // Sweep 3 — emit the surviving copies in CSR order straight into
+  // clamped_, over its previous cells; each slot's old document and each
+  // row's old end are compared before they are overwritten, which is the
+  // shape check.  A cell with no spill passes through bit-identical; a
+  // spill target's quota grows by S and its fraction is recomputed
+  // against the arrival flow implied by the base fraction (A = q/f),
+  // which also grew by S — the excised copies between the target and the
+  // spill sources absorb nothing anymore.  A document whose home held no
+  // base cell but received spill gets one synthesized there, fraction 1.
+  // total_ sums in cell order, as a Builder over the cells would.
+  QuotaSnapshot& out = clamped_;
+  const std::size_t out_cells = static_cast<std::size_t>(kept + synthesized);
+  bool same_shape = out.doc_.size() == out_cells &&
+                    out.row_off_.size() == static_cast<std::size_t>(nodes) + 1;
   out.nodes_ = nodes;
-  out.docs_ = static_cast<int>(docs);
-  out.col_off_.assign(docs + 1, 0);
-  for (std::size_t d = 0; d < docs; ++d)
-    out.col_off_[d + 1] =
-        out.col_off_[d] +
-        static_cast<std::int64_t>(
-            is_affected[d] != 0
-                ? doc_scratch_[d].size()
-                : clamped_.DocNodes(static_cast<std::int32_t>(d)).size());
-  const std::size_t cells = static_cast<std::size_t>(out.col_off_[docs]);
-  out.row_off_.assign(static_cast<std::size_t>(nodes) + 1, 0);
-  out.doc_.resize(cells);
-  out.rate_.resize(cells);
-  out.frac_.resize(cells);
-  out.col_cells_.resize(cells);
-  out.col_nodes_.resize(cells);
+  out.docs_ = docs;
   out.total_ = 0;
-  std::vector<std::int64_t> col_fill(out.col_off_.begin(),
-                                     out.col_off_.end() - 1);
+  out.incremental_ = false;
+  out.min_rate_ = 0;
+  out.col_off_.clear();  // the column index is built on demand
+  out.row_off_.resize(static_cast<std::size_t>(nodes) + 1);
+  out.row_off_[0] = 0;
+  out.doc_.resize(out_cells);
+  out.rate_.resize(out_cells);
+  out.frac_.resize(out_cells);
   std::size_t slot = 0;
-  const auto emit = [&](NodeId v, std::int32_t d, double rate, double frac) {
+  const auto emit = [&](std::int32_t d, double rate, double frac) {
+    same_shape = same_shape && out.doc_[slot] == d;
     out.doc_[slot] = d;
     out.rate_[slot] = rate;
     out.frac_[slot] = frac;
-    out.total_ += rate;  // cell order, as a Builder over the cells would
-    const std::size_t k =
-        static_cast<std::size_t>(col_fill[static_cast<std::size_t>(d)]++);
-    out.col_cells_[k] = static_cast<std::int64_t>(slot);
-    out.col_nodes_[k] = v;
+    out.total_ += rate;
     ++slot;
   };
-
-  // Row by row, merge the old row's unaffected cells with the affected
-  // documents' scratch cells at this node.  Each scratch column is
-  // node-ascending, so a cursor per affected document walks it once, and
-  // both sequences are doc-ascending (affected is), so the output is
-  // written strictly in CSR order.
-  std::vector<std::size_t> cursor(affected.size(), 0);
-  for (NodeId v = 0; v < nodes; ++v) {
-    std::int64_t old = keep_old ? clamped_.row_begin(v) : 0;
-    const std::int64_t old_end = keep_old ? clamped_.row_end(v) : 0;
-    std::size_t a = 0;
-    while (true) {
-      while (old < old_end &&
-             is_affected[static_cast<std::size_t>(
-                 clamped_.doc_[static_cast<std::size_t>(old)])] != 0)
-        ++old;
-      while (a < affected.size()) {
-        const std::vector<DocCell>& col =
-            doc_scratch_[static_cast<std::size_t>(affected[a])];
-        if (cursor[a] < col.size() && col[cursor[a]].node == v) break;
-        ++a;
-      }
-      const bool has_old = old < old_end;
-      const bool has_fresh = a < affected.size();
-      if (!has_old && !has_fresh) break;
-      if (has_fresh &&
-          (!has_old ||
-           affected[a] < clamped_.doc_[static_cast<std::size_t>(old)])) {
-        const DocCell& c =
-            doc_scratch_[static_cast<std::size_t>(affected[a])][cursor[a]++];
-        emit(v, affected[a], c.rate, c.frac);
-        ++a;
-      } else {
-        const std::size_t o = static_cast<std::size_t>(old++);
-        emit(v, clamped_.doc_[o], clamped_.rate_[o], clamped_.frac_[o]);
-      }
+  const auto emit_cell = [&](std::int64_t c) {
+    const std::size_t i = static_cast<std::size_t>(c);
+    if (keep_[i] == kKept) {
+      emit(doc[c], rates[c], fracs[c]);
+    } else if (keep_[i] == kSpillTarget) {
+      const double q = rates[c];
+      const double s = cell_spill_[i];
+      cell_spill_[i] = 0.0;
+      const double arrive = fracs[c] >= 1.0 ? q : q / fracs[c];
+      emit(doc[c], q + s, std::min(1.0, (q + s) / (arrive + s)));
     }
-    out.row_off_[static_cast<std::size_t>(v) + 1] =
-        static_cast<std::int64_t>(slot);
+  };
+  for (NodeId v = 0; v < nodes; ++v) {
+    if (v != home) {
+      for (std::int64_t c = base.row_begin(v); c < base.row_end(v); ++c)
+        emit_cell(c);
+    } else {
+      // The home row merges its own cells with the synthesized ones.
+      std::int32_t synth = 0;
+      const auto emit_synthesized_below = [&](std::int32_t limit) {
+        for (; synth < limit; ++synth) {
+          const double s = home_spill_[static_cast<std::size_t>(synth)];
+          if (s > 0.0) emit(synth, s, 1.0);
+        }
+      };
+      for (std::int64_t c = base.row_begin(v); c < base.row_end(v); ++c) {
+        emit_synthesized_below(doc[c]);
+        emit_cell(c);
+      }
+      emit_synthesized_below(docs);
+    }
+    std::int64_t& row_end = out.row_off_[static_cast<std::size_t>(v) + 1];
+    same_shape = same_shape && row_end == static_cast<std::int64_t>(slot);
+    row_end = static_cast<std::int64_t>(slot);
   }
-  std::swap(clamped_, spare_);
+  return same_shape;
 }
 
 bool SpillProjector::PassThrough(const QuotaSnapshot& base) {
   const bool same_shape =
       clamped_.row_off_ == base.row_off_ && clamped_.doc_ == base.doc_;
-  if (base.col_off_.empty()) base.BuildColumnIndex();
-  clamped_ = base;  // column index included: Reproject reads it next epoch
+  clamped_ = base;  // copy-assigned: clamped_'s storage is reused
   clamped_.incremental_ = false;
   clamped_.min_rate_ = 0;
   std::fill(doc_spill_.begin(), doc_spill_.end(), 0.0);
@@ -217,61 +186,21 @@ void SpillProjector::ProjectAll(const QuotaSnapshot& base) {
   const int docs = base.doc_count();
   doc_spill_.assign(static_cast<std::size_t>(docs), 0.0);
   doc_evicted_.assign(static_cast<std::size_t>(docs), 0);
-  doc_scratch_.resize(static_cast<std::size_t>(docs));
   affected_.Reset(docs);
   last_affected_.resize(static_cast<std::size_t>(docs));
   std::iota(last_affected_.begin(), last_affected_.end(), 0);
   projected_ = true;
-  if (KeepsAll(base)) {
+  if (KeepsAll(base))
     PassThrough(base);
-    return;
-  }
-  for (const std::int32_t d : last_affected_) ProjectDoc(base, d);
-  Assemble();
+  else
+    Sweep(base);
 }
 
 bool SpillProjector::Reproject(const QuotaSnapshot& base) {
   WEBWAVE_REQUIRE(projected_, "Reproject needs a prior ProjectAll");
   affected_.Drain(&last_affected_);
-  const std::vector<std::int32_t>& affected = last_affected_;
-  if (affected.empty()) return true;
-  if (KeepsAll(base)) return PassThrough(base);
-
-  for (const std::int32_t d : affected) ProjectDoc(base, d);
-
-  // In-place when every affected document kept its clamped copy set:
-  // rewrite rates and fractions through the column index, applying rate
-  // deltas to the total (the one field that may drift ulps versus a full
-  // projection, exactly like RefreshFromBatch's in-place path).
-  bool same_shape = true;
-  for (const std::int32_t d : affected) {
-    const Span<const NodeId> old_nodes = clamped_.DocNodes(d);
-    const std::vector<DocCell>& fresh =
-        doc_scratch_[static_cast<std::size_t>(d)];
-    if (old_nodes.size() != fresh.size()) {
-      same_shape = false;
-      break;
-    }
-    for (std::size_t i = 0; same_shape && i < fresh.size(); ++i)
-      same_shape = old_nodes[i] == fresh[i].node;
-    if (!same_shape) break;
-  }
-  if (same_shape) {
-    for (const std::int32_t d : affected) {
-      const Span<const std::int64_t> cells = clamped_.DocCells(d);
-      const std::vector<DocCell>& fresh =
-          doc_scratch_[static_cast<std::size_t>(d)];
-      for (std::size_t i = 0; i < fresh.size(); ++i) {
-        const std::size_t cell = static_cast<std::size_t>(cells[i]);
-        clamped_.total_ += fresh[i].rate - clamped_.rate_[cell];
-        clamped_.rate_[cell] = fresh[i].rate;
-        clamped_.frac_[cell] = fresh[i].frac;
-      }
-    }
-    return true;
-  }
-  Assemble();
-  return false;
+  if (last_affected_.empty()) return true;
+  return KeepsAll(base) ? PassThrough(base) : Sweep(base);
 }
 
 }  // namespace webwave

@@ -11,15 +11,27 @@
 // re-derived as (q+S)/(A+S) against the arrival flow A = q/f, untouched
 // cells pass through bit-identical, and total rate is conserved by
 // construction.  SpillProjector is that law factored out once: a
-// subclass supplies only the survivor predicate (store residency, crash
-// sets) and the incremental bookkeeping that decides *which* documents to
-// re-project; the per-document projection, the CSR merge/assembly, the
-// in-place value rewrite and the conservation check live here.
+// subclass supplies only the survivor predicate, one base row at a time
+// (store residency, crash sets), and the incremental bookkeeping that
+// decides *whether* anything can have moved; the projection and the
+// conservation check live here.
+//
+// The projection is node-major: three sequential sweeps over the base
+// rows, whatever the document count.  The first asks the subclass which
+// cells of each row survive.  The second climbs every excised cell to
+// its nearest surviving ancestor copy and adds its quota to that target
+// *cell*, or to a per-document home accumulator when the home holds no
+// base cell.  The third writes the kept cells, grown by their spill,
+// straight over the previous clamped CSR and synthesizes the home cells.
+// Rows are walked in node order, so each (target, document) sum
+// accumulates its sources node-ascending — the association order of a
+// per-document column walk — and the result does not depend on how the
+// base snapshot was produced.  Every buffer is reused across calls.
 //
 // A projection that excises no base cell is the base snapshot itself,
 // cell for cell (no spill, so every cell passes through).  When the
-// subclass reports that (KeepsAll), the base is installed as the clamped
-// snapshot directly — a copy, not a per-document pass and a CSR rebuild.
+// subclass reports that (KeepsAll), the base is copied in as the clamped
+// snapshot directly, into the clamped snapshot's existing storage.
 //
 // Everything is a pure serial function of (base snapshot, predicate
 // state): deterministic across thread counts and lane_block widths, so
@@ -54,9 +66,10 @@ class SpillProjector {
   double spilled_rate() const;
   std::int64_t evicted_cells() const;
 
-  // The documents the last ProjectAll/Reproject re-projected (ascending)
-  // — every clamped cell outside these columns is untouched.  Chained
-  // projectors feed this to the next layer's refresh.
+  // The documents the last ProjectAll/Reproject was asked to re-project
+  // (ascending) — every clamped cell outside these columns is
+  // unchanged.  Chained projectors feed this to the next layer's
+  // refresh.
   Span<const std::int32_t> last_affected_docs() const {
     return Span<const std::int32_t>(last_affected_.data(),
                                     last_affected_.size());
@@ -71,23 +84,25 @@ class SpillProjector {
                       const std::string& prefix) const;
 
   // The spill invariant, checkable against the snapshot the last
-  // projection consumed: |clamped total − base total| within rel_tol
-  // relatively (total_rate is the one field that may drift ulps on the
-  // in-place refresh path).  The benches assert this every projection.
+  // projection consumed: |clamped total − base total| ≤
+  // rel_tol·(1 + |base total|).  Spill moves quota between cells, so the
+  // two totals are sums of the same rates in different association
+  // orders.  The benches assert this every projection.
   bool ConservesTotalRate(const QuotaSnapshot& base,
                           double rel_tol = 1e-6) const;
 
  protected:
   explicit SpillProjector(const RoutingTree& tree);
 
-  // Does v's base copy of d survive this projection?  Asked only about
-  // nodes that hold a base copy of d (the spill climb checks that itself
-  // with CellOf) and must be true at the root — the home is the
-  // authoritative origin, and the climb terminates there.  Called only
-  // while a ProjectAll/Reproject is consuming a base snapshot.
-  virtual bool Keeps(NodeId v, std::int32_t d) const = 0;
+  // Fills keep[i] with 1 when the i-th cell of v's base row survives
+  // this projection, 0 when it is excised.  Never asked about the root:
+  // the home is the authoritative origin, keeps every copy, and ends
+  // every spill climb.  Called only while a ProjectAll/Reproject is
+  // consuming `base`.
+  virtual void KeepRow(const QuotaSnapshot& base, NodeId v,
+                       std::uint8_t* keep) const = 0;
 
-  // True only when Keeps holds for every cell of `base`: the projection
+  // True only when KeepRow keeps every cell of `base`: the projection
   // then installs `base` as is.
   virtual bool KeepsAll(const QuotaSnapshot& base) const = 0;
 
@@ -95,15 +110,14 @@ class SpillProjector {
   // all stats.  Requires base.node_count() == tree size.
   void ProjectAll(const QuotaSnapshot& base);
 
-  // Incremental re-projection (requires a prior ProjectAll): re-projects
-  // exactly the documents marked in affected_ (and empties it) — the
-  // subclass promises every other document's base column *and* predicate
-  // outcomes are unchanged.  When every affected document kept its
-  // clamped copy set, cell values are rewritten in place through the
-  // column index (total_rate by deltas); otherwise clean rows and fresh
-  // cells merge into a rebuilt CSR; when KeepsAll, the base is installed.
-  // Whichever path runs, the result is cell-identical to a full
-  // ProjectAll.  Returns true when the clamped CSR shape held.
+  // Incremental re-projection (requires a prior ProjectAll).  The
+  // subclass marks in affected_ every document whose base column or
+  // predicate outcomes may have moved, and promises the rest did not.
+  // An empty set is a no-op; otherwise the whole node-major projection
+  // runs again (or the pass-through, when KeepsAll), so the result is
+  // cell-identical to a full ProjectAll by construction.  Empties
+  // affected_ into last_affected_docs().  Returns true when the clamped
+  // CSR shape held.
   bool Reproject(const QuotaSnapshot& base);
 
   bool projected() const { return projected_; }
@@ -113,37 +127,29 @@ class SpillProjector {
   MarkSet affected_;
 
  private:
-  // One clamped cell of a single document's projection.
-  struct DocCell {
-    NodeId node;
-    double rate;
-    double frac;
-  };
-
-  // Computes document d's clamped cells from the base column into
-  // doc_scratch_[d] (node ascending) and refreshes doc_spill_[d] /
-  // doc_evicted_[d].
-  void ProjectDoc(const QuotaSnapshot& base, std::int32_t d);
-  // Rebuilds clamped_, column index included, from the scratch cells of
-  // last_affected_ and the current clamped cells of every other
-  // document; with every document affected this is the full assembly.
-  void Assemble();
+  // The node-major projection of `base`, written over clamped_ in place
+  // (see the file comment), replacing every stat; returns true when
+  // clamped_ already had the result's CSR shape.
+  bool Sweep(const QuotaSnapshot& base);
   // Installs `base` as clamped_ with zero spill stats (the KeepsAll
   // case); returns true when clamped_ already had base's CSR shape.
   bool PassThrough(const QuotaSnapshot& base);
 
   QuotaSnapshot clamped_;
-  QuotaSnapshot spare_;  // Assemble's output buffer, swapped with clamped_
   bool projected_ = false;
 
   std::vector<double> doc_spill_;          // per document, last projection
   std::vector<std::int64_t> doc_evicted_;  // per document, last projection
-  std::vector<std::vector<DocCell>> doc_scratch_;  // per-doc clamped cells
-  std::vector<std::int32_t> last_affected_;        // see accessor
+  std::vector<std::int32_t> last_affected_;  // see accessor
 
-  // Per-node scratch for one document's spill pass.
-  std::vector<double> spill_;
-  std::vector<NodeId> spill_touched_;
+  // Sweep's scratch, sized by the base snapshot: per base cell, its
+  // KeepState and the quota spilled onto it (nonzero only at a
+  // kSpillTarget, and zeroed again as the emit reads it); per document,
+  // the quota spilled onto a home that holds no base cell of it.
+  enum KeepState : std::uint8_t { kExcised = 0, kKept = 1, kSpillTarget = 2 };
+  std::vector<std::uint8_t> keep_;
+  std::vector<double> cell_spill_;
+  std::vector<double> home_spill_;
 };
 
 }  // namespace webwave

@@ -19,6 +19,7 @@
 #include "serve/request_gen.h"
 #include "serve/serving_plane.h"
 #include "sim/churn.h"
+#include "spill_reference.h"
 #include "store/cache_store.h"
 #include "store/capacity_projector.h"
 #include "store/document_sizes.h"
@@ -342,6 +343,126 @@ TEST(FaultProjector, RefreshMatchesFullProjectionAcrossFaultAndChurnEpochs) {
   EXPECT_TRUE(saw_transition) << "no epoch carried a crash/recover event";
   EXPECT_TRUE(saw_rebuild) << "no epoch exercised the structural rebuild";
   EXPECT_TRUE(saw_in_place) << "no epoch exercised the in-place rewrite";
+}
+
+// SetDown banks every node whose status flips, like ApplyEvents, so a
+// Refresh after it re-projects exactly what a fresh Project would.
+TEST(FaultProjector, SetDownThenRefreshEqualsProject) {
+  Rng rng(71);
+  const RoutingTree tree = MakeRandomTree(200, rng);
+  const int docs = 4;
+  std::vector<std::vector<double>> lanes(static_cast<std::size_t>(docs));
+  for (auto& lane : lanes) {
+    lane.assign(static_cast<std::size_t>(tree.size()), 0.0);
+    for (auto& r : lane) r = rng.NextDouble(0, 3);
+  }
+  BatchWebWaveSimulator sim(tree, lanes, {});
+  for (int s = 0; s < 25; ++s) sim.Step();
+  const QuotaSnapshot base = QuotaSnapshot::FromBatch(sim, 1e-9);
+  NodeId holder = 1;  // a non-root node with copies to lose
+  while (tree.is_root(holder) || base.row_begin(holder) == base.row_end(holder))
+    ++holder;
+
+  FaultProjector incr(tree);
+  incr.Project(base);
+  const std::vector<std::vector<NodeId>> down_sets = {
+      {holder}, {holder, tree.parent(holder)}, {tree.parent(holder)}, {}};
+  for (const std::vector<NodeId>& down : down_sets) {
+    if (std::find(down.begin(), down.end(), tree.root()) != down.end())
+      continue;
+    incr.SetDown(Span<const NodeId>(down.data(), down.size()));
+    incr.Refresh(base, Span<const int>());
+    FaultProjector full(tree);
+    full.SetDown(Span<const NodeId>(down.data(), down.size()));
+    full.Project(base);
+    spill_reference::ExpectBitIdentical(incr.clamped(), full.clamped(),
+                                        "SetDown + Refresh");
+    EXPECT_EQ(incr.evicted_cells(), full.evicted_cells());
+    EXPECT_EQ(incr.spilled_rate(), full.spilled_rate());
+    if (!down.empty() && down.front() == holder) {
+      EXPECT_GT(incr.evicted_cells(), 0);
+    }
+  }
+}
+
+// Capacity clamp then fault re-homing, each layer bit for bit against
+// tests/spill_reference.h: every fault pattern (the subtree outage downs
+// chains of ancestors), budgets from 0.1x to 2x the working set, catalog
+// sizes around the 64-bit word boundary, on randomly relabeled trees.
+// Each case projects, then runs refresh epochs that redraw some columns
+// and advance the fault schedule.
+TEST(FaultProjector, NodeMajorProjectionMatchesThePerDocumentOracle) {
+  for (const FaultPattern pattern :
+       {FaultPattern::kSingleNodes, FaultPattern::kLeafCohort,
+        FaultPattern::kSubtreeOutage})
+    for (const int docs : {1, 16, 63, 64, 65, 130})
+      for (const double multiple : {0.1, 0.35, 1.0, 2.0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << FaultPatternName(pattern) << ", " << docs
+                     << " documents, " << multiple << "x store");
+        Rng rng(static_cast<std::uint64_t>(docs * 1000 + multiple * 100) +
+                static_cast<std::uint64_t>(pattern));
+        const RoutingTree tree = spill_reference::ShuffledRandomTree(120, rng);
+        std::vector<std::uint64_t> column_seed(static_cast<std::size_t>(docs));
+        for (int d = 0; d < docs; ++d)
+          column_seed[static_cast<std::size_t>(d)] =
+              static_cast<std::uint64_t>(d);
+        QuotaSnapshot base = spill_reference::RandomBase(tree, column_seed, 5);
+
+        FaultScheduleOptions fopt;
+        fopt.pattern = pattern;
+        fopt.crash_fraction = 0.25;
+        fopt.max_subtree_fraction = 0.3;
+        fopt.outage_epochs = 1;
+        fopt.seed = static_cast<std::uint64_t>(docs);
+        FaultSchedule faults(tree, fopt);
+        faults.NextEvents();
+
+        CapacityProjector capacity(
+            tree, CacheStore::WorkingSetStore(
+                      tree, DocumentSizes::LogNormal(docs, 2048, 1.1, 3),
+                      multiple));
+        FaultProjector rehome(tree);
+        rehome.SetDown(
+            Span<const NodeId>(faults.down().data(), faults.down().size()));
+        const auto resident = [&](NodeId v, std::int32_t d) {
+          return capacity.store().Resident(v, d);
+        };
+        const auto live = [&](NodeId v, std::int32_t) {
+          return !rehome.IsDown(v);
+        };
+        const auto expect_chain = [&](const char* where) {
+          const spill_reference::Projection clamp =
+              spill_reference::Project(tree, base, resident);
+          spill_reference::ExpectMatches(capacity, clamp, where);
+          spill_reference::ExpectMatches(
+              rehome, spill_reference::Project(tree, clamp.clamped, live),
+              where);
+          EXPECT_TRUE(rehome.ConservesTotalRate(capacity.clamped()));
+        };
+        capacity.Project(base);
+        rehome.Project(capacity.clamped());
+        expect_chain("project");
+
+        bool saw_down = !faults.down().empty();
+        for (int epoch = 0; epoch < 3; ++epoch) {
+          std::vector<int> dirty;
+          for (int d = 0; d < docs; ++d)
+            if (d == epoch % docs || rng.NextBernoulli(0.2)) {
+              column_seed[static_cast<std::size_t>(d)] += 1000;
+              dirty.push_back(d);
+            }
+          base = spill_reference::RandomBase(tree, column_seed, 5);
+          const std::vector<FaultEvent> events = faults.NextEvents();
+          capacity.Refresh(base, Span<const int>(dirty.data(), dirty.size()));
+          rehome.ApplyEvents(
+              Span<const FaultEvent>(events.data(), events.size()));
+          rehome.Refresh(capacity.clamped(), capacity.last_affected_docs());
+          expect_chain("refresh");
+          saw_down = saw_down || !faults.down().empty();
+        }
+        EXPECT_TRUE(saw_down) << "no epoch had a crashed node";
+      }
 }
 
 TEST(FaultProjector, LayersOverCapacityClampingAndStillConserves) {

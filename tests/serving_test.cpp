@@ -23,6 +23,7 @@
 #include "fault/fault_projector.h"
 #include "fault/fault_schedule.h"
 #include "sim/churn.h"
+#include "spill_reference.h"
 #include "store/cache_store.h"
 #include "store/capacity_projector.h"
 #include "store/document_sizes.h"
@@ -371,12 +372,60 @@ TEST(QuotaSnapshot, RefreshFromBatchMatchesFullRebuildAcrossEpochs) {
     saw_in_place = saw_in_place || in_place;
     saw_fallback = saw_fallback || !in_place;
     batch.ClearDirtyLanes();
-    ExpectSameCells(maintained, QuotaSnapshot::FromBatch(batch, min_rate),
-                    "epoch refresh");
+    const QuotaSnapshot fresh = QuotaSnapshot::FromBatch(batch, min_rate);
+    ExpectSameCells(maintained, fresh, "epoch refresh");
+    // Re-summed in FromBatch's order on every path: bit-identical.
+    EXPECT_EQ(maintained.total_rate(), fresh.total_rate()) << "epoch " << epoch;
   }
   // The scenario is built to hit both paths; if it stops doing so the test
   // has silently lost half its coverage.
   EXPECT_TRUE(saw_fallback) << "no epoch exercised the structural fallback";
+}
+
+// Both ways RefreshFromBatch builds the new CSR — merging clean rows with
+// a partial dirty set's export, or streaming the whole export when every
+// lane is dirty — are byte-identical to FromBatch, total_rate included.
+// Lanes start at their fixed point, so an epoch's dirty set is the lanes
+// its events touched; every third epoch touches all of them.
+TEST(QuotaSnapshot, RefreshFromBatchMergesOrStreamsBitIdentically) {
+  Rng rng(31);
+  const RoutingTree tree = MakeRandomTree(80, rng);
+  const int docs = 7;
+  std::vector<std::vector<double>> lanes(static_cast<std::size_t>(docs));
+  for (auto& lane : lanes) {
+    lane.assign(static_cast<std::size_t>(tree.size()), 0.0);
+    for (auto& r : lane)
+      if (rng.NextBernoulli(0.4)) r = rng.NextDouble(0, 5);
+  }
+  BatchWebWaveSimulator batch(tree, lanes, {});
+  for (int s = 0; s < 5000 && (s == 0 || batch.dirty_lane_count() > 0); ++s) {
+    batch.ClearDirtyLanes();
+    batch.Step();
+  }
+  const double min_rate = 1e-3;
+  QuotaSnapshot maintained = QuotaSnapshot::FromBatch(batch, min_rate);
+  batch.ClearDirtyLanes();
+
+  bool saw_partial = false, saw_all = false;
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    std::vector<DemandEvent> events;
+    for (int d = 0; d < docs; ++d)
+      if (epoch % 3 == 2 || d == epoch % docs)
+        for (NodeId v = 0; v < tree.size(); v += 5)
+          events.push_back(
+              {d, v, rng.NextBernoulli(0.3) ? 0.0 : rng.NextDouble(0, 9)});
+    batch.ApplyDemandEvents(events);
+    for (int s = 0; s < 4; ++s) batch.Step();
+    const int dirty = batch.dirty_lane_count();
+    saw_partial = saw_partial || (dirty > 0 && dirty < docs);
+    saw_all = saw_all || dirty == docs;
+    maintained.RefreshFromBatch(batch);
+    batch.ClearDirtyLanes();
+    spill_reference::ExpectBitIdentical(
+        maintained, QuotaSnapshot::FromBatch(batch, min_rate), "refresh");
+  }
+  EXPECT_TRUE(saw_partial) << "no epoch left a lane clean";
+  EXPECT_TRUE(saw_all) << "no epoch dirtied every lane";
 }
 
 TEST(QuotaSnapshot, RefreshWithNoDirtyLanesLeavesEverythingInPlace) {
@@ -738,6 +787,56 @@ TEST(ServingPlane, RefreshMatchesFreshConstructionAcrossEpochs) {
   EXPECT_TRUE(saw_rebuild) << "no epoch exercised the full rebuild";
 }
 
+// The four Refresh overloads — copy or move, hinted or diffed — leave
+// tables identical to a freshly built plane, and the moved-from and
+// copied-from snapshots feed later refreshes normally.
+TEST(ServingPlane, RefreshOverloadsCopyOrMoveAndMatchAFreshPlane) {
+  Rng rng(53);
+  const RoutingTree tree = MakeRandomTree(150, rng);
+  const int docs = 5;
+  std::vector<std::vector<double>> lanes(static_cast<std::size_t>(docs));
+  for (auto& lane : lanes) {
+    lane.assign(static_cast<std::size_t>(tree.size()), 0.0);
+    for (auto& r : lane)
+      if (rng.NextBernoulli(0.6)) r = rng.NextDouble(0, 6);
+  }
+  BatchWebWaveSimulator sim(tree, lanes, {});
+  for (int s = 0; s < 30; ++s) sim.Step();
+  QuotaSnapshot snap = QuotaSnapshot::FromBatch(sim, 1e-6);
+  sim.ClearDirtyLanes();
+
+  ServingOptions opt;
+  opt.offered_rate = 400.0;
+  ServingPlane copied(tree, snap, opt), moved(tree, snap, opt),
+      copied_hinted(tree, snap, opt), moved_hinted(tree, snap, opt);
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    std::vector<DemandEvent> events;
+    for (NodeId v = 0; v < tree.size(); ++v)
+      if (rng.NextBernoulli(epoch % 2 == 0 ? 0.05 : 0.4))
+        events.push_back({epoch % docs, v, rng.NextDouble(0, 9)});
+    sim.ApplyDemandEvents(events);
+    for (int s = 0; s < 6; ++s) sim.Step();
+    const std::vector<int> dirty = sim.DirtyLanes();
+    snap.RefreshFromBatch(sim);
+    sim.ClearDirtyLanes();
+    const std::vector<std::int32_t> changed(dirty.begin(), dirty.end());
+
+    copied.Refresh(snap);
+    moved.Refresh(QuotaSnapshot(snap));
+    copied_hinted.Refresh(
+        snap, Span<const std::int32_t>(changed.data(), changed.size()));
+    moved_hinted.Refresh(
+        QuotaSnapshot(snap),
+        Span<const std::int32_t>(changed.data(), changed.size()));
+
+    const ServingPlane fresh(tree, snap, opt);
+    EXPECT_TRUE(copied.TablesEqual(fresh)) << "epoch " << epoch;
+    EXPECT_TRUE(moved.TablesEqual(fresh)) << "epoch " << epoch;
+    EXPECT_TRUE(copied_hinted.TablesEqual(fresh)) << "epoch " << epoch;
+    EXPECT_TRUE(moved_hinted.TablesEqual(fresh)) << "epoch " << epoch;
+  }
+}
+
 TEST(ServingPlane, RefreshTracksSnapshotTotalWhenOfferedRateFloats) {
   // offered_rate 0 scales budgets to the snapshot's own total, which
   // moves with every refresh — the hint must be ignored and the tables
@@ -866,6 +965,92 @@ void ExpectDriverMatchesAFreshChain(double multiple) {
 TEST(EpochDriver, ServingMatchesAFreshProjectionChainEveryEpoch) {
   ExpectDriverMatchesAFreshChain(1.0);   // zero eviction: the pass-through
   ExpectDriverMatchesAFreshChain(0.35);  // evicting: spill every epoch
+}
+
+// EpochDriver's whole chain against the per-document oracle
+// (tests/spill_reference.h) at every epoch and at every thread count and
+// lane block: the maintained snapshot equals FromBatch bitwise (total
+// included), the capacity clamp equals the oracle over it with the
+// store's residency, the re-homed snapshot equals the oracle over that
+// with the live set, and the attached plane equals a fresh one.  Every
+// configuration serves the same bits.
+TEST(EpochDriver, ChainMatchesThePerDocumentOracleAcrossThreadsAndLaneBlocks) {
+  Rng rng(73);
+  const RoutingTree tree = MakeRandomTree(160, rng);
+  const int docs = 9;  // ragged against lane_block 4 and 8
+  ChurnScheduleOptions copt;
+  copt.pattern = ChurnPattern::kRotatingHotSpot;
+  copt.doc_count = docs;
+  copt.hot_fraction = 0.2;
+  copt.rotation_epochs = 4;
+  FaultScheduleOptions fopt;
+  fopt.pattern = FaultPattern::kSubtreeOutage;
+  fopt.max_subtree_fraction = 0.2;
+  fopt.outage_epochs = 2;
+  fopt.seed = 9;
+  const DocumentSizes sizes = DocumentSizes::LogNormal(docs, 4096, 1.0, 13);
+
+  std::vector<std::vector<QuotaSnapshot>> served;  // per config, per epoch
+  for (const int threads : {1, 2, 8})
+    for (const int block : {1, 4, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " threads, lane_block " << block);
+      ChurnSchedule churn(tree, copt);
+      WebWaveOptions wopt;
+      wopt.threads = threads;
+      wopt.lane_block = block;
+      BatchWebWaveSimulator sim(tree, churn.Lanes(), wopt);
+      for (int s = 0; s < 20; ++s) sim.Step();
+      FaultSchedule faults(tree, fopt);
+      CapacityProjector capacity(
+          tree, CacheStore::WorkingSetStore(tree, sizes, 0.35));
+      FaultProjector rehome(tree);
+      EpochDriver::Options dopt;
+      dopt.steps_per_epoch = 6;
+      dopt.min_rate = 1e-3;
+      EpochDriver driver(sim, dopt);
+      driver.AttachCapacity(&capacity);
+      driver.AttachFaults(&rehome);
+      ServingOptions sopt;
+      sopt.threads = threads;
+      sopt.offered_rate = 100.0;
+      ServingPlane plane(tree, driver.serving(), sopt);
+      driver.InstallDown(plane);
+      driver.AttachPlane(&plane);
+
+      served.emplace_back();
+      bool saw_down = false;
+      for (int epoch = 0; epoch < 6; ++epoch) {
+        std::vector<DemandEvent> demand = churn.NextEvents();
+        const std::vector<FaultEvent> events = faults.NextEvents();
+        driver.ApplyEpoch(Span<DemandEvent>(demand.data(), demand.size()),
+                          Span<const FaultEvent>(events.data(), events.size()));
+        spill_reference::ExpectBitIdentical(
+            driver.snapshot(), QuotaSnapshot::FromBatch(sim, dopt.min_rate),
+            "maintained snapshot");
+        const spill_reference::Projection clamp = spill_reference::Project(
+            tree, driver.snapshot(), [&](NodeId v, std::int32_t d) {
+              return capacity.store().Resident(v, d);
+            });
+        spill_reference::ExpectMatches(capacity, clamp, "clamp");
+        const spill_reference::Projection rehomed = spill_reference::Project(
+            tree, clamp.clamped,
+            [&](NodeId v, std::int32_t) { return !rehome.IsDown(v); });
+        spill_reference::ExpectMatches(rehome, rehomed, "re-home");
+        ServingPlane fresh(tree, rehomed.clamped, sopt);
+        fresh.SetDownNodes(
+            Span<const NodeId>(faults.down().data(), faults.down().size()));
+        EXPECT_TRUE(plane.TablesEqual(fresh)) << "epoch " << epoch;
+        served.back().push_back(driver.serving());
+        saw_down = saw_down || !faults.down().empty();
+      }
+      EXPECT_TRUE(saw_down) << "no epoch had a crashed node";
+      EXPECT_GT(capacity.evicted_cells(), 0);
+    }
+  for (std::size_t i = 1; i < served.size(); ++i)
+    for (std::size_t e = 0; e < served[i].size(); ++e)
+      spill_reference::ExpectBitIdentical(served[i][e], served[0][e],
+                                          "thread/lane_block sweep");
 }
 
 // Closed loop -------------------------------------------------------------

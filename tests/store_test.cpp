@@ -1,8 +1,8 @@
 // The capacity-constrained cache store: deterministic size models,
-// quota-weighted eviction, spill-conserving capacity projection, its
-// churn-proportional Refresh, and the end-to-end determinism of the
-// capacity-aware serving pipeline across thread counts and lane_block
-// widths.
+// quota-weighted eviction, spill-conserving capacity projection (and its
+// node-major sweep against the per-document oracle), its incremental
+// Refresh, and the end-to-end determinism of the capacity-aware serving
+// pipeline across thread counts and lane_block widths.
 #include "store/cache_store.h"
 #include "store/capacity_projector.h"
 #include "store/document_sizes.h"
@@ -19,6 +19,7 @@
 #include "serve/request_gen.h"
 #include "serve/serving_plane.h"
 #include "sim/churn.h"
+#include "spill_reference.h"
 #include "tree/builders.h"
 
 namespace webwave {
@@ -213,10 +214,10 @@ TEST(CacheStore, HomeIsNeverBudgetedAndAlwaysResident) {
   EXPECT_EQ(store.resident_cells(), 2);
 }
 
-// Resident(v, d) is a bit test; the keep lists stay the reference.  Every
-// (v, d) must agree with a binary search of ResidentDocs(v), after Admit
-// and after every partial Readmit of a churn sequence, at catalog sizes
-// on both sides of the 64-document word boundary.
+// Resident(v, d) must agree with ResidentDocs(v) for every (v, d), after
+// Admit and after every partial Readmit of a churn sequence, at catalog
+// sizes on both sides of the 64-document word boundary; documents outside
+// the catalog are resident only at the home.
 TEST(CacheStore, ResidencyBitsMatchTheKeepListsAcrossChurn) {
   for (const int docs : {63, 64, 65, 130}) {
     SCOPED_TRACE(::testing::Message() << docs << " documents");
@@ -631,6 +632,94 @@ TEST(CapacityProjector, RefreshWithNoDirtyLanesIsANoOp) {
   const QuotaSnapshot before = projector.clamped();
   EXPECT_TRUE(projector.Refresh(base, Span<const int>()));
   ExpectSameCells(projector.clamped(), before, "no dirty lanes");
+}
+
+// The node-major projection against the per-document oracle -------------
+
+// Project and Refresh, bit for bit against tests/spill_reference.h, on
+// randomly relabeled trees at catalog sizes on both sides of the 64-bit
+// word boundary and at budgets from a tenth of the working set (most
+// copies evicted, one-document catalogs lose every non-home copy) to
+// twice it (the pass-through).  Refresh epochs redraw a few columns.
+TEST(CapacityProjector, NodeMajorProjectionMatchesThePerDocumentOracle) {
+  for (const int docs : {1, 16, 63, 64, 65, 130})
+    for (const double multiple : {0.1, 0.35, 1.0, 2.0}) {
+      SCOPED_TRACE(::testing::Message()
+                   << docs << " documents, " << multiple << "x store");
+      Rng rng(static_cast<std::uint64_t>(docs * 1000 + multiple * 100));
+      const RoutingTree tree = spill_reference::ShuffledRandomTree(150, rng);
+      std::vector<std::uint64_t> column_seed(static_cast<std::size_t>(docs));
+      for (int d = 0; d < docs; ++d)
+        column_seed[static_cast<std::size_t>(d)] =
+            static_cast<std::uint64_t>(d);
+      QuotaSnapshot base = spill_reference::RandomBase(tree, column_seed, 7);
+      CapacityProjector projector(
+          tree, CacheStore::WorkingSetStore(
+                    tree, DocumentSizes::LogNormal(docs, 2048, 1.1, 3),
+                    multiple));
+      const auto resident = [&](NodeId v, std::int32_t d) {
+        return projector.store().Resident(v, d);
+      };
+      projector.Project(base);
+      spill_reference::ExpectMatches(
+          projector, spill_reference::Project(tree, base, resident),
+          "project");
+      if (multiple < 1.0) {
+        EXPECT_GT(projector.evicted_cells(), 0);
+      } else {
+        EXPECT_EQ(projector.evicted_cells(), 0);
+      }
+
+      for (int epoch = 0; epoch < 3; ++epoch) {
+        std::vector<int> dirty;
+        for (int d = 0; d < docs; ++d)
+          if (d == epoch % docs || rng.NextBernoulli(0.2)) {
+            column_seed[static_cast<std::size_t>(d)] += 1000;
+            dirty.push_back(d);
+          }
+        base = spill_reference::RandomBase(tree, column_seed, 7);
+        projector.Refresh(base, Span<const int>(dirty.data(), dirty.size()));
+        spill_reference::ExpectMatches(
+            projector, spill_reference::Project(tree, base, resident),
+            "refresh");
+      }
+    }
+}
+
+// Hand-built corners: a node whose every copy is evicted (zero budget),
+// documents with no home cell whose spill synthesizes one, and a climb
+// that passes a live node holding no copy.
+TEST(CapacityProjector, NodeMajorProjectionMatchesTheOracleOnHandCorners) {
+  // Chain 0-1-2-3-4, the home at 0.
+  const RoutingTree tree = MakeChain(5);
+  QuotaSnapshot::Builder b(5, 3);
+  b.Add(0, 0, 1.0);
+  b.Add(1, 0, 2.0, 0.5);
+  b.Add(2, 1, 3.0, 0.25);
+  b.Add(3, 0, 4.0);
+  b.Add(3, 1, 1.5, 0.6);
+  b.Add(4, 0, 5.0, 0.8);
+  b.Add(4, 1, 6.0);
+  b.Add(4, 2, 7.0, 0.9);
+  const QuotaSnapshot base = std::move(b).Build();
+  // One document fits at nodes 1-3, none at node 4.
+  std::vector<std::uint64_t> budgets = {0, 1000, 1000, 1000, 0};
+  CapacityProjector projector(
+      tree, CacheStore(tree, DocumentSizes::Uniform(3, 1000), budgets));
+  projector.Project(base);
+  spill_reference::ExpectMatches(
+      projector,
+      spill_reference::Project(tree, base,
+                               [&](NodeId v, std::int32_t d) {
+                                 return projector.store().Resident(v, d);
+                               }),
+      "hand corners");
+  const QuotaSnapshot& clamped = projector.clamped();
+  EXPECT_EQ(clamped.row_begin(4), clamped.row_end(4)) << "node 4 kept a copy";
+  // Doc 2's only copy climbs past nodes 3-1 (none holds it) to the home.
+  EXPECT_DOUBLE_EQ(clamped.RateAt(0, 2), 7.0);
+  EXPECT_DOUBLE_EQ(clamped.FractionAt(0, 2), 1.0);
+  EXPECT_TRUE(projector.ConservesTotalRate(base));
 }
 
 // Capacity-aware serving --------------------------------------------------
