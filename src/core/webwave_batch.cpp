@@ -298,7 +298,7 @@ void BatchWebWaveSimulator::Step() {
           // Phase 1 reads estimates before phase 2 writes, so under
           // instantaneous gossip the served block doubles as the
           // estimate plane (same bytes a per-step refresh would copy).
-          internal::StepLaneBlock(
+          step_block_(
               *edges_, capacity_.data(), options_,
               lane_rng_.data() + static_cast<std::size_t>(g) *
                                      static_cast<std::size_t>(block_),

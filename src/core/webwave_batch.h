@@ -13,10 +13,18 @@
 // (g·B + b)'s value at node v, W the block's width.  One sweep of the
 // shared edge arrays (parent, child, alpha — one copy for the whole
 // catalog) advances all W lanes of a block through an inner loop over b
-// that is contiguous in memory and auto-vectorizable, so the edge
-// metadata is streamed once per *block* instead of once per document —
-// D/B× less shared-structure traffic than the document-major layout
-// (which is exactly the B = 1 special case).
+// that is contiguous in memory, so the edge metadata is streamed once per
+// *block* instead of once per document — D/B× less shared-structure
+// traffic than the document-major layout (which is exactly the B = 1
+// special case).
+//
+// Step kernel.  The constructor picks the step variant once by CPU
+// feature (internal::SelectStepLaneBlock): on AVX-512 or AVX2 hosts each
+// full 8-lane chunk of a block row runs a branch-free SIMD body, in both
+// phases, and the remainder lanes (W % 8), blocks narrower than 8 and
+// asynchronous mode run the scalar loop.  Every variant is bit-identical
+// to the scalar loop (see webwave_kernel.h for the exactness rules), so
+// nothing below depends on which one ran.
 //
 // Estimates — a double-buffered gossip plane.  Each block owns one
 // node-indexed estimate plane (its *front* buffer); the step kernel reads
@@ -235,6 +243,9 @@ class BatchWebWaveSimulator {
   // for all documents; stepped by the same kernel as WebWaveSimulator.
   internal::SharedEdgeArrays edges_;
   std::vector<double> capacity_;
+  // The step kernel variant this CPU runs (internal::SelectStepLaneBlock),
+  // picked once at construction.
+  internal::StepLaneBlockFn step_block_ = internal::SelectStepLaneBlock();
   // Per-edge scratch, edges·block_ doubles per pool worker, allocated on a
   // worker's first block (the pool may hold more workers than blocks —
   // its size is part of the thread_count() contract — and idle workers

@@ -19,6 +19,34 @@
 // executed in the same IEEE order at every width, so per-lane results are
 // bit-identical across widths — the invariant the batch property tests
 // assert against independent simulators.
+//
+// SIMD chunk path.  StepLaneBlock below is the scalar reference.  Its
+// per-lane branches (transfer direction, clamp, "did anything move") are
+// data-dependent and mispredict once the lanes of a row disagree on
+// direction, so the batch engine steps every full chunk of
+// kStepChunkLanes = 8 lanes of a block row with a branch-free body
+// instead (webwave_kernel.cpp): per edge, both phases load the chunk's
+// rows, compute both branch outcomes for all 8 lanes and select per lane,
+// and store whole chunks.  The `changed` flags accumulate as a mask under
+// the update mask and fold into the caller's flags once per block.
+//
+// Dispatch.  The body is instantiated for AVX-512F/DQ (one zmm per chunk)
+// and AVX2 (two ymm per chunk) on x86-64; SelectStepLaneBlock picks the
+// widest one the CPU supports, once, from __builtin_cpu_supports.  There
+// is no option, environment variable or build flag.  The scalar loop
+// still runs the remainder lanes (width % 8), blocks narrower than 8,
+// asynchronous mode (per-lane RNG draws in edge order), the width-1
+// WebWaveSimulator, and CPUs or architectures without either ISA.
+//
+// Exactness.  Every variant is bit-identical to the scalar loop on every
+// host, because the chunk body uses only IEEE + − × ÷, compares and
+// selects, in the scalar loop's order: std::min(a, b) is written as its
+// definition (b < a) ? b : a, min({d, f, s}) as two mins in that order,
+// products left to right, no FMA (ISO mode keeps -ffp-contract=off and
+// neither target enables FMA), and each scalar test mirrored literally
+// (!(x <= 0) is not x > 0 for NaN).  WebWaveKernel.SimdMatchesScalarBitwise
+// asserts it on adversarial blocks (±0 ties, NaN, subnormals, lanes on
+// the dead band) for every variant the host runs.
 #pragma once
 
 #include <algorithm>
@@ -126,7 +154,75 @@ inline SharedEdgeArrays BuildSharedEdgeArrays(const RoutingTree& tree,
   return std::make_shared<const EdgeArrays>(BuildEdgeArrays(tree, options));
 }
 
-// One two-phase diffusion round over a block of `width` load lanes.
+// Phase 1 of one edge (p, c) for lanes [lo, hi): the transfer each lane
+// schedules, positive when load moves down p -> c.  sp/sc/fc/ep/ec point
+// at the edge's parent served, child served, child forwarded, parent
+// estimate and child estimate rows; dk at the edge's delta row.
+inline void DecideLanes(double alpha, double cp, double cc, const double* sp,
+                        const double* sc, const double* fc, const double* ep,
+                        const double* ec, double* dk, std::size_t lo,
+                        std::size_t hi, const WebWaveOptions& options,
+                        Rng* rng) {
+  const double scale = std::min(cp, cc);
+  for (std::size_t b = lo; b < hi; ++b) {
+    if (options.asynchronous &&
+        !rng[b].NextBernoulli(options.activation_probability)) {
+      dk[b] = 0;
+      continue;
+    }
+    const double up = sp[b] / cp;
+    const double uc = sc[b] / cc;
+    const double parent_view = ec[b] / cc;
+    const double child_view = ep[b] / cp;
+    double d = 0;
+    if (up - parent_view > kImbalanceDeadband * up) {
+      d = std::min(alpha * (up - parent_view) * scale, fc[b]);
+    } else if (uc - child_view > kImbalanceDeadband * uc) {
+      d = -std::min(alpha * (uc - child_view) * scale, sc[b]);
+    }
+    dk[b] = d;
+  }
+}
+
+// Phase 2 of one edge for lanes [lo, hi): applies each lane's transfer,
+// clamped against the evolving state, and OR-s the lane's `changed` flag
+// (null = untracked) when a value actually moved.
+inline void ApplyLanes(double* sp, double* sc, double* fc, const double* dk,
+                       std::size_t lo, std::size_t hi,
+                       std::uint8_t* changed) {
+  for (std::size_t b = lo; b < hi; ++b) {
+    double d = dk[b];
+    if (d == 0) continue;
+    if (d > 0) {
+      d = std::min({d, fc[b], sp[b]});
+      if (d <= 0) continue;
+      const double np = sp[b] - d;
+      const double nc = sc[b] + d;
+      const double nf = fc[b] - d;
+      if (changed != nullptr)
+        changed[b] |= static_cast<std::uint8_t>(np != sp[b] || nc != sc[b] ||
+                                                nf != fc[b]);
+      sp[b] = np;
+      sc[b] = nc;
+      fc[b] = nf;
+    } else {
+      const double up_amt = std::min(-d, sc[b]);
+      if (up_amt <= 0) continue;
+      const double nc = sc[b] - up_amt;
+      const double np = sp[b] + up_amt;
+      const double nf = fc[b] + up_amt;
+      if (changed != nullptr)
+        changed[b] |= static_cast<std::uint8_t>(nc != sc[b] || np != sp[b] ||
+                                                nf != fc[b]);
+      sc[b] = nc;
+      sp[b] = np;
+      fc[b] = nf;
+    }
+  }
+}
+
+// One two-phase diffusion round over a block of `width` load lanes — the
+// scalar reference every variant below must match bit for bit.
 //
 // Phase 1 decides every edge's transfer from the same snapshot — the
 // synchronous rounds of Figure 5, where steps (2.1)-(2.2) read the
@@ -169,74 +265,50 @@ inline void StepLaneBlock(const EdgeArrays& edges, const double* capacity,
   for (std::size_t k = 0; k < edge_count; ++k) {
     const std::size_t p = static_cast<std::size_t>(edges.parent[k]);
     const std::size_t c = static_cast<std::size_t>(edges.child[k]);
-    const double cp = capacity[p];
-    const double cc = capacity[c];
-    const double scale = std::min(cp, cc);
-    const double alpha = edges.alpha[k];
-    const double* sp = served + p * w;
-    const double* sc = served + c * w;
-    const double* fc = forwarded + c * w;
-    const double* ep = est_plane + p * w;
-    const double* ec = est_plane + c * w;
-    double* dk = delta + k * w;
-    for (std::size_t b = 0; b < w; ++b) {
-      if (options.asynchronous &&
-          !rng[b].NextBernoulli(options.activation_probability)) {
-        dk[b] = 0;
-        continue;
-      }
-      const double up = sp[b] / cp;
-      const double uc = sc[b] / cc;
-      const double parent_view = ec[b] / cc;
-      const double child_view = ep[b] / cp;
-      double d = 0;
-      if (up - parent_view > kImbalanceDeadband * up) {
-        d = std::min(alpha * (up - parent_view) * scale, fc[b]);
-      } else if (uc - child_view > kImbalanceDeadband * uc) {
-        d = -std::min(alpha * (uc - child_view) * scale, sc[b]);
-      }
-      dk[b] = d;
-    }
+    DecideLanes(edges.alpha[k], capacity[p], capacity[c], served + p * w,
+                served + c * w, forwarded + c * w, est_plane + p * w,
+                est_plane + c * w, delta + k * w, 0, w, options, rng);
   }
-
   for (std::size_t k = 0; k < edge_count; ++k) {
     const std::size_t p = static_cast<std::size_t>(edges.parent[k]);
     const std::size_t c = static_cast<std::size_t>(edges.child[k]);
-    double* sp = served + p * w;
-    double* sc = served + c * w;
-    double* fc = forwarded + c * w;
-    const double* dk = delta + k * w;
-    for (std::size_t b = 0; b < w; ++b) {
-      double d = dk[b];
-      if (d == 0) continue;
-      if (d > 0) {
-        d = std::min({d, fc[b], sp[b]});
-        if (d <= 0) continue;
-        const double np = sp[b] - d;
-        const double nc = sc[b] + d;
-        const double nf = fc[b] - d;
-        if (changed != nullptr)
-          changed[b] |= static_cast<std::uint8_t>(np != sp[b] || nc != sc[b] ||
-                                                  nf != fc[b]);
-        sp[b] = np;
-        sc[b] = nc;
-        fc[b] = nf;
-      } else {
-        const double up_amt = std::min(-d, sc[b]);
-        if (up_amt <= 0) continue;
-        const double nc = sc[b] - up_amt;
-        const double np = sp[b] + up_amt;
-        const double nf = fc[b] + up_amt;
-        if (changed != nullptr)
-          changed[b] |= static_cast<std::uint8_t>(nc != sc[b] || np != sp[b] ||
-                                                  nf != fc[b]);
-        sc[b] = nc;
-        sp[b] = np;
-        fc[b] = nf;
-      }
-    }
+    ApplyLanes(served + p * w, served + c * w, forwarded + c * w,
+               delta + k * w, 0, w, changed);
   }
 }
+
+// The signature every StepLaneBlock variant shares.
+using StepLaneBlockFn = void (*)(const EdgeArrays& edges,
+                                 const double* capacity,
+                                 const WebWaveOptions& options, Rng* rng,
+                                 int width, double* served,
+                                 double* forwarded, const double* est_plane,
+                                 double* delta, std::uint8_t* changed);
+
+// Lanes per SIMD chunk: one zmm, or two ymm, of doubles.
+inline constexpr int kStepChunkLanes = 8;
+
+#if defined(__x86_64__)
+// StepLaneBlock with the SIMD chunk path (file comment), bit-identical to
+// it.  Call a variant only when its Cpu*() check holds.
+void StepLaneBlockAvx512(const EdgeArrays& edges, const double* capacity,
+                         const WebWaveOptions& options, Rng* rng, int width,
+                         double* served, double* forwarded,
+                         const double* est_plane, double* delta,
+                         std::uint8_t* changed);
+void StepLaneBlockAvx2(const EdgeArrays& edges, const double* capacity,
+                       const WebWaveOptions& options, Rng* rng, int width,
+                       double* served, double* forwarded,
+                       const double* est_plane, double* delta,
+                       std::uint8_t* changed);
+// AVX-512F + AVX-512DQ (one zmm per chunk) / AVX2 (two ymm per chunk).
+bool CpuHasAvx512();
+bool CpuHasAvx2();
+#endif
+
+// The fastest StepLaneBlock variant this CPU runs, decided once per call
+// from the CPU's features: AVX-512, else AVX2, else the scalar loop.
+StepLaneBlockFn SelectStepLaneBlock();
 
 // Projects a lane's served vector onto the feasible set of (possibly new)
 // spontaneous rates — the demand-churn counterpart of StepLaneBlock,

@@ -977,7 +977,9 @@ TEST(EpochDriver, ServingMatchesAFreshProjectionChainEveryEpoch) {
 TEST(EpochDriver, ChainMatchesThePerDocumentOracleAcrossThreadsAndLaneBlocks) {
   Rng rng(73);
   const RoutingTree tree = MakeRandomTree(160, rng);
-  const int docs = 9;  // ragged against lane_block 4 and 8
+  // Ragged against lane_block 4 and 8; lane_block 16 clamps to one
+  // 9-wide block, a full SIMD chunk plus a scalar tail lane.
+  const int docs = 9;
   ChurnScheduleOptions copt;
   copt.pattern = ChurnPattern::kRotatingHotSpot;
   copt.doc_count = docs;
@@ -992,7 +994,7 @@ TEST(EpochDriver, ChainMatchesThePerDocumentOracleAcrossThreadsAndLaneBlocks) {
 
   std::vector<std::vector<QuotaSnapshot>> served;  // per config, per epoch
   for (const int threads : {1, 2, 8})
-    for (const int block : {1, 4, 8}) {
+    for (const int block : {1, 4, 8, 16}) {
       SCOPED_TRACE(::testing::Message()
                    << threads << " threads, lane_block " << block);
       ChurnSchedule churn(tree, copt);

@@ -5,7 +5,8 @@
 // gossip delay, asynchronous activation) and across document block
 // widths — the blocked kernel interleaves lanes in memory but must not
 // change a single bit of any lane — plus invariants, dirty-lane
-// tracking and the catalog wiring.
+// tracking and the catalog wiring.  WebWaveKernel.SimdMatchesScalarBitwise
+// holds every SIMD step variant the host runs to the scalar loop.
 #include "core/load_model.h"
 #include "core/webfold.h"
 #include "core/webwave.h"
@@ -17,6 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 namespace webwave {
@@ -31,13 +36,14 @@ struct BatchCase {
   int gossip_delay;
   int steps;
   int lane_block = 8;
+  bool capacities = false;  // heterogeneous node capacities in [0.5, 4]
 };
 
 std::ostream& operator<<(std::ostream& os, const BatchCase& c) {
   return os << "n=" << c.nodes << " docs=" << c.docs << " seed=" << c.seed
             << (c.asynchronous ? " async" : " sync")
             << " gp=" << c.gossip_period << " gd=" << c.gossip_delay
-            << " B=" << c.lane_block;
+            << " B=" << c.lane_block << (c.capacities ? " caps" : "");
 }
 
 std::vector<std::vector<double>> RandomLanes(int nodes, int docs, Rng& rng) {
@@ -65,6 +71,9 @@ TEST_P(BatchEquivalenceSweep, MatchesIndependentSimulatorsDocumentForDocument) {
   opt.gossip_delay = c.gossip_delay;
   opt.lane_block = c.lane_block;
   opt.seed = c.seed * 101 + 7;
+  if (c.capacities)
+    for (int v = 0; v < c.nodes; ++v)
+      opt.capacities.push_back(rng.NextDouble(0.5, 4.0));
 
   BatchWebWaveSimulator batch(tree, lanes, opt);
   // The independent reference simulators share the batch's edge build —
@@ -121,6 +130,178 @@ INSTANTIATE_TEST_SUITE_P(
                       BatchCase{24, 10, 17, false, 1, 0, 60, 4},
                       BatchCase{24, 10, 18, false, 3, 2, 80, 1},
                       BatchCase{24, 5, 19, true, 1, 0, 60, 16}));
+
+// Trees large enough that full 8-lane chunks carry most of the work, so
+// the SIMD step path (see webwave_kernel.h) is held to independent
+// scalar simulators: instantaneous and delayed gossip, a ragged tail lane
+// beside a full chunk, 16-wide blocks, and heterogeneous capacities.
+INSTANTIATE_TEST_SUITE_P(
+    SimdBlocks, BatchEquivalenceSweep,
+    ::testing::Values(BatchCase{300, 16, 41, false, 1, 0, 80, 8, true},
+                      BatchCase{320, 16, 42, false, 3, 2, 80, 8},
+                      BatchCase{300, 17, 43, false, 1, 0, 80, 8, true},
+                      BatchCase{310, 40, 44, false, 2, 1, 64, 16, true}));
+
+std::uint64_t Bits(double x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+// A rate from a small adversarial set — signed zeros, the smallest
+// subnormals, NaN, repeated ordinary values — or a uniform draw, so ties
+// between +0 and −0, NaN operands, transfers that underflow to zero and
+// balanced edges are all frequent.
+double AdversarialRate(Rng& rng) {
+  static constexpr double kValues[] = {0.0, -0.0, 5e-324, -5e-324,
+                                       0.5, 1.0,  3.0,    7.25};
+  if (rng.NextBernoulli(0.02)) return std::numeric_limits<double>::quiet_NaN();
+  if (rng.NextBernoulli(0.5)) return rng.NextDouble(0, 10);
+  return kValues[rng.NextBelow(8)];
+}
+
+// A utilization u whose dead band kImbalanceDeadband·u is exactly
+// x = 2^-20, where u − x is exact too: an edge with utilization u and
+// estimate u − x sits on the dead band, neither side of it.
+double DeadbandUtilization(double* x) {
+  *x = std::ldexp(1.0, -20);
+  double u = *x / internal::kImbalanceDeadband;
+  while (internal::kImbalanceDeadband * u < *x) u = std::nextafter(u, 1e300);
+  return u;
+}
+
+// One block of `width` lanes over `tree`, in the kernel's [node][width]
+// layout, with heterogeneous capacities and an estimate plane that is
+// not the served block.  Most lanes are adversarial; lane 1 sits exactly
+// on the dead band at every edge whose endpoints both have power-of-two
+// capacities (so u·c and (u − x)·c are exact), lane 2 is one ulp past it,
+// and lane 4 is balanced (every utilization and estimate exactly 1: zero
+// transfers) with a NaN forwarded rate, which only the update mask keeps
+// out of `changed`.
+struct KernelBlock {
+  std::vector<double> capacity, served, forwarded, est;
+};
+
+KernelBlock MakeKernelBlock(const RoutingTree& tree, int width, Rng& rng) {
+  const std::size_t n = static_cast<std::size_t>(tree.size());
+  const std::size_t w = static_cast<std::size_t>(width);
+  static constexpr double kPow2[] = {0.5, 1.0, 2.0, 4.0};
+  KernelBlock blk;
+  for (std::size_t v = 0; v < n; ++v)
+    blk.capacity.push_back(v % 3 == 0 ? rng.NextDouble(0.5, 4.0)
+                                      : kPow2[rng.NextBelow(4)]);
+  blk.served.resize(n * w);
+  blk.forwarded.resize(n * w);
+  blk.est.resize(n * w);
+  double x = 0;
+  const double u = DeadbandUtilization(&x);
+  for (std::size_t v = 0; v < n; ++v) {
+    const double cv = blk.capacity[v];
+    const bool exact = v % 3 != 0;
+    for (std::size_t b = 0; b < w; ++b) {
+      const std::size_t i = v * w + b;
+      blk.served[i] = AdversarialRate(rng);
+      blk.forwarded[i] = AdversarialRate(rng);
+      blk.est[i] = AdversarialRate(rng);
+      if (b == 1 && exact) {
+        blk.served[i] = u * cv;
+        blk.est[i] = (u - x) * cv;
+      } else if (b == 2 && exact) {
+        blk.served[i] = u * cv;
+        blk.est[i] = std::nextafter((u - x) * cv, 0.0);
+      } else if (b == 4) {
+        blk.served[i] = blk.est[i] = cv;  // utilization exactly 1
+        blk.forwarded[i] = std::numeric_limits<double>::quiet_NaN();
+      }
+    }
+  }
+  return blk;
+}
+
+void ExpectBitwiseEqual(const std::vector<double>& got,
+                        const std::vector<double>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(Bits(got[i]), Bits(want[i]))
+        << what << " index " << i << ": " << got[i] << " vs " << want[i];
+}
+
+// Every SIMD variant of the step kernel is the scalar loop, bit for bit:
+// served, forwarded, the transfer scratch and the changed flags, over
+// widths with and without a scalar remainder, for three chained rounds.
+TEST(WebWaveKernel, SimdMatchesScalarBitwise) {
+  struct Variant {
+    const char* isa;
+    internal::StepLaneBlockFn step;
+    bool supported;
+  };
+  std::vector<Variant> variants;
+#if defined(__x86_64__)
+  variants.push_back({"AVX-512F/DQ", internal::StepLaneBlockAvx512,
+                      internal::CpuHasAvx512()});
+  variants.push_back(
+      {"AVX2", internal::StepLaneBlockAvx2, internal::CpuHasAvx2()});
+#endif
+  std::string missing;
+  for (const Variant& variant : variants)
+    if (!variant.supported) missing += std::string(" ") + variant.isa;
+
+  Rng rng(1901);
+  const RoutingTree tree = MakeRandomTree(200, rng);
+  const WebWaveOptions options;
+  const internal::EdgeArrays edges = internal::BuildEdgeArrays(tree, options);
+  const std::size_t e = edges.size();
+  double x = 0;
+  const double u = DeadbandUtilization(&x);
+  ASSERT_EQ(internal::kImbalanceDeadband * u, x);
+  ASSERT_EQ(u - (u - x), x);
+
+  for (const int width : {8, 9, 16, 17, 24}) {
+    const std::size_t w = static_cast<std::size_t>(width);
+    const KernelBlock start = MakeKernelBlock(tree, width, rng);
+    // The construction really puts lane 1 on the dead band somewhere.
+    int on_band = 0;
+    for (std::size_t k = 0; k < e; ++k) {
+      const std::size_t p = static_cast<std::size_t>(edges.parent[k]);
+      const std::size_t c = static_cast<std::size_t>(edges.child[k]);
+      const double up = start.served[p * w + 1] / start.capacity[p];
+      const double pv = start.est[c * w + 1] / start.capacity[c];
+      on_band += up - pv == internal::kImbalanceDeadband * up;
+    }
+    ASSERT_GT(on_band, 0) << "width " << width;
+
+    for (const Variant& variant : variants) {
+      if (!variant.supported) continue;
+      KernelBlock want = start;
+      KernelBlock got = start;
+      std::vector<double> want_delta(e * w), got_delta(e * w);
+      for (int round = 0; round < 3; ++round) {
+        std::vector<std::uint8_t> want_changed(w, 0), got_changed(w, 0);
+        internal::StepLaneBlock(edges, want.capacity.data(), options, nullptr,
+                                width, want.served.data(),
+                                want.forwarded.data(), want.est.data(),
+                                want_delta.data(), want_changed.data());
+        variant.step(edges, got.capacity.data(), options, nullptr, width,
+                     got.served.data(), got.forwarded.data(), got.est.data(),
+                     got_delta.data(), got_changed.data());
+        const std::string where = std::string(variant.isa) + " width " +
+                                  std::to_string(width) + " round " +
+                                  std::to_string(round);
+        ExpectBitwiseEqual(got.served, want.served, where + " served");
+        ExpectBitwiseEqual(got.forwarded, want.forwarded,
+                           where + " forwarded");
+        ExpectBitwiseEqual(got_delta, want_delta, where + " delta");
+        ASSERT_EQ(got_changed, want_changed) << where << " changed";
+        EXPECT_EQ(want_changed[4], 0) << where << " balanced lane moved";
+      }
+    }
+  }
+  if (!missing.empty())
+    GTEST_SKIP() << "host lacks" << missing << "; supported variants passed";
+  if (variants.empty())
+    GTEST_SKIP() << "no SIMD step variant on this architecture";
+}
 
 TEST(BatchWebWave, LanesConvergeToTheirOwnTlbAssignments) {
   Rng rng(21);
