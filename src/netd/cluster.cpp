@@ -7,7 +7,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include "netd/daemon.h"
 #include "netd/loadgen.h"
@@ -215,6 +217,70 @@ int ListenLoopback(std::uint16_t* port) {
   return fd;
 }
 
+// The forked daemons of one run and the listen sockets they inherit.
+// The destructor is the failure path: daemons exit only on kShutdown, so
+// a run that does not end in a clean drain (a timeout, an unscheduled
+// EOF, an exception out of the loadgen) SIGKILLs and reaps every daemon
+// still running before the listen fds close.
+struct Fleet {
+  explicit Fleet(const NetdClusterConfig& c)
+      : config(c),
+        ports(static_cast<std::size_t>(c.server_count)),
+        pids(static_cast<std::size_t>(c.server_count), -1) {}
+  Fleet(const Fleet&) = delete;
+  Fleet& operator=(const Fleet&) = delete;
+  ~Fleet() {
+    for (std::size_t s = 0; s < pids.size(); ++s)
+      if (pids[s] > 0) Reap(static_cast<int>(s), SIGKILL);
+    for (const int fd : listen_fds) ::close(fd);
+  }
+
+  const NetdClusterConfig& config;
+  std::vector<std::uint16_t> ports;
+  std::vector<int> listen_fds;
+  std::vector<pid_t> pids;  // -1: not running
+
+  // Forks daemon s onto its own listen fd.  The child closes every other
+  // listen fd and `close_fds`: a restarted daemon inherits the loadgen's
+  // live sockets, which would otherwise keep the fleet's EOFs from firing.
+  void Spawn(int s, const std::vector<int>& close_fds) {
+    const pid_t pid = ::fork();
+    WEBWAVE_REQUIRE(pid >= 0, "fork() failed");
+    if (pid == 0) {
+      for (int t = 0; t < config.server_count; ++t)
+        if (t != s) ::close(listen_fds[static_cast<std::size_t>(t)]);
+      for (const int fd : close_fds) ::close(fd);
+      // _exit, not exit or a throw: the child must never unwind into the
+      // parent's stack or run its atexit chain (gtest, stdio flushing).
+      int code = 1;
+      try {
+        CacheServerDaemon daemon(config, s,
+                                 listen_fds[static_cast<std::size_t>(s)],
+                                 ports);
+        code = daemon.Run();
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "netd daemon %d: %s\n", s, e.what());
+      }
+      ::_exit(code);
+    }
+    pids[static_cast<std::size_t>(s)] = pid;
+  }
+
+  // Waits for daemon s, after sending it `sig` unless that is 0.  True
+  // iff the daemon exited with status 0.
+  bool Reap(int s, int sig) {
+    const pid_t pid = pids[static_cast<std::size_t>(s)];
+    if (sig != 0) ::kill(pid, sig);
+    int status = 0;
+    pid_t r;
+    do {
+      r = ::waitpid(pid, &status, 0);
+    } while (r < 0 && errno == EINTR);
+    pids[static_cast<std::size_t>(s)] = -1;
+    return r == pid && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  }
+};
+
 }  // namespace
 
 NetdRunResult RunNetdCluster(const NetdClusterConfig& config) {
@@ -247,81 +313,35 @@ NetdRunResult RunNetdCluster(const NetdClusterConfig& config) {
   // Every listen socket exists before the first fork: children inherit
   // their own, the kernel queues connections until the owner polls, so
   // there is no startup ordering to get wrong.
-  std::vector<int> listen_fds(static_cast<std::size_t>(config.server_count));
-  std::vector<std::uint16_t> ports(
-      static_cast<std::size_t>(config.server_count));
-  for (int s = 0; s < config.server_count; ++s)
-    listen_fds[static_cast<std::size_t>(s)] =
-        ListenLoopback(&ports[static_cast<std::size_t>(s)]);
-
-  std::vector<pid_t> pids;
-  pids.reserve(static_cast<std::size_t>(config.server_count));
-  for (int s = 0; s < config.server_count; ++s) {
-    const pid_t pid = ::fork();
-    WEBWAVE_REQUIRE(pid >= 0, "fork() failed");
-    if (pid == 0) {
-      for (int t = 0; t < config.server_count; ++t)
-        if (t != s) ::close(listen_fds[static_cast<std::size_t>(t)]);
-      CacheServerDaemon daemon(config, s,
-                               listen_fds[static_cast<std::size_t>(s)],
-                               ports);
-      // _exit, not exit: skip the parent's inherited atexit chain (gtest,
-      // stdio flushing) — the daemon's state is its counters, already
-      // reported over the wire.
-      ::_exit(daemon.Run());
-    }
-    pids.push_back(pid);
-  }
+  Fleet fleet(config);
+  for (std::uint16_t& port : fleet.ports)
+    fleet.listen_fds.push_back(ListenLoopback(&port));
+  for (int s = 0; s < config.server_count; ++s) fleet.Spawn(s, {});
   // The parent keeps every listen socket open for the whole run: a
   // restarted daemon re-forks onto the SAME fd (and port), and while a
   // daemon is dead the kernel backlog queues peer connects instead of
   // refusing them — the fleet rides out the outage with no port races.
 
   NetdRunResult result;
-  LoadgenClient loadgen(config, ports);
+  LoadgenClient loadgen(config, fleet.ports);
   loadgen.SetFaultHooks(
       [&](int s) {
-        const pid_t pid = pids[static_cast<std::size_t>(s)];
-        WEBWAVE_REQUIRE(pid > 0, "killing a server that is not running");
-        ::kill(pid, SIGKILL);
-        int status = 0;
-        pid_t r;
-        do {
-          r = ::waitpid(pid, &status, 0);
-        } while (r < 0 && errno == EINTR);
-        WEBWAVE_REQUIRE(r == pid, "waitpid after SIGKILL failed");
-        pids[static_cast<std::size_t>(s)] = -1;
+        WEBWAVE_REQUIRE(fleet.pids[static_cast<std::size_t>(s)] > 0,
+                        "killing a server that is not running");
+        fleet.Reap(s, SIGKILL);
       },
       [&](int s, const std::vector<int>& loadgen_fds) {
-        WEBWAVE_REQUIRE(pids[static_cast<std::size_t>(s)] < 0,
+        WEBWAVE_REQUIRE(fleet.pids[static_cast<std::size_t>(s)] < 0,
                         "restarting a server that is still running");
-        const pid_t pid = ::fork();
-        WEBWAVE_REQUIRE(pid >= 0, "fork() for restart failed");
-        if (pid == 0) {
-          for (int t = 0; t < config.server_count; ++t)
-            if (t != s) ::close(listen_fds[static_cast<std::size_t>(t)]);
-          // The child also inherited the loadgen's live sockets; close
-          // them or the fleet's EOFs would never fire.
-          for (const int fd : loadgen_fds) ::close(fd);
-          CacheServerDaemon daemon(config, s,
-                                   listen_fds[static_cast<std::size_t>(s)],
-                                   ports);
-          ::_exit(daemon.Run());
-        }
-        pids[static_cast<std::size_t>(s)] = pid;
+        fleet.Spawn(s, loadgen_fds);
       });
   bool ok = loadgen.Run(&result);
-
-  for (const pid_t pid : pids) {
-    if (pid < 0) continue;  // killed mid-run and already reaped
-    int status = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(pid, &status, 0);
-    } while (r < 0 && errno == EINTR);
-    ok = ok && r == pid && WIFEXITED(status) && WEXITSTATUS(status) == 0;
-  }
-  for (const int fd : listen_fds) ::close(fd);
+  // A clean drain sent every live daemon kShutdown; after a failed one,
+  // ~Fleet kills the daemons instead of waiting for them forever.
+  if (ok)
+    for (int s = 0; s < config.server_count; ++s)
+      if (fleet.pids[static_cast<std::size_t>(s)] > 0)
+        ok = fleet.Reap(s, 0) && ok;
 
   // The fleet total includes daemons killed mid-run: their pre-kill
   // scrapes are exactly their final state (the boundary was quiesced),

@@ -37,8 +37,8 @@ namespace webwave {
 // One epoch of a multi-epoch fleet run: a block of the request stream
 // served under one quota table, down set and ownership map.  Process
 // faults happen at epoch *boundaries*: the loadgen drains in-flight to
-// zero, scrapes any victim's counters (and trace), then kills /
-// restarts the listed daemons, ships every live daemon its
+// zero, scrapes any victim's counters, trace and flight ring, then
+// kills / restarts the listed daemons, ships every live daemon its
 // kQuotaDelta + kEpochUpdate pair, runs a full kStatsRequest barrier
 // round, and only then resumes the stream — so each block is served
 // under exactly one fleet state and the bit-exact oracle comparison
@@ -71,10 +71,6 @@ struct NetdClusterConfig {
   int docs = 0;
   std::uint64_t stream_seed = 1;
   std::uint64_t total_requests = 0;
-  // Loadgen pacing: the timer wheel refills this many injection tokens
-  // per wheel tick; at most `window` requests are in flight.
-  int tokens_per_tick = 2048;
-  int window = 4096;
   // Daemon gossip cadence on the timer wheel (0 disables).
   int gossip_period_ms = 20;
   // Live fleet stats scraping: the loadgen polls every daemon's
@@ -96,8 +92,9 @@ struct NetdClusterConfig {
   int connect_timeout_ms = 2000;
   // Loadgen load-reactive window: when > 0, a GetReply whose piggybacked
   // load exceeds factor x (completed / server_count) halves the live
-  // window (additive +1 recovery up to `window`).  Pacing only — the
-  // stream content and every admission decision are unaffected.
+  // window (additive +1 recovery up to the loadgen's fixed window).
+  // Pacing only — the stream content and every admission decision are
+  // unaffected.
   double load_window_factor = 0;
   // Latency plane (PR 10): each daemon keeps a flight-recorder ring of
   // this many events.  `flight_dir`, when non-empty, is where a daemon
@@ -182,16 +179,15 @@ WireCounters SumCounters(const std::vector<WireCounters>& all);
 // monotonicity law successive live scrapes of one daemon must obey.
 bool CountersMonotone(const WireCounters& a, const WireCounters& b);
 
-// One live scrape of the whole fleet: each daemon's kStatsReply
+// One stats round over the whole fleet: each live daemon's kStatsReply
 // counters, stamped with how many requests the client had completed
-// when the scrape round was issued.
+// when the round was sent.  Dead servers' slots stay zero.
 struct NetdStatsSample {
   std::uint64_t at_completed = 0;
   std::vector<WireCounters> per_server;
-  // Each daemon's request service-time histogram from the same v4
-  // kStatsReply (empty histograms for daemons that shipped none, and for
-  // dead slots in barrier samples).  Timing payload — never part of the
-  // oracle identity assertions.
+  // Each daemon's request service-time histogram from the same
+  // kStatsReply (empty for dead slots).  Timing payload — never part of
+  // the oracle identity assertions.
   std::vector<LatencyHistogram> hist_per_server;
 };
 
@@ -203,9 +199,10 @@ struct NetdRunResult {
   std::uint64_t client_served = 0;
   std::uint64_t client_dropped = 0;
   std::uint64_t client_hop_sum = 0;  // over served replies
-  // Every stats scrape, mid-run ones first (stats_scrape_period_ms > 0),
-  // always ending with the final post-drain scrape — so samples.back()
-  // is the fleet's end-of-run counter set.
+  // Every mid-run scrape (stats_scrape_period_ms > 0) in start order,
+  // then the end-of-run round's sample — so samples.back() is the
+  // fleet's end-of-run counter set, at_completed == total_requests.
+  // Barrier rounds go to epoch_samples, victim scrapes to `retired`.
   std::vector<NetdStatsSample> samples;
   // The fleet's sampled trace records (config.serving.trace), merged
   // across daemons and canonicalized to (req_id, seq) order.
@@ -230,8 +227,8 @@ struct NetdRunResult {
   std::vector<LatencyHistogram> latency_per_epoch;
   std::vector<LatencyHistogram> latency_per_server;
   // Each live daemon's final request service-time histogram (from the
-  // final stats round's v4 section), and the victims' pre-kill ones
-  // (aligned index-for-index with `retired`).
+  // end-of-run round), and the victims' pre-kill ones (aligned
+  // index-for-index with `retired`).
   std::vector<LatencyHistogram> server_hist;
   std::vector<LatencyHistogram> retired_hist;
   // Flight-recorder rings: victims' rings scraped at the quiesced
@@ -251,6 +248,9 @@ struct NetdRunResult {
 
 // Forks config.server_count daemons, runs the loadgen against them,
 // collects every daemon's counters, shuts the fleet down and reaps it.
+// A run that fails (timeout, unscheduled EOF, or an exception, which is
+// rethrown) SIGKILLs and reaps every daemon still running: no daemon
+// outlives the call.
 NetdRunResult RunNetdCluster(const NetdClusterConfig& config);
 
 }  // namespace webwave

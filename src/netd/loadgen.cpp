@@ -20,6 +20,10 @@ constexpr int kRunTimeoutMs = 120000;
 // The load-reactive window never shrinks below this: progress must
 // continue even when every reply reports a hot shard.
 constexpr std::uint64_t kMinWindow = 16;
+// Injection tokens per timer-wheel tick, and the in-flight window the
+// load-reactive window recovers up to.
+constexpr int kTokensPerTick = 2048;
+constexpr std::uint64_t kWindow = 4096;
 }  // namespace
 
 LoadgenClient::LoadgenClient(const NetdClusterConfig& config,
@@ -29,11 +33,6 @@ LoadgenClient::LoadgenClient(const NetdClusterConfig& config,
       nodes_(static_cast<int>(config.parents.size())) {
   WEBWAVE_REQUIRE(config_.docs > 0 && config_.total_requests > 0,
                   "loadgen needs a catalog and a stream length");
-}
-
-void LoadgenClient::ConnectAll() {
-  conns_.resize(static_cast<std::size_t>(config_.server_count));
-  for (int s = 0; s < config_.server_count; ++s) ConnectOne(s);
 }
 
 void LoadgenClient::ConnectOne(int s) {
@@ -72,13 +71,6 @@ void LoadgenClient::ConnectOne(int s) {
   conns_[static_cast<std::size_t>(s)]->Send(hello);
 }
 
-void LoadgenClient::DropServerConn(int s) {
-  FrameConn* c = conns_[static_cast<std::size_t>(s)].get();
-  if (c == nullptr) return;
-  loop_.Unwatch(c->fd());
-  conns_[static_cast<std::size_t>(s)].reset();
-}
-
 std::vector<int> LoadgenClient::OpenConnFds() const {
   std::vector<int> fds;
   for (const auto& c : conns_)
@@ -86,9 +78,16 @@ std::vector<int> LoadgenClient::OpenConnFds() const {
   return fds;
 }
 
+std::vector<int> LoadgenClient::LiveServers() const {
+  std::vector<int> out;
+  for (int s = 0; s < config_.server_count; ++s)
+    if (live_[static_cast<std::size_t>(s)]) out.push_back(s);
+  return out;
+}
+
 void LoadgenClient::ScheduleRefill() {
   loop_.AddTimer(0, [this] {
-    tokens_ = config_.tokens_per_tick;
+    tokens_ = kTokensPerTick;
     TrySend();
     FlushAll();
     if (next_ < config_.total_requests) ScheduleRefill();
@@ -96,7 +95,9 @@ void LoadgenClient::ScheduleRefill() {
 }
 
 void LoadgenClient::TrySend() {
-  if (boundary_ != Boundary::kNone) return;
+  if (round_.kind == RoundKind::kVictims ||
+      round_.kind == RoundKind::kRejoin || round_.kind == RoundKind::kBarrier)
+    return;
   while (next_ < epoch_end_ && tokens_ > 0 && in_flight_ < window_cur_) {
     const Request r =
         NetdRequestAt(config_.stream_seed, next_, nodes_, config_.docs);
@@ -104,8 +105,6 @@ void LoadgenClient::TrySend() {
     g.req_id = next_;
     g.doc = r.doc;
     g.origin_node = r.node;
-    g.ttl_hops = 0;
-    g.failed = 0;
     // The client applies the same counter-hash sampling law the oracle
     // does, so the fleet traces exactly the requests the oracle traces.
     if (config_.serving.trace &&
@@ -132,7 +131,7 @@ void LoadgenClient::AdaptWindow(double load) {
       1.0);
   if (load > config_.load_window_factor * fair)
     window_cur_ = std::max(window_cur_ / 2, kMinWindow);
-  else if (window_cur_ < static_cast<std::uint64_t>(config_.window))
+  else if (window_cur_ < kWindow)
     ++window_cur_;
 }
 
@@ -161,127 +160,15 @@ void LoadgenClient::OnFrame(int server, const WireMessage& msg) {
       }
       AdaptWindow(msg.reply.load);
       TrySend();
-      if (completed_ != epoch_end_) break;
-      // Epoch block drained — in_flight_ is zero by construction (sends
-      // are capped at epoch_end_), so the fleet is quiesced.  If a live
-      // scrape round is still in flight its replies must not be
-      // confused with a boundary's or the final round's — defer.
-      if (epoch_ + 1 < EpochCount()) {
-        if (scrape_outstanding_)
-          boundary_pending_ = true;
-        else
-          BeginBoundary();
-      } else if (!stats_phase_) {
-        if (scrape_outstanding_)
-          final_pending_ = true;
-        else
-          BeginFinalStats();
-      }
+      if (completed_ == epoch_end_) EndBlock();
       break;
     }
-    case MsgType::kStatsReply: {
-      const LatencyHistogram reply_hist =
-          msg.stats_hist.present ? msg.stats_hist.ToHistogram()
-                                 : LatencyHistogram{};
-      if (scrape_outstanding_) {
-        // A mid-run scrape reply (FIFO per connection; no other round
-        // is ever issued while a scrape is outstanding).
-        scrape_sample_.per_server[static_cast<std::size_t>(server)] =
-            msg.stats;
-        scrape_sample_.hist_per_server[static_cast<std::size_t>(server)] =
-            reply_hist;
-        if (++scrape_received_ == live_count_) {
-          scrape_outstanding_ = false;
-          result_->samples.push_back(scrape_sample_);
-          if (boundary_pending_) {
-            boundary_pending_ = false;
-            BeginBoundary();
-          } else if (final_pending_) {
-            final_pending_ = false;
-            BeginFinalStats();
-          }
-        }
-        break;
-      }
-      if (boundary_ == Boundary::kVictimStats) {
-        // The victim's final state: the boundary is quiesced, so this
-        // scrape is exactly what the daemon dies knowing.  The kills
-        // must run off this stack: this frame arrived through the
-        // victim's own FrameConn::OnReadable, and DoKillsAndRestarts
-        // destroys that conn.
-        result_->retired.push_back(msg.stats);
-        result_->retired_hist.push_back(reply_hist);
-        if (++victim_replies_ == victim_replies_needed_) ScheduleKills();
-        break;
-      }
-      if (boundary_ == Boundary::kBarrier) {
-        barrier_sample_.per_server[static_cast<std::size_t>(server)] =
-            msg.stats;
-        barrier_sample_.hist_per_server[static_cast<std::size_t>(server)] =
-            reply_hist;
-        if (++barrier_received_ == live_count_) FinishBoundary();
-        break;
-      }
-      result_->per_server[static_cast<std::size_t>(server)] = msg.stats;
-      result_->server_hist[static_cast<std::size_t>(server)] = reply_hist;
-      if (++stats_received_ == live_count_) {
-        // The end-of-run sample: what a scraper polling at this instant
-        // would see, which by now is every live daemon's final tally.
-        NetdStatsSample final_sample;
-        final_sample.at_completed = completed_;
-        final_sample.per_server = result_->per_server;
-        final_sample.hist_per_server = result_->server_hist;
-        result_->samples.push_back(std::move(final_sample));
-        if (config_.serving.trace)
-          BeginTraceDump();
-        else
-          BeginFlightDump();
-      }
+    case MsgType::kStatsReply:
+    case MsgType::kTraceReply:
+    case MsgType::kFlightReply:
+    case MsgType::kHello:
+      FileReply(server, msg);
       break;
-    }
-    case MsgType::kTraceReply: {
-      result_->trace.insert(result_->trace.end(), msg.trace.begin(),
-                            msg.trace.end());
-      if (boundary_ == Boundary::kVictimStats) {
-        // Same re-entrancy hazard as the stats branch above: never tear
-        // the delivering conn down from inside its own read callback.
-        if (++victim_replies_ == victim_replies_needed_) ScheduleKills();
-        break;
-      }
-      if (++trace_received_ == live_count_) BeginFlightDump();
-      break;
-    }
-    case MsgType::kFlightReply: {
-      // A daemon's flight ring: scraped from a victim ahead of its
-      // SIGKILL (the crash-surviving copy), or from every live daemon at
-      // end of run.  Events arrive already stamped with the sender's
-      // node index.
-      NetdRunResult::FlightDump dump;
-      dump.server = server;
-      dump.victim = boundary_ == Boundary::kVictimStats;
-      dump.events = msg.flight.events;
-      result_->flights.push_back(std::move(dump));
-      if (boundary_ == Boundary::kVictimStats) {
-        if (++victim_replies_ == victim_replies_needed_) ScheduleKills();
-        break;
-      }
-      if (++flight_received_ == live_count_) Shutdown();
-      break;
-    }
-    case MsgType::kHello: {
-      // The rejoin handshake: a restarted daemon answering our Hello
-      // with its identity and boot epoch.  (The initial fleet's Hello
-      // replies all land before the first epoch boundary — per-conn
-      // FIFO puts them ahead of epoch 0's replies — so they are simply
-      // ignored here.)
-      if (boundary_ != Boundary::kRejoin) break;
-      WEBWAVE_REQUIRE(msg.hello.sender ==
-                          static_cast<std::uint32_t>(server),
-                      "rejoin Hello from the wrong daemon");
-      result_->rejoin_hello_epochs.push_back(msg.hello.epoch);
-      if (--rejoin_needed_ == 0) ShipEpoch();
-      break;
-    }
     default:
       break;  // daemons never push anything else at a client
   }
@@ -289,61 +176,134 @@ void LoadgenClient::OnFrame(int server, const WireMessage& msg) {
 
 void LoadgenClient::ScheduleScrape() {
   loop_.AddTimer(config_.stats_scrape_period_ms, [this] {
-    StartScrape();
+    // Skipped, not queued, while another round is outstanding.
+    if (round_.kind == RoundKind::kNone)
+      StartRound(RoundKind::kScrape, LiveServers());
     FlushAll();
-    if (!stats_phase_ && !shutdown_sent_) ScheduleScrape();
+    if (round_.kind != RoundKind::kFinal) ScheduleScrape();
   });
 }
 
-void LoadgenClient::StartScrape() {
-  if (scrape_outstanding_ || stats_phase_ || shutdown_sent_ ||
-      boundary_ != Boundary::kNone)
-    return;
-  scrape_outstanding_ = true;
-  scrape_received_ = 0;
-  scrape_sample_.at_completed = completed_;
-  scrape_sample_.per_server.assign(
+void LoadgenClient::StartRound(RoundKind kind,
+                               const std::vector<int>& servers) {
+  const bool dump = kind == RoundKind::kVictims || kind == RoundKind::kFinal;
+  const std::size_t per_server =
+      dump ? (config_.serving.trace ? 3u : 2u) : 1u;
+  round_.kind = kind;
+  round_.due = servers.size() * per_server;
+  round_.sample.at_completed = completed_;
+  round_.sample.per_server.assign(
       static_cast<std::size_t>(config_.server_count), WireCounters{});
-  scrape_sample_.hist_per_server.assign(
+  round_.sample.hist_per_server.assign(
       static_cast<std::size_t>(config_.server_count), LatencyHistogram{});
-  for (int s = 0; s < config_.server_count; ++s) {
-    if (!live_[static_cast<std::size_t>(s)]) continue;
-    conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kStatsRequest);
+  // A rejoin round sends nothing: ConnectOne already sent the restarted
+  // daemon our Hello, and its Hello reply is the one reply due.
+  if (kind != RoundKind::kRejoin) {
+    for (const int s : servers) {
+      FrameConn* c = conns_[static_cast<std::size_t>(s)].get();
+      c->SendControl(MsgType::kStatsRequest);
+      if (dump && config_.serving.trace)
+        c->SendControl(MsgType::kTraceRequest);
+      if (dump) c->SendControl(MsgType::kFlightRequest);
+    }
+  }
+  if (round_.due == 0) EndRound();
+}
+
+void LoadgenClient::FileReply(int server, const WireMessage& msg) {
+  // Only a restarted daemon's Hello reply belongs to a round.  The
+  // initial fleet's replies land ahead of epoch 0's replies (FIFO),
+  // before any boundary.
+  if (msg.type == MsgType::kHello && round_.kind != RoundKind::kRejoin)
+    return;
+  WEBWAVE_REQUIRE(round_.due > 0, "a control reply outside any round");
+  const bool victim = round_.kind == RoundKind::kVictims;
+  switch (msg.type) {
+    case MsgType::kHello:
+      WEBWAVE_REQUIRE(msg.hello.sender == static_cast<std::uint32_t>(server),
+                      "rejoin Hello from the wrong daemon");
+      result_->rejoin_hello_epochs.push_back(msg.hello.epoch);
+      break;
+    case MsgType::kStatsReply:
+      if (victim) {
+        result_->retired.push_back(msg.stats);
+        result_->retired_hist.push_back(msg.stats_hist.ToHistogram());
+      } else {
+        round_.sample.per_server[static_cast<std::size_t>(server)] =
+            msg.stats;
+        round_.sample.hist_per_server[static_cast<std::size_t>(server)] =
+            msg.stats_hist.ToHistogram();
+      }
+      break;
+    case MsgType::kTraceReply:
+      result_->trace.insert(result_->trace.end(), msg.trace.begin(),
+                            msg.trace.end());
+      break;
+    default: {
+      // A flight ring: a victim's crash-surviving copy, or a live
+      // daemon's at end of run.  Events carry the sender's node index.
+      NetdRunResult::FlightDump dump;
+      dump.server = server;
+      dump.victim = victim;
+      dump.events = msg.flight.events;
+      result_->flights.push_back(std::move(dump));
+      break;
+    }
+  }
+  if (--round_.due == 0) EndRound();
+}
+
+void LoadgenClient::EndRound() {
+  switch (round_.kind) {
+    case RoundKind::kScrape:
+      result_->samples.push_back(std::move(round_.sample));
+      round_.kind = RoundKind::kNone;
+      if (block_end_queued_) {
+        block_end_queued_ = false;
+        EndBlock();
+      }
+      break;
+    case RoundKind::kVictims:
+      // Never tear the delivering conn down inside its own read callback.
+      loop_.AddTimer(0, [this] {
+        DoKillsAndRestarts();
+        FlushAll();
+      });
+      break;
+    case RoundKind::kRejoin:
+      ShipEpoch();
+      break;
+    case RoundKind::kBarrier:
+      FinishBoundary();
+      break;
+    case RoundKind::kFinal:
+      // The end-of-run sample is every live daemon's final tally.
+      result_->per_server = round_.sample.per_server;
+      result_->server_hist = round_.sample.hist_per_server;
+      result_->samples.push_back(std::move(round_.sample));
+      Shutdown();
+      break;
+    case RoundKind::kNone:
+      break;
   }
 }
 
-void LoadgenClient::BeginBoundary() {
-  const NetdEpoch& ep = config_.epochs[epoch_ + 1];
-  if (ep.kill_servers.empty()) {
-    boundary_ = Boundary::kVictimStats;  // degenerate: nothing to scrape
-    DoKillsAndRestarts();
+void LoadgenClient::EndBlock() {
+  if (round_.kind == RoundKind::kScrape) {
+    block_end_queued_ = true;
     return;
   }
-  boundary_ = Boundary::kVictimStats;
-  victim_replies_ = 0;
-  // Per victim: counters (+hist), flight ring, and — when tracing — the
-  // trace buffer.  All scraped at the quiesced boundary, so together
-  // they are exactly what the daemon dies knowing.
-  victim_replies_needed_ =
-      ep.kill_servers.size() * (config_.serving.trace ? 3u : 2u);
+  if (epoch_ + 1 == EpochCount()) {
+    StartRound(RoundKind::kFinal, LiveServers());
+    return;
+  }
+  const NetdEpoch& ep = config_.epochs[epoch_ + 1];
   for (const int s : ep.kill_servers) {
     WEBWAVE_REQUIRE(live_[static_cast<std::size_t>(s)],
                     "killing a server that is already dead");
     WEBWAVE_REQUIRE(s != 0, "server 0 owns the root and must survive");
-    conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kStatsRequest);
-    if (config_.serving.trace)
-      conns_[static_cast<std::size_t>(s)]->SendControl(
-          MsgType::kTraceRequest);
-    conns_[static_cast<std::size_t>(s)]->SendControl(
-        MsgType::kFlightRequest);
   }
-}
-
-void LoadgenClient::ScheduleKills() {
-  loop_.AddTimer(0, [this] {
-    DoKillsAndRestarts();
-    FlushAll();
-  });
+  StartRound(RoundKind::kVictims, ep.kill_servers);
 }
 
 void LoadgenClient::DoKillsAndRestarts() {
@@ -352,17 +312,11 @@ void LoadgenClient::DoKillsAndRestarts() {
     WEBWAVE_REQUIRE(kill_fn_ != nullptr, "no kill hook installed");
     // Drop our conn first: after SIGKILL the socket would EOF anyway,
     // and the boundary is quiesced so nothing is left unread on it.
-    DropServerConn(s);
+    loop_.Unwatch(conns_[static_cast<std::size_t>(s)]->fd());
+    conns_[static_cast<std::size_t>(s)].reset();
     kill_fn_(s);
     live_[static_cast<std::size_t>(s)] = false;
-    --live_count_;
   }
-  rejoin_needed_ = static_cast<int>(ep.restart_servers.size());
-  if (rejoin_needed_ == 0) {
-    ShipEpoch();
-    return;
-  }
-  boundary_ = Boundary::kRejoin;
   for (const int s : ep.restart_servers) {
     WEBWAVE_REQUIRE(!live_[static_cast<std::size_t>(s)],
                     "restarting a server that is still live");
@@ -370,23 +324,23 @@ void LoadgenClient::DoKillsAndRestarts() {
     restart_fn_(s, OpenConnFds());
     ConnectOne(s);  // Hello goes out; the daemon's Hello reply rejoins
     live_[static_cast<std::size_t>(s)] = true;
-    ++live_count_;
     server_epoch_[static_cast<std::size_t>(s)] = 0;  // fresh boot state
   }
+  StartRound(RoundKind::kRejoin, ep.restart_servers);
 }
 
 void LoadgenClient::ShipEpoch() {
   const std::size_t e = epoch_ + 1;
   const NetdEpoch& ep = config_.epochs[e];
   const std::vector<OwnerDelta> reassign = OwnerDiff(config_.owner, ep.owner);
-  for (int s = 0; s < config_.server_count; ++s) {
-    if (!live_[static_cast<std::size_t>(s)]) continue;
+  const std::vector<int> live = LiveServers();
+  for (const int s : live) {
     // Each daemon's delta starts from whatever table it actually has —
     // the previous epoch for survivors, the boot table for a rejoiner.
     QuotaDelta delta;
     WEBWAVE_REQUIRE(
         QuotaWireTable::DiffSnapshots(
-            Snap(server_epoch_[static_cast<std::size_t>(s)]), Snap(e),
+            snaps_[server_epoch_[static_cast<std::size_t>(s)]], snaps_[e],
             &delta),
         "epoch snapshots must be diffable");
     delta.epoch = static_cast<std::uint32_t>(e);
@@ -397,61 +351,28 @@ void LoadgenClient::ShipEpoch() {
     FrameConn* c = conns_[static_cast<std::size_t>(s)].get();
     c->Send(delta);
     c->Send(up);
-    // FIFO barrier: the stats reply acknowledges that both control
-    // frames above were applied before any epoch-e request arrives.
-    c->SendControl(MsgType::kStatsRequest);
     server_epoch_[static_cast<std::size_t>(s)] =
         static_cast<std::uint32_t>(e);
   }
-  boundary_ = Boundary::kBarrier;
-  barrier_received_ = 0;
-  barrier_sample_.at_completed = completed_;
-  barrier_sample_.per_server.assign(
-      static_cast<std::size_t>(config_.server_count), WireCounters{});
-  barrier_sample_.hist_per_server.assign(
-      static_cast<std::size_t>(config_.server_count), LatencyHistogram{});
+  // FIFO barrier: each Stats reply acknowledges that both control frames
+  // above were applied before any epoch-e request arrives.
+  StartRound(RoundKind::kBarrier, live);
 }
 
 void LoadgenClient::FinishBoundary() {
-  result_->epoch_samples.push_back(barrier_sample_);
+  result_->epoch_samples.push_back(std::move(round_.sample));
+  round_.kind = RoundKind::kNone;
   ++epoch_;
   epoch_end_ += config_.epochs[epoch_].requests;
-  boundary_ = Boundary::kNone;
   TrySend();
-}
-
-void LoadgenClient::BeginFinalStats() {
-  stats_phase_ = true;
-  for (int s = 0; s < config_.server_count; ++s) {
-    if (!live_[static_cast<std::size_t>(s)]) continue;
-    conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kStatsRequest);
-  }
-}
-
-void LoadgenClient::BeginTraceDump() {
-  trace_phase_ = true;
-  for (int s = 0; s < config_.server_count; ++s) {
-    if (!live_[static_cast<std::size_t>(s)]) continue;
-    conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kTraceRequest);
-  }
-}
-
-void LoadgenClient::BeginFlightDump() {
-  flight_phase_ = true;
-  for (int s = 0; s < config_.server_count; ++s) {
-    if (!live_[static_cast<std::size_t>(s)]) continue;
-    conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kFlightRequest);
-  }
 }
 
 void LoadgenClient::Shutdown() {
   shutdown_sent_ = true;
-  for (int s = 0; s < config_.server_count; ++s) {
-    if (!live_[static_cast<std::size_t>(s)] ||
-        !conns_[static_cast<std::size_t>(s)])
-      continue;
-    conns_[static_cast<std::size_t>(s)]->SendControl(MsgType::kShutdown);
-    conns_[static_cast<std::size_t>(s)]->Flush();
+  for (const int s : LiveServers()) {
+    FrameConn* c = conns_[static_cast<std::size_t>(s)].get();
+    c->SendControl(MsgType::kShutdown);
+    c->Flush();
   }
   loop_.Stop(0);
 }
@@ -473,22 +394,6 @@ void LoadgenClient::FlushConn(int server) {
                          [this, server] { FlushConn(server); });
 }
 
-const QuotaSnapshot& LoadgenClient::Snap(std::size_t epoch) {
-  if (snaps_.empty()) {
-    snaps_.resize(EpochCount());
-    snap_ready_.assign(EpochCount(), false);
-  }
-  if (!snap_ready_[epoch]) {
-    const std::vector<std::uint8_t>& blob =
-        epoch == 0 ? config_.quota_blob : config_.epochs[epoch].quota_blob;
-    WEBWAVE_REQUIRE(QuotaWireTable::Deserialize(blob.data(), blob.size(),
-                                                &snaps_[epoch]),
-                    "loadgen handed a corrupt epoch blob");
-    snap_ready_[epoch] = true;
-  }
-  return snaps_[epoch];
-}
-
 bool LoadgenClient::Run(NetdRunResult* result) {
   result_ = result;
   result_->per_server.assign(static_cast<std::size_t>(config_.server_count),
@@ -507,13 +412,22 @@ bool LoadgenClient::Run(NetdRunResult* result) {
   sink.max_stall_ns = &result_->loop_max_stall_ns;
   loop_.AttachLatencyPlane(sink);
   live_.assign(static_cast<std::size_t>(config_.server_count), true);
-  live_count_ = config_.server_count;
   server_epoch_.assign(static_cast<std::size_t>(config_.server_count), 0);
   epoch_ = 0;
   epoch_end_ = config_.epochs.empty() ? config_.total_requests
                                       : config_.epochs[0].requests;
-  window_cur_ = static_cast<std::uint64_t>(config_.window);
-  ConnectAll();
+  window_cur_ = kWindow;
+  // The epoch tables every delta is diffed between (epoch 0 is the boot
+  // table).
+  snaps_.resize(config_.epochs.size());
+  for (std::size_t e = 0; e < snaps_.size(); ++e) {
+    const std::vector<std::uint8_t>& blob = config_.epochs[e].quota_blob;
+    WEBWAVE_REQUIRE(
+        QuotaWireTable::Deserialize(blob.data(), blob.size(), &snaps_[e]),
+        "loadgen handed a corrupt epoch blob");
+  }
+  conns_.resize(static_cast<std::size_t>(config_.server_count));
+  for (int s = 0; s < config_.server_count; ++s) ConnectOne(s);
   FlushAll();
   ScheduleRefill();
   if (config_.stats_scrape_period_ms > 0) ScheduleScrape();

@@ -1,34 +1,35 @@
-// LoadgenClient — the deterministic request driver for a netd fleet.
+// LoadgenClient — the deterministic request generator for a netd fleet,
+// and the fleet's only coordinator.
 //
 // Request i is the pure function NetdRequestAt(seed, i, ...), numbered
 // req_id = i, and sent to the daemon owning its origin node.  Pacing is
-// a token bucket refilled from the event loop's timer wheel
-// (tokens_per_tick per tick) under an in-flight window, so the socket
-// buffers stay bounded no matter how large the stream is.  When every
-// reply is in, the client collects each daemon's WireCounters via
-// kStatsRequest (and, when tracing, each daemon's TraceEvent stream via
-// kTraceRequest) and shuts the fleet down with kShutdown frames.
+// a token bucket refilled from the event loop's timer wheel under an
+// in-flight window, so socket buffers stay bounded however long the
+// stream is.
 //
-// Live scraping: with stats_scrape_period_ms > 0 the client also polls
-// the whole fleet's counters on a repeating timer *while requests are
-// in flight*, recording each round as a NetdStatsSample.  At most one
-// stats round is ever outstanding (the final round defers until a
-// mid-run scrape drains), so per-connection FIFO makes every reply's
-// attribution unambiguous.
+// Everything else is a control round: requests to some servers, a count
+// of replies still due, and one continuation when the last one lands.
 //
-// Multi-epoch orchestration (PR 9): with config.epochs set the client
-// doubles as the fleet's control node.  At each epoch boundary it
-// quiesces (in-flight drains to zero by construction: sends are capped
-// at the epoch's end), scrapes any kill victim's counters and trace
-// (the `retired` record — the boundary is quiesced, so this is exactly
-// the victim's final state), invokes the kill/restart hooks, waits for
-// each restarted daemon's rejoin Hello, ships every live daemon its
-// kQuotaDelta (diffed from whatever table epoch that daemon last
-// acknowledged — 0 for a fresh boot) plus the stateless kEpochUpdate,
-// and runs a kStatsRequest barrier round before resuming the stream.
-// Per-connection FIFO makes the barrier an acknowledgement that the
-// delta and update landed.  Barrier samples keep dead servers' slots
-// zero; their last state lives in NetdRunResult::retired.
+//   round     addressed to       asks each server      then
+//   kScrape   live servers       Stats                 push the sample
+//   kVictims  boundary victims   Stats, Trace*, Flight kill / restart
+//   kRejoin   restarted servers  (their Hello reply)   ship the epoch
+//   kBarrier  live servers       delta, update, Stats  resume the stream
+//   kFinal    live servers       Stats, Trace*, Flight sample, shutdown
+//   (* when tracing)
+//
+// At most one round is outstanding, so per-connection FIFO attributes
+// every reply.  With stats_scrape_period_ms > 0 a timer starts kScrape
+// rounds mid-run, skipped while another round is outstanding.  When an
+// epoch block drains, in-flight is zero (sends are capped at the block's
+// end), so the fleet is quiesced: the client starts the next boundary's
+// kVictims round, or kFinal after the last block, queued one deep
+// behind a scrape that is still outstanding.  Victims' replies are their
+// final state (NetdRunResult::retired); the kills run off a 0 ms timer,
+// never inside the read callback of the conn that delivered the reply.
+// A daemon's delta is diffed from the table epoch it last acknowledged
+// (0 for a fresh boot), and the barrier's Stats reply acknowledges it.
+// No request is sent while a victim, rejoin or barrier round is current.
 //
 // Determinism note: pacing shapes *when* requests enter the fleet, never
 // *what* they are or how they are decided — admission runs block_size=1,
@@ -74,20 +75,26 @@ class LoadgenClient {
   bool Run(NetdRunResult* result);
 
  private:
-  // What the current epoch-boundary handshake is waiting on.  kNone is
-  // normal streaming; the other states suppress sends and periodic
-  // scrapes until the boundary completes.
-  enum class Boundary : std::uint8_t {
-    kNone,
-    kVictimStats,  // victims' pre-kill kStatsReply (+kTraceReply)
-    kRejoin,       // restarted daemons' Hello replies
-    kBarrier,      // post-update kStatsReply from every live daemon
+  enum class RoundKind : std::uint8_t {
+    kNone,  // no round: streaming
+    kScrape,
+    kVictims,
+    kRejoin,
+    kBarrier,
+    kFinal,
+  };
+  // The one outstanding control round.  A round stays current until its
+  // continuation hands over: a scrape and a barrier close, a victim round
+  // lasts until the kills run, and the final round never closes.
+  struct Round {
+    RoundKind kind = RoundKind::kNone;
+    std::size_t due = 0;     // replies still due
+    NetdStatsSample sample;  // scrape, barrier and final Stats replies
   };
 
-  void ConnectAll();
   void ConnectOne(int s);
-  void DropServerConn(int s);
   std::vector<int> OpenConnFds() const;
+  std::vector<int> LiveServers() const;
   void ScheduleRefill();
   void TrySend();
   void AdaptWindow(double load);
@@ -98,20 +105,22 @@ class LoadgenClient {
   void FlushAll();
   // Flushes one conn; POLLOUT stays on only while the socket is full.
   void FlushConn(int server);
-  // Mid-run scraping: a repeating timer fires StartScrape, which issues
-  // one kStatsRequest round unless one is already in flight (or the run
-  // has moved to its final phases / an epoch boundary).
   void ScheduleScrape();
-  void StartScrape();
-  // The epoch-boundary sequence, in firing order.
-  void BeginBoundary();
-  // Runs DoKillsAndRestarts off a 0 ms timer: the reply that completes a
-  // victim scrape arrives through the victim's own conn, which it drops.
-  void ScheduleKills();
+  // Sends `servers` the requests of `kind` and makes it the current
+  // round; a round with nothing due ends at once.
+  void StartRound(RoundKind kind, const std::vector<int>& servers);
+  // Files one control reply into the current round; the last one due
+  // runs EndRound.
+  void FileReply(int server, const WireMessage& msg);
+  // Runs the current round's continuation.
+  void EndRound();
+  // The epoch block drained: start the boundary or the final round, or
+  // queue it behind an outstanding scrape.
+  void EndBlock();
   void DoKillsAndRestarts();
   void ShipEpoch();
   void FinishBoundary();
-  const QuotaSnapshot& Snap(std::size_t epoch);
+  void Shutdown();
   std::size_t EpochCount() const {
     return config_.epochs.empty() ? 1 : config_.epochs.size();
   }
@@ -120,12 +129,6 @@ class LoadgenClient {
     return config_.epochs.empty() ? config_.owner
                                   : config_.epochs[epoch_].owner;
   }
-  // The end-of-run sequence: final stats round -> trace dump (if the
-  // plane traces) -> flight-ring dump -> kShutdown to every daemon.
-  void BeginFinalStats();
-  void BeginTraceDump();
-  void BeginFlightDump();
-  void Shutdown();
 
   const NetdClusterConfig& config_;
   std::vector<std::uint16_t> ports_;
@@ -139,19 +142,8 @@ class LoadgenClient {
   std::uint64_t in_flight_ = 0;
   int tokens_ = 0;
   std::uint64_t window_cur_ = 0;  // live window (load-reactive)
-  bool stats_phase_ = false;  // the *final* stats round is in flight
-  int stats_received_ = 0;
-  // One mid-run scrape round at a time; a completion that lands while a
-  // scrape is outstanding defers the final round until it drains.
-  bool scrape_outstanding_ = false;
-  int scrape_received_ = 0;
-  NetdStatsSample scrape_sample_;
-  bool final_pending_ = false;
-  bool boundary_pending_ = false;
-  bool trace_phase_ = false;
-  int trace_received_ = 0;
-  bool flight_phase_ = false;
-  int flight_received_ = 0;
+  Round round_;
+  bool block_end_queued_ = false;  // the one-deep queue behind a scrape
   bool shutdown_sent_ = false;
   bool failed_ = false;
 
@@ -164,18 +156,9 @@ class LoadgenClient {
   // Multi-epoch state.
   std::size_t epoch_ = 0;        // epoch the stream is serving under
   std::uint64_t epoch_end_ = 0;  // stream index where this epoch ends
-  Boundary boundary_ = Boundary::kNone;
   std::vector<bool> live_;
-  int live_count_ = 0;
   std::vector<std::uint32_t> server_epoch_;  // table epoch per daemon
-  std::size_t victim_replies_needed_ = 0;
-  std::size_t victim_replies_ = 0;
-  int rejoin_needed_ = 0;
-  NetdStatsSample barrier_sample_;
-  int barrier_received_ = 0;
-  // Lazily decoded epoch tables, for diffing deltas.
-  std::vector<QuotaSnapshot> snaps_;
-  std::vector<bool> snap_ready_;
+  std::vector<QuotaSnapshot> snaps_;  // decoded epoch tables
   KillFn kill_fn_;
   RestartFn restart_fn_;
 

@@ -44,7 +44,7 @@ std::size_t PayloadSizeOf(MsgType type) {
     case MsgType::kTraceRequest:
     case MsgType::kFlightRequest:
       return 0;
-    case MsgType::kStatsReply:  // v4: counters + optional histogram section
+    case MsgType::kStatsReply:  // counters + histogram section
     case MsgType::kTraceReply:
     case MsgType::kQuotaDelta:
     case MsgType::kEpochUpdate:
@@ -79,11 +79,9 @@ bool ValidEpochUpdatePayload(std::uint32_t stated) {
   return stated >= MessageCodec::kEpochUpdatePrologueSize && stated <= kMax;
 }
 
-// A v4 kStatsReply is either the bare 104 B counters or the counters
-// plus a histogram section holding a whole number of entries within the
-// cap.
+// A kStatsReply is the counters plus a histogram section holding a
+// whole number of entries within the cap.
 bool ValidStatsPayload(std::uint32_t stated) {
-  if (stated == MessageCodec::kCountersSize) return true;
   const std::size_t prologue_end =
       MessageCodec::kCountersSize + MessageCodec::kHistPrologueSize;
   if (stated < prologue_end) return false;
@@ -155,20 +153,6 @@ std::size_t MessageCodec::Encode(const Hello& m,
   PutU32(p + 4, m.sender);
   PutU32(p + 8, m.epoch);
   return kHeaderSize + kHelloSize;
-}
-
-std::size_t MessageCodec::Encode(const WireCounters& m,
-                                 std::vector<std::uint8_t>* out) {
-  const std::size_t at = BeginFrame(MsgType::kStatsReply, kCountersSize, out);
-  std::uint8_t* p = out->data() + at;
-  const std::uint64_t fields[13] = {
-      m.requests,        m.cache_served, m.home_served,
-      m.hop_sum,         m.failed_attempts, m.failovers,
-      m.dropped_requests, m.backoff_slots, m.net_forwards,
-      m.gossip_sent,     m.shed_forwards, m.reconnects,
-      m.outbox_peak_bytes};
-  for (int i = 0; i < 13; ++i) PutU64(p + 8 * i, fields[i]);
-  return kHeaderSize + kCountersSize;
 }
 
 std::size_t MessageCodec::Encode(const StatsReply& m,
@@ -367,36 +351,32 @@ MessageCodec::DecodeStatus MessageCodec::Decode(const std::uint8_t* data,
           &out->stats.shed_forwards,   &out->stats.reconnects,
           &out->stats.outbox_peak_bytes};
       for (int i = 0; i < 13; ++i) *fields[i] = GetU64(p + 8 * i);
-      out->stats_hist = WireHistogram{};
-      if (stated > kCountersSize) {
-        // The v4 histogram section: entry count + sum, then strictly
-        // ascending (index, count) pairs — hardened like kQuotaDelta.
-        const std::uint8_t* h = p + kCountersSize;
-        const std::uint32_t count = GetU32(h);
-        if (count > kMaxHistEntries) return DecodeStatus::kError;
-        if (kCountersSize + kHistPrologueSize +
-                static_cast<std::size_t>(count) * kHistEntrySize != stated)
+      // The histogram section: entry count + sum, then strictly
+      // ascending (index, count) pairs — hardened like kQuotaDelta.
+      const std::uint8_t* h = p + kCountersSize;
+      const std::uint32_t count = GetU32(h);
+      if (count > kMaxHistEntries) return DecodeStatus::kError;
+      if (kCountersSize + kHistPrologueSize +
+              static_cast<std::size_t>(count) * kHistEntrySize != stated)
+        return DecodeStatus::kError;
+      out->stats_hist.sum = GetU64(h + 4);
+      out->stats_hist.buckets.clear();
+      out->stats_hist.buckets.reserve(count);
+      const std::uint8_t* r = h + kHistPrologueSize;
+      std::int64_t prev = -1;
+      for (std::uint32_t i = 0; i < count; ++i, r += kHistEntrySize) {
+        LatencyHistogram::SparseEntry e;
+        e.index = GetU32(r);
+        e.count = GetU64(r + 4);
+        // Indices strictly ascending within the fixed bucket layout;
+        // a zero count is a non-canonical encoding.
+        if (static_cast<std::int64_t>(e.index) <= prev ||
+            e.index >= static_cast<std::uint32_t>(
+                           LatencyHistogram::kBucketCount) ||
+            e.count == 0)
           return DecodeStatus::kError;
-        out->stats_hist.present = true;
-        out->stats_hist.sum = GetU64(h + 4);
-        out->stats_hist.buckets.clear();
-        out->stats_hist.buckets.reserve(count);
-        const std::uint8_t* r = h + kHistPrologueSize;
-        std::int64_t prev = -1;
-        for (std::uint32_t i = 0; i < count; ++i, r += kHistEntrySize) {
-          LatencyHistogram::SparseEntry e;
-          e.index = GetU32(r);
-          e.count = GetU64(r + 4);
-          // Indices strictly ascending within the fixed bucket layout;
-          // a zero count is a non-canonical encoding.
-          if (static_cast<std::int64_t>(e.index) <= prev ||
-              e.index >= static_cast<std::uint32_t>(
-                             LatencyHistogram::kBucketCount) ||
-              e.count == 0)
-            return DecodeStatus::kError;
-          prev = static_cast<std::int64_t>(e.index);
-          out->stats_hist.buckets.push_back(e);
-        }
+        prev = static_cast<std::int64_t>(e.index);
+        out->stats_hist.buckets.push_back(e);
       }
       break;
     }

@@ -90,11 +90,12 @@ class MessageCodec {
   // WireCounters grew shed_forwards/reconnects/outbox_peak_bytes
   // (80 -> 104 B), and the kQuotaDelta / kEpochUpdate epoch-control
   // frames were added.
-  // v4: kStatsReply became variable length — the 104 B counters may be
-  // followed by an optional latency-histogram section (u32 entry count,
-  // u64 sum, then (u32 bucket index, u64 count) pairs, indices strictly
-  // ascending, counts non-zero) — and the kFlightRequest / kFlightReply
-  // flight-recorder scrape frames were added.
+  // v4: kStatsReply became variable length — the 104 B counters are
+  // followed by a latency-histogram section (u32 entry count, u64 sum,
+  // then (u32 bucket index, u64 count) pairs, indices strictly
+  // ascending, counts non-zero), so a bare 104 B payload is kError — and
+  // the kFlightRequest / kFlightReply flight-recorder scrape frames were
+  // added.
   static constexpr std::uint8_t kVersion = 4;
   static constexpr std::size_t kHeaderSize = 8;
 
@@ -119,7 +120,7 @@ class MessageCodec {
   // count, reserved), then down nodes (4 B) and (node, owner) pairs (8 B).
   static constexpr std::size_t kEpochUpdatePrologueSize = 16;
   static constexpr std::size_t kMaxEpochUpdateNodes = 1u << 22;
-  // kStatsReply v4 histogram section: a 12 B prologue (u32 sparse entry
+  // kStatsReply histogram section: a 12 B prologue (u32 sparse entry
   // count, u64 sum of recorded values) then 12 B (u32 index, u64 count)
   // entries.  The cap is comfortably above LatencyHistogram::kBucketCount
   // (976) — a count above it is garbage, not a bigger histogram.
@@ -136,9 +137,7 @@ class MessageCodec {
   static std::size_t Encode(const GetReply& m, std::vector<std::uint8_t>* out);
   static std::size_t Encode(const LoadGossip& m, std::vector<std::uint8_t>* out);
   static std::size_t Encode(const Hello& m, std::vector<std::uint8_t>* out);
-  static std::size_t Encode(const WireCounters& m,
-                            std::vector<std::uint8_t>* out);
-  // kStatsReply with the v4 histogram section appended to the counters.
+  // kStatsReply: the counters, then the histogram section.
   static std::size_t Encode(const StatsReply& m,
                             std::vector<std::uint8_t>* out);
   // kFlightReply: the daemon's flight-recorder ring.

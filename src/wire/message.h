@@ -183,19 +183,15 @@ struct WireCounters {
   }
 };
 
-// The optional histogram section of a v4 kStatsReply: one latency
-// histogram in LatencyHistogram's exact sparse form (strictly ascending
-// bucket indices, non-zero u64 counts) plus the u64 sum of recorded
-// values.  A plain 104 B kStatsReply (no section) still decodes —
-// `present` distinguishes "daemon shipped a histogram" from "counters
-// only", so counters-only peers interoperate unchanged.
+// The histogram section of a kStatsReply: one latency histogram in
+// LatencyHistogram's exact sparse form (strictly ascending bucket
+// indices, non-zero u64 counts) plus the u64 sum of recorded values.
 struct WireHistogram {
-  bool present = false;
   std::uint64_t sum = 0;
   std::vector<LatencyHistogram::SparseEntry> buckets;
 
   bool operator==(const WireHistogram& o) const {
-    return present == o.present && sum == o.sum && buckets == o.buckets;
+    return sum == o.sum && buckets == o.buckets;
   }
 
   LatencyHistogram ToHistogram() const {
@@ -203,16 +199,15 @@ struct WireHistogram {
   }
   static WireHistogram From(const LatencyHistogram& h) {
     WireHistogram w;
-    w.present = true;
     w.sum = h.sum();
     w.buckets = h.ToSparse();
     return w;
   }
 };
 
-// The full v4 kStatsReply: counters plus the daemon's request
-// service-time histogram.  Encode(StatsReply) emits the histogram
-// section; Encode(WireCounters) keeps emitting the bare 104 B form.
+// kStatsReply, the one stats shape since v4: counters plus the daemon's
+// request service-time histogram (an empty histogram encodes as a
+// zero-entry section).
 struct StatsReply {
   WireCounters counters;
   WireHistogram hist;
@@ -309,7 +304,7 @@ struct WireMessage {
   LoadGossip gossip;
   Hello hello;
   WireCounters stats;                // kStatsReply
-  WireHistogram stats_hist;          // kStatsReply (v4 optional section)
+  WireHistogram stats_hist;          // kStatsReply
   std::vector<TraceEvent> trace;     // kTraceReply
   QuotaDelta delta;                  // kQuotaDelta
   EpochUpdate epoch_update;          // kEpochUpdate

@@ -12,12 +12,14 @@
 //     all-owning plane replaying the same stream, live, faulted, and
 //     dropping.
 //   * RunNetdCluster — the same identity across real forked processes
-//     and loopback sockets.
+//     and loopback sockets, through kills, restarts and live scrapes;
+//     a run that fails reaps every daemon it forked.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 
 #include <cerrno>
 #include <csignal>
@@ -735,12 +737,13 @@ TEST(NetdCluster, MultiEpochFleetMatchesOracleWithoutFaults) {
                                    CountersFromMetrics(oracle)));
 }
 
-// The headline: a fleet that loses daemons to SIGKILL mid-run and
-// re-forks them serves the identical integer counters as the in-process
-// oracle replaying the same epoch plan — bit for bit, across the kill,
-// and again after restart + delta re-sync.
-TEST(NetdCluster, KilledAndRestartedFleetMatchesOracleBitForBit) {
-  Cluster c = MakeCluster(200, 8, 4, 0);
+// The kill/restart scenario: five traced epochs of 4000 requests whose
+// process-fault plan kills and re-forks at least one daemon.  The
+// schedule is a pure (seed, server, epoch) function; probe for the first
+// seed whose draw has at least one kill AND one restart, so the scenario
+// is guaranteed whatever the hash does.  (The oracle identity holds for
+// any plan; the probe only pins scenario coverage.)
+void MakeKillRestartPlan(Cluster* c, ProcessFaultPlan* plan) {
   EpochPlanOptions opt;
   opt.epochs = 5;
   opt.requests_per_epoch = 4000;
@@ -748,11 +751,6 @@ TEST(NetdCluster, KilledAndRestartedFleetMatchesOracleBitForBit) {
   opt.faults.crash_fraction = 0.4;
   opt.faults.outage_epochs = 1;
   opt.faults.start_epoch = 1;
-
-  // The schedule is a pure (seed, server, epoch) function; probe for the
-  // first seed whose draw has at least one kill AND one restart, so the
-  // scenario is guaranteed whatever the hash does.  (The oracle identity
-  // holds for any plan; the probe only pins scenario coverage.)
   std::uint64_t seed = 0;
   for (std::uint64_t s = 1; s <= 64 && seed == 0; ++s) {
     FaultScheduleOptions probe = opt.faults;
@@ -764,17 +762,19 @@ TEST(NetdCluster, KilledAndRestartedFleetMatchesOracleBitForBit) {
   }
   ASSERT_NE(seed, 0u) << "no seed in 1..64 yields a kill and a restart";
   opt.faults.seed = seed;
-  const ProcessFaultPlan plan = BuildEpochPlan(&c.config, opt);
-  ASSERT_TRUE(plan.any);
-  const std::size_t kills = KillsThrough(plan, opt.epochs - 1);
-  const std::size_t restarts = RestartsThrough(plan, opt.epochs - 1);
+  *plan = BuildEpochPlan(&c->config, opt);
+  ASSERT_TRUE(plan->any);
+  c->config.serving.trace = true;
+  c->config.serving.trace_sample_shift = 6;
+}
 
-  c.config.serving.trace = true;
-  c.config.serving.trace_sample_shift = 6;
-
-  const NetdRunResult run = RunNetdCluster(c.config);
-  ASSERT_TRUE(run.ok);
-
+// Every law a kill/restart run owes the oracle replaying its epoch plan.
+void ExpectKillRestartRunMatchesOracle(const Cluster& c,
+                                       const ProcessFaultPlan& plan,
+                                       const NetdRunResult& run) {
+  const int epochs = static_cast<int>(plan.kill_at.size());
+  const std::size_t kills = KillsThrough(plan, epochs - 1);
+  const std::size_t restarts = RestartsThrough(plan, epochs - 1);
   std::vector<TraceEvent> oracle_trace;
   std::vector<WireCounters> per_epoch;
   const ServingMetrics oracle =
@@ -792,9 +792,8 @@ TEST(NetdCluster, KilledAndRestartedFleetMatchesOracleBitForBit) {
   // Barrier sample i closes epoch i: its live counters plus every retired
   // scrape taken through that transition equal the oracle's cumulative
   // counters after epoch i.  (Dead slots in a sample stay zero.)
-  ASSERT_EQ(run.epoch_samples.size(),
-            static_cast<std::size_t>(opt.epochs - 1));
-  ASSERT_EQ(per_epoch.size(), static_cast<std::size_t>(opt.epochs));
+  ASSERT_EQ(run.epoch_samples.size(), static_cast<std::size_t>(epochs - 1));
+  ASSERT_EQ(per_epoch.size(), static_cast<std::size_t>(epochs));
   for (std::size_t i = 0; i < run.epoch_samples.size(); ++i) {
     std::vector<WireCounters> parts = run.epoch_samples[i].per_server;
     const std::size_t used = KillsThrough(plan, static_cast<int>(i) + 1);
@@ -822,6 +821,56 @@ TEST(NetdCluster, KilledAndRestartedFleetMatchesOracleBitForBit) {
     EXPECT_LE(s.outbox_peak_bytes, c.config.outbox_watermark_bytes);
   for (const WireCounters& s : run.retired)
     EXPECT_LE(s.outbox_peak_bytes, c.config.outbox_watermark_bytes);
+}
+
+// The headline: a fleet that loses daemons to SIGKILL mid-run and
+// re-forks them serves the identical integer counters as the in-process
+// oracle replaying the same epoch plan — bit for bit, across the kill,
+// and again after restart + delta re-sync.
+TEST(NetdCluster, KilledAndRestartedFleetMatchesOracleBitForBit) {
+  Cluster c = MakeCluster(200, 8, 4, 0);
+  ProcessFaultPlan plan;
+  ASSERT_NO_FATAL_FAILURE(MakeKillRestartPlan(&c, &plan));
+  const NetdRunResult run = RunNetdCluster(c.config);
+  ASSERT_TRUE(run.ok);
+  ExpectKillRestartRunMatchesOracle(c, plan, run);
+}
+
+// The same scenario with a 1 ms live scraper: scrapes land at epoch
+// boundaries and at the final drain, so the boundary and final rounds
+// routinely wait behind an outstanding scrape.  Every law still holds,
+// and the samples end with the end-of-run round.
+TEST(NetdCluster, ScrapesInterleaveWithKillBoundaries) {
+  Cluster c = MakeCluster(200, 8, 4, 0);
+  ProcessFaultPlan plan;
+  ASSERT_NO_FATAL_FAILURE(MakeKillRestartPlan(&c, &plan));
+  c.config.stats_scrape_period_ms = 1;
+  const NetdRunResult run = RunNetdCluster(c.config);
+  ASSERT_TRUE(run.ok);
+  ASSERT_NO_FATAL_FAILURE(ExpectKillRestartRunMatchesOracle(c, plan, run));
+  ASSERT_FALSE(run.samples.empty());
+  EXPECT_EQ(run.samples.back().at_completed, c.config.total_requests);
+  for (std::size_t i = 1; i < run.samples.size(); ++i)
+    EXPECT_LE(run.samples[i - 1].at_completed, run.samples[i].at_completed)
+        << "sample " << i;
+}
+
+// A run that fails after the fork must not leave daemons behind: a plan
+// that kills server 0 (the root's owner) throws at the first boundary,
+// and every daemon is killed and reaped before the exception escapes.
+TEST(NetdCluster, FailedRunLeavesNoDaemonBehind) {
+  Cluster c = MakeCluster(200, 8, 4, 0);
+  EpochPlanOptions opt;
+  opt.epochs = 2;
+  opt.requests_per_epoch = 2000;
+  opt.inject_faults = false;
+  BuildEpochPlan(&c.config, opt);
+  c.config.epochs[1].kill_servers = {0};
+  EXPECT_ANY_THROW(RunNetdCluster(c.config));
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 // A watermark smaller than one frame forces every cross-shard forward to

@@ -1,6 +1,5 @@
 // Tests for the util module (error macros, ASCII rendering) and the
-// histogram / topology-metrics helpers.
-#include "stats/histogram.h"
+// topology-metrics helpers.
 #include "topology/generators.h"
 #include "topology/metrics.h"
 #include "tree/builders.h"
@@ -8,6 +7,8 @@
 #include "util/check.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 namespace webwave {
 namespace {
@@ -57,34 +58,6 @@ TEST(AsciiBarChartTest, ScalesBarsToMaximum) {
   // 'a' gets the full 10 hashes, 'b' five, 'c' none.
   EXPECT_NE(out.find("##########"), std::string::npos);
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3);
-}
-
-TEST(HistogramTest, BinningAndCdf) {
-  Histogram h(0, 10, 5);
-  h.Add(1);       // bin 0
-  h.Add(3);       // bin 1
-  h.Add(3.5);     // bin 1
-  h.Add(9.99);    // bin 4
-  h.Add(-5);      // clamped to bin 0
-  h.Add(25);      // clamped to bin 4
-  EXPECT_DOUBLE_EQ(h.count(0), 2);
-  EXPECT_DOUBLE_EQ(h.count(1), 2);
-  EXPECT_DOUBLE_EQ(h.count(4), 2);
-  EXPECT_DOUBLE_EQ(h.total(), 6);
-  EXPECT_NEAR(h.CdfAt(3.9), 4.0 / 6.0, 1e-12);
-  EXPECT_NEAR(h.CdfAt(100), 1.0, 1e-12);
-}
-
-TEST(HistogramTest, WeightsAndRender) {
-  Histogram h(0, 4, 4);
-  h.Add(0.5, 3.0);
-  h.Add(2.5, 1.0);
-  EXPECT_DOUBLE_EQ(h.count(0), 3.0);
-  const std::string out = h.Render(8);
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2)
-      << "only non-empty bins are rendered";
-  EXPECT_THROW(Histogram(1, 1, 3), std::invalid_argument);
-  EXPECT_THROW(Histogram(0, 1, 0), std::invalid_argument);
 }
 
 TEST(NetworkMetricsTest, RingValues) {

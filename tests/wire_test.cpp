@@ -206,8 +206,9 @@ TEST(WireCodec, HelloAndCountersAndControlRoundTrip) {
   h.kind = PeerKind::kLoadgen;
   h.sender = 42;
   MessageCodec::Encode(h, &buf);
-  const WireCounters c = RandomCounters(14, 7);
-  MessageCodec::Encode(c, &buf);
+  StatsReply stats;
+  stats.counters = RandomCounters(14, 7);
+  MessageCodec::Encode(stats, &buf);
   MessageCodec::EncodeControl(MsgType::kStatsRequest, &buf);
   MessageCodec::EncodeControl(MsgType::kShutdown, &buf);
 
@@ -225,7 +226,9 @@ TEST(WireCodec, HelloAndCountersAndControlRoundTrip) {
       MessageCodec::Decode(buf.data() + at, buf.size() - at, &out, &consumed),
       DecodeStatus::kOk);
   EXPECT_EQ(out.type, MsgType::kStatsReply);
-  EXPECT_EQ(out.stats, c);
+  EXPECT_EQ(out.stats, stats.counters);
+  EXPECT_EQ(out.stats_hist, stats.hist);
+  EXPECT_TRUE(out.stats_hist.buckets.empty());
   at += consumed;
   ASSERT_EQ(
       MessageCodec::Decode(buf.data() + at, buf.size() - at, &out, &consumed),
@@ -566,7 +569,6 @@ TEST(WireCodec, StatsReplyWithHistogramRoundTripsByteExactly) {
     EXPECT_EQ(consumed, len);
     EXPECT_EQ(out.type, MsgType::kStatsReply);
     EXPECT_EQ(out.stats, m.counters);
-    ASSERT_TRUE(out.stats_hist.present);
     EXPECT_EQ(out.stats_hist, m.hist);
     EXPECT_TRUE(out.stats_hist.ToHistogram() == h);
     // Re-encoding the decode reproduces the exact byte string.
@@ -579,20 +581,27 @@ TEST(WireCodec, StatsReplyWithHistogramRoundTripsByteExactly) {
   }
 }
 
-// The pre-v4 bare counters frame stays on the wire (it is what a
-// histogram-less peer would send) and decodes with no section present.
-TEST(WireCodec, BareCountersStatsReplyStillDecodes) {
-  const WireCounters c = RandomCounters(53, 3);
-  std::vector<std::uint8_t> buf;
-  const std::size_t len = MessageCodec::Encode(c, &buf);
-  ASSERT_EQ(len, MessageCodec::kHeaderSize + MessageCodec::kCountersSize);
+// kStatsReply has one shape: the bare 104 B counters frame, with no
+// histogram section, is garbage — rejected once its header is complete.
+TEST(WireCodec, BareCountersStatsReplyIsRejected) {
+  StatsReply m;
+  m.counters = RandomCounters(53, 3);
+  std::vector<std::uint8_t> frame;
+  MessageCodec::Encode(m, &frame);
+  ASSERT_EQ(frame.size(), MessageCodec::kHeaderSize +
+                              MessageCodec::kCountersSize +
+                              MessageCodec::kHistPrologueSize);
+  // Drop the (empty) section and state the bare counters' length.
+  frame.resize(MessageCodec::kHeaderSize + MessageCodec::kCountersSize);
+  PutU32(frame.data() + 4,
+         static_cast<std::uint32_t>(MessageCodec::kCountersSize));
   WireMessage out;
   std::size_t consumed = 0;
-  ASSERT_EQ(MessageCodec::Decode(buf.data(), buf.size(), &out, &consumed),
-            DecodeStatus::kOk);
-  EXPECT_EQ(out.stats, c);
-  EXPECT_FALSE(out.stats_hist.present);
-  EXPECT_TRUE(out.stats_hist.buckets.empty());
+  EXPECT_EQ(MessageCodec::Decode(frame.data(), frame.size(), &out, &consumed),
+            DecodeStatus::kError);
+  EXPECT_EQ(MessageCodec::Decode(frame.data(), MessageCodec::kHeaderSize,
+                                 &out, &consumed),
+            DecodeStatus::kError);
 }
 
 TEST(WireCodec, StatsReplyHistogramPrefixesNeedMoreAndCorruptionErrors) {
@@ -645,13 +654,13 @@ TEST(WireCodec, StatsReplyHistogramPrefixesNeedMoreAndCorruptionErrors) {
   EXPECT_EQ(MessageCodec::Decode(bad.data(), bad.size(), &out, &consumed),
             DecodeStatus::kError);
 
-  // Stated lengths that are neither the bare counters nor a whole
-  // histogram section within the cap die on the bare header.
+  // Stated lengths that are not a whole histogram section within the
+  // cap, the bare 104 B counters included, die on the bare header.
   const std::uint32_t cap_over = static_cast<std::uint32_t>(
       MessageCodec::kCountersSize + MessageCodec::kHistPrologueSize +
       (MessageCodec::kMaxHistEntries + 1) * MessageCodec::kHistEntrySize);
   for (const std::uint32_t stated :
-       {103u, 105u, 115u, 117u, cap_over}) {
+       {103u, 104u, 105u, 115u, 117u, cap_over}) {
     const auto h = RawHeader(MsgType::kStatsReply, stated);
     EXPECT_EQ(MessageCodec::Decode(h.data(), h.size(), &out, &consumed),
               DecodeStatus::kError)
@@ -728,8 +737,10 @@ TEST(WireCodec, EveryOneByteTruncationIsRejected) {
     frames.emplace_back();
     MessageCodec::Encode(RandomLoadGossip(23, i), &frames.back());
   }
+  StatsReply no_hist;
+  no_hist.counters = RandomCounters(24, 0);
   frames.emplace_back();
-  MessageCodec::Encode(RandomCounters(24, 0), &frames.back());
+  MessageCodec::Encode(no_hist, &frames.back());
   frames.emplace_back();
   MessageCodec::Encode(std::vector<TraceEvent>{RandomTraceEvent(25, 0),
                                                RandomTraceEvent(25, 1)},
