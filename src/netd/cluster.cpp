@@ -138,37 +138,15 @@ ServingMetrics ReplayOracle(const NetdClusterConfig& config,
 
 WireCounters CountersFromMetrics(const ServingMetrics& m) {
   WireCounters c;
-  c.requests = m.requests;
-  c.cache_served = m.cache_served;
-  c.home_served = m.home_served;
-  c.hop_sum = m.hop_sum;
-  c.failed_attempts = m.failed_attempts;
-  c.failovers = m.failovers;
-  c.dropped_requests = m.dropped_requests;
-  c.backoff_slots = m.backoff_slots;
+  static_cast<ServingCounters&>(c) = m;
   return c;
-}
-
-bool ServingCountersEqual(const WireCounters& a, const WireCounters& b) {
-  return a.requests == b.requests && a.cache_served == b.cache_served &&
-         a.home_served == b.home_served && a.hop_sum == b.hop_sum &&
-         a.failed_attempts == b.failed_attempts &&
-         a.failovers == b.failovers &&
-         a.dropped_requests == b.dropped_requests &&
-         a.backoff_slots == b.backoff_slots;
 }
 
 WireCounters SumCounters(const std::vector<WireCounters>& all) {
   WireCounters sum;
   for (const WireCounters& c : all) {
-    sum.requests += c.requests;
-    sum.cache_served += c.cache_served;
-    sum.home_served += c.home_served;
-    sum.hop_sum += c.hop_sum;
-    sum.failed_attempts += c.failed_attempts;
-    sum.failovers += c.failovers;
-    sum.dropped_requests += c.dropped_requests;
-    sum.backoff_slots += c.backoff_slots;
+    for (const ServingCounterField& f : kServingCounters)
+      sum.*f.field += c.*f.field;
     sum.net_forwards += c.net_forwards;
     sum.gossip_sent += c.gossip_sent;
     sum.shed_forwards += c.shed_forwards;
@@ -179,13 +157,9 @@ WireCounters SumCounters(const std::vector<WireCounters>& all) {
 }
 
 bool CountersMonotone(const WireCounters& a, const WireCounters& b) {
-  return a.requests <= b.requests && a.cache_served <= b.cache_served &&
-         a.home_served <= b.home_served && a.hop_sum <= b.hop_sum &&
-         a.failed_attempts <= b.failed_attempts &&
-         a.failovers <= b.failovers &&
-         a.dropped_requests <= b.dropped_requests &&
-         a.backoff_slots <= b.backoff_slots &&
-         a.net_forwards <= b.net_forwards &&
+  for (const ServingCounterField& f : kServingCounters)
+    if (a.*f.field > b.*f.field) return false;
+  return a.net_forwards <= b.net_forwards &&
          a.gossip_sent <= b.gossip_sent &&
          a.shed_forwards <= b.shed_forwards &&
          a.reconnects <= b.reconnects &&

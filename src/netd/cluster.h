@@ -166,11 +166,8 @@ ServingMetrics ReplayOracle(const NetdClusterConfig& config,
 
 // The scalar counters of a ServingMetrics, in WireCounters form (the
 // transport-level fields net_forwards/gossip_sent stay 0 — the oracle
-// has no sockets).
+// has no sockets).  Compare with ServingCountersEqual (wire/message.h).
 WireCounters CountersFromMetrics(const ServingMetrics& m);
-
-// True iff the serving counters agree (transport-level fields ignored).
-bool ServingCountersEqual(const WireCounters& a, const WireCounters& b);
 
 // Element-wise sum of a counter set (every field, transport ones too).
 WireCounters SumCounters(const std::vector<WireCounters>& all);

@@ -545,16 +545,7 @@ void CacheServerDaemon::DumpFlightOnShutdown() {
 }
 
 WireCounters CacheServerDaemon::Counters() const {
-  const ServingMetrics& m = plane_->metrics();
-  WireCounters c;
-  c.requests = m.requests;
-  c.cache_served = m.cache_served;
-  c.home_served = m.home_served;
-  c.hop_sum = m.hop_sum;
-  c.failed_attempts = m.failed_attempts;
-  c.failovers = m.failovers;
-  c.dropped_requests = m.dropped_requests;
-  c.backoff_slots = m.backoff_slots;
+  WireCounters c = CountersFromMetrics(plane_->metrics());
   c.net_forwards = registry_.counter(reg_net_forwards_);
   c.gossip_sent = registry_.counter(reg_gossip_sent_);
   c.shed_forwards = registry_.counter(reg_shed_forwards_);

@@ -10,6 +10,33 @@
 
 namespace webwave {
 
+namespace {
+
+// Set bits of x, branch-free (SWAR).  The default x86-64 target has no
+// popcnt instruction, so __builtin_popcountll would be a libgcc call on
+// the serve path; this is a dozen inline integer ops.
+inline std::int64_t PopCount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<std::int64_t>((x * 0x0101010101010101ULL) >> 56);
+}
+
+// Adds each serving counter's growth since `base`, then `trace_events`,
+// to the attached registry (ids in AttachRegistry's order).
+void Publish(MetricRegistry* registry,
+             const std::vector<MetricRegistry::Id>& ids,
+             const ServingCounters& now, const ServingCounters& base,
+             std::uint64_t trace_events) {
+  if (registry == nullptr) return;
+  for (std::size_t i = 0; i < kServingCounters.size(); ++i)
+    registry->Add(ids[i], now.*kServingCounters[i].field -
+                              base.*kServingCounters[i].field);
+  registry->Add(ids.back(), trace_events);
+}
+
+}  // namespace
+
 double ServingMetrics::HitRatio() const {
   return requests > 0
              ? static_cast<double>(cache_served) / static_cast<double>(requests)
@@ -39,12 +66,7 @@ std::vector<double> ServingMetrics::Loads() const {
 }
 
 bool ServingMetrics::operator==(const ServingMetrics& other) const {
-  return requests == other.requests && cache_served == other.cache_served &&
-         home_served == other.home_served && hop_sum == other.hop_sum &&
-         failed_attempts == other.failed_attempts &&
-         failovers == other.failovers &&
-         dropped_requests == other.dropped_requests &&
-         backoff_slots == other.backoff_slots &&
+  return ServingCountersEqual(*this, other) &&
          served_per_node == other.served_per_node && hops == other.hops;
 }
 
@@ -53,7 +75,8 @@ ServingPlane::ServingPlane(const RoutingTree& tree, QuotaSnapshot snapshot,
     : snapshot_(std::move(snapshot)),
       options_(options),
       root_(tree.root()),
-      parents_(tree.parents()) {
+      parents_(tree.parents()),
+      depth_(tree.depths()) {
   WEBWAVE_REQUIRE(snapshot_.node_count() == tree.size(),
                   "snapshot does not match the tree");
   WEBWAVE_REQUIRE(options_.block_size >= 1, "block size must be positive");
@@ -273,72 +296,40 @@ bool ServingPlane::TablesEqual(const ServingPlane& other) const {
 void ServingPlane::AttachRegistry(MetricRegistry* registry,
                                   const std::string& prefix) {
   registry_ = registry;
+  reg_ids_.clear();
   if (registry_ == nullptr) return;
-  reg_ids_.requests = registry_->Counter(prefix + "requests");
-  reg_ids_.cache_served = registry_->Counter(prefix + "cache_served");
-  reg_ids_.home_served = registry_->Counter(prefix + "home_served");
-  reg_ids_.hop_sum = registry_->Counter(prefix + "hop_sum");
-  reg_ids_.failed_attempts = registry_->Counter(prefix + "failed_attempts");
-  reg_ids_.failovers = registry_->Counter(prefix + "failovers");
-  reg_ids_.dropped_requests = registry_->Counter(prefix + "dropped_requests");
-  reg_ids_.backoff_slots = registry_->Counter(prefix + "backoff_slots");
-  reg_ids_.trace_events = registry_->Counter(prefix + "trace_events");
+  for (const ServingCounterField& c : kServingCounters)
+    reg_ids_.push_back(registry_->Counter(prefix + c.name));
+  reg_ids_.push_back(registry_->Counter(prefix + "trace_events"));
 }
 
 void ServingPlane::ResetMetrics() {
-  metrics_.requests = 0;
-  metrics_.cache_served = 0;
-  metrics_.home_served = 0;
-  metrics_.hop_sum = 0;
-  metrics_.failed_attempts = 0;
-  metrics_.failovers = 0;
-  metrics_.dropped_requests = 0;
-  metrics_.backoff_slots = 0;
+  static_cast<ServingCounters&>(metrics_) = ServingCounters{};
   std::fill(metrics_.served_per_node.begin(), metrics_.served_per_node.end(),
             0);
   std::fill(metrics_.hops.begin(), metrics_.hops.end(), 0);
   trace_.clear();
 }
 
-namespace {
-
-// Set bits of x, branch-free (SWAR).  The default x86-64 target has no
-// popcnt instruction, so __builtin_popcountll would be a libgcc call on
-// the serve path; this is a dozen inline integer ops.
-inline std::int64_t PopCount64(std::uint64_t x) {
-  x -= (x >> 1) & 0x5555555555555555ULL;
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-  return static_cast<std::int64_t>((x * 0x0101010101010101ULL) >> 56);
-}
-
 // Per-request trace emitter: a null sink (the untraced 99.994%) makes
 // Emit a no-op, so the hot loop's only tracing cost is the sampling hash.
-struct TraceSink {
+struct ServingPlane::TraceSink {
   std::vector<TraceEvent>* out = nullptr;
   std::uint64_t req_id = 0;
   std::uint16_t seq = 0;
 
-  void Emit(TraceEventKind kind, NodeId node, std::uint8_t aux,
+  void Emit(TraceEventKind kind, NodeId node, std::uint32_t aux,
             std::uint64_t detail) {
     if (out == nullptr) return;
-    TraceEvent e;
-    e.req_id = req_id;
-    e.detail = detail;
-    e.node = node;
-    e.seq = seq++;
-    e.kind = kind;
-    e.aux = aux;
-    out->push_back(e);
+    out->push_back(TraceEvent{req_id, detail, node, seq++, kind,
+                              static_cast<std::uint8_t>(aux)});
   }
 };
 
-}  // namespace
-
 // --- the admission core ------------------------------------------------
-// Shared verbatim by ProcessBlock (the batch hot loop) and
-// ServeWireSegment (the netd entry point): both transports must make
-// identical decisions, so the decision code exists exactly once.
+// Reached only through Walk, the one climb behind Serve() (the batch hot
+// loop) and ServeWireSegment (the netd entry point): both transports
+// must make identical decisions, so the decision code exists once.
 
 // Whether v holds d is one bit of v's document bitmap; the cell is the
 // row start plus the rank of that bit (the set bits below it), because
@@ -389,98 +380,107 @@ std::uint64_t ServingPlane::BackoffSlots(std::uint64_t req_id,
       std::floor(std::ldexp(u, static_cast<int>(std::min(failed, 16u)))));
 }
 
-void ServingPlane::ProcessBlock(WorkerState& ws, std::uint64_t block_id,
-                                const Request* reqs, std::size_t count) {
+template <typename TokenAdmit, typename Leaves>
+ServingPlane::WireServe ServingPlane::Walk(Climb& at, std::int32_t d,
+                                           std::uint64_t req_id,
+                                           TraceSink& tc, ServingMetrics& m,
+                                           TokenAdmit&& token_admit,
+                                           Leaves&& leaves) const {
   const NodeId* parents = parents_.data();
   const std::uint8_t* down = down_.empty() ? nullptr : down_.data();
   const std::uint32_t max_attempts =
       static_cast<std::uint32_t>(options_.max_failover_attempts);
-  const bool tracing = options_.trace;
-  for (std::size_t i = 0; i < count; ++i) {
-    // The stream-global request index: blocks are numbered for the
-    // plane's lifetime, so this is unique and batching-invariant — the
-    // thinning draws below depend only on (request, cell).
-    const std::uint64_t req_id =
-        (block_id - 1) * static_cast<std::uint64_t>(options_.block_size) + i;
-    NodeId v = reqs[i].node;
-    const std::int32_t d = reqs[i].doc;
-    std::uint64_t hops = 0;
-    std::uint32_t failed = 0;
-    bool dropped = false;
-    TraceSink tc;
-    if (tracing && TraceSampled(options_.trace_seed, req_id,
-                                options_.trace_sample_shift)) {
-      tc.out = &ws.trace;
-      tc.req_id = req_id;
-      tc.Emit(TraceEventKind::kArrival, v, 0, static_cast<std::uint64_t>(d));
+  NodeId v = at.v;
+  std::uint64_t hops = at.hops;
+  std::uint32_t failed = at.failed;
+  for (;;) {
+    if (leaves(v)) {
+      // The walk left this plane's segment: the owning process finishes
+      // it with identical decisions, so nothing terminal is accounted.
+      at = Climb{v, hops, failed};
+      return WireServe::kForwarded;
     }
-    for (;;) {
-      if (down != nullptr && down[v] != 0) {
-        // Crashed node: the request cannot query it.  Burn an attempt,
-        // account the backoff, and retry at the parent.  The root is
-        // never down, so a surviving request always terminates.
-        ++failed;
-        if (failed > max_attempts) {
-          tc.Emit(TraceEventKind::kDropped, v, static_cast<std::uint8_t>(failed),
-                  hops);
-          dropped = true;
-          break;
-        }
-        const std::uint64_t slots = BackoffSlots(req_id, failed);
-        ws.local.backoff_slots += slots;
-        tc.Emit(TraceEventKind::kFailover, v, static_cast<std::uint8_t>(failed),
-                slots);
-        v = parents[v];
-        ++hops;
-        tc.Emit(TraceEventKind::kHop, v, static_cast<std::uint8_t>(failed),
-                hops);
-        continue;
+    if (down != nullptr && down[v] != 0) {
+      // Crashed node: the request cannot query it.  Burn an attempt,
+      // account the backoff, and retry at the parent.  The root is
+      // never down, so a surviving request always terminates.
+      ++failed;
+      ++m.failed_attempts;
+      if (failed > max_attempts) {
+        // Retry budget exhausted mid-outage: counted, never served — no
+        // node, hop or hit bookkeeping for a request that went nowhere.
+        tc.Emit(TraceEventKind::kDropped, v, failed, hops);
+        at = Climb{v, hops, failed};
+        ++m.requests;
+        ++m.dropped_requests;
+        return WireServe::kDropped;
       }
+      const std::uint64_t slots = BackoffSlots(req_id, failed);
+      m.backoff_slots += slots;
+      tc.Emit(TraceEventKind::kFailover, v, failed, slots);
+    } else {
       const std::int64_t cell = FindCell(v, d);
       if (cell >= 0) {
         const std::int32_t tok = token_index_[static_cast<std::size_t>(cell)];
-        if (tok >= 0) {
-          // Per-worker grant scratch keyed by block id: each block's
-          // budget is cut once and consumed within the block.
-          if (ws.stamp[static_cast<std::size_t>(tok)] != block_id) {
-            ws.stamp[static_cast<std::size_t>(tok)] = block_id;
-            ws.avail[static_cast<std::size_t>(tok)] =
-                TokenGrant(tok, cell, block_id);
-          }
-          const bool admit = ws.avail[static_cast<std::size_t>(tok)] > 0;
-          tc.Emit(TraceEventKind::kTokenGrant, v, admit ? 1 : 0, 0);
-          if (admit) {
-            --ws.avail[static_cast<std::size_t>(tok)];
-            break;
-          }
-        } else {
-          const bool admit = ThinningAdmit(req_id, cell);
-          tc.Emit(TraceEventKind::kThinning, v, admit ? 1 : 0, 0);
-          if (admit) break;
-        }
+        const bool token = tok != kNoToken;
+        const bool admit =
+            token ? token_admit(tok, cell) : ThinningAdmit(req_id, cell);
+        tc.Emit(token ? TraceEventKind::kTokenGrant : TraceEventKind::kThinning,
+                v, admit ? 1 : 0, 0);
+        if (admit) break;
       }
       if (v == root_) break;  // the home serves whatever reaches it
-      v = parents[v];
-      ++hops;
-      tc.Emit(TraceEventKind::kHop, v, static_cast<std::uint8_t>(failed), hops);
     }
-    ++ws.local.requests;
-    ws.local.failed_attempts += failed;
-    if (dropped) {
-      // Retry budget exhausted mid-outage: counted, never served — no
-      // node, hop or hit bookkeeping for a request that went nowhere.
-      ++ws.local.dropped_requests;
-      continue;
+    v = parents[v];
+    ++hops;
+    tc.Emit(TraceEventKind::kHop, v, failed, hops);
+  }
+  at = Climb{v, hops, failed};
+  tc.Emit(TraceEventKind::kServed, v, failed > 0 ? 1 : 0, hops);
+  ++m.requests;
+  if (failed > 0) ++m.failovers;
+  ++m.served_per_node[static_cast<std::size_t>(v)];
+  ++m.hops[static_cast<std::size_t>(hops)];
+  m.hop_sum += hops;
+  if (v == root_)
+    ++m.home_served;
+  else
+    ++m.cache_served;
+  return WireServe::kServed;
+}
+
+void ServingPlane::ProcessBlock(WorkerState& ws, std::uint64_t block_id,
+                                const Request* reqs, std::size_t count) {
+  // Serve()'s token policy: per-worker grant scratch keyed by block id —
+  // each block's budget is cut once and consumed within the block.
+  const auto block_budget = [&ws, block_id, this](std::int32_t tok,
+                                                  std::int64_t cell) {
+    const std::size_t t = static_cast<std::size_t>(tok);
+    if (ws.stamp[t] != block_id) {
+      ws.stamp[t] = block_id;
+      ws.avail[t] = TokenGrant(tok, cell, block_id);
     }
-    tc.Emit(TraceEventKind::kServed, v, failed > 0 ? 1 : 0, hops);
-    if (failed > 0) ++ws.local.failovers;
-    ++ws.local.served_per_node[static_cast<std::size_t>(v)];
-    ++ws.local.hops[static_cast<std::size_t>(hops)];
-    ws.local.hop_sum += hops;
-    if (v == root_)
-      ++ws.local.home_served;
-    else
-      ++ws.local.cache_served;
+    if (ws.avail[t] <= 0) return false;
+    --ws.avail[t];
+    return true;
+  };
+  const auto never_leaves = [](NodeId) { return false; };
+  for (std::size_t i = 0; i < count; ++i) {
+    // The stream-global request index: blocks are numbered for the
+    // plane's lifetime, so this is unique and batching-invariant — the
+    // thinning draws depend only on (request, cell).
+    const std::uint64_t req_id =
+        (block_id - 1) * static_cast<std::uint64_t>(options_.block_size) + i;
+    TraceSink tc;
+    if (options_.trace && TraceSampled(options_.trace_seed, req_id,
+                                       options_.trace_sample_shift)) {
+      tc.out = &ws.trace;
+      tc.req_id = req_id;
+      tc.Emit(TraceEventKind::kArrival, reqs[i].node, 0,
+              static_cast<std::uint64_t>(reqs[i].doc));
+    }
+    Climb at{reqs[i].node, 0, 0};
+    Walk(at, reqs[i].doc, req_id, tc, ws.local, block_budget, never_leaves);
   }
 }
 
@@ -511,40 +511,15 @@ void ServingPlane::Serve(Span<Request> batch) {
 
   // Deterministic merge: integer sums over workers (order-independent).
   for (WorkerState& ws : workers_) {
-    if (registry_ != nullptr) {
-      registry_->Add(reg_ids_.requests, ws.local.requests);
-      registry_->Add(reg_ids_.cache_served, ws.local.cache_served);
-      registry_->Add(reg_ids_.home_served, ws.local.home_served);
-      registry_->Add(reg_ids_.hop_sum, ws.local.hop_sum);
-      registry_->Add(reg_ids_.failed_attempts, ws.local.failed_attempts);
-      registry_->Add(reg_ids_.failovers, ws.local.failovers);
-      registry_->Add(reg_ids_.dropped_requests, ws.local.dropped_requests);
-      registry_->Add(reg_ids_.backoff_slots, ws.local.backoff_slots);
-      registry_->Add(reg_ids_.trace_events, ws.trace.size());
-    }
-    metrics_.requests += ws.local.requests;
-    metrics_.cache_served += ws.local.cache_served;
-    metrics_.home_served += ws.local.home_served;
-    metrics_.hop_sum += ws.local.hop_sum;
-    metrics_.failed_attempts += ws.local.failed_attempts;
-    metrics_.failovers += ws.local.failovers;
-    metrics_.dropped_requests += ws.local.dropped_requests;
-    metrics_.backoff_slots += ws.local.backoff_slots;
+    Publish(registry_, reg_ids_, ws.local, ServingCounters{},
+            ws.trace.size());
+    for (const ServingCounterField& c : kServingCounters)
+      metrics_.*c.field += std::exchange(ws.local.*c.field, 0);
     for (std::size_t v = 0; v < metrics_.served_per_node.size(); ++v)
-      metrics_.served_per_node[v] += ws.local.served_per_node[v];
+      metrics_.served_per_node[v] +=
+          std::exchange(ws.local.served_per_node[v], 0);
     for (std::size_t h = 0; h < metrics_.hops.size(); ++h)
-      metrics_.hops[h] += ws.local.hops[h];
-    ws.local.requests = 0;
-    ws.local.cache_served = 0;
-    ws.local.home_served = 0;
-    ws.local.hop_sum = 0;
-    ws.local.failed_attempts = 0;
-    ws.local.failovers = 0;
-    ws.local.dropped_requests = 0;
-    ws.local.backoff_slots = 0;
-    std::fill(ws.local.served_per_node.begin(), ws.local.served_per_node.end(),
-              0);
-    std::fill(ws.local.hops.begin(), ws.local.hops.end(), 0);
+      metrics_.hops[h] += std::exchange(ws.local.hops[h], 0);
   }
 
   // Drain the per-worker trace buffers into the canonical (req_id, seq)
@@ -586,127 +561,64 @@ ServingPlane::WireServe ServingPlane::ServeWireSegment(const GetRequest& in,
                   "wire request outside the tree");
   WEBWAVE_REQUIRE(in.doc >= 0 && in.doc < snapshot_.doc_count(),
                   "wire request for an unknown document");
-  const NodeId* parents = parents_.data();
-  const std::uint8_t* down = down_.empty() ? nullptr : down_.data();
-  const std::uint8_t* owned = owned_.empty() ? nullptr : owned_.data();
-  const std::uint32_t max_attempts =
-      static_cast<std::uint32_t>(options_.max_failover_attempts);
-  const std::uint64_t req_id = in.req_id;
-  const std::int32_t d = in.doc;
-  NodeId v = in.origin_node;
-  std::uint64_t hops = in.ttl_hops;
-  std::uint32_t failed = in.failed;
-  bool dropped = false;
+  // The loop guard: from origin_node the climb adds at most its depth in
+  // edges, so a ttl_hops that came off the socket must leave the total
+  // inside the hop histogram's height + 1 bins.
+  const int depth = depth_[static_cast<std::size_t>(in.origin_node)];
+  WEBWAVE_REQUIRE(in.ttl_hops + static_cast<std::size_t>(depth) <
+                      metrics_.hops.size(),
+                  "wire request climbed past the tree height");
+  const ServingCounters before = metrics_;
+  const std::size_t traced_before = trace_.size();
   // Tracing state rides the frame: the loadgen's sampling law set the
   // flag, trace_seq is the walk's next sequence number (nonzero after a
-  // forward).  The emission points mirror ProcessBlock exactly, so the
+  // forward).  Walk emits exactly what it emits for Serve(), so the
   // fleet's merged trace equals the oracle's record-for-record.
   TraceSink tc;
   if (options_.trace && (in.flags & kGetFlagTrace) != 0) {
     tc.out = &trace_;
-    tc.req_id = req_id;
+    tc.req_id = in.req_id;
     tc.seq = in.trace_seq;
     if (tc.seq == 0)
-      tc.Emit(TraceEventKind::kArrival, v, 0, static_cast<std::uint64_t>(d));
+      tc.Emit(TraceEventKind::kArrival, in.origin_node, 0,
+              static_cast<std::uint64_t>(in.doc));
   }
-  for (;;) {
-    if (owned != nullptr && owned[static_cast<std::size_t>(v)] == 0) {
-      // The walk left this process's shard: hand the resumable request to
-      // the caller.  Nothing terminal is accounted — the owning process
-      // will finish the walk with identical decisions.
-      *forward = in;
-      forward->origin_node = v;
-      forward->ttl_hops = static_cast<std::uint16_t>(hops);
-      forward->failed = static_cast<std::uint16_t>(failed);
-      forward->trace_seq = tc.seq;
-      if (registry_ != nullptr && tc.out != nullptr)
-        registry_->Add(reg_ids_.trace_events,
-                       static_cast<std::uint16_t>(tc.seq - in.trace_seq));
-      return WireServe::kForwarded;
-    }
-    if (down != nullptr && down[static_cast<std::size_t>(v)] != 0) {
-      ++failed;
-      ++metrics_.failed_attempts;  // accounted where incurred
-      if (registry_ != nullptr) registry_->Add(reg_ids_.failed_attempts, 1);
-      if (failed > max_attempts) {
-        tc.Emit(TraceEventKind::kDropped, v, static_cast<std::uint8_t>(failed),
-                hops);
-        dropped = true;
-        break;
-      }
-      const std::uint64_t slots = BackoffSlots(req_id, failed);
-      metrics_.backoff_slots += slots;
-      if (registry_ != nullptr) registry_->Add(reg_ids_.backoff_slots, slots);
-      tc.Emit(TraceEventKind::kFailover, v, static_cast<std::uint8_t>(failed),
-              slots);
-      v = parents[v];
-      ++hops;
-      tc.Emit(TraceEventKind::kHop, v, static_cast<std::uint8_t>(failed), hops);
-      continue;
-    }
-    const std::int64_t cell = FindCell(v, d);
-    if (cell >= 0) {
-      const std::int32_t tok = token_index_[static_cast<std::size_t>(cell)];
-      if (tok >= 0) {
-        // block_size == 1: every request is its own block (block ids are
-        // req_id + 1 — Serve's numbering starts at 1), so the grant is
-        // stateless and order-free.
-        const bool admit = TokenGrant(tok, cell, req_id + 1) > 0;
-        tc.Emit(TraceEventKind::kTokenGrant, v, admit ? 1 : 0, 0);
-        if (admit) break;
-      } else {
-        const bool admit = ThinningAdmit(req_id, cell);
-        tc.Emit(TraceEventKind::kThinning, v, admit ? 1 : 0, 0);
-        if (admit) break;
-      }
-    }
-    if (v == root_) break;  // the home serves whatever reaches it
-    v = parents[v];
-    ++hops;
-    tc.Emit(TraceEventKind::kHop, v, static_cast<std::uint8_t>(failed), hops);
+  // block_size == 1: every request is its own block (block ids are
+  // req_id + 1 — Serve's numbering starts at 1), so the grant is
+  // stateless and order-free.  A token cell has r >= 1, so in exact
+  // arithmetic floor(r(k+1)+u) - floor(rk+u) >= floor(r) >= 1 and every
+  // token decision admits; the grant is still computed, so the wire
+  // rounds exactly as Serve() does.
+  const auto stateless_grant = [&in, this](std::int32_t tok,
+                                           std::int64_t cell) {
+    return TokenGrant(tok, cell, in.req_id + 1) > 0;
+  };
+  const std::uint8_t* owned = owned_.empty() ? nullptr : owned_.data();
+  const auto leaves = [owned](NodeId v) {
+    return owned != nullptr && owned[v] == 0;
+  };
+  Climb at{in.origin_node, in.ttl_hops, in.failed};
+  const WireServe end =
+      Walk(at, in.doc, in.req_id, tc, metrics_, stateless_grant, leaves);
+  Publish(registry_, reg_ids_, metrics_, before, trace_.size() - traced_before);
+  if (end == WireServe::kForwarded) {
+    *forward = in;
+    forward->origin_node = at.v;
+    forward->ttl_hops = static_cast<std::uint16_t>(at.hops);
+    forward->failed = static_cast<std::uint16_t>(at.failed);
+    forward->trace_seq = tc.seq;
+    return end;
   }
-  ++metrics_.requests;
-  if (registry_ != nullptr) registry_->Add(reg_ids_.requests, 1);
-  reply->req_id = req_id;
-  reply->doc = d;
-  reply->hops = static_cast<std::uint16_t>(hops);
-  reply->version = table_version_;
-  if (dropped) {
-    ++metrics_.dropped_requests;
-    if (registry_ != nullptr) {
-      registry_->Add(reg_ids_.dropped_requests, 1);
-      if (tc.out != nullptr)
-        registry_->Add(reg_ids_.trace_events,
-                       static_cast<std::uint16_t>(tc.seq - in.trace_seq));
-    }
-    reply->serving_node = kNoNode;
-    reply->result = GetResult::kDropped;
-    reply->load = 0;
-    return WireServe::kDropped;
-  }
-  tc.Emit(TraceEventKind::kServed, v, failed > 0 ? 1 : 0, hops);
-  if (failed > 0) ++metrics_.failovers;
-  ++metrics_.served_per_node[static_cast<std::size_t>(v)];
-  ++metrics_.hops[static_cast<std::size_t>(hops)];
-  metrics_.hop_sum += hops;
-  if (v == root_)
-    ++metrics_.home_served;
-  else
-    ++metrics_.cache_served;
-  if (registry_ != nullptr) {
-    registry_->Add(reg_ids_.hop_sum, hops);
-    if (failed > 0) registry_->Add(reg_ids_.failovers, 1);
-    registry_->Add(v == root_ ? reg_ids_.home_served : reg_ids_.cache_served,
-                   1);
-    if (tc.out != nullptr)
-      registry_->Add(reg_ids_.trace_events,
-                     static_cast<std::uint16_t>(tc.seq - in.trace_seq));
-  }
-  reply->serving_node = v;
-  reply->result = GetResult::kServed;
-  reply->load = static_cast<double>(
-      metrics_.served_per_node[static_cast<std::size_t>(v)]);
-  return WireServe::kServed;
+  const bool served = end == WireServe::kServed;
+  *reply = GetReply{
+      in.req_id, in.doc, served ? at.v : kNoNode,
+      served ? GetResult::kServed : GetResult::kDropped,
+      static_cast<std::uint16_t>(at.hops),
+      served ? static_cast<double>(
+                   metrics_.served_per_node[static_cast<std::size_t>(at.v)])
+             : 0.0,
+      table_version_};
+  return end;
 }
 
 }  // namespace webwave

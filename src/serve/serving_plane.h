@@ -103,18 +103,10 @@ struct ServingOptions {
   int trace_sample_shift = 14;
 };
 
-// Integer serving counters; everything derived (ratios, loads) comes from
-// these, so two runs agree exactly iff the counters agree exactly.
-struct ServingMetrics {
-  std::uint64_t requests = 0;
-  std::uint64_t cache_served = 0;  // served strictly below the home
-  std::uint64_t home_served = 0;   // served at the root
-  std::uint64_t hop_sum = 0;       // total edges climbed by served requests
-  // Fault-plane counters (all zero while every node is live):
-  std::uint64_t failed_attempts = 0;   // arrivals at down nodes
-  std::uint64_t failovers = 0;         // served requests that failed ≥ once
-  std::uint64_t dropped_requests = 0;  // retry budget exhausted, never served
-  std::uint64_t backoff_slots = 0;     // dither-phased backoff, in slots
+// Integer serving counters — the eight scalars (wire/message.h) plus two
+// histograms; everything derived (ratios, loads) comes from these, so two
+// runs agree exactly iff the counters agree exactly.
+struct ServingMetrics : ServingCounters {
   std::vector<std::uint64_t> served_per_node;
   std::vector<std::uint64_t> hops;  // hops[h]: requests served h hops up
 
@@ -166,24 +158,25 @@ class ServingPlane {
 
   enum class WireServe { kServed, kForwarded, kDropped };
 
-  // Serves one wire GetRequest through exactly the admission core
-  // ProcessBlock runs — same bitmap lookup, same token grants, same
-  // thinning draws, same failover backoff — but resumable across
-  // processes: the walk starts at in.origin_node with in.ttl_hops edges
-  // already climbed and in.failed attempts already burned.
+  // Serves one wire GetRequest through Walk, the climb Serve() runs, but
+  // resumable across processes: the walk starts at in.origin_node with
+  // in.ttl_hops edges already climbed and in.failed attempts already
+  // burned.  The ttl_hops loop guard is enforced here: a request whose
+  // in.ttl_hops plus the depth of in.origin_node exceeds the tree height
+  // throws before anything is accounted.
   //
-  //   kServed    → *reply filled (result kServed), terminal counters
-  //                accounted here (requests, served_per_node, hops,
-  //                failovers, cache/home_served).
-  //   kDropped   → *reply filled (result kDropped), request counted as
-  //                dropped here.
-  //   kForwarded → *forward holds the message to put on the next
-  //                process's socket (origin_node = the first node this
-  //                plane does not own); nothing terminal is accounted.
+  //   kServed, kDropped → *reply filled; the request's terminal counters
+  //                       (requests, served_per_node, hops, ...) are
+  //                       accounted here.
+  //   kForwarded        → *forward holds the message for the next
+  //                       process's socket (origin_node = the first node
+  //                       this plane does not own); nothing terminal is
+  //                       accounted.
   //
-  // failed_attempts and backoff_slots account where incurred, terminal
-  // counters where the walk ends, so counters *summed across a fleet of
-  // segment planes* equal one all-owning oracle plane's metrics exactly.
+  // failed_attempts and backoff_slots account where incurred, so counters
+  // *summed across a fleet of segment planes* equal one all-owning oracle
+  // plane's metrics exactly.  What the call added to metrics() and trace()
+  // reaches the attached registry before it returns.
   //
   // Requires block_size == 1 — the order-free admission regime, where
   // every token grant and thinning draw is a pure function of (req_id,
@@ -226,10 +219,11 @@ class ServingPlane {
 
   // --- telemetry (src/obs/) ----------------------------------------------
   // Publishes the serving counters into `registry` under
-  // "<prefix>requests", "<prefix>cache_served", ... — deltas are added at
-  // Serve()'s per-worker merge (a block boundary) and per terminal wire
-  // request, so the registry totals track metrics() exactly and are
-  // bit-identical at any thread count.  Pass nullptr to detach.
+  // "<prefix>requests", "<prefix>cache_served", ... "<prefix>trace_events"
+  // — deltas are added at Serve()'s per-worker merge (a block boundary)
+  // and after every ServeWireSegment call, so the registry totals track
+  // metrics() and trace().size() exactly and are bit-identical at any
+  // thread count.  Pass nullptr to detach.
   void AttachRegistry(MetricRegistry* registry, const std::string& prefix);
 
   // Trace events accumulated so far, in canonical (req_id, seq) order for
@@ -247,19 +241,40 @@ class ServingPlane {
     std::vector<TraceEvent> trace;  // sampled events, drained at the merge
   };
 
+  // Per-request trace emitter; a null sink records nothing.  Defined in
+  // the .cpp.
+  struct TraceSink;
+  // Where a request stands on its climb: the node, the edges climbed and
+  // the failed attempts burned so far.
+  struct Climb {
+    NodeId v;
+    std::uint64_t hops;
+    std::uint32_t failed;
+  };
+
   void ProcessBlock(WorkerState& ws, std::uint64_t block_id,
                     const Request* reqs, std::size_t count);
-  // The admission core, shared verbatim by ProcessBlock and
-  // ServeWireSegment (all inline in the .cpp):
-  //   FindCell      — the cell of (v, d) from doc_bits_: bit test, then
-  //                   row_begin(v) + rank of the bit; -1 when v holds no
-  //                   copy.
-  //   TokenGrant    — block k's whole-token grant for a token cell,
-  //                   floor(r·(k+1)+u) − floor(r·k+u).
-  //   ThinningAdmit — the (req_id, cell) thinning draw against
-  //                   serve_prob_.
-  //   BackoffSlots  — the dither-phased failover backoff for attempt
-  //                   `failed` of request req_id.
+  // The serve walk, the one climb both transports run (paper §3): from
+  // `at`, each node is segment exit → down check → FindCell → token or
+  // thinning admission → parent, and the root serves whatever reaches
+  // it.  Returns kServed or kDropped with the terminal counters added to
+  // `m`, or kForwarded with `at` at the first node outside the segment;
+  // failed_attempts and backoff_slots land in `m` per attempt, and `tc`
+  // records the walk.  The transports differ only in two inlined
+  // policies and in the `m` they pass:
+  //   token_admit(tok, cell) — Serve()'s per-block budget or the wire's
+  //                            stateless block-size-1 grant;
+  //   leaves(v)              — never for Serve(), v outside owned_ for
+  //                            the wire;
+  //   m                      — the worker's counters, published at
+  //                            Serve()'s merge, or metrics_ itself.
+  template <typename TokenAdmit, typename Leaves>
+  WireServe Walk(Climb& at, std::int32_t d, std::uint64_t req_id,
+                 TraceSink& tc, ServingMetrics& m, TokenAdmit&& token_admit,
+                 Leaves&& leaves) const;
+  // The admission core, defined in the .cpp: FindCell, ThinningAdmit and
+  // BackoffSlots are called by Walk alone, TokenGrant by the two token
+  // policies.
   std::int64_t FindCell(NodeId v, std::int32_t d) const;
   std::int32_t TokenGrant(std::int32_t tok, std::int64_t cell,
                           std::uint64_t block_id) const;
@@ -282,6 +297,7 @@ class ServingPlane {
   std::uint32_t table_version_ = 0;  // stamped into GetReply.version
   NodeId root_;
   std::vector<NodeId> parents_;
+  std::vector<int> depth_;  // per node, for the wire's ttl_hops bound
   // Per cell: the thinning probability min(1, slack · fraction), and for
   // cells coarse enough to count (≥ 1 token per block) a compact index
   // into the token arrays; kNoToken for the thinning regime.  Token
@@ -309,14 +325,10 @@ class ServingPlane {
   std::vector<TraceEvent> trace_;
   std::vector<WorkerState> workers_;
   std::unique_ptr<WorkerPool> pool_;
-  // Registered counter ids when a registry is attached (AttachRegistry).
+  // Registered counter ids when a registry is attached (AttachRegistry):
+  // one per kServingCounters entry, then trace_events.
   MetricRegistry* registry_ = nullptr;
-  struct RegistryIds {
-    MetricRegistry::Id requests, cache_served, home_served, hop_sum,
-        failed_attempts, failovers, dropped_requests, backoff_slots,
-        trace_events;
-  };
-  RegistryIds reg_ids_{};
+  std::vector<MetricRegistry::Id> reg_ids_;
 };
 
 }  // namespace webwave

@@ -40,6 +40,7 @@ class RoutingTree {
   // of the deepest node).
   int depth(NodeId v) const;
   int height() const { return height_; }
+  const std::vector<int>& depths() const { return depth_; }
 
   // Number of nodes in the subtree rooted at v, including v.
   int subtree_size(NodeId v) const;

@@ -26,6 +26,7 @@
 // wire/codec.h; this header is pure vocabulary with no I/O.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -70,9 +71,11 @@ inline constexpr std::uint16_t kGetFlagTrace = 0x1;
 // A request for `doc`, (re)starting its up-tree walk at `origin_node`:
 // the client's origin on first transmission, the resume node when a
 // server forwards the miss toward the home.  `ttl_hops` counts the edges
-// climbed so far (it doubles as the loop guard: a walk longer than the
-// tree height is a protocol error); `failed` counts failover attempts
-// burned at crashed nodes, so the retry budget survives process hops.
+// climbed so far and doubles as the loop guard, enforced by
+// ServingPlane::ServeWireSegment: a request whose ttl_hops plus the depth
+// of origin_node exceeds the tree height throws before anything is
+// accounted.  `failed` counts failover attempts burned at crashed nodes,
+// so the retry budget survives process hops.
 // `trace_seq` is the next trace sequence number when kGetFlagTrace is
 // set — like `failed`, walk state that must survive a forward.
 struct GetRequest {
@@ -146,21 +149,52 @@ struct Hello {
   }
 };
 
-// A server's integer serving counters, the wire twin of ServingMetrics'
-// scalar fields (netd sums these across processes and diffs the sums
-// against the in-process oracle).  net_forwards / gossip_sent are
-// transport-level extras the oracle has no analogue for: socket
-// messages depend on how the tree is carved into processes, counters
-// must not.
-struct WireCounters {
+// The eight integer serving counters: ServingMetrics' scalars and the
+// head of every kStatsReply.  Two runs, or a fleet and its oracle, agree
+// exactly iff these agree exactly.
+struct ServingCounters {
   std::uint64_t requests = 0;
-  std::uint64_t cache_served = 0;
-  std::uint64_t home_served = 0;
-  std::uint64_t hop_sum = 0;
-  std::uint64_t failed_attempts = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t dropped_requests = 0;
-  std::uint64_t backoff_slots = 0;
+  std::uint64_t cache_served = 0;  // served strictly below the home
+  std::uint64_t home_served = 0;   // served at the root
+  std::uint64_t hop_sum = 0;       // total edges climbed by served requests
+  // Fault-plane counters (all zero while every node is live):
+  std::uint64_t failed_attempts = 0;   // arrivals at down nodes
+  std::uint64_t failovers = 0;         // served requests that failed ≥ once
+  std::uint64_t dropped_requests = 0;  // retry budget exhausted, never served
+  std::uint64_t backoff_slots = 0;     // dither-phased backoff, in slots
+};
+
+// The same eight, listed once for every loop over them: merges, sums,
+// equality and the registry names ServingPlane publishes them under.
+struct ServingCounterField {
+  const char* name;
+  std::uint64_t ServingCounters::*field;
+};
+inline constexpr std::array<ServingCounterField, 8> kServingCounters = {{
+    {"requests", &ServingCounters::requests},
+    {"cache_served", &ServingCounters::cache_served},
+    {"home_served", &ServingCounters::home_served},
+    {"hop_sum", &ServingCounters::hop_sum},
+    {"failed_attempts", &ServingCounters::failed_attempts},
+    {"failovers", &ServingCounters::failovers},
+    {"dropped_requests", &ServingCounters::dropped_requests},
+    {"backoff_slots", &ServingCounters::backoff_slots},
+}};
+
+// True iff the serving counters agree (fields of a derived type ignored).
+inline bool ServingCountersEqual(const ServingCounters& a,
+                                 const ServingCounters& b) {
+  for (const ServingCounterField& c : kServingCounters)
+    if (a.*c.field != b.*c.field) return false;
+  return true;
+}
+
+// A server's counters as a kStatsReply carries them: the serving
+// counters (netd sums these across processes and diffs the sums against
+// the in-process oracle) plus transport-level extras the oracle has no
+// analogue for: socket messages depend on how the tree is carved into
+// processes, counters must not.
+struct WireCounters : ServingCounters {
   std::uint64_t net_forwards = 0;  // GetRequests forwarded over a socket
   std::uint64_t gossip_sent = 0;   // LoadGossip frames emitted
   // Survivability extras (v3): like net_forwards/gossip_sent these are
@@ -172,12 +206,8 @@ struct WireCounters {
   std::uint64_t outbox_peak_bytes = 0; // high-water mark across all conns
 
   bool operator==(const WireCounters& o) const {
-    return requests == o.requests && cache_served == o.cache_served &&
-           home_served == o.home_served && hop_sum == o.hop_sum &&
-           failed_attempts == o.failed_attempts && failovers == o.failovers &&
-           dropped_requests == o.dropped_requests &&
-           backoff_slots == o.backoff_slots &&
-           net_forwards == o.net_forwards && gossip_sent == o.gossip_sent &&
+    return ServingCountersEqual(*this, o) && net_forwards == o.net_forwards &&
+           gossip_sent == o.gossip_sent &&
            shed_forwards == o.shed_forwards && reconnects == o.reconnects &&
            outbox_peak_bytes == o.outbox_peak_bytes;
   }

@@ -717,6 +717,201 @@ TEST(ServingPlane, BitmapLookupFindsCopiesAcrossWordBoundaries) {
   EXPECT_TRUE(results[0] == wire.metrics());
 }
 
+// ttl_hops comes off the socket.  A request claiming more climbed edges
+// than the tree leaves room for above its origin would be served past
+// the hop histogram's height + 1 bins; the plane must throw before it
+// accounts anything — counters, trace, registry or reply — and still
+// serve the largest honest claim in the top bin.
+TEST(ServingPlane, WireRequestClimbingPastTheTreeHeightIsRejected) {
+  Rng rng(50);
+  const RoutingTree tree = MakeRandomTree(50, rng);
+  ASSERT_GT(tree.height(), 1);
+  NodeId deepest = tree.root();
+  for (NodeId v = 0; v < tree.size(); ++v)
+    if (tree.depth(v) > tree.depth(deepest)) deepest = v;
+  QuotaSnapshot::Builder b(tree.size(), 1);
+  b.Add(tree.root(), 0, 1.0);
+  ServingOptions opt;
+  opt.block_size = 1;
+  opt.trace = true;
+  opt.trace_sample_shift = 0;
+  ServingPlane plane(tree, std::move(b).Build(), opt);
+  MetricRegistry registry;
+  plane.AttachRegistry(&registry, "serve.");
+  const auto totals = [&registry] {
+    std::vector<std::uint64_t> t;
+    for (std::size_t id = 0; id < registry.size(); ++id)
+      t.push_back(registry.counter(static_cast<MetricRegistry::Id>(id)));
+    return t;
+  };
+  const auto request = [](NodeId origin, int ttl) {
+    GetRequest in;
+    in.req_id = 7;
+    in.origin_node = origin;
+    in.ttl_hops = static_cast<std::uint16_t>(ttl);
+    in.flags = kGetFlagTrace;
+    return in;
+  };
+
+  // The largest honest claim: the root, the whole height already climbed.
+  GetRequest fwd;
+  GetReply reply;
+  ASSERT_EQ(plane.ServeWireSegment(request(tree.root(), tree.height()), &fwd,
+                                   &reply),
+            ServingPlane::WireServe::kServed);
+  ASSERT_EQ(reply.hops, tree.height());
+  ASSERT_EQ(plane.metrics().hops.back(), 1u);
+  const ServingMetrics metrics = plane.metrics();
+  const std::vector<TraceEvent> trace = plane.trace();
+  const std::vector<std::uint64_t> registered = totals();
+  const GetReply last = reply;
+
+  for (const NodeId origin : {deepest, tree.root()}) {
+    // The smallest lie first, then a far one.
+    for (const int ttl : {tree.height() - tree.depth(origin) + 1, 60000}) {
+      EXPECT_THROW(plane.ServeWireSegment(request(origin, ttl), &fwd, &reply),
+                   std::invalid_argument)
+          << "origin " << origin << " ttl_hops " << ttl;
+      EXPECT_TRUE(plane.metrics() == metrics);
+      EXPECT_EQ(plane.trace(), trace);
+      EXPECT_EQ(totals(), registered);
+      EXPECT_EQ(reply, last);
+    }
+  }
+}
+
+// Serve()'s block budget and the wire's stateless block-size-1 grant are
+// the two token policies of one walk.  Some cells here are token cells at
+// block size 1 (r = 1.2), others thin at 0.6, a lone down node forces
+// failovers and a three-node down chain under a two-attempt budget
+// forces drops.  Every request is traced.  The wire replay must equal
+// Serve() at 1 and 2 threads in metrics, registry totals and trace,
+// record for record — and no token decision may deny: at block size 1
+// a token cell has r >= 1, so floor(r(k+1)+u) - floor(rk+u) >= 1.
+TEST(ServingPlane, WireWalkMatchesBatchWalkInBothAdmissionRegimes) {
+  Rng rng(211);
+  const RoutingTree tree = MakeRandomTree(200, rng);
+  const int docs = 4;
+  const std::vector<NodeId> path = tree.path_to_root(
+      *std::max_element(tree.preorder().begin(), tree.preorder().end(),
+                        [&tree](NodeId a, NodeId b) {
+                          return tree.depth(a) < tree.depth(b);
+                        }));
+  ASSERT_GE(path.size(), 6u);
+  std::vector<NodeId> down = {path[1], path[2], path[3]};
+  for (NodeId v = 0; v < tree.size(); ++v)
+    if (tree.depth(v) == 2 && !tree.is_ancestor(v, path[0])) {
+      down.push_back(v);
+      break;
+    }
+  ASSERT_EQ(down.size(), 4u);
+
+  QuotaSnapshot::Builder b(tree.size(), docs);
+  for (NodeId v = 0; v < tree.size(); ++v)
+    for (std::int32_t d = 0; d < docs; ++d) {
+      const int kind = (v + d) % 5;
+      if (kind == 0) b.Add(v, d, 60.0);  // token: r = 2 · 60 / 100
+      if (kind == 1 || kind == 2) b.Add(v, d, 1.0, 0.3);  // thinning
+    }
+  const QuotaSnapshot snap = std::move(b).Build();
+
+  std::vector<Request> stream;
+  for (int i = 0; i < 20000; ++i)
+    stream.push_back(
+        Request{static_cast<NodeId>(rng.NextBelow(
+                    static_cast<std::uint64_t>(tree.size()))),
+                static_cast<std::int32_t>(rng.NextBelow(docs))});
+
+  ServingOptions opt;
+  opt.block_size = 1;
+  opt.offered_rate = 100.0;
+  opt.max_failover_attempts = 2;
+  opt.trace = true;
+  opt.trace_sample_shift = 0;
+  const auto registered = [](MetricRegistry& reg) {
+    std::vector<std::uint64_t> t;
+    for (const char* name :
+         {"requests", "cache_served", "home_served", "hop_sum",
+          "failed_attempts", "failovers", "dropped_requests",
+          "backoff_slots", "trace_events"})
+      t.push_back(reg.counter(reg.Counter(std::string("serve.") + name)));
+    return t;
+  };
+  const auto expected = [](const ServingPlane& plane) {
+    const ServingMetrics& m = plane.metrics();
+    return std::vector<std::uint64_t>{
+        m.requests,         m.cache_served,    m.home_served,
+        m.hop_sum,          m.failed_attempts, m.failovers,
+        m.dropped_requests, m.backoff_slots,   plane.trace().size()};
+  };
+
+  std::vector<ServingMetrics> metrics;
+  std::vector<std::vector<TraceEvent>> traces;
+  for (const int threads : {1, 2}) {
+    opt.threads = threads;
+    ServingPlane plane(tree, snap, opt);
+    plane.SetDownNodes(Span<const NodeId>(down.data(), down.size()));
+    MetricRegistry reg;
+    plane.AttachRegistry(&reg, "serve.");
+    plane.Serve(stream);
+    EXPECT_EQ(registered(reg), expected(plane)) << threads << " threads";
+    metrics.push_back(plane.metrics());
+    traces.push_back(plane.trace());
+  }
+
+  opt.threads = 1;
+  ServingPlane wire(tree, snap, opt);
+  wire.SetDownNodes(Span<const NodeId>(down.data(), down.size()));
+  MetricRegistry reg;
+  wire.AttachRegistry(&reg, "serve.");
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    GetRequest in;
+    in.req_id = i;
+    in.doc = stream[i].doc;
+    in.origin_node = stream[i].node;
+    in.flags = kGetFlagTrace;
+    GetRequest fwd;
+    GetReply reply;
+    const ServingPlane::WireServe end = wire.ServeWireSegment(in, &fwd, &reply);
+    ASSERT_NE(end, ServingPlane::WireServe::kForwarded);
+    ASSERT_EQ(reply.result, end == ServingPlane::WireServe::kDropped
+                                ? GetResult::kDropped
+                                : GetResult::kServed);
+  }
+  EXPECT_EQ(registered(reg), expected(wire));
+  metrics.push_back(wire.metrics());
+  traces.push_back(wire.trace());
+
+  for (std::size_t t = 1; t < metrics.size(); ++t) {
+    EXPECT_TRUE(metrics[t] == metrics[0]) << "run " << t;
+    ASSERT_EQ(traces[t].size(), traces[0].size()) << "run " << t;
+    for (std::size_t e = 0; e < traces[0].size(); ++e)
+      ASSERT_EQ(traces[t][e], traces[0][e]) << "run " << t << " event " << e;
+  }
+
+  // Both admission regimes, both thinning outcomes, failover and drop all
+  // happened; no token cell ever denied.
+  std::size_t token_admits = 0, token_denials = 0, thin_admits = 0,
+              thin_denials = 0, failovers = 0, drops = 0;
+  for (const TraceEvent& e : traces[0]) {
+    if (e.kind == TraceEventKind::kTokenGrant)
+      ++(e.aux != 0 ? token_admits : token_denials);
+    if (e.kind == TraceEventKind::kThinning)
+      ++(e.aux != 0 ? thin_admits : thin_denials);
+    if (e.kind == TraceEventKind::kFailover) ++failovers;
+    if (e.kind == TraceEventKind::kDropped) ++drops;
+  }
+  EXPECT_GT(token_admits, 0u);
+  EXPECT_EQ(token_denials, 0u);
+  EXPECT_GT(thin_admits, 0u);
+  EXPECT_GT(thin_denials, 0u);
+  EXPECT_GT(failovers, 0u);
+  EXPECT_GT(drops, 0u);
+  EXPECT_GT(metrics[0].failovers, 0u);
+  EXPECT_EQ(metrics[0].dropped_requests, drops);
+  EXPECT_EQ(metrics[0].requests, stream.size());
+}
+
 // Incremental plane refresh ----------------------------------------------
 
 // The data-plane analogue of RefreshFromBatch: installing a new snapshot
