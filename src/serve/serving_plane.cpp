@@ -75,7 +75,6 @@ ServingPlane::ServingPlane(const RoutingTree& tree, QuotaSnapshot snapshot,
     : snapshot_(std::move(snapshot)),
       options_(options),
       root_(tree.root()),
-      parents_(tree.parents()),
       depth_(tree.depths()) {
   WEBWAVE_REQUIRE(snapshot_.node_count() == tree.size(),
                   "snapshot does not match the tree");
@@ -102,6 +101,25 @@ ServingPlane::ServingPlane(const RoutingTree& tree, QuotaSnapshot snapshot,
     ws.local.served_per_node.assign(nn, 0);
     ws.local.hops.assign(hop_bins, 0);
   }
+  // Records are sized once: the header plus the bitmap words, rounded up
+  // to a power of two while that fits a cache line, to whole lines past.
+  const std::size_t words =
+      kHeaderWords + (static_cast<std::size_t>(snapshot_.doc_count()) + 63) / 64;
+  stride_ = 1;
+  while (stride_ < words) stride_ *= 2;
+  if (stride_ > 8) stride_ = (words + 7) / 8 * 8;
+  const std::size_t line_words = 8;
+  nodes_.assign(nn * stride_ + line_words - 1, 0);
+  records_ = nodes_.data() +
+             (line_words - reinterpret_cast<std::uintptr_t>(nodes_.data()) /
+                               sizeof(std::uint64_t) % line_words) %
+                 line_words;
+  for (std::size_t v = 0; v < nn; ++v) {
+    const NodeId parent = static_cast<NodeId>(v) == root_
+                              ? root_
+                              : tree.parent(static_cast<NodeId>(v));
+    records_[v * stride_] = static_cast<std::uint32_t>(parent);
+  }
   BuildTables();
 }
 
@@ -112,44 +130,44 @@ void ServingPlane::BuildTables() {
   WEBWAVE_REQUIRE(scale_rate > 0, "cannot scale budgets to a zero rate");
 
   // Split the cells by admission regime: coarse cells (≥ 1 token per
-  // block) get compact token-array slots, the rest carry only their
-  // thinning probability.
+  // block) get compact token slots, the rest their thinning threshold.
   const std::size_t cells = static_cast<std::size_t>(snapshot_.cell_count());
-  serve_prob_.resize(cells);
-  token_index_.assign(cells, kNoToken);
-  tokens_per_block_.clear();
+  admission_.resize(cells);
+  tokens_.clear();
   per_block_ = options_.budget_slack *
                static_cast<double>(options_.block_size) / scale_rate;
   for (std::size_t c = 0; c < cells; ++c) {
     const double r = snapshot_.cell_rates()[c] * per_block_;
     if (r >= 1.0) {
-      token_index_[c] = static_cast<std::int32_t>(tokens_per_block_.size());
-      tokens_per_block_.push_back(r);
+      admission_[c] = kTokenCell | tokens_.size();
+      tokens_.push_back(TokenSlot{r, CounterUnitDouble(c)});
+    } else {
+      admission_[c] = UnitThreshold(
+          std::min(1.0, options_.budget_slack * snapshot_.cell_fractions()[c]));
     }
-    serve_prob_[c] =
-        std::min(1.0, options_.budget_slack * snapshot_.cell_fractions()[c]);
   }
-  for (WorkerState& ws : workers_) {
-    ws.stamp.assign(tokens_per_block_.size(), 0);
-    ws.avail.assign(tokens_per_block_.size(), 0);
-  }
+  for (WorkerState& ws : workers_) ws.budget.assign(tokens_.size(), {});
 
-  // The per-node document bitmap FindCell tests.  A cell's rank among
-  // its row's set bits is its offset in the row only while rows are
-  // strictly ascending, so that is checked here, not assumed.
+  // Each record's row start and document bitmap (its flags stay).  A
+  // cell's rank among its row's set bits is its offset in the row only
+  // while rows are strictly ascending, so that is checked here, not
+  // assumed.
   const std::int32_t docs = snapshot_.doc_count();
-  doc_bits_.Reset(snapshot_.node_count(), docs);
   const std::int32_t* cell_docs = snapshot_.cell_docs();
   for (NodeId v = 0; v < snapshot_.node_count(); ++v) {
+    std::uint64_t* rec = records_ + static_cast<std::size_t>(v) * stride_;
     const std::int64_t begin = snapshot_.row_begin(v);
     const std::int64_t end = snapshot_.row_end(v);
+    rec[1] = static_cast<std::uint64_t>(begin);
+    std::fill(rec + kHeaderWords, rec + stride_, 0);
     std::int32_t prev = -1;
     for (std::int64_t c = begin; c < end; ++c) {
       WEBWAVE_REQUIRE(cell_docs[c] > prev && cell_docs[c] < docs,
                       "snapshot rows must hold strictly ascending documents");
       prev = cell_docs[c];
+      rec[kHeaderWords + (static_cast<std::size_t>(prev) >> 6)] |=
+          std::uint64_t{1} << (prev & 63);
     }
-    doc_bits_.AssignRow(v, cell_docs + begin, cell_docs + end);
   }
 }
 
@@ -183,9 +201,9 @@ bool ServingPlane::RefreshImpl(Snapshot&& snapshot,
     return false;
   }
 
-  // In-place: rewrite only the changed cells' rows.  The document
-  // bitmap depends on the row offsets and cell documents alone, which
-  // the shape check just proved unchanged, so it is kept as is.  When
+  // In-place: rewrite only the changed cells' admission words.  The node
+  // records depend on the row offsets and cell documents alone, which
+  // the shape check just proved unchanged, so they are kept as is.  When
   // the budget scale moved (offered_rate tracking the snapshot total)
   // every cell's token rate moved with it, so the hint no longer bounds
   // the change set and the whole table is re-diffed.
@@ -195,11 +213,14 @@ bool ServingPlane::RefreshImpl(Snapshot&& snapshot,
   const double* fracs = snapshot_.cell_fractions();
   const auto update_cell = [&](std::size_t c) {
     const double r = rates[c] * per_block_;
-    const std::int32_t tok = token_index_[c];
-    if ((r >= 1.0) != (tok != kNoToken)) return false;  // regime flip
-    if (tok != kNoToken) tokens_per_block_[static_cast<std::size_t>(tok)] = r;
-    serve_prob_[c] =
-        std::min(1.0, options_.budget_slack * fracs[c]);
+    const std::uint64_t word = admission_[c];
+    const bool token = (word & kTokenCell) != 0;
+    if ((r >= 1.0) != token) return false;  // regime flip
+    if (token)
+      tokens_[static_cast<std::uint32_t>(word)].rate = r;
+    else
+      admission_[c] =
+          UnitThreshold(std::min(1.0, options_.budget_slack * fracs[c]));
     return true;
   };
   bool in_place = true;
@@ -256,18 +277,24 @@ bool ServingPlane::Refresh(QuotaSnapshot&& snapshot,
       true);
 }
 
+void ServingPlane::MarkNodes(std::uint64_t flag, Span<const NodeId> nodes,
+                             bool rest) {
+  for (const NodeId v : nodes)
+    WEBWAVE_REQUIRE(v >= 0 && v < snapshot_.node_count(), "node out of range");
+  const std::size_t words =
+      static_cast<std::size_t>(snapshot_.node_count()) * stride_;
+  for (std::size_t i = 0; i < words; i += stride_)
+    records_[i] = rest ? records_[i] | flag : records_[i] & ~flag;
+  for (const NodeId v : nodes) {
+    std::uint64_t& w = records_[static_cast<std::size_t>(v) * stride_];
+    w = rest ? w & ~flag : w | flag;
+  }
+}
+
 void ServingPlane::SetDownNodes(Span<const NodeId> down) {
-  if (down.empty()) {
-    down_.clear();
-    return;
-  }
-  down_.assign(static_cast<std::size_t>(snapshot_.node_count()), 0);
-  for (const NodeId v : down) {
-    WEBWAVE_REQUIRE(v >= 0 && v < snapshot_.node_count(),
-                    "down node out of range");
+  for (const NodeId v : down)
     WEBWAVE_REQUIRE(v != root_, "the home never crashes");
-    down_[static_cast<std::size_t>(v)] = 1;
-  }
+  MarkNodes(kDown, Span<const NodeId>(down.data(), down.size()), false);
 }
 
 bool ServingPlane::TablesEqual(const ServingPlane& other) const {
@@ -276,21 +303,19 @@ bool ServingPlane::TablesEqual(const ServingPlane& other) const {
       root_ != other.root_ || per_block_ != other.per_block_ ||
       options_.block_size != other.options_.block_size ||
       options_.budget_slack != other.options_.budget_slack ||
-      options_.max_failover_attempts != other.options_.max_failover_attempts ||
-      down_ != other.down_)
+      options_.max_failover_attempts != other.options_.max_failover_attempts)
     return false;
-  for (NodeId v = 0; v < snapshot_.node_count(); ++v)
-    if (snapshot_.row_begin(v) != other.snapshot_.row_begin(v)) return false;
   const std::size_t cells = static_cast<std::size_t>(snapshot_.cell_count());
   for (std::size_t c = 0; c < cells; ++c)
     if (snapshot_.cell_docs()[c] != other.snapshot_.cell_docs()[c] ||
         snapshot_.cell_rates()[c] != other.snapshot_.cell_rates()[c] ||
-        snapshot_.cell_fractions()[c] != other.snapshot_.cell_fractions()[c] ||
-        serve_prob_[c] != other.serve_prob_[c] ||
-        token_index_[c] != other.token_index_[c])
+        snapshot_.cell_fractions()[c] != other.snapshot_.cell_fractions()[c])
       return false;
-  return tokens_per_block_ == other.tokens_per_block_ &&
-         doc_bits_ == other.doc_bits_;
+  const std::size_t words =
+      static_cast<std::size_t>(snapshot_.node_count()) * stride_;
+  return stride_ == other.stride_ &&
+         std::equal(records_, records_ + words, other.records_) &&
+         admission_ == other.admission_ && tokens_ == other.tokens_;
 }
 
 void ServingPlane::AttachRegistry(MetricRegistry* registry,
@@ -331,43 +356,30 @@ struct ServingPlane::TraceSink {
 // loop) and ServeWireSegment (the netd entry point): both transports
 // must make identical decisions, so the decision code exists once.
 
-// Whether v holds d is one bit of v's document bitmap; the cell is the
-// row start plus the rank of that bit (the set bits below it), because
-// BuildTables proved each row strictly doc-ascending.  One code path for
-// every row length, and no branch on the row's contents.
-std::int64_t ServingPlane::FindCell(NodeId v, std::int32_t d) const {
-  const std::uint64_t* row = doc_bits_.row(v);
+// Whether a node holds d is one bit of its record's bitmap; the cell is
+// the row start plus the rank of that bit (the set bits below it),
+// because BuildTables proved each row strictly doc-ascending.  One code
+// path for every row length, and no branch on the row's contents.
+std::int64_t ServingPlane::FindCell(const std::uint64_t* rec,
+                                    std::int32_t d) {
+  const std::uint64_t* row = rec + kHeaderWords;
   const std::size_t w = static_cast<std::size_t>(d) >> 6;
   const std::uint64_t bit = std::uint64_t{1} << (d & 63);
   if ((row[w] & bit) == 0) return -1;
   std::int64_t rank = PopCount64(row[w] & (bit - 1));
   for (std::size_t i = 0; i < w; ++i) rank += PopCount64(row[i]);
-  return snapshot_.row_begin(v) + rank;
+  return static_cast<std::int64_t>(rec[1]) + rank;
 }
 
 // Token bucket: block k's grant is floor(r·(k+1)+u) − floor(r·k+u), a
 // pure function of (cell, block index) — thread-invariant; the per-cell
 // hash dither phase u keeps the quantization unbiased.
-std::int32_t ServingPlane::TokenGrant(std::int32_t tok, std::int64_t cell,
+std::int32_t ServingPlane::TokenGrant(std::int32_t tok,
                                       std::uint64_t block_id) const {
-  const double r = tokens_per_block_[static_cast<std::size_t>(tok)];
+  const TokenSlot& slot = tokens_[static_cast<std::size_t>(tok)];
   const double k = static_cast<double>(block_id - 1);
-  const double u = CounterUnitDouble(static_cast<std::uint64_t>(cell));
-  return static_cast<std::int32_t>(std::floor(r * (k + 1) + u) -
-                                   std::floor(r * k + u));
-}
-
-// Poisson thinning: serve with the copy's flow share.  The draw is a
-// pure function of (request index, cell), so it is identical under any
-// threading, batching or process partition; copies that own their whole
-// passing flow (fraction 1 — every self-serving leaf) skip the draw.
-bool ServingPlane::ThinningAdmit(std::uint64_t req_id,
-                                 std::int64_t cell) const {
-  const double p = serve_prob_[static_cast<std::size_t>(cell)];
-  if (p >= 1.0) return true;
-  const double u = CounterUnitDouble(
-      req_id + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(cell) + 1));
-  return u < p;
+  return static_cast<std::int32_t>(std::floor(slot.rate * (k + 1) + slot.phase) -
+                                   std::floor(slot.rate * k + slot.phase));
 }
 
 // Dither-phased exponential failover backoff — floor(u·2^min(a,16))
@@ -380,27 +392,27 @@ std::uint64_t ServingPlane::BackoffSlots(std::uint64_t req_id,
       std::floor(std::ldexp(u, static_cast<int>(std::min(failed, 16u)))));
 }
 
-template <typename TokenAdmit, typename Leaves>
+template <typename TokenAdmit>
 ServingPlane::WireServe ServingPlane::Walk(Climb& at, std::int32_t d,
                                            std::uint64_t req_id,
                                            TraceSink& tc, ServingMetrics& m,
-                                           TokenAdmit&& token_admit,
-                                           Leaves&& leaves) const {
-  const NodeId* parents = parents_.data();
-  const std::uint8_t* down = down_.empty() ? nullptr : down_.data();
+                                           std::uint64_t stops,
+                                           TokenAdmit&& token_admit) const {
   const std::uint32_t max_attempts =
       static_cast<std::uint32_t>(options_.max_failover_attempts);
   NodeId v = at.v;
   std::uint64_t hops = at.hops;
   std::uint32_t failed = at.failed;
   for (;;) {
-    if (leaves(v)) {
+    const std::uint64_t* rec = Record(v);
+    const std::uint64_t flags = rec[0] & stops;
+    if ((flags & kForeign) != 0) {
       // The walk left this plane's segment: the owning process finishes
       // it with identical decisions, so nothing terminal is accounted.
       at = Climb{v, hops, failed};
       return WireServe::kForwarded;
     }
-    if (down != nullptr && down[v] != 0) {
+    if (flags != 0) {
       // Crashed node: the request cannot query it.  Burn an attempt,
       // account the backoff, and retry at the parent.  The root is
       // never down, so a surviving request always terminates.
@@ -419,19 +431,27 @@ ServingPlane::WireServe ServingPlane::Walk(Climb& at, std::int32_t d,
       m.backoff_slots += slots;
       tc.Emit(TraceEventKind::kFailover, v, failed, slots);
     } else {
-      const std::int64_t cell = FindCell(v, d);
+      const std::int64_t cell = FindCell(rec, d);
       if (cell >= 0) {
-        const std::int32_t tok = token_index_[static_cast<std::size_t>(cell)];
-        const bool token = tok != kNoToken;
+        // Poisson thinning serves with the copy's flow share, drawn as a
+        // pure function of (request index, cell), so it is identical
+        // under any threading, batching or process partition; a copy
+        // that owns its whole passing flow admits without a draw.
+        const std::uint64_t word = admission_[static_cast<std::size_t>(cell)];
+        const bool token = (word & kTokenCell) != 0;
         const bool admit =
-            token ? token_admit(tok, cell) : ThinningAdmit(req_id, cell);
+            token ? token_admit(static_cast<std::int32_t>(
+                        static_cast<std::uint32_t>(word)))
+                  : CounterBelow(req_id + 0x9e3779b97f4a7c15ULL *
+                                              (static_cast<std::uint64_t>(cell) + 1),
+                                 word);
         tc.Emit(token ? TraceEventKind::kTokenGrant : TraceEventKind::kThinning,
                 v, admit ? 1 : 0, 0);
         if (admit) break;
       }
       if (v == root_) break;  // the home serves whatever reaches it
     }
-    v = parents[v];
+    v = Parent(rec);
     ++hops;
     tc.Emit(TraceEventKind::kHop, v, failed, hops);
   }
@@ -453,19 +473,35 @@ void ServingPlane::ProcessBlock(WorkerState& ws, std::uint64_t block_id,
                                 const Request* reqs, std::size_t count) {
   // Serve()'s token policy: per-worker grant scratch keyed by block id —
   // each block's budget is cut once and consumed within the block.
-  const auto block_budget = [&ws, block_id, this](std::int32_t tok,
-                                                  std::int64_t cell) {
-    const std::size_t t = static_cast<std::size_t>(tok);
-    if (ws.stamp[t] != block_id) {
-      ws.stamp[t] = block_id;
-      ws.avail[t] = TokenGrant(tok, cell, block_id);
+  const auto block_budget = [&ws, block_id, this](std::int32_t tok) {
+    TokenBudget& b = ws.budget[static_cast<std::size_t>(tok)];
+    if (b.stamp != block_id) {
+      b.stamp = block_id;
+      b.avail = TokenGrant(tok, block_id);
     }
-    if (ws.avail[t] <= 0) return false;
-    --ws.avail[t];
+    if (b.avail <= 0) return false;
+    --b.avail;
     return true;
   };
-  const auto never_leaves = [](NodeId) { return false; };
+  // The lookahead: request i + kFar's origin record is fetched; request
+  // i + kNear's record (fetched kFar - kNear requests ago) is read, and
+  // the admission word it points at and its parent's record are fetched.
+  // Prefetches change no state, and the walks below still run and commit
+  // strictly in request order, so token consumption, traces and counters
+  // are those of the plain loop.  Every address formed is in range: the
+  // batch was validated, a cell is formed only for a held document, and
+  // the root's recorded parent is itself.
+  constexpr std::size_t kFar = 16, kNear = 8;
   for (std::size_t i = 0; i < count; ++i) {
+    if (i + kFar < count) __builtin_prefetch(Record(reqs[i + kFar].node));
+    if (i + kNear < count) {
+      const Request& ahead = reqs[i + kNear];
+      const std::uint64_t* rec = Record(ahead.node);
+      const std::int64_t cell = FindCell(rec, ahead.doc);
+      if (cell >= 0)
+        __builtin_prefetch(admission_.data() + static_cast<std::size_t>(cell));
+      __builtin_prefetch(Record(Parent(rec)));
+    }
     // The stream-global request index: blocks are numbered for the
     // plane's lifetime, so this is unique and batching-invariant — the
     // thinning draws depend only on (request, cell).
@@ -480,7 +516,7 @@ void ServingPlane::ProcessBlock(WorkerState& ws, std::uint64_t block_id,
               static_cast<std::uint64_t>(reqs[i].doc));
     }
     Climb at{reqs[i].node, 0, 0};
-    Walk(at, reqs[i].doc, req_id, tc, ws.local, block_budget, never_leaves);
+    Walk(at, reqs[i].doc, req_id, tc, ws.local, kDown, block_budget);
   }
 }
 
@@ -540,16 +576,8 @@ void ServingPlane::Serve(Span<Request> batch) {
 }
 
 void ServingPlane::SetSegmentNodes(Span<const NodeId> owned) {
-  if (owned.empty()) {
-    owned_.clear();
-    return;
-  }
-  owned_.assign(static_cast<std::size_t>(snapshot_.node_count()), 0);
-  for (const NodeId v : owned) {
-    WEBWAVE_REQUIRE(v >= 0 && v < snapshot_.node_count(),
-                    "segment node out of range");
-    owned_[static_cast<std::size_t>(v)] = 1;
-  }
+  MarkNodes(kForeign, Span<const NodeId>(owned.data(), owned.size()),
+            !owned.empty());
 }
 
 ServingPlane::WireServe ServingPlane::ServeWireSegment(const GetRequest& in,
@@ -589,17 +617,12 @@ ServingPlane::WireServe ServingPlane::ServeWireSegment(const GetRequest& in,
   // arithmetic floor(r(k+1)+u) - floor(rk+u) >= floor(r) >= 1 and every
   // token decision admits; the grant is still computed, so the wire
   // rounds exactly as Serve() does.
-  const auto stateless_grant = [&in, this](std::int32_t tok,
-                                           std::int64_t cell) {
-    return TokenGrant(tok, cell, in.req_id + 1) > 0;
-  };
-  const std::uint8_t* owned = owned_.empty() ? nullptr : owned_.data();
-  const auto leaves = [owned](NodeId v) {
-    return owned != nullptr && owned[v] == 0;
+  const auto stateless_grant = [&in, this](std::int32_t tok) {
+    return TokenGrant(tok, in.req_id + 1) > 0;
   };
   Climb at{in.origin_node, in.ttl_hops, in.failed};
-  const WireServe end =
-      Walk(at, in.doc, in.req_id, tc, metrics_, stateless_grant, leaves);
+  const WireServe end = Walk(at, in.doc, in.req_id, tc, metrics_,
+                             kDown | kForeign, stateless_grant);
   Publish(registry_, reg_ids_, metrics_, before, trace_.size() - traced_before);
   if (end == WireServe::kForwarded) {
     *forward = in;

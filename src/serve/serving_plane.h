@@ -27,11 +27,18 @@
 // burstiness is absorbed at the copies instead of overflowing to the
 // home.
 //
-// The hot loop is allocation-free: a per-node document bitmap answers
-// "does this node hold a copy?" with one bit test and finds the copy's
-// CSR cell by a popcount rank, then a parent-pointer climb and integer
-// counters.  Serve() sweeps request blocks on a WorkerPool with the
-// repo's deterministic static partition; every block is processed
+// The hot loop is allocation-free, and each node a request visits costs
+// one cache line of node table: a fixed-stride record holds the node's
+// parent, its snapshot row start, its document bitmap (bit d set iff it
+// holds a copy of d; the copy's cell is the row start plus the bit's
+// rank) and its down / outside-the-segment flags.  A copy's admission
+// state is one 64-bit word per cell — a token flag plus the compact
+// token index, or the thinning threshold ⌈p·2⁵³⌉ its integer draw is
+// compared with.  Serve() walks each block's requests strictly in order
+// while it prefetches the node records and admission words of the
+// requests 8 and 16 ahead, so the lookahead never reorders a decision.
+// Serve() sweeps request blocks on a WorkerPool with the repo's
+// deterministic static partition; every block is processed
 // start-to-finish by exactly one worker against per-worker budget
 // scratch keyed by block id, and all metrics are integer counts merged
 // per worker — so serving results are bit-identical at every thread
@@ -64,7 +71,6 @@
 #include "serve/quota_snapshot.h"
 #include "serve/request_gen.h"
 #include "tree/routing_tree.h"
-#include "util/bit_rows.h"
 #include "util/span.h"
 #include "util/worker_pool.h"
 #include "wire/message.h"
@@ -131,8 +137,8 @@ class ServingPlane {
   const QuotaSnapshot& snapshot() const { return snapshot_; }
 
   // Installs the set of crashed nodes (ascending not required; the root
-  // must be live).  Takes effect from the next Serve call; an empty span
-  // restores the all-live fast path.  Typically driven by
+  // must be live) as record flags.  Takes effect from the next Serve
+  // call; an empty span marks every node live.  Typically driven by
   // FaultProjector::down() right after the projector refreshed the
   // snapshot this plane serves.
   void SetDownNodes(Span<const NodeId> down);
@@ -233,14 +239,26 @@ class ServingPlane {
   const std::vector<TraceEvent>& trace() const { return trace_; }
 
  private:
+  // A token cell's budget scratch: the block id its grant was cut in,
+  // next to the tokens left — one slot read per token decision.
+  struct TokenBudget {
+    std::uint64_t stamp = 0;
+    std::int32_t avail = 0;
+  };
   struct WorkerState {
-    // Indexed by token-cell compact id, not raw cell.
-    std::vector<std::uint64_t> stamp;  // block id a cell's grant was cut in
-    std::vector<std::int32_t> avail;   // tokens left for the cell, then
+    std::vector<TokenBudget> budget;  // indexed by compact token id
     ServingMetrics local;
     std::vector<TraceEvent> trace;  // sampled events, drained at the merge
   };
-
+  // A token cell's per-block rate (slack · quota share · block_size) next
+  // to its dither phase u = CounterUnitDouble(cell).
+  struct TokenSlot {
+    double rate;
+    double phase;
+    bool operator==(const TokenSlot& o) const {
+      return rate == o.rate && phase == o.phase;
+    }
+  };
   // Per-request trace emitter; a null sink records nothing.  Defined in
   // the .cpp.
   struct TraceSink;
@@ -260,31 +278,37 @@ class ServingPlane {
   // it.  Returns kServed or kDropped with the terminal counters added to
   // `m`, or kForwarded with `at` at the first node outside the segment;
   // failed_attempts and backoff_slots land in `m` per attempt, and `tc`
-  // records the walk.  The transports differ only in two inlined
-  // policies and in the `m` they pass:
-  //   token_admit(tok, cell) — Serve()'s per-block budget or the wire's
-  //                            stateless block-size-1 grant;
-  //   leaves(v)              — never for Serve(), v outside owned_ for
-  //                            the wire;
-  //   m                      — the worker's counters, published at
-  //                            Serve()'s merge, or metrics_ itself.
-  template <typename TokenAdmit, typename Leaves>
+  // records the walk.  The transports differ only in what they pass:
+  //   stops          — the record flags the walk obeys: kDown for
+  //                    Serve(), kDown | kForeign for the wire;
+  //   token_admit(t) — Serve()'s per-block budget or the wire's
+  //                    stateless block-size-1 grant, inlined;
+  //   m              — the worker's counters, published at Serve()'s
+  //                    merge, or metrics_ itself.
+  template <typename TokenAdmit>
   WireServe Walk(Climb& at, std::int32_t d, std::uint64_t req_id,
-                 TraceSink& tc, ServingMetrics& m, TokenAdmit&& token_admit,
-                 Leaves&& leaves) const;
-  // The admission core, defined in the .cpp: FindCell, ThinningAdmit and
-  // BackoffSlots are called by Walk alone, TokenGrant by the two token
+                 TraceSink& tc, ServingMetrics& m, std::uint64_t stops,
+                 TokenAdmit&& token_admit) const;
+  // The admission core, defined in the .cpp: FindCell and BackoffSlots
+  // serve Walk (FindCell also the lookahead), TokenGrant the two token
   // policies.
-  std::int64_t FindCell(NodeId v, std::int32_t d) const;
-  std::int32_t TokenGrant(std::int32_t tok, std::int64_t cell,
-                          std::uint64_t block_id) const;
-  bool ThinningAdmit(std::uint64_t req_id, std::int64_t cell) const;
+  const std::uint64_t* Record(NodeId v) const {
+    return records_ + static_cast<std::size_t>(v) * stride_;
+  }
+  static NodeId Parent(const std::uint64_t* rec) {
+    return static_cast<NodeId>(static_cast<std::uint32_t>(rec[0]));
+  }
+  static std::int64_t FindCell(const std::uint64_t* rec, std::int32_t d);
+  std::int32_t TokenGrant(std::int32_t tok, std::uint64_t block_id) const;
   static std::uint64_t BackoffSlots(std::uint64_t req_id,
                                     std::uint32_t failed);
-  // Recomputes serve_prob_ / token_index_ / tokens_per_block_ (and the
-  // per-worker token scratch) and doc_bits_ from snapshot_ — the
-  // constructor's table build, shared with Refresh's full-rebuild path.
+  // Recomputes admission_ / tokens_ (and the per-worker token scratch)
+  // and every record's row start and bitmap from snapshot_, keeping the
+  // record flags — the constructor's table build, shared with Refresh's
+  // full-rebuild path.
   void BuildTables();
+  // Sets `flag` to `rest` on every record, then to !rest on `nodes`.
+  void MarkNodes(std::uint64_t flag, Span<const NodeId> nodes, bool rest);
   // Every Refresh overload: `snapshot` is a const QuotaSnapshot& (copied
   // in) or a QuotaSnapshot&& (moved in).  Defined and instantiated in the
   // .cpp only.
@@ -296,30 +320,32 @@ class ServingPlane {
   ServingOptions options_;
   std::uint32_t table_version_ = 0;  // stamped into GetReply.version
   NodeId root_;
-  std::vector<NodeId> parents_;
   std::vector<int> depth_;  // per node, for the wire's ttl_hops bound
-  // Per cell: the thinning probability min(1, slack · fraction), and for
-  // cells coarse enough to count (≥ 1 token per block) a compact index
-  // into the token arrays; kNoToken for the thinning regime.  Token
-  // cells store their per-block token rate (slack · quota share ·
-  // block_size); worker scratch is sized by token cells only — at 10⁶
-  // servers the vast majority of copies are sub-token.
-  static constexpr std::int32_t kNoToken = -1;
-  std::vector<double> serve_prob_;
-  std::vector<std::int32_t> token_index_;
-  std::vector<double> tokens_per_block_;  // per token cell
+  // Node records, stride_ words each (a power of two up to a cache line,
+  // whole lines beyond): word 0 = parent (low half; the root's is
+  // itself, so the lookahead's addresses stay in range) | flags (high
+  // half), word 1 = the node's first snapshot cell, then the ⌈D/64⌉
+  // bitmap words.  Refresh's in-place path keeps them (it proved the
+  // rows unchanged); every full rebuild rewrites the rows and bitmaps.
+  // Flags: crashed; outside this plane's wire segment.
+  static constexpr std::uint64_t kDown = std::uint64_t{1} << 32;
+  static constexpr std::uint64_t kForeign = std::uint64_t{1} << 33;
+  static constexpr std::size_t kHeaderWords = 2;
+  // records_ is nodes_'s first cache-line-aligned word, so a record
+  // whose stride divides 64 B never straddles two lines.
+  std::size_t stride_ = 0;
+  std::vector<std::uint64_t> nodes_;
+  std::uint64_t* records_ = nullptr;
+  // Per cell, one admission word: kTokenCell | compact token index for
+  // cells coarse enough to count (≥ 1 token per block), else the
+  // thinning threshold UnitThreshold(min(1, slack · fraction)).  Worker
+  // scratch is sized by token cells only — at 10⁶ servers the vast
+  // majority of copies are sub-token.
+  static constexpr std::uint64_t kTokenCell = std::uint64_t{1} << 63;
+  std::vector<std::uint64_t> admission_;
+  std::vector<TokenSlot> tokens_;
   double per_block_ = 0;  // slack · block_size / scale rate, cached by
                           // BuildTables so Refresh can detect scale moves
-  // One bit per (node, document), node-major: bit d of v's row is set
-  // iff v holds a copy of d.  Derived from the snapshot's rows;
-  // Refresh's in-place path keeps it (it proved the rows unchanged),
-  // every full rebuild recomputes it.
-  BitRows doc_bits_;
-  // Per node, 1 = crashed; empty means every node is live (the hot loop
-  // skips the mask probe entirely in that case).
-  std::vector<std::uint8_t> down_;
-  // Per node, 1 = this plane's wire segment owns it; empty = all owned.
-  std::vector<std::uint8_t> owned_;
   std::uint64_t next_block_id_ = 1;  // 0 is the never-used stamp value
   ServingMetrics metrics_;
   std::vector<TraceEvent> trace_;

@@ -8,6 +8,7 @@
 // standard-library implementations.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -29,6 +30,21 @@ inline std::uint64_t SplitMix64(std::uint64_t& state) {
 // under any batching or threading.
 inline double CounterUnitDouble(std::uint64_t counter) {
   return static_cast<double>(SplitMix64(counter) >> 11) * 0x1.0p-53;
+}
+
+// CounterUnitDouble(counter) < p in integer form.  The draw is m·2⁻⁵³
+// for an integer m < 2⁵³, and m·2⁻⁵³ < p ⇔ m < ⌈p·2⁵³⌉ exactly (scaling
+// by a power of two rounds nothing), so UnitThreshold(p) stores the
+// comparison once and CounterBelow makes it without a double.  p ≥ 1
+// gives 2⁵³, which admits without hashing.
+inline std::uint64_t UnitThreshold(double p) {
+  if (!(p > 0)) return 0;
+  if (p >= 1) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+inline bool CounterBelow(std::uint64_t counter, std::uint64_t threshold) {
+  return threshold >= (std::uint64_t{1} << 53) ||
+         (SplitMix64(counter) >> 11) < threshold;
 }
 
 // A standard normal as a pure function of a counter: Box–Muller over two

@@ -12,7 +12,7 @@
 #include "proto/packet_sim.h"
 #include "stats/summary.h"
 #include "topology/generators.h"
-#include "topology/metrics.h"
+#include "topology_metrics.h"
 #include "topology/spt.h"
 
 #include <gtest/gtest.h>

@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -512,6 +514,47 @@ TEST(ServingPlane, SubTokenSharesThinToTheirFlowFraction) {
             n);
 }
 
+// The walk's thinning draw compares the hash's top 53 bits with the cell's
+// stored threshold ⌈p·2⁵³⌉ instead of forming CounterUnitDouble(ctr) < p.
+// The two must agree for every counter and every p, including the
+// probabilities that sit on or between the draw's 2⁻⁵³ steps, and p = 1
+// must always admit.  Random counters never land next to a small
+// threshold, so the draw values either side of each threshold are
+// checked directly as well.
+TEST(ServingPlane, ThinningThresholdEqualsTheDoubleDraw) {
+  const double step = 0x1.0p-53;
+  const std::vector<double> probs = {
+      0.0, std::numeric_limits<double>::denorm_min(), step, 3 * step, 0.1,
+      0.5, std::nextafter(1.0, 0.0), 1.0};
+  const std::uint64_t counters = 1u << 20;
+  for (const double p : probs) {
+    const std::uint64_t threshold = UnitThreshold(p);
+    std::uint64_t admitted = 0;
+    for (std::uint64_t i = 0; i < counters; ++i) {
+      const std::uint64_t ctr = i * 0x9e3779b97f4a7c15ULL + 12345;
+      const bool admit = CounterBelow(ctr, threshold);
+      ASSERT_EQ(admit, CounterUnitDouble(ctr) < p)
+          << "p " << p << " counter " << ctr;
+      admitted += admit ? 1 : 0;
+    }
+    if (p == 1.0) {
+      EXPECT_EQ(admitted, counters);
+    }
+    for (const std::uint64_t m : {threshold - 1, threshold, threshold + 1}) {
+      if (m >= (std::uint64_t{1} << 53)) continue;  // not a draw value
+      EXPECT_EQ(static_cast<double>(m) * step < p, m < threshold)
+          << "p " << p << " draw " << m;
+    }
+  }
+  EXPECT_EQ(UnitThreshold(0.0), 0u);
+  EXPECT_EQ(UnitThreshold(std::numeric_limits<double>::denorm_min()), 1u);
+  EXPECT_EQ(UnitThreshold(step), 1u);
+  EXPECT_EQ(UnitThreshold(3 * step), 3u);
+  EXPECT_EQ(UnitThreshold(std::nextafter(1.0, 0.0)),
+            (std::uint64_t{1} << 53) - 1);
+  EXPECT_EQ(UnitThreshold(1.0), std::uint64_t{1} << 53);
+}
+
 TEST(ServingPlane, HomeOnlySendsEverythingToTheRoot) {
   Rng rng(17);
   const RoutingTree tree = MakeRandomTree(200, rng);
@@ -626,9 +669,13 @@ TEST(ServingPlane, WebWavePlacementBeatsHomeOnlyMaxLoad) {
 // words.  Every cell thins, and its decision is certain: fraction 1
 // always admits, fraction 1e-18 never does.  The two kinds alternate
 // along each row, so a lookup that finds the wrong cell of the right
-// row changes where a request is served.  Each request must be served
-// at the nearest ancestor-or-self whose copy admits — the reference
-// below finds it with QuotaSnapshot::CellOf.
+// row changes where a request is served.  A three-node down chain sits
+// on the deepest path, so multi-word records carry the down flag too.
+// Each request must be served at the nearest live ancestor-or-self whose
+// copy admits — the reference below finds it with QuotaSnapshot::CellOf.
+// The batch walk, an all-owning wire plane and a two-plane wire fleet
+// (records carrying the outside-the-segment flag) must agree record for
+// record.
 TEST(ServingPlane, BitmapLookupFindsCopiesAcrossWordBoundaries) {
   Rng rng(131);
   const RoutingTree tree = MakeRandomTree(300, rng);
@@ -658,6 +705,16 @@ TEST(ServingPlane, BitmapLookupFindsCopiesAcrossWordBoundaries) {
     }
   }
   const QuotaSnapshot snap = std::move(b).Build();
+  const std::vector<NodeId> path = tree.path_to_root(
+      *std::max_element(tree.preorder().begin(), tree.preorder().end(),
+                        [&tree](NodeId a, NodeId c) {
+                          return tree.depth(a) < tree.depth(c);
+                        }));
+  ASSERT_GE(path.size(), 5u);
+  const std::vector<NodeId> down = {path[1], path[2], path[3]};
+  const auto is_down = [&down](NodeId v) {
+    return std::count(down.begin(), down.end(), v) > 0;
+  };
 
   // One request per (node, document); the reference climb's answers.
   std::vector<Request> batch;
@@ -670,7 +727,9 @@ TEST(ServingPlane, BitmapLookupFindsCopiesAcrossWordBoundaries) {
       batch.push_back(Request{v, d});
       NodeId u = v;
       std::uint64_t hops = 0;
-      while (u != tree.root() && (snap.CellOf(u, d) < 0 || !admits(u, d))) {
+      while (u != tree.root() &&
+             (is_down(u) || snap.CellOf(u, d) < 0 || !admits(u, d))) {
+        if (is_down(u)) ++want.failed_attempts;
         u = tree.parent(u);
         ++hops;
       }
@@ -679,20 +738,28 @@ TEST(ServingPlane, BitmapLookupFindsCopiesAcrossWordBoundaries) {
       ++want.served_per_node[static_cast<std::size_t>(u)];
       want.hop_sum += hops;
     }
+  ASSERT_GT(want.failed_attempts, 0u);
 
   // A huge offered rate keeps every cell below one token per block.
   ServingOptions wire_opt;
   wire_opt.block_size = 1;
   wire_opt.offered_rate = 1e6;
-  ServingPlane wire(tree, snap, wire_opt);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
+  wire_opt.trace = true;
+  wire_opt.trace_sample_shift = 0;
+  const auto wire_request = [&batch](std::size_t i) {
     GetRequest in;
     in.req_id = i;
     in.doc = batch[i].doc;
     in.origin_node = batch[i].node;
+    in.flags = kGetFlagTrace;
+    return in;
+  };
+  ServingPlane wire(tree, snap, wire_opt);
+  wire.SetDownNodes(Span<const NodeId>(down.data(), down.size()));
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     GetRequest fwd;
     GetReply reply;
-    ASSERT_EQ(wire.ServeWireSegment(in, &fwd, &reply),
+    ASSERT_EQ(wire.ServeWireSegment(wire_request(i), &fwd, &reply),
               ServingPlane::WireServe::kServed);
     ASSERT_EQ(reply.serving_node, want_node[i])
         << "node " << batch[i].node << " doc " << batch[i].doc;
@@ -700,21 +767,73 @@ TEST(ServingPlane, BitmapLookupFindsCopiesAcrossWordBoundaries) {
         << "node " << batch[i].node << " doc " << batch[i].doc;
   }
 
+  // The fleet: two planes own alternating runs of node ids and hand each
+  // walk across on every segment exit.
+  std::vector<NodeId> owned[2];
+  for (NodeId v = 0; v < tree.size(); ++v) owned[(v / 3) % 2].push_back(v);
+  std::vector<std::unique_ptr<ServingPlane>> fleet;
+  for (const std::vector<NodeId>& shard : owned) {
+    fleet.push_back(std::make_unique<ServingPlane>(tree, snap, wire_opt));
+    fleet.back()->SetDownNodes(Span<const NodeId>(down.data(), down.size()));
+    fleet.back()->SetSegmentNodes(
+        Span<const NodeId>(shard.data(), shard.size()));
+  }
+  std::uint64_t forwards = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    GetRequest in = wire_request(i);
+    GetReply reply;
+    for (;;) {
+      GetRequest fwd;
+      const ServingPlane::WireServe end =
+          fleet[static_cast<std::size_t>((in.origin_node / 3) % 2)]
+              ->ServeWireSegment(in, &fwd, &reply);
+      if (end != ServingPlane::WireServe::kForwarded) break;
+      ++forwards;
+      in = fwd;
+    }
+    ASSERT_EQ(reply.serving_node, want_node[i]) << "request " << i;
+    ASSERT_EQ(reply.hops, want_hops[i]) << "request " << i;
+  }
+  EXPECT_GT(forwards, batch.size() / 4);
+  ServingMetrics fleet_sum = fleet[0]->metrics();
+  std::vector<TraceEvent> fleet_trace = fleet[0]->trace();
+  const ServingMetrics& other = fleet[1]->metrics();
+  for (const ServingCounterField& c : kServingCounters)
+    fleet_sum.*c.field += other.*c.field;
+  for (std::size_t v = 0; v < fleet_sum.served_per_node.size(); ++v)
+    fleet_sum.served_per_node[v] += other.served_per_node[v];
+  for (std::size_t h = 0; h < fleet_sum.hops.size(); ++h)
+    fleet_sum.hops[h] += other.hops[h];
+  fleet_trace.insert(fleet_trace.end(), fleet[1]->trace().begin(),
+                     fleet[1]->trace().end());
+  CanonicalizeTrace(&fleet_trace);
+
   std::vector<ServingMetrics> results;
+  std::vector<std::vector<TraceEvent>> traces;
   for (const int threads : {1, 2}) {
-    ServingOptions opt;
+    ServingOptions opt = wire_opt;
     opt.threads = threads;
     opt.block_size = 4096;
-    opt.offered_rate = 1e6;
     ServingPlane plane(tree, snap, opt);
+    plane.SetDownNodes(Span<const NodeId>(down.data(), down.size()));
     plane.Serve(batch);
     results.push_back(plane.metrics());
+    traces.push_back(plane.trace());
   }
   EXPECT_TRUE(results[0] == results[1]);
   EXPECT_EQ(results[0].served_per_node, want.served_per_node);
   EXPECT_EQ(results[0].hop_sum, want.hop_sum);
+  EXPECT_EQ(results[0].failed_attempts, want.failed_attempts);
   EXPECT_EQ(results[0].requests, batch.size());
   EXPECT_TRUE(results[0] == wire.metrics());
+  EXPECT_TRUE(results[0] == fleet_sum);
+  for (const std::vector<TraceEvent>* t :
+       std::vector<const std::vector<TraceEvent>*>{&traces[1], &wire.trace(),
+                                                   &fleet_trace}) {
+    ASSERT_EQ(t->size(), traces[0].size());
+    for (std::size_t e = 0; e < t->size(); ++e)
+      ASSERT_EQ((*t)[e], traces[0][e]) << "event " << e;
+  }
 }
 
 // ttl_hops comes off the socket.  A request claiming more climbed edges
@@ -1055,6 +1174,127 @@ TEST(ServingPlane, RefreshTracksSnapshotTotalWhenOfferedRateFloats) {
   const std::vector<std::int32_t> changed = {0};
   plane.Refresh(snap, Span<const std::int32_t>(changed.data(), changed.size()));
   EXPECT_TRUE(plane.TablesEqual(ServingPlane(tree, snap, opt)));
+}
+
+// The down set and the wire segment live in the node records, which a
+// full table rebuild rewrites.  A plane given both, then refreshed once
+// through the rebuild (a cell flips from thinning to tokens) and once in
+// place, must equal a fresh plane built from the same snapshot and sets:
+// in its tables, in Serve() and in ServeWireSegment — metrics, traces
+// and every forward and reply.
+TEST(ServingPlane, DownAndSegmentFlagsSurviveEveryRefreshPath) {
+  Rng rng(67);
+  const RoutingTree tree = MakeRandomTree(300, rng);
+  const int docs = 4;
+  // Token cells earn r = 2 · rate / 100 per block of one request.
+  const auto build = [&tree](double token_rate, double fraction,
+                             bool flip) {
+    QuotaSnapshot::Builder b(tree.size(), docs);
+    for (NodeId v = 0; v < tree.size(); ++v)
+      for (std::int32_t d = 0; d < docs; ++d) {
+        const int kind = (v + d) % 4;
+        if (kind == 0 || (kind == 1 && flip && v % 10 == 0))
+          b.Add(v, d, token_rate);
+        else if (kind == 1)
+          b.Add(v, d, 1.0, fraction);
+      }
+    return std::move(b).Build();
+  };
+  const QuotaSnapshot initial = build(60.0, 0.3, false);
+  const QuotaSnapshot flipped = build(60.0, 0.3, true);    // regime flip
+  const QuotaSnapshot reweighed = build(70.0, 0.6, true);  // same regimes
+
+  const std::vector<NodeId> path = tree.path_to_root(
+      *std::max_element(tree.preorder().begin(), tree.preorder().end(),
+                        [&tree](NodeId a, NodeId c) {
+                          return tree.depth(a) < tree.depth(c);
+                        }));
+  ASSERT_GE(path.size(), 5u);
+  std::vector<NodeId> down = {path[1], path[2], path[3]};
+  std::vector<NodeId> owned;
+  for (NodeId v = 0; v < tree.size(); ++v) {
+    if (v % 17 == 5 && v != tree.root()) down.push_back(v);
+    if (v % 3 != 0) owned.push_back(v);
+  }
+  std::vector<Request> stream;
+  for (int i = 0; i < 6000; ++i)
+    stream.push_back(
+        Request{static_cast<NodeId>(rng.NextBelow(
+                    static_cast<std::uint64_t>(tree.size()))),
+                static_cast<std::int32_t>(rng.NextBelow(docs))});
+
+  ServingOptions opt;
+  opt.block_size = 1;
+  opt.offered_rate = 100.0;
+  opt.max_failover_attempts = 2;
+  opt.trace = true;
+  opt.trace_sample_shift = 0;
+  const auto plane = [&](const QuotaSnapshot& snap) {
+    auto p = std::make_unique<ServingPlane>(tree, snap, opt);
+    p->SetDownNodes(Span<const NodeId>(down.data(), down.size()));
+    p->SetSegmentNodes(Span<const NodeId>(owned.data(), owned.size()));
+    return p;
+  };
+  struct Outcome {
+    ServingMetrics batch, wire;
+    std::vector<TraceEvent> batch_trace, wire_trace;
+    std::vector<GetRequest> forwards;
+    std::vector<GetReply> replies;
+  };
+  const auto serve = [&stream](ServingPlane& p) {
+    Outcome o;
+    p.Serve(stream);
+    o.batch = p.metrics();
+    o.batch_trace = p.trace();
+    p.ResetMetrics();
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      GetRequest in;
+      in.req_id = i;
+      in.doc = stream[i].doc;
+      in.origin_node = stream[i].node;
+      in.flags = kGetFlagTrace;
+      GetRequest fwd;
+      GetReply reply;
+      if (p.ServeWireSegment(in, &fwd, &reply) ==
+          ServingPlane::WireServe::kForwarded)
+        o.forwards.push_back(fwd);
+      else
+        o.replies.push_back(reply);
+    }
+    o.wire = p.metrics();
+    o.wire_trace = p.trace();
+    return o;
+  };
+  const auto expect_same = [](const Outcome& got, const Outcome& want,
+                              const char* path_name) {
+    EXPECT_TRUE(got.batch == want.batch) << path_name;
+    EXPECT_TRUE(got.wire == want.wire) << path_name;
+    EXPECT_EQ(got.batch_trace, want.batch_trace) << path_name;
+    EXPECT_EQ(got.wire_trace, want.wire_trace) << path_name;
+    EXPECT_EQ(got.forwards, want.forwards) << path_name;
+    EXPECT_EQ(got.replies, want.replies) << path_name;
+  };
+
+  const auto rebuilt = plane(initial);
+  EXPECT_FALSE(rebuilt->Refresh(flipped)) << "the flip must rebuild";
+  const auto in_place = plane(initial);
+  in_place->Refresh(flipped);
+  EXPECT_TRUE(in_place->Refresh(reweighed)) << "a reweigh stays in place";
+
+  const auto fresh_flipped = plane(flipped);
+  const auto fresh_reweighed = plane(reweighed);
+  EXPECT_TRUE(rebuilt->TablesEqual(*fresh_flipped));
+  EXPECT_TRUE(in_place->TablesEqual(*fresh_reweighed));
+  const Outcome want_flipped = serve(*fresh_flipped);
+  expect_same(serve(*rebuilt), want_flipped, "rebuild");
+  expect_same(serve(*in_place), serve(*fresh_reweighed), "in place");
+
+  // The flags were in force: the batch walk failed over and dropped at
+  // the down nodes, and the wire walk left the segment.
+  EXPECT_GT(want_flipped.batch.failovers, 0u);
+  EXPECT_GT(want_flipped.batch.dropped_requests, 0u);
+  EXPECT_GT(want_flipped.forwards.size(), stream.size() / 4);
+  EXPECT_FALSE(rebuilt->TablesEqual(*plane(initial)));
 }
 
 // Epoch driver ------------------------------------------------------------

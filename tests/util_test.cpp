@@ -1,7 +1,7 @@
 // Tests for the util module (error macros, ASCII rendering) and the
 // topology-metrics helpers.
 #include "topology/generators.h"
-#include "topology/metrics.h"
+#include "topology_metrics.h"
 #include "tree/builders.h"
 #include "util/ascii.h"
 #include "util/check.h"
