@@ -1,7 +1,7 @@
-// Helpers shared by the standalone bench executables: wall-clock deltas
-// and environment-variable knobs.  Header-only so bench/*.cpp stay
-// single-file programs (the CMake glob turns every .cpp here into its own
-// executable).
+// Helpers shared by the standalone bench executables: wall-clock deltas,
+// the two bench settings and the JSON artifact writer.  Header-only so
+// bench/*.cpp stay single-file programs (the CMake glob turns every .cpp
+// here into its own executable).
 #pragma once
 
 #include <chrono>
@@ -19,22 +19,24 @@ inline double MillisSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Integer knob: unset or empty means `fallback`.
-inline int EnvInt(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  return env != nullptr && env[0] != '\0' ? std::atoi(env) : fallback;
-}
+// The only two settings any bench reads, once, at the top of main:
+//   WEBWAVE_SMOKE    set, non-empty and not starting with '0': run the
+//                    reduced CI smoke shape instead of the paper shape
+//   WEBWAVE_THREADS  worker threads, 0 = one per hardware thread; unset or
+//                    empty means the bench's own default
+// Every other shape parameter is a constant in the bench, `smoke ? small :
+// full`, so each bench has exactly the two shapes CI and the paper run.
+struct Config {
+  bool smoke;
+  int threads;
+};
 
-// Wide-range knob for counts that can exceed int (request volumes).
-inline long long EnvLong(const char* name, long long fallback) {
-  const char* env = std::getenv(name);
-  return env != nullptr && env[0] != '\0' ? std::atoll(env) : fallback;
-}
-
-// Boolean knob: set, non-empty and not starting with '0' means on.
-inline bool EnvFlag(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
+inline Config ReadConfig(int default_threads) {
+  const char* smoke = std::getenv("WEBWAVE_SMOKE");
+  const char* threads = std::getenv("WEBWAVE_THREADS");
+  return {smoke != nullptr && smoke[0] != '\0' && smoke[0] != '0',
+          threads != nullptr && threads[0] != '\0' ? std::atoi(threads)
+                                                    : default_threads};
 }
 
 // The one way a bench emits its JSON artifact: write, then report the
@@ -44,15 +46,6 @@ inline bool WriteArtifact(const BenchJson& json, const char* path) {
   const bool ok = json.WriteFile(path);
   std::printf("%s %s\n", ok ? "wrote" : "FAILED to write", path);
   return ok;
-}
-
-// Worker-thread knob shared by every tab_* bench: the bench-specific
-// variable wins, then the global WEBWAVE_THREADS, then `fallback` — so a
-// multi-core CI box can exercise thread scaling across all benches with
-// one setting and no code edits (bit-identity of the threaded paths makes
-// the numbers safe to compare).
-inline int EnvThreads(const char* specific, int fallback = 0) {
-  return EnvInt(specific, EnvInt("WEBWAVE_THREADS", fallback));
 }
 
 }  // namespace bench

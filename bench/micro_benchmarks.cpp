@@ -7,6 +7,11 @@
 // simulator's own scalability is on record: WebFold (offline TLB),
 // one WebWave diffusion step, a discrete-event simulator round-trip, and
 // Zipf sampling.
+//
+// After the registered benchmarks, a hand-timed lane-block sweep writes
+// BENCH_step_blocked.json; it is skipped when --benchmark_filter picks
+// out benchmarks.  Settings (bench_util.h): WEBWAVE_SMOKE sweeps 10⁴ and
+// 10⁵ nodes instead of 10⁵ and 10⁶.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -252,8 +257,7 @@ BENCHMARK(BM_BatchWebWaveStep)
 // traffic the layout implies: 104 B of lane state (phase-1 reads + delta
 // round trip + phase-2 read-modify-writes) plus 16 B of edge metadata
 // (two int32 endpoints + one double alpha) amortized over B lanes.
-void RunBlockedStepSweep() {
-  const bool smoke = bench::EnvFlag("WEBWAVE_SMOKE");
+void RunBlockedStepSweep(bool smoke) {
   const std::vector<int> node_counts =
       smoke ? std::vector<int>{10000, 100000}
             : std::vector<int>{100000, 1000000};
@@ -367,10 +371,16 @@ BENCHMARK(BM_ZipfSample)->Arg(1000)->Arg(1000000);
 // every run to BENCH_webwave.json so the perf trajectory of the hot paths
 // is captured by default.
 int main(int argc, char** argv) {
+  using namespace webwave;
+  const bool smoke = bench::ReadConfig(1).smoke;
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]).rfind("--benchmark_out=", 0) == 0) has_out = true;
+  bool has_filter = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--benchmark_out=", 0) == 0) has_out = true;
+    if (arg.rfind("--benchmark_filter", 0) == 0) has_filter = true;
+  }
   std::string out = "--benchmark_out=BENCH_webwave.json";
   std::string fmt = "--benchmark_out_format=json";
   if (!has_out) {
@@ -382,9 +392,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc2, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // The lane-block sweep runs after the registered benchmarks (skip with
-  // WEBWAVE_NO_BLOCK_SWEEP=1 when filtering for a single micro-benchmark).
-  using namespace webwave;
-  if (!bench::EnvFlag("WEBWAVE_NO_BLOCK_SWEEP")) RunBlockedStepSweep();
+  // The lane-block sweep runs after the registered benchmarks unless the
+  // caller filtered for particular ones.
+  if (!has_filter) RunBlockedStepSweep(smoke);
   return 0;
 }

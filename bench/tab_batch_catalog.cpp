@@ -10,12 +10,11 @@
 // the memory layout is shared.
 //
 // Emits BENCH_batch_catalog.json (one record per configuration) so CI can
-// archive the numbers per PR.  With WEBWAVE_SMOKE set (non-empty, not
-// "0") only the 10⁴-node × 8-document configuration runs — the CI smoke
-// job's per-PR perf probe.  WEBWAVE_BATCH_THREADS (or the global
-// WEBWAVE_THREADS) overrides the worker count (default 0 = one per
-// hardware thread); WEBWAVE_BATCH_BLOCK overrides the document block
-// width (default: WebWaveOptions::lane_block).  The full run repeats the
+// archive the numbers per PR.  Settings (bench_util.h): WEBWAVE_THREADS
+// workers (default 0 = one per hardware thread); WEBWAVE_SMOKE runs only
+// the 10⁴-node × 8-document configuration — the CI smoke job's per-PR
+// perf probe.  Every row uses the default document block width
+// (WebWaveOptions::lane_block) except the last: the full run repeats the
 // 10⁶ × 64 configuration at B = 1 — the old document-major layout — so
 // the blocked kernel's speedup is measured side by side on identical
 // (bit-identical, in fact) work.
@@ -58,10 +57,8 @@ int main() {
   using namespace webwave;
   using bench::MillisSince;
   using Clock = std::chrono::steady_clock;
-  const bool smoke = bench::EnvFlag("WEBWAVE_SMOKE");
-  const int threads = bench::EnvThreads("WEBWAVE_BATCH_THREADS");
-  const int default_block =
-      bench::EnvInt("WEBWAVE_BATCH_BLOCK", WebWaveOptions{}.lane_block);
+  const auto [smoke, threads] = bench::ReadConfig(0);
+  const int default_block = WebWaveOptions{}.lane_block;
   std::printf(
       "E9 — batched multi-document WebWave: one shared tree, one load lane\n"
       "per document, lanes interleaved in blocks of B documents; steps the\n"

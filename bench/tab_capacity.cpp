@@ -23,13 +23,11 @@
 //     loop's serving metrics equal the uncapacitated loop's exactly;
 //     at 0.25× WebWave-TLB must still beat home-only on max load.
 //
-// Emits BENCH_capacity.json.  Environment knobs:
-//   WEBWAVE_SMOKE              reduced shapes (the CI smoke configuration)
-//   WEBWAVE_CAPACITY_NODES     part-1 nodes (default 200000; smoke 8000)
-//   WEBWAVE_CAPACITY_DOCS      part-1 documents (default 64; smoke 8)
-//   WEBWAVE_CAPACITY_REQUESTS  part-1 requests (default 4000000; smoke 200000)
-//   WEBWAVE_CAPACITY_THREADS   workers (default: WEBWAVE_THREADS, then 1)
-//   WEBWAVE_CAPLOOP_NODES/_DOCS/_EPOCHS/_WINDOW  part-2 shape overrides
+// Emits BENCH_capacity.json.  Settings (bench_util.h): WEBWAVE_THREADS
+// workers (default 1); WEBWAVE_SMOKE runs the CI smoke shapes — part 1
+// at 8000 nodes × 8 documents × 2·10⁵ requests, part 2 at 4000 × 8 × 3
+// epochs of 10⁵-request windows — instead of 2·10⁵ × 64 × 4·10⁶ and
+// 5·10⁴ × 16 × 6 × 10⁶.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -54,16 +52,13 @@
 
 int main() {
   using namespace webwave;
-  using bench::EnvInt;
   using bench::MillisSince;
   using Clock = std::chrono::steady_clock;
 
-  const bool smoke = bench::EnvFlag("WEBWAVE_SMOKE");
-  const int nodes = EnvInt("WEBWAVE_CAPACITY_NODES", smoke ? 8000 : 200000);
-  const int docs = EnvInt("WEBWAVE_CAPACITY_DOCS", smoke ? 8 : 64);
-  const long long requests = bench::EnvLong(
-      "WEBWAVE_CAPACITY_REQUESTS", smoke ? 200000LL : 4000000LL);
-  const int threads = bench::EnvThreads("WEBWAVE_CAPACITY_THREADS", 1);
+  const auto [smoke, threads] = bench::ReadConfig(1);
+  const int nodes = smoke ? 8000 : 200000;
+  const int docs = smoke ? 8 : 64;
+  const long long requests = smoke ? 200000LL : 4000000LL;
 
   std::printf(
       "E15 — capacity-constrained serving: %d nodes x %d documents x %lld\n"
@@ -116,7 +111,7 @@ int main() {
     ServingOptions opt;
     opt.threads = threads;
     opt.offered_rate = gen.total_rate();
-    opt.block_size = EnvInt("WEBWAVE_SERVING_BLOCK", std::max(65536, nodes));
+    opt.block_size = std::max(65536, nodes);
 
     // Uncapacitated reference first, then the budget ladder.
     ServingMetrics uncap;
@@ -194,11 +189,10 @@ int main() {
   }
 
   // Part 2 — the capacity-aware closed loop -----------------------------
-  const int loop_nodes = EnvInt("WEBWAVE_CAPLOOP_NODES", smoke ? 4000 : 50000);
-  const int loop_docs = EnvInt("WEBWAVE_CAPLOOP_DOCS", smoke ? 8 : 16);
-  const int loop_epochs = EnvInt("WEBWAVE_CAPLOOP_EPOCHS", smoke ? 3 : 6);
-  const std::size_t loop_window = static_cast<std::size_t>(
-      EnvInt("WEBWAVE_CAPLOOP_WINDOW", smoke ? 100000 : 1000000));
+  const int loop_nodes = smoke ? 4000 : 50000;
+  const int loop_docs = smoke ? 8 : 16;
+  const int loop_epochs = smoke ? 3 : 6;
+  const std::size_t loop_window = smoke ? 100000 : 1000000;
   const int rotation = 8;
   std::printf(
       "capacity-aware closed loop: %d nodes x %d documents, %d epochs,\n"
@@ -242,8 +236,7 @@ int main() {
     ServingOptions sopt;
     sopt.threads = threads;
     sopt.offered_rate = wgen.total_rate();
-    sopt.block_size =
-        EnvInt("WEBWAVE_SERVING_BLOCK", std::max(65536, loop_nodes));
+    sopt.block_size = std::max(65536, loop_nodes);
 
     // First half from the stale copies feeds the fold (origins only —
     // where requests were *served* never enters the loop).

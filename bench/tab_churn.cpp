@@ -10,6 +10,9 @@
 // re-shuffles — and we measure how closely every document lane tracks its
 // own moving TLB optimum (the time-averaged relative distance and the
 // worst epoch-end distance).
+//
+// Settings (bench_util.h): WEBWAVE_THREADS workers (default 1).  The shape
+// is already small, so WEBWAVE_SMOKE changes nothing.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -22,6 +25,7 @@
 
 int main() {
   using namespace webwave;
+  const int threads = bench::ReadConfig(1).threads;
   std::printf(
       "E12 / Section 5.1 (extension) — tracking moving TLB optima, batched\n"
       "random tree n=200, 8-document catalog stepped as one batch;\n"
@@ -52,7 +56,7 @@ int main() {
       opt.epochs = 16;
       opt.period = period;
       opt.tlb_lanes = docs;
-      opt.protocol.threads = bench::EnvThreads("WEBWAVE_CHURN_THREADS", 1);
+      opt.protocol.threads = threads;
       const BatchChurnRun run = RunBatchChurn(tree, schedule, opt);
 
       double events = 0, max_load = 0;

@@ -22,13 +22,11 @@
 //   * with 10% of nodes crashed, WebWave-TLB's max server load stays at
 //     least 5x below home-only's on the identical degraded stream.
 //
-// Emits BENCH_faults.json.  Environment knobs:
-//   WEBWAVE_SMOKE            reduced shapes (the CI smoke configuration)
-//   WEBWAVE_FAULTS_NODES     part-1 nodes (default 1000000; smoke 8000)
-//   WEBWAVE_FAULTS_DOCS      part-1 documents (default 64; smoke 8)
-//   WEBWAVE_FAULTS_REQUESTS  part-1 requests (default 4000000; smoke 200000)
-//   WEBWAVE_FAULTS_THREADS   workers (default: WEBWAVE_THREADS, then 1)
-//   WEBWAVE_FAULTLOOP_NODES/_DOCS/_EPOCHS/_WINDOW  part-2 shape overrides
+// Emits BENCH_faults.json.  Settings (bench_util.h): WEBWAVE_THREADS
+// workers (default 1); WEBWAVE_SMOKE runs the CI smoke shapes — part 1
+// at 8000 nodes × 8 documents × 2·10⁵ requests, part 2 at 4000 × 8 × 5
+// epochs of 10⁵-request windows — instead of 10⁶ × 64 × 4·10⁶ and
+// 5·10⁴ × 16 × 9 × 10⁶.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -53,16 +51,13 @@
 
 int main() {
   using namespace webwave;
-  using bench::EnvInt;
   using bench::MillisSince;
   using Clock = std::chrono::steady_clock;
 
-  const bool smoke = bench::EnvFlag("WEBWAVE_SMOKE");
-  const int nodes = EnvInt("WEBWAVE_FAULTS_NODES", smoke ? 8000 : 1000000);
-  const int docs = EnvInt("WEBWAVE_FAULTS_DOCS", smoke ? 8 : 64);
-  const long long requests =
-      bench::EnvLong("WEBWAVE_FAULTS_REQUESTS", smoke ? 200000LL : 4000000LL);
-  const int threads = bench::EnvThreads("WEBWAVE_FAULTS_THREADS", 1);
+  const auto [smoke, threads] = bench::ReadConfig(1);
+  const int nodes = smoke ? 8000 : 1000000;
+  const int docs = smoke ? 8 : 64;
+  const long long requests = smoke ? 200000LL : 4000000LL;
 
   std::printf(
       "E16 — serving through failures: %d nodes x %d documents x %lld\n"
@@ -138,7 +133,7 @@ int main() {
     ServingOptions opt;
     opt.threads = threads;
     opt.offered_rate = gen.total_rate();
-    opt.block_size = EnvInt("WEBWAVE_SERVING_BLOCK", std::max(65536, nodes));
+    opt.block_size = std::max(65536, nodes);
 
     for (std::size_t s = 0; s < down_sets.size(); ++s) {
       const Scenario& sc = scenarios[s];
@@ -218,12 +213,10 @@ int main() {
   }
 
   // Part 2 — the closed loop through a rolling subtree outage -----------
-  const int loop_nodes =
-      EnvInt("WEBWAVE_FAULTLOOP_NODES", smoke ? 4000 : 50000);
-  const int loop_docs = EnvInt("WEBWAVE_FAULTLOOP_DOCS", smoke ? 8 : 16);
-  const int loop_epochs = EnvInt("WEBWAVE_FAULTLOOP_EPOCHS", smoke ? 5 : 9);
-  const std::size_t loop_window = static_cast<std::size_t>(
-      EnvInt("WEBWAVE_FAULTLOOP_WINDOW", smoke ? 100000 : 1000000));
+  const int loop_nodes = smoke ? 4000 : 50000;
+  const int loop_docs = smoke ? 8 : 16;
+  const int loop_epochs = smoke ? 5 : 9;
+  const std::size_t loop_window = smoke ? 100000 : 1000000;
   const int rotation = 8;
   std::printf(
       "fault-plane closed loop: %d nodes x %d documents, %d epochs, %zu\n"
@@ -268,8 +261,7 @@ int main() {
     ServingOptions sopt;
     sopt.threads = threads;
     sopt.offered_rate = wgen.total_rate();
-    sopt.block_size =
-        EnvInt("WEBWAVE_SERVING_BLOCK", std::max(65536, loop_nodes));
+    sopt.block_size = std::max(65536, loop_nodes);
 
     // First half from the stale copies (and last epoch's down set) feeds
     // the fold — arrivals keep flowing from clients under a dead subtree,

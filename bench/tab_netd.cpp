@@ -59,21 +59,13 @@
 // scrape), BENCH_netd_faults.json (the survivable-fleet scenario),
 // BENCH_netd_latency.json (per-scenario and per-epoch latency shapes),
 // netd_stats.prom (Prometheus text exposition, now with real histogram
-// families), netd_flight_*.txt and netd_trace.jsonl.  Environment knobs:
-//   WEBWAVE_SMOKE            reduced shapes (the CI smoke configuration)
-//   WEBWAVE_NETD_NODES       big-tree nodes to carve from (default
-//                            1000000; smoke 60000)
-//   WEBWAVE_NETD_CARVE       target carved-subtree size (default 4000;
-//                            smoke 1200)
-//   WEBWAVE_NETD_DOCS        documents (default 16; smoke 8)
-//   WEBWAVE_NETD_SERVERS     forked daemons (default 4)
-//   WEBWAVE_NETD_REQUESTS    requests per scenario (default 400000;
-//                            smoke 120000)
-//   WEBWAVE_NETD_SCRAPE_MS   live stats-scrape period (default 5; 0
-//                            disables mid-run scraping)
-//   WEBWAVE_NETD_TRACE_SHIFT trace sampling shift (default 10: ~1/1024)
-//   WEBWAVE_NETD_EPOCHS      fault-scenario epochs (default 5)
-//   WEBWAVE_THREADS          oracle replay worker threads (default 1)
+// families), netd_flight_*.txt and netd_trace.jsonl.  Settings
+// (bench_util.h): WEBWAVE_THREADS oracle replay workers in part 4
+// (default 1); WEBWAVE_SMOKE runs the CI smoke shape — a ~1200-node
+// subtree carved from a 60000-node tree, 8 documents, 120000 requests
+// per scenario — instead of ~4000 of 10⁶, 16 documents and 400000.  Both
+// shapes run 4 daemons, scrape stats every 5 ms, trace ~1/1024 requests
+// and give the survivable fleet 5 epochs.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -133,20 +125,15 @@ bool MergeEqualsBucketSum(
 
 int main() {
   using namespace webwave;
-  using bench::EnvInt;
   using bench::MillisSince;
   using Clock = std::chrono::steady_clock;
 
-  const bool smoke = bench::EnvFlag("WEBWAVE_SMOKE");
-  const int big_nodes =
-      EnvInt("WEBWAVE_NETD_NODES", smoke ? 60000 : 1000000);
-  const int carve_target = EnvInt("WEBWAVE_NETD_CARVE", smoke ? 1200 : 4000);
-  const int docs = EnvInt("WEBWAVE_NETD_DOCS", smoke ? 8 : 16);
-  const int servers = EnvInt("WEBWAVE_NETD_SERVERS", 4);
-  const long long requests =
-      bench::EnvLong("WEBWAVE_NETD_REQUESTS", smoke ? 120000LL : 400000LL);
-  const int scrape_ms = EnvInt("WEBWAVE_NETD_SCRAPE_MS", 5);
-  const int trace_shift = EnvInt("WEBWAVE_NETD_TRACE_SHIFT", 10);
+  const auto [smoke, oracle_threads] = bench::ReadConfig(1);
+  const int big_nodes = smoke ? 60000 : 1000000;
+  const int carve_target = smoke ? 1200 : 4000;
+  const int docs = smoke ? 8 : 16;
+  const int servers = 4;
+  const long long requests = smoke ? 120000LL : 400000LL;
 
   std::printf(
       "E17 — one wire protocol, two transports: %d-node tree, a carved\n"
@@ -208,8 +195,8 @@ int main() {
   config.serving.block_size = 1;
   config.serving.threads = 1;
   config.serving.trace = true;
-  config.serving.trace_sample_shift = trace_shift;
-  config.stats_scrape_period_ms = scrape_ms;
+  config.serving.trace_sample_shift = 10;  // ~1/1024 requests
+  config.stats_scrape_period_ms = 5;
   config.docs = docs;
   config.stream_seed = 0x77aeULL + static_cast<std::uint64_t>(big_nodes);
   config.total_requests = static_cast<std::uint64_t>(requests);
@@ -282,7 +269,7 @@ int main() {
     // period), per-daemon counters are monotone sample to sample, and
     // the final sample's fleet sum is exactly the oracle's totals — the
     // scraper reads the same truth the oracle computes.
-    if (scrape_ms > 0 && run.samples.size() < 2) {
+    if (run.samples.size() < 2) {
       std::printf("ASSERT FAILED [%s]: no mid-run stats sample (%zu total)\n",
                   sc.label, run.samples.size());
       match = false;
@@ -474,8 +461,7 @@ int main() {
 
   // Part 4 — the survivable fleet: kill + restart mid-run ----------------
   {
-    const int epochs = EnvInt("WEBWAVE_NETD_EPOCHS", 5);
-    const int oracle_threads = bench::EnvThreads("WEBWAVE_NETD_THREADS", 1);
+    const int epochs = 5;
     NetdClusterConfig fc = config;
     fc.down.clear();
     fc.serving.max_failover_attempts = 8;
@@ -497,32 +483,10 @@ int main() {
     eopt.faults.outage_epochs = 1;
     eopt.faults.start_epoch = 1;
 
-    // The fault schedule is a pure (seed, server, epoch) hash; probe for
-    // the first seed whose draw kills AND restarts at least one daemon,
-    // so the scenario is guaranteed whatever the hash does.  (The oracle
-    // identity holds for any plan — the probe only pins coverage.)
-    auto kills_through = [](const ProcessFaultPlan& p, int e) {
-      std::size_t n = 0;
-      for (int i = 0; i <= e; ++i)
-        n += p.kill_at[static_cast<std::size_t>(i)].size();
-      return n;
-    };
-    auto restarts_through = [](const ProcessFaultPlan& p, int e) {
-      std::size_t n = 0;
-      for (int i = 0; i <= e; ++i)
-        n += p.restart_at[static_cast<std::size_t>(i)].size();
-      return n;
-    };
-    std::uint64_t fseed = 0;
-    for (std::uint64_t s = 1; s <= 64 && fseed == 0; ++s) {
-      FaultScheduleOptions probe = eopt.faults;
-      probe.seed = s;
-      const ProcessFaultPlan p =
-          BuildProcessFaultPlan(servers, epochs, probe);
-      if (kills_through(p, epochs - 1) >= 1 &&
-          restarts_through(p, epochs - 1) >= 1)
-        fseed = s;
-    }
+    // Pin coverage: the first seed whose plan kills AND restarts a daemon.
+    // (The oracle identity holds for any plan.)
+    const std::uint64_t fseed =
+        FirstKillRestartSeed(servers, epochs, eopt.faults);
     if (fseed == 0) {
       std::printf("ASSERT FAILED: no fault seed in 1..64 yields a kill "
                   "and a restart\n");
@@ -530,8 +494,8 @@ int main() {
     }
     eopt.faults.seed = fseed;
     const ProcessFaultPlan plan = BuildEpochPlan(&fc, eopt);
-    const std::size_t kills = kills_through(plan, epochs - 1);
-    const std::size_t restarts = restarts_through(plan, epochs - 1);
+    const std::size_t kills = CountThrough(plan.kill_at, epochs - 1);
+    const std::size_t restarts = CountThrough(plan.restart_at, epochs - 1);
     std::printf(
         "survivable fleet: %d epochs x %llu requests, fault seed %llu —\n"
         "%zu daemon kill(s), %zu restart(s) scheduled mid-run\n",
@@ -624,7 +588,7 @@ int main() {
     for (std::size_t i = 0; epochs_ok && i < run.epoch_samples.size(); ++i) {
       std::vector<WireCounters> parts = run.epoch_samples[i].per_server;
       const std::size_t used =
-          std::min(kills_through(plan, static_cast<int>(i) + 1),
+          std::min(CountThrough(plan.kill_at, static_cast<int>(i) + 1),
                    run.retired.size());
       parts.insert(parts.end(), run.retired.begin(),
                    run.retired.begin() + static_cast<std::ptrdiff_t>(used));

@@ -4,6 +4,10 @@
 // ICP-like policies on balance, locality (hit depth), response time and
 // control-message overhead — the §1 argument that discovery protocols pay
 // per-request costs while WebWave pays only periodic gossip.
+//
+// Settings (bench_util.h): WEBWAVE_THREADS workers for the batch-engine
+// reference (default 1).  The shape is already small, so WEBWAVE_SMOKE
+// changes nothing.
 #include <cstdio>
 #include <string>
 
@@ -33,9 +37,9 @@ struct RateLevelReference {
 };
 
 RateLevelReference BatchReference(const RoutingTree& tree,
-                                  const DemandMatrix& demand) {
+                                  const DemandMatrix& demand, int threads) {
   WebWaveOptions opt;
-  opt.threads = bench::EnvThreads("WEBWAVE_PACKET_THREADS", 1);
+  opt.threads = threads;
   BatchWebWaveSimulator batch = MakeCatalogBatch(tree, demand, opt);
   for (int s = 0; s < 20000; ++s) batch.Step();
   RateLevelReference ref;
@@ -63,7 +67,8 @@ int main() {
   const DemandMatrix demand = LeafZipfDemand(tree, 12, 150.0, 1.0, rng);
   // Rate-level target from the batch engine: per-document lanes stepped to
   // convergence, summed over the catalog.
-  const RateLevelReference target = BatchReference(tree, demand);
+  const RateLevelReference target =
+      BatchReference(tree, demand, bench::ReadConfig(1).threads);
   std::printf(
       "rate-level reference: batch engine, %d lanes to convergence "
       "(worst per-lane residual to its TLB: %.2e)\n\n",

@@ -13,16 +13,10 @@
 // Emits BENCH_churn_batch.json (one record per epoch plus a config
 // record) so CI and later sessions can diff the measured costs.
 //
-// Environment knobs (all optional, for smoke runs):
-//   WEBWAVE_HOTSPOT_NODES   nodes (default 1000000)
-//   WEBWAVE_HOTSPOT_DOCS    documents (default 64)
-//   WEBWAVE_HOTSPOT_EPOCHS  rotation epochs (default 8, one revolution)
-//   WEBWAVE_HOTSPOT_STEPS   diffusion steps per epoch (default 3)
-//   WEBWAVE_HOTSPOT_THREADS worker threads (default: WEBWAVE_THREADS,
-//                           then 0 = one per hardware thread)
-//   WEBWAVE_HOTSPOT_BLOCK   document block width (default:
-//                           WebWaveOptions::lane_block; 1 = the old
-//                           document-major layout, for comparisons)
+// Settings (bench_util.h): WEBWAVE_THREADS workers (default 0 = one per
+// hardware thread); WEBWAVE_SMOKE runs the CI smoke shape, 20000 nodes ×
+// 8 documents × 4 epochs, instead of 10⁶ × 64 × 8 (one revolution).  Both
+// take 3 diffusion steps per epoch at the default document block width.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -39,15 +33,14 @@
 
 int main() {
   using namespace webwave;
-  using bench::EnvInt;
   using bench::MillisSince;
   using Clock = std::chrono::steady_clock;
 
-  const int nodes = EnvInt("WEBWAVE_HOTSPOT_NODES", 1000000);
-  const int docs = EnvInt("WEBWAVE_HOTSPOT_DOCS", 64);
-  const int epochs = EnvInt("WEBWAVE_HOTSPOT_EPOCHS", 8);
-  const int steps_per_epoch = EnvInt("WEBWAVE_HOTSPOT_STEPS", 3);
-  const int threads = bench::EnvThreads("WEBWAVE_HOTSPOT_THREADS");
+  const auto [smoke, threads] = bench::ReadConfig(0);
+  const int nodes = smoke ? 20000 : 1000000;
+  const int docs = smoke ? 8 : 64;
+  const int epochs = smoke ? 4 : 8;
+  const int steps_per_epoch = 3;
 
   std::printf(
       "E13 — rotating hot spot at catalog scale: %d nodes x %d documents,\n"
@@ -72,8 +65,6 @@ int main() {
 
   WebWaveOptions opt;
   opt.threads = threads;
-  opt.lane_block =
-      EnvInt("WEBWAVE_HOTSPOT_BLOCK", WebWaveOptions{}.lane_block);
   const auto t_setup = Clock::now();
   BatchWebWaveSimulator batch(tree, schedule.Lanes(), opt);
   const double setup_ms = MillisSince(t_setup);

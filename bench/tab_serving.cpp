@@ -41,14 +41,11 @@
 //
 // Emits BENCH_serving.json, BENCH_serving_timeline.jsonl (one record per
 // closed-loop epoch from the part-2 EpochDriver timeline) and
-// BENCH_trace_sample.jsonl.  Environment knobs:
-//   WEBWAVE_SMOKE             reduced shapes (the CI smoke configuration)
-//   WEBWAVE_SERVING_NODES     part-1 nodes (default 1000000; smoke 10000)
-//   WEBWAVE_SERVING_DOCS      part-1 documents (default 64; smoke 8)
-//   WEBWAVE_SERVING_REQUESTS  part-1 requests (default 10000000; smoke 200000)
-//   WEBWAVE_SERVING_THREADS   worker threads (default: WEBWAVE_THREADS, then 1)
-//   WEBWAVE_LOOP_NODES/_DOCS/_EPOCHS/_WINDOW  part-2 shape overrides
-//   WEBWAVE_SNAP_NODES/_DOCS/_EPOCHS          part-3 shape overrides
+// BENCH_trace_sample.jsonl.  Settings (bench_util.h): WEBWAVE_THREADS
+// workers (default 1); WEBWAVE_SMOKE runs the CI smoke shapes — part 1
+// at 10⁴ nodes × 8 documents × 2·10⁵ requests, part 2 at 5000 × 8 × 3
+// epochs of 10⁵-request windows, part 3 at 5000 × 20 × 3 epochs —
+// instead of 10⁶ × 64 × 10⁷, 2·10⁵ × 16 × 6 × 2·10⁶ and 2·10⁵ × 128 × 12.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -80,16 +77,13 @@
 
 int main() {
   using namespace webwave;
-  using bench::EnvInt;
   using bench::MillisSince;
   using Clock = std::chrono::steady_clock;
 
-  const bool smoke = bench::EnvFlag("WEBWAVE_SMOKE");
-  const int nodes = EnvInt("WEBWAVE_SERVING_NODES", smoke ? 10000 : 1000000);
-  const int docs = EnvInt("WEBWAVE_SERVING_DOCS", smoke ? 8 : 64);
-  const long long requests = bench::EnvLong("WEBWAVE_SERVING_REQUESTS",
-                                            smoke ? 200000LL : 10000000LL);
-  const int threads = bench::EnvThreads("WEBWAVE_SERVING_THREADS", 1);
+  const auto [smoke, threads] = bench::ReadConfig(1);
+  const int nodes = smoke ? 10000 : 1000000;
+  const int docs = smoke ? 8 : 64;
+  const long long requests = smoke ? 200000LL : 10000000LL;
 
   std::printf(
       "E14 — request-serving data plane over batch WebWave placements:\n"
@@ -143,7 +137,7 @@ int main() {
     // Token windows sized so a typical server earns a few requests per
     // block — at 10⁶ servers a block must span a few million requests for
     // proportional quotas to be meaningful at request granularity.
-    opt.block_size = EnvInt("WEBWAVE_SERVING_BLOCK", std::max(65536, nodes));
+    opt.block_size = std::max(65536, nodes);
     ServingPlane plane(tree, std::move(snap), opt);
     const auto t_serve = Clock::now();
     plane.Serve(stream);
@@ -179,11 +173,10 @@ int main() {
   std::printf("%s\n", table.Render().c_str());
 
   // Part 2 — the closed loop under a rotating hot spot ------------------
-  const int loop_nodes = EnvInt("WEBWAVE_LOOP_NODES", smoke ? 5000 : 200000);
-  const int loop_docs = EnvInt("WEBWAVE_LOOP_DOCS", smoke ? 8 : 16);
-  const int loop_epochs = EnvInt("WEBWAVE_LOOP_EPOCHS", smoke ? 3 : 6);
-  const std::size_t loop_window = static_cast<std::size_t>(
-      EnvInt("WEBWAVE_LOOP_WINDOW", smoke ? 100000 : 2000000));
+  const int loop_nodes = smoke ? 5000 : 200000;
+  const int loop_docs = smoke ? 8 : 16;
+  const int loop_epochs = smoke ? 3 : 6;
+  const std::size_t loop_window = smoke ? 100000 : 2000000;
   const int rotation = 8;
   std::printf(
       "closed loop: %d nodes x %d documents, %d epochs, %zu requests per\n"
@@ -220,8 +213,7 @@ int main() {
   driver.SetClock(&loop_clock);
   ServingOptions loop_sopt;
   loop_sopt.threads = threads;
-  loop_sopt.block_size =
-      EnvInt("WEBWAVE_SERVING_BLOCK", std::max(65536, loop_nodes));
+  loop_sopt.block_size = std::max(65536, loop_nodes);
   // The generator total is epoch-invariant (the hot window only moves),
   // so one fixed scale serves every epoch and keeps refreshes hinted.
   {
@@ -312,9 +304,9 @@ int main() {
   // moves; once the paths are provisioned the copy sets freeze and the
   // shape holds (the "shape" column).  Each epoch re-snapshots both ways
   // and asserts the results identical cell for cell.
-  const int snap_nodes = EnvInt("WEBWAVE_SNAP_NODES", smoke ? 5000 : 200000);
-  const int snap_docs = EnvInt("WEBWAVE_SNAP_DOCS", smoke ? 20 : 128);
-  const int snap_epochs = EnvInt("WEBWAVE_SNAP_EPOCHS", smoke ? 3 : 12);
+  const int snap_nodes = smoke ? 5000 : 200000;
+  const int snap_docs = smoke ? 20 : 128;
+  const int snap_epochs = smoke ? 3 : 12;
   const int hot_docs = std::max(1, snap_docs / 20);  // ~5 % of the lanes
   std::printf(
       "incremental snapshot: %d nodes x %d documents, %d flash-crowd\n"
@@ -354,8 +346,7 @@ int main() {
   ServingOptions snap_sopt;
   snap_sopt.threads = threads;
   snap_sopt.offered_rate = 25.0 * snap_docs;
-  snap_sopt.block_size =
-      EnvInt("WEBWAVE_SERVING_BLOCK", std::max(65536, snap_nodes));
+  snap_sopt.block_size = std::max(65536, snap_nodes);
   ServingPlane inc_plane(snap_tree, incr, snap_sopt);
 
   AsciiTable snap_table({"epoch", "dirty lanes", "cells", "shape", "full ms",
@@ -461,7 +452,7 @@ int main() {
     ServingOptions copt;
     copt.threads = threads;
     copt.offered_rate = gen.total_rate();
-    copt.block_size = EnvInt("WEBWAVE_SERVING_BLOCK", std::max(65536, nodes));
+    copt.block_size = std::max(65536, nodes);
     ServingMetrics uncap;
     AsciiTable cap_table({"budget x", "evicted", "spill %", "hit %",
                           "max load", "project ms"});
@@ -526,7 +517,7 @@ int main() {
     ServingOptions topt;
     topt.threads = threads;
     topt.offered_rate = gen.total_rate();
-    topt.block_size = EnvInt("WEBWAVE_SERVING_BLOCK", std::max(65536, nodes));
+    topt.block_size = std::max(65536, nodes);
 
     ServingPlane untraced(tree, base, topt);
     const auto t_plain = Clock::now();

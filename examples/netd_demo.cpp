@@ -201,17 +201,13 @@ int main() {
     eopt.faults.crash_fraction = 0.4;
     eopt.faults.outage_epochs = 1;
     eopt.faults.start_epoch = 1;
-    // Probe for a seed whose pure (seed, server, epoch) draw schedules at
-    // least one kill and one restart — the identity holds for any plan,
-    // the probe just guarantees the demo demonstrates one.
-    for (std::uint64_t s = 1; s <= 64; ++s) {
-      eopt.faults.seed = s;
-      const ProcessFaultPlan p =
-          BuildProcessFaultPlan(servers, eopt.epochs, eopt.faults);
-      std::size_t kills = 0, restarts = 0;
-      for (const auto& k : p.kill_at) kills += k.size();
-      for (const auto& r : p.restart_at) restarts += r.size();
-      if (kills >= 1 && restarts >= 1) break;
+    // The identity holds for any plan; the first seed that kills AND
+    // restarts a daemon guarantees the demo demonstrates one.
+    eopt.faults.seed = FirstKillRestartSeed(servers, eopt.epochs, eopt.faults);
+    if (eopt.faults.seed == 0) {
+      std::printf("FAILED: no fault seed in 1..64 yields a kill and a "
+                  "restart\n");
+      return 1;
     }
     const ProcessFaultPlan plan = BuildEpochPlan(&fc, eopt);
 

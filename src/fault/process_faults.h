@@ -17,6 +17,7 @@
 // plan object and agree on every transition by construction.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "fault/fault_schedule.h"
@@ -35,6 +36,15 @@ struct ProcessFaultPlan {
   // The dead set of `epoch`, ascending — convenience for re-homing.
   std::vector<int> DeadServers(int epoch) const;
 };
+
+// Servers listed in kill_at or restart_at (`at`) at the boundaries
+// entering epochs 0..e: CountThrough(plan.kill_at, e) is the kills so far.
+inline std::size_t CountThrough(const std::vector<std::vector<int>>& at,
+                                int e) {
+  std::size_t n = 0;
+  for (int k = 0; k <= e; ++k) n += at[static_cast<std::size_t>(k)].size();
+  return n;
+}
 
 // Evaluates `options` over the fleet star of `server_count` servers for
 // `epochs` epochs.  Requires server_count >= 1 and options.start_epoch

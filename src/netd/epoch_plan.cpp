@@ -104,4 +104,16 @@ ProcessFaultPlan BuildEpochPlan(NetdClusterConfig* config,
   return plan;
 }
 
+std::uint64_t FirstKillRestartSeed(int server_count, int epochs,
+                                   FaultScheduleOptions faults) {
+  for (faults.seed = 1; faults.seed <= 64; ++faults.seed) {
+    const ProcessFaultPlan p =
+        BuildProcessFaultPlan(server_count, epochs, faults);
+    if (CountThrough(p.kill_at, epochs - 1) >= 1 &&
+        CountThrough(p.restart_at, epochs - 1) >= 1)
+      return faults.seed;
+  }
+  return 0;
+}
+
 }  // namespace webwave

@@ -44,4 +44,12 @@ struct EpochPlanOptions {
 ProcessFaultPlan BuildEpochPlan(NetdClusterConfig* config,
                                 const EpochPlanOptions& options);
 
+// The first seed in 1..64 whose process-fault plan (`faults` with that
+// seed, over `server_count` servers and `epochs` epochs) kills at least
+// one daemon and restarts at least one, or 0 if none does.  The schedule
+// is a pure (seed, server, epoch) hash, so a kill/restart scenario probes
+// for its seed instead of hoping one draws it.
+std::uint64_t FirstKillRestartSeed(int server_count, int epochs,
+                                   FaultScheduleOptions faults);
+
 }  // namespace webwave

@@ -686,22 +686,6 @@ TEST(NetdCluster, ForkedFaultedFleetMatchesOracle) {
   EXPECT_GT(run.fleet.failovers, 0u);
 }
 
-// Cumulative kills/restarts of a plan through the boundary *entering*
-// epoch e (inclusive) — for lining retired scrapes up with barriers.
-std::size_t KillsThrough(const ProcessFaultPlan& plan, int e) {
-  std::size_t n = 0;
-  for (int k = 0; k <= e; ++k)
-    n += plan.kill_at[static_cast<std::size_t>(k)].size();
-  return n;
-}
-
-std::size_t RestartsThrough(const ProcessFaultPlan& plan, int e) {
-  std::size_t n = 0;
-  for (int k = 0; k <= e; ++k)
-    n += plan.restart_at[static_cast<std::size_t>(k)].size();
-  return n;
-}
-
 TEST(NetdCluster, MultiEpochFleetMatchesOracleWithoutFaults) {
   Cluster c = MakeCluster(200, 8, 4, 0);
   EpochPlanOptions opt;
@@ -738,34 +722,59 @@ TEST(NetdCluster, MultiEpochFleetMatchesOracleWithoutFaults) {
 }
 
 // The kill/restart scenario: five traced epochs of 4000 requests whose
-// process-fault plan kills and re-forks at least one daemon.  The
-// schedule is a pure (seed, server, epoch) function; probe for the first
-// seed whose draw has at least one kill AND one restart, so the scenario
-// is guaranteed whatever the hash does.  (The oracle identity holds for
-// any plan; the probe only pins scenario coverage.)
+// process-fault plan kills and re-forks at least one daemon (the first
+// such seed; the oracle identity holds for any plan, the probe only pins
+// scenario coverage).
+FaultScheduleOptions KillRestartFaults() {
+  FaultScheduleOptions faults;
+  faults.pattern = FaultPattern::kSingleNodes;
+  faults.crash_fraction = 0.4;
+  faults.outage_epochs = 1;
+  faults.start_epoch = 1;
+  return faults;
+}
+
 void MakeKillRestartPlan(Cluster* c, ProcessFaultPlan* plan) {
   EpochPlanOptions opt;
   opt.epochs = 5;
   opt.requests_per_epoch = 4000;
-  opt.faults.pattern = FaultPattern::kSingleNodes;
-  opt.faults.crash_fraction = 0.4;
-  opt.faults.outage_epochs = 1;
-  opt.faults.start_epoch = 1;
-  std::uint64_t seed = 0;
-  for (std::uint64_t s = 1; s <= 64 && seed == 0; ++s) {
-    FaultScheduleOptions probe = opt.faults;
-    probe.seed = s;
-    const ProcessFaultPlan p = BuildProcessFaultPlan(4, opt.epochs, probe);
-    if (KillsThrough(p, opt.epochs - 1) >= 1 &&
-        RestartsThrough(p, opt.epochs - 1) >= 1)
-      seed = s;
-  }
-  ASSERT_NE(seed, 0u) << "no seed in 1..64 yields a kill and a restart";
-  opt.faults.seed = seed;
+  opt.faults = KillRestartFaults();
+  opt.faults.seed = FirstKillRestartSeed(4, opt.epochs, opt.faults);
+  ASSERT_NE(opt.faults.seed, 0u)
+      << "no seed in 1..64 yields a kill and a restart";
   *plan = BuildEpochPlan(&c->config, opt);
   ASSERT_TRUE(plan->any);
   c->config.serving.trace = true;
   c->config.serving.trace_sample_shift = 6;
+}
+
+// The seed probe returns the smallest seed whose plan both kills and
+// restarts a daemon, and 0 when the schedule can never kill, or never
+// restart (two epochs: a daemon killed entering epoch 1 stays dead).
+TEST(NetdCluster, FirstKillRestartSeedIsTheSmallestQualifyingSeed) {
+  const int epochs = 5;
+  bool probed_past_one = false;
+  for (const double fraction : {0.02, 0.05, 0.4}) {
+    FaultScheduleOptions faults = KillRestartFaults();
+    faults.crash_fraction = fraction;
+    const std::uint64_t seed = FirstKillRestartSeed(4, epochs, faults);
+    ASSERT_NE(seed, 0u) << "crash fraction " << fraction;
+    probed_past_one |= seed > 1;
+    for (std::uint64_t s = 1; s <= seed; ++s) {
+      faults.seed = s;
+      const ProcessFaultPlan p = BuildProcessFaultPlan(4, epochs, faults);
+      const bool qualifies = CountThrough(p.kill_at, epochs - 1) >= 1 &&
+                             CountThrough(p.restart_at, epochs - 1) >= 1;
+      EXPECT_EQ(qualifies, s == seed)
+          << "crash fraction " << fraction << ", seed " << s;
+    }
+  }
+  EXPECT_TRUE(probed_past_one) << "no case has a smaller seed to reject";
+
+  FaultScheduleOptions never = KillRestartFaults();
+  never.crash_fraction = 0;
+  EXPECT_EQ(FirstKillRestartSeed(4, epochs, never), 0u);
+  EXPECT_EQ(FirstKillRestartSeed(4, 2, KillRestartFaults()), 0u);
 }
 
 // Every law a kill/restart run owes the oracle replaying its epoch plan.
@@ -773,8 +782,8 @@ void ExpectKillRestartRunMatchesOracle(const Cluster& c,
                                        const ProcessFaultPlan& plan,
                                        const NetdRunResult& run) {
   const int epochs = static_cast<int>(plan.kill_at.size());
-  const std::size_t kills = KillsThrough(plan, epochs - 1);
-  const std::size_t restarts = RestartsThrough(plan, epochs - 1);
+  const std::size_t kills = CountThrough(plan.kill_at, epochs - 1);
+  const std::size_t restarts = CountThrough(plan.restart_at, epochs - 1);
   std::vector<TraceEvent> oracle_trace;
   std::vector<WireCounters> per_epoch;
   const ServingMetrics oracle =
@@ -796,7 +805,8 @@ void ExpectKillRestartRunMatchesOracle(const Cluster& c,
   ASSERT_EQ(per_epoch.size(), static_cast<std::size_t>(epochs));
   for (std::size_t i = 0; i < run.epoch_samples.size(); ++i) {
     std::vector<WireCounters> parts = run.epoch_samples[i].per_server;
-    const std::size_t used = KillsThrough(plan, static_cast<int>(i) + 1);
+    const std::size_t used =
+        CountThrough(plan.kill_at, static_cast<int>(i) + 1);
     ASSERT_LE(used, run.retired.size());
     parts.insert(parts.end(), run.retired.begin(),
                  run.retired.begin() + static_cast<std::ptrdiff_t>(used));
