@@ -1,84 +1,40 @@
 // E17 — one wire protocol, two transports: the netd fleet vs the oracle.
 //
 // Part 1 carves a serving subtree out of the 10⁶-node internet tree,
-// derives a WebWave placement for it, serializes the quotas to a
-// QuotaWireTable blob and launches a fleet of forked cache-server
-// daemons over loopback sockets — each owning a contiguous preorder
-// shard, answering GETs from its quota table and forwarding misses
-// up-tree to the owning peer's socket.  The same (seed, i) request
-// stream is then replayed on one in-process ServingPlane built from the
-// *same* blob, and every integer serving counter — hits, home serves,
-// hops, failovers, backoff slots, drops — is asserted EQUAL, fleet sum
-// vs oracle, across three scenarios: all-live, a crashed subtree root
-// (failovers > 0), and a dead ancestor chain longer than the retry
-// budget (drops > 0).  The process exits nonzero on any mismatch: the
-// socket transport is not approximately right, it is the same protocol.
+// stages it (StageNetdCluster) and runs a fleet of forked cache-server
+// daemons over loopback, tracing and live-scraping, against the
+// in-process oracle replaying the same (seed, i) stream, in each of
+// NetdScenarios: all live, a crashed subtree root, a dead chain past the
+// retry budget.  Part 2 is the survivable fleet: five epochs
+// (BuildEpochPlan) under KillRestartFaults, daemons SIGKILLed at epoch
+// boundaries and re-forked, rejoining via Hello and re-synced by
+// kQuotaDelta.  Every run is held to FleetLawViolations (the laws in
+// src/netd/README.md) and to what its scenario owes beyond them: part 1 a
+// mid-run stats sample, part 2 clean-shutdown flight files that parse
+// back.  Part 3 injects the daemon's encoded frames into a running
+// PacketSim through a step hook: the simulator as the second transport.
+// Latency values are wall-clock, reported and never asserted.
 //
-// Part 2 turns the simulator into the second transport of that protocol:
-// a PacketSim step hook injects encoded GetRequest/LoadGossip frames —
-// the daemon's own byte format, pushed through MessageCodec — into the
-// running packet simulation, and the run reports how many wire frames
-// the simulation itself round-tripped.
-//
-// Part 3 (riding inside part 1's runs): the live fleet stats scraper.
-// While each scenario's stream is in flight, the loadgen polls every
-// daemon's kStatsRequest on a timer; the samples must be monotone per
-// daemon and the final sample's fleet sum must equal the oracle exactly.
-// The fleet also runs with request tracing on, and the scraped trace
-// records are asserted equal to the oracle's, record for record.
-//
-// Part 4 — the survivable fleet (PR 9).  A multi-epoch closed loop
-// (BuildEpochPlan: one EpochDriver control node refreshing the quota
-// table per epoch, FaultProjector re-homing around dead shards) runs
-// against a fault-injected fleet: a scheduled daemon is SIGKILLed at an
-// epoch boundary mid-run and re-forked later, rejoining via Hello and
-// re-synced by kQuotaDelta.  Asserted, not observed: the fleet's summed
-// counters (live finals + the victims' pre-kill scrapes) equal the
-// multi-epoch oracle bit-for-bit; every quiesced barrier sample plus the
-// retired counters equals the oracle's cumulative per-epoch counters —
-// including the killed epochs AND the post-recovery epochs after the
-// delta re-sync; no forward was shed; every daemon's outbox peak stayed
-// under the watermark.  The oracle replay honors WEBWAVE_THREADS
-// (order-free admission makes its counters thread-count invariant).
-//
-// Part 5 (riding inside parts 1 and 4): the latency plane (PR 10).
-// Every kStatsReply carries the daemon's serve-time histogram in the v4
-// section, so the scraper collects fleet-wide latency live; the merged
-// fleet histogram is asserted equal to the naive per-bucket integer sum,
-// and its total count is a structural identity (every request plus every
-// forward arrives as exactly one kGetRequest frame).  The loadgen's own
-// send->reply histograms obey a partition law: bucketed per epoch and
-// per server, the two partitions merge to the same histogram.  Victims'
-// flight-recorder rings are scraped before each SIGKILL and asserted
-// non-empty; all rings are dumped as netd_flight_*.txt and the trace as
-// netd_trace.jsonl — the inputs tools/merge_flight.py joins into a
-// cross-process per-request timeline.  Bucket *values* are wall-clock
-// and never enter any assertion; only counts and partition identities do.
-//
-// Emits BENCH_netd.json, BENCH_netd_stats.json (one record per live
-// scrape), BENCH_netd_faults.json (the survivable-fleet scenario),
-// BENCH_netd_latency.json (per-scenario and per-epoch latency shapes),
-// netd_stats.prom (Prometheus text exposition, now with real histogram
-// families), netd_flight_*.txt and netd_trace.jsonl.  Settings
-// (bench_util.h): WEBWAVE_THREADS oracle replay workers in part 4
-// (default 1); WEBWAVE_SMOKE runs the CI smoke shape — a ~1200-node
-// subtree carved from a 60000-node tree, 8 documents, 120000 requests
-// per scenario — instead of ~4000 of 10⁶, 16 documents and 400000.  Both
-// shapes run 4 daemons, scrape stats every 5 ms, trace ~1/1024 requests
-// and give the survivable fleet 5 epochs.
+// Exits nonzero on any violation.  Emits BENCH_netd.json,
+// BENCH_netd_stats.json (one record per live scrape),
+// BENCH_netd_faults.json (part 2), BENCH_netd_latency.json,
+// netd_stats.prom, and netd_flight_*.txt plus netd_trace.jsonl for
+// tools/merge_flight.py.  Settings (bench_util.h): WEBWAVE_THREADS sets
+// part 2's oracle replay workers (default 1); WEBWAVE_SMOKE carves ~1200
+// of 60000 nodes with 8 documents and 120000 requests per scenario
+// instead of ~4000 of 10⁶, 16 and 400000.  Both shapes run 4 daemons,
+// scrape stats every 5 ms and trace ~1/1024 requests.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "doc/catalog.h"
-#include "doc/placement.h"
 #include "fault/process_faults.h"
 #include "netd/cluster.h"
 #include "netd/epoch_plan.h"
@@ -86,42 +42,85 @@
 #include "obs/flight_recorder.h"
 #include "obs/latency_histogram.h"
 #include "proto/packet_sim.h"
-#include "serve/quota_snapshot.h"
 #include "tree/builders.h"
 #include "util/ascii.h"
 #include "util/bench_json.h"
 #include "util/rng.h"
 #include "wire/codec.h"
-#include "wire/quota_wire.h"
 
+namespace webwave {
 namespace {
 
-webwave::LatencyHistogram MergeHists(
-    const std::vector<webwave::LatencyHistogram>& parts) {
-  webwave::LatencyHistogram merged;
-  for (const auto& h : parts) merged.Merge(h);
-  return merged;
+// Prints one latency line and adds its BENCH_netd_latency.json record:
+// the client's send->reply and the fleet's serve-time percentiles for one
+// epoch, or (epoch < 0) for a whole scenario, which adds the bounds, the
+// loadgen's worst stall and the verdict, and exposes both histograms in
+// `prom`.  Values are wall-clock: reported, never asserted.
+void ReportLatency(BenchJson* json, PrometheusWriter* prom,
+                   const std::string& scenario, int epoch,
+                   const LatencyHistogram& client,
+                   const LatencyHistogram& serve,
+                   std::uint64_t loop_max_stall_ns, bool match) {
+  std::printf("latency [%s%s]: client p50=%llu p99=%llu ns (%llu replies) | "
+              "fleet serve p50=%llu p99=%llu ns (%llu frames)",
+              scenario.c_str(),
+              epoch < 0 ? "" : (" epoch " + std::to_string(epoch)).c_str(),
+              static_cast<unsigned long long>(client.ValueAtQuantile(0.5)),
+              static_cast<unsigned long long>(client.ValueAtQuantile(0.99)),
+              static_cast<unsigned long long>(client.count()),
+              static_cast<unsigned long long>(serve.ValueAtQuantile(0.5)),
+              static_cast<unsigned long long>(serve.ValueAtQuantile(0.99)),
+              static_cast<unsigned long long>(serve.count()));
+  if (epoch < 0)
+    std::printf(" | loadgen loop stall max %.2f ms",
+                static_cast<double>(loop_max_stall_ns) / 1e6);
+  std::printf("\n");
+  json->BeginRun();
+  json->Add("record", std::string(epoch < 0 ? "scenario" : "epoch"));
+  json->Add("scenario", scenario);
+  if (epoch >= 0) json->Add("epoch", epoch);
+  json->Add("client_count", static_cast<long long>(client.count()));
+  json->Add("client_p50_ns",
+            static_cast<long long>(client.ValueAtQuantile(0.5)));
+  json->Add("client_p99_ns",
+            static_cast<long long>(client.ValueAtQuantile(0.99)));
+  json->Add("client_max_bound_ns",
+            static_cast<long long>(client.MaxValueBound()));
+  json->Add("serve_count", static_cast<long long>(serve.count()));
+  json->Add("serve_p50_ns", static_cast<long long>(serve.ValueAtQuantile(0.5)));
+  json->Add("serve_p99_ns",
+            static_cast<long long>(serve.ValueAtQuantile(0.99)));
+  if (epoch >= 0) return;
+  json->Add("serve_max_bound_ns",
+            static_cast<long long>(serve.MaxValueBound()));
+  json->Add("loop_max_stall_ns", static_cast<long long>(loop_max_stall_ns));
+  json->Add("match", match ? 1 : 0);
+  const PrometheusWriter::Labels labels = {{"scenario", scenario}};
+  prom->AddHistogram("webwave.fleet.serve_time_ns", labels, serve);
+  prom->AddHistogram("webwave.client.latency_ns", labels, client);
 }
 
-// The merge law: LatencyHistogram::Merge must be exactly a per-bucket
-// u64 add — checked against the naive sum, bucket for bucket, plus the
-// count and sum totals.
-bool MergeEqualsBucketSum(
-    const webwave::LatencyHistogram& merged,
-    const std::vector<webwave::LatencyHistogram>& parts) {
-  std::uint64_t count = 0;
-  for (int b = 0; b < webwave::LatencyHistogram::kBucketCount; ++b) {
-    std::uint64_t want = 0;
-    for (const auto& h : parts) want += h.bucket(b);
-    if (merged.bucket(b) != want) return false;
-    count += want;
-  }
-  std::uint64_t sum = 0;
-  for (const auto& h : parts) sum += h.sum();
-  return merged.count() == count && merged.sum() == sum;
+// Runs the fleet and then its oracle replay, timing each on its own,
+// and prints every fleet law the run breaks; true when it breaks none.
+bool RunAndCheck(const char* label, const NetdClusterConfig& config,
+                 NetdRunResult* run, double* fleet_ms, double* oracle_ms) {
+  auto t0 = std::chrono::steady_clock::now();
+  *run = RunNetdCluster(config);
+  *fleet_ms = bench::MillisSince(t0);
+  t0 = std::chrono::steady_clock::now();
+  std::vector<TraceEvent> trace;
+  std::vector<WireCounters> per_epoch;
+  const ServingMetrics oracle = ReplayOracle(config, &trace, &per_epoch);
+  *oracle_ms = bench::MillisSince(t0);
+  const std::vector<std::string> broken =
+      FleetLawViolations(config, *run, oracle, trace, per_epoch);
+  for (const std::string& line : broken)
+    std::printf("ASSERT FAILED [%s]: %s\n", label, line.c_str());
+  return broken.empty();
 }
 
 }  // namespace
+}  // namespace webwave
 
 int main() {
   using namespace webwave;
@@ -156,81 +155,21 @@ int main() {
   Rng rng(static_cast<std::uint64_t>(big_nodes) + docs + 17);
   const auto t_tree = Clock::now();
   const RoutingTree big = MakeRandomTree(big_nodes, rng);
-  NodeId pivot = big.root();
-  for (const NodeId v : big.preorder())
-    if (!big.is_root(v) && big.subtree_size(v) >= carve_target &&
-        big.subtree_size(v) <= 4 * carve_target) {
-      pivot = v;
-      break;
-    }
-  if (big.is_root(pivot)) {
-    // No subtree in range (tiny trees): take the largest proper subtree.
-    for (const NodeId v : big.children(big.root())) {
-      if (pivot == big.root() ||
-          big.subtree_size(v) > big.subtree_size(pivot))
-        pivot = v;
-    }
-  }
-  const CarvedTree carved = CarveSubtree(big, pivot);
-  const RoutingTree tree = RoutingTree::FromParents(carved.parents);
+  const NodeId pivot = CarvePivot(big, carve_target, 4 * carve_target);
+  const RoutingTree tree =
+      RoutingTree::FromParents(CarveSubtree(big, pivot).parents);
   const double carve_ms = MillisSince(t_tree);
   std::printf("carved %d of %d nodes (subtree of node %d, height %d) in %.0f ms\n",
               tree.size(), big.size(), pivot, tree.height(), carve_ms);
 
-  DemandMatrix demand(tree.size(), docs);
-  Rng drng(7);
-  for (NodeId v = 0; v < tree.size(); ++v)
-    if (tree.is_leaf(v))
-      for (DocId d = 0; d < docs; ++d)
-        demand.set(v, d, drng.NextDouble(0.1, 4.0));
-  const PlacementResult placement = DerivePlacement(tree, demand);
-  const QuotaSnapshot snapshot =
-      QuotaSnapshot::FromPlacement(tree, placement, demand, 1e-9);
-
-  NetdClusterConfig config;
-  config.parents = tree.parents();
-  config.owner = PartitionOwners(tree, servers);
-  config.server_count = servers;
-  QuotaWireTable::Serialize(snapshot, &config.quota_blob);
-  config.serving.block_size = 1;
-  config.serving.threads = 1;
+  NetdClusterConfig config = StageNetdCluster(
+      tree, docs, servers, 0x77aeULL + static_cast<std::uint64_t>(big_nodes),
+      static_cast<std::uint64_t>(requests));
   config.serving.trace = true;
   config.serving.trace_sample_shift = 10;  // ~1/1024 requests
   config.stats_scrape_period_ms = 5;
-  config.docs = docs;
-  config.stream_seed = 0x77aeULL + static_cast<std::uint64_t>(big_nodes);
-  config.total_requests = static_cast<std::uint64_t>(requests);
   std::printf("quota blob: %zu bytes, %d serving nodes, %d documents\n\n",
               config.quota_blob.size(), tree.size(), docs);
-
-  // The three scenarios: live, a crashed subtree root, a dead ancestor
-  // chain longer than the retry budget.
-  struct Scenario {
-    const char* label;
-    std::vector<NodeId> down;
-    int max_failover_attempts;
-  };
-  std::vector<Scenario> scenarios;
-  scenarios.push_back({"live", {}, 8});
-  {
-    std::vector<NodeId> down;
-    for (const NodeId v : tree.preorder())
-      if (!tree.is_root(v) && tree.subtree_size(v) >= tree.size() / 20) {
-        down.push_back(v);
-        break;
-      }
-    scenarios.push_back({"faulted", down, 8});
-  }
-  {
-    NodeId deep = 0;
-    for (const NodeId v : tree.preorder())
-      if (tree.depth(v) > tree.depth(deep)) deep = v;
-    std::vector<NodeId> chain;
-    for (NodeId v = deep; !tree.is_root(v); v = tree.parent(v))
-      chain.push_back(v);
-    scenarios.push_back(
-        {"drops", chain, std::max(1, static_cast<int>(chain.size()) - 1)});
-  }
 
   AsciiTable table({"scenario", "served", "dropped", "failovers", "hop sum",
                     "forwards", "gossip", "scrapes", "traced",
@@ -239,126 +178,27 @@ int main() {
   BenchJson latency_json("tab_netd_latency");
   PrometheusWriter prom;
   bool all_match = true;
-  for (const Scenario& sc : scenarios) {
+  for (const NetdScenario& sc : NetdScenarios(tree)) {
     config.down = sc.down;
     config.serving.max_failover_attempts = sc.max_failover_attempts;
 
-    const auto t_fleet = Clock::now();
-    const NetdRunResult run = RunNetdCluster(config);
-    const double fleet_ms = MillisSince(t_fleet);
-
-    const auto t_oracle = Clock::now();
-    std::vector<TraceEvent> oracle_trace;
-    const ServingMetrics oracle = ReplayOracle(config, &oracle_trace);
-    const double oracle_ms = MillisSince(t_oracle);
-
-    bool match =
-        run.ok && ServingCountersEqual(run.fleet, CountersFromMetrics(oracle)) &&
-        run.client_served == oracle.requests - oracle.dropped_requests &&
-        run.client_hop_sum == oracle.hop_sum;
-
-    // The scraped trace equals the oracle's, record for record.
-    if (run.trace != oracle_trace) {
-      std::printf("ASSERT FAILED [%s]: fleet trace (%zu records) != oracle "
-                  "trace (%zu records)\n",
-                  sc.label, run.trace.size(), oracle_trace.size());
-      match = false;
-    }
-
-    // Live scrapes: mid-run samples exist (the fleet outlives one scrape
-    // period), per-daemon counters are monotone sample to sample, and
-    // the final sample's fleet sum is exactly the oracle's totals — the
-    // scraper reads the same truth the oracle computes.
+    NetdRunResult run;
+    double fleet_ms = 0, oracle_ms = 0;
+    bool match = RunAndCheck(sc.label, config, &run, &fleet_ms, &oracle_ms);
+    // The fleet outlives one scrape period, so a mid-run sample exists.
     if (run.samples.size() < 2) {
       std::printf("ASSERT FAILED [%s]: no mid-run stats sample (%zu total)\n",
                   sc.label, run.samples.size());
       match = false;
     }
-    for (std::size_t i = 1; i < run.samples.size(); ++i)
-      for (std::size_t s = 0; s < run.samples[i].per_server.size(); ++s)
-        if (!CountersMonotone(run.samples[i - 1].per_server[s],
-                              run.samples[i].per_server[s])) {
-          std::printf("ASSERT FAILED [%s]: non-monotone counters, sample "
-                      "%zu server %zu\n",
-                      sc.label, i, s);
-          match = false;
-        }
-    if (run.samples.empty() ||
-        !ServingCountersEqual(SumCounters(run.samples.back().per_server),
-                              CountersFromMetrics(oracle))) {
-      std::printf("ASSERT FAILED [%s]: final scraped sample != oracle\n",
-                  sc.label);
-      match = false;
-    }
-
-    // The latency plane.  The fleet's serve-time histograms arrive in
-    // the same v4 kStatsReply the counters do; their merge must equal
-    // the naive per-bucket sum, and the merged count is structural:
-    // every request plus every forward is exactly one kGetRequest frame.
-    const LatencyHistogram fleet_hist = MergeHists(run.server_hist);
-    if (!MergeEqualsBucketSum(fleet_hist, run.server_hist)) {
-      std::printf("ASSERT FAILED [%s]: serve histogram merge != "
-                  "per-bucket sum\n", sc.label);
-      match = false;
-    }
-    if (fleet_hist.count() !=
-        config.total_requests + run.fleet.net_forwards) {
-      std::printf("ASSERT FAILED [%s]: serve histogram count %llu != "
-                  "requests + forwards %llu\n", sc.label,
-                  static_cast<unsigned long long>(fleet_hist.count()),
-                  static_cast<unsigned long long>(config.total_requests +
-                                                  run.fleet.net_forwards));
-      match = false;
-    }
-    // The loadgen's send->reply latency, partitioned two ways — per
-    // epoch block and per replying server.  Same events, so the two
-    // partitions must merge to the identical histogram, and every
-    // request contributes exactly one reply.
-    const LatencyHistogram client_lat = MergeHists(run.latency_per_server);
-    if (MergeHists(run.latency_per_epoch) != client_lat ||
-        client_lat.count() != config.total_requests) {
-      std::printf("ASSERT FAILED [%s]: client latency partitions "
-                  "disagree (%llu recorded, %llu requests)\n", sc.label,
-                  static_cast<unsigned long long>(client_lat.count()),
-                  static_cast<unsigned long long>(config.total_requests));
-      match = false;
-    }
     all_match = all_match && match;
+    const LatencyHistogram fleet_hist =
+        LatencyHistogram::MergeOf(run.server_hist);
+    const LatencyHistogram client_lat =
+        LatencyHistogram::MergeOf(run.latency_per_server);
 
-    std::printf("latency [%s]: client p50=%llu p99=%llu max<%llu ns | "
-                "fleet serve p50=%llu p99=%llu over %llu frames | loadgen "
-                "loop stall max %.2f ms\n",
-                sc.label,
-                static_cast<unsigned long long>(client_lat.ValueAtQuantile(0.5)),
-                static_cast<unsigned long long>(client_lat.ValueAtQuantile(0.99)),
-                static_cast<unsigned long long>(client_lat.MaxValueBound()),
-                static_cast<unsigned long long>(fleet_hist.ValueAtQuantile(0.5)),
-                static_cast<unsigned long long>(fleet_hist.ValueAtQuantile(0.99)),
-                static_cast<unsigned long long>(fleet_hist.count()),
-                static_cast<double>(run.loop_max_stall_ns) / 1e6);
-
-    latency_json.BeginRun();
-    latency_json.Add("record", std::string("scenario"));
-    latency_json.Add("scenario", std::string(sc.label));
-    latency_json.Add("client_count",
-                     static_cast<long long>(client_lat.count()));
-    latency_json.Add("client_p50_ns",
-                     static_cast<long long>(client_lat.ValueAtQuantile(0.5)));
-    latency_json.Add("client_p99_ns",
-                     static_cast<long long>(client_lat.ValueAtQuantile(0.99)));
-    latency_json.Add("client_max_bound_ns",
-                     static_cast<long long>(client_lat.MaxValueBound()));
-    latency_json.Add("serve_count",
-                     static_cast<long long>(fleet_hist.count()));
-    latency_json.Add("serve_p50_ns",
-                     static_cast<long long>(fleet_hist.ValueAtQuantile(0.5)));
-    latency_json.Add("serve_p99_ns",
-                     static_cast<long long>(fleet_hist.ValueAtQuantile(0.99)));
-    latency_json.Add("serve_max_bound_ns",
-                     static_cast<long long>(fleet_hist.MaxValueBound()));
-    latency_json.Add("loop_max_stall_ns",
-                     static_cast<long long>(run.loop_max_stall_ns));
-    latency_json.Add("match", match ? 1 : 0);
+    ReportLatency(&latency_json, &prom, sc.label, -1, client_lat, fleet_hist,
+                  run.loop_max_stall_ns, match);
 
     // One stats record per live scrape: the fleet's counter sums as the
     // scraper saw them mid-flight.
@@ -367,23 +207,21 @@ int main() {
       stats_json.BeginRun();
       stats_json.Add("scenario", std::string(sc.label));
       stats_json.Add("sample", static_cast<long long>(i));
-      stats_json.Add("final",
-                     i + 1 == run.samples.size() ? 1 : 0);
+      stats_json.Add("final", i + 1 == run.samples.size() ? 1 : 0);
       stats_json.Add("at_completed",
                      static_cast<long long>(run.samples[i].at_completed));
       stats_json.Add("requests", static_cast<long long>(sum.requests));
-      stats_json.Add("cache_served",
-                     static_cast<long long>(sum.cache_served));
+      stats_json.Add("cache_served", static_cast<long long>(sum.cache_served));
       stats_json.Add("home_served", static_cast<long long>(sum.home_served));
       stats_json.Add("hop_sum", static_cast<long long>(sum.hop_sum));
       stats_json.Add("failovers", static_cast<long long>(sum.failovers));
       stats_json.Add("dropped", static_cast<long long>(sum.dropped_requests));
-      stats_json.Add("net_forwards",
-                     static_cast<long long>(sum.net_forwards));
+      stats_json.Add("net_forwards", static_cast<long long>(sum.net_forwards));
       stats_json.Add("gossip_sent", static_cast<long long>(sum.gossip_sent));
       // The latency the scraper saw live at this sample, from the v4
       // histogram section of the very same kStatsReply round.
-      const LatencyHistogram seen = MergeHists(run.samples[i].hist_per_server);
+      const LatencyHistogram seen =
+          LatencyHistogram::MergeOf(run.samples[i].hist_per_server);
       stats_json.Add("serve_count", static_cast<long long>(seen.count()));
       stats_json.Add("serve_p50_ns",
                      static_cast<long long>(seen.ValueAtQuantile(0.5)));
@@ -394,15 +232,9 @@ int main() {
     // The exposition: final fleet counters, one label set per scenario.
     {
       const PrometheusWriter::Labels labels = {{"scenario", sc.label}};
-      prom.AddCounter("webwave.fleet.requests", labels, run.fleet.requests);
-      prom.AddCounter("webwave.fleet.cache_served", labels,
-                      run.fleet.cache_served);
-      prom.AddCounter("webwave.fleet.home_served", labels,
-                      run.fleet.home_served);
-      prom.AddCounter("webwave.fleet.hop_sum", labels, run.fleet.hop_sum);
-      prom.AddCounter("webwave.fleet.failovers", labels, run.fleet.failovers);
-      prom.AddCounter("webwave.fleet.dropped_requests", labels,
-                      run.fleet.dropped_requests);
+      for (const ServingCounterField& f : kServingCounters)
+        prom.AddCounter(std::string("webwave.fleet.") + f.name, labels,
+                        run.fleet.*f.field);
       prom.AddCounter("webwave.fleet.net_forwards", labels,
                       run.fleet.net_forwards);
       prom.AddCounter("webwave.fleet.gossip_sent", labels,
@@ -411,10 +243,8 @@ int main() {
                     static_cast<double>(run.samples.size()));
       prom.AddGauge("webwave.fleet.trace_records", labels,
                     static_cast<double>(run.trace.size()));
-      // Real histogram families: the fleet's merged serve time, the
-      // client's observed latency, and the loadgen's event-loop health.
-      prom.AddHistogram("webwave.fleet.serve_time_ns", labels, fleet_hist);
-      prom.AddHistogram("webwave.client.latency_ns", labels, client_lat);
+      // The loadgen's event-loop health (ReportLatency exposes the serve
+      // and client histograms).
       prom.AddHistogram("webwave.loadgen.loop_poll_iter_ns", labels,
                         run.loop_poll_iter);
       prom.AddHistogram("webwave.loadgen.loop_timer_lag_ns", labels,
@@ -459,7 +289,7 @@ int main() {
   }
   std::printf("%s\n", table.Render().c_str());
 
-  // Part 4 — the survivable fleet: kill + restart mid-run ----------------
+  // Part 2 — the survivable fleet: kill + restart mid-run ----------------
   {
     const int epochs = 5;
     NetdClusterConfig fc = config;
@@ -472,27 +302,10 @@ int main() {
     // wire (kFlightRequest) at the quiesced boundary before the SIGKILL.
     fc.flight_dir = ".";
 
-    EpochPlanOptions eopt;
-    eopt.epochs = epochs;
-    eopt.requests_per_epoch =
-        std::max<std::uint64_t>(fc.total_requests /
-                                    static_cast<std::uint64_t>(epochs),
-                                1000);
-    eopt.faults.pattern = FaultPattern::kSingleNodes;
-    eopt.faults.crash_fraction = 0.4;
-    eopt.faults.outage_epochs = 1;
-    eopt.faults.start_epoch = 1;
-
-    // Pin coverage: the first seed whose plan kills AND restarts a daemon.
-    // (The oracle identity holds for any plan.)
-    const std::uint64_t fseed =
-        FirstKillRestartSeed(servers, epochs, eopt.faults);
-    if (fseed == 0) {
-      std::printf("ASSERT FAILED: no fault seed in 1..64 yields a kill "
-                  "and a restart\n");
-      return 1;
-    }
-    eopt.faults.seed = fseed;
+    const EpochPlanOptions eopt = KillRestartPlanOptions(
+        servers, epochs,
+        std::max<std::uint64_t>(
+            fc.total_requests / static_cast<std::uint64_t>(epochs), 1000));
     const ProcessFaultPlan plan = BuildEpochPlan(&fc, eopt);
     const std::size_t kills = CountThrough(plan.kill_at, epochs - 1);
     const std::size_t restarts = CountThrough(plan.restart_at, epochs - 1);
@@ -501,210 +314,63 @@ int main() {
         "%zu daemon kill(s), %zu restart(s) scheduled mid-run\n",
         epochs,
         static_cast<unsigned long long>(eopt.requests_per_epoch),
-        static_cast<unsigned long long>(fseed), kills, restarts);
+        static_cast<unsigned long long>(eopt.faults.seed), kills, restarts);
 
-    const auto t_fleet = Clock::now();
-    const NetdRunResult run = RunNetdCluster(fc);
-    const double fleet_ms = MillisSince(t_fleet);
-
-    const auto t_oracle = Clock::now();
-    std::vector<TraceEvent> oracle_trace;
-    std::vector<WireCounters> per_epoch;
-    const ServingMetrics oracle = ReplayOracle(fc, &oracle_trace, &per_epoch);
-    const double oracle_ms = MillisSince(t_oracle);
-
-    bool match = run.ok;
-    if (!run.ok)
-      std::printf("ASSERT FAILED [faults]: fleet run did not complete\n");
-
-    // The sum law across faults: live finals + the victims' pre-kill
-    // scrapes equal the multi-epoch oracle, every integer counter.
-    if (!ServingCountersEqual(run.fleet, CountersFromMetrics(oracle))) {
-      std::printf("ASSERT FAILED [faults]: fleet sum != oracle\n");
-      match = false;
-    }
-    if (run.client_served + run.client_dropped != fc.total_requests ||
-        run.client_served != oracle.requests - oracle.dropped_requests ||
-        run.client_hop_sum != oracle.hop_sum) {
-      std::printf("ASSERT FAILED [faults]: client tallies != oracle\n");
-      match = false;
-    }
-    if (run.retired.size() != kills ||
-        run.rejoin_hello_epochs.size() != restarts) {
-      std::printf("ASSERT FAILED [faults]: %zu retired / %zu rejoins, "
-                  "plan says %zu / %zu\n",
-                  run.retired.size(), run.rejoin_hello_epochs.size(), kills,
-                  restarts);
-      match = false;
-    }
-    for (const std::uint32_t e : run.rejoin_hello_epochs)
-      if (e != 0) {
-        std::printf("ASSERT FAILED [faults]: a rejoin Hello announced "
-                    "epoch %u (restart must boot fresh)\n", e);
-        match = false;
-      }
-    if (run.trace != oracle_trace) {
-      std::printf("ASSERT FAILED [faults]: fleet trace (%zu) != oracle "
-                  "trace (%zu)\n",
-                  run.trace.size(), oracle_trace.size());
-      match = false;
-    }
-
-    // Backpressure stayed bounded: nothing shed, every outbox peak under
-    // the watermark — in live daemons and in the killed ones alike.
-    if (run.fleet.shed_forwards != 0) {
-      std::printf("ASSERT FAILED [faults]: %llu forwards shed\n",
-                  static_cast<unsigned long long>(run.fleet.shed_forwards));
-      match = false;
-    }
+    NetdRunResult run;
+    double fleet_ms = 0, oracle_ms = 0;
+    bool match = RunAndCheck("faults", fc, &run, &fleet_ms, &oracle_ms);
     std::uint64_t outbox_peak = 0;
     for (const WireCounters& s : run.per_server)
       outbox_peak = std::max(outbox_peak, s.outbox_peak_bytes);
     for (const WireCounters& s : run.retired)
       outbox_peak = std::max(outbox_peak, s.outbox_peak_bytes);
-    if (outbox_peak > fc.outbox_watermark_bytes) {
-      std::printf("ASSERT FAILED [faults]: outbox peak %llu > watermark "
-                  "%zu\n",
-                  static_cast<unsigned long long>(outbox_peak),
-                  fc.outbox_watermark_bytes);
-      match = false;
-    }
 
-    // Barrier sample i closes epoch i: its live counters plus every
-    // retired scrape taken through that transition equal the oracle's
-    // cumulative counters after epoch i — the killed epochs match the
-    // down-set oracle, the post-restart epochs match the recovered one.
+    // Barrier sample i closes epoch i: its live counters plus the
+    // victims retired through that transition, and its serve-time
+    // histograms plus theirs, are the fleet's cumulative state.
     BenchJson faults_json("tab_netd_faults");
-    const bool epochs_ok =
-        run.epoch_samples.size() == static_cast<std::size_t>(epochs - 1) &&
-        per_epoch.size() == static_cast<std::size_t>(epochs);
-    if (!epochs_ok) {
-      std::printf("ASSERT FAILED [faults]: %zu barrier samples / %zu "
-                  "oracle epochs (want %d / %d)\n",
-                  run.epoch_samples.size(), per_epoch.size(), epochs - 1,
-                  epochs);
-      match = false;
-    }
-    for (std::size_t i = 0; epochs_ok && i < run.epoch_samples.size(); ++i) {
-      std::vector<WireCounters> parts = run.epoch_samples[i].per_server;
-      const std::size_t used =
-          std::min(CountThrough(plan.kill_at, static_cast<int>(i) + 1),
-                   run.retired.size());
+    for (std::size_t i = 0; i < run.epoch_samples.size(); ++i) {
+      const NetdStatsSample& barrier = run.epoch_samples[i];
+      const std::ptrdiff_t used = static_cast<std::ptrdiff_t>(
+          std::min({CountThrough(plan.kill_at, static_cast<int>(i) + 1),
+                    run.retired.size(), run.retired_hist.size()}));
+      std::vector<WireCounters> parts = barrier.per_server;
       parts.insert(parts.end(), run.retired.begin(),
-                   run.retired.begin() + static_cast<std::ptrdiff_t>(used));
+                   run.retired.begin() + used);
+      std::vector<LatencyHistogram> hists = barrier.hist_per_server;
+      hists.insert(hists.end(), run.retired_hist.begin(),
+                   run.retired_hist.begin() + used);
       const WireCounters sum = SumCounters(parts);
-      const bool ematch = ServingCountersEqual(sum, per_epoch[i]);
-      if (!ematch) {
-        std::printf("ASSERT FAILED [faults]: barrier sample %zu != "
-                    "oracle cumulative epoch %zu\n", i, i);
-        match = false;
-      }
       faults_json.BeginRun();
       faults_json.Add("record", std::string("epoch"));
       faults_json.Add("epoch", static_cast<long long>(i));
       faults_json.Add("servers", servers);
       faults_json.Add("kills_through", static_cast<long long>(used));
       faults_json.Add("at_completed",
-                      static_cast<long long>(run.epoch_samples[i].at_completed));
+                      static_cast<long long>(barrier.at_completed));
       faults_json.Add("requests", static_cast<long long>(sum.requests));
       faults_json.Add("failovers", static_cast<long long>(sum.failovers));
-      faults_json.Add("dropped",
-                      static_cast<long long>(sum.dropped_requests));
-      faults_json.Add("match", ematch ? 1 : 0);
-
-      // Per-epoch fleet latency, scraped live over wire v4: the barrier
-      // sample's histograms plus the victims' pre-kill ones give the
-      // cumulative serve-time distribution through this epoch.
-      std::vector<LatencyHistogram> parts_hist =
-          run.epoch_samples[i].hist_per_server;
-      parts_hist.insert(
-          parts_hist.end(), run.retired_hist.begin(),
-          run.retired_hist.begin() +
-              static_cast<std::ptrdiff_t>(
-                  std::min(used, run.retired_hist.size())));
-      const LatencyHistogram cum = MergeHists(parts_hist);
+      faults_json.Add("dropped", static_cast<long long>(sum.dropped_requests));
+      faults_json.Add("match", match ? 1 : 0);
+      const LatencyHistogram cum = LatencyHistogram::MergeOf(hists);
       const LatencyHistogram ep_lat =
           i < run.latency_per_epoch.size() ? run.latency_per_epoch[i]
                                            : LatencyHistogram{};
-      latency_json.BeginRun();
-      latency_json.Add("record", std::string("epoch"));
-      latency_json.Add("scenario", std::string("faults"));
-      latency_json.Add("epoch", static_cast<long long>(i));
-      latency_json.Add("client_count",
-                       static_cast<long long>(ep_lat.count()));
-      latency_json.Add("client_p50_ns",
-                       static_cast<long long>(ep_lat.ValueAtQuantile(0.5)));
-      latency_json.Add("client_p99_ns",
-                       static_cast<long long>(ep_lat.ValueAtQuantile(0.99)));
-      latency_json.Add("client_max_bound_ns",
-                       static_cast<long long>(ep_lat.MaxValueBound()));
-      latency_json.Add("serve_count", static_cast<long long>(cum.count()));
-      latency_json.Add("serve_p50_ns",
-                       static_cast<long long>(cum.ValueAtQuantile(0.5)));
-      latency_json.Add("serve_p99_ns",
-                       static_cast<long long>(cum.ValueAtQuantile(0.99)));
-      std::printf("epoch %zu latency: client p50=%llu p99=%llu ns "
-                  "(%llu replies) | fleet serve p50=%llu p99=%llu "
-                  "(%llu frames, scraped)\n",
-                  i,
-                  static_cast<unsigned long long>(ep_lat.ValueAtQuantile(0.5)),
-                  static_cast<unsigned long long>(ep_lat.ValueAtQuantile(0.99)),
-                  static_cast<unsigned long long>(ep_lat.count()),
-                  static_cast<unsigned long long>(cum.ValueAtQuantile(0.5)),
-                  static_cast<unsigned long long>(cum.ValueAtQuantile(0.99)),
-                  static_cast<unsigned long long>(cum.count()));
+      ReportLatency(&latency_json, &prom, "faults", static_cast<int>(i), ep_lat,
+                    cum, 0, match);
     }
 
-    // The latency plane across faults.  Live finals plus the victims'
-    // pre-kill histograms partition every kGetRequest frame the fleet
-    // ever dispatched (the boundary is quiesced, so no frame is lost to
-    // a SIGKILL), and Merge must stay a per-bucket integer add.
     std::vector<LatencyHistogram> final_hists = run.server_hist;
     final_hists.insert(final_hists.end(), run.retired_hist.begin(),
                        run.retired_hist.end());
-    const LatencyHistogram fleet_hist = MergeHists(final_hists);
-    if (!MergeEqualsBucketSum(fleet_hist, final_hists)) {
-      std::printf("ASSERT FAILED [faults]: serve histogram merge != "
-                  "per-bucket sum\n");
-      match = false;
-    }
-    if (fleet_hist.count() != fc.total_requests + run.fleet.net_forwards) {
-      std::printf("ASSERT FAILED [faults]: serve histogram count %llu != "
-                  "requests + forwards %llu\n",
-                  static_cast<unsigned long long>(fleet_hist.count()),
-                  static_cast<unsigned long long>(fc.total_requests +
-                                                  run.fleet.net_forwards));
-      match = false;
-    }
-    const LatencyHistogram client_lat = MergeHists(run.latency_per_server);
-    if (MergeHists(run.latency_per_epoch) != client_lat ||
-        client_lat.count() != fc.total_requests) {
-      std::printf("ASSERT FAILED [faults]: client latency partitions "
-                  "disagree (%llu recorded, %llu requests)\n",
-                  static_cast<unsigned long long>(client_lat.count()),
-                  static_cast<unsigned long long>(fc.total_requests));
-      match = false;
-    }
-
-    // Flight recorder: killing a daemon must yield a non-empty flight
-    // dump for the victim, scraped over the wire before the SIGKILL; the
-    // end-of-run dump round covers every live daemon.
+    const LatencyHistogram fleet_hist = LatencyHistogram::MergeOf(final_hists);
+    const LatencyHistogram client_lat =
+        LatencyHistogram::MergeOf(run.latency_per_server);
     std::size_t victim_dumps = 0;
     std::size_t flight_events = 0;
     for (const NetdRunResult::FlightDump& d : run.flights) {
       if (d.victim) ++victim_dumps;
       flight_events += d.events.size();
-      if (d.events.empty()) {
-        std::printf("ASSERT FAILED [faults]: empty flight ring from "
-                    "server %d (%s)\n", d.server,
-                    d.victim ? "victim" : "live");
-        match = false;
-      }
-    }
-    if (victim_dumps != kills) {
-      std::printf("ASSERT FAILED [faults]: %zu victim flight dumps, "
-                  "plan killed %zu\n", victim_dumps, kills);
-      match = false;
     }
 
     // Dump every scraped ring to netd_flight_*.txt and the fleet trace
@@ -761,59 +427,29 @@ int main() {
     }
     all_match = all_match && match;
 
-    latency_json.BeginRun();
-    latency_json.Add("record", std::string("scenario"));
-    latency_json.Add("scenario", std::string("faults"));
-    latency_json.Add("client_count",
-                     static_cast<long long>(client_lat.count()));
-    latency_json.Add("client_p50_ns",
-                     static_cast<long long>(client_lat.ValueAtQuantile(0.5)));
-    latency_json.Add("client_p99_ns",
-                     static_cast<long long>(client_lat.ValueAtQuantile(0.99)));
-    latency_json.Add("client_max_bound_ns",
-                     static_cast<long long>(client_lat.MaxValueBound()));
-    latency_json.Add("serve_count",
-                     static_cast<long long>(fleet_hist.count()));
-    latency_json.Add("serve_p50_ns",
-                     static_cast<long long>(fleet_hist.ValueAtQuantile(0.5)));
-    latency_json.Add("serve_p99_ns",
-                     static_cast<long long>(fleet_hist.ValueAtQuantile(0.99)));
-    latency_json.Add("serve_max_bound_ns",
-                     static_cast<long long>(fleet_hist.MaxValueBound()));
-    latency_json.Add("loop_max_stall_ns",
-                     static_cast<long long>(run.loop_max_stall_ns));
-    latency_json.Add("match", match ? 1 : 0);
+    ReportLatency(&latency_json, &prom, "faults", -1, client_lat, fleet_hist,
+                  run.loop_max_stall_ns, match);
 
-    {
-      const PrometheusWriter::Labels labels = {{"scenario", "faults"}};
-      prom.AddHistogram("webwave.fleet.serve_time_ns", labels, fleet_hist);
-      prom.AddHistogram("webwave.client.latency_ns", labels, client_lat);
-      prom.AddGauge("webwave.fleet.flight_events", labels,
-                    static_cast<double>(flight_events));
-    }
+    prom.AddGauge("webwave.fleet.flight_events", {{"scenario", "faults"}},
+                  static_cast<double>(flight_events));
 
     faults_json.BeginRun();
     faults_json.Add("record", std::string("fleet"));
     faults_json.Add("servers", servers);
     faults_json.Add("epochs", epochs);
     faults_json.Add("requests", static_cast<long long>(fc.total_requests));
-    faults_json.Add("fault_seed", static_cast<long long>(fseed));
+    faults_json.Add("fault_seed", static_cast<long long>(eopt.faults.seed));
     faults_json.Add("kills", static_cast<long long>(kills));
     faults_json.Add("restarts", static_cast<long long>(restarts));
-    faults_json.Add("reconnects",
-                    static_cast<long long>(run.fleet.reconnects));
+    faults_json.Add("reconnects", static_cast<long long>(run.fleet.reconnects));
     faults_json.Add("shed_forwards",
                     static_cast<long long>(run.fleet.shed_forwards));
-    faults_json.Add("outbox_peak_bytes",
-                    static_cast<long long>(outbox_peak));
-    faults_json.Add("flight_dumps",
-                    static_cast<long long>(run.flights.size()));
-    faults_json.Add("flight_events",
-                    static_cast<long long>(flight_events));
+    faults_json.Add("outbox_peak_bytes", static_cast<long long>(outbox_peak));
+    faults_json.Add("flight_dumps", static_cast<long long>(run.flights.size()));
+    faults_json.Add("flight_events", static_cast<long long>(flight_events));
     faults_json.Add("served", static_cast<long long>(run.client_served));
     faults_json.Add("dropped", static_cast<long long>(run.client_dropped));
-    faults_json.Add("failovers",
-                    static_cast<long long>(run.fleet.failovers));
+    faults_json.Add("failovers", static_cast<long long>(run.fleet.failovers));
     faults_json.Add("oracle_threads", oracle_threads);
     faults_json.Add("fleet_ms", fleet_ms);
     faults_json.Add("req_per_sec",
@@ -838,7 +474,7 @@ int main() {
             : "MISMATCH");
   }
 
-  // Part 2 — the simulator as the protocol's second transport ------------
+  // Part 3 — the simulator as the protocol's second transport ------------
   {
     const int sim_nodes = smoke ? 400 : 2000;
     const int sim_docs = 8;

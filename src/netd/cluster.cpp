@@ -6,11 +6,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cinttypes>
+#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 
+#include "doc/catalog.h"
+#include "doc/placement.h"
 #include "netd/daemon.h"
 #include "netd/loadgen.h"
 #include "util/check.h"
@@ -31,6 +36,18 @@ CarvedTree CarveSubtree(const RoutingTree& big, NodeId r) {
     out.parents[i] = to_new[static_cast<std::size_t>(
         big.parent(out.big_ids[i]))];
   return out;
+}
+
+NodeId CarvePivot(const RoutingTree& big, int min_size, int max_size) {
+  for (const NodeId v : big.preorder())
+    if (!big.is_root(v) && big.subtree_size(v) >= min_size &&
+        big.subtree_size(v) <= max_size)
+      return v;
+  NodeId pivot = big.root();
+  for (const NodeId v : big.children(big.root()))
+    if (pivot == big.root() || big.subtree_size(v) > big.subtree_size(pivot))
+      pivot = v;
+  return pivot;
 }
 
 std::vector<int> PartitionOwners(const RoutingTree& tree, int servers) {
@@ -73,6 +90,52 @@ std::vector<OwnerDelta> OwnerDiff(const std::vector<int>& base,
       d.owner = static_cast<std::uint32_t>(now[v]);
       out.push_back(d);
     }
+  return out;
+}
+
+NetdClusterConfig StageNetdCluster(const RoutingTree& tree, int docs,
+                                   int servers, std::uint64_t stream_seed,
+                                   std::uint64_t total_requests) {
+  DemandMatrix demand(tree.size(), docs);
+  Rng drng(7);
+  for (NodeId v = 0; v < tree.size(); ++v)
+    if (tree.is_leaf(v))
+      for (DocId d = 0; d < docs; ++d)
+        demand.set(v, d, drng.NextDouble(0.1, 4.0));
+  const PlacementResult placement = DerivePlacement(tree, demand);
+  NetdClusterConfig config;
+  config.parents = tree.parents();
+  config.owner = PartitionOwners(tree, servers);
+  config.server_count = servers;
+  QuotaWireTable::Serialize(
+      QuotaSnapshot::FromPlacement(tree, placement, demand, 1e-9),
+      &config.quota_blob);
+  config.serving.block_size = 1;
+  config.serving.threads = 1;
+  config.docs = docs;
+  config.stream_seed = stream_seed;
+  config.total_requests = total_requests;
+  return config;
+}
+
+std::vector<NetdScenario> NetdScenarios(const RoutingTree& tree) {
+  std::vector<NetdScenario> out;
+  out.push_back({"live", {}, 8});
+  std::vector<NodeId> down;
+  for (const NodeId v : tree.preorder())
+    if (!tree.is_root(v) && tree.subtree_size(v) >= tree.size() / 20) {
+      down.push_back(v);
+      break;
+    }
+  out.push_back({"faulted", down, 8});
+  NodeId deep = tree.root();
+  for (const NodeId v : tree.preorder())
+    if (tree.depth(v) > tree.depth(deep)) deep = v;
+  std::vector<NodeId> chain;
+  for (NodeId v = deep; !tree.is_root(v); v = tree.parent(v))
+    chain.push_back(v);
+  const int budget = std::max(1, static_cast<int>(chain.size()) - 1);
+  out.push_back({"drops", chain, budget});
   return out;
 }
 
@@ -156,6 +219,31 @@ WireCounters SumCounters(const std::vector<WireCounters>& all) {
   return sum;
 }
 
+namespace {
+
+// Appends "<law>: <printf-formatted detail>" to *out.
+__attribute__((format(printf, 3, 4))) void Fail(std::vector<std::string>* out,
+                                                const char* law,
+                                                const char* fmt, ...) {
+  char detail[512];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(detail, sizeof detail, fmt, args);
+  va_end(args);
+  out->push_back(std::string(law) + ": " + detail);
+}
+
+// "requests=… cache_served=… …", every serving counter by its table name.
+std::string Describe(const ServingCounters& c) {
+  std::string out;
+  for (const ServingCounterField& f : kServingCounters)
+    out += std::string(out.empty() ? "" : " ") + f.name + "=" +
+           std::to_string(c.*f.field);
+  return out;
+}
+
+// True iff every field of `a` is <= the matching field of `b` — the
+// monotonicity law successive live scrapes of one daemon must obey.
 bool CountersMonotone(const WireCounters& a, const WireCounters& b) {
   for (const ServingCounterField& f : kServingCounters)
     if (a.*f.field > b.*f.field) return false;
@@ -164,6 +252,167 @@ bool CountersMonotone(const WireCounters& a, const WireCounters& b) {
          a.shed_forwards <= b.shed_forwards &&
          a.reconnects <= b.reconnects &&
          a.outbox_peak_bytes <= b.outbox_peak_bytes;
+}
+
+// Merge must be exactly a per-bucket u64 add: `merged` against the naive
+// sum of `parts`, bucket for bucket, plus the count and sum totals.
+bool MergeEqualsBucketSum(const LatencyHistogram& merged,
+                          const std::vector<LatencyHistogram>& parts) {
+  std::uint64_t count = 0, sum = 0;
+  for (int b = 0; b < LatencyHistogram::kBucketCount; ++b) {
+    std::uint64_t want = 0;
+    for (const LatencyHistogram& h : parts) want += h.bucket(b);
+    if (merged.bucket(b) != want) return false;
+    count += want;
+  }
+  for (const LatencyHistogram& h : parts) sum += h.sum();
+  return merged.count() == count && merged.sum() == sum;
+}
+
+}  // namespace
+
+std::vector<std::string> FleetLawViolations(
+    const NetdClusterConfig& config, const NetdRunResult& run,
+    const ServingMetrics& oracle, const std::vector<TraceEvent>& oracle_trace,
+    const std::vector<WireCounters>& oracle_per_epoch) {
+  std::vector<std::string> out;
+  const WireCounters want = CountersFromMetrics(oracle);
+  const std::uint64_t total = config.total_requests;
+  const std::size_t servers = static_cast<std::size_t>(config.server_count);
+  std::size_t kills = 0, restarts = 0;
+  std::vector<bool> ever_killed(servers, false);
+  for (const NetdEpoch& ep : config.epochs) {
+    kills += ep.kill_servers.size();
+    restarts += ep.restart_servers.size();
+    for (const int s : ep.kill_servers)
+      ever_killed[static_cast<std::size_t>(s)] = true;
+  }
+
+  if (!run.ok) Fail(&out, "run", "the fleet did not drain and exit cleanly");
+
+  if (!ServingCountersEqual(run.fleet, want) ||
+      run.client_served + run.client_dropped != total ||
+      run.client_served != oracle.requests - oracle.dropped_requests ||
+      run.client_hop_sum != oracle.hop_sum)
+    Fail(&out, "counters",
+         "fleet {%s}, client served=%" PRIu64 " dropped=%" PRIu64
+         " hop_sum=%" PRIu64 "; oracle {%s}",
+         Describe(run.fleet).c_str(), run.client_served, run.client_dropped,
+         run.client_hop_sum, Describe(want).c_str());
+
+  if (run.trace != oracle_trace) {
+    const auto at = std::mismatch(run.trace.begin(), run.trace.end(),
+                                  oracle_trace.begin(), oracle_trace.end());
+    Fail(&out, "trace",
+         "fleet %zu records, oracle %zu, first difference at record %td",
+         run.trace.size(), oracle_trace.size(), at.first - run.trace.begin());
+  }
+
+  // Live scrapes come in completion order, and a daemon never killed
+  // (its slot never zeroed by death or reset by a restart) only counts up.
+  for (std::size_t i = 0; i < run.samples.size(); ++i) {
+    const NetdStatsSample& now = run.samples[i];
+    bool ok = now.per_server.size() == servers &&
+              (i == 0 || now.at_completed >= run.samples[i - 1].at_completed);
+    for (std::size_t s = 0; ok && i > 0 && s < servers; ++s)
+      ok = ever_killed[s] || CountersMonotone(run.samples[i - 1].per_server[s],
+                                              now.per_server[s]);
+    if (!ok) {
+      Fail(&out, "scrapes", "sample %zu went back or lost a server slot", i);
+      break;
+    }
+  }
+
+  // Quiesced samples: barrier i (closing epoch i) plus every victim
+  // killed through the boundary into epoch i + 1 is the oracle's
+  // cumulative count after epoch i, and the final sample plus every
+  // victim is the oracle's total.  Dead slots read zero, so no daemon
+  // counts twice.
+  const std::size_t epochs = config.epochs.size();
+  std::string differ;
+  const auto note = [&](const std::string& name) {
+    differ += (differ.empty() ? "" : ", ") + name;
+  };
+  const auto check = [&](const NetdStatsSample& sample, std::size_t victims,
+                         const WireCounters& expect, const std::string& name) {
+    std::vector<WireCounters> parts = sample.per_server;
+    parts.insert(parts.end(), run.retired.begin(),
+                 run.retired.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                           victims, run.retired.size())));
+    if (victims > run.retired.size() ||
+        !ServingCountersEqual(SumCounters(parts), expect))
+      note(name);
+  };
+  if (run.epoch_samples.size() + 1 != std::max<std::size_t>(epochs, 1) ||
+      oracle_per_epoch.size() != epochs) {
+    note("the barrier and epoch counts");
+  } else {
+    std::size_t killed = 0;
+    for (std::size_t i = 0; i < run.epoch_samples.size(); ++i) {
+      killed += config.epochs[i + 1].kill_servers.size();
+      check(run.epoch_samples[i], killed, oracle_per_epoch[i],
+            "barrier " + std::to_string(i));
+    }
+    if (epochs > 0 && !ServingCountersEqual(oracle_per_epoch.back(), want))
+      note("the last per-epoch count");
+  }
+  if (run.samples.empty() || run.samples.back().at_completed != total)
+    note("final");
+  else
+    check(run.samples.back(), run.retired.size(), want, "final");
+  if (!differ.empty())
+    Fail(&out, "quiesced", "%s differ from the oracle", differ.c_str());
+
+  bool fresh = true;
+  for (const std::uint32_t e : run.rejoin_hello_epochs) fresh = fresh && e == 0;
+  if (run.retired.size() != kills ||
+      run.rejoin_hello_epochs.size() != restarts || !fresh)
+    Fail(&out, "membership",
+         "%zu retired and %zu rejoins for %zu kills and %zu restarts%s",
+         run.retired.size(), run.rejoin_hello_epochs.size(), kills, restarts,
+         fresh ? "" : "; a rejoin announced a nonzero epoch");
+
+  std::uint64_t peak = 0;
+  for (const WireCounters& c : run.per_server)
+    peak = std::max(peak, c.outbox_peak_bytes);
+  for (const WireCounters& c : run.retired)
+    peak = std::max(peak, c.outbox_peak_bytes);
+  if (run.fleet.shed_forwards != 0 || peak > config.outbox_watermark_bytes)
+    Fail(&out, "backpressure",
+         "%" PRIu64 " forwards shed, outbox peak %" PRIu64
+         " B, watermark %zu B",
+         run.fleet.shed_forwards, peak, config.outbox_watermark_bytes);
+
+  // Every request and every forward is one kGetRequest frame, timed once
+  // by the daemon that took it: live finals plus the victims' scrapes.
+  std::vector<LatencyHistogram> hists = run.server_hist;
+  hists.insert(hists.end(), run.retired_hist.begin(), run.retired_hist.end());
+  const LatencyHistogram serve = LatencyHistogram::MergeOf(hists);
+  if (!MergeEqualsBucketSum(serve, hists) ||
+      serve.count() != total + run.fleet.net_forwards)
+    Fail(&out, "serve histogram",
+         "count %" PRIu64 " for %" PRIu64 " requests + %" PRIu64
+         " forwards, or merge != per-bucket sum",
+         serve.count(), total, run.fleet.net_forwards);
+
+  const LatencyHistogram client =
+      LatencyHistogram::MergeOf(run.latency_per_server);
+  if (LatencyHistogram::MergeOf(run.latency_per_epoch) != client ||
+      client.count() != total)
+    Fail(&out, "client latency",
+         "per-epoch and per-server partitions disagree (%" PRIu64
+         " recorded, %" PRIu64 " requests)",
+         client.count(), total);
+
+  std::size_t victims = 0, empty = 0;
+  for (const NetdRunResult::FlightDump& d : run.flights) {
+    victims += d.victim ? 1 : 0;
+    empty += d.events.empty() ? 1 : 0;
+  }
+  if (empty != 0 || victims != kills)
+    Fail(&out, "flight", "%zu empty rings; %zu victim rings for %zu kills",
+         empty, victims, kills);
+  return out;
 }
 
 namespace {

@@ -127,6 +127,11 @@ struct CarvedTree {
 };
 CarvedTree CarveSubtree(const RoutingTree& big, NodeId r);
 
+// Where a harness carves its serving tree: the first non-root node in
+// preorder whose subtree holds min_size..max_size nodes, else the root's
+// largest child.
+NodeId CarvePivot(const RoutingTree& big, int min_size, int max_size);
+
 // node -> server: contiguous preorder blocks via WorkerPool::Partition,
 // so shards are deterministic, balanced within one node, and mostly
 // connected (preorder keeps subtrees together).
@@ -147,6 +152,28 @@ std::vector<int> ReassignOwners(const RoutingTree& tree,
 // process that missed epochs is current after one update.
 std::vector<OwnerDelta> OwnerDiff(const std::vector<int>& base,
                                   const std::vector<int>& now);
+
+// The fleet every netd harness stages on `tree`: leaf demand
+// U(0.1, 4.0) for each document, drawn from Rng(7); the DerivePlacement
+// quotas (FromPlacement, 1e-9 floor) as the boot blob; PartitionOwners
+// over `servers`; block size 1 and one serving thread.  Tracing,
+// scraping, down sets and epochs are the caller's.
+NetdClusterConfig StageNetdCluster(const RoutingTree& tree, int docs,
+                                   int servers, std::uint64_t stream_seed,
+                                   std::uint64_t total_requests);
+
+// The fixed-stream scenarios tab_netd and netd_demo run on a staged tree,
+// each a down set and the retry budget it runs under: "live" (nothing
+// down), "faulted" (the first subtree root in preorder holding at least
+// 1/20 of the tree, so walks fail over past it) and "drops" (the deepest
+// node's root path, one node longer than the budget, so some requests
+// exhaust it).
+struct NetdScenario {
+  const char* label;
+  std::vector<NodeId> down;
+  int max_failover_attempts;
+};
+std::vector<NetdScenario> NetdScenarios(const RoutingTree& tree);
 
 // Replays the config's stream on one all-owning plane built from the
 // same quota blob — the oracle the fleet is compared against.  When
@@ -171,10 +198,6 @@ WireCounters CountersFromMetrics(const ServingMetrics& m);
 
 // Element-wise sum of a counter set (every field, transport ones too).
 WireCounters SumCounters(const std::vector<WireCounters>& all);
-
-// True iff every field of `a` is <= the matching field of `b` — the
-// monotonicity law successive live scrapes of one daemon must obey.
-bool CountersMonotone(const WireCounters& a, const WireCounters& b);
 
 // One stats round over the whole fleet: each live daemon's kStatsReply
 // counters, stamped with how many requests the client had completed
@@ -242,6 +265,19 @@ struct NetdRunResult {
   LatencyHistogram loop_timer_lag;
   std::uint64_t loop_max_stall_ns = 0;
 };
+
+// Every law a finished fleet run owes the oracle that replayed its
+// config (ReplayOracle's metrics, trace and per-epoch counters): one line
+// per violated law, led by the law's name, and none when all hold.  The
+// laws (src/netd/README.md, "What a fleet run owes the oracle"): run,
+// counters, trace, scrapes, quiesced, membership, backpressure,
+// serve histogram, client latency, flight.  Checks that depend on timing
+// or on the scenario (how many samples, failovers, reconnects) stay with
+// the caller.
+std::vector<std::string> FleetLawViolations(
+    const NetdClusterConfig& config, const NetdRunResult& run,
+    const ServingMetrics& oracle, const std::vector<TraceEvent>& oracle_trace,
+    const std::vector<WireCounters>& oracle_per_epoch);
 
 // Forks config.server_count daemons, runs the loadgen against them,
 // collects every daemon's counters, shuts the fleet down and reaps it.

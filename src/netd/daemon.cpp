@@ -177,7 +177,8 @@ void CacheServerDaemon::DispatchFrame(int from_fd, const WireMessage& msg) {
       break;
     }
     case MsgType::kLoadGossip:
-      gossip_heard_[msg.gossip.node] = msg.gossip.load;
+      // Peers' load gossip: the frame exercises the wire, but no serving
+      // decision reads it (admission is order-free at block size 1).
       break;
     case MsgType::kStatsRequest: {
       const auto it = conns_.find(from_fd);

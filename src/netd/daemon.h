@@ -142,7 +142,6 @@ class CacheServerDaemon {
   // holds at most one entry per in-flight request.
   std::unordered_map<std::uint64_t, int> pending_;
 
-  std::unordered_map<NodeId, double> gossip_heard_;
   std::uint32_t gossip_epoch_ = 0;
   // The daemon's metrics live in a MetricRegistry: the plane publishes
   // its serving counters under "serve." (AttachRegistry) and the

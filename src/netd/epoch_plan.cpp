@@ -104,6 +104,27 @@ ProcessFaultPlan BuildEpochPlan(NetdClusterConfig* config,
   return plan;
 }
 
+FaultScheduleOptions KillRestartFaults() {
+  FaultScheduleOptions faults;
+  faults.pattern = FaultPattern::kSingleNodes;
+  faults.crash_fraction = 0.4;
+  faults.outage_epochs = 1;
+  faults.start_epoch = 1;
+  return faults;
+}
+
+EpochPlanOptions KillRestartPlanOptions(int server_count, int epochs,
+                                        std::uint64_t requests_per_epoch) {
+  EpochPlanOptions opt;
+  opt.epochs = epochs;
+  opt.requests_per_epoch = requests_per_epoch;
+  opt.faults = KillRestartFaults();
+  opt.faults.seed = FirstKillRestartSeed(server_count, epochs, opt.faults);
+  WEBWAVE_REQUIRE(opt.faults.seed != 0,
+                  "no fault seed in 1..64 yields a kill and a restart");
+  return opt;
+}
+
 std::uint64_t FirstKillRestartSeed(int server_count, int epochs,
                                    FaultScheduleOptions faults) {
   for (faults.seed = 1; faults.seed <= 64; ++faults.seed) {

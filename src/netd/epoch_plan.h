@@ -44,6 +44,17 @@ struct EpochPlanOptions {
 ProcessFaultPlan BuildEpochPlan(NetdClusterConfig* config,
                                 const EpochPlanOptions& options);
 
+// The kill/restart schedule every netd harness runs: single daemons
+// crash (crash fraction 0.4) for one epoch at a time, from epoch 1 on.
+// The seed is left for FirstKillRestartSeed to pick.
+FaultScheduleOptions KillRestartFaults();
+
+// `epochs` blocks of `requests_per_epoch` under KillRestartFaults(), at
+// the first seed whose plan kills and restarts a daemon over
+// `server_count` servers.  Throws when no seed in 1..64 does.
+EpochPlanOptions KillRestartPlanOptions(int server_count, int epochs,
+                                        std::uint64_t requests_per_epoch);
+
 // The first seed in 1..64 whose process-fault plan (`faults` with that
 // seed, over `server_count` servers and `epochs` epochs) kills at least
 // one daemon and restarts at least one, or 0 if none does.  The schedule

@@ -85,6 +85,13 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
   count_ += other.count_;
 }
 
+LatencyHistogram LatencyHistogram::MergeOf(
+    const std::vector<LatencyHistogram>& parts) {
+  LatencyHistogram merged;
+  for (const LatencyHistogram& h : parts) merged.Merge(h);
+  return merged;
+}
+
 std::uint64_t LatencyHistogram::ValueAtQuantile(double q) const {
   if (count_ == 0) return 0;
   if (q < 0) q = 0;

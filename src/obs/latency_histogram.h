@@ -62,6 +62,8 @@ class LatencyHistogram {
 
   // Per-bucket integer add of `other` into this histogram.
   void Merge(const LatencyHistogram& other);
+  // The merge of every histogram in `parts`.
+  static LatencyHistogram MergeOf(const std::vector<LatencyHistogram>& parts);
 
   // -- Reads -------------------------------------------------------------
   std::uint64_t count() const { return count_; }

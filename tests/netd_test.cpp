@@ -12,7 +12,8 @@
 //     all-owning plane replaying the same stream, live, faulted, and
 //     dropping.
 //   * RunNetdCluster — the same identity across real forked processes
-//     and loopback sockets, through kills, restarts and live scrapes;
+//     and loopback sockets, through kills, restarts and live scrapes,
+//     held by FleetLawViolations (which names each law a run breaks);
 //     a run that fails reaps every daemon it forked.
 #include <gtest/gtest.h>
 
@@ -23,10 +24,9 @@
 
 #include <cerrno>
 #include <csignal>
+#include <string>
 #include <vector>
 
-#include "doc/catalog.h"
-#include "doc/placement.h"
 #include "fault/process_faults.h"
 #include "netd/cluster.h"
 #include "netd/conn.h"
@@ -41,11 +41,9 @@
 namespace webwave {
 namespace {
 
-// The carved-cluster fixture every fleet test shares: a random tree,
-// Zipf-ish leaf demand, the placement-derived snapshot serialized to the
-// blob all processes deserialize.
+// The fixture every fleet test shares: a random tree staged the way
+// every netd harness stages one (StageNetdCluster).
 struct Cluster {
-  std::vector<NodeId> parents;
   RoutingTree tree;  // rebuilt from parents, as every process does
   NetdClusterConfig config;
 };
@@ -54,27 +52,8 @@ Cluster MakeCluster(int nodes, int docs, int servers,
                     std::uint64_t requests) {
   Rng rng(42);
   const RoutingTree built = MakeRandomTree(nodes, rng);
-  DemandMatrix demand(nodes, docs);
-  Rng drng(7);
-  for (NodeId v = 0; v < built.size(); ++v)
-    if (built.is_leaf(v))
-      for (DocId d = 0; d < docs; ++d)
-        demand.set(v, d, drng.NextDouble(0.1, 4.0));
-  const PlacementResult placement = DerivePlacement(built, demand);
-  const QuotaSnapshot snapshot =
-      QuotaSnapshot::FromPlacement(built, placement, demand, 1e-9);
-
-  Cluster c{built.parents(), RoutingTree::FromParents(built.parents()), {}};
-  c.config.parents = c.parents;
-  c.config.owner = PartitionOwners(c.tree, servers);
-  c.config.server_count = servers;
-  QuotaWireTable::Serialize(snapshot, &c.config.quota_blob);
-  c.config.serving.block_size = 1;
-  c.config.serving.threads = 1;
-  c.config.docs = docs;
-  c.config.stream_seed = 0xbadcafe;
-  c.config.total_requests = requests;
-  return c;
+  return Cluster{RoutingTree::FromParents(built.parents()),
+                 StageNetdCluster(built, docs, servers, 0xbadcafe, requests)};
 }
 
 // Element-wise sum of fleet metrics, for comparison against the oracle.
@@ -82,14 +61,8 @@ ServingMetrics SumMetrics(const std::vector<ServingMetrics>& parts) {
   ServingMetrics total = parts.front();
   for (std::size_t i = 1; i < parts.size(); ++i) {
     const ServingMetrics& m = parts[i];
-    total.requests += m.requests;
-    total.cache_served += m.cache_served;
-    total.home_served += m.home_served;
-    total.hop_sum += m.hop_sum;
-    total.failed_attempts += m.failed_attempts;
-    total.failovers += m.failovers;
-    total.dropped_requests += m.dropped_requests;
-    total.backoff_slots += m.backoff_slots;
+    for (const ServingCounterField& f : kServingCounters)
+      total.*f.field += m.*f.field;
     for (std::size_t v = 0; v < total.served_per_node.size(); ++v)
       total.served_per_node[v] += m.served_per_node[v];
     if (m.hops.size() > total.hops.size())
@@ -98,6 +71,28 @@ ServingMetrics SumMetrics(const std::vector<ServingMetrics>& parts) {
       total.hops[h] += m.hops[h];
   }
   return total;
+}
+
+// Crashes the first non-root internal node in preorder: a popular
+// subtree root, so walks through it must fail over past it.
+void CrashFirstInternalNode(Cluster* c) {
+  for (const NodeId v : c->tree.preorder())
+    if (!c->tree.is_root(v) && !c->tree.is_leaf(v)) {
+      c->config.down.push_back(v);
+      return;
+    }
+}
+
+// Replays the oracle for `config` and expects `run` to keep every fleet
+// law (FleetLawViolations); returns the oracle's trace.
+std::vector<TraceEvent> ExpectFleetLaws(const NetdClusterConfig& config,
+                                        const NetdRunResult& run) {
+  std::vector<TraceEvent> oracle_trace;
+  std::vector<WireCounters> per_epoch;
+  const ServingMetrics oracle = ReplayOracle(config, &oracle_trace, &per_epoch);
+  EXPECT_EQ(FleetLawViolations(config, run, oracle, oracle_trace, per_epoch),
+            std::vector<std::string>{});
+  return oracle_trace;
 }
 
 // Runs the stream through K in-process segment planes, routing forwards
@@ -168,12 +163,7 @@ TEST(NetdCluster, CarveSubtreeReindexesPreorder) {
   Rng rng(5);
   const RoutingTree big = MakeRandomTree(500, rng);
   // Pick an internal node with a decently sized subtree.
-  NodeId pivot = big.root();
-  for (const NodeId v : big.preorder())
-    if (!big.is_root(v) && big.subtree_size(v) >= 50) {
-      pivot = v;
-      break;
-    }
+  const NodeId pivot = CarvePivot(big, 50, big.size());
   ASSERT_FALSE(big.is_root(pivot));
   const CarvedTree carved = CarveSubtree(big, pivot);
   ASSERT_EQ(carved.parents.size(), carved.big_ids.size());
@@ -554,13 +544,7 @@ TEST(NetdSegments, FleetOfSegmentPlanesMatchesOracleExactly) {
 
 TEST(NetdSegments, FaultedFleetMatchesOracleIncludingFailovers) {
   Cluster c = MakeCluster(260, 10, 4, 30000);
-  // Crash a popular subtree root (the first non-root internal node):
-  // walks through it must fail over past it, in fleet and oracle alike.
-  for (const NodeId v : c.tree.preorder())
-    if (!c.tree.is_root(v) && !c.tree.is_leaf(v)) {
-      c.config.down.push_back(v);
-      break;
-    }
+  CrashFirstInternalNode(&c);
   ASSERT_FALSE(c.config.down.empty());
   const ServingMetrics oracle = ReplayOracle(c.config);
   const ServingMetrics fleet = SumMetrics(RunSegmentFleet(c));
@@ -571,15 +555,11 @@ TEST(NetdSegments, FaultedFleetMatchesOracleIncludingFailovers) {
 
 TEST(NetdSegments, DropsMatchOracleWhenRetryBudgetExhausts) {
   Cluster c = MakeCluster(260, 10, 4, 30000);
-  // Crash a chain of ancestors deeper than the retry budget.
-  NodeId deep = 0;
-  for (const NodeId v : c.tree.preorder())
-    if (c.tree.depth(v) > c.tree.depth(deep)) deep = v;
-  ASSERT_GE(c.tree.depth(deep), 3);
-  for (NodeId v = deep; !c.tree.is_root(v); v = c.tree.parent(v))
-    c.config.down.push_back(v);
-  c.config.serving.max_failover_attempts =
-      static_cast<int>(c.config.down.size()) - 1;
+  // Crash the deepest root path, one node longer than the retry budget.
+  const NetdScenario drops = NetdScenarios(c.tree)[2];
+  ASSERT_GE(drops.down.size(), 3u);
+  c.config.down = drops.down;
+  c.config.serving.max_failover_attempts = drops.max_failover_attempts;
   const ServingMetrics oracle = ReplayOracle(c.config);
   const ServingMetrics fleet = SumMetrics(RunSegmentFleet(c));
   EXPECT_EQ(fleet, oracle);
@@ -590,11 +570,7 @@ TEST(NetdCluster, ForkedFleetOverLoopbackMatchesOracle) {
   const Cluster c = MakeCluster(200, 8, 4, 20000);
   const NetdRunResult run = RunNetdCluster(c.config);
   ASSERT_TRUE(run.ok);
-  const ServingMetrics oracle = ReplayOracle(c.config);
-  EXPECT_TRUE(ServingCountersEqual(run.fleet, CountersFromMetrics(oracle)));
-  EXPECT_EQ(run.client_served + run.client_dropped, c.config.total_requests);
-  EXPECT_EQ(run.client_served, oracle.requests - oracle.dropped_requests);
-  EXPECT_EQ(run.client_hop_sum, oracle.hop_sum);
+  ExpectFleetLaws(c.config, run);
   EXPECT_GT(run.fleet.net_forwards, 0u);
   ASSERT_EQ(run.per_server.size(), 4u);
 }
@@ -617,11 +593,7 @@ TEST(NetdSegments, FaultedSegmentFleetTraceMatchesOracle) {
   Cluster c = MakeCluster(260, 10, 4, 30000);
   c.config.serving.trace = true;
   c.config.serving.trace_sample_shift = 5;
-  for (const NodeId v : c.tree.preorder())
-    if (!c.tree.is_root(v) && !c.tree.is_leaf(v)) {
-      c.config.down.push_back(v);
-      break;
-    }
+  CrashFirstInternalNode(&c);
   ASSERT_FALSE(c.config.down.empty());
   std::vector<TraceEvent> oracle_trace;
   ReplayOracle(c.config, &oracle_trace);
@@ -636,6 +608,9 @@ TEST(NetdSegments, FaultedSegmentFleetTraceMatchesOracle) {
   EXPECT_TRUE(saw_failover) << "faulted stream should trace failovers";
 }
 
+// The scraped trace records, merged across daemons, equal the oracle's
+// record for record; every live scrape is monotone and the final one
+// sums to the oracle's totals.
 TEST(NetdCluster, ForkedFleetTraceAndScrapesMatchOracle) {
   Cluster c = MakeCluster(200, 8, 4, 20000);
   c.config.serving.trace = true;
@@ -643,46 +618,15 @@ TEST(NetdCluster, ForkedFleetTraceAndScrapesMatchOracle) {
   c.config.stats_scrape_period_ms = 2;
   const NetdRunResult run = RunNetdCluster(c.config);
   ASSERT_TRUE(run.ok);
-
-  // The scraped trace records, merged across daemons, equal the oracle's
-  // record for record.
-  std::vector<TraceEvent> oracle_trace;
-  const ServingMetrics oracle = ReplayOracle(c.config, &oracle_trace);
-  EXPECT_TRUE(ServingCountersEqual(run.fleet, CountersFromMetrics(oracle)));
-  ASSERT_GT(oracle_trace.size(), 0u);
-  ASSERT_EQ(run.trace.size(), oracle_trace.size());
-  for (std::size_t i = 0; i < oracle_trace.size(); ++i)
-    ASSERT_EQ(run.trace[i], oracle_trace[i]) << "record " << i;
-
-  // Live scrapes: the final sample is always present, every per-daemon
-  // counter set is monotone sample to sample, and the final sample's
-  // fleet sum is exactly the oracle's totals.
-  ASSERT_GE(run.samples.size(), 1u);
-  for (std::size_t i = 1; i < run.samples.size(); ++i) {
-    EXPECT_LE(run.samples[i - 1].at_completed, run.samples[i].at_completed);
-    ASSERT_EQ(run.samples[i].per_server.size(), run.per_server.size());
-    for (std::size_t s = 0; s < run.per_server.size(); ++s)
-      EXPECT_TRUE(CountersMonotone(run.samples[i - 1].per_server[s],
-                                   run.samples[i].per_server[s]))
-          << "sample " << i << " server " << s;
-  }
-  const NetdStatsSample& last = run.samples.back();
-  EXPECT_EQ(last.at_completed, c.config.total_requests);
-  EXPECT_TRUE(ServingCountersEqual(SumCounters(last.per_server),
-                                   CountersFromMetrics(oracle)));
+  EXPECT_GT(ExpectFleetLaws(c.config, run).size(), 0u);
 }
 
 TEST(NetdCluster, ForkedFaultedFleetMatchesOracle) {
   Cluster c = MakeCluster(200, 8, 4, 20000);
-  for (const NodeId v : c.tree.preorder())
-    if (!c.tree.is_root(v) && !c.tree.is_leaf(v)) {
-      c.config.down.push_back(v);
-      break;
-    }
+  CrashFirstInternalNode(&c);
   const NetdRunResult run = RunNetdCluster(c.config);
   ASSERT_TRUE(run.ok);
-  const ServingMetrics oracle = ReplayOracle(c.config);
-  EXPECT_TRUE(ServingCountersEqual(run.fleet, CountersFromMetrics(oracle)));
+  ExpectFleetLaws(c.config, run);
   EXPECT_GT(run.fleet.failovers, 0u);
 }
 
@@ -699,51 +643,18 @@ TEST(NetdCluster, MultiEpochFleetMatchesOracleWithoutFaults) {
 
   const NetdRunResult run = RunNetdCluster(c.config);
   ASSERT_TRUE(run.ok);
-  std::vector<WireCounters> per_epoch;
-  const ServingMetrics oracle = ReplayOracle(c.config, nullptr, &per_epoch);
-  EXPECT_TRUE(ServingCountersEqual(run.fleet, CountersFromMetrics(oracle)));
-  EXPECT_EQ(run.client_served + run.client_dropped, c.config.total_requests);
-  EXPECT_EQ(run.fleet.shed_forwards, 0u);
-  EXPECT_TRUE(run.retired.empty());
-  EXPECT_TRUE(run.rejoin_hello_epochs.empty());
-
   // One quiesced barrier sample per transition, each summing exactly to
   // the oracle's cumulative counters after the epoch it closes.
-  ASSERT_EQ(per_epoch.size(), 3u);
-  ASSERT_EQ(run.epoch_samples.size(), 2u);
-  for (std::size_t i = 0; i < run.epoch_samples.size(); ++i) {
-    EXPECT_TRUE(ServingCountersEqual(
-        SumCounters(run.epoch_samples[i].per_server), per_epoch[i]))
-        << "barrier sample " << i;
-  }
-  // The final epoch's cumulative counters are the run totals.
-  EXPECT_TRUE(ServingCountersEqual(per_epoch.back(),
-                                   CountersFromMetrics(oracle)));
+  ExpectFleetLaws(c.config, run);
+  EXPECT_EQ(run.epoch_samples.size(), 2u);
 }
 
 // The kill/restart scenario: five traced epochs of 4000 requests whose
-// process-fault plan kills and re-forks at least one daemon (the first
-// such seed; the oracle identity holds for any plan, the probe only pins
-// scenario coverage).
-FaultScheduleOptions KillRestartFaults() {
-  FaultScheduleOptions faults;
-  faults.pattern = FaultPattern::kSingleNodes;
-  faults.crash_fraction = 0.4;
-  faults.outage_epochs = 1;
-  faults.start_epoch = 1;
-  return faults;
-}
-
-void MakeKillRestartPlan(Cluster* c, ProcessFaultPlan* plan) {
-  EpochPlanOptions opt;
-  opt.epochs = 5;
-  opt.requests_per_epoch = 4000;
-  opt.faults = KillRestartFaults();
-  opt.faults.seed = FirstKillRestartSeed(4, opt.epochs, opt.faults);
-  ASSERT_NE(opt.faults.seed, 0u)
-      << "no seed in 1..64 yields a kill and a restart";
-  *plan = BuildEpochPlan(&c->config, opt);
-  ASSERT_TRUE(plan->any);
+// process-fault plan kills and re-forks at least one daemon.
+void MakeKillRestartPlan(Cluster* c) {
+  const ProcessFaultPlan plan =
+      BuildEpochPlan(&c->config, KillRestartPlanOptions(4, 5, 4000));
+  ASSERT_TRUE(plan.any);
   c->config.serving.trace = true;
   c->config.serving.trace_sample_shift = 6;
 }
@@ -777,73 +688,18 @@ TEST(NetdCluster, FirstKillRestartSeedIsTheSmallestQualifyingSeed) {
   EXPECT_EQ(FirstKillRestartSeed(4, 2, KillRestartFaults()), 0u);
 }
 
-// Every law a kill/restart run owes the oracle replaying its epoch plan.
-void ExpectKillRestartRunMatchesOracle(const Cluster& c,
-                                       const ProcessFaultPlan& plan,
-                                       const NetdRunResult& run) {
-  const int epochs = static_cast<int>(plan.kill_at.size());
-  const std::size_t kills = CountThrough(plan.kill_at, epochs - 1);
-  const std::size_t restarts = CountThrough(plan.restart_at, epochs - 1);
-  std::vector<TraceEvent> oracle_trace;
-  std::vector<WireCounters> per_epoch;
-  const ServingMetrics oracle =
-      ReplayOracle(c.config, &oracle_trace, &per_epoch);
-
-  // The sum law across faults: live finals + pre-kill scrapes == oracle.
-  EXPECT_TRUE(ServingCountersEqual(run.fleet, CountersFromMetrics(oracle)));
-  EXPECT_EQ(run.client_served + run.client_dropped, c.config.total_requests);
-  ASSERT_EQ(run.retired.size(), kills);
-  ASSERT_EQ(run.rejoin_hello_epochs.size(), restarts);
-  // A restarted daemon always rejoins from a fresh boot (epoch 0) and is
-  // brought current by the delta re-sync.
-  for (const std::uint32_t e : run.rejoin_hello_epochs) EXPECT_EQ(e, 0u);
-
-  // Barrier sample i closes epoch i: its live counters plus every retired
-  // scrape taken through that transition equal the oracle's cumulative
-  // counters after epoch i.  (Dead slots in a sample stay zero.)
-  ASSERT_EQ(run.epoch_samples.size(), static_cast<std::size_t>(epochs - 1));
-  ASSERT_EQ(per_epoch.size(), static_cast<std::size_t>(epochs));
-  for (std::size_t i = 0; i < run.epoch_samples.size(); ++i) {
-    std::vector<WireCounters> parts = run.epoch_samples[i].per_server;
-    const std::size_t used =
-        CountThrough(plan.kill_at, static_cast<int>(i) + 1);
-    ASSERT_LE(used, run.retired.size());
-    parts.insert(parts.end(), run.retired.begin(),
-                 run.retired.begin() + static_cast<std::ptrdiff_t>(used));
-    EXPECT_TRUE(ServingCountersEqual(SumCounters(parts), per_epoch[i]))
-        << "barrier sample " << i;
-  }
-
-  // Trace law across the kill: victim pre-kill dumps + restarted
-  // daemons' post-restart events + survivors' final dumps merge to the
-  // oracle's record stream exactly, no loss and no double count.
-  ASSERT_GT(oracle_trace.size(), 0u);
-  ASSERT_EQ(run.trace.size(), oracle_trace.size());
-  for (std::size_t i = 0; i < oracle_trace.size(); ++i)
-    ASSERT_EQ(run.trace[i], oracle_trace[i]) << "record " << i;
-
-  // Backpressure stayed inside the default watermark (no shedding, every
-  // per-daemon outbox peak bounded), and the gossip plane really did
-  // reconnect around the dead daemon.
-  EXPECT_EQ(run.fleet.shed_forwards, 0u);
-  EXPECT_GE(run.fleet.reconnects, 1u);
-  for (const WireCounters& s : run.per_server)
-    EXPECT_LE(s.outbox_peak_bytes, c.config.outbox_watermark_bytes);
-  for (const WireCounters& s : run.retired)
-    EXPECT_LE(s.outbox_peak_bytes, c.config.outbox_watermark_bytes);
-}
-
 // The headline: a fleet that loses daemons to SIGKILL mid-run and
 // re-forks them serves the identical integer counters as the in-process
 // oracle replaying the same epoch plan — bit for bit, across the kill,
 // and again after restart + delta re-sync.
 TEST(NetdCluster, KilledAndRestartedFleetMatchesOracleBitForBit) {
   Cluster c = MakeCluster(200, 8, 4, 0);
-  ProcessFaultPlan plan;
-  ASSERT_NO_FATAL_FAILURE(MakeKillRestartPlan(&c, &plan));
+  ASSERT_NO_FATAL_FAILURE(MakeKillRestartPlan(&c));
   const NetdRunResult run = RunNetdCluster(c.config);
   ASSERT_TRUE(run.ok);
-  ExpectKillRestartRunMatchesOracle(c, plan, run);
+  EXPECT_GT(ExpectFleetLaws(c.config, run).size(), 0u);
+  // The gossip plane really did reconnect around the dead daemon.
+  EXPECT_GE(run.fleet.reconnects, 1u);
 }
 
 // The same scenario with a 1 ms live scraper: scrapes land at epoch
@@ -852,17 +708,72 @@ TEST(NetdCluster, KilledAndRestartedFleetMatchesOracleBitForBit) {
 // and the samples end with the end-of-run round.
 TEST(NetdCluster, ScrapesInterleaveWithKillBoundaries) {
   Cluster c = MakeCluster(200, 8, 4, 0);
-  ProcessFaultPlan plan;
-  ASSERT_NO_FATAL_FAILURE(MakeKillRestartPlan(&c, &plan));
+  ASSERT_NO_FATAL_FAILURE(MakeKillRestartPlan(&c));
   c.config.stats_scrape_period_ms = 1;
   const NetdRunResult run = RunNetdCluster(c.config);
   ASSERT_TRUE(run.ok);
-  ASSERT_NO_FATAL_FAILURE(ExpectKillRestartRunMatchesOracle(c, plan, run));
-  ASSERT_FALSE(run.samples.empty());
-  EXPECT_EQ(run.samples.back().at_completed, c.config.total_requests);
-  for (std::size_t i = 1; i < run.samples.size(); ++i)
-    EXPECT_LE(run.samples[i - 1].at_completed, run.samples[i].at_completed)
-        << "sample " << i;
+  EXPECT_GT(ExpectFleetLaws(c.config, run).size(), 0u);
+  // The gossip plane really did reconnect around the dead daemon.
+  EXPECT_GE(run.fleet.reconnects, 1u);
+}
+
+// The law function names what broke.  One real kill/restart run keeps
+// every law; each perturbation of a copy then breaks exactly one law,
+// and the violation says which.
+TEST(NetdCluster, FleetLawsNameEachViolation) {
+  Cluster c = MakeCluster(200, 8, 4, 0);
+  ASSERT_NO_FATAL_FAILURE(MakeKillRestartPlan(&c));
+  const NetdRunResult run = RunNetdCluster(c.config);
+  ASSERT_TRUE(run.ok);
+  std::vector<TraceEvent> oracle_trace;
+  std::vector<WireCounters> per_epoch;
+  const ServingMetrics oracle =
+      ReplayOracle(c.config, &oracle_trace, &per_epoch);
+  const auto laws = [&](const NetdRunResult& r) {
+    return FleetLawViolations(c.config, r, oracle, oracle_trace, per_epoch);
+  };
+  ASSERT_EQ(laws(run), std::vector<std::string>{});
+  ASSERT_FALSE(run.retired.empty());
+  ASSERT_FALSE(run.rejoin_hello_epochs.empty());
+  ASSERT_GE(run.epoch_samples.size(), 2u);
+  ASSERT_FALSE(run.trace.empty());
+  const auto expect_one = [&](const NetdRunResult& r, const std::string& law,
+                              const std::string& mentions) {
+    const std::vector<std::string> v = laws(r);
+    ASSERT_EQ(v.size(), 1u) << ::testing::PrintToString(v);
+    EXPECT_EQ(v[0].substr(0, v[0].find(':')), law) << v[0];
+    EXPECT_NE(v[0].find(mentions), std::string::npos) << v[0];
+  };
+
+  // A victim's scrape feeds every quiesced sum after its kill, the final
+  // one included.
+  NetdRunResult bad = run;
+  bad.retired.back().requests += 1;
+  expect_one(bad, "quiesced", "final");
+
+  bad = run;
+  bad.trace.erase(bad.trace.begin() + 1);
+  expect_one(bad, "trace", "first difference at record 1");
+
+  bad = run;
+  bad.epoch_samples[1].per_server[0].hop_sum += 1;
+  expect_one(bad, "quiesced", "barrier 1 differ");
+
+  bad = run;
+  for (NetdRunResult::FlightDump& d : bad.flights)
+    if (d.victim) {
+      d.events.clear();
+      break;
+    }
+  expect_one(bad, "flight", "1 empty rings");
+
+  bad = run;
+  bad.rejoin_hello_epochs[0] = 1;
+  expect_one(bad, "membership", "nonzero epoch");
+
+  bad = run;
+  bad.server_hist[0].Record(1000);
+  expect_one(bad, "serve histogram", "count");
 }
 
 // A run that fails after the fork must not leave daemons behind: a plan
