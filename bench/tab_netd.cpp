@@ -319,11 +319,7 @@ int main() {
     NetdRunResult run;
     double fleet_ms = 0, oracle_ms = 0;
     bool match = RunAndCheck("faults", fc, &run, &fleet_ms, &oracle_ms);
-    std::uint64_t outbox_peak = 0;
-    for (const WireCounters& s : run.per_server)
-      outbox_peak = std::max(outbox_peak, s.outbox_peak_bytes);
-    for (const WireCounters& s : run.retired)
-      outbox_peak = std::max(outbox_peak, s.outbox_peak_bytes);
+    const std::uint64_t outbox_peak = run.fleet.outbox_peak_bytes;
 
     // Barrier sample i closes epoch i: its live counters plus the
     // victims retired through that transition, and its serve-time

@@ -405,11 +405,6 @@ std::vector<int> BatchWebWaveSimulator::DirtyLanes() const {
   return lanes;
 }
 
-bool BatchWebWaveSimulator::LaneDirty(int d) const {
-  WEBWAVE_REQUIRE(d >= 0 && d < docs_, "document lane out of range");
-  return dirty_[static_cast<std::size_t>(d)] != 0;
-}
-
 int BatchWebWaveSimulator::dirty_lane_count() const {
   int count = 0;
   for (const std::uint8_t f : dirty_) count += f != 0;

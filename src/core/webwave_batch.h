@@ -147,7 +147,6 @@ class BatchWebWaveSimulator {
   // Dirty-lane set (see file comment): lanes whose served/forwarded state
   // changed since construction or the last ClearDirtyLanes(), ascending.
   std::vector<int> DirtyLanes() const;
-  bool LaneDirty(int d) const;
   int dirty_lane_count() const;
   // Resets the set — call after exporting a quota snapshot so the next
   // export sees only what changed in between.

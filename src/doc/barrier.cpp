@@ -4,10 +4,9 @@
 
 namespace webwave {
 
-BarrierMonitor::BarrierMonitor(int node_count, int patience)
-    : patience_(patience), stalls_(static_cast<std::size_t>(node_count), 0) {
+BarrierMonitor::BarrierMonitor(int node_count)
+    : stalls_(static_cast<std::size_t>(node_count), 0) {
   WEBWAVE_REQUIRE(node_count >= 1, "need at least one node");
-  WEBWAVE_REQUIRE(patience >= 0, "patience must be non-negative");
 }
 
 bool BarrierMonitor::Observe(NodeId node, bool underloaded_vs_parent,
@@ -19,7 +18,7 @@ bool BarrierMonitor::Observe(NodeId node, bool underloaded_vs_parent,
     stalls_[static_cast<std::size_t>(node)] = 0;
     return false;
   }
-  return ++stalls_[static_cast<std::size_t>(node)] > patience_;
+  return ++stalls_[static_cast<std::size_t>(node)] > kBarrierPatience;
 }
 
 void BarrierMonitor::Reset(NodeId node) {

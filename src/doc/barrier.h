@@ -19,12 +19,14 @@
 
 namespace webwave {
 
+// How many consecutive no-action underloaded periods a node tolerates
+// before declaring its parent a barrier: the paper's "more than two
+// periods", so tunneling starts on the third.
+inline constexpr int kBarrierPatience = 2;
+
 class BarrierMonitor {
  public:
-  // patience: how many consecutive no-action underloaded periods a node
-  // tolerates before declaring its parent a barrier (the paper uses 2,
-  // i.e. tunneling starts on the third period).
-  BarrierMonitor(int node_count, int patience);
+  explicit BarrierMonitor(int node_count);
 
   // Called once per diffusion period per node with whether the node was
   // underloaded relative to its parent and whether the parent shifted any
@@ -38,7 +40,6 @@ class BarrierMonitor {
   int ConsecutiveStalls(NodeId node) const;
 
  private:
-  int patience_;
   std::vector<int> stalls_;
 };
 

@@ -143,33 +143,31 @@ DemandMatrix UniformRandomDemand(const RoutingTree& tree, int doc_count,
   return demand;
 }
 
-DemandMatrix RotatingHotSpotDemand(const RoutingTree& tree, int doc_count,
-                                   double base_rate, double hot_rate,
-                                   double hot_fraction, double phase) {
-  WEBWAVE_REQUIRE(phase >= 0 && phase < 1, "phase in [0,1)");
+RotatingHotSpot::RotatingHotSpot(const RoutingTree& tree, int doc_count,
+                                 double hot_fraction, int rotation_epochs)
+    : rotation_epochs_(rotation_epochs) {
   WEBWAVE_REQUIRE(hot_fraction >= 0 && hot_fraction <= 1,
                   "hot fraction in [0,1]");
-  WEBWAVE_REQUIRE(base_rate >= 0 && hot_rate >= 0, "rates non-negative");
-  std::vector<NodeId> leaves;
+  WEBWAVE_REQUIRE(rotation_epochs >= 1,
+                  "rotation must take at least one epoch");
   for (NodeId v = 0; v < tree.size(); ++v)
-    if (tree.is_leaf(v) && !tree.is_root(v)) leaves.push_back(v);
-  DemandMatrix demand(tree.size(), doc_count);
-  if (leaves.empty()) return demand;
-
+    if (tree.is_leaf(v) && !tree.is_root(v)) leaves_.push_back(v);
+  WEBWAVE_REQUIRE(!leaves_.empty(), "the tree has no non-root leaves");
   const ZipfDistribution zipf(doc_count, 1.0);
-  const std::size_t n_leaves = leaves.size();
-  const std::size_t window = static_cast<std::size_t>(
-      hot_fraction * static_cast<double>(n_leaves) + 0.5);
+  doc_weights_.resize(static_cast<std::size_t>(doc_count));
+  for (int d = 0; d < doc_count; ++d)
+    doc_weights_[static_cast<std::size_t>(d)] = zipf.pmf(d);
+  window_ = static_cast<std::size_t>(
+      hot_fraction * static_cast<double>(leaves_.size()) + 0.5);
+}
+
+bool RotatingHotSpot::Hot(int epoch, std::size_t i) const {
+  const std::size_t n = leaves_.size();
+  const double phase = static_cast<double>(epoch % rotation_epochs_) /
+                       static_cast<double>(rotation_epochs_);
   const std::size_t start =
-      static_cast<std::size_t>(phase * static_cast<double>(n_leaves));
-  for (std::size_t i = 0; i < n_leaves; ++i) {
-    // Hot iff within the circular window [start, start + window).
-    const std::size_t offset = (i + n_leaves - start) % n_leaves;
-    const double rate = offset < window ? hot_rate : base_rate;
-    for (DocId d = 0; d < doc_count; ++d)
-      demand.add(leaves[i], d, rate * zipf.pmf(d));
-  }
-  return demand;
+      static_cast<std::size_t>(phase * static_cast<double>(n));
+  return (i + n - start) % n < window_;
 }
 
 DemandMatrix FlashCrowdDemand(const RoutingTree& tree, int doc_count,

@@ -118,15 +118,31 @@ DemandMatrix FlashCrowdDemand(const RoutingTree& tree, int doc_count,
                               double base_rate, double hot_rate,
                               DocId hot_doc, NodeId epicenter, Rng& rng);
 
-// A rotating hot spot: the demand state at `phase` of a diurnal-like cycle
-// in which the hot region moves around the tree's leaves.  `phase` in
-// [0, 1); the hot region is the leaves whose index falls in a window of
-// `hot_fraction` of all leaves starting at phase; hot leaves request at
-// `hot_rate`, the rest at `base_rate`, split over documents by Zipf(1).
-// Calling this with increasing phases yields the erratic-demand sequence
-// used by the churn experiments.
-DemandMatrix RotatingHotSpotDemand(const RoutingTree& tree, int doc_count,
-                                   double base_rate, double hot_rate,
-                                   double hot_fraction, double phase);
+// The rotating hot spot, defined once: ChurnSchedule(kRotatingHotSpot)
+// and RotatingHotSpotComponent both read it, so they agree cell for cell.
+// The non-root leaves in ascending id order form a ring.  At `epoch` of a
+// revolution of rotation_epochs epochs the window starts at ring index
+// ⌊n · (epoch mod rotation_epochs) / rotation_epochs⌋ and covers the next
+// round(hot_fraction · n) leaves, circularly.  Every leaf splits its rate
+// across the catalog by Zipf(1).
+class RotatingHotSpot {
+ public:
+  // Throws when hot_fraction is outside [0, 1], rotation_epochs < 1 or the
+  // tree has no non-root leaves.
+  RotatingHotSpot(const RoutingTree& tree, int doc_count, double hot_fraction,
+                  int rotation_epochs);
+
+  const std::vector<NodeId>& leaves() const { return leaves_; }
+  // Zipf(1) pmf over documents.
+  const std::vector<double>& doc_weights() const { return doc_weights_; }
+  // Is leaves()[i] inside the window at `epoch`?
+  bool Hot(int epoch, std::size_t i) const;
+
+ private:
+  std::vector<NodeId> leaves_;
+  std::vector<double> doc_weights_;
+  std::size_t window_;
+  int rotation_epochs_;
+};
 
 }  // namespace webwave

@@ -10,6 +10,13 @@
 
 namespace webwave {
 
+namespace {
+
+// Rates and quotas at or below this are treated as zero.
+constexpr double kEpsilon = 1e-9;
+
+}  // namespace
+
 DocWebWave::DocWebWave(const RoutingTree& tree, const DemandMatrix& demand,
                        DocWebWaveOptions options)
     : tree_(tree),
@@ -21,7 +28,7 @@ DocWebWave::DocWebWave(const RoutingTree& tree, const DemandMatrix& demand,
       forwarded_(quota_.size(), 0.0),
       cached_(quota_.size(), 0),
       loads_(static_cast<std::size_t>(tree.size()), 0.0),
-      barrier_monitor_(tree.size(), options.barrier_patience),
+      barrier_monitor_(tree.size()),
       received_this_period_(static_cast<std::size_t>(tree.size()), false) {
   WEBWAVE_REQUIRE(demand.node_count() == tree.size(),
                   "demand matrix does not match tree");
@@ -80,9 +87,9 @@ double DocWebWave::DelegateDown(NodeId p, NodeId c, double amount) {
   std::vector<DocId> candidates;
   for (DocId d = 0; d < docs_; ++d) {
     if (cached_[static_cast<std::size_t>(p) * docs_ + d] == 0) continue;
-    if (fwd_at(c, d) <= options_.epsilon) continue;
+    if (fwd_at(c, d) <= kEpsilon) continue;
     const double avail = tree_.is_root(p) ? served_at(p, d) : quota_at(p, d);
-    if (avail <= options_.epsilon) continue;
+    if (avail <= kEpsilon) continue;
     candidates.push_back(d);
   }
   std::sort(candidates.begin(), candidates.end(), [&](DocId a, DocId b) {
@@ -91,7 +98,7 @@ double DocWebWave::DelegateDown(NodeId p, NodeId c, double amount) {
   });
   double moved = 0;
   for (const DocId d : candidates) {
-    if (moved >= amount - options_.epsilon) break;
+    if (moved >= amount - kEpsilon) break;
     // Quotas were tightened to realized service at the start of the
     // period and are updated incrementally here, so a node that both
     // receives and gives quota within one period keeps its books straight.
@@ -99,7 +106,7 @@ double DocWebWave::DelegateDown(NodeId p, NodeId c, double amount) {
         tree_.is_root(p) ? served_at(p, d) : quota_at(p, d);
     const double delta =
         std::min({amount - moved, fwd_at(c, d), parent_available});
-    if (delta <= options_.epsilon) continue;
+    if (delta <= kEpsilon) continue;
     if (cached_[static_cast<std::size_t>(c) * docs_ + d] == 0) {
       cached_[static_cast<std::size_t>(c) * docs_ + d] = 1;
       ++replications_;
@@ -109,8 +116,7 @@ double DocWebWave::DelegateDown(NodeId p, NodeId c, double amount) {
       // The home server's quota is implicit (it absorbs); only interior
       // caches track explicit quotas.
       quota(p, d) = std::max(0.0, quota_at(p, d) - delta);
-      if (options_.evict_at_zero_quota &&
-          quota_at(p, d) <= options_.epsilon) {
+      if (options_.evict_at_zero_quota && quota_at(p, d) <= kEpsilon) {
         cached_[static_cast<std::size_t>(p) * docs_ + d] = 0;
         quota(p, d) = 0;
         ++evictions_;
@@ -127,7 +133,7 @@ double DocWebWave::RelinquishUp(NodeId p, NodeId c, double amount) {
   // raises its own quota to absorb them en route.
   std::vector<DocId> candidates;
   for (DocId d = 0; d < docs_; ++d)
-    if (quota_at(c, d) > options_.epsilon) candidates.push_back(d);
+    if (quota_at(c, d) > kEpsilon) candidates.push_back(d);
   std::sort(candidates.begin(), candidates.end(), [&](DocId a, DocId b) {
     if (quota_at(c, a) != quota_at(c, b))
       return quota_at(c, a) > quota_at(c, b);
@@ -135,11 +141,11 @@ double DocWebWave::RelinquishUp(NodeId p, NodeId c, double amount) {
   });
   double moved = 0;
   for (const DocId d : candidates) {
-    if (moved >= amount - options_.epsilon) break;
+    if (moved >= amount - kEpsilon) break;
     const double delta = std::min(amount - moved, quota_at(c, d));
-    if (delta <= options_.epsilon) continue;
+    if (delta <= kEpsilon) continue;
     quota(c, d) = std::max(0.0, quota_at(c, d) - delta);
-    if (options_.evict_at_zero_quota && quota_at(c, d) <= options_.epsilon) {
+    if (options_.evict_at_zero_quota && quota_at(c, d) <= kEpsilon) {
       cached_[static_cast<std::size_t>(c) * docs_ + d] = 0;
       quota(c, d) = 0;
       ++evictions_;
@@ -163,7 +169,7 @@ void DocWebWave::Tunnel(NodeId k) {
   // the passing flow.
   DocId best = -1;
   for (DocId d = 0; d < docs_; ++d) {
-    if (fwd_at(k, d) <= options_.epsilon) continue;
+    if (fwd_at(k, d) <= kEpsilon) continue;
     if (best < 0 || fwd_at(k, d) > fwd_at(k, best)) best = d;
   }
   if (best < 0) return;  // nothing flows past k at all
@@ -173,7 +179,7 @@ void DocWebWave::Tunnel(NodeId k) {
                      loads_[static_cast<std::size_t>(k)];
   const double quota_grant =
       std::min(fwd_at(k, best), EdgeAlpha(p, k) * gap);
-  if (quota_grant <= options_.epsilon) return;
+  if (quota_grant <= kEpsilon) return;
 
   if (cached_[static_cast<std::size_t>(k) * docs_ + best] == 0) {
     NodeId source = kNoNode;
@@ -217,7 +223,7 @@ void DocWebWave::Step() {
     const double lp = loads[static_cast<std::size_t>(p)];
     const double lc = loads[static_cast<std::size_t>(c)];
     const double alpha = EdgeAlpha(p, c);
-    if (lp > lc + options_.epsilon) {
+    if (lp > lc + kEpsilon) {
       const double want = alpha * (lp - lc);
       const double moved = DelegateDown(p, c, want);
       // "No action is taken by j" (§5.2): a trickle far below the
@@ -225,7 +231,7 @@ void DocWebWave::Step() {
       // leaking a trifle would never be detected.
       if (moved > 0.25 * want)
         received_this_period_[static_cast<std::size_t>(c)] = true;
-    } else if (lc > lp + options_.epsilon) {
+    } else if (lc > lp + kEpsilon) {
       RelinquishUp(p, c, alpha * (lc - lp));
     }
   }
@@ -239,7 +245,7 @@ void DocWebWave::Step() {
       const NodeId p = tree_.parent(k);
       const bool underloaded =
           loads_[static_cast<std::size_t>(k)] <
-          loads_[static_cast<std::size_t>(p)] - options_.epsilon;
+          loads_[static_cast<std::size_t>(p)] - kEpsilon;
       if (barrier_monitor_.Observe(
               k, underloaded,
               received_this_period_[static_cast<std::size_t>(k)])) {

@@ -20,7 +20,7 @@
 //     the home server).  A quota that reaches zero drops the copy.
 //
 // Tunneling (§5.2): a child underloaded w.r.t. its parent for more than
-// `barrier_patience` periods with no load received fetches a copy of a
+// kBarrierPatience periods with no load received fetches a copy of a
 // document it is forwarding directly from the nearest ancestor that caches
 // it, across the barrier.
 #pragma once
@@ -37,10 +37,8 @@ namespace webwave {
 struct DocWebWaveOptions {
   // Per-edge diffusion parameter; 1/(1 + max degree) when <= 0.
   double alpha = -1;
-  int barrier_patience = 2;     // paper: tunnel after more than two periods
   bool enable_tunneling = true;
   bool evict_at_zero_quota = true;
-  double epsilon = 1e-9;
 };
 
 // A record of one tunneling event, for experiment output.

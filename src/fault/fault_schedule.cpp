@@ -8,13 +8,12 @@
 namespace webwave {
 namespace {
 
-// Distinct odd salts keep the per-(window, node) outage draws, the
-// per-window subtree pick and the per-window burst draw in disjoint
-// counter ranges of the one SplitMix64 finalizer.
+// Distinct odd salts keep the per-(window, node) outage draws and the
+// per-window subtree pick in disjoint counter ranges of the one
+// SplitMix64 finalizer.
 constexpr std::uint64_t kWindowSalt = 0x9e3779b97f4a7c15ULL;
 constexpr std::uint64_t kNodeSalt = 0xd1342543de82ef95ULL;
 constexpr std::uint64_t kSubtreeSalt = 0x2545f4914f6cdd1dULL;
-constexpr std::uint64_t kBurstSalt = 0x94d049bb133111ebULL;
 
 double OutageDraw(std::uint64_t seed, int window, NodeId v) {
   return CounterUnitDouble(seed +
@@ -136,21 +135,6 @@ std::vector<FaultEvent> FaultSchedule::NextEvents() {
   }
   down_ = std::move(now);
   return events;
-}
-
-LinkFault FaultSchedule::LinkAt(int epoch) const {
-  LinkFault fault;
-  if (options_.burst_probability <= 0) return fault;
-  const int window = WindowOf(epoch);
-  if (window < 0) return fault;
-  const std::uint64_t counter =
-      options_.seed + kBurstSalt +
-      kWindowSalt * (static_cast<std::uint64_t>(window) + 1);
-  if (CounterUnitDouble(counter) < options_.burst_probability) {
-    fault.gossip_loss = options_.burst_gossip_loss;
-    fault.extra_latency_ms = options_.burst_extra_latency_ms;
-  }
-  return fault;
 }
 
 }  // namespace webwave

@@ -1,11 +1,10 @@
-// Deterministic topology-fault schedules: crash/recover and link events.
+// Deterministic topology-fault schedules: crash/recover events.
 //
 // ROADMAP item 4 names topology events — caches that join, serve, and
 // vanish — as the scenario family demand churn cannot express.
 // FaultSchedule generalizes ChurnSchedule (sim/churn.h) from demand
 // events to *topology* events: per epoch it emits the crash/recover
-// transitions of a node-outage process plus the link-plane degradation
-// (gossip-loss/latency bursts) active that epoch.  Three outage shapes:
+// transitions of a node-outage process.  Three outage shapes:
 //
 //   * kSingleNodes   — every non-root node is independently down.
 //   * kLeafCohort    — a random cohort of non-root leaves is down (the
@@ -28,9 +27,7 @@
 // NextEvents() advances one epoch and returns the sparse transition
 // batch (crashes and recoveries in ascending node order), the shape
 // FaultProjector::Refresh consumes; DownAt/DownSet expose the underlying
-// pure predicate for from-scratch checks.  LinkAt exposes the epoch's
-// gossip degradation, which proto/packet_sim consumes as gossip bursts
-// (PacketSimOptions::gossip_bursts extends the static gossip_loss knob).
+// pure predicate for from-scratch checks.
 #pragma once
 
 #include <cstdint>
@@ -55,14 +52,6 @@ struct FaultEvent {
   NodeId node;
 };
 
-// Link-plane degradation active during one epoch: gossip messages are
-// lost with probability gossip_loss, surviving ones delayed by
-// extra_latency_ms on top of the base link latency.
-struct LinkFault {
-  double gossip_loss = 0.0;
-  double extra_latency_ms = 0.0;
-};
-
 struct FaultScheduleOptions {
   FaultPattern pattern = FaultPattern::kLeafCohort;
   // kSingleNodes / kLeafCohort: share of candidate nodes down per window.
@@ -75,12 +64,6 @@ struct FaultScheduleOptions {
   // tree's nodes (whole-tree "outages" are unpublished catalogs, not
   // fault tolerance scenarios).
   double max_subtree_fraction = 0.05;
-  // Link plane: each window independently carries a gossip burst with
-  // this probability; an active burst loses gossip messages at
-  // burst_gossip_loss and delays the survivors by burst_extra_latency_ms.
-  double burst_probability = 0.0;
-  double burst_gossip_loss = 0.5;
-  double burst_extra_latency_ms = 0.0;
   std::uint64_t seed = 1;
 };
 
@@ -107,10 +90,6 @@ class FaultSchedule {
   // every newly down node, a recovery for every newly live one).  Most
   // epochs inside a window return no events.
   std::vector<FaultEvent> NextEvents();
-
-  // The link-plane degradation active at `epoch` (pure; zero before
-  // start_epoch and in windows whose burst draw missed).
-  LinkFault LinkAt(int epoch) const;
 
  private:
   // Window index of `epoch`, or -1 in the fault-free prefix.

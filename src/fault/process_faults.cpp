@@ -4,14 +4,6 @@
 
 namespace webwave {
 
-std::vector<int> ProcessFaultPlan::DeadServers(int epoch) const {
-  std::vector<int> out;
-  const auto& dead = dead_at[static_cast<std::size_t>(epoch)];
-  for (std::size_t s = 0; s < dead.size(); ++s)
-    if (dead[s]) out.push_back(static_cast<int>(s));
-  return out;
-}
-
 ProcessFaultPlan BuildProcessFaultPlan(int server_count, int epochs,
                                        const FaultScheduleOptions& options) {
   WEBWAVE_REQUIRE(server_count >= 1 && epochs >= 1,

@@ -32,9 +32,6 @@ struct ProcessFaultPlan {
   std::vector<std::vector<int>> restart_at;
   std::vector<std::vector<bool>> dead_at;
   bool any = false;  // at least one kill somewhere in the plan
-
-  // The dead set of `epoch`, ascending — convenience for re-homing.
-  std::vector<int> DeadServers(int epoch) const;
 };
 
 // Servers listed in kill_at or restart_at (`at`) at the boundaries

@@ -210,11 +210,9 @@ WireCounters SumCounters(const std::vector<WireCounters>& all) {
   for (const WireCounters& c : all) {
     for (const ServingCounterField& f : kServingCounters)
       sum.*f.field += c.*f.field;
-    sum.net_forwards += c.net_forwards;
-    sum.gossip_sent += c.gossip_sent;
-    sum.shed_forwards += c.shed_forwards;
-    sum.reconnects += c.reconnects;
-    sum.outbox_peak_bytes += c.outbox_peak_bytes;
+    for (const TransportCounterField& f : kTransportCounters)
+      sum.*f.field = f.maxed ? std::max(sum.*f.field, c.*f.field)
+                             : sum.*f.field + c.*f.field;
   }
   return sum;
 }
@@ -247,11 +245,9 @@ std::string Describe(const ServingCounters& c) {
 bool CountersMonotone(const WireCounters& a, const WireCounters& b) {
   for (const ServingCounterField& f : kServingCounters)
     if (a.*f.field > b.*f.field) return false;
-  return a.net_forwards <= b.net_forwards &&
-         a.gossip_sent <= b.gossip_sent &&
-         a.shed_forwards <= b.shed_forwards &&
-         a.reconnects <= b.reconnects &&
-         a.outbox_peak_bytes <= b.outbox_peak_bytes;
+  for (const TransportCounterField& f : kTransportCounters)
+    if (a.*f.field > b.*f.field) return false;
+  return true;
 }
 
 // Merge must be exactly a per-bucket u64 add: `merged` against the naive
@@ -372,16 +368,13 @@ std::vector<std::string> FleetLawViolations(
          run.retired.size(), run.rejoin_hello_epochs.size(), kills, restarts,
          fresh ? "" : "; a rejoin announced a nonzero epoch");
 
-  std::uint64_t peak = 0;
-  for (const WireCounters& c : run.per_server)
-    peak = std::max(peak, c.outbox_peak_bytes);
-  for (const WireCounters& c : run.retired)
-    peak = std::max(peak, c.outbox_peak_bytes);
-  if (run.fleet.shed_forwards != 0 || peak > config.outbox_watermark_bytes)
+  if (run.fleet.shed_forwards != 0 ||
+      run.fleet.outbox_peak_bytes > config.outbox_watermark_bytes)
     Fail(&out, "backpressure",
          "%" PRIu64 " forwards shed, outbox peak %" PRIu64
          " B, watermark %zu B",
-         run.fleet.shed_forwards, peak, config.outbox_watermark_bytes);
+         run.fleet.shed_forwards, run.fleet.outbox_peak_bytes,
+         config.outbox_watermark_bytes);
 
   // Every request and every forward is one kGetRequest frame, timed once
   // by the daemon that took it: live finals plus the victims' scrapes.

@@ -71,8 +71,6 @@ struct NetdClusterConfig {
   int docs = 0;
   std::uint64_t stream_seed = 1;
   std::uint64_t total_requests = 0;
-  // Daemon gossip cadence on the timer wheel (0 disables).
-  int gossip_period_ms = 20;
   // Live fleet stats scraping: the loadgen polls every daemon's
   // kStatsRequest on this cadence *while the stream is in flight* and
   // records the replies as NetdStatsSamples (0 = final sample only).
@@ -87,21 +85,16 @@ struct NetdClusterConfig {
   // kDropped reply and netd.shed_forwards counts it) instead of
   // buffering unboundedly behind a slow or dead peer.
   std::size_t outbox_watermark_bytes = std::size_t{1} << 20;
-  // Non-blocking peer connect deadline before the attempt counts as
-  // failed and the counter-hash backoff schedules a retry.
-  int connect_timeout_ms = 2000;
   // Loadgen load-reactive window: when > 0, a GetReply whose piggybacked
   // load exceeds factor x (completed / server_count) halves the live
   // window (additive +1 recovery up to the loadgen's fixed window).
   // Pacing only — the stream content and every admission decision are
   // unaffected.
   double load_window_factor = 0;
-  // Latency plane (PR 10): each daemon keeps a flight-recorder ring of
-  // this many events.  `flight_dir`, when non-empty, is where a daemon
-  // dumps its ring on *clean* shutdown ("flight_<index>.txt"); victims
-  // never reach that path — their rings are scraped over the wire
-  // (kFlightRequest) at the quiesced boundary before the SIGKILL.
-  std::size_t flight_capacity = 4096;
+  // Where, when non-empty, a daemon dumps its flight-recorder ring on
+  // *clean* shutdown ("flight_<index>.txt"); victims never reach that
+  // path — their rings are scraped over the wire (kFlightRequest) at the
+  // quiesced boundary before the SIGKILL.
   std::string flight_dir;
 };
 
@@ -196,7 +189,8 @@ ServingMetrics ReplayOracle(const NetdClusterConfig& config,
 // has no sockets).  Compare with ServingCountersEqual (wire/message.h).
 WireCounters CountersFromMetrics(const ServingMetrics& m);
 
-// Element-wise sum of a counter set (every field, transport ones too).
+// The total of a counter set: every field summed, except a `maxed`
+// transport counter (outbox_peak_bytes), which takes the largest.
 WireCounters SumCounters(const std::vector<WireCounters>& all);
 
 // One stats round over the whole fleet: each live daemon's kStatsReply
@@ -214,7 +208,9 @@ struct NetdStatsSample {
 struct NetdRunResult {
   bool ok = false;  // fleet launched, drained and exited cleanly
   std::vector<WireCounters> per_server;
-  WireCounters fleet;  // per_server summed
+  // per_server and `retired` totalled by SumCounters: outbox_peak_bytes
+  // is the largest daemon's.
+  WireCounters fleet;
   // Client-side tallies from the replies themselves.
   std::uint64_t client_served = 0;
   std::uint64_t client_dropped = 0;

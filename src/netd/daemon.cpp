@@ -19,6 +19,15 @@ namespace webwave {
 
 namespace {
 
+// The gossip timer's period: each tick sends the ring neighbour a
+// LoadGossip frame over the peer connection, keeping that link open.
+constexpr int kGossipPeriodMs = 20;
+// Non-blocking peer connect deadline before the attempt counts as failed
+// and the counter-hash backoff schedules a retry.
+constexpr int kConnectTimeoutMs = 2000;
+// Events the flight-recorder ring holds.
+constexpr std::size_t kFlightCapacity = 4096;
+
 QuotaSnapshot SnapshotFromBlob(const std::vector<std::uint8_t>& blob) {
   QuotaSnapshot s;
   WEBWAVE_REQUIRE(QuotaWireTable::Deserialize(blob.data(), blob.size(), &s),
@@ -39,8 +48,7 @@ CacheServerDaemon::CacheServerDaemon(const NetdClusterConfig& config,
       table_(SnapshotFromBlob(config.quota_blob)),
       owner_(config.owner),
       peers_(static_cast<std::size_t>(config.server_count)),
-      flight_(&clock_, config.flight_capacity > 0 ? config.flight_capacity
-                                                  : 1) {
+      flight_(&clock_, kFlightCapacity) {
   WEBWAVE_REQUIRE(config.serving.block_size == 1,
                   "netd requires block_size == 1 (the order-free admission "
                   "regime) so async fleets stay bit-comparable to the oracle");
@@ -70,8 +78,7 @@ int CacheServerDaemon::Run() {
   flight_.Note(FlightEventKind::kBoot, static_cast<std::uint64_t>(index_),
                epoch_);
   loop_.WatchRead(listen_fd_, [this] { OnAcceptable(); });
-  if (config_.gossip_period_ms > 0 && config_.server_count > 1)
-    ScheduleGossip();
+  if (config_.server_count > 1) ScheduleGossip();
   const int code = loop_.Run();
   DumpFlightOnShutdown();
   return code;
@@ -349,7 +356,7 @@ void CacheServerDaemon::StartConnect(int s) {
     CheckConnect(s);
   });
   loop_.SetWriteInterest(fd, true, [this, s] { CheckConnect(s); });
-  link.timer = loop_.AddTimer(config_.connect_timeout_ms, [this, s] {
+  link.timer = loop_.AddTimer(kConnectTimeoutMs, [this, s] {
     peers_[static_cast<std::size_t>(s)].timer_armed = false;
     ConnectFailed(s);
   });
@@ -496,7 +503,7 @@ void CacheServerDaemon::ApplyEpochUpdate(const EpochUpdate& update) {
 }
 
 void CacheServerDaemon::ScheduleGossip() {
-  loop_.AddTimer(config_.gossip_period_ms, [this] {
+  loop_.AddTimer(kGossipPeriodMs, [this] {
     GossipTick();
     ScheduleGossip();
   });

@@ -108,8 +108,7 @@ void LoadgenClient::TrySend() {
     // The client applies the same counter-hash sampling law the oracle
     // does, so the fleet traces exactly the requests the oracle traces.
     if (config_.serving.trace &&
-        TraceSampled(config_.serving.trace_seed, next_,
-                     config_.serving.trace_sample_shift))
+        TraceSampled(kTraceSeed, next_, config_.serving.trace_sample_shift))
       g.flags |= kGetFlagTrace;
     const int s = OwnerMap()[static_cast<std::size_t>(r.node)];
     sent_ns_[next_] = clock_.NowNanos();

@@ -74,6 +74,8 @@ struct TraceEvent {
 // bits of the (seed, req_id) counter hash are zero — an expected 1 in
 // 2^sample_shift requests, selected with no state and no coordination.
 // shift <= 0 traces everything (tests), shift 14 is the default (~0.006%).
+// Both transports sample with kTraceSeed, so they trace the same requests.
+inline constexpr std::uint64_t kTraceSeed = 0x7ace5eedULL;
 inline bool TraceSampled(std::uint64_t trace_seed, std::uint64_t req_id,
                          int sample_shift) {
   if (sample_shift <= 0) return true;

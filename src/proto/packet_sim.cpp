@@ -8,6 +8,19 @@
 
 namespace webwave {
 
+namespace {
+
+constexpr SimTime kLinkLatency = 5 * kMicrosPerMilli;
+constexpr SimTime kDiffusionPeriod = 200 * kMicrosPerMilli;
+// Measured rates are smoothed per diffusion period with this EWMA weight.
+constexpr double kEwmaAlpha = 0.3;
+// Payload sizes for the network-traffic accounting (§7): a request packet
+// and a document transfer, in KB per link traversal.
+constexpr double kRequestKb = 0.5;
+constexpr double kDocSizeKb = 8.0;
+
+}  // namespace
+
 const char* PolicyName(CachePolicy policy) {
   switch (policy) {
     case CachePolicy::kNoCaching:
@@ -48,7 +61,8 @@ PacketSim::PacketSim(const RoutingTree& tree, const DemandMatrix& demand,
       options_(options),
       target_(std::move(target_loads)),
       rng_(options.seed),
-      docs_(demand.doc_count()) {
+      docs_(demand.doc_count()),
+      barrier_monitor_(tree.size()) {
   WEBWAVE_REQUIRE(demand.node_count() == tree.size(),
                   "demand matrix does not match tree");
   WEBWAVE_REQUIRE(options.duration > options.warmup,
@@ -168,7 +182,7 @@ void PacketSim::InjectGossip(const LoadGossip& m) {
   for (const NodeId nb : neighbors) {
     ++control_messages_;
     ++link_traversals_;
-    sim_.ScheduleIn(options_.link_latency, [this, nb, g = m] {
+    sim_.ScheduleIn(kLinkLatency, [this, nb, g = m] {
       servers_[static_cast<std::size_t>(nb)].RecordNeighborLoad(g.node, g.load);
     });
   }
@@ -228,13 +242,13 @@ void PacketSim::ForwardRequest(std::uint64_t req_id, NodeId origin, DocId d,
     return;
   }
   WEBWAVE_ASSERT(!tree_.is_root(node), "home server must always serve");
-  edge_kb_[static_cast<std::size_t>(node)] += options_.request_kb;
+  edge_kb_[static_cast<std::size_t>(node)] += kRequestKb;
   GetRequest fwd;
   fwd.req_id = req_id;
   fwd.doc = d;
   fwd.origin_node = node;
   fwd.ttl_hops = static_cast<std::uint16_t>(hops + 1);
-  sim_.ScheduleIn(options_.link_latency, [this, origin, g = RoundTrip(fwd)] {
+  sim_.ScheduleIn(kLinkLatency, [this, origin, g = RoundTrip(fwd)] {
     ForwardRequest(g.req_id, origin, g.doc, tree_.parent(g.origin_node),
                    g.origin_node, g.ttl_hops);
   });
@@ -274,11 +288,10 @@ void PacketSim::CompleteRequest(std::uint64_t req_id, NodeId origin, DocId d,
   reply.hops = static_cast<std::uint16_t>(hops);
   reply.load = servers_[static_cast<std::size_t>(server)].load();
   reply.version = quota_version_;
-  const SimTime rtt = 2 * hops * options_.link_latency;
+  const SimTime rtt = 2 * hops * kLinkLatency;
   sim_.ScheduleIn(rtt / 2 == 0 ? 0 : rtt / 2,
                   [this, origin, r = RoundTrip(reply)] {
-    RecordServed(r.serving_node, origin, r.hops, 2 * r.hops *
-                                                    options_.link_latency);
+    RecordServed(r.serving_node, origin, r.hops, 2 * r.hops * kLinkLatency);
     if (options_.policy == CachePolicy::kEnRouteLru && r.hops > 0) {
       // En-route caching: every node on the response path inserts a copy.
       NodeId v = origin;
@@ -297,10 +310,10 @@ void PacketSim::RecordServed(NodeId server, NodeId origin, int hops,
   // Traffic: the request crossed `hops` links up (accounted per edge in
   // ForwardRequest); the document payload crosses them back down.
   link_traversals_ += static_cast<std::uint64_t>(2 * hops);
-  network_kb_ += hops * (options_.request_kb + options_.doc_size_kb);
+  network_kb_ += hops * (kRequestKb + kDocSizeKb);
   NodeId v = origin;
   for (int i = 0; i < hops; ++i) {
-    edge_kb_[static_cast<std::size_t>(v)] += options_.doc_size_kb;
+    edge_kb_[static_cast<std::size_t>(v)] += kDocSizeKb;
     v = tree_.parent(v);
   }
   if (sim_.now() >= options_.warmup) {
@@ -327,8 +340,7 @@ void PacketSim::StartIcpRequest(std::uint64_t req_id, NodeId origin, DocId d) {
   std::vector<NodeId> neighbors = tree_.children(origin);
   if (!tree_.is_root(origin)) neighbors.push_back(tree_.parent(origin));
   control_messages_ += 2 * neighbors.size();  // query + reply
-  sim_.ScheduleIn(2 * options_.link_latency,
-                  [this, req_id, origin, d, neighbors] {
+  sim_.ScheduleIn(2 * kLinkLatency, [this, req_id, origin, d, neighbors] {
     NodeId hit = kNoNode;
     for (const NodeId nb : neighbors) {
       const bool cached = servers_[static_cast<std::size_t>(nb)].is_home() ||
@@ -362,19 +374,9 @@ void PacketSim::ScheduleGossip() {
 
 void PacketSim::GossipTick() {
   // Every server sends its current load to its tree neighbors; the
-  // message lands after one link latency.  An active burst window
-  // overrides the static loss knob and delays the survivors — the
-  // draw shape is unchanged, so a burst spanning the run at loss p is
-  // draw-for-draw the same as gossip_loss = p.
+  // message lands after one link latency.
   ++gossip_epoch_;
-  double loss = options_.gossip_loss;
-  SimTime extra_latency = 0;
-  for (const GossipBurst& burst : options_.gossip_bursts)
-    if (sim_.now() >= burst.start && sim_.now() < burst.end) {
-      loss = burst.loss;
-      extra_latency = burst.extra_latency;
-      break;
-    }
+  const double loss = options_.gossip_loss;
   for (NodeId v = 0; v < tree_.size(); ++v) {
     LoadGossip sample;
     sample.node = v;
@@ -387,11 +389,10 @@ void PacketSim::GossipTick() {
       ++link_traversals_;
       if (loss > 0 && rng_.NextBernoulli(loss))
         continue;  // lost in transit; the neighbor's estimate stays stale
-      sim_.ScheduleIn(options_.link_latency + extra_latency,
-                      [this, nb, g = RoundTrip(sample)] {
-                        servers_[static_cast<std::size_t>(nb)]
-                            .RecordNeighborLoad(g.node, g.load);
-                      });
+      sim_.ScheduleIn(kLinkLatency, [this, nb, g = RoundTrip(sample)] {
+        servers_[static_cast<std::size_t>(nb)].RecordNeighborLoad(g.node,
+                                                                  g.load);
+      });
     }
   }
   sim_.ScheduleIn(options_.gossip_period, [this] { GossipTick(); });
@@ -399,12 +400,12 @@ void PacketSim::GossipTick() {
 
 void PacketSim::ScheduleDiffusion() {
   if (options_.policy != CachePolicy::kWebWave) return;
-  sim_.ScheduleIn(options_.diffusion_period, [this] { DiffusionTick(); });
+  sim_.ScheduleIn(kDiffusionPeriod, [this] { DiffusionTick(); });
 }
 
 void PacketSim::ScheduleStepHook() {
   if (!step_hook_) return;
-  sim_.ScheduleIn(options_.diffusion_period, [this] {
+  sim_.ScheduleIn(kDiffusionPeriod, [this] {
     step_hook_(*this);
     ScheduleStepHook();
   });
@@ -413,10 +414,10 @@ void PacketSim::ScheduleStepHook() {
 void PacketSim::DiffusionTick() {
   ++quota_version_;
   const double window_s =
-      static_cast<double>(options_.diffusion_period) / kMicrosPerSecond;
+      static_cast<double>(kDiffusionPeriod) / kMicrosPerSecond;
   for (NodeId v = 0; v < tree_.size(); ++v)
     servers_[static_cast<std::size_t>(v)].RollWindow(window_s,
-                                                     options_.ewma_alpha);
+                                                     kEwmaAlpha);
   std::vector<bool> received(static_cast<std::size_t>(tree_.size()), false);
 
   for (NodeId c = 0; c < tree_.size(); ++c) {
@@ -449,12 +450,10 @@ void PacketSim::DiffusionTick() {
       CacheServer& child = servers_[static_cast<std::size_t>(k)];
       const bool underloaded =
           child.load() < child.NeighborLoad(tree_.parent(k)) - 1e-9;
-      auto& stalls = tunnel_stalls_[k];
-      if (!underloaded || received[static_cast<std::size_t>(k)]) {
-        stalls = 0;
-      } else if (++stalls > options_.barrier_patience) {
-        if (Tunnel(k)) stalls = 0;
-      }
+      if (barrier_monitor_.Observe(k, underloaded,
+                                   received[static_cast<std::size_t>(k)]) &&
+          Tunnel(k))
+        barrier_monitor_.Reset(k);
     }
   }
 
@@ -471,7 +470,7 @@ void PacketSim::DiffusionTick() {
     distance_trajectory_.push_back(EuclideanDistance(loads, target_));
   }
 
-  sim_.ScheduleIn(options_.diffusion_period, [this] { DiffusionTick(); });
+  sim_.ScheduleIn(kDiffusionPeriod, [this] { DiffusionTick(); });
 }
 
 double PacketSim::DelegateDown(NodeId p, NodeId c, double amount) {
@@ -501,8 +500,8 @@ double PacketSim::DelegateDown(NodeId p, NodeId c, double amount) {
       ++doc_transfers_;
       ++control_messages_;  // the replicate instruction
       ++link_traversals_;
-      network_kb_ += options_.doc_size_kb;  // one-hop parent->child copy
-      edge_kb_[static_cast<std::size_t>(c)] += options_.doc_size_kb;
+      network_kb_ += kDocSizeKb;  // one-hop parent->child copy
+      edge_kb_[static_cast<std::size_t>(c)] += kDocSizeKb;
     }
     child.AddQuota(d, delta);
     if (!parent.is_home()) parent.AddQuota(d, -delta);

@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "doc/barrier.h"
 #include "doc/catalog.h"
 #include "net/simulator.h"
 #include "proto/cache_server.h"
@@ -44,42 +45,19 @@ enum class CachePolicy { kNoCaching, kEnRouteLru, kIcpLike, kWebWave };
 
 const char* PolicyName(CachePolicy policy);
 
-// A window of link-plane degradation on the gossip channel (the fault
-// plane's packet-level face; FaultSchedule::LinkAt emits these per
-// epoch).  Within [start, end) gossip messages are lost with probability
-// `loss` *instead of* the base gossip_loss, and survivors are delayed by
-// extra_latency on top of link_latency.  A single burst spanning the
-// whole run at loss p with no extra latency is draw-for-draw identical
-// to setting gossip_loss = p (asserted by fault_test) — the burst
-// machinery extends the static knob, it does not fork the RNG stream.
-struct GossipBurst {
-  SimTime start = 0;
-  SimTime end = 0;  // exclusive
-  double loss = 0.0;
-  SimTime extra_latency = 0;
-};
-
+// Fixed protocol timing (packet_sim.cpp): a link hop takes 5 ms, and the
+// control plane runs one diffusion period (window roll, quota exchange,
+// tunneling) every 200 ms of simulated time.
 struct PacketSimOptions {
   CachePolicy policy = CachePolicy::kWebWave;
-  SimTime link_latency = 5 * kMicrosPerMilli;
   SimTime gossip_period = 100 * kMicrosPerMilli;
-  SimTime diffusion_period = 200 * kMicrosPerMilli;
   SimTime duration = 60 * kMicrosPerSecond;
   SimTime warmup = 5 * kMicrosPerSecond;   // excluded from averages
   int lru_capacity = 4;                    // copies per node, LRU policies
-  double ewma_alpha = 0.3;
-  int barrier_patience = 2;
   bool enable_tunneling = true;
   // Failure injection: each gossip message is lost independently with
   // this probability (the estimate simply stays stale).
   double gossip_loss = 0.0;
-  // Scheduled degradation windows overriding gossip_loss while active
-  // (first matching burst wins; empty = the static knob everywhere).
-  std::vector<GossipBurst> gossip_bursts;
-  // Payload sizes for the network-traffic accounting (§7): a request
-  // packet and a document transfer, in KB per link traversal.
-  double request_kb = 0.5;
-  double doc_size_kb = 8.0;
   std::uint64_t seed = 1;
 };
 
@@ -147,7 +125,7 @@ class PacketSim {
   // window (duration - warmup), so mid-run snapshots under-report rates.
   PacketSimReport Report() const;
 
-  // Installs a hook invoked every options.diffusion_period (any policy),
+  // Installs a hook invoked every diffusion period (any policy),
   // before that tick's control-plane work — the seam where tab_netd
   // interleaves wire-message injection without copying the driver loop.
   // Install before the first Run/RunUntil call.
@@ -233,7 +211,7 @@ class PacketSim {
   Simulator sim_;
   std::vector<CacheServer> servers_;
   std::vector<LruCache> lru_;
-  std::unordered_map<NodeId, int> tunnel_stalls_;
+  BarrierMonitor barrier_monitor_;
   std::function<void(PacketSim&)> step_hook_;
   bool started_ = false;
 

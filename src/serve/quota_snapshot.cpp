@@ -266,12 +266,6 @@ double QuotaSnapshot::FractionAt(NodeId v, std::int32_t d) const {
   return cell >= 0 ? frac_[static_cast<std::size_t>(cell)] : 0.0;
 }
 
-std::vector<std::int64_t> QuotaSnapshot::CopiesPerDoc() const {
-  std::vector<std::int64_t> copies(static_cast<std::size_t>(docs_), 0);
-  for (const std::int32_t d : doc_) ++copies[static_cast<std::size_t>(d)];
-  return copies;
-}
-
 Span<const NodeId> QuotaSnapshot::DocNodes(std::int32_t d) const {
   WEBWAVE_REQUIRE(d >= 0 && d < docs_, "document out of range");
   if (col_off_.empty()) BuildColumnIndex();

@@ -124,8 +124,6 @@ class QuotaSnapshot {
   double RateAt(NodeId v, std::int32_t d) const;
   // Serve fraction at (v, d); 0 when absent.
   double FractionAt(NodeId v, std::int32_t d) const;
-  // Number of copies of document d across all nodes (cells in column d).
-  std::vector<std::int64_t> CopiesPerDoc() const;
 
   // Column view for per-document readers (the serving plane's hinted
   // refresh, tests): the nodes holding document d, ascending, and the

@@ -11,9 +11,7 @@ namespace webwave {
 
 namespace {
 
-// Non-root leaves in ascending id order — the leaf ring every rotating
-// demand generator in this repo (RotatingHotSpotDemand, ChurnSchedule)
-// indexes into.
+// Non-root leaves in ascending id order.
 std::vector<NodeId> LeafRing(const RoutingTree& tree) {
   std::vector<NodeId> leaves;
   for (NodeId v = 0; v < tree.size(); ++v)
@@ -80,31 +78,18 @@ DemandComponent RotatingHotSpotComponent(const RoutingTree& tree,
                                          int epoch, int rotation_epochs) {
   WEBWAVE_REQUIRE(base_rate >= 0 && hot_rate >= 0,
                   "rates must be non-negative");
-  WEBWAVE_REQUIRE(hot_fraction >= 0 && hot_fraction <= 1,
-                  "hot fraction in [0,1]");
-  WEBWAVE_REQUIRE(rotation_epochs >= 1,
-                  "rotation must take at least one epoch");
-  const std::vector<NodeId> leaves = LeafRing(tree);
-  const std::size_t n = leaves.size();
-  // Window arithmetic identical to ChurnSchedule::LeafHotAt, so the
-  // component's ExpectedLanes match the schedule's Lanes cell for cell.
-  const std::size_t window = static_cast<std::size_t>(
-      hot_fraction * static_cast<double>(n) + 0.5);
-  const double phase = static_cast<double>(epoch % rotation_epochs) /
-                       static_cast<double>(rotation_epochs);
-  const std::size_t start =
-      static_cast<std::size_t>(phase * static_cast<double>(n));
-
+  const RotatingHotSpot hot_spot(tree, doc_count, hot_fraction,
+                                 rotation_epochs);
+  const std::vector<NodeId>& leaves = hot_spot.leaves();
   DemandComponent c;
   c.origin_weights.assign(static_cast<std::size_t>(tree.size()), 0.0);
   double total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool hot = (i + n - start) % n < window;
-    const double rate = hot ? hot_rate : base_rate;
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    const double rate = hot_spot.Hot(epoch, i) ? hot_rate : base_rate;
     c.origin_weights[static_cast<std::size_t>(leaves[i])] = rate;
     total += rate;
   }
-  c.doc_weights = ZipfWeights(doc_count, 1.0);
+  c.doc_weights = hot_spot.doc_weights();
   c.rate = total;
   return c;
 }
@@ -202,17 +187,6 @@ std::vector<std::vector<double>> RequestGenerator::ExpectedLanes() const {
     }
   }
   return lanes;
-}
-
-DemandMatrix RequestGenerator::ExpectedDemand() const {
-  DemandMatrix demand(nodes_, docs_);
-  const std::vector<std::vector<double>> lanes = ExpectedLanes();
-  for (int d = 0; d < docs_; ++d)
-    for (int v = 0; v < nodes_; ++v) {
-      const double r = lanes[static_cast<std::size_t>(d)][static_cast<std::size_t>(v)];
-      if (r > 0) demand.set(v, d, r);
-    }
-  return demand;
 }
 
 }  // namespace webwave

@@ -16,8 +16,8 @@
 // plane and the replayability of the benches rest on.
 //
 // The component factories mirror the demand shapes of sim/churn and
-// doc/catalog (rotating hot spot, flash crowd, Zipf leaves) cell for cell,
-// which serving_test asserts against ChurnSchedule.
+// doc/catalog (rotating hot spot, flash crowd, Zipf leaves); the rotating
+// one matches ChurnSchedule cell for cell, which serving_test asserts.
 #pragma once
 
 #include <algorithm>
@@ -52,9 +52,9 @@ struct DemandComponent {
 DemandComponent ZipfLeafComponent(const RoutingTree& tree, int doc_count,
                                   double rate_per_leaf, double exponent);
 
-// The RotatingHotSpotDemand / ChurnSchedule(kRotatingHotSpot) shape at a
-// given epoch of rotation_epochs: a circular window of hot_fraction of the
-// non-root leaves (ascending id ring) requests at hot_rate, the rest at
+// The ChurnSchedule(kRotatingHotSpot) shape at a given epoch of
+// rotation_epochs, through the same RotatingHotSpot law (doc/catalog.h):
+// the window's leaves request at hot_rate, the other non-root leaves at
 // base_rate, every leaf splitting its rate across documents by Zipf(1).
 DemandComponent RotatingHotSpotComponent(const RoutingTree& tree,
                                          int doc_count, double base_rate,
@@ -133,9 +133,6 @@ class RequestGenerator {
   // control-plane input (BatchWebWaveSimulator lanes, PlacementPolicy
   // demand) that faces the same load this generator emits.
   std::vector<std::vector<double>> ExpectedLanes() const;
-
-  // ExpectedLanes as a DemandMatrix (DerivePlacement's input form).
-  DemandMatrix ExpectedDemand() const;
 
  private:
   struct Component {

@@ -508,8 +508,8 @@ void ServingPlane::ProcessBlock(WorkerState& ws, std::uint64_t block_id,
     const std::uint64_t req_id =
         (block_id - 1) * static_cast<std::uint64_t>(options_.block_size) + i;
     TraceSink tc;
-    if (options_.trace && TraceSampled(options_.trace_seed, req_id,
-                                       options_.trace_sample_shift)) {
+    if (options_.trace &&
+        TraceSampled(kTraceSeed, req_id, options_.trace_sample_shift)) {
       tc.out = &ws.trace;
       tc.req_id = req_id;
       tc.Emit(TraceEventKind::kArrival, reqs[i].node, 0,

@@ -99,13 +99,12 @@ struct ServingOptions {
   // retry budget.
   int max_failover_attempts = 8;
   // Deterministic sampled request tracing (obs/trace.h).  When enabled,
-  // requests selected by TraceSampled(trace_seed, req_id,
+  // requests selected by TraceSampled(kTraceSeed, req_id,
   // trace_sample_shift) record their full walk as TraceEvents — an
   // expected 1 in 2^trace_sample_shift requests.  Tracing never perturbs
   // an admission decision: traced and untraced runs produce identical
   // metrics (asserted by obs_test and tab_serving).
   bool trace = false;
-  std::uint64_t trace_seed = 0x7ace5eedULL;
   int trace_sample_shift = 14;
 };
 

@@ -5,58 +5,9 @@
 
 #include "core/load_model.h"
 #include "core/webfold.h"
-#include "stats/zipf.h"
 #include "util/check.h"
 
 namespace webwave {
-
-ChurnRun RunChurn(const RoutingTree& tree, std::vector<double> initial,
-                  const ChurnOptions& options) {
-  WEBWAVE_REQUIRE(options.epochs >= 1, "need at least one epoch");
-  WEBWAVE_REQUIRE(options.period >= 1, "period must be positive");
-  WEBWAVE_REQUIRE(
-      options.churn_fraction >= 0 && options.churn_fraction <= 1,
-      "churn fraction in [0,1]");
-  Rng rng(options.seed);
-
-  WebWaveSimulator sim(tree, initial, options.protocol);
-  std::vector<double> rates = std::move(initial);
-
-  ChurnRun run;
-  double distance_accum = 0;
-  long distance_samples = 0;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    // Shock: re-draw a fraction of the nodes' spontaneous rates.
-    for (NodeId v = 0; v < tree.size(); ++v)
-      if (rng.NextBernoulli(options.churn_fraction))
-        rates[static_cast<std::size_t>(v)] =
-            rng.NextDouble(0, options.max_rate);
-    sim.UpdateSpontaneous(rates);
-    const WebFoldResult target = WebFold(tree, rates);
-    const double total = TotalRate(rates);
-
-    ChurnEpoch e;
-    e.distance_after_shock = sim.DistanceTo(target.load);
-    const double recovered_level = 0.05 * e.distance_after_shock;
-    e.recovery_steps = options.period;
-    for (int s = 0; s < options.period; ++s) {
-      sim.Step();
-      const double d = sim.DistanceTo(target.load);
-      distance_accum += total > 0 ? d / total : 0;
-      ++distance_samples;
-      if (d <= recovered_level && e.recovery_steps == options.period)
-        e.recovery_steps = s + 1;
-    }
-    e.distance_at_end = sim.DistanceTo(target.load);
-    run.worst_end_relative_distance =
-        std::max(run.worst_end_relative_distance,
-                 total > 0 ? e.distance_at_end / total : 0);
-    run.epochs.push_back(e);
-  }
-  run.mean_relative_distance =
-      distance_samples > 0 ? distance_accum / distance_samples : 0;
-  return run;
-}
 
 // ChurnSchedule ------------------------------------------------------------
 
@@ -71,24 +22,15 @@ const char* PatternName(ChurnPattern pattern) {
 
 ChurnSchedule::ChurnSchedule(const RoutingTree& tree,
                              ChurnScheduleOptions options)
-    : tree_(tree), options_(options), rng_(options.seed) {
+    : tree_(tree),
+      options_(options),
+      hot_spot_(tree, options.doc_count, options.hot_fraction,
+                options.rotation_epochs),
+      rng_(options.seed) {
   WEBWAVE_REQUIRE(options_.doc_count >= 1, "need at least one document");
   WEBWAVE_REQUIRE(options_.base_rate >= 0 && options_.hot_rate >= 0,
                   "rates must be non-negative");
-  WEBWAVE_REQUIRE(
-      options_.hot_fraction >= 0 && options_.hot_fraction <= 1,
-      "hot fraction in [0,1]");
-  WEBWAVE_REQUIRE(options_.rotation_epochs >= 1,
-                  "rotation must take at least one epoch");
-  for (NodeId v = 0; v < tree_.size(); ++v)
-    if (tree_.is_leaf(v) && !tree_.is_root(v)) leaves_.push_back(v);
-  WEBWAVE_REQUIRE(!leaves_.empty(), "the tree has no non-root leaves");
-
-  const ZipfDistribution zipf(options_.doc_count, 1.0);
-  weights_.resize(static_cast<std::size_t>(options_.doc_count));
-  for (int d = 0; d < options_.doc_count; ++d)
-    weights_[static_cast<std::size_t>(d)] = zipf.pmf(d);
-
+  const std::vector<double>& weights = hot_spot_.doc_weights();
   switch (options_.pattern) {
     case ChurnPattern::kRotatingHotSpot:
       break;  // pure function of the epoch: no state beyond the counter
@@ -101,7 +43,7 @@ ChurnSchedule::ChurnSchedule(const RoutingTree& tree,
       for (NodeId v = 0; v < tree_.size(); ++v)
         for (int d = 0; d < options_.doc_count; ++d)
           baseline_[static_cast<std::size_t>(d)][static_cast<std::size_t>(v)] =
-              options_.base_rate * weights_[static_cast<std::size_t>(d)] *
+              options_.base_rate * weights[static_cast<std::size_t>(d)] *
               rng_.NextDouble(0.5, 1.5);
       break;
     }
@@ -114,38 +56,26 @@ ChurnSchedule::ChurnSchedule(const RoutingTree& tree,
   }
 }
 
-bool ChurnSchedule::LeafHotAt(int epoch, std::size_t leaf_index) const {
-  // The circular window of RotatingHotSpotDemand at
-  // phase = (epoch % rotation_epochs) / rotation_epochs.
-  const std::size_t n = leaves_.size();
-  const std::size_t window = static_cast<std::size_t>(
-      options_.hot_fraction * static_cast<double>(n) + 0.5);
-  const double phase =
-      static_cast<double>(epoch % options_.rotation_epochs) /
-      static_cast<double>(options_.rotation_epochs);
-  const std::size_t start =
-      static_cast<std::size_t>(phase * static_cast<double>(n));
-  return (leaf_index + n - start) % n < window;
-}
-
 double ChurnSchedule::RotatingLeafRate(int epoch, std::size_t leaf_index,
                                        int doc) const {
   const double rate =
-      LeafHotAt(epoch, leaf_index) ? options_.hot_rate : options_.base_rate;
-  return rate * weights_[static_cast<std::size_t>(doc)];
+      hot_spot_.Hot(epoch, leaf_index) ? options_.hot_rate : options_.base_rate;
+  return rate * hot_spot_.doc_weights()[static_cast<std::size_t>(doc)];
 }
 
 std::vector<std::vector<double>> ChurnSchedule::Lanes() const {
+  const std::vector<NodeId>& leaves = hot_spot_.leaves();
+  const std::vector<double>& weights = hot_spot_.doc_weights();
   std::vector<std::vector<double>> lanes(
       static_cast<std::size_t>(options_.doc_count));
   for (auto& lane : lanes)
     lane.assign(static_cast<std::size_t>(tree_.size()), 0.0);
   switch (options_.pattern) {
     case ChurnPattern::kRotatingHotSpot:
-      for (std::size_t i = 0; i < leaves_.size(); ++i)
+      for (std::size_t i = 0; i < leaves.size(); ++i)
         for (int d = 0; d < options_.doc_count; ++d)
           lanes[static_cast<std::size_t>(d)]
-               [static_cast<std::size_t>(leaves_[i])] =
+               [static_cast<std::size_t>(leaves[i])] =
                    RotatingLeafRate(epoch_, i, d);
       break;
     case ChurnPattern::kFlashCrowd:
@@ -156,11 +86,11 @@ std::vector<std::vector<double>> ChurnSchedule::Lanes() const {
                [static_cast<std::size_t>(v)] += options_.hot_rate;
       break;
     case ChurnPattern::kZipfReshuffle:
-      for (const NodeId leaf : leaves_)
+      for (const NodeId leaf : leaves)
         for (int d = 0; d < options_.doc_count; ++d)
           lanes[static_cast<std::size_t>(d)][static_cast<std::size_t>(leaf)] =
               options_.base_rate *
-              weights_[static_cast<std::size_t>(
+              weights[static_cast<std::size_t>(
                   perm_[static_cast<std::size_t>(d)])];
       break;
   }
@@ -168,15 +98,17 @@ std::vector<std::vector<double>> ChurnSchedule::Lanes() const {
 }
 
 std::vector<DemandEvent> ChurnSchedule::NextEvents() {
+  const std::vector<NodeId>& leaves = hot_spot_.leaves();
+  const std::vector<double>& weights = hot_spot_.doc_weights();
   std::vector<DemandEvent> events;
   switch (options_.pattern) {
     case ChurnPattern::kRotatingHotSpot: {
       // Sparse diff: only leaves whose hot-status flips between epochs.
-      for (std::size_t i = 0; i < leaves_.size(); ++i) {
-        if (LeafHotAt(epoch_, i) == LeafHotAt(epoch_ + 1, i)) continue;
+      for (std::size_t i = 0; i < leaves.size(); ++i) {
+        if (hot_spot_.Hot(epoch_, i) == hot_spot_.Hot(epoch_ + 1, i)) continue;
         for (int d = 0; d < options_.doc_count; ++d)
           events.push_back(
-              {d, leaves_[i], RotatingLeafRate(epoch_ + 1, i, d)});
+              {d, leaves[i], RotatingLeafRate(epoch_ + 1, i, d)});
       }
       break;
     }
@@ -210,13 +142,13 @@ std::vector<DemandEvent> ChurnSchedule::NextEvents() {
       rng_.Shuffle(perm_);
       for (int d = 0; d < options_.doc_count; ++d) {
         const double w_before =
-            weights_[static_cast<std::size_t>(
+            weights[static_cast<std::size_t>(
                 before[static_cast<std::size_t>(d)])];
         const double w_after =
-            weights_[static_cast<std::size_t>(
+            weights[static_cast<std::size_t>(
                 perm_[static_cast<std::size_t>(d)])];
         if (w_before == w_after) continue;
-        for (const NodeId leaf : leaves_)
+        for (const NodeId leaf : leaves)
           events.push_back({d, leaf, options_.base_rate * w_after});
       }
       break;

@@ -2,60 +2,24 @@
 //
 // §5.1 closes with: "the dynamics of WebWave under erratic request rates
 // is the subject of an ongoing simulation study."  This module is that
-// study, in two sizes:
-//
-//   * RunChurn — the original single-document experiment: rates re-drawn
-//     periodically on one WebWaveSimulator, tracking the moving TLB.
-//   * ChurnSchedule + RunBatchChurn — catalog-scale churn on the batch
-//     engine: a schedule generates sparse DemandEvent batches (rotating
-//     hot spot, flash crowd, Zipf popularity re-shuffle) that
-//     BatchWebWaveSimulator::ApplyDemandEvents applies to every affected
-//     document lane at once, the regime DistCache-style load-balance
-//     claims actually care about.
+// study: a ChurnSchedule generates sparse DemandEvent batches (rotating
+// hot spot, flash crowd, Zipf popularity re-shuffle) and RunBatchChurn
+// applies them through BatchWebWaveSimulator::ApplyDemandEvents to every
+// affected document lane at once — catalog-scale churn on the batch
+// engine, the regime DistCache-style load-balance claims actually care
+// about.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/webwave.h"
 #include "core/webwave_batch.h"
+#include "doc/catalog.h"
 #include "tree/routing_tree.h"
 #include "util/rng.h"
 #include "util/span.h"
 
 namespace webwave {
-
-struct ChurnOptions {
-  int epochs = 20;           // number of demand shocks
-  int period = 50;           // diffusion steps between shocks
-  double churn_fraction = 0.3;  // share of nodes re-drawn per shock
-  double max_rate = 50.0;       // re-drawn rates are U(0, max_rate)
-  std::uint64_t seed = 1;
-  WebWaveOptions protocol;
-};
-
-struct ChurnEpoch {
-  // Distance to the *new* TLB right after the shock, and at the epoch end.
-  double distance_after_shock = 0;
-  double distance_at_end = 0;
-  // Steps until within 5% of the shock distance's decay (==period if never).
-  int recovery_steps = 0;
-};
-
-struct ChurnRun {
-  std::vector<ChurnEpoch> epochs;
-  // Time-averaged relative distance to the instantaneous TLB, over the
-  // whole run (distance / total offered rate).
-  double mean_relative_distance = 0;
-  // Worst relative distance observed at any epoch end.
-  double worst_end_relative_distance = 0;
-};
-
-// Runs WebWave under periodic demand shocks.  The tree's rates start at
-// `initial` and `churn_fraction` of the nodes are re-drawn every
-// `period` steps.
-ChurnRun RunChurn(const RoutingTree& tree, std::vector<double> initial,
-                  const ChurnOptions& options);
 
 // Catalog-scale churn schedules -------------------------------------------
 
@@ -63,8 +27,7 @@ enum class ChurnPattern {
   // A contiguous window of hot_fraction of the leaves requests every
   // document at hot_rate (the rest at base_rate, Zipf(1)-split across the
   // catalog); the window slides one rotation_epochs-th of the leaf ring
-  // per epoch.  Demand state matches RotatingHotSpotDemand at
-  // phase = (epoch % rotation_epochs) / rotation_epochs, but the events
+  // per epoch (the RotatingHotSpot law, doc/catalog.h).  The events
   // are generated sparsely — only leaves entering or leaving the window —
   // so a million-node epoch costs O(changed leaves · documents), not
   // O(nodes · documents).
@@ -114,16 +77,15 @@ class ChurnSchedule {
   std::vector<DemandEvent> NextEvents();
 
  private:
-  bool LeafHotAt(int epoch, std::size_t leaf_index) const;
   double RotatingLeafRate(int epoch, std::size_t leaf_index, int doc) const;
 
   const RoutingTree& tree_;
   ChurnScheduleOptions options_;
+  // The leaf ring and Zipf(1) document weights every pattern draws on,
+  // and the rotating pattern's window.
+  RotatingHotSpot hot_spot_;
   Rng rng_;
   int epoch_ = 0;
-
-  std::vector<NodeId> leaves_;   // non-root leaves, ascending id
-  std::vector<double> weights_;  // Zipf(1) pmf over documents
 
   // kFlashCrowd: dense baseline rates [doc][node] and the active crowd.
   std::vector<std::vector<double>> baseline_;
@@ -131,7 +93,7 @@ class ChurnSchedule {
   NodeId crowd_epicenter_ = kNoNode;
 
   // kZipfReshuffle: rank permutation (doc d has popularity weight
-  // weights_[perm_[d]]).
+  // doc_weights()[perm_[d]]).
   std::vector<int> perm_;
 };
 

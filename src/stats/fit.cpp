@@ -1,7 +1,6 @@
 #include "stats/fit.h"
 
 #include <cmath>
-#include <limits>
 
 #include "util/check.h"
 
@@ -146,11 +145,6 @@ ExponentialFit FitExponential(const std::vector<double>& y) {
     }
   }
   return fit;
-}
-
-double EstimateConvergenceRate(const std::vector<double>& trajectory) {
-  if (trajectory.size() < 3) return std::numeric_limits<double>::quiet_NaN();
-  return FitExponential(trajectory).gamma;
 }
 
 }  // namespace webwave

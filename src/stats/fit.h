@@ -37,8 +37,4 @@ struct ExponentialFit {
 // Throws std::invalid_argument when fewer than 3 observations are given.
 ExponentialFit FitExponential(const std::vector<double>& y);
 
-// Convenience: the per-step convergence rate of a trajectory, estimated by
-// FitExponential; returns NaN if the fit fails.
-double EstimateConvergenceRate(const std::vector<double>& trajectory);
-
 }  // namespace webwave

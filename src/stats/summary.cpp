@@ -48,15 +48,6 @@ double EuclideanDistance(const std::vector<double>& a,
   return std::sqrt(ss);
 }
 
-double MaxAbsDifference(const std::vector<double>& a,
-                        const std::vector<double>& b) {
-  WEBWAVE_REQUIRE(a.size() == b.size(), "vector sizes differ");
-  double m = 0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    m = std::max(m, std::abs(a[i] - b[i]));
-  return m;
-}
-
 double CoefficientOfVariation(const std::vector<double>& values) {
   const Summary s = Summarize(values);
   return s.mean != 0 ? s.stddev / s.mean : 0;

@@ -24,10 +24,6 @@ double Quantile(std::vector<double> values, double p);
 double EuclideanDistance(const std::vector<double>& a,
                          const std::vector<double>& b);
 
-// Largest absolute componentwise difference.
-double MaxAbsDifference(const std::vector<double>& a,
-                        const std::vector<double>& b);
-
 // Coefficient of variation of a load vector (stddev/mean) — a standard
 // imbalance measure used in the scalability benches.
 double CoefficientOfVariation(const std::vector<double>& values);

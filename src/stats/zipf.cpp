@@ -37,11 +37,4 @@ int ZipfDistribution::Sample(Rng& rng) const {
   return static_cast<int>(it - cdf_.begin());
 }
 
-std::vector<double> ZipfDistribution::RatesForTotal(double total_rate) const {
-  WEBWAVE_REQUIRE(total_rate >= 0, "total rate must be non-negative");
-  std::vector<double> rates(pmf_.size());
-  for (std::size_t k = 0; k < pmf_.size(); ++k) rates[k] = pmf_[k] * total_rate;
-  return rates;
-}
-
 }  // namespace webwave

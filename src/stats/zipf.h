@@ -26,9 +26,6 @@ class ZipfDistribution {
   // Samples a 0-based rank via inverse-CDF binary search.
   int Sample(Rng& rng) const;
 
-  // Expected request rate per item given a total rate.
-  std::vector<double> RatesForTotal(double total_rate) const;
-
  private:
   double s_;
   std::vector<double> pmf_;

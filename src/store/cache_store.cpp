@@ -82,12 +82,6 @@ std::uint64_t CacheStore::bytes_used(NodeId v) const {
   return used_[static_cast<std::size_t>(v)];
 }
 
-std::uint64_t CacheStore::total_bytes_used() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t u : used_) total += u;
-  return total;
-}
-
 bool CacheStore::Resident(NodeId v, DocId d) const {
   if (v == home_) return true;
   WEBWAVE_REQUIRE(v >= 0 && v < node_count(), "node out of range");

@@ -81,7 +81,6 @@ class CacheStore {
   int node_count() const { return static_cast<int>(budgets_.size()); }
   std::uint64_t budget(NodeId v) const;
   std::uint64_t bytes_used(NodeId v) const;
-  std::uint64_t total_bytes_used() const;
 
   // Residency after the last Admit/Readmit.  The home is resident for
   // every document by definition; elsewhere a document outside the

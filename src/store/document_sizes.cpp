@@ -36,27 +36,6 @@ DocumentSizes DocumentSizes::LogNormal(int doc_count, double median_bytes,
   return DocumentSizes(std::move(bytes));
 }
 
-DocumentSizes DocumentSizes::ZipfRanked(int doc_count, double max_bytes,
-                                        double exponent, std::uint64_t seed) {
-  WEBWAVE_REQUIRE(doc_count >= 1, "a size model needs documents");
-  WEBWAVE_REQUIRE(max_bytes >= 1 && exponent >= 0,
-                  "zipf sizes need a positive maximum and exponent >= 0");
-  std::vector<int> rank(static_cast<std::size_t>(doc_count));
-  for (int d = 0; d < doc_count; ++d) rank[static_cast<std::size_t>(d)] = d;
-  Rng rng(seed);
-  rng.Shuffle(rank);
-  std::vector<std::uint64_t> bytes(static_cast<std::size_t>(doc_count));
-  for (int d = 0; d < doc_count; ++d) {
-    const double b =
-        max_bytes /
-        std::pow(static_cast<double>(rank[static_cast<std::size_t>(d)]) + 1,
-                 exponent);
-    bytes[static_cast<std::size_t>(d)] =
-        std::max<std::uint64_t>(1, static_cast<std::uint64_t>(std::llround(b)));
-  }
-  return DocumentSizes(std::move(bytes));
-}
-
 DocumentSizes DocumentSizes::FromCatalog(const Catalog& catalog) {
   WEBWAVE_REQUIRE(catalog.size() >= 1, "a size model needs documents");
   std::vector<std::uint64_t> bytes(static_cast<std::size_t>(catalog.size()));

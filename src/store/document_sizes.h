@@ -5,17 +5,15 @@
 // *bytes*.  DocumentSizes fixes a byte size per catalog document so the
 // cache store (cache_store.h) can account residency against per-node
 // budgets.  Web document sizes are famously heavy-tailed, so the main
-// model is lognormal (median × exp(sigma·z)); a Zipf-ranked model and a
-// uniform one cover the synthetic sweeps and the degenerate case.
+// model is lognormal (median × exp(sigma·z)); a uniform one covers the
+// degenerate case.
 //
 // Every model is a deterministic function of its seed, materialized once
 // at construction, so the size field is identical across replays, thread
 // counts and lane_block widths — the property the eviction determinism
-// guarantees downstream rest on.  Uniform and LogNormal are furthermore
-// counter-based (doc d's size is a pure function of (seed, d), shared
-// with Catalog::MakeLogNormal through util/rng's CounterLogNormalBytes);
-// ZipfRanked draws its rank permutation from a seeded Rng stream — still
-// replayable, but its draws are order-dependent like any stream.
+// guarantees downstream rest on.  LogNormal is furthermore counter-based
+// (doc d's size is a pure function of (seed, d), shared with
+// Catalog::MakeLogNormal through util/rng's CounterLogNormalBytes).
 #pragma once
 
 #include <cstdint>
@@ -37,13 +35,6 @@ class DocumentSizes {
   // measured web catalogs; sigma 0 collapses to Uniform(median).
   static DocumentSizes LogNormal(int doc_count, double median_bytes,
                                  double sigma, std::uint64_t seed);
-
-  // Document d is max_bytes / (rank_d + 1)^exponent bytes, the ranks a
-  // deterministic permutation of 0..doc_count-1 seeded by `seed` — a
-  // Zipf-shaped size field decorrelated from document id (and hence from
-  // Zipf *popularity*, which the demand generators key on id).
-  static DocumentSizes ZipfRanked(int doc_count, double max_bytes,
-                                  double exponent, std::uint64_t seed);
 
   // The catalog's own per-document size_kb fields, in bytes.
   static DocumentSizes FromCatalog(const Catalog& catalog);

@@ -33,22 +33,4 @@ std::string RenderTree(const RoutingTree& tree,
   return os.str();
 }
 
-std::string RenderDot(const RoutingTree& tree,
-                      const std::function<std::string(NodeId)>& label) {
-  std::ostringstream os;
-  os << "digraph routing_tree {\n  rankdir=BT;\n";
-  for (NodeId v = 0; v < tree.size(); ++v) {
-    os << "  n" << v << " [label=\"" << v;
-    if (label) {
-      const std::string extra = label(v);
-      if (!extra.empty()) os << "\\n" << extra;
-    }
-    os << "\"];\n";
-  }
-  for (NodeId v = 0; v < tree.size(); ++v)
-    if (!tree.is_root(v)) os << "  n" << v << " -> n" << tree.parent(v) << ";\n";
-  os << "}\n";
-  return os.str();
-}
-
 }  // namespace webwave

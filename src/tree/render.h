@@ -17,9 +17,4 @@ std::string RenderTree(
     const RoutingTree& tree,
     const std::function<std::string(NodeId)>& annotate = nullptr);
 
-// Graphviz DOT output for offline visualisation.
-std::string RenderDot(
-    const RoutingTree& tree,
-    const std::function<std::string(NodeId)>& label = nullptr);
-
 }  // namespace webwave

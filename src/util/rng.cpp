@@ -70,32 +70,6 @@ bool Rng::NextBernoulli(double p) {
   return NextDouble() < p;
 }
 
-int Rng::NextPoisson(double mean) {
-  WEBWAVE_REQUIRE(mean >= 0, "Poisson mean must be non-negative");
-  if (mean == 0) return 0;
-  if (mean < 30) {
-    // Knuth's product-of-uniforms method.
-    const double limit = std::exp(-mean);
-    double product = NextDouble();
-    int count = 0;
-    while (product > limit) {
-      ++count;
-      product *= NextDouble();
-    }
-    return count;
-  }
-  // Normal approximation with continuity correction, clamped at zero.
-  // Adequate for the simulation workloads (mean >= 30 ⇒ skew is small).
-  const double u1 = 1.0 - NextDouble();
-  const double u2 = NextDouble();
-  const double z =
-      std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-  const double value = mean + std::sqrt(mean) * z + 0.5;
-  return value < 0 ? 0 : static_cast<int>(value);
-}
-
-Rng Rng::Fork() { return Rng(Next()); }
-
 double CounterNormal(std::uint64_t counter) {
   const double u1 = CounterUnitDouble(counter * 2 + 1);
   const double u2 = CounterUnitDouble(counter * 2 + 2);

@@ -86,10 +86,6 @@ class Rng {
   // true with probability p (clamped to [0, 1]).
   bool NextBernoulli(double p);
 
-  // Poisson variate with the given mean (Knuth for small means, normal
-  // approximation with rejection for large ones).
-  int NextPoisson(double mean);
-
   // Fisher–Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& v) {
@@ -99,10 +95,6 @@ class Rng {
       swap(v[i - 1], v[j]);
     }
   }
-
-  // A new generator seeded from this one's stream; use to give independent
-  // deterministic streams to sub-components.
-  Rng Fork();
 
  private:
   std::uint64_t s_[4];

@@ -162,14 +162,14 @@ std::size_t MessageCodec::Encode(const StatsReply& m,
   const std::size_t at = BeginFrame(MsgType::kStatsReply, payload, out);
   std::uint8_t* p = out->data() + at;
   const WireCounters& c = m.counters;
-  const std::uint64_t fields[13] = {
-      c.requests,        c.cache_served, c.home_served,
-      c.hop_sum,         c.failed_attempts, c.failovers,
-      c.dropped_requests, c.backoff_slots, c.net_forwards,
-      c.gossip_sent,     c.shed_forwards, c.reconnects,
-      c.outbox_peak_bytes};
-  for (int i = 0; i < 13; ++i) PutU64(p + 8 * i, fields[i]);
-  p += kCountersSize;
+  for (const ServingCounterField& f : kServingCounters) {
+    PutU64(p, c.*f.field);
+    p += 8;
+  }
+  for (const TransportCounterField& f : kTransportCounters) {
+    PutU64(p, c.*f.field);
+    p += 8;
+  }
   PutU32(p, static_cast<std::uint32_t>(m.hist.buckets.size()));
   PutU64(p + 4, m.hist.sum);
   p += kHistPrologueSize;
@@ -342,15 +342,15 @@ MessageCodec::DecodeStatus MessageCodec::Decode(const std::uint8_t* data,
       out->hello.epoch = GetU32(p + 8);
       break;
     case MsgType::kStatsReply: {
-      std::uint64_t* fields[13] = {
-          &out->stats.requests,        &out->stats.cache_served,
-          &out->stats.home_served,     &out->stats.hop_sum,
-          &out->stats.failed_attempts, &out->stats.failovers,
-          &out->stats.dropped_requests, &out->stats.backoff_slots,
-          &out->stats.net_forwards,    &out->stats.gossip_sent,
-          &out->stats.shed_forwards,   &out->stats.reconnects,
-          &out->stats.outbox_peak_bytes};
-      for (int i = 0; i < 13; ++i) *fields[i] = GetU64(p + 8 * i);
+      const std::uint8_t* q = p;
+      for (const ServingCounterField& f : kServingCounters) {
+        out->stats.*f.field = GetU64(q);
+        q += 8;
+      }
+      for (const TransportCounterField& f : kTransportCounters) {
+        out->stats.*f.field = GetU64(q);
+        q += 8;
+      }
       // The histogram section: entry count + sum, then strictly
       // ascending (index, count) pairs — hardened like kQuotaDelta.
       const std::uint8_t* h = p + kCountersSize;
@@ -510,38 +510,6 @@ MessageCodec::DecodeStatus MessageCodec::Decode(const std::uint8_t* data,
   }
   *consumed = kHeaderSize + stated;
   return DecodeStatus::kOk;
-}
-
-const char* MsgTypeName(MsgType type) {
-  switch (type) {
-    case MsgType::kGetRequest:
-      return "get-request";
-    case MsgType::kGetReply:
-      return "get-reply";
-    case MsgType::kLoadGossip:
-      return "load-gossip";
-    case MsgType::kHello:
-      return "hello";
-    case MsgType::kStatsRequest:
-      return "stats-request";
-    case MsgType::kStatsReply:
-      return "stats-reply";
-    case MsgType::kShutdown:
-      return "shutdown";
-    case MsgType::kTraceRequest:
-      return "trace-request";
-    case MsgType::kTraceReply:
-      return "trace-reply";
-    case MsgType::kQuotaDelta:
-      return "quota-delta";
-    case MsgType::kEpochUpdate:
-      return "epoch-update";
-    case MsgType::kFlightRequest:
-      return "flight-request";
-    case MsgType::kFlightReply:
-      return "flight-reply";
-  }
-  return "?";
 }
 
 }  // namespace webwave

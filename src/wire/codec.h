@@ -104,7 +104,11 @@ class MessageCodec {
   static constexpr std::size_t kGetReplySize = 32;
   static constexpr std::size_t kLoadGossipSize = 16;
   static constexpr std::size_t kHelloSize = 12;
-  static constexpr std::size_t kCountersSize = 104;
+  // kStatsReply counters: kServingCounters then kTransportCounters, u64
+  // each.
+  static constexpr std::size_t kCountersSize =
+      8 * (kServingCounters.size() + kTransportCounters.size());
+  static_assert(kCountersSize == 104, "the v4 kStatsReply counter width");
   // kTraceReply is the one variable-length frame: a u32 record count
   // followed by count fixed-width TraceEvent records.
   static constexpr std::size_t kTraceEventSize = 24;
@@ -165,7 +169,5 @@ class MessageCodec {
   static DecodeStatus Decode(const std::uint8_t* data, std::size_t len,
                              WireMessage* out, std::size_t* consumed);
 };
-
-const char* MsgTypeName(MsgType type);
 
 }  // namespace webwave

@@ -205,13 +205,33 @@ struct WireCounters : ServingCounters {
   std::uint64_t reconnects = 0;        // peer reconnect attempts made
   std::uint64_t outbox_peak_bytes = 0; // high-water mark across all conns
 
-  bool operator==(const WireCounters& o) const {
-    return ServingCountersEqual(*this, o) && net_forwards == o.net_forwards &&
-           gossip_sent == o.gossip_sent &&
-           shed_forwards == o.shed_forwards && reconnects == o.reconnects &&
-           outbox_peak_bytes == o.outbox_peak_bytes;
-  }
+  bool operator==(const WireCounters& o) const;
 };
+
+// The five transport counters, listed once in kStatsReply wire order
+// (after the eight serving counters) for every loop over them: the codec,
+// fleet totals, equality and scrape monotonicity.  A fleet total adds a
+// counter across daemons, except a `maxed` one: a per-daemon high-water
+// mark, whose fleet value is the largest daemon's.
+struct TransportCounterField {
+  const char* name;
+  std::uint64_t WireCounters::*field;
+  bool maxed;
+};
+inline constexpr std::array<TransportCounterField, 5> kTransportCounters = {{
+    {"net_forwards", &WireCounters::net_forwards, false},
+    {"gossip_sent", &WireCounters::gossip_sent, false},
+    {"shed_forwards", &WireCounters::shed_forwards, false},
+    {"reconnects", &WireCounters::reconnects, false},
+    {"outbox_peak_bytes", &WireCounters::outbox_peak_bytes, true},
+}};
+
+inline bool WireCounters::operator==(const WireCounters& o) const {
+  if (!ServingCountersEqual(*this, o)) return false;
+  for (const TransportCounterField& f : kTransportCounters)
+    if (this->*f.field != o.*f.field) return false;
+  return true;
+}
 
 // The histogram section of a kStatsReply: one latency histogram in
 // LatencyHistogram's exact sparse form (strictly ascending bucket

@@ -1,6 +1,5 @@
 #include "wire/quota_wire.h"
 
-#include <cstdio>
 
 #include "wire/codec.h"
 
@@ -197,29 +196,6 @@ bool QuotaWireTable::ApplyDelta(const QuotaDelta& delta,
   snapshot->frac_ = std::move(frac);
   snapshot->total_ = delta.total_rate;
   return true;
-}
-
-bool QuotaWireTable::WriteFile(const QuotaSnapshot& snapshot,
-                               const std::string& path) {
-  std::vector<std::uint8_t> bytes;
-  Serialize(snapshot, &bytes);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return false;
-  const bool ok =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-bool QuotaWireTable::ReadFile(const std::string& path, QuotaSnapshot* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return false;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-    bytes.insert(bytes.end(), buf, buf + got);
-  std::fclose(f);
-  return Deserialize(bytes.data(), bytes.size(), out);
 }
 
 }  // namespace webwave

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "serve/quota_snapshot.h"
@@ -46,11 +45,6 @@ class QuotaWireTable {
   // (non-monotone row offsets, rows with descending documents).
   static bool Deserialize(const std::uint8_t* data, std::size_t len,
                           QuotaSnapshot* out);
-
-  // File-blob convenience for handing a forked daemon its table.
-  static bool WriteFile(const QuotaSnapshot& snapshot,
-                        const std::string& path);
-  static bool ReadFile(const std::string& path, QuotaSnapshot* out);
 
   // Epoch delta support (the kQuotaDelta wire frame's payload) ----------
   //

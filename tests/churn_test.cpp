@@ -281,70 +281,5 @@ TEST(RunBatchChurnTest, Validation) {
                std::invalid_argument);
 }
 
-class ChurnSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChurnSweep, TracksMovingTlbWithinEpochBudget) {
-  const int period = GetParam();
-  Rng rng(17);
-  const RoutingTree tree = MakeRandomTree(30, rng);
-  std::vector<double> initial(30);
-  for (auto& e : initial) e = rng.NextDouble(0, 50);
-  ChurnOptions opt;
-  opt.period = period;
-  opt.epochs = 12;
-  opt.seed = 5;
-  const ChurnRun run = RunChurn(tree, initial, opt);
-  ASSERT_EQ(run.epochs.size(), 12u);
-  // The longer the quiet period, the closer each epoch ends to its TLB.
-  for (const ChurnEpoch& e : run.epochs)
-    EXPECT_LE(e.distance_at_end, e.distance_after_shock + 1e-9)
-        << "an epoch must not end farther away than it started";
-  EXPECT_GT(run.mean_relative_distance, 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Periods, ChurnSweep, ::testing::Values(10, 50, 200));
-
-TEST(ChurnBehavior, LongerQuietPeriodsTrackBetter) {
-  Rng rng(29);
-  const RoutingTree tree = MakeRandomTree(40, rng);
-  std::vector<double> initial(40);
-  for (auto& e : initial) e = rng.NextDouble(0, 50);
-  auto run_with_period = [&](int period) {
-    ChurnOptions opt;
-    opt.period = period;
-    opt.epochs = 10;
-    opt.seed = 7;  // same shock sequence for both runs
-    return RunChurn(tree, initial, opt);
-  };
-  const ChurnRun fast = run_with_period(10);
-  const ChurnRun slow = run_with_period(100);
-  EXPECT_LT(slow.worst_end_relative_distance,
-            fast.worst_end_relative_distance + 1e-9)
-      << "ten times the settling time must not track worse";
-}
-
-TEST(ChurnBehavior, ZeroChurnReducesToPlainConvergence) {
-  Rng rng(31);
-  const RoutingTree tree = MakeRandomTree(20, rng);
-  std::vector<double> initial(20);
-  for (auto& e : initial) e = rng.NextDouble(1, 10);
-  ChurnOptions opt;
-  opt.churn_fraction = 0;  // no shocks: the target never moves
-  opt.epochs = 4;
-  opt.period = 300;
-  const ChurnRun run = RunChurn(tree, initial, opt);
-  EXPECT_LT(run.epochs.back().distance_at_end, 1e-4);
-}
-
-TEST(ChurnOptionsTest, Validation) {
-  const RoutingTree tree = MakeChain(2);
-  ChurnOptions opt;
-  opt.epochs = 0;
-  EXPECT_THROW(RunChurn(tree, {1, 1}, opt), std::invalid_argument);
-  opt.epochs = 1;
-  opt.churn_fraction = 1.5;
-  EXPECT_THROW(RunChurn(tree, {1, 1}, opt), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace webwave

@@ -10,6 +10,7 @@
 #include "doc/barrier.h"
 #include "doc/catalog.h"
 #include "doc/doc_webwave.h"
+#include "sim/churn.h"
 #include "tree/builders.h"
 
 #include <gtest/gtest.h>
@@ -55,50 +56,38 @@ TEST(DemandGenerators, LeafZipfPutsDemandOnlyOnLeaves) {
   }
 }
 
-TEST(DemandGenerators, RotatingHotSpotMovesWithPhase) {
-  const RoutingTree t = MakeKaryTree(2, 3);  // 8 leaves
-  const DemandMatrix a = RotatingHotSpotDemand(t, 4, 1.0, 50.0, 0.25, 0.0);
-  const DemandMatrix b = RotatingHotSpotDemand(t, 4, 1.0, 50.0, 0.25, 0.5);
-  // Same total at every phase, but hot leaves differ.
-  EXPECT_NEAR(a.Total(), b.Total(), 1e-9);
-  int moved = 0;
-  for (NodeId v = 0; v < t.size(); ++v)
-    if (std::abs(a.NodeTotal(v) - b.NodeTotal(v)) > 1.0) ++moved;
-  EXPECT_GE(moved, 2) << "the hot window must have rotated";
-  // Exactly 2 of 8 leaves are hot (fraction 0.25) at each phase.
-  int hot = 0;
-  for (NodeId v = 0; v < t.size(); ++v)
-    if (a.NodeTotal(v) > 25) ++hot;
-  EXPECT_EQ(hot, 2);
-  // Interior nodes generate nothing.
-  for (NodeId v = 0; v < t.size(); ++v) {
-    if (!t.is_leaf(v)) {
-      EXPECT_DOUBLE_EQ(a.NodeTotal(v), 0.0);
-    }
-  }
-  EXPECT_THROW(RotatingHotSpotDemand(t, 4, 1, 50, 0.25, 1.0),
-               std::invalid_argument);
-}
-
 TEST(DemandGenerators, RotatingHotSpotTracksUnderProtocol) {
-  // The moving hot spot is trackable: run WebWave while the phase
-  // advances, and check the tracking distance stays bounded well below
+  // The moving hot spot is trackable: run WebWave while the window
+  // rotates, and check the tracking distance stays bounded well below
   // the total rate.
   const RoutingTree t = MakeKaryTree(2, 3);
+  ChurnScheduleOptions copt;
+  copt.pattern = ChurnPattern::kRotatingHotSpot;
+  copt.doc_count = 4;
+  copt.base_rate = 2.0;
+  copt.hot_rate = 60.0;
+  copt.hot_fraction = 0.25;
+  copt.rotation_epochs = 8;
+  ChurnSchedule schedule(t, copt);
+  // The single-document view: each node's rate summed over the catalog.
+  const auto node_totals = [&] {
+    std::vector<double> totals(static_cast<std::size_t>(t.size()), 0.0);
+    for (const std::vector<double>& lane : schedule.Lanes())
+      for (std::size_t v = 0; v < totals.size(); ++v) totals[v] += lane[v];
+    return totals;
+  };
   WebWaveOptions opt;
   opt.initial_load = InitialLoad::kSelfService;
-  DemandMatrix first = RotatingHotSpotDemand(t, 4, 2.0, 60.0, 0.25, 0.0);
-  WebWaveSimulator sim(t, first.NodeTotals(), opt);
+  WebWaveSimulator sim(t, node_totals(), opt);
   double worst_relative = 0;
   for (int epoch = 0; epoch < 8; ++epoch) {
-    const double phase = (epoch % 8) / 8.0;
-    const DemandMatrix demand =
-        RotatingHotSpotDemand(t, 4, 2.0, 60.0, 0.25, phase);
-    sim.UpdateSpontaneous(demand.NodeTotals());
-    const WebFoldResult target = WebFold(t, demand.NodeTotals());
+    if (epoch > 0) schedule.NextEvents();
+    const std::vector<double> demand = node_totals();
+    sim.UpdateSpontaneous(demand);
+    const WebFoldResult target = WebFold(t, demand);
     for (int s = 0; s < 60; ++s) sim.Step();
     worst_relative = std::max(
-        worst_relative, sim.DistanceTo(target.load) / demand.Total());
+        worst_relative, sim.DistanceTo(target.load) / TotalRate(demand));
   }
   EXPECT_LT(worst_relative, 0.05)
       << "60 steps per phase must keep tracking error under 5%";
@@ -273,7 +262,7 @@ TEST(DocWebWaveTest, ServedImpliesCached) {
 }
 
 TEST(BarrierMonitorTest, TriggersAfterPatienceExceeded) {
-  BarrierMonitor monitor(3, 2);
+  BarrierMonitor monitor(3);
   // Two stalled periods: no trigger; the third: trigger (paper: "more than
   // two periods").
   EXPECT_FALSE(monitor.Observe(1, true, false));

@@ -14,7 +14,6 @@
 
 #include "core/webwave_batch.h"
 #include "doc/catalog.h"
-#include "proto/packet_sim.h"
 #include "serve/quota_snapshot.h"
 #include "serve/request_gen.h"
 #include "serve/serving_plane.h"
@@ -153,45 +152,6 @@ TEST(FaultSchedule, SubtreeOutageDownsExactlyOneBoundedSubtree) {
     EXPECT_EQ(down, expected) << "epoch " << epoch;
     EXPECT_LE(tree.subtree_size(roots[0]), std::max(1, cap));
   }
-}
-
-TEST(FaultSchedule, LinkBurstsArePureWindowDraws) {
-  Rng rng(83);
-  const RoutingTree tree = MakeRandomTree(60, rng);
-  FaultScheduleOptions opt;
-  opt.burst_probability = 0.5;
-  opt.burst_gossip_loss = 0.4;
-  opt.burst_extra_latency_ms = 3.0;
-  opt.outage_epochs = 2;
-  opt.start_epoch = 3;
-  opt.seed = 17;
-  const FaultSchedule a(tree, opt);
-  const FaultSchedule b(tree, opt);
-  bool saw_burst = false, saw_quiet = false;
-  for (int epoch = 0; epoch < 40; ++epoch) {
-    const LinkFault fa = a.LinkAt(epoch);
-    const LinkFault fb = b.LinkAt(epoch);
-    EXPECT_EQ(fa.gossip_loss, fb.gossip_loss) << "epoch " << epoch;
-    EXPECT_EQ(fa.extra_latency_ms, fb.extra_latency_ms) << "epoch " << epoch;
-    if (epoch < opt.start_epoch) {
-      EXPECT_EQ(fa.gossip_loss, 0.0) << "faults before start_epoch";
-      continue;
-    }
-    // Constant within a window.
-    const int window_start =
-        opt.start_epoch +
-        ((epoch - opt.start_epoch) / opt.outage_epochs) * opt.outage_epochs;
-    EXPECT_EQ(fa.gossip_loss, a.LinkAt(window_start).gossip_loss);
-    if (fa.gossip_loss > 0) {
-      EXPECT_EQ(fa.gossip_loss, opt.burst_gossip_loss);
-      EXPECT_EQ(fa.extra_latency_ms, opt.burst_extra_latency_ms);
-      saw_burst = true;
-    } else {
-      saw_quiet = true;
-    }
-  }
-  EXPECT_TRUE(saw_burst);
-  EXPECT_TRUE(saw_quiet);
 }
 
 // FaultProjector spill semantics -----------------------------------------
@@ -625,40 +585,6 @@ TEST(ServingPlane, FailoverMetricsBitIdenticalAcrossThreadsAndLaneBlocks) {
   EXPECT_GT(metrics[0].dropped_requests, 0u);
   EXPECT_GT(metrics[0].backoff_slots, 0u);
   EXPECT_GT(metrics[0].requests, 0u);
-}
-
-// Gossip bursts in the packet simulator -----------------------------------
-
-TEST(PacketSimFaults, FullRunBurstIsIdenticalToTheStaticLossKnob) {
-  Rng rng(37);
-  const RoutingTree tree = MakeKaryTree(2, 3);
-  const DemandMatrix demand = LeafZipfDemand(tree, 6, 40, 1.0, rng);
-  PacketSimOptions stat;
-  stat.duration = 15 * kMicrosPerSecond;
-  stat.warmup = 3 * kMicrosPerSecond;
-  stat.seed = 7;
-  stat.gossip_loss = 0.3;
-
-  PacketSimOptions burst = stat;
-  burst.gossip_loss = 0.0;
-  burst.gossip_bursts = {{0, stat.duration + kMicrosPerSecond, 0.3, 0}};
-
-  const PacketSimReport a = PacketSim(tree, demand, stat).Run();
-  const PacketSimReport b = PacketSim(tree, demand, burst).Run();
-  EXPECT_EQ(a.total_requests, b.total_requests);
-  EXPECT_EQ(a.served_requests, b.served_requests);
-  EXPECT_EQ(a.control_messages, b.control_messages);
-  EXPECT_EQ(a.doc_transfers, b.doc_transfers);
-  EXPECT_EQ(a.link_traversals, b.link_traversals);
-  EXPECT_EQ(a.measured_loads, b.measured_loads);
-  EXPECT_DOUBLE_EQ(a.mean_response_ms, b.mean_response_ms);
-
-  // A genuinely different burst (mid-run, heavier, delayed) diverges.
-  PacketSimOptions heavy = stat;
-  heavy.gossip_bursts = {{5 * kMicrosPerSecond, 10 * kMicrosPerSecond, 0.9,
-                          20 * kMicrosPerMilli}};
-  const PacketSimReport c = PacketSim(tree, demand, heavy).Run();
-  EXPECT_NE(a.measured_loads, c.measured_loads);
 }
 
 }  // namespace

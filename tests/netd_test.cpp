@@ -128,7 +128,7 @@ std::vector<ServingMetrics> RunSegmentFleet(
     msg.doc = r.doc;
     msg.origin_node = r.node;
     if (c.config.serving.trace &&
-        TraceSampled(c.config.serving.trace_seed, i,
+        TraceSampled(kTraceSeed, i,
                      c.config.serving.trace_sample_shift))
       msg.flags |= kGetFlagTrace;
     int hop_guard = 0;
@@ -193,6 +193,22 @@ TEST(NetdCluster, PartitionOwnersIsMonotoneUpTheTree) {
   std::vector<int> count(5, 0);
   for (const int s : owner) ++count[static_cast<std::size_t>(s)];
   for (const int n : count) EXPECT_GT(n, 0);
+}
+
+// A fleet total adds every counter across daemons except the outbox peak,
+// a per-daemon high-water mark: the fleet's peak is the largest daemon's.
+TEST(NetdCluster, SumCountersTakesTheLargestOutboxPeak) {
+  std::vector<WireCounters> daemons(2);
+  daemons[0].requests = 3;
+  daemons[0].net_forwards = 1;
+  daemons[0].outbox_peak_bytes = 10;
+  daemons[1].requests = 4;
+  daemons[1].net_forwards = 2;
+  daemons[1].outbox_peak_bytes = 20;
+  const WireCounters fleet = SumCounters(daemons);
+  EXPECT_EQ(fleet.requests, 7u);
+  EXPECT_EQ(fleet.net_forwards, 3u);
+  EXPECT_EQ(fleet.outbox_peak_bytes, 20u);
 }
 
 TEST(NetdEventLoop, TimersFireInDelayOrderAcrossRevolutions) {

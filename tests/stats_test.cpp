@@ -37,7 +37,6 @@ TEST(Summary, Quantiles) {
 
 TEST(Summary, Distances) {
   EXPECT_DOUBLE_EQ(EuclideanDistance({0, 0}, {3, 4}), 5);
-  EXPECT_DOUBLE_EQ(MaxAbsDifference({1, 5}, {4, 3}), 3);
 }
 
 TEST(Summary, FairnessIndices) {
@@ -119,21 +118,10 @@ TEST_P(ZipfTest, SampleFrequenciesTrackPmf) {
 INSTANTIATE_TEST_SUITE_P(Exponents, ZipfTest,
                          ::testing::Values(0.0, 0.8, 1.0, 1.5));
 
-TEST(ZipfTest, RatesForTotalSumToTotal) {
-  const ZipfDistribution zipf(10, 1.0);
-  const auto rates = zipf.RatesForTotal(500);
-  double sum = 0;
-  for (const double r : rates) sum += r;
-  EXPECT_NEAR(sum, 500, 1e-9);
-  EXPECT_GT(rates[0], rates[9]) << "rank 1 must be hotter than rank 10";
-}
-
 TEST(RngTest, DeterministicAndDistinctStreams) {
   Rng a(5), b(5), c(6);
   EXPECT_EQ(a.Next(), b.Next());
   EXPECT_NE(a.Next(), c.Next());
-  Rng fork = a.Fork();
-  EXPECT_NE(fork.Next(), a.Next());
 }
 
 TEST(RngTest, UniformMomentsSane) {
@@ -142,16 +130,6 @@ TEST(RngTest, UniformMomentsSane) {
   const int kSamples = 100000;
   for (int i = 0; i < kSamples; ++i) sum += rng.NextDouble();
   EXPECT_NEAR(sum / kSamples, 0.5, 0.01);
-}
-
-TEST(RngTest, PoissonMeanMatches) {
-  Rng rng(13);
-  for (const double mean : {0.5, 4.0, 80.0}) {
-    double sum = 0;
-    const int kSamples = 20000;
-    for (int i = 0; i < kSamples; ++i) sum += rng.NextPoisson(mean);
-    EXPECT_NEAR(sum / kSamples, mean, mean * 0.05 + 0.05) << "mean " << mean;
-  }
 }
 
 TEST(RngTest, ExponentialMeanMatches) {

@@ -69,9 +69,6 @@ TEST(DocumentSizes, ModelsAreDeterministicAndPositive) {
   const DocumentSizes u = DocumentSizes::Uniform(5, 1000);
   EXPECT_EQ(u.total_bytes(), 5000u);
   EXPECT_EQ(u.max_bytes(), 1000u);
-
-  const DocumentSizes z = DocumentSizes::ZipfRanked(16, 1 << 20, 1.0, 3);
-  EXPECT_EQ(z.max_bytes(), 1u << 20);  // rank 0 sits somewhere
 }
 
 TEST(DocumentSizes, LogNormalCatalogRoundTripsThroughFromCatalog) {

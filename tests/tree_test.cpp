@@ -162,13 +162,5 @@ TEST(Render, AsciiContainsEveryNodeOnce) {
   EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 5);
 }
 
-TEST(Render, DotHasAllEdges) {
-  const RoutingTree t = MakeChain(4);
-  const std::string dot = RenderDot(t);
-  EXPECT_NE(dot.find("n1 -> n0"), std::string::npos);
-  EXPECT_NE(dot.find("n3 -> n2"), std::string::npos);
-  EXPECT_EQ(dot.find("n0 ->"), std::string::npos) << "root must not point up";
-}
-
 }  // namespace
 }  // namespace webwave

@@ -927,17 +927,6 @@ TEST(QuotaWire, CorruptTablesAreRejected) {
   EXPECT_FALSE(QuotaWireTable::Deserialize(bad.data(), bad.size(), &out));
 }
 
-TEST(QuotaWire, FileRoundTrip) {
-  const QuotaSnapshot s = MakeSnapshot();
-  const std::string path = ::testing::TempDir() + "/quota_wire_test.bin";
-  ASSERT_TRUE(QuotaWireTable::WriteFile(s, path));
-  QuotaSnapshot back;
-  ASSERT_TRUE(QuotaWireTable::ReadFile(path, &back));
-  EXPECT_EQ(back.cell_count(), s.cell_count());
-  EXPECT_EQ(back.total_rate(), s.total_rate());
-  std::remove(path.c_str());
-}
-
 // The delta law the rejoin protocol rests on: applying the diff of two
 // same-shaped tables to the first reproduces the second byte-for-byte.
 TEST(QuotaWire, DiffApplyLawReproducesTargetByteExactly) {
