@@ -12,7 +12,7 @@
 
 #include "core/load_model.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "stats/fit.h"
 #include "tree/render.h"
 #include "tree/routing_tree.h"
@@ -39,9 +39,9 @@ int main() {
               target.load[tree.root()]);
 
   WebWaveOptions options;  // synchronous, fresh gossip: the paper's setup
-  WebWaveSimulator sim(tree, spont, options);
+  BatchWebWaveSimulator sim(tree, {spont}, options);
   const std::vector<double> trajectory =
-      sim.RunUntil(target.load, 1e-7, 5000);
+      sim.RunUntil(0, target.load, 1e-7, 5000);
 
   std::printf("Figure 6(b) — Euclidean distance to TLB per iteration\n\n");
   std::vector<std::pair<std::string, double>> plot;
@@ -63,9 +63,10 @@ int main() {
   std::printf("  gamma = %.6f (SE %.6f)\n", fit.gamma, fit.stderr_gamma);
   std::printf("\nFinal served rates vs TLB:\n");
   AsciiTable table({"node", "E_i", "WebWave L_i", "TLB L_i"});
+  const std::vector<double> served = sim.ServedLane(0);
   for (NodeId v = 0; v < tree.size(); ++v)
     table.AddRow({std::to_string(v), AsciiTable::Num(spont[v], 0),
-                  AsciiTable::Num(sim.served()[v], 3),
+                  AsciiTable::Num(served[v], 3),
                   AsciiTable::Num(target.load[v], 3)});
   std::printf("%s", table.Render().c_str());
   return 0;

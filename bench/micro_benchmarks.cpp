@@ -5,8 +5,8 @@
 // hardware).  BM_PacketFilterIntercept measures our filter's per-packet
 // decision cost; the rest measure the algorithmic building blocks so the
 // simulator's own scalability is on record: WebFold (offline TLB),
-// one WebWave diffusion step, a discrete-event simulator round-trip, and
-// Zipf sampling.
+// one WebWave diffusion step (one document, then a catalog), a
+// discrete-event simulator round-trip, and Zipf sampling.
 //
 // After the registered benchmarks, a hand-timed lane-block sweep writes
 // BENCH_step_blocked.json; it is skipped when --benchmark_filter picks
@@ -14,10 +14,8 @@
 // 10⁵ nodes instead of 10⁵ and 10⁶.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,7 +24,6 @@
 #include "core/diffusion.h"
 #include "core/tlb.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
 #include "core/webwave_batch.h"
 #include "doc/catalog.h"
 #include "net/simulator.h"
@@ -38,115 +35,6 @@
 
 namespace webwave {
 namespace {
-
-// The pre-SoA WebWave step, kept verbatim as a measurement baseline: a
-// per-node vector of (neighbor, estimate) pairs scanned linearly for
-// every edge, a deque of full served-vector copies for gossip history,
-// and a freshly allocated delta vector per step.  BM_WebWaveStepLegacy /
-// BM_WebWaveStep records the speedup of the edge-indexed layout in
-// BENCH_webwave.json.
-class LegacyWebWaveStepper {
- public:
-  LegacyWebWaveStepper(const RoutingTree& tree, std::vector<double> spont)
-      : tree_(tree), served_(tree.size(), 0.0) {
-    const int n = tree.size();
-    double total = 0;
-    for (const double e : spont) total += e;
-    served_[static_cast<std::size_t>(tree.root())] = total;
-    forwarded_.assign(static_cast<std::size_t>(n), 0.0);
-    for (const NodeId v : tree.postorder()) {
-      double arrive = spont[static_cast<std::size_t>(v)];
-      for (const NodeId c : tree.children(v))
-        arrive += forwarded_[static_cast<std::size_t>(c)];
-      forwarded_[static_cast<std::size_t>(v)] =
-          arrive - served_[static_cast<std::size_t>(v)];
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      if (tree.is_root(v)) continue;
-      Edge e;
-      e.parent = tree.parent(v);
-      e.child = v;
-      e.alpha = 1.0 / (1.0 + std::max(tree.degree(e.parent), tree.degree(v)));
-      edges_.push_back(e);
-    }
-    estimates_.assign(static_cast<std::size_t>(n), {});
-    for (const Edge& e : edges_) {
-      estimates_[static_cast<std::size_t>(e.parent)].push_back({e.child, 0});
-      estimates_[static_cast<std::size_t>(e.child)].push_back({e.parent, 0});
-    }
-    history_.push_back(served_);
-    RefreshEstimates();
-  }
-
-  void Step() {
-    std::vector<double> delta(edges_.size(), 0.0);
-    for (std::size_t k = 0; k < edges_.size(); ++k) {
-      const Edge& e = edges_[k];
-      const double lp = served_[static_cast<std::size_t>(e.parent)];
-      const double lc = served_[static_cast<std::size_t>(e.child)];
-      const double parent_view = Estimate(e.parent, e.child);
-      const double child_view = Estimate(e.child, e.parent);
-      double d = 0;
-      if (lp > parent_view) {
-        d = std::min(e.alpha * (lp - parent_view),
-                     forwarded_[static_cast<std::size_t>(e.child)]);
-      } else if (lc > child_view) {
-        d = -std::min(e.alpha * (lc - child_view), lc);
-      }
-      delta[k] = d;
-    }
-    for (std::size_t k = 0; k < edges_.size(); ++k) {
-      const Edge& e = edges_[k];
-      double d = delta[k];
-      if (d == 0) continue;
-      const std::size_t p = static_cast<std::size_t>(e.parent);
-      const std::size_t c = static_cast<std::size_t>(e.child);
-      if (d > 0) {
-        d = std::min({d, forwarded_[c], served_[p]});
-        if (d <= 0) continue;
-        served_[p] -= d;
-        served_[c] += d;
-        forwarded_[c] -= d;
-      } else {
-        const double up = std::min(-d, served_[c]);
-        if (up <= 0) continue;
-        served_[c] -= up;
-        served_[p] += up;
-        forwarded_[c] += up;
-      }
-    }
-    history_.push_back(served_);
-    while (history_.size() > 1) history_.pop_front();
-    RefreshEstimates();
-  }
-
- private:
-  struct Edge {
-    NodeId parent;
-    NodeId child;
-    double alpha;
-  };
-
-  double Estimate(NodeId a, NodeId b) const {
-    for (const auto& [node, load] : estimates_[static_cast<std::size_t>(a)])
-      if (node == b) return load;
-    return 0;
-  }
-
-  void RefreshEstimates() {
-    const std::vector<double>& view = history_.back();
-    for (auto& per_node : estimates_)
-      for (auto& [neighbor, load] : per_node)
-        load = view[static_cast<std::size_t>(neighbor)];
-  }
-
-  const RoutingTree& tree_;
-  std::vector<double> served_;
-  std::vector<double> forwarded_;
-  std::vector<Edge> edges_;
-  std::vector<std::vector<std::pair<NodeId, double>>> estimates_;
-  std::deque<std::vector<double>> history_;
-};
 
 void BM_PacketFilterIntercept(benchmark::State& state) {
   const int docs = static_cast<int>(state.range(0));
@@ -196,7 +84,7 @@ void BM_WebWaveStep(benchmark::State& state) {
   const RoutingTree tree = MakeRandomTree(n, rng);
   std::vector<double> spont(static_cast<std::size_t>(n));
   for (auto& e : spont) e = rng.NextDouble(0, 100);
-  WebWaveSimulator sim(tree, spont);
+  BatchWebWaveSimulator sim(tree, {spont});
   for (auto _ : state) {
     sim.Step();
   }
@@ -208,21 +96,6 @@ BENCHMARK(BM_WebWaveStep)
     ->Arg(10000)
     ->Arg(100000)
     ->Arg(1000000);
-
-void BM_WebWaveStepLegacy(benchmark::State& state) {
-  // Identical workload to BM_WebWaveStep, pre-refactor data layout.
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(44);
-  const RoutingTree tree = MakeRandomTree(n, rng);
-  std::vector<double> spont(static_cast<std::size_t>(n));
-  for (auto& e : spont) e = rng.NextDouble(0, 100);
-  LegacyWebWaveStepper sim(tree, spont);
-  for (auto _ : state) {
-    sim.Step();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_WebWaveStepLegacy)->Arg(10000)->Arg(100000);
 
 void BM_BatchWebWaveStep(benchmark::State& state) {
   // Catalog of documents as batched lanes over one shared tree; items are

@@ -15,7 +15,7 @@
 #include <string>
 
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "stats/fit.h"
 #include "tree/routing_tree.h"
 #include "util/ascii.h"
@@ -43,8 +43,8 @@ struct RunResult {
 
 RunResult RunOnce(WebWaveOptions opt, int max_steps = 30000) {
   const WebFoldResult target = WebFold(BenchTree(), BenchRates());
-  WebWaveSimulator sim(BenchTree(), BenchRates(), opt);
-  std::vector<double> traj = sim.RunUntil(target.load, 1e-6, max_steps);
+  BatchWebWaveSimulator sim(BenchTree(), {BenchRates()}, opt);
+  std::vector<double> traj = sim.RunUntil(0, target.load, 1e-6, max_steps);
   RunResult r;
   r.converged = traj.back() <= 1e-6;
   r.steps = static_cast<long>(traj.size()) - 1;

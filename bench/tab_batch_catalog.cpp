@@ -5,9 +5,9 @@
 // steps a whole catalog of hot documents as BatchWebWaveSimulator lanes
 // over one shared random routing tree, up to 10⁶ nodes × 64 documents
 // (64M load lanes per step), and records setup cost, per-step cost and
-// lane throughput.  Per-lane behaviour is bit-identical to running one
-// WebWaveSimulator per document (asserted by webwave_batch_test); only
-// the memory layout is shared.
+// lane throughput.  Per-lane behaviour is bit-identical to stepping each
+// document as its own one-lane batch (asserted by webwave_batch_test);
+// only the memory layout is shared.
 //
 // Emits BENCH_batch_catalog.json (one record per configuration) so CI can
 // archive the numbers per PR.  Settings (bench_util.h): WEBWAVE_THREADS
@@ -17,7 +17,11 @@
 // (WebWaveOptions::lane_block) except the last: the full run repeats the
 // 10⁶ × 64 configuration at B = 1 — the old document-major layout — so
 // the blocked kernel's speedup is measured side by side on identical
-// (bit-identical, in fact) work.
+// (bit-identical, in fact) work.  Each record's tlb_ratio is the max node
+// load after the run ÷ the max of the joint TLB (WebFold of each node's
+// demand summed across documents): how far the per-lane engine sits from
+// the total-load balance the paper's servers diffuse to.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +31,7 @@
 
 #include "bench_util.h"
 #include "core/load_model.h"
+#include "core/webfold.h"
 #include "core/webwave_batch.h"
 #include "tree/builders.h"
 #include "util/ascii.h"
@@ -88,6 +93,14 @@ int main() {
     Rng rng(static_cast<std::uint64_t>(nodes) + docs);
     const RoutingTree tree = MakeRandomTree(nodes, rng);
     std::vector<std::vector<double>> lanes = ZipfLanes(nodes, docs, rng);
+    // The joint TLB: WebFold of each node's demand summed across documents.
+    std::vector<double> node_demand(static_cast<std::size_t>(nodes), 0.0);
+    for (const std::vector<double>& lane : lanes)
+      for (std::size_t v = 0; v < node_demand.size(); ++v)
+        node_demand[v] += lane[v];
+    const std::vector<double> joint_tlb = WebFold(tree, node_demand).load;
+    const double joint_tlb_max =
+        *std::max_element(joint_tlb.begin(), joint_tlb.end());
 
     WebWaveOptions opt;
     opt.threads = threads;
@@ -120,6 +133,7 @@ int main() {
     json.Add("ms_per_step", ms_per_step);
     json.Add("lane_steps_per_sec", lane_steps_per_sec);
     json.Add("max_node_load", max_load);
+    json.Add("tlb_ratio", max_load / joint_tlb_max);
   }
   std::printf("%s\n", table.Render().c_str());
 

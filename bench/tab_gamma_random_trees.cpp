@@ -11,7 +11,7 @@
 #include <string>
 
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "stats/fit.h"
 #include "stats/summary.h"
 #include "tree/builders.h"
@@ -41,8 +41,8 @@ int main() {
       const WebFoldResult target = WebFold(tree, spont);
       WebWaveOptions opt;
       opt.seed = rng.Next();
-      WebWaveSimulator sim(tree, spont, opt);
-      std::vector<double> traj = sim.RunUntil(target.load, 1e-6, 20000);
+      BatchWebWaveSimulator sim(tree, {spont}, opt);
+      std::vector<double> traj = sim.RunUntil(0, target.load, 1e-6, 20000);
       steps.push_back(static_cast<double>(traj.size() - 1));
       if (traj.size() < 5) continue;
       std::vector<double> early(traj);

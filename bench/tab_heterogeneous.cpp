@@ -13,7 +13,7 @@
 
 #include "core/load_model.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "stats/summary.h"
 #include "tree/builders.h"
 #include "util/ascii.h"
@@ -60,8 +60,8 @@ int main() {
       if (result == &weighted) {
         WebWaveOptions opt;
         opt.capacities = cap;
-        WebWaveSimulator sim(tree, spont, opt);
-        const auto traj = sim.RunUntil(result->load, 1e-4, 100000);
+        BatchWebWaveSimulator sim(tree, {spont}, opt);
+        const auto traj = sim.RunUntil(0, result->load, 1e-4, 100000);
         steps = std::to_string(traj.size() - 1);
       }
       table.AddRow({AsciiTable::Num(k, 0), name, AsciiTable::Num(max_util, 3),

@@ -19,7 +19,7 @@
 #include "core/diffusion.h"
 #include "core/load_model.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "doc/catalog.h"
 #include "proto/baselines.h"
 #include "stats/summary.h"
@@ -98,7 +98,7 @@ int main() {
     std::vector<double> spont(static_cast<std::size_t>(n));
     for (auto& e : spont) e = rng.NextDouble(0, 100);
 
-    WebWaveSimulator sim(tree, spont);
+    BatchWebWaveSimulator sim(tree, {spont});
     const int steps = n >= 1000000 ? 20 : 100;
     auto t0 = Clock::now();
     for (int s = 0; s < steps; ++s) sim.Step();

@@ -11,7 +11,7 @@
 
 #include "core/load_model.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "stats/summary.h"
 #include "topology/generators.h"
 #include "topology/spt.h"
@@ -62,8 +62,8 @@ int main() {
   for (NodeId v = 0; v < tree.size(); ++v)
     if (tree.is_leaf(v)) demand[static_cast<std::size_t>(v)] = rng.NextDouble(20, 120);
   const WebFoldResult tlb = WebFold(tree, demand);
-  WebWaveSimulator protocol(tree, demand);
-  const auto traj = protocol.RunUntil(tlb.load, 1e-6, 20000);
+  BatchWebWaveSimulator protocol(tree, {demand});
+  const auto traj = protocol.RunUntil(0, tlb.load, 1e-6, 20000);
   std::printf(
       "WebWave on home %d's tree: converged to TLB in %zu iterations\n"
       "(initial distance %.1f, final %.2g; max TLB load %.1f vs GLE %.1f)\n",

@@ -12,7 +12,7 @@
 
 #include "core/load_model.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "tree/builders.h"
 #include "tree/render.h"
 #include "util/ascii.h"
@@ -43,22 +43,21 @@ int main() {
 
   // Distributed protocol: every node knows only its own load, its
   // children's forwarded streams, and gossiped neighbor loads.
-  WebWaveSimulator protocol(tree, demand);
+  // One document is a one-lane batch; lane 0 is its load vector.
+  BatchWebWaveSimulator protocol(tree, {demand});
   std::printf("WebWave protocol, distance to TLB per iteration:\n");
-  int iterations = 0;
-  while (protocol.DistanceTo(tlb.load) > 1e-6 && iterations < 10000) {
-    if (iterations % 10 == 0)
-      std::printf("  t=%-4d  distance = %.6f\n", iterations,
-                  protocol.DistanceTo(tlb.load));
-    protocol.Step();
-    ++iterations;
-  }
+  const std::vector<double> trajectory =
+      protocol.RunUntil(0, tlb.load, 1e-6, 10000);
+  const int iterations = static_cast<int>(trajectory.size()) - 1;
+  for (int t = 0; t < iterations; t += 10)
+    std::printf("  t=%-4d  distance = %.6f\n", t, trajectory[t]);
   std::printf("  t=%-4d  distance = %.6f  <- converged\n\n", iterations,
-              protocol.DistanceTo(tlb.load));
+              trajectory.back());
 
   std::printf("Final distributed assignment (vs offline optimum):\n");
+  const std::vector<double> served = protocol.ServedLane(0);
   for (NodeId v = 0; v < tree.size(); ++v)
-    std::printf("  node %d: %7.3f (TLB %7.3f)\n", v, protocol.served()[v],
+    std::printf("  node %d: %7.3f (TLB %7.3f)\n", v, served[v],
                 tlb.load[v]);
   return 0;
 }

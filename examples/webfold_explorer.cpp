@@ -18,7 +18,7 @@
 #include "core/load_model.h"
 #include "core/sensitivity.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "tree/builders.h"
 #include "tree/render.h"
 #include "util/ascii.h"
@@ -119,8 +119,8 @@ int main(int argc, char** argv) {
               "k moves every member by 1/k until folds restructure)\n",
               sens.min_fold_gap);
 
-  WebWaveSimulator sim(tree, rates);
-  const auto traj = sim.RunUntil(r.load, 1e-6 * (1 + total), 100000);
+  BatchWebWaveSimulator sim(tree, {rates});
+  const auto traj = sim.RunUntil(0, r.load, 1e-6 * (1 + total), 100000);
   std::printf("\nWebWave reaches the optimum in %zu iterations "
               "(initial distance %.2f).\n",
               traj.size() - 1, traj.front());

@@ -38,9 +38,8 @@ BatchWebWaveSimulator::BatchWebWaveSimulator(
     capacity_ = options_.capacities;
   }
 
-  // Shared edge structure, identical to WebWaveSimulator's by
-  // construction: both come from the same builder (or literally the same
-  // shared build when the caller passes one).
+  // Shared edge structure: a private build, or the caller's shared one
+  // once it is checked against this tree and alpha policy.
   if (edges != nullptr) {
     WEBWAVE_REQUIRE(edges->MatchesTree(tree_),
                     "shared edge arrays do not match the tree");
@@ -272,12 +271,11 @@ void BatchWebWaveSimulator::RefreshBlockEstimates(int g) {
 }
 
 void BatchWebWaveSimulator::Step() {
-  // Per block, the exact two-phase round of WebWaveSimulator::Step() (the
-  // same kernel, see webwave_kernel.h) followed by the block's gossip
-  // bookkeeping.  Everything a block touches — load slices, planes, RNGs,
-  // ring positions — is its own, so the block sweep parallelizes with no
-  // synchronization beyond the pool barrier, and the static partition
-  // keeps results bit-identical to the serial order.
+  // Per block, the two-phase round of webwave_kernel.h followed by the
+  // block's gossip bookkeeping.  Everything a block touches — load
+  // slices, planes, RNGs, ring positions — is its own, so the block sweep
+  // parallelizes with no synchronization beyond the pool barrier, and the
+  // static partition keeps results bit-identical to the serial order.
   const std::size_t edge_count = edges_->size();
   const bool instant = InstantGossip();
   const bool push_history = options_.gossip_delay > 0;
@@ -315,9 +313,10 @@ void BatchWebWaveSimulator::Step() {
 }
 
 void BatchWebWaveSimulator::RestartLaneGossip(int d) {
-  // Identical to WebWaveSimulator::ReprojectAfterChurn's bookkeeping, lane
-  // for lane: the restart snapshot (the freshly projected served column)
-  // becomes both the lane's only history entry and its live estimates.
+  // The restart snapshot (the lane's freshly projected served column)
+  // becomes both the lane's only history entry and its live estimates, so
+  // stale pre-churn vectors are never gossiped and the first post-churn
+  // step already diffuses against post-churn estimates.
   // Under instantaneous gossip there is nothing to restart — the kernel
   // reads the (just projected) served block directly.
   if (InstantGossip()) return;
@@ -368,11 +367,10 @@ void BatchWebWaveSimulator::ApplyDemandEvents(Span<DemandEvent> events) {
         for (std::size_t i = begin; i < end; ++i) {
           const int g = affected_blocks[i];
           const std::size_t base = BlockNodeBase(g);
-          // Identical to WebWaveSimulator::ReprojectAfterChurn, lane for
-          // lane — but all of a block's churned lanes project in one
-          // postorder sweep (ProjectLaneBlock reads each cache line of
-          // the block once), then each restarts its gossip history and
-          // refreshes its estimates.
+          // All of a block's churned lanes project in one postorder
+          // sweep (ProjectLaneBlock reads each cache line of the block
+          // once), then each restarts its gossip history and refreshes
+          // its estimates.
           internal::ProjectLaneBlock(
               tree_, spontaneous_.data() + base, served_.data() + base,
               forwarded_.data() + base, BlockWidth(g),
@@ -507,6 +505,16 @@ double BatchWebWaveSimulator::MaxNodeLoad() const {
 double BatchWebWaveSimulator::DistanceTo(
     int d, const std::vector<double>& target) const {
   return EuclideanDistance(ServedLane(d), target);
+}
+
+std::vector<double> BatchWebWaveSimulator::RunUntil(
+    int d, const std::vector<double>& target, double tol, int max_steps) {
+  std::vector<double> trajectory = {DistanceTo(d, target)};
+  for (int s = 0; s < max_steps && trajectory.back() > tol; ++s) {
+    Step();
+    trajectory.push_back(DistanceTo(d, target));
+  }
+  return trajectory;
 }
 
 void BatchWebWaveSimulator::CheckInvariants(double tol) const {

@@ -3,8 +3,11 @@
 //
 // A home server rarely publishes one hot document; it publishes a catalog,
 // and every document's diffusion runs over the *same* topology.  Running D
-// independent WebWaveSimulator instances duplicates the edge structure and
-// the gossip bookkeeping D times and touches them in D separate passes.
+// one-document engines would duplicate the edge structure and the gossip
+// bookkeeping D times and touch them in D separate passes.  This is the
+// repo's only diffusion engine: a single document is a one-lane batch,
+// BatchWebWaveSimulator(tree, {spontaneous}, options), and RunUntil runs
+// the paper's convergence experiment on any one lane.
 //
 // Layout — document blocks.  Lanes are grouped into blocks of
 // options.lane_block documents (B, default 8; the last block is ragged
@@ -44,14 +47,16 @@
 // to per-lane strided copies into the front plane.  Either path installs
 // identical bytes, so results do not depend on which one ran.
 //
-// Semantics are exactly D independent simulators, document for document:
-// lane d evolves as WebWaveSimulator(tree, spontaneous[d], opt_d) would,
-// where opt_d is the shared options with seed = options.seed + d (each
-// lane owns an RNG stream, so asynchronous runs also match).  Per-lane
-// arithmetic inside a block is independent and runs in the same IEEE
-// order at every width, so the equivalence is bit-exact at every
-// lane_block value — asserted by webwave_batch_test at ragged catalog
-// sizes, under churn, asynchronously and at 1/2/8 threads.
+// Semantics are exactly D independent one-document runs, document for
+// document: lane d evolves as the one-lane batch
+// BatchWebWaveSimulator(tree, {spontaneous[d]}, opt_d) would, where opt_d
+// is the shared options with seed = options.seed + d (each lane owns an
+// RNG stream, so asynchronous runs also match).  Per-lane arithmetic
+// inside a block is independent and runs in the same IEEE order at every
+// width, so the equivalence is bit-exact at every lane_block value —
+// asserted by webwave_batch_test against a frozen single-lane reference
+// simulator (tests/webwave_reference.h) at ragged catalog sizes, under
+// churn, asynchronously and at 1/2/8 threads.
 //
 // Threading: a document block is the unit of parallel work.  Blocks are
 // independent (each owns its load, estimate, ring and RNG slices), so
@@ -61,10 +66,10 @@
 // bit-identical to the serial path at any options.threads value.
 //
 // Demand churn is first-class: ApplyDemandEvents takes a batch of
-// (doc, node, rate) events and re-projects each affected lane exactly as
-// WebWaveSimulator::ApplyDemandEvents would (same ProjectLane kernel, same
-// per-lane gossip-history restart), so rotating-hot-spot and flash-crowd
-// scenarios run at catalog scale without leaving the fast path.
+// (doc, node, rate) events and re-projects each affected lane onto its
+// new feasible set (ProjectLaneBlock) with a per-lane gossip-history
+// restart, so rotating-hot-spot and flash-crowd scenarios run at catalog
+// scale without leaving the fast path.
 //
 // Dirty-lane tracking: the engine records which lanes' (served,
 // forwarded) state actually *changed* — a demand event touched them, or a
@@ -116,13 +121,13 @@ class BatchWebWaveSimulator {
 
   // Applies a batch of demand changes: event (doc, node, rate) sets
   // document doc's spontaneous rate at `node`, then every *affected* lane
-  // is re-projected onto its new feasible set, its gossip history is
-  // restarted and its estimates refreshed — exactly what
-  // WebWaveSimulator::ApplyDemandEvents does to a single lane, so per-lane
-  // equivalence with independent simulators survives churn.  Untouched
-  // lanes are not perturbed in any way (their delayed-gossip history keeps
-  // running).  Later events win when a batch writes one (doc, node) cell
-  // twice.
+  // is re-projected onto its new feasible set (in postorder every node
+  // keeps min(L_v, arriving flow), the shortfall climbs and the root
+  // absorbs it), its gossip history is restarted and its estimates
+  // refreshed, so per-lane equivalence with independent one-document runs
+  // survives churn.  Untouched lanes are not perturbed in any way (their
+  // delayed-gossip history keeps running).  Later events win when a batch
+  // writes one (doc, node) cell twice.  An empty batch is a no-op.
   void ApplyDemandEvents(Span<DemandEvent> events);
 
   int steps() const { return steps_; }
@@ -185,8 +190,15 @@ class BatchWebWaveSimulator {
   void ExportLanesQuotas(Span<const int> lanes, double min_rate,
                          std::vector<QuotaCell>* out) const;
 
-  // Euclidean distance of lane d's served vector to a target assignment.
+  // Euclidean distance of lane d's served vector to a target assignment —
+  // the paper's convergence metric.
   double DistanceTo(int d, const std::vector<double>& target) const;
+
+  // Steps the whole batch until lane d's DistanceTo(target) <= tol or
+  // max_steps is reached; returns lane d's distance trajectory including
+  // the initial state (index 0 = before the first step).
+  std::vector<double> RunUntil(int d, const std::vector<double>& target,
+                               double tol, int max_steps);
 
   // Per-lane flow conservation, NSS and non-negativity; throws
   // std::logic_error on violation.
@@ -239,7 +251,7 @@ class BatchWebWaveSimulator {
   int steps_ = 0;
 
   // Shared structure-of-arrays edge layout (ascending child id), one copy
-  // for all documents; stepped by the same kernel as WebWaveSimulator.
+  // for all documents.
   internal::SharedEdgeArrays edges_;
   std::vector<double> capacity_;
   // The step kernel variant this CPU runs (internal::SelectStepLaneBlock),

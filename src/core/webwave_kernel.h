@@ -1,24 +1,20 @@
-// The shared per-lane diffusion kernel of WebWaveSimulator and
-// BatchWebWaveSimulator.
+// The per-lane diffusion kernel of BatchWebWaveSimulator.
 //
-// Both simulators advance load with the identical two-phase round of §5
-// (decide all transfers from one snapshot, then apply them edge-atomically
-// with feasibility clamps) over the identical flattened edge layout.  The
-// batch form's guarantee — per-document lanes bit-identical to independent
-// simulators — holds *by construction* because both call the functions in
-// this header rather than keeping copies of the kernel.
+// The engine advances load with the two-phase round of §5 (decide all
+// transfers from one snapshot, then apply them edge-atomically with
+// feasibility clamps) over a flattened edge layout.
 //
 // The kernel is *width-generic*: StepLaneBlock advances `width` lanes in
 // one sweep over the edge list, with every per-lane quantity stored
 // interleaved ([edge or node][width] — lane b of the block at slot
-// index·width + b).  The single-document simulator calls it with width 1
-// (where the layout degenerates to the plain flat arrays); the batch
-// simulator calls it with width = its document block size, so the shared
-// edge metadata (parent, child, alpha) is streamed once per *block*
-// instead of once per document.  Each lane's arithmetic is independent and
-// executed in the same IEEE order at every width, so per-lane results are
-// bit-identical across widths — the invariant the batch property tests
-// assert against independent simulators.
+// index·width + b).  The batch simulator calls it with width = its
+// document block size (a one-lane batch calls it with width 1, where the
+// layout degenerates to plain flat arrays), so the shared edge metadata
+// (parent, child, alpha) is streamed once per *block* instead of once per
+// document.  Each lane's arithmetic is independent and executed in the
+// same IEEE order at every width, so per-lane results are bit-identical
+// across widths — the invariant webwave_batch_test asserts against the
+// single-lane reference simulator (tests/webwave_reference.h).
 //
 // SIMD chunk path.  StepLaneBlock below is the scalar reference.  Its
 // per-lane branches (transfer direction, clamp, "did anything move") are
@@ -34,9 +30,9 @@
 // and AVX2 (two ymm per chunk) on x86-64; SelectStepLaneBlock picks the
 // widest one the CPU supports, once, from __builtin_cpu_supports.  There
 // is no option, environment variable or build flag.  The scalar loop
-// still runs the remainder lanes (width % 8), blocks narrower than 8,
-// asynchronous mode (per-lane RNG draws in edge order), the width-1
-// WebWaveSimulator, and CPUs or architectures without either ISA.
+// still runs the remainder lanes (width % 8), blocks narrower than 8
+// (one-lane batches among them), asynchronous mode (per-lane RNG draws in
+// edge order), and CPUs or architectures without either ISA.
 //
 // Exactness.  Every variant is bit-identical to the scalar loop on every
 // host, because the chunk body uses only IEEE + − × ÷, compares and
@@ -96,7 +92,7 @@ struct EdgeArrays {
   }
 
   // True iff these arrays describe exactly `tree`'s edges — the guard the
-  // simulator constructors apply to a caller-supplied shared build, so a
+  // batch constructor applies to a caller-supplied shared build, so a
   // build for a *different* same-sized tree cannot silently diffuse over
   // the wrong topology.  O(edges), far cheaper than rebuilding.
   bool MatchesTree(const RoutingTree& tree) const {
@@ -112,9 +108,9 @@ struct EdgeArrays {
 };
 
 // Read-only edge structure shared between simulators: the arrays depend
-// only on (tree, alpha policy), so one build can back a batch engine, its
-// per-document reference simulators and any closed-loop re-derivations at
-// once instead of each constructor re-flattening the same tree.
+// only on (tree, alpha policy), so one build can back several batch
+// engines over the same tree (and, in tests, the reference simulators)
+// instead of each constructor re-flattening it.
 using SharedEdgeArrays = std::shared_ptr<const EdgeArrays>;
 
 inline EdgeArrays BuildEdgeArrays(const RoutingTree& tree,
@@ -247,7 +243,7 @@ inline void ApplyLanes(double* sp, double* sc, double* fc, const double* dk,
 //
 // `rng` points at `width` per-lane generators; lane b consumes one
 // Bernoulli per edge (ascending edge order) in asynchronous mode only —
-// the identical draw sequence an independent simulator of that lane makes.
+// the identical draw sequence a one-lane run of that lane makes.
 // `delta` is caller-provided scratch of edges.size()·width entries.
 //
 // `changed`, when non-null, points at `width` per-lane flags; a lane's
@@ -312,9 +308,7 @@ StepLaneBlockFn SelectStepLaneBlock();
 
 // Projects a lane's served vector onto the feasible set of (possibly new)
 // spontaneous rates — the demand-churn counterpart of StepLaneBlock,
-// shared by WebWaveSimulator::UpdateSpontaneous/ApplyDemandEvents and the
-// batch simulator's per-lane churn path so the two stay equivalent by
-// construction.
+// behind BatchWebWaveSimulator::ApplyDemandEvents.
 //
 // In postorder, every node may keep at most the flow that now arrives at
 // it (its own spontaneous rate plus what its children still forward); the
@@ -329,8 +323,8 @@ StepLaneBlockFn SelectStepLaneBlock();
 // projects every selected lane — under churn that touches most of a
 // block this reads each cache line once instead of once per lane, which
 // is what keeps ApplyDemandEvents' cost flat in the block width.  Each
-// lane's arithmetic is independent and ordered exactly as the width-1
-// form, so projections agree bit for bit across layouts.
+// lane's arithmetic is independent and ordered exactly as at width 1, so
+// projections agree bit for bit across layouts.
 inline void ProjectLaneBlock(const RoutingTree& tree,
                              const double* spontaneous, double* served,
                              double* forwarded, int width,
@@ -350,11 +344,6 @@ inline void ProjectLaneBlock(const RoutingTree& tree,
       forwarded[row + b] = arrive - serve;
     }
   }
-}
-
-inline void ProjectLane(const RoutingTree& tree, const double* spontaneous,
-                        double* served, double* forwarded) {
-  ProjectLaneBlock(tree, spontaneous, served, forwarded, 1, nullptr);
 }
 
 }  // namespace internal

@@ -1,5 +1,5 @@
-// Configuration shared by the WebWave rate-level simulators (single-tree,
-// batched catalog) and their common step kernel.
+// Configuration of the WebWave rate-level engine (BatchWebWaveSimulator)
+// and its step kernel.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +40,11 @@ struct WebWaveOptions {
   // capacity assumption.  When set, diffusion equalizes *utilizations*
   // L_i / c_i and converges to the WebFoldWeighted assignment.
   std::vector<double> capacities;
-  // Worker threads for the batched simulator's per-lane sweeps (ignored by
-  // the single-document simulator).  0 picks one per hardware thread; the
-  // pool is clamped to the document count.  Document blocks are
-  // partitioned statically and share no mutable state between gossip
-  // refreshes, so results are bit-identical at every thread count.
+  // Worker threads for the batched simulator's per-block sweeps.  0 picks
+  // one per hardware thread; the pool is clamped to the document count.
+  // Document blocks are partitioned statically and share no mutable state
+  // between gossip refreshes, so results are bit-identical at every
+  // thread count.
   int threads = 1;
   // Document block width of the batched simulator: lanes are stored and
   // stepped in blocks of this many documents interleaved per node/edge
@@ -60,8 +60,7 @@ struct WebWaveOptions {
 // One demand change: document `doc`'s spontaneous request rate at `node`
 // becomes `rate` (absolute, not a delta).  Batches of events are the unit
 // of churn: ApplyDemandEvents applies a whole batch and re-projects each
-// affected lane once, exactly as UpdateSpontaneous would with the merged
-// rate vector.  The single-document simulator requires doc == 0.
+// affected lane once, with its merged rate vector.
 struct DemandEvent {
   std::int32_t doc = 0;
   std::int32_t node = 0;

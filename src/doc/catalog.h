@@ -77,7 +77,8 @@ class DemandMatrix {
   double DocTotal(DocId d) const;
   double Total() const;
 
-  // E vector for the rate-level algorithms (WebFold, WebWaveSimulator).
+  // E vector for the rate-level algorithms (WebFold, a one-lane
+  // BatchWebWaveSimulator): each node's rate summed across documents.
   std::vector<double> NodeTotals() const;
 
   // Column d as a per-node spontaneous-rate vector: document d's own E
@@ -93,8 +94,8 @@ class DemandMatrix {
 };
 
 // Steps every document of a demand matrix as its own WebWave lane over the
-// shared tree: the batched form of running one WebWaveSimulator per
-// document (lane d is seeded options.seed + d; see webwave_batch.h).
+// shared tree, as if each document ran alone (lane d is seeded
+// options.seed + d; see webwave_batch.h).
 BatchWebWaveSimulator MakeCatalogBatch(const RoutingTree& tree,
                                        const DemandMatrix& demand,
                                        WebWaveOptions options = {});

@@ -77,7 +77,6 @@ void DocWebWave::RecomputeFlows() {
 }
 
 double DocWebWave::EdgeAlpha(NodeId parent, NodeId child) const {
-  if (options_.alpha > 0) return options_.alpha;
   return 1.0 / (1.0 + std::max(tree_.degree(parent), tree_.degree(child)));
 }
 
@@ -116,7 +115,7 @@ double DocWebWave::DelegateDown(NodeId p, NodeId c, double amount) {
       // The home server's quota is implicit (it absorbs); only interior
       // caches track explicit quotas.
       quota(p, d) = std::max(0.0, quota_at(p, d) - delta);
-      if (options_.evict_at_zero_quota && quota_at(p, d) <= kEpsilon) {
+      if (quota_at(p, d) <= kEpsilon) {
         cached_[static_cast<std::size_t>(p) * docs_ + d] = 0;
         quota(p, d) = 0;
         ++evictions_;
@@ -145,7 +144,7 @@ double DocWebWave::RelinquishUp(NodeId p, NodeId c, double amount) {
     const double delta = std::min(amount - moved, quota_at(c, d));
     if (delta <= kEpsilon) continue;
     quota(c, d) = std::max(0.0, quota_at(c, d) - delta);
-    if (options_.evict_at_zero_quota && quota_at(c, d) <= kEpsilon) {
+    if (quota_at(c, d) <= kEpsilon) {
       cached_[static_cast<std::size_t>(c) * docs_ + d] = 0;
       quota(c, d) = 0;
       ++evictions_;

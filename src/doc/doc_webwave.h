@@ -34,11 +34,10 @@
 
 namespace webwave {
 
+// Each edge diffuses with α = 1/(1 + max degree of its endpoints), and a
+// copy whose service quota falls to zero is evicted.
 struct DocWebWaveOptions {
-  // Per-edge diffusion parameter; 1/(1 + max degree) when <= 0.
-  double alpha = -1;
   bool enable_tunneling = true;
-  bool evict_at_zero_quota = true;
 };
 
 // A record of one tunneling event, for experiment output.

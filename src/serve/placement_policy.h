@@ -15,10 +15,16 @@
 //     passing documents outright (LFU-style en-route caching with no
 //     coordination).
 //   * WebWaveTlbPolicy     — the paper's answer: DerivePlacement's
-//     TLB-realizing quotas, the fixed point WebWave diffuses to.
+//     quotas, which realize the TLB of the node totals (WebFold of the
+//     demand summed across documents), the balance the paper's servers
+//     reach by diffusing their total load.
 //
 // Live diffused placements come from QuotaSnapshot::FromBatch instead of a
 // policy — the closed loop re-snapshots the batch engine every epoch.
+// That engine balances each document lane on its own, so its fixed point
+// is Σ_d WebFold(E_d), the sum of per-document TLBs, which can sit well
+// above the joint TLB on max load; it is not the placement this policy
+// builds.
 #pragma once
 
 #include <memory>

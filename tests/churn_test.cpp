@@ -1,9 +1,11 @@
 // Tests for tracking under erratic request rates (§5.1 ongoing study):
-// UpdateSpontaneous keeps the protocol state feasible, and WebWave tracks
-// a moving TLB target across demand shocks.
+// a demand update keeps the protocol state feasible, and WebWave tracks a
+// moving TLB target across demand shocks.  The single-document tests run
+// a one-lane BatchWebWaveSimulator; a whole new rate vector is one
+// ApplyDemandEvents batch with an event per node.
 #include "core/load_model.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "sim/churn.h"
 #include "tree/builders.h"
 
@@ -12,18 +14,26 @@
 namespace webwave {
 namespace {
 
+// Every node's rate of lane 0 set to `rates` — a full-vector update.
+std::vector<DemandEvent> AllNodeEvents(const std::vector<double>& rates) {
+  std::vector<DemandEvent> events;
+  for (std::size_t v = 0; v < rates.size(); ++v)
+    events.push_back({0, static_cast<std::int32_t>(v), rates[v]});
+  return events;
+}
+
 TEST(UpdateSpontaneous, KeepsInvariantsAfterArbitraryShock) {
   Rng rng(3);
   const RoutingTree tree = MakeRandomTree(25, rng);
   std::vector<double> rates(25);
   for (auto& e : rates) e = rng.NextDouble(0, 10);
-  WebWaveSimulator sim(tree, rates);
+  BatchWebWaveSimulator sim(tree, {rates});
   for (int round = 0; round < 20; ++round) {
     for (int s = 0; s < 10; ++s) sim.Step();
     for (auto& e : rates) e = rng.NextDouble(0, 10);
-    sim.UpdateSpontaneous(rates);
+    sim.ApplyDemandEvents(AllNodeEvents(rates));
     ASSERT_NO_THROW(sim.CheckInvariants()) << "round " << round;
-    EXPECT_NEAR(TotalRate(sim.served()), TotalRate(rates), 1e-6);
+    EXPECT_NEAR(TotalRate(sim.ServedLane(0)), TotalRate(rates), 1e-6);
   }
 }
 
@@ -34,22 +44,22 @@ TEST(UpdateSpontaneous, DemandDropPushesExcessTowardRoot) {
   const RoutingTree tree = MakeChain(3);
   WebWaveOptions opt;
   opt.initial_load = InitialLoad::kSelfService;
-  WebWaveSimulator sim(tree, {10, 10, 50}, opt);
-  sim.UpdateSpontaneous({10, 10, 0});
-  EXPECT_NEAR(sim.served()[2], 0, 1e-9);
-  EXPECT_NEAR(TotalRate(sim.served()), 20, 1e-9);
+  BatchWebWaveSimulator sim(tree, {{10, 10, 50}}, opt);
+  sim.ApplyDemandEvents(AllNodeEvents({10, 10, 0}));
+  EXPECT_NEAR(sim.ServedLane(0)[2], 0, 1e-9);
+  EXPECT_NEAR(TotalRate(sim.ServedLane(0)), 20, 1e-9);
   sim.CheckInvariants();
 }
 
 TEST(UpdateSpontaneous, DemandIncreaseIsServedSomewhere) {
   const RoutingTree tree = MakeChain(3);
-  WebWaveSimulator sim(tree, {0, 0, 10});
-  sim.UpdateSpontaneous({0, 0, 100});
-  EXPECT_NEAR(TotalRate(sim.served()), 100, 1e-9);
+  BatchWebWaveSimulator sim(tree, {{0, 0, 10}});
+  sim.ApplyDemandEvents(AllNodeEvents({0, 0, 100}));
+  EXPECT_NEAR(TotalRate(sim.ServedLane(0)), 100, 1e-9);
   sim.CheckInvariants();
   // And from there it converges to the new TLB.
   const WebFoldResult target = WebFold(tree, {0, 0, 100});
-  const auto traj = sim.RunUntil(target.load, 1e-6, 5000);
+  const auto traj = sim.RunUntil(0, target.load, 1e-6, 5000);
   EXPECT_LE(traj.back(), 1e-6);
 }
 
@@ -60,29 +70,29 @@ TEST(UpdateSpontaneous, RefreshesNeighborEstimatesImmediately) {
   const RoutingTree tree = MakeChain(2);
   WebWaveOptions opt;
   opt.gossip_period = 10;  // no in-run refresh fires during this test
-  WebWaveSimulator sim(tree, {0, 10}, opt);
+  BatchWebWaveSimulator sim(tree, {{0, 10}}, opt);
   sim.Step();  // alpha = 1/2 moves 5 down: served = {5, 5}, the TLB optimum
-  ASSERT_NEAR(sim.served()[0], 5.0, 1e-12);
-  ASSERT_NEAR(sim.served()[1], 5.0, 1e-12);
-  sim.UpdateSpontaneous({0, 10});  // same rates: state stays balanced
+  ASSERT_NEAR(sim.ServedLane(0)[0], 5.0, 1e-12);
+  ASSERT_NEAR(sim.ServedLane(0)[1], 5.0, 1e-12);
+  sim.ApplyDemandEvents(AllNodeEvents({0, 10}));  // same rates: balanced
   sim.Step();
   // Balanced state + fresh estimates => the step must be a no-op.  Stale
   // construction-time estimates (child load 0) would move 2.5 back down.
-  EXPECT_NEAR(sim.served()[0], 5.0, 1e-12);
-  EXPECT_NEAR(sim.served()[1], 5.0, 1e-12);
+  EXPECT_NEAR(sim.ServedLane(0)[0], 5.0, 1e-12);
+  EXPECT_NEAR(sim.ServedLane(0)[1], 5.0, 1e-12);
 }
 
 TEST(UpdateSpontaneous, RejectsBadRates) {
   const RoutingTree tree = MakeChain(2);
-  WebWaveSimulator sim(tree, {1, 1});
-  EXPECT_THROW(sim.UpdateSpontaneous({1}), std::invalid_argument);
-  EXPECT_THROW(sim.UpdateSpontaneous({1, -1}), std::invalid_argument);
+  BatchWebWaveSimulator sim(tree, {{1, 1}});
+  EXPECT_THROW(sim.ApplyDemandEvents(AllNodeEvents({1, -1})),
+               std::invalid_argument);
+  EXPECT_EQ(sim.SpontaneousLane(0), (std::vector<double>{1, 1}));
 }
 
-// ApplyDemandEvents is the batched form of UpdateSpontaneous: a batch of
-// events must leave the simulator in exactly the state UpdateSpontaneous
-// reaches with the merged vector, across repeated churn rounds with steps
-// in between.
+// A sparse batch of events must leave the engine in exactly the state a
+// full-vector update (an event for every node) reaches with the merged
+// rates, across repeated churn rounds with steps in between.
 TEST(ApplyDemandEvents, EquivalentToRepeatedUpdateSpontaneous) {
   Rng rng(53);
   const RoutingTree tree = MakeRandomTree(28, rng);
@@ -92,8 +102,8 @@ TEST(ApplyDemandEvents, EquivalentToRepeatedUpdateSpontaneous) {
   WebWaveOptions opt;
   opt.gossip_period = 3;
   opt.gossip_delay = 2;
-  WebWaveSimulator by_events(tree, rates, opt);
-  WebWaveSimulator by_vector(tree, rates, opt);
+  BatchWebWaveSimulator by_events(tree, {rates}, opt);
+  BatchWebWaveSimulator by_vector(tree, {rates}, opt);
 
   for (int round = 0; round < 12; ++round) {
     std::vector<DemandEvent> events;
@@ -104,15 +114,19 @@ TEST(ApplyDemandEvents, EquivalentToRepeatedUpdateSpontaneous) {
         rates[static_cast<std::size_t>(v)] = rate;
       }
     by_events.ApplyDemandEvents(events);
-    by_vector.UpdateSpontaneous(rates);
+    by_vector.ApplyDemandEvents(AllNodeEvents(rates));
     for (int s = 0; s < 7; ++s) {
       by_events.Step();
       by_vector.Step();
     }
+    const std::vector<double> served = by_events.ServedLane(0);
+    const std::vector<double> forwarded = by_events.ForwardedLane(0);
+    const std::vector<double> want_served = by_vector.ServedLane(0);
+    const std::vector<double> want_forwarded = by_vector.ForwardedLane(0);
     for (std::size_t v = 0; v < rates.size(); ++v) {
-      ASSERT_EQ(by_events.served()[v], by_vector.served()[v])
+      ASSERT_EQ(served[v], want_served[v])
           << "round " << round << " node " << v;
-      ASSERT_EQ(by_events.forwarded()[v], by_vector.forwarded()[v])
+      ASSERT_EQ(forwarded[v], want_forwarded[v])
           << "round " << round << " node " << v;
     }
   }
@@ -123,8 +137,8 @@ TEST(ApplyDemandEvents, EmptyBatchIsANoOp) {
   const RoutingTree tree = MakeChain(3);
   WebWaveOptions opt;
   opt.gossip_delay = 2;
-  WebWaveSimulator sim(tree, {1, 2, 3}, opt);
-  WebWaveSimulator untouched(tree, {1, 2, 3}, opt);
+  BatchWebWaveSimulator sim(tree, {{1, 2, 3}}, opt);
+  BatchWebWaveSimulator untouched(tree, {{1, 2, 3}}, opt);
   for (int s = 0; s < 5; ++s) {
     sim.Step();
     untouched.Step();
@@ -134,13 +148,12 @@ TEST(ApplyDemandEvents, EmptyBatchIsANoOp) {
     sim.Step();
     untouched.Step();
   }
-  for (std::size_t v = 0; v < 3; ++v)
-    EXPECT_EQ(sim.served()[v], untouched.served()[v]);
+  EXPECT_EQ(sim.ServedLane(0), untouched.ServedLane(0));
 }
 
 TEST(ApplyDemandEvents, RejectsBadEvents) {
   const RoutingTree tree = MakeChain(3);
-  WebWaveSimulator sim(tree, {1, 1, 1});
+  BatchWebWaveSimulator sim(tree, {{1, 1, 1}});
   EXPECT_THROW(sim.ApplyDemandEvents({{1, 0, 1.0}}), std::invalid_argument);
   EXPECT_THROW(sim.ApplyDemandEvents({{0, 3, 1.0}}), std::invalid_argument);
   EXPECT_THROW(sim.ApplyDemandEvents({{0, 0, -1.0}}),

@@ -102,9 +102,7 @@ TEST(DocWebWaveEdgeCases, EvictionFreesColdCopies) {
   DemandMatrix demand(3, 2);
   demand.set(1, 0, 10);
   demand.set(2, 1, 200);
-  DocWebWaveOptions opt;
-  opt.evict_at_zero_quota = true;
-  DocWebWave protocol(tree, demand, opt);
+  DocWebWave protocol(tree, demand);
   for (int s = 0; s < 300; ++s) protocol.Step();
   protocol.CheckInvariants();
   const WebFoldResult target = WebFold(tree, demand.NodeTotals());

@@ -6,7 +6,7 @@
 // TLB assignment of 90 requests/node.
 #include "core/load_model.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "doc/barrier.h"
 #include "doc/catalog.h"
 #include "doc/doc_webwave.h"
@@ -78,16 +78,19 @@ TEST(DemandGenerators, RotatingHotSpotTracksUnderProtocol) {
   };
   WebWaveOptions opt;
   opt.initial_load = InitialLoad::kSelfService;
-  WebWaveSimulator sim(t, node_totals(), opt);
+  BatchWebWaveSimulator sim(t, {node_totals()}, opt);
   double worst_relative = 0;
   for (int epoch = 0; epoch < 8; ++epoch) {
     if (epoch > 0) schedule.NextEvents();
     const std::vector<double> demand = node_totals();
-    sim.UpdateSpontaneous(demand);
+    std::vector<DemandEvent> events;
+    for (NodeId v = 0; v < t.size(); ++v)
+      events.push_back({0, v, demand[static_cast<std::size_t>(v)]});
+    sim.ApplyDemandEvents(events);
     const WebFoldResult target = WebFold(t, demand);
     for (int s = 0; s < 60; ++s) sim.Step();
     worst_relative = std::max(
-        worst_relative, sim.DistanceTo(target.load) / TotalRate(demand));
+        worst_relative, sim.DistanceTo(0, target.load) / TotalRate(demand));
   }
   EXPECT_LT(worst_relative, 0.05)
       << "60 steps per phase must keep tracking error under 5%";

@@ -5,7 +5,7 @@
 #include "core/load_model.h"
 #include "core/tlb.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "doc/catalog.h"
 #include "doc/doc_webwave.h"
 #include "doc/placement.h"
@@ -57,8 +57,8 @@ TEST(Integration, TopologyToTlbToProtocolsPipeline) {
   }
 
   // 6. Rate-level distributed protocol reaches the optimum.
-  WebWaveSimulator protocol(tree, spont);
-  const auto traj = protocol.RunUntil(tlb.load, 1e-5 * total, 50000);
+  BatchWebWaveSimulator protocol(tree, {spont});
+  const auto traj = protocol.RunUntil(0, tlb.load, 1e-5 * total, 50000);
   EXPECT_LE(traj.back(), 1e-5 * total);
   protocol.CheckInvariants();
 
@@ -98,8 +98,8 @@ TEST(Integration, WeightedPipelineOnTransitStub) {
   ASSERT_TRUE(CheckFeasible(tree, spont, target.load, 1e-7).ok());
   WebWaveOptions opt;
   opt.capacities = cap;
-  WebWaveSimulator sim(tree, spont, opt);
-  const auto traj = sim.RunUntil(target.load, 1e-5, 60000);
+  BatchWebWaveSimulator sim(tree, {spont}, opt);
+  const auto traj = sim.RunUntil(0, target.load, 1e-5, 60000);
   EXPECT_LE(traj.back(), 1e-5);
 }
 

@@ -5,7 +5,6 @@
 #include "core/load_model.h"
 #include "core/tlb.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
 #include "core/webwave_batch.h"
 #include "doc/catalog.h"
 #include "doc/doc_webwave.h"
@@ -90,7 +89,7 @@ TEST(Stress, LongWebWaveRunKeepsInvariants) {
   opt.gossip_period = 3;
   opt.gossip_delay = 2;
   opt.seed = 99;
-  WebWaveSimulator sim(tree, spont, opt);
+  BatchWebWaveSimulator sim(tree, {spont}, opt);
   const bool every_step = CheckEveryStep();
   const double tol = InvariantTolerance(1e-5);
   for (int s = 0; s < 500; ++s) {
@@ -127,13 +126,14 @@ TEST(Stress, AsynchronousRunsAreSeedDeterministic) {
   WebWaveOptions opt;
   opt.asynchronous = true;
   opt.seed = 1234;
-  WebWaveSimulator a(tree, spont, opt);
-  WebWaveSimulator b(tree, spont, opt);
+  BatchWebWaveSimulator a(tree, {spont}, opt);
+  BatchWebWaveSimulator b(tree, {spont}, opt);
   for (int s = 0; s < 200; ++s) {
     a.Step();
     b.Step();
   }
-  EXPECT_EQ(a.served(), b.served()) << "same seed must give identical runs";
+  EXPECT_EQ(a.ServedLane(0), b.ServedLane(0))
+      << "same seed must give identical runs";
 }
 
 TEST(Stress, DocWebWaveManyDocumentsManyNodes) {
@@ -150,10 +150,10 @@ TEST(Stress, DocWebWaveManyDocumentsManyNodes) {
 TEST(Stress, ZeroDemandEverywhereIsANoOp) {
   const RoutingTree tree = MakeKaryTree(2, 4);
   std::vector<double> zero(static_cast<std::size_t>(tree.size()), 0.0);
-  WebWaveSimulator sim(tree, zero);
+  BatchWebWaveSimulator sim(tree, {zero});
   for (int s = 0; s < 50; ++s) sim.Step();
   sim.CheckInvariants();
-  for (const double l : sim.served()) EXPECT_DOUBLE_EQ(l, 0.0);
+  for (const double l : sim.ServedLane(0)) EXPECT_DOUBLE_EQ(l, 0.0);
 }
 
 TEST(Stress, SingleHotNodeAtEveryPosition) {

@@ -1,19 +1,20 @@
-// BatchWebWaveSimulator must be N independent WebWaveSimulator runs,
-// document for document: same tree, same options, lane d seeded
-// options.seed + d.  The sweeps below assert exact per-lane agreement
-// under the paper's assumptions and their relaxations (gossip period,
-// gossip delay, asynchronous activation) and across document block
-// widths — the blocked kernel interleaves lanes in memory but must not
-// change a single bit of any lane — plus invariants, dirty-lane
+// BatchWebWaveSimulator must be N independent runs of the frozen
+// single-lane reference simulator (webwave_reference.h), document for
+// document: same tree, same options, lane d seeded options.seed + d.  The
+// sweeps below assert exact per-lane agreement under the paper's
+// assumptions and their relaxations (gossip period, gossip delay,
+// asynchronous activation) and across document block widths — the
+// blocked kernel interleaves lanes in memory but must not change a single
+// bit of any lane — plus RunUntil's trajectory, invariants, dirty-lane
 // tracking and the catalog wiring.  WebWaveKernel.SimdMatchesScalarBitwise
 // holds every SIMD step variant the host runs to the scalar loop.
 #include "core/load_model.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
 #include "core/webwave_batch.h"
 #include "doc/catalog.h"
 #include "sim/churn.h"
 #include "tree/builders.h"
+#include "webwave_reference.h"
 
 #include <gtest/gtest.h>
 
@@ -303,6 +304,61 @@ TEST(WebWaveKernel, SimdMatchesScalarBitwise) {
     GTEST_SKIP() << "no SIMD step variant on this architecture";
 }
 
+// The option families the one-lane ports run: the paper's defaults, an
+// uncapped alpha that never settles, heterogeneous capacities,
+// asynchronous activation, sparse and stale gossip, and a capped fixed
+// alpha from a self-service start.
+std::vector<WebWaveOptions> ReferenceOptionSets(int nodes, Rng& rng) {
+  std::vector<WebWaveOptions> sets(6);
+  sets[1].alpha_policy = AlphaPolicy::kFixedUncapped;
+  sets[1].alpha = 0.5;
+  for (int v = 0; v < nodes; ++v)
+    sets[2].capacities.push_back(rng.NextDouble(0.5, 4.0));
+  sets[3].asynchronous = true;
+  sets[4].gossip_period = 3;
+  sets[4].gossip_delay = 2;
+  sets[5].alpha_policy = AlphaPolicy::kFixed;
+  sets[5].alpha = 0.3;
+  sets[5].initial_load = InitialLoad::kSelfService;
+  for (WebWaveOptions& set : sets) set.seed = rng.Next();
+  return sets;
+}
+
+// RunUntil steps the whole batch and reads one lane's distance, so a
+// one-lane batch and lane 3 of a 9-lane batch (seeded seed + 3) must both
+// trace the reference simulator's distance trajectory and end on its
+// served vector, bit for bit.  Lane 3 sits in a full 8-lane block, so the
+// SIMD step runs it wherever the host has one.
+TEST(BatchWebWave, RunUntilMatchesTheReferenceTrajectory) {
+  for (const int nodes : {12, 30, 57, 90}) {
+    Rng rng(static_cast<std::uint64_t>(nodes) * 131 + 5);
+    const RoutingTree tree = MakeRandomTree(nodes, rng);
+    const std::vector<std::vector<double>> lanes = RandomLanes(nodes, 9, rng);
+    const std::vector<double>& lane3 = lanes[3];
+    const std::vector<double> target = WebFold(tree, lane3).load;
+    const std::vector<WebWaveOptions> sets = ReferenceOptionSets(nodes, rng);
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      const std::string where =
+          "n=" + std::to_string(nodes) + " option set " + std::to_string(i);
+      WebWaveOptions lane_opt = sets[i];
+      lane_opt.seed = sets[i].seed + 3;
+      WebWaveSimulator reference(tree, lane3, lane_opt);
+      BatchWebWaveSimulator one(tree, {lane3}, lane_opt);
+      BatchWebWaveSimulator nine(tree, lanes, sets[i]);
+      const std::vector<double> want =
+          reference.RunUntil(target, 1e-6, 600);
+      ExpectBitwiseEqual(one.RunUntil(0, target, 1e-6, 600), want,
+                         where + " one-lane trajectory");
+      ExpectBitwiseEqual(nine.RunUntil(3, target, 1e-6, 600), want,
+                         where + " lane-3 trajectory");
+      ExpectBitwiseEqual(one.ServedLane(0), reference.served(),
+                         where + " one-lane served");
+      ExpectBitwiseEqual(nine.ServedLane(3), reference.served(),
+                         where + " lane-3 served");
+    }
+  }
+}
+
 TEST(BatchWebWave, LanesConvergeToTheirOwnTlbAssignments) {
   Rng rng(21);
   const RoutingTree tree = MakeRandomTree(50, rng);
@@ -469,7 +525,7 @@ TEST(BatchWebWave, AsynchronousThreadedMatchesSerial) {
 }
 
 // Churn equivalence: a batch receiving demand events per lane must match
-// independent WebWaveSimulators receiving the merged vectors through
+// independent reference simulators receiving the merged vectors through
 // UpdateSpontaneous — the per-lane gossip-history restart must not leak
 // into untouched lanes (which share ring slots and the front estimate
 // plane with churned lanes of the same block).
@@ -654,8 +710,6 @@ TEST(BatchWebWave, RejectsMalformedInput) {
   const internal::SharedEdgeArrays mismatched =
       internal::BuildSharedEdgeArrays(tree, fixed);
   EXPECT_THROW(BatchWebWaveSimulator(tree, {{1, 2, 3}}, {}, mismatched),
-               std::invalid_argument);
-  EXPECT_THROW(WebWaveSimulator(tree, {1, 2, 3}, {}, mismatched),
                std::invalid_argument);
   // ... and one built for a different same-sized tree must be rejected
   // too (wrong topology, not just wrong parameters).

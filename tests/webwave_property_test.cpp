@@ -5,7 +5,7 @@
 #include "core/load_model.h"
 #include "core/tlb.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "tree/builders.h"
 
 #include <gtest/gtest.h>
@@ -46,11 +46,11 @@ TEST_P(ConvergenceSweep, ConvergesToTlbWithInvariantsIntact) {
   opt.gossip_period = c.gossip_period;
   opt.gossip_delay = c.gossip_delay;
   opt.seed = c.seed * 31 + 1;
-  WebWaveSimulator sim(tree, spont, opt);
+  BatchWebWaveSimulator sim(tree, {spont}, opt);
 
   const double total = TotalRate(spont);
   const double tol = std::max(1e-6, 1e-7 * total);
-  const auto traj = sim.RunUntil(target.load, tol, 60000);
+  const auto traj = sim.RunUntil(0, target.load, tol, 60000);
   EXPECT_LE(traj.back(), tol) << c << " after " << traj.size() << " steps";
   ASSERT_NO_THROW(sim.CheckInvariants(1e-5));
 
@@ -99,8 +99,8 @@ TEST_P(AlphaSweep, FixedAlphaConverges) {
   WebWaveOptions opt;
   opt.alpha_policy = AlphaPolicy::kFixed;
   opt.alpha = alpha;
-  WebWaveSimulator sim(tree, spont, opt);
-  const auto traj = sim.RunUntil(target.load, 1e-5, 100000);
+  BatchWebWaveSimulator sim(tree, {spont}, opt);
+  const auto traj = sim.RunUntil(0, target.load, 1e-5, 100000);
   EXPECT_LE(traj.back(), 1e-5) << "alpha=" << alpha;
 }
 
@@ -117,10 +117,10 @@ TEST(ConservationProperty, TotalServedRateNeverDrifts) {
     WebWaveOptions opt;
     opt.seed = rng.Next();
     opt.asynchronous = round % 2 == 1;
-    WebWaveSimulator sim(tree, spont, opt);
+    BatchWebWaveSimulator sim(tree, {spont}, opt);
     const double total = TotalRate(spont);
     for (int s = 0; s < 100; ++s) sim.Step();
-    EXPECT_NEAR(TotalRate(sim.served()), total, 1e-6 * (1 + total));
+    EXPECT_NEAR(TotalRate(sim.ServedLane(0)), total, 1e-6 * (1 + total));
   }
 }
 

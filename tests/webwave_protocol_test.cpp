@@ -1,8 +1,9 @@
-// Unit tests for the WebWave distributed protocol (rate-level engine).
+// Unit tests for the WebWave distributed protocol (rate-level engine),
+// one document at a time: each runs a one-lane BatchWebWaveSimulator.
 #include "core/load_model.h"
 #include "core/tlb.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "stats/fit.h"
 #include "tree/builders.h"
 
@@ -19,15 +20,15 @@ TEST(WebWaveProtocol, InitialConditionsAreFeasible) {
   {
     WebWaveOptions opt;
     opt.initial_load = InitialLoad::kAllAtRoot;
-    WebWaveSimulator sim(t, spont, opt);
-    EXPECT_DOUBLE_EQ(sim.served()[0], 50);
+    BatchWebWaveSimulator sim(t, {spont}, opt);
+    EXPECT_DOUBLE_EQ(sim.ServedLane(0)[0], 50);
     sim.CheckInvariants();
   }
   {
     WebWaveOptions opt;
     opt.initial_load = InitialLoad::kSelfService;
-    WebWaveSimulator sim(t, spont, opt);
-    EXPECT_DOUBLE_EQ(sim.served()[1], 40);
+    BatchWebWaveSimulator sim(t, {spont}, opt);
+    EXPECT_DOUBLE_EQ(sim.ServedLane(0)[1], 40);
     sim.CheckInvariants();
   }
 }
@@ -36,12 +37,12 @@ TEST(WebWaveProtocol, ConvergesToTlbOnFigure2b) {
   const RoutingTree t = RoutingTree::FromParents({kNoNode, 0, 0, 1, 1});
   const std::vector<double> spont = {0, 40, 10, 0, 0};
   const WebFoldResult target = WebFold(t, spont);
-  WebWaveSimulator sim(t, spont);
-  const auto trajectory = sim.RunUntil(target.load, 1e-6, 2000);
+  BatchWebWaveSimulator sim(t, {spont});
+  const auto trajectory = sim.RunUntil(0, target.load, 1e-6, 2000);
   EXPECT_LE(trajectory.back(), 1e-6)
       << "did not converge in " << trajectory.size() << " steps";
   sim.CheckInvariants();
-  EXPECT_TRUE(SatisfiesTlb(t, spont, sim.served(), 1e-4));
+  EXPECT_TRUE(SatisfiesTlb(t, spont, sim.ServedLane(0), 1e-4));
 }
 
 TEST(WebWaveProtocol, ConvergesFromSelfServiceToo) {
@@ -50,8 +51,8 @@ TEST(WebWaveProtocol, ConvergesFromSelfServiceToo) {
   const WebFoldResult target = WebFold(t, spont);
   WebWaveOptions opt;
   opt.initial_load = InitialLoad::kSelfService;
-  WebWaveSimulator sim(t, spont, opt);
-  const auto trajectory = sim.RunUntil(target.load, 1e-6, 2000);
+  BatchWebWaveSimulator sim(t, {spont}, opt);
+  const auto trajectory = sim.RunUntil(0, target.load, 1e-6, 2000);
   EXPECT_LE(trajectory.back(), 1e-6);
 }
 
@@ -63,12 +64,12 @@ TEST(WebWaveProtocol, StationaryAtTlbFixedPoint) {
   const WebFoldResult target = WebFold(t, spont);
   WebWaveOptions opt;
   opt.initial_load = InitialLoad::kSelfService;
-  WebWaveSimulator sim(t, spont, opt);
+  BatchWebWaveSimulator sim(t, {spont}, opt);
   // Drive it to TLB first, then observe it stays.
-  sim.RunUntil(target.load, 1e-9, 5000);
-  const double d_before = sim.DistanceTo(target.load);
+  sim.RunUntil(0, target.load, 1e-9, 5000);
+  const double d_before = sim.DistanceTo(0, target.load);
   for (int i = 0; i < 50; ++i) sim.Step();
-  EXPECT_LE(sim.DistanceTo(target.load), d_before + 1e-9);
+  EXPECT_LE(sim.DistanceTo(0, target.load), d_before + 1e-9);
 }
 
 TEST(WebWaveProtocol, InvariantsHoldAfterEveryStep) {
@@ -76,7 +77,7 @@ TEST(WebWaveProtocol, InvariantsHoldAfterEveryStep) {
   std::vector<double> spont(t.size(), 0.0);
   spont[t.size() - 1] = 120;
   spont[2] = 30;
-  WebWaveSimulator sim(t, spont);
+  BatchWebWaveSimulator sim(t, {spont});
   for (int s = 0; s < 200; ++s) {
     sim.Step();
     ASSERT_NO_THROW(sim.CheckInvariants()) << "step " << s;
@@ -89,8 +90,8 @@ TEST(WebWaveProtocol, ConvergenceIsExponentialOnChain) {
   std::vector<double> spont(8, 0.0);
   spont[7] = 800;
   const WebFoldResult target = WebFold(t, spont);
-  WebWaveSimulator sim(t, spont);
-  auto traj = sim.RunUntil(target.load, 1e-9, 4000);
+  BatchWebWaveSimulator sim(t, {spont});
+  auto traj = sim.RunUntil(0, target.load, 1e-9, 4000);
   ASSERT_GT(traj.size(), 10u);
   traj.resize(std::min<std::size_t>(traj.size(), 400));
   const ExponentialFit fit = FitExponential(traj);
@@ -105,13 +106,13 @@ TEST(WebWaveProtocol, GossipPeriodSlowsButDoesNotBreakConvergence) {
   const WebFoldResult target = WebFold(t, spont);
 
   WebWaveOptions fast;
-  WebWaveSimulator sim_fast(t, spont, fast);
-  const auto fast_traj = sim_fast.RunUntil(target.load, 1e-7, 20000);
+  BatchWebWaveSimulator sim_fast(t, {spont}, fast);
+  const auto fast_traj = sim_fast.RunUntil(0, target.load, 1e-7, 20000);
 
   WebWaveOptions slow;
   slow.gossip_period = 5;
-  WebWaveSimulator sim_slow(t, spont, slow);
-  const auto slow_traj = sim_slow.RunUntil(target.load, 1e-7, 20000);
+  BatchWebWaveSimulator sim_slow(t, {spont}, slow);
+  const auto slow_traj = sim_slow.RunUntil(0, target.load, 1e-7, 20000);
 
   EXPECT_LE(fast_traj.back(), 1e-7);
   EXPECT_LE(slow_traj.back(), 1e-7);
@@ -127,8 +128,8 @@ TEST(WebWaveProtocol, StaleEstimatesStillConverge) {
   WebWaveOptions opt;
   opt.gossip_delay = 3;
   opt.gossip_period = 2;
-  WebWaveSimulator sim(t, spont, opt);
-  const auto traj = sim.RunUntil(target.load, 1e-6, 30000);
+  BatchWebWaveSimulator sim(t, {spont}, opt);
+  const auto traj = sim.RunUntil(0, target.load, 1e-6, 30000);
   EXPECT_LE(traj.back(), 1e-6) << "bounded staleness must not prevent convergence";
 }
 
@@ -141,8 +142,8 @@ TEST(WebWaveProtocol, AsynchronousActivationConverges) {
   opt.asynchronous = true;
   opt.activation_probability = 0.4;
   opt.seed = 77;
-  WebWaveSimulator sim(t, spont, opt);
-  const auto traj = sim.RunUntil(target.load, 1e-6, 50000);
+  BatchWebWaveSimulator sim(t, {spont}, opt);
+  const auto traj = sim.RunUntil(0, target.load, 1e-6, 50000);
   EXPECT_LE(traj.back(), 1e-6);
   sim.CheckInvariants();
 }
@@ -152,11 +153,13 @@ TEST(WebWaveProtocol, FixedAlphaValidation) {
   WebWaveOptions opt;
   opt.alpha_policy = AlphaPolicy::kFixed;
   opt.alpha = 0.0;
-  EXPECT_THROW(WebWaveSimulator(t, {1, 1, 1}, opt), std::invalid_argument);
+  EXPECT_THROW(BatchWebWaveSimulator(t, {{1, 1, 1}}, opt),
+               std::invalid_argument);
   opt.alpha = 0.9;
-  EXPECT_THROW(WebWaveSimulator(t, {1, 1, 1}, opt), std::invalid_argument);
+  EXPECT_THROW(BatchWebWaveSimulator(t, {{1, 1, 1}}, opt),
+               std::invalid_argument);
   opt.alpha = 0.5;
-  EXPECT_NO_THROW(WebWaveSimulator(t, {1, 1, 1}, opt));
+  EXPECT_NO_THROW(BatchWebWaveSimulator(t, {{1, 1, 1}}, opt));
 }
 
 TEST(WebWaveProtocol, UncappedAlphaOnAStarViolatesCybenkoAndOscillates) {
@@ -171,8 +174,8 @@ TEST(WebWaveProtocol, UncappedAlphaOnAStarViolatesCybenkoAndOscillates) {
   WebWaveOptions opt;
   opt.alpha_policy = AlphaPolicy::kFixedUncapped;
   opt.alpha = 0.5;
-  WebWaveSimulator sim(t, spont, opt);
-  const auto traj = sim.RunUntil(target.load, 1e-6, 5000);
+  BatchWebWaveSimulator sim(t, {spont}, opt);
+  const auto traj = sim.RunUntil(0, target.load, 1e-6, 5000);
   EXPECT_GT(traj.back(), 1e-3) << "uncapped alpha should fail to settle";
   // Yet the invariants (conservation, NSS) still hold — the protocol is
   // merely non-convergent, never unsafe.
@@ -181,19 +184,20 @@ TEST(WebWaveProtocol, UncappedAlphaOnAStarViolatesCybenkoAndOscillates) {
 
 TEST(WebWaveProtocol, SingleNodeIsTriviallyConverged) {
   const RoutingTree t = RoutingTree::FromParents({kNoNode});
-  WebWaveSimulator sim(t, {10});
+  BatchWebWaveSimulator sim(t, {{10}});
   sim.Step();
-  EXPECT_DOUBLE_EQ(sim.served()[0], 10);
+  EXPECT_DOUBLE_EQ(sim.ServedLane(0)[0], 10);
   sim.CheckInvariants();
 }
 
 TEST(WebWaveProtocol, RejectsBadInputs) {
   const RoutingTree t = MakeChain(3);
-  EXPECT_THROW(WebWaveSimulator(t, {1, 1}), std::invalid_argument);
-  EXPECT_THROW(WebWaveSimulator(t, {1, -2, 1}), std::invalid_argument);
+  EXPECT_THROW(BatchWebWaveSimulator(t, {{1, 1}}), std::invalid_argument);
+  EXPECT_THROW(BatchWebWaveSimulator(t, {{1, -2, 1}}), std::invalid_argument);
   WebWaveOptions opt;
   opt.gossip_period = 0;
-  EXPECT_THROW(WebWaveSimulator(t, {1, 1, 1}, opt), std::invalid_argument);
+  EXPECT_THROW(BatchWebWaveSimulator(t, {{1, 1, 1}}, opt),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include "core/load_model.h"
 #include "core/tlb.h"
 #include "core/webfold.h"
-#include "core/webwave.h"
+#include "core/webwave_batch.h"
 #include "tree/builders.h"
 
 #include <gtest/gtest.h>
@@ -136,8 +136,8 @@ TEST(WeightedWebWave, ConvergesToWeightedTlb) {
   const WebFoldResult target = WebFoldWeighted(tree, spont, cap);
   WebWaveOptions opt;
   opt.capacities = cap;
-  WebWaveSimulator sim(tree, spont, opt);
-  const auto traj = sim.RunUntil(target.load, 1e-6, 60000);
+  BatchWebWaveSimulator sim(tree, {spont}, opt);
+  const auto traj = sim.RunUntil(0, target.load, 1e-6, 60000);
   EXPECT_LE(traj.back(), 1e-6)
       << "weighted protocol must reach the weighted TLB";
   sim.CheckInvariants();
@@ -147,10 +147,10 @@ TEST(WeightedWebWave, RejectsBadCapacities) {
   const RoutingTree tree = MakeChain(3);
   WebWaveOptions opt;
   opt.capacities = {1, 2};  // wrong size
-  EXPECT_THROW(WebWaveSimulator(tree, {1, 1, 1}, opt),
+  EXPECT_THROW(BatchWebWaveSimulator(tree, {{1, 1, 1}}, opt),
                std::invalid_argument);
   opt.capacities = {1, 0, 1};  // zero capacity
-  EXPECT_THROW(WebWaveSimulator(tree, {1, 1, 1}, opt),
+  EXPECT_THROW(BatchWebWaveSimulator(tree, {{1, 1, 1}}, opt),
                std::invalid_argument);
 }
 
@@ -161,14 +161,16 @@ TEST(WeightedWebWave, UniformCapacitiesBehaveExactlyAsDefault) {
   for (auto& e : spont) e = rng.NextDouble(0, 10);
   WebWaveOptions with_caps;
   with_caps.capacities.assign(20, 1.0);
-  WebWaveSimulator a(tree, spont, with_caps);
-  WebWaveSimulator b(tree, spont, WebWaveOptions{});
+  BatchWebWaveSimulator a(tree, {spont}, with_caps);
+  BatchWebWaveSimulator b(tree, {spont}, WebWaveOptions{});
   for (int s = 0; s < 50; ++s) {
     a.Step();
     b.Step();
   }
+  const std::vector<double> served_a = a.ServedLane(0);
+  const std::vector<double> served_b = b.ServedLane(0);
   for (NodeId v = 0; v < 20; ++v)
-    EXPECT_NEAR(a.served()[v], b.served()[v], 1e-12);
+    EXPECT_NEAR(served_a[v], served_b[v], 1e-12);
 }
 
 }  // namespace
