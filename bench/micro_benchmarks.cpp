@@ -122,14 +122,16 @@ BENCHMARK(BM_BatchWebWaveStep)
 
 // The document-block width sweep behind WebWaveOptions::lane_block's
 // default: the same catalog stepped at B = 1 (the old document-major
-// layout), 4, 8 and 16, one shared tree and one shared edge build across
-// all engines.  Hand-timed (not google-benchmark) so the records land in
-// BENCH_step_blocked.json with explicit fields CI and the ROADMAP can
-// diff; per-lane results are bit-identical across B, so the timings are
-// directly comparable.  `modeled_bytes_per_lane_step` is the streamed
-// traffic the layout implies: 104 B of lane state (phase-1 reads + delta
-// round trip + phase-2 read-modify-writes) plus 16 B of edge metadata
-// (two int32 endpoints + one double alpha) amortized over B lanes.
+// layout), 4, 8 and 16, one shared tree across all engines.  Hand-timed
+// (not google-benchmark) so the records land in BENCH_step_blocked.json
+// with explicit fields CI and the ROADMAP can diff; per-lane results are
+// bit-identical across B, so the timings are directly comparable.
+// `modeled_bytes_per_lane_step` is the traffic the layout implies under
+// the default instantaneous gossip, where the estimates are the served
+// rows themselves: 88 B of lane state (phase-1 reads of three rows, the
+// delta round trip, phase-2 read-modify-writes of three rows) plus 40 B
+// per edge (two int32 endpoints, one alpha and two capacities in phase 1,
+// the endpoints again in phase 2) amortized over B lanes.
 void RunBlockedStepSweep(bool smoke) {
   const std::vector<int> node_counts =
       smoke ? std::vector<int>{10000, 100000}
@@ -141,8 +143,6 @@ void RunBlockedStepSweep(bool smoke) {
   for (const int nodes : node_counts) {
     Rng rng(46);
     const RoutingTree tree = MakeRandomTree(nodes, rng);
-    const internal::SharedEdgeArrays edges =
-        internal::BuildSharedEdgeArrays(tree, WebWaveOptions{});
     std::vector<std::vector<double>> lanes(static_cast<std::size_t>(docs));
     for (auto& lane : lanes) {
       lane.resize(static_cast<std::size_t>(nodes));
@@ -153,7 +153,7 @@ void RunBlockedStepSweep(bool smoke) {
     for (const int B : {1, 4, 8, 16}) {
       WebWaveOptions opt;
       opt.lane_block = B;
-      BatchWebWaveSimulator batch(tree, lanes, opt, edges);
+      BatchWebWaveSimulator batch(tree, lanes, opt);
       batch.Step();  // touch everything once before timing
       const auto t0 = std::chrono::steady_clock::now();
       for (int s = 0; s < steps; ++s) batch.Step();
@@ -171,7 +171,7 @@ void RunBlockedStepSweep(bool smoke) {
       json.Add("ms_per_step", ms);
       json.Add("lane_steps_per_sec", lane_steps_per_sec);
       json.Add("speedup_vs_doc_major", base_ms / ms);
-      json.Add("modeled_bytes_per_lane_step", 104.0 + 16.0 / B);
+      json.Add("modeled_bytes_per_lane_step", 88.0 + 40.0 / B);
     }
   }
   bench::WriteArtifact(json, "BENCH_step_blocked.json");

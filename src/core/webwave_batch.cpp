@@ -10,10 +10,50 @@
 #include "util/check.h"
 
 namespace webwave {
+namespace {
+
+// The engine's node labels (webwave_batch.h, "Node order"): label[v] for
+// every node v.  Top-down, a node's subtree owns the label range starting
+// at first[v]; within it the smaller-id children's subtrees come first,
+// then v, then the larger-id children's subtrees, children ascending.
+std::vector<NodeId> TreeOrderLabels(const RoutingTree& tree) {
+  const std::size_t n = static_cast<std::size_t>(tree.size());
+  std::vector<NodeId> label(n), first(n);
+  first[static_cast<std::size_t>(tree.root())] = 0;
+  for (const NodeId v : tree.preorder()) {
+    const std::size_t i = static_cast<std::size_t>(v);
+    NodeId next = first[i];
+    bool placed = false;
+    for (const NodeId c : tree.children(v)) {
+      if (!placed && c > v) {
+        label[i] = next++;
+        placed = true;
+      }
+      first[static_cast<std::size_t>(c)] = next;
+      next += tree.subtree_size(c);
+    }
+    if (!placed) label[i] = next;
+  }
+  return label;
+}
+
+// The node-order exports read each node's rows through the label map, so
+// consecutive nodes' rows lie far apart.  They copy the rows of a run of
+// nodes into a buffer of this many doubles (64 KiB), one lane run (so one
+// block) at a time, and only then emit the run's cells from it.  The copy
+// loops are tight, so their misses overlap, and each touches one block's
+// pages only.  Emitting node by node instead, each row's misses queued
+// behind the previous cells' stores: a full snapshot refresh took twice
+// as long at 5·10⁴ nodes × 16 documents on a 4-vCPU Xeon.  Buffers from
+// 64 to 512 KiB ran alike there; 64 KiB stays under glibc's default mmap
+// threshold, so an export does not move where later frees land.
+constexpr std::size_t kExportChunkDoubles = 8 * 1024;
+
+}  // namespace
 
 BatchWebWaveSimulator::BatchWebWaveSimulator(
     const RoutingTree& tree, std::vector<std::vector<double>> spontaneous,
-    WebWaveOptions options, internal::SharedEdgeArrays edges)
+    WebWaveOptions options)
     : tree_(tree),
       options_(options),
       docs_(static_cast<int>(spontaneous.size())) {
@@ -28,28 +68,47 @@ BatchWebWaveSimulator::BatchWebWaveSimulator(
                     "fixed alpha must be in (0, 0.5]");
   block_ = std::min(options_.lane_block, docs_);
   blocks_ = (docs_ + block_ - 1) / block_;
-  if (options_.capacities.empty()) {
-    capacity_.assign(static_cast<std::size_t>(n), 1.0);
-  } else {
-    WEBWAVE_REQUIRE(options_.capacities.size() == static_cast<std::size_t>(n),
+  const std::size_t nn = static_cast<std::size_t>(n);
+  if (!options_.capacities.empty()) {
+    WEBWAVE_REQUIRE(options_.capacities.size() == nn,
                     "capacities size mismatch");
     for (const double c : options_.capacities)
       WEBWAVE_REQUIRE(c > 0, "capacities must be positive");
-    capacity_ = options_.capacities;
   }
 
-  // Shared edge structure: a private build, or the caller's shared one
-  // once it is checked against this tree and alpha policy.
-  if (edges != nullptr) {
-    WEBWAVE_REQUIRE(edges->MatchesTree(tree_),
-                    "shared edge arrays do not match the tree");
-    WEBWAVE_REQUIRE(edges->MatchesOptions(options_),
-                    "shared edge arrays were built under a different "
-                    "alpha policy");
-    edges_ = std::move(edges);
-  } else {
-    edges_ = internal::BuildSharedEdgeArrays(tree_, options_);
+  // The tree in labels: both label maps, the edges in ascending child
+  // label, capacities by label, and the projection's children CSR (each
+  // node's children ascending, which is their id order too) and postorder.
+  label_ = TreeOrderLabels(tree_);
+  node_.resize(nn);
+  for (NodeId v = 0; v < n; ++v)
+    node_[static_cast<std::size_t>(label_[static_cast<std::size_t>(v)])] = v;
+  capacity_.resize(nn);
+  shape_.root = label_[static_cast<std::size_t>(tree_.root())];
+  shape_.child_begin.reserve(nn + 1);
+  shape_.children.reserve(nn - 1);
+  edges_.parent.reserve(nn - 1);
+  edges_.child.reserve(nn - 1);
+  edges_.alpha.reserve(nn - 1);
+  for (NodeId l = 0; l < n; ++l) {
+    const NodeId v = node_[static_cast<std::size_t>(l)];
+    capacity_[static_cast<std::size_t>(l)] =
+        options_.capacities.empty()
+            ? 1.0
+            : options_.capacities[static_cast<std::size_t>(v)];
+    shape_.child_begin.push_back(static_cast<NodeId>(shape_.children.size()));
+    for (const NodeId c : tree_.children(v))
+      shape_.children.push_back(label_[static_cast<std::size_t>(c)]);
+    if (tree_.is_root(v)) continue;
+    edges_.parent.push_back(
+        label_[static_cast<std::size_t>(tree_.parent(v))]);
+    edges_.child.push_back(l);
+    edges_.alpha.push_back(internal::EdgeAlpha(tree_, v, options_));
   }
+  shape_.child_begin.push_back(static_cast<NodeId>(shape_.children.size()));
+  shape_.postorder.reserve(nn);
+  for (const NodeId v : tree_.postorder())
+    shape_.postorder.push_back(label_[static_cast<std::size_t>(v)]);
 
   // The block sweeps run on a persistent pool; per-edge scratch is
   // per-worker so concurrent blocks never share it.  The pool is clamped
@@ -63,9 +122,9 @@ BatchWebWaveSimulator::BatchWebWaveSimulator(
   pool_ = std::make_unique<WorkerPool>(std::min(requested, docs_));
   delta_.resize(static_cast<std::size_t>(pool_->thread_count()));
 
-  // Blocked load lanes: scatter each caller lane into its block columns.
+  // Blocked load lanes: scatter each caller lane into its block columns,
+  // row l holding node node_[l].
   const std::size_t lanes = static_cast<std::size_t>(docs_);
-  const std::size_t nn = static_cast<std::size_t>(n);
   spontaneous_.assign(lanes * nn, 0.0);
   served_.assign(lanes * nn, 0.0);
   forwarded_.assign(lanes * nn, 0.0);
@@ -77,26 +136,42 @@ BatchWebWaveSimulator::BatchWebWaveSimulator(
     const std::size_t base = LaneIndex(d, 0);
     const std::size_t w =
         static_cast<std::size_t>(BlockWidth(BlockOf(d)));
-    for (std::size_t v = 0; v < nn; ++v) spontaneous_[base + v * w] = spont[v];
-    std::vector<double> init_served(nn, 0.0);
+    for (std::size_t l = 0; l < nn; ++l)
+      spontaneous_[base + l * w] = spont[static_cast<std::size_t>(node_[l])];
     switch (options_.initial_load) {
       case InitialLoad::kAllAtRoot:
-        init_served[static_cast<std::size_t>(tree_.root())] =
+        served_[base + static_cast<std::size_t>(shape_.root) * w] =
             TotalRate(spont);
         break;
       case InitialLoad::kSelfService:
-        init_served = spont;
+        for (std::size_t l = 0; l < nn; ++l)
+          served_[base + l * w] = spontaneous_[base + l * w];
         break;
-    }
-    const std::vector<double> fwd = ForwardedRates(tree_, spont, init_served);
-    for (std::size_t v = 0; v < nn; ++v) {
-      served_[base + v * w] = init_served[v];
-      forwarded_[base + v * w] = fwd[v];
     }
     // Release the caller's lane as soon as it is flattened: at 10⁶ nodes
     // × 64 documents the input otherwise holds ~0.5 GB alive for the
     // whole construction.
     spont = std::vector<double>();
+  }
+  // The initial forwarded rates, every lane of a block in one postorder
+  // sweep: ForwardedRates' sum per node (own rate, each child's forwarded
+  // rate in id order, minus the served rate), so the same bits.
+  for (int g = 0; g < blocks_; ++g) {
+    const std::size_t w = static_cast<std::size_t>(BlockWidth(g));
+    const double* spont = spontaneous_.data() + BlockNodeBase(g);
+    const double* served = served_.data() + BlockNodeBase(g);
+    double* fwd = forwarded_.data() + BlockNodeBase(g);
+    for (const NodeId l : shape_.postorder) {
+      const std::size_t i = static_cast<std::size_t>(l);
+      const NodeId* first = shape_.children.data() + shape_.child_begin[i];
+      const NodeId* last = shape_.children.data() + shape_.child_begin[i + 1];
+      for (std::size_t b = 0; b < w; ++b) {
+        double in = spont[i * w + b];
+        for (const NodeId* c = first; c != last; ++c)
+          in += fwd[static_cast<std::size_t>(*c) * w + b];
+        fwd[i * w + b] = in - served[i * w + b];
+      }
+    }
   }
 
   // Gossip plane arena: every block's front plane (and, with delayed
@@ -153,11 +228,11 @@ std::size_t BatchWebWaveSimulator::BlockNodeBase(int g) const {
          static_cast<std::size_t>(tree_.size());
 }
 
-std::size_t BatchWebWaveSimulator::LaneIndex(int d, NodeId v) const {
+std::size_t BatchWebWaveSimulator::LaneIndex(int d, NodeId l) const {
   WEBWAVE_REQUIRE(d >= 0 && d < docs_, "document lane out of range");
   const int g = BlockOf(d);
   return BlockNodeBase(g) +
-         static_cast<std::size_t>(v) * static_cast<std::size_t>(BlockWidth(g)) +
+         static_cast<std::size_t>(l) * static_cast<std::size_t>(BlockWidth(g)) +
          static_cast<std::size_t>(LaneInBlock(d));
 }
 
@@ -181,7 +256,8 @@ std::vector<double> BatchWebWaveSimulator::GatherLane(
   const std::size_t base = LaneIndex(d, 0);
   const std::size_t w = static_cast<std::size_t>(BlockWidth(BlockOf(d)));
   std::vector<double> lane(nn);
-  for (std::size_t v = 0; v < nn; ++v) lane[v] = blocked[base + v * w];
+  for (std::size_t l = 0; l < nn; ++l)
+    lane[static_cast<std::size_t>(node_[l])] = blocked[base + l * w];
   return lane;
 }
 
@@ -270,13 +346,28 @@ void BatchWebWaveSimulator::RefreshBlockEstimates(int g) {
   }
 }
 
+void BatchWebWaveSimulator::DrawActivations(int g, double* delta) {
+  const std::size_t w = static_cast<std::size_t>(BlockWidth(g));
+  const NodeId root = shape_.root;
+  Rng* rng = lane_rng_.data() + static_cast<std::size_t>(g) *
+                                    static_cast<std::size_t>(block_);
+  for (const NodeId l : label_) {
+    if (l == root) continue;
+    // Edges run in ascending child label with the root's slot skipped.
+    const std::size_t k = static_cast<std::size_t>(l - (l > root ? 1 : 0));
+    for (std::size_t b = 0; b < w; ++b)
+      delta[k * w + b] =
+          rng[b].NextBernoulli(options_.activation_probability) ? 1.0 : 0.0;
+  }
+}
+
 void BatchWebWaveSimulator::Step() {
   // Per block, the two-phase round of webwave_kernel.h followed by the
   // block's gossip bookkeeping.  Everything a block touches — load
   // slices, planes, RNGs, ring positions — is its own, so the block sweep
   // parallelizes with no synchronization beyond the pool barrier, and the
   // static partition keeps results bit-identical to the serial order.
-  const std::size_t edge_count = edges_->size();
+  const std::size_t edge_count = edges_.size();
   const bool instant = InstantGossip();
   const bool push_history = options_.gossip_delay > 0;
   const bool refresh =
@@ -293,14 +384,13 @@ void BatchWebWaveSimulator::Step() {
         for (std::size_t gi = begin; gi < end; ++gi) {
           const int g = static_cast<int>(gi);
           const std::size_t base = BlockNodeBase(g);
+          if (options_.asynchronous) DrawActivations(g, delta);
           // Phase 1 reads estimates before phase 2 writes, so under
           // instantaneous gossip the served block doubles as the
           // estimate plane (same bytes a per-step refresh would copy).
           step_block_(
-              *edges_, capacity_.data(), options_,
-              lane_rng_.data() + static_cast<std::size_t>(g) *
-                                     static_cast<std::size_t>(block_),
-              BlockWidth(g), served_.data() + base, forwarded_.data() + base,
+              edges_, capacity_.data(), options_, BlockWidth(g),
+              served_.data() + base, forwarded_.data() + base,
               instant ? served_.data() + base : PlaneAt(g, FrontSlot()),
               delta,
               dirty_.data() + static_cast<std::size_t>(g) *
@@ -350,7 +440,8 @@ void BatchWebWaveSimulator::ApplyDemandEvents(Span<DemandEvent> events) {
   }
   std::fill(churned_.begin(), churned_.end(), 0);
   for (const DemandEvent& e : events) {
-    spontaneous_[LaneIndex(e.doc, e.node)] = e.rate;
+    spontaneous_[LaneIndex(e.doc, label_[static_cast<std::size_t>(e.node)])] =
+        e.rate;
     churned_[static_cast<std::size_t>(e.doc)] = 1;
   }
   std::vector<int> affected_blocks;
@@ -372,7 +463,7 @@ void BatchWebWaveSimulator::ApplyDemandEvents(Span<DemandEvent> events) {
           // once), then each restarts its gossip history and refreshes
           // its estimates.
           internal::ProjectLaneBlock(
-              tree_, spontaneous_.data() + base, served_.data() + base,
+              shape_, spontaneous_.data() + base, served_.data() + base,
               forwarded_.data() + base, BlockWidth(g),
               churned_.data() + static_cast<std::size_t>(g) *
                                     static_cast<std::size_t>(block_));
@@ -390,8 +481,10 @@ std::vector<double> BatchWebWaveSimulator::NodeLoads() const {
   for (int g = 0; g < blocks_; ++g) {
     const std::size_t w = static_cast<std::size_t>(BlockWidth(g));
     const double* block = served_.data() + BlockNodeBase(g);
-    for (std::size_t v = 0; v < nn; ++v)
-      for (std::size_t b = 0; b < w; ++b) total[v] += block[v * w + b];
+    for (std::size_t l = 0; l < nn; ++l) {
+      double& node_total = total[static_cast<std::size_t>(node_[l])];
+      for (std::size_t b = 0; b < w; ++b) node_total += block[l * w + b];
+    }
   }
   return total;
 }
@@ -413,29 +506,65 @@ void BatchWebWaveSimulator::ClearDirtyLanes() {
   std::fill(dirty_.begin(), dirty_.end(), 0);
 }
 
+BatchWebWaveSimulator::LaneRun BatchWebWaveSimulator::RunOf(
+    int g, std::size_t lo, std::size_t hi) const {
+  return {served_.data() + BlockNodeBase(g),
+          forwarded_.data() + BlockNodeBase(g),
+          static_cast<std::size_t>(BlockWidth(g)),
+          static_cast<std::int32_t>(g * block_), lo, hi};
+}
+
+template <class Emit>
+void BatchWebWaveSimulator::ExportRuns(const std::vector<LaneRun>& runs,
+                                       double min_rate,
+                                       const Emit& emit) const {
+  // A node's buffer row holds [served of every selected lane][forwarded of
+  // the same lanes]; slot_doc names each slot's document.
+  std::vector<std::int32_t> slot_doc;
+  for (const LaneRun& run : runs)
+    for (std::size_t b = run.lo; b < run.hi; ++b)
+      slot_doc.push_back(run.first_doc + static_cast<std::int32_t>(b));
+  const std::size_t width = slot_doc.size();
+  if (width == 0) return;
+  const std::size_t nn = static_cast<std::size_t>(tree_.size());
+  const std::size_t chunk =
+      std::max<std::size_t>(1, kExportChunkDoubles / (2 * width));
+  // Every slot is written before it is read: no zero fill.
+  const std::unique_ptr<double[]> rows(
+      new double[2 * width * std::min(chunk, nn)]);
+  for (std::size_t v0 = 0; v0 < nn; v0 += chunk) {
+    const std::size_t v1 = std::min(nn, v0 + chunk);
+    std::size_t slot = 0;  // the run's first slot in a buffer row
+    for (const LaneRun& run : runs) {
+      const std::size_t count = run.hi - run.lo;
+      double* out = rows.get() + slot;
+      for (std::size_t v = v0; v < v1; ++v, out += 2 * width) {
+        const std::size_t row =
+            static_cast<std::size_t>(label_[v]) * run.width + run.lo;
+        for (std::size_t j = 0; j < count; ++j) {
+          out[j] = run.served[row + j];
+          out[width + j] = run.forwarded[row + j];
+        }
+      }
+      slot += count;
+    }
+    const double* in = rows.get();
+    for (std::size_t v = v0; v < v1; ++v, in += 2 * width)
+      for (std::size_t j = 0; j < width; ++j)
+        if (in[j] > min_rate)
+          emit(static_cast<NodeId>(v), slot_doc[j], in[j], in[width + j]);
+  }
+}
+
 void BatchWebWaveSimulator::ExportQuotas(
     double min_rate,
     const std::function<void(NodeId, std::int32_t, double, double)>& sink)
     const {
   WEBWAVE_REQUIRE(min_rate >= 0, "min_rate must be non-negative");
-  const std::size_t nn = static_cast<std::size_t>(tree_.size());
-  // Node-major sweep over the blocked storage: for a fixed node the lanes
-  // of one block are contiguous (served[row + b]), so the CSR consumer's
-  // order — nodes ascending, documents ascending within a node — walks
-  // memory almost linearly instead of striding a full lane apart per cell.
-  for (std::size_t v = 0; v < nn; ++v)
-    for (int g = 0; g < blocks_; ++g) {
-      const std::size_t w = static_cast<std::size_t>(BlockWidth(g));
-      const std::size_t row = BlockNodeBase(g) + v * w;
-      const double* served = served_.data() + row;
-      const double* forwarded = forwarded_.data() + row;
-      for (std::size_t b = 0; b < w; ++b)
-        if (served[b] > min_rate)
-          sink(static_cast<NodeId>(v),
-               static_cast<std::int32_t>(g * block_ +
-                                         static_cast<int>(b)),
-               served[b], forwarded[b]);
-    }
+  std::vector<LaneRun> runs;
+  for (int g = 0; g < blocks_; ++g)
+    runs.push_back(RunOf(g, 0, static_cast<std::size_t>(BlockWidth(g))));
+  ExportRuns(runs, min_rate, sink);
 }
 
 void BatchWebWaveSimulator::ExportLanesQuotas(
@@ -443,56 +572,28 @@ void BatchWebWaveSimulator::ExportLanesQuotas(
     std::vector<QuotaCell>* out) const {
   WEBWAVE_REQUIRE(min_rate >= 0, "min_rate must be non-negative");
   WEBWAVE_REQUIRE(out != nullptr, "export needs an output vector");
-  if (lanes.empty()) return;
-  // Group the requested lanes by block, keeping both orders ascending, so
-  // the sweep below emits ExportQuotas order and touches each selected
-  // block's rows once per node regardless of how many of its lanes were
-  // asked for.
-  // Maximal contiguous runs of selected lanes, per block: dirty sets are
-  // usually runs of adjacent documents, and a [lo, hi) inner loop with no
-  // offset indirection is what lets the sweep below run at line speed
-  // instead of ~3 ns per (node, lane).
-  struct RunSelect {
-    const double* served;  // block's row of node 0
-    const double* forwarded;
-    std::size_t width;
-    std::int32_t first_doc;  // document id of lane offset 0
-    std::size_t lo, hi;      // selected lane-in-block offsets [lo, hi)
-  };
-  std::vector<RunSelect> selected;
+  // Maximal runs of adjacent selected lanes within one block: dirty sets
+  // are usually runs of adjacent documents, and each run is one tight
+  // inner loop per node.  Runs come out in document order, so ExportRuns
+  // emits ExportQuotas order.
+  std::vector<LaneRun> runs;
   int last = -1;
   for (const int d : lanes) {
     WEBWAVE_REQUIRE(d > last, "lanes must be ascending and unique");
     WEBWAVE_REQUIRE(d < docs_, "document lane out of range");
     const int g = BlockOf(d);
     const std::size_t b = static_cast<std::size_t>(LaneInBlock(d));
-    if (!selected.empty() && d == last + 1 &&
-        selected.back().first_doc == static_cast<std::int32_t>(g * block_) &&
-        selected.back().hi == b) {
-      ++selected.back().hi;
-    } else {
-      selected.push_back({served_.data() + BlockNodeBase(g),
-                          forwarded_.data() + BlockNodeBase(g),
-                          static_cast<std::size_t>(BlockWidth(g)),
-                          static_cast<std::int32_t>(g * block_), b, b + 1});
-    }
+    if (!runs.empty() && runs.back().first_doc == g * block_ &&
+        runs.back().hi == b)
+      ++runs.back().hi;
+    else
+      runs.push_back(RunOf(g, b, b + 1));
     last = d;
   }
-  const std::size_t nn = static_cast<std::size_t>(tree_.size());
-  // Node-major over run-minor keeps the emission order; one row-pointer
-  // computation per (node, run), and all of a block's selected lanes read
-  // out of the same cache line(s).
-  for (std::size_t v = 0; v < nn; ++v)
-    for (const RunSelect& sel : selected) {
-      const double* row = sel.served + v * sel.width;
-      for (std::size_t b = sel.lo; b < sel.hi; ++b) {
-        const double rate = row[b];
-        if (rate > min_rate)
-          out->push_back({static_cast<NodeId>(v),
-                          sel.first_doc + static_cast<std::int32_t>(b), rate,
-                          sel.forwarded[v * sel.width + b]});
-      }
-    }
+  ExportRuns(runs, min_rate,
+             [out](NodeId v, std::int32_t d, double served, double forwarded) {
+               out->push_back({v, d, served, forwarded});
+             });
 }
 
 double BatchWebWaveSimulator::MaxNodeLoad() const {

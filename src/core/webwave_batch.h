@@ -12,14 +12,35 @@
 // Layout — document blocks.  Lanes are grouped into blocks of
 // options.lane_block documents (B, default 8; the last block is ragged
 // when D is not a multiple).  Within a block every per-node quantity is
-// stored *lane-interleaved*: served_[block_base + v·W + b] is lane
-// (g·B + b)'s value at node v, W the block's width.  One sweep of the
+// stored *lane-interleaved*: served_[block_base + l·W + b] is lane
+// (g·B + b)'s value at the node labelled l (see "Node order"), W the
+// block's width.  One sweep of the
 // shared edge arrays (parent, child, alpha — one copy for the whole
 // catalog) advances all W lanes of a block through an inner loop over b
 // that is contiguous in memory, so the edge metadata is streamed once per
 // *block* instead of once per document — D/B× less shared-structure
 // traffic than the document-major layout (which is exactly the B = 1
 // special case).
+//
+// Node order.  The src/tree builders give each node a random earlier
+// parent, so a sweep in node-id order gathers a random parent row per
+// edge.  The engine instead stores, steps and projects every lane in its
+// own *labels*: an id-ordered DFS that, at each node, labels first the
+// subtrees of the children with a smaller id (ascending), then the node,
+// then the subtrees of the children with a larger id (ascending).  Every
+// subtree is a contiguous label range, and on a tree whose parents precede
+// their children (every src/tree builder's) the labels are exactly the
+// preorder.  At every node the incident edges keep the relative order of
+// the ascending child-id sweep, so the relabelled step is bit-identical
+// to it on any tree (webwave_kernel.h, "Sweep order"), and the churn
+// projection sums each node's children in the same order as before.
+// Only the boundary sees original ids: ApplyDemandEvents maps each
+// event's node to its label; ExportQuotas and ExportLanesQuotas emit cells
+// in original node order, reading rows through the label map; ServedLane,
+// ForwardedLane, SpontaneousLane, NodeLoads, options.capacities and
+// CheckInvariants all speak original ids.  Asynchronous mode draws each
+// lane's per-edge Bernoulli in original edge order (DrawActivations), so
+// asynchronous lanes match one-lane runs too.
 //
 // Step kernel.  The constructor picks the step variant once by CPU
 // feature (internal::SelectStepLaneBlock): on AVX-512 or AVX2 hosts each
@@ -85,9 +106,12 @@
 // the estimate plane, which is bitwise what a per-step refresh would have
 // installed — so a lane costs 3n doubles (spontaneous, served, forwarded)
 // ≈ 24 bytes per (node, document) pair: 10⁶ nodes × 64 documents in
-// ~1.5 GB, plus edges·lane_block step scratch per worker.  Non-trivial
-// gossip adds the front plane (n per lane) and, when delayed, the ring
-// (gossip_delay + 1 slots of n per lane).
+// ~1.5 GB, plus edges·lane_block step scratch per worker.  The tree costs
+// 36 bytes per node whatever the catalog: 16 for the edge arrays and 20
+// for the node order (two label maps, the children CSR and the
+// projection's postorder).  An export borrows a 64 KiB row buffer for
+// its duration.  Non-trivial gossip adds the front plane (n per lane)
+// and, when delayed, the ring (gossip_delay + 1 slots of n per lane).
 #pragma once
 
 #include <cstdint>
@@ -103,18 +127,14 @@
 #include "util/worker_pool.h"
 
 namespace webwave {
-
 class BatchWebWaveSimulator {
  public:
   // spontaneous[d][v] is document d's spontaneous request rate at node v.
   // All lanes share `tree` and `options`; lane d's RNG stream is seeded
-  // options.seed + d.  `edges` optionally shares one flattened edge
-  // structure with other simulators over the same tree (see
-  // internal::BuildSharedEdgeArrays); null builds a private copy.
+  // options.seed + d.  `tree` must outlive the engine.
   BatchWebWaveSimulator(const RoutingTree& tree,
                         std::vector<std::vector<double>> spontaneous,
-                        WebWaveOptions options = {},
-                        internal::SharedEdgeArrays edges = nullptr);
+                        WebWaveOptions options = {});
 
   // One diffusion period for every document lane.
   void Step();
@@ -137,7 +157,6 @@ class BatchWebWaveSimulator {
   // Effective document block width (options.lane_block clamped to the
   // catalog size).
   int lane_block() const { return block_; }
-  internal::SharedEdgeArrays shared_edges() const { return edges_; }
 
   // Lane d's served (L) / forwarded (A) / spontaneous vectors, length
   // node_count(), gathered out of the interleaved block storage.
@@ -220,8 +239,8 @@ class BatchWebWaveSimulator {
   int LaneInBlock(int d) const { return d % block_; }
   int BlockWidth(int g) const;
   std::size_t BlockNodeBase(int g) const;
-  // Flat index of (lane d, node v) in the blocked node-major arrays.
-  std::size_t LaneIndex(int d, NodeId v) const;
+  // Flat index of (lane d, label l) in the blocked label-major arrays.
+  std::size_t LaneIndex(int d, NodeId l) const;
 
   // Gossip-plane arena accessors: each block owns kFrontSlot() + 1 buffers
   // of n·W doubles in gossip_arena_ (just the front plane at zero delay),
@@ -235,6 +254,10 @@ class BatchWebWaveSimulator {
   const double* PlaneAt(int g, int slot) const;
 
   void RefreshBlockEstimates(int g);
+  // Asynchronous mode: writes block g's per-(edge, lane) activations into
+  // `delta` for the step kernel, drawing each lane's Bernoulli per edge in
+  // ascending original child id — the order a one-lane run draws them.
+  void DrawActivations(int g, double* delta);
   void PushBlockHistory(int g);
   // Restart lane d's gossip history and estimates after churn: the
   // current head slot and the front plane both receive the lane's served
@@ -242,6 +265,23 @@ class BatchWebWaveSimulator {
   void RestartLaneGossip(int d);
   std::vector<double> GatherLane(const std::vector<double>& blocked,
                                  int d) const;
+  // Lanes [lo, hi) of one block, whose label-l rows start at
+  // served + l·width and forwarded + l·width; lane offset b is document
+  // first_doc + b.
+  struct LaneRun {
+    const double* served;
+    const double* forwarded;
+    std::size_t width;
+    std::int32_t first_doc;
+    std::size_t lo, hi;
+  };
+  LaneRun RunOf(int g, std::size_t lo, std::size_t hi) const;
+  // The export both ExportQuotas and ExportLanesQuotas run: for nodes in
+  // ascending original id and the runs' lanes in order, calls
+  // emit(node, doc, served, forwarded) for every cell above min_rate.
+  template <class Emit>
+  void ExportRuns(const std::vector<LaneRun>& runs, double min_rate,
+                  const Emit& emit) const;
 
   const RoutingTree& tree_;
   WebWaveOptions options_;
@@ -250,10 +290,15 @@ class BatchWebWaveSimulator {
   int blocks_;  // ceil(docs_ / block_)
   int steps_ = 0;
 
-  // Shared structure-of-arrays edge layout (ascending child id), one copy
-  // for all documents.
-  internal::SharedEdgeArrays edges_;
-  std::vector<double> capacity_;
+  // Node order (file comment): label_[v] is node v's label, node_[l] the
+  // node labelled l.
+  std::vector<NodeId> label_;
+  std::vector<NodeId> node_;
+  // The tree in labels, one copy for all documents: the step's edges
+  // (ascending child label) and the churn projection's shape.
+  internal::EdgeArrays edges_;
+  internal::TreeShape shape_;
+  std::vector<double> capacity_;  // by label
   // The step kernel variant this CPU runs (internal::SelectStepLaneBlock),
   // picked once at construction.
   internal::StepLaneBlockFn step_block_ = internal::SelectStepLaneBlock();
@@ -263,7 +308,7 @@ class BatchWebWaveSimulator {
   // should not cost 8·edges bytes each).
   std::vector<std::vector<double>> delta_;
 
-  // Blocked load lanes (layout in the file comment).
+  // Blocked load lanes, label-major (layout in the file comment).
   std::vector<double> spontaneous_;
   std::vector<double> served_;
   std::vector<double> forwarded_;

@@ -1,8 +1,9 @@
 // ISA-targeted variants of StepLaneBlock (declared in webwave_kernel.h).
 //
-// One body, StepChunks<R>, is written once over a small register type R
-// (GCC vector extensions) and explicitly instantiated once per ISA under
-// that ISA's `#pragma GCC target`: AVX-512 steps a chunk of
+// One body, StepChunks<R, kInstant>, is written once over a small
+// register type R (GCC vector extensions) and explicitly instantiated for
+// both kInstant values once per ISA under that ISA's
+// `#pragma GCC target`: AVX-512 steps a chunk of
 // kStepChunkLanes lanes as one 8-double vector (one zmm), AVX2 as two
 // 4-double vectors (two ymm).  The instantiation, not an inlined caller,
 // must carry the target: GCC lowers a function's generic vector
@@ -41,8 +42,9 @@ struct Ymm {
 };
 
 // StepLaneBlock for synchronous mode (options.asynchronous is false) and
-// w >= kStepChunkLanes.
-template <class R>
+// w >= kStepChunkLanes.  kInstant: est_plane is `served` (the aliased
+// estimates of webwave_kernel.h), so the views are uc and up themselves.
+template <class R, bool kInstant>
 void StepChunks(
     const EdgeArrays& edges, const double* capacity,
     const WebWaveOptions& options, std::size_t w, double* served,
@@ -76,8 +78,10 @@ void StepChunks(
       const F fcv = *reinterpret_cast<const Row*>(fc + b);
       const F up = spv / cp;
       const F uc = scv / cc;
-      const F parent_view = *reinterpret_cast<const Row*>(ec + b) / cc;
-      const F child_view = *reinterpret_cast<const Row*>(ep + b) / cp;
+      const F parent_view =
+          kInstant ? uc : *reinterpret_cast<const Row*>(ec + b) / cc;
+      const F child_view =
+          kInstant ? up : *reinterpret_cast<const Row*>(ep + b) / cp;
       const M down = up - parent_view > kImbalanceDeadband * up;
       const M upward = uc - child_view > kImbalanceDeadband * uc;
       const F push = alpha * (up - parent_view) * scale;
@@ -86,8 +90,7 @@ void StepChunks(
       const F take = scv < pull ? scv : pull;  // std::min(pull, sc)
       *reinterpret_cast<Row*>(dk + b) = down ? give : (upward ? -take : zero);
     }
-    DecideLanes(alpha, cp, cc, sp, sc, fc, ep, ec, dk, simd_end, w, options,
-                nullptr);
+    DecideLanes(alpha, cp, cc, sp, sc, fc, ep, ec, dk, simd_end, w, options);
   }
 
   // Phase 2: both clamped amounts, then a per-lane select of the new
@@ -145,38 +148,42 @@ using ChunksFn = void(const EdgeArrays&, const double*,
 #pragma GCC push_options
 #pragma GCC target("avx512f,avx512dq")
 namespace {
-template ChunksFn StepChunks<Zmm>;
+template ChunksFn StepChunks<Zmm, false>;
+template ChunksFn StepChunks<Zmm, true>;
 }  // namespace
 
 void StepLaneBlockAvx512(const EdgeArrays& edges, const double* capacity,
-                         const WebWaveOptions& options, Rng* rng, int width,
+                         const WebWaveOptions& options, int width,
                          double* served, double* forwarded,
                          const double* est_plane, double* delta,
                          std::uint8_t* changed) {
   if (options.asynchronous || width < kStepChunkLanes)
-    return StepLaneBlock(edges, capacity, options, rng, width, served,
-                         forwarded, est_plane, delta, changed);
-  StepChunks<Zmm>(edges, capacity, options, static_cast<std::size_t>(width),
-                  served, forwarded, est_plane, delta, changed);
+    return StepLaneBlock(edges, capacity, options, width, served, forwarded,
+                         est_plane, delta, changed);
+  (est_plane == served ? StepChunks<Zmm, true> : StepChunks<Zmm, false>)(
+      edges, capacity, options, static_cast<std::size_t>(width), served,
+      forwarded, est_plane, delta, changed);
 }
 #pragma GCC pop_options
 
 #pragma GCC push_options
 #pragma GCC target("avx2")
 namespace {
-template ChunksFn StepChunks<Ymm>;
+template ChunksFn StepChunks<Ymm, false>;
+template ChunksFn StepChunks<Ymm, true>;
 }  // namespace
 
 void StepLaneBlockAvx2(const EdgeArrays& edges, const double* capacity,
-                       const WebWaveOptions& options, Rng* rng, int width,
+                       const WebWaveOptions& options, int width,
                        double* served, double* forwarded,
                        const double* est_plane, double* delta,
                        std::uint8_t* changed) {
   if (options.asynchronous || width < kStepChunkLanes)
-    return StepLaneBlock(edges, capacity, options, rng, width, served,
-                         forwarded, est_plane, delta, changed);
-  StepChunks<Ymm>(edges, capacity, options, static_cast<std::size_t>(width),
-                  served, forwarded, est_plane, delta, changed);
+    return StepLaneBlock(edges, capacity, options, width, served, forwarded,
+                         est_plane, delta, changed);
+  (est_plane == served ? StepChunks<Ymm, true> : StepChunks<Ymm, false>)(
+      edges, capacity, options, static_cast<std::size_t>(width), served,
+      forwarded, est_plane, delta, changed);
 }
 #pragma GCC pop_options
 

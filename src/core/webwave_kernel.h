@@ -31,8 +31,29 @@
 // widest one the CPU supports, once, from __builtin_cpu_supports.  There
 // is no option, environment variable or build flag.  The scalar loop
 // still runs the remainder lanes (width % 8), blocks narrower than 8
-// (one-lane batches among them), asynchronous mode (per-lane RNG draws in
-// edge order), and CPUs or architectures without either ISA.
+// (one-lane batches among them), asynchronous mode (per-edge activations
+// read from the delta scratch), and CPUs or architectures without either
+// ISA.
+//
+// Aliased estimates.  Under instantaneous gossip the engine passes the
+// served block itself as `est_plane`.  Phase 1's views ec/cc and ep/cp
+// are then the very divisions sc/cc and sp/cp that give uc and up, so the
+// SIMD body (StepChunks<R, kInstant = true>, picked when
+// est_plane == served) reuses uc and up instead of reloading both rows
+// and dividing twice more per edge.  Same operands, same operation: the
+// same bits.
+//
+// Sweep order.  Phase 1 reads only the start-of-round state, so its edge
+// order matters for nothing but the asynchronous draws.  Phase 2 is a
+// sequence of per-edge updates; an update touches only its two endpoint
+// loads and its child's forwarded rate, so two updates that share no node
+// commute, and any two sweeps that order every node's incident edges
+// alike produce identical bits.  BuildEdgeArrays sweeps edges by
+// ascending child id, so at node v the edges to children with a smaller
+// id come first (ascending), then v's own parent edge, then the edges to
+// larger children.  The engine's node labels (webwave_batch.h, "Node
+// order") keep exactly that order at every node, which is why its
+// relabelled sweep is exact on any tree.
 //
 // Exactness.  Every variant is bit-identical to the scalar loop on every
 // host, because the chunk body uses only IEEE + − × ÷, compares and
@@ -47,12 +68,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/webwave_options.h"
 #include "tree/routing_tree.h"
-#include "util/rng.h"
 
 namespace webwave {
 namespace internal {
@@ -71,101 +90,65 @@ namespace internal {
 // below every tolerance the tests and the paper's convergence metric use.
 inline constexpr double kImbalanceDeadband = 1e-12;
 
-// The tree's edges flattened into parallel arrays in ascending child-id
+// The tree's edges flattened into parallel arrays in ascending child
 // order — the fixed sweep order of every step — with the per-edge
-// diffusion parameter resolved from the alpha policy.
+// diffusion parameter resolved from the alpha policy.  BuildEdgeArrays
+// lays them out in original node ids; BatchWebWaveSimulator builds its
+// own in its node labels (see the sweep-order rule below).
 struct EdgeArrays {
   std::vector<NodeId> parent;
   std::vector<NodeId> child;
   std::vector<double> alpha;
-  // The options the alphas were resolved from — lets a simulator reject a
-  // shared build whose diffusion parameters do not match its own options.
-  AlphaPolicy alpha_policy = AlphaPolicy::kDegree;
-  double alpha_value = 0;
 
   std::size_t size() const { return child.size(); }
-
-  bool MatchesOptions(const WebWaveOptions& options) const {
-    if (alpha_policy != options.alpha_policy) return false;
-    return alpha_policy == AlphaPolicy::kDegree ||
-           alpha_value == options.alpha;
-  }
-
-  // True iff these arrays describe exactly `tree`'s edges — the guard the
-  // batch constructor applies to a caller-supplied shared build, so a
-  // build for a *different* same-sized tree cannot silently diffuse over
-  // the wrong topology.  O(edges), far cheaper than rebuilding.
-  bool MatchesTree(const RoutingTree& tree) const {
-    if (size() != static_cast<std::size_t>(tree.size() - 1)) return false;
-    for (std::size_t k = 0; k < size(); ++k) {
-      const NodeId c = child[k];
-      if (c < 0 || c >= tree.size() || tree.is_root(c) ||
-          tree.parent(c) != parent[k])
-        return false;
-    }
-    return true;
-  }
 };
 
-// Read-only edge structure shared between simulators: the arrays depend
-// only on (tree, alpha policy), so one build can back several batch
-// engines over the same tree (and, in tests, the reference simulators)
-// instead of each constructor re-flattening it.
-using SharedEdgeArrays = std::shared_ptr<const EdgeArrays>;
+// The diffusion parameter of the edge from `child` to its parent.
+inline double EdgeAlpha(const RoutingTree& tree, NodeId child,
+                        const WebWaveOptions& options) {
+  const double stable =
+      1.0 / (1.0 + std::max(tree.degree(tree.parent(child)),
+                            tree.degree(child)));
+  switch (options.alpha_policy) {
+    case AlphaPolicy::kFixed:
+      return std::min(options.alpha, stable);
+    case AlphaPolicy::kFixedUncapped:
+      return options.alpha;
+    case AlphaPolicy::kDegree:
+      break;
+  }
+  return stable;
+}
 
 inline EdgeArrays BuildEdgeArrays(const RoutingTree& tree,
                                   const WebWaveOptions& options) {
   EdgeArrays edges;
-  edges.alpha_policy = options.alpha_policy;
-  edges.alpha_value = options.alpha;
   const std::size_t edge_count = static_cast<std::size_t>(tree.size() - 1);
   edges.parent.reserve(edge_count);
   edges.child.reserve(edge_count);
   edges.alpha.reserve(edge_count);
   for (NodeId v = 0; v < tree.size(); ++v) {
     if (tree.is_root(v)) continue;
-    const NodeId p = tree.parent(v);
-    const double stable =
-        1.0 / (1.0 + std::max(tree.degree(p), tree.degree(v)));
-    double alpha = stable;
-    switch (options.alpha_policy) {
-      case AlphaPolicy::kFixed:
-        alpha = std::min(options.alpha, stable);
-        break;
-      case AlphaPolicy::kFixedUncapped:
-        alpha = options.alpha;
-        break;
-      case AlphaPolicy::kDegree:
-        break;
-    }
-    edges.parent.push_back(p);
+    edges.parent.push_back(tree.parent(v));
     edges.child.push_back(v);
-    edges.alpha.push_back(alpha);
+    edges.alpha.push_back(EdgeAlpha(tree, v, options));
   }
   return edges;
-}
-
-inline SharedEdgeArrays BuildSharedEdgeArrays(const RoutingTree& tree,
-                                              const WebWaveOptions& options) {
-  return std::make_shared<const EdgeArrays>(BuildEdgeArrays(tree, options));
 }
 
 // Phase 1 of one edge (p, c) for lanes [lo, hi): the transfer each lane
 // schedules, positive when load moves down p -> c.  sp/sc/fc/ep/ec point
 // at the edge's parent served, child served, child forwarded, parent
-// estimate and child estimate rows; dk at the edge's delta row.
+// estimate and child estimate rows; dk at the edge's delta row, which in
+// asynchronous mode holds the lane's activation on entry (0 = the edge
+// sleeps this round, and its transfer stays 0).
 inline void DecideLanes(double alpha, double cp, double cc, const double* sp,
                         const double* sc, const double* fc, const double* ep,
                         const double* ec, double* dk, std::size_t lo,
-                        std::size_t hi, const WebWaveOptions& options,
-                        Rng* rng) {
+                        std::size_t hi, const WebWaveOptions& options) {
   const double scale = std::min(cp, cc);
   for (std::size_t b = lo; b < hi; ++b) {
-    if (options.asynchronous &&
-        !rng[b].NextBernoulli(options.activation_probability)) {
-      dk[b] = 0;
-      continue;
-    }
+    if (options.asynchronous && dk[b] == 0) continue;
     const double up = sp[b] / cp;
     const double uc = sc[b] / cc;
     const double parent_view = ec[b] / cc;
@@ -241,10 +224,11 @@ inline void ApplyLanes(double* sp, double* sc, double* fc, const double* dk,
 // edge-indexed estimate arrays the simulators used to materialize — the
 // same values, read through the edge endpoints instead of pre-gathered.
 //
-// `rng` points at `width` per-lane generators; lane b consumes one
-// Bernoulli per edge (ascending edge order) in asynchronous mode only —
-// the identical draw sequence a one-lane run of that lane makes.
-// `delta` is caller-provided scratch of edges.size()·width entries.
+// `delta` is caller-provided scratch of edges.size()·width entries.  In
+// asynchronous mode it carries each (edge, lane) activation in: the caller
+// writes 0 where the edge sleeps this round and any other value where it
+// runs, drawing every lane's Bernoulli in the order a one-lane run makes
+// them (the engine's DrawActivations).
 //
 // `changed`, when non-null, points at `width` per-lane flags; a lane's
 // flag is OR-ed to 1 iff any of its served/forwarded values actually
@@ -252,7 +236,7 @@ inline void ApplyLanes(double* sp, double* sc, double* fc, const double* dk,
 // the flag — untouched).  This is what feeds the batch engine's dirty-lane
 // set: clean means bit-identical state, not merely "no events".
 inline void StepLaneBlock(const EdgeArrays& edges, const double* capacity,
-                          const WebWaveOptions& options, Rng* rng, int width,
+                          const WebWaveOptions& options, int width,
                           double* served, double* forwarded,
                           const double* est_plane, double* delta,
                           std::uint8_t* changed = nullptr) {
@@ -263,7 +247,7 @@ inline void StepLaneBlock(const EdgeArrays& edges, const double* capacity,
     const std::size_t c = static_cast<std::size_t>(edges.child[k]);
     DecideLanes(edges.alpha[k], capacity[p], capacity[c], served + p * w,
                 served + c * w, forwarded + c * w, est_plane + p * w,
-                est_plane + c * w, delta + k * w, 0, w, options, rng);
+                est_plane + c * w, delta + k * w, 0, w, options);
   }
   for (std::size_t k = 0; k < edge_count; ++k) {
     const std::size_t p = static_cast<std::size_t>(edges.parent[k]);
@@ -276,8 +260,8 @@ inline void StepLaneBlock(const EdgeArrays& edges, const double* capacity,
 // The signature every StepLaneBlock variant shares.
 using StepLaneBlockFn = void (*)(const EdgeArrays& edges,
                                  const double* capacity,
-                                 const WebWaveOptions& options, Rng* rng,
-                                 int width, double* served,
+                                 const WebWaveOptions& options, int width,
+                                 double* served,
                                  double* forwarded, const double* est_plane,
                                  double* delta, std::uint8_t* changed);
 
@@ -288,12 +272,12 @@ inline constexpr int kStepChunkLanes = 8;
 // StepLaneBlock with the SIMD chunk path (file comment), bit-identical to
 // it.  Call a variant only when its Cpu*() check holds.
 void StepLaneBlockAvx512(const EdgeArrays& edges, const double* capacity,
-                         const WebWaveOptions& options, Rng* rng, int width,
+                         const WebWaveOptions& options, int width,
                          double* served, double* forwarded,
                          const double* est_plane, double* delta,
                          std::uint8_t* changed);
 void StepLaneBlockAvx2(const EdgeArrays& edges, const double* capacity,
-                       const WebWaveOptions& options, Rng* rng, int width,
+                       const WebWaveOptions& options, int width,
                        double* served, double* forwarded,
                        const double* est_plane, double* delta,
                        std::uint8_t* changed);
@@ -306,6 +290,18 @@ bool CpuHasAvx2();
 // from the CPU's features: AVX-512, else AVX2, else the scalar loop.
 StepLaneBlockFn SelectStepLaneBlock();
 
+// The parts of a tree ProjectLaneBlock walks, in the node numbering the
+// lanes are stored in: node v's children are
+// children[child_begin[v], child_begin[v + 1]), in the order their
+// forwarded rates are summed, and `postorder` lists every node after all
+// of its children.
+struct TreeShape {
+  NodeId root = kNoNode;
+  std::vector<NodeId> child_begin;
+  std::vector<NodeId> children;
+  std::vector<NodeId> postorder;
+};
+
 // Projects a lane's served vector onto the feasible set of (possibly new)
 // spontaneous rates — the demand-churn counterpart of StepLaneBlock,
 // behind BatchWebWaveSimulator::ApplyDemandEvents.
@@ -315,7 +311,10 @@ StepLaneBlockFn SelectStepLaneBlock();
 // shortfall travels up and the root absorbs whatever remains unclaimed (it
 // is the authoritative copy, Constraint 1: A_root = 0).  This models
 // servers instantly noticing their request streams thinned.  On return the
-// lane satisfies flow conservation, L >= 0 and A >= 0 exactly.
+// lane satisfies flow conservation, L >= 0 and A >= 0 exactly.  A node's
+// result depends only on its own cell and its children's final forwarded
+// rates, summed in `shape`'s child order, so any children-before-parent
+// order gives the same bits.
 //
 // The width-generic form mirrors StepLaneBlock's layout: arrays are
 // [node][width] interleaved, and `select` (width flags, null = all)
@@ -325,19 +324,22 @@ StepLaneBlockFn SelectStepLaneBlock();
 // is what keeps ApplyDemandEvents' cost flat in the block width.  Each
 // lane's arithmetic is independent and ordered exactly as at width 1, so
 // projections agree bit for bit across layouts.
-inline void ProjectLaneBlock(const RoutingTree& tree,
+inline void ProjectLaneBlock(const TreeShape& shape,
                              const double* spontaneous, double* served,
                              double* forwarded, int width,
                              const std::uint8_t* select) {
   const std::size_t w = static_cast<std::size_t>(width);
-  for (const NodeId v : tree.postorder()) {
+  for (const NodeId v : shape.postorder) {
     const std::size_t row = static_cast<std::size_t>(v) * w;
-    const bool root = tree.is_root(v);
+    const bool root = v == shape.root;
+    const std::size_t i = static_cast<std::size_t>(v);
+    const NodeId* first = shape.children.data() + shape.child_begin[i];
+    const NodeId* last = shape.children.data() + shape.child_begin[i + 1];
     for (std::size_t b = 0; b < w; ++b) {
       if (select != nullptr && select[b] == 0) continue;
       double arrive = spontaneous[row + b];
-      for (const NodeId c : tree.children(v))
-        arrive += forwarded[static_cast<std::size_t>(c) * w + b];
+      for (const NodeId* c = first; c != last; ++c)
+        arrive += forwarded[static_cast<std::size_t>(*c) * w + b];
       double serve = std::min(served[row + b], arrive);
       if (root) serve = arrive;
       served[row + b] = serve;

@@ -1,8 +1,5 @@
 #include "serve/closed_loop.h"
 
-#include <algorithm>
-#include <iterator>
-
 #include "util/check.h"
 
 namespace webwave {
@@ -15,6 +12,7 @@ ArrivalFold::ArrivalFold(int node_count, int doc_count)
       static_cast<std::size_t>(node_count) * static_cast<std::size_t>(doc_count),
       0);
   applied_.assign(counts_.size(), 0.0);
+  live_.assign((counts_.size() + 63) / 64, 0);
 }
 
 void ArrivalFold::Count(Span<Request> batch) {
@@ -26,9 +24,8 @@ void ArrivalFold::Count(Span<Request> batch) {
                     "request document out of range");
     const std::size_t cell = static_cast<std::size_t>(r.node) * dd +
                              static_cast<std::size_t>(r.doc);
-    // First hit of the window registers the cell for Drain's sparse walk.
-    if (counts_[cell]++ == 0)
-      touched_.push_back(static_cast<std::int64_t>(cell));
+    ++counts_[cell];
+    live_[cell / 64] |= std::uint64_t{1} << (cell % 64);
   }
   counted_ += batch.size();
 }
@@ -36,33 +33,27 @@ void ArrivalFold::Count(Span<Request> batch) {
 std::vector<DemandEvent> ArrivalFold::Drain(double window_seconds) {
   WEBWAVE_REQUIRE(window_seconds > 0, "window must be positive");
   const std::size_t dd = static_cast<std::size_t>(docs_);
-  // The cells that can produce an event are exactly (touched this window)
-  // ∪ (applied nonzero last time): anything else has count 0 and applied
-  // 0, so rate == applied and the old dense scan skipped it too.  Sorting
-  // the union restores the dense scan's node-major, document-minor
-  // emission order, so the event batches are byte-identical to it.
-  std::sort(touched_.begin(), touched_.end());
-  std::vector<std::int64_t> cells;
-  cells.reserve(touched_.size() + active_.size());
-  std::merge(touched_.begin(), touched_.end(), active_.begin(),
-             active_.end(), std::back_inserter(cells));
-  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-
+  // Only live cells can produce an event: any other cell has count 0 and
+  // applied 0, so its rate equals what was applied.  Words and bits are
+  // walked in ascending cell order — node-major, document-minor.
   std::vector<DemandEvent> events;
-  std::vector<std::int64_t> next_active;
-  for (const std::int64_t cell64 : cells) {
-    const std::size_t cell = static_cast<std::size_t>(cell64);
-    const double rate = static_cast<double>(counts_[cell]) / window_seconds;
-    if (rate != applied_[cell]) {
-      events.push_back({static_cast<std::int32_t>(cell % dd),
-                        static_cast<NodeId>(cell / dd), rate});
-      applied_[cell] = rate;
+  for (std::size_t word = 0; word < live_.size(); ++word) {
+    std::uint64_t bits = live_[word];
+    while (bits != 0) {
+      const std::size_t cell =
+          word * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+      bits &= bits - 1;
+      const double rate = static_cast<double>(counts_[cell]) / window_seconds;
+      if (rate != applied_[cell]) {
+        events.push_back({static_cast<std::int32_t>(cell % dd),
+                          static_cast<NodeId>(cell / dd), rate});
+        applied_[cell] = rate;
+      }
+      if (applied_[cell] == 0)
+        live_[word] &= ~(std::uint64_t{1} << (cell % 64));
+      counts_[cell] = 0;
     }
-    if (applied_[cell] != 0) next_active.push_back(cell64);
-    counts_[cell] = 0;
   }
-  active_ = std::move(next_active);
-  touched_.clear();
   counted_ = 0;
   return events;
 }

@@ -20,12 +20,14 @@
 // routes against the re-balanced copies, with no oracle knowledge of the
 // generator's true rates anywhere in the loop.
 //
-// Every stage of the loop costs O(what changed), not O(the catalog):
-// Count touches the cells requests actually hit, Drain walks only the
-// cells touched this window plus those whose previously-emitted rate must
-// be forgotten (a sorted sparse merge, byte-identical events to the old
-// dense grid scan), ApplyDemandEvents re-projects only affected lanes,
-// and RefreshFromBatch rewrites only dirty lanes' snapshot cells.
+// Every stage of the loop but one costs O(what changed), not O(the
+// catalog): Count touches the cells requests actually hit,
+// ApplyDemandEvents re-projects only affected lanes, and RefreshFromBatch
+// rewrites only dirty lanes' snapshot cells.  Drain costs
+// O(nodes·docs / 64 + live cells): it scans one bit per cell, a word at a
+// time, and visits only the cells hit this window or still carrying a
+// non-zero emitted rate — in ascending cell order, so its events come out
+// node-major with no sort, byte-identical to a dense grid scan.
 #pragma once
 
 #include <cstdint>
@@ -60,11 +62,9 @@ class ArrivalFold {
   std::uint64_t counted_ = 0;
   std::vector<std::uint32_t> counts_;  // node-major [v][d], current window
   std::vector<double> applied_;        // rates emitted by the last Drain
-  // Sparse bookkeeping so Drain is O(active + touched), not O(nodes·docs):
-  // cells first hit this window, and cells whose applied_ rate is nonzero
-  // (kept sorted across windows).
-  std::vector<std::int64_t> touched_;
-  std::vector<std::int64_t> active_;
+  // One bit per cell, same order: set iff the cell was hit this window or
+  // its applied_ rate is non-zero — the only cells Drain can emit.
+  std::vector<std::uint64_t> live_;
 };
 
 }  // namespace webwave

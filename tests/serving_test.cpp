@@ -17,6 +17,7 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -1527,6 +1528,62 @@ TEST(ArrivalFold, DrainsMeasuredRatesAndForgetsStaleCells) {
   }
   EXPECT_TRUE(saw_zero);
   EXPECT_TRUE(saw_new);
+}
+
+// Drain's events, element for element, are those of a dense node-major
+// scan over every (node, document) cell against the rates emitted last
+// time — over random windows with repeated hits, cells that vanish and
+// reappear, empty windows, varying window lengths, and grids whose cell
+// count is and is not a multiple of 64.
+TEST(ArrivalFold, DrainMatchesADenseNodeMajorScan) {
+  struct Shape {
+    int nodes, docs;
+  };
+  for (const Shape shape : {Shape{37, 5}, Shape{20, 16}, Shape{3, 3}}) {
+    Rng rng(static_cast<std::uint64_t>(shape.nodes * 100 + shape.docs));
+    ArrivalFold fold(shape.nodes, shape.docs);
+    const std::size_t cells =
+        static_cast<std::size_t>(shape.nodes * shape.docs);
+    std::vector<double> applied(cells, 0.0);
+    for (int window = 0; window < 16; ++window) {
+      // Each window hits a random subset of cells (none in window 5), some
+      // of them several times.
+      const double density = window == 5 ? 0.0 : rng.NextDouble(0.05, 0.6);
+      std::vector<Request> requests;
+      std::vector<std::uint32_t> counts(cells, 0);
+      for (NodeId v = 0; v < shape.nodes; ++v)
+        for (DocId d = 0; d < shape.docs; ++d) {
+          if (!rng.NextBernoulli(density)) continue;
+          const int hits = 1 + static_cast<int>(rng.NextBelow(4));
+          for (int h = 0; h < hits; ++h) requests.push_back({v, d});
+          counts[static_cast<std::size_t>(v * shape.docs + d)] +=
+              static_cast<std::uint32_t>(hits);
+        }
+      rng.Shuffle(requests);
+      const std::size_t half = requests.size() / 2;
+      fold.Count(Span<Request>(requests.data(), half));
+      fold.Count(
+          Span<Request>(requests.data() + half, requests.size() - half));
+      const double seconds = window % 3 == 0 ? 0.5 : rng.NextDouble(0.1, 4.0);
+      std::vector<DemandEvent> want;
+      for (std::size_t cell = 0; cell < cells; ++cell) {
+        const double rate = static_cast<double>(counts[cell]) / seconds;
+        if (rate == applied[cell]) continue;
+        want.push_back({static_cast<std::int32_t>(cell) % shape.docs,
+                        static_cast<NodeId>(cell) / shape.docs, rate});
+        applied[cell] = rate;
+      }
+      const std::vector<DemandEvent> got = fold.Drain(seconds);
+      ASSERT_EQ(got.size(), want.size()) << "window " << window;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        const std::string at =
+            "window " + std::to_string(window) + " event " + std::to_string(k);
+        ASSERT_EQ(got[k].node, want[k].node) << at;
+        ASSERT_EQ(got[k].doc, want[k].doc) << at;
+        ASSERT_EQ(got[k].rate, want[k].rate) << at;
+      }
+    }
+  }
 }
 
 TEST(ClosedLoop, ReducesMaxServerLoadVersusHomeOnlyUnderRotation) {

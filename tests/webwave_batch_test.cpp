@@ -5,9 +5,11 @@
 // assumptions and their relaxations (gossip period, gossip delay,
 // asynchronous activation) and across document block widths — the
 // blocked kernel interleaves lanes in memory but must not change a single
-// bit of any lane — plus RunUntil's trajectory, invariants, dirty-lane
-// tracking and the catalog wiring.  WebWaveKernel.SimdMatchesScalarBitwise
-// holds every SIMD step variant the host runs to the scalar loop.
+// bit of any lane — on trees whose node ids are and are not the engine's
+// own labels, plus RunUntil's trajectory, invariants, dirty-lane tracking,
+// the catalog wiring and the engine's boundary in original ids.
+// WebWaveKernel.SimdMatchesScalarBitwise holds every SIMD step variant
+// the host runs to the scalar loop.
 #include "core/load_model.h"
 #include "core/webfold.h"
 #include "core/webwave_batch.h"
@@ -23,6 +25,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace webwave {
@@ -77,16 +80,11 @@ TEST_P(BatchEquivalenceSweep, MatchesIndependentSimulatorsDocumentForDocument) {
       opt.capacities.push_back(rng.NextDouble(0.5, 4.0));
 
   BatchWebWaveSimulator batch(tree, lanes, opt);
-  // The independent reference simulators share the batch's edge build —
-  // one flattening of the tree for the whole test (and a live check that
-  // a shared build gives the same results as a private one).
-  const internal::SharedEdgeArrays edges = batch.shared_edges();
   std::vector<WebWaveSimulator> singles;
   for (int d = 0; d < c.docs; ++d) {
     WebWaveOptions lane_opt = opt;
     lane_opt.seed = opt.seed + static_cast<std::uint64_t>(d);
-    singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)], lane_opt,
-                         edges);
+    singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)], lane_opt);
   }
 
   for (int s = 0; s < c.steps; ++s) {
@@ -230,7 +228,9 @@ void ExpectBitwiseEqual(const std::vector<double>& got,
 
 // Every SIMD variant of the step kernel is the scalar loop, bit for bit:
 // served, forwarded, the transfer scratch and the changed flags, over
-// widths with and without a scalar remainder, for three chained rounds.
+// widths with and without a scalar remainder, for three chained rounds,
+// with a separate estimate plane and with the served block as its own
+// estimates (instantaneous gossip's aliased call).
 TEST(WebWaveKernel, SimdMatchesScalarBitwise) {
   struct Variant {
     const char* isa;
@@ -274,27 +274,31 @@ TEST(WebWaveKernel, SimdMatchesScalarBitwise) {
 
     for (const Variant& variant : variants) {
       if (!variant.supported) continue;
-      KernelBlock want = start;
-      KernelBlock got = start;
-      std::vector<double> want_delta(e * w), got_delta(e * w);
-      for (int round = 0; round < 3; ++round) {
-        std::vector<std::uint8_t> want_changed(w, 0), got_changed(w, 0);
-        internal::StepLaneBlock(edges, want.capacity.data(), options, nullptr,
-                                width, want.served.data(),
-                                want.forwarded.data(), want.est.data(),
-                                want_delta.data(), want_changed.data());
-        variant.step(edges, got.capacity.data(), options, nullptr, width,
-                     got.served.data(), got.forwarded.data(), got.est.data(),
-                     got_delta.data(), got_changed.data());
-        const std::string where = std::string(variant.isa) + " width " +
-                                  std::to_string(width) + " round " +
-                                  std::to_string(round);
-        ExpectBitwiseEqual(got.served, want.served, where + " served");
-        ExpectBitwiseEqual(got.forwarded, want.forwarded,
-                           where + " forwarded");
-        ExpectBitwiseEqual(got_delta, want_delta, where + " delta");
-        ASSERT_EQ(got_changed, want_changed) << where << " changed";
-        EXPECT_EQ(want_changed[4], 0) << where << " balanced lane moved";
+      for (const bool aliased : {false, true}) {
+        KernelBlock want = start;
+        KernelBlock got = start;
+        std::vector<double> want_delta(e * w), got_delta(e * w);
+        for (int round = 0; round < 3; ++round) {
+          std::vector<std::uint8_t> want_changed(w, 0), got_changed(w, 0);
+          internal::StepLaneBlock(
+              edges, want.capacity.data(), options, width, want.served.data(),
+              want.forwarded.data(),
+              aliased ? want.served.data() : want.est.data(), want_delta.data(),
+              want_changed.data());
+          variant.step(edges, got.capacity.data(), options, width,
+                       got.served.data(), got.forwarded.data(),
+                       aliased ? got.served.data() : got.est.data(),
+                       got_delta.data(), got_changed.data());
+          const std::string where =
+              std::string(variant.isa) + " width " + std::to_string(width) +
+              (aliased ? " aliased" : "") + " round " + std::to_string(round);
+          ExpectBitwiseEqual(got.served, want.served, where + " served");
+          ExpectBitwiseEqual(got.forwarded, want.forwarded,
+                             where + " forwarded");
+          ExpectBitwiseEqual(got_delta, want_delta, where + " delta");
+          ASSERT_EQ(got_changed, want_changed) << where << " changed";
+          EXPECT_EQ(want_changed[4], 0) << where << " balanced lane moved";
+        }
       }
     }
   }
@@ -546,8 +550,7 @@ TEST(BatchWebWave, ApplyDemandEventsMatchesIndependentSimulatorsUnderChurn) {
   for (int d = 0; d < docs; ++d) {
     WebWaveOptions lane_opt = opt;
     lane_opt.seed = opt.seed + static_cast<std::uint64_t>(d);
-    singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)], lane_opt,
-                         batch.shared_edges());
+    singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)], lane_opt);
   }
 
   for (int round = 0; round < 8; ++round) {
@@ -607,8 +610,7 @@ TEST(BatchWebWave, ChurnScheduleEventsKeepBlockedLanesEquivalent) {
   for (int d = 0; d < docs; ++d) {
     WebWaveOptions lane_opt = opt;
     lane_opt.seed = opt.seed + static_cast<std::uint64_t>(d);
-    singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)], lane_opt,
-                         batch.shared_edges());
+    singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)], lane_opt);
   }
   for (int epoch = 0; epoch < 5; ++epoch) {
     const std::vector<DemandEvent> events = schedule.NextEvents();
@@ -629,6 +631,179 @@ TEST(BatchWebWave, ChurnScheduleEventsKeepBlockedLanesEquivalent) {
           << "epoch=" << epoch << " doc=" << d;
   }
 }
+
+// Trees whose parents do not precede their children, so the engine's
+// node labels are not a preorder and differ from the ids almost
+// everywhere: MakeRandomTree under a random permutation of its ids, and a
+// chain numbered leaf to root.
+RoutingTree ShuffledRandomTree(int nodes, Rng& rng) {
+  const RoutingTree base = MakeRandomTree(nodes, rng);
+  std::vector<NodeId> id(static_cast<std::size_t>(nodes));
+  for (int v = 0; v < nodes; ++v) id[static_cast<std::size_t>(v)] = v;
+  rng.Shuffle(id);
+  std::vector<NodeId> parents(static_cast<std::size_t>(nodes), kNoNode);
+  for (NodeId v = 0; v < nodes; ++v)
+    if (!base.is_root(v))
+      parents[static_cast<std::size_t>(id[static_cast<std::size_t>(v)])] =
+          id[static_cast<std::size_t>(base.parent(v))];
+  return RoutingTree::FromParents(std::move(parents));
+}
+
+RoutingTree LeafToRootChain(int nodes) {
+  std::vector<NodeId> parents(static_cast<std::size_t>(nodes), kNoNode);
+  for (int v = 0; v + 1 < nodes; ++v)
+    parents[static_cast<std::size_t>(v)] = v + 1;
+  return RoutingTree::FromParents(std::move(parents));
+}
+
+// The engine's boundary speaks original ids: ExportQuotas and
+// ExportLanesQuotas emit nodes ascending and documents ascending within a
+// node, with each cell's lane values, and NodeLoads sums the lanes of each
+// node in document order — all checked against ServedLane/ForwardedLane.
+void ExpectBoundaryInOriginalIds(const BatchWebWaveSimulator& batch,
+                                 const std::string& where) {
+  using Cell = BatchWebWaveSimulator::QuotaCell;
+  constexpr double kMinRate = 1.0;
+  const int nodes = batch.node_count();
+  const int docs = batch.doc_count();
+  std::vector<std::vector<double>> served, forwarded;
+  for (int d = 0; d < docs; ++d) {
+    served.push_back(batch.ServedLane(d));
+    forwarded.push_back(batch.ForwardedLane(d));
+  }
+  std::vector<Cell> want_all, want_odd, got_all, got_odd;
+  std::vector<int> odd;
+  for (int d = 1; d < docs; d += 2) odd.push_back(d);
+  const std::vector<double> loads = batch.NodeLoads();
+  for (NodeId v = 0; v < nodes; ++v) {
+    const std::size_t i = static_cast<std::size_t>(v);
+    double total = 0;
+    for (int d = 0; d < docs; ++d) {
+      const std::size_t j = static_cast<std::size_t>(d);
+      total += served[j][i];
+      if (!(served[j][i] > kMinRate)) continue;
+      want_all.push_back({v, d, served[j][i], forwarded[j][i]});
+      if (d % 2 == 1) want_odd.push_back(want_all.back());
+    }
+    ASSERT_EQ(Bits(loads[i]), Bits(total)) << where << " NodeLoads node " << v;
+  }
+  batch.ExportQuotas(kMinRate, [&](NodeId v, std::int32_t d, double sv,
+                                   double fw) {
+    got_all.push_back({v, d, sv, fw});
+  });
+  batch.ExportLanesQuotas(Span<const int>(odd.data(), odd.size()), kMinRate,
+                          &got_odd);
+  const auto same = [&](const std::vector<Cell>& got,
+                        const std::vector<Cell>& want, const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << where << " " << what;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      const bool equal = got[k].node == want[k].node &&
+                         got[k].doc == want[k].doc &&
+                         Bits(got[k].served) == Bits(want[k].served) &&
+                         Bits(got[k].forwarded) == Bits(want[k].forwarded);
+      ASSERT_TRUE(equal) << where << " " << what << " cell " << k
+                         << ": node " << got[k].node << " doc " << got[k].doc
+                         << " vs node " << want[k].node << " doc "
+                         << want[k].doc;
+    }
+  };
+  same(got_all, want_all, "ExportQuotas");
+  same(got_odd, want_odd, "ExportLanesQuotas");
+}
+
+// The relabelled engine on trees whose labels are not the ids: lane for
+// lane against the frozen reference (which runs in original ids), with
+// demand events addressed by original id, at lane blocks {1, 4, 8} and
+// 1/2/8 threads.  Option sets: instantaneous gossip (the aliased-estimate
+// SIMD body at B = 8), delayed and periodic gossip with random
+// capacities, and asynchronous activation with delayed gossip and random
+// capacities (per-edge draws in original edge order).
+class RelabelledTreeSweep
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(RelabelledTreeSweep, MatchesTheReferenceInOriginalIds) {
+  const int tree_kind = std::get<0>(GetParam());
+  const int option_set = std::get<1>(GetParam());
+  const int docs = 10;  // a full block of 8 plus a ragged pair at B = 8
+  Rng rng(static_cast<std::uint64_t>(3100 + tree_kind * 10 + option_set));
+  const int nodes = tree_kind == 0 ? 120 : 40;
+  const RoutingTree tree =
+      tree_kind == 0 ? ShuffledRandomTree(nodes, rng) : LeafToRootChain(nodes);
+  int child_below_parent = 0;
+  for (NodeId v = 0; v < nodes; ++v)
+    child_below_parent += !tree.is_root(v) && tree.parent(v) > v;
+  ASSERT_GT(child_below_parent, nodes / 4) << "tree is nearly id-ordered";
+
+  const std::vector<std::vector<double>> start = RandomLanes(nodes, docs, rng);
+  WebWaveOptions base;
+  base.seed = rng.Next();
+  if (option_set == 1) {
+    base.gossip_period = 3;
+    base.gossip_delay = 2;
+  } else if (option_set == 2) {
+    base.asynchronous = true;
+    base.gossip_delay = 1;
+  }
+  if (option_set != 0)
+    for (int v = 0; v < nodes; ++v)
+      base.capacities.push_back(rng.NextDouble(0.5, 4.0));
+
+  for (const int lane_block : {1, 4, 8})
+    for (const int threads : {1, 2, 8}) {
+      const std::string where = "tree " + std::to_string(tree_kind) +
+                                " options " + std::to_string(option_set) +
+                                " B=" + std::to_string(lane_block) +
+                                " threads=" + std::to_string(threads);
+      WebWaveOptions opt = base;
+      opt.lane_block = lane_block;
+      opt.threads = threads;
+      std::vector<std::vector<double>> lanes = start;
+      BatchWebWaveSimulator batch(tree, lanes, opt);
+      std::vector<WebWaveSimulator> singles;
+      for (int d = 0; d < docs; ++d) {
+        WebWaveOptions lane_opt = opt;
+        lane_opt.seed = opt.seed + static_cast<std::uint64_t>(d);
+        singles.emplace_back(tree, lanes[static_cast<std::size_t>(d)],
+                             lane_opt);
+      }
+      for (int round = 0; round < 4; ++round) {
+        // Lanes 1, 4 and 7 never churn: their gossip history keeps running.
+        std::vector<DemandEvent> events;
+        for (const DemandEvent& e : ShockEvents(tree, docs, base.seed, round))
+          if (e.doc % 3 != 1) events.push_back(e);
+        batch.ApplyDemandEvents(events);
+        std::vector<std::uint8_t> churned(static_cast<std::size_t>(docs), 0);
+        for (const DemandEvent& e : events) {
+          lanes[static_cast<std::size_t>(e.doc)]
+               [static_cast<std::size_t>(e.node)] = e.rate;
+          churned[static_cast<std::size_t>(e.doc)] = 1;
+        }
+        for (int d = 0; d < docs; ++d)
+          if (churned[static_cast<std::size_t>(d)])
+            singles[static_cast<std::size_t>(d)].UpdateSpontaneous(
+                lanes[static_cast<std::size_t>(d)]);
+        for (int s = 0; s < 8; ++s) {
+          batch.Step();
+          for (auto& single : singles) single.Step();
+        }
+        const std::string at = where + " round " + std::to_string(round);
+        for (int d = 0; d < docs; ++d) {
+          ExpectBitwiseEqual(batch.ServedLane(d),
+                             singles[static_cast<std::size_t>(d)].served(),
+                             at + " served lane " + std::to_string(d));
+          ASSERT_EQ(batch.SpontaneousLane(d),
+                    lanes[static_cast<std::size_t>(d)])
+              << at << " spontaneous lane " << d;
+        }
+        ExpectBoundaryInOriginalIds(batch, at);
+      }
+      ASSERT_NO_THROW(batch.CheckInvariants(1e-6)) << where;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(ShuffledAndLeafToRoot, RelabelledTreeSweep,
+                         ::testing::Combine(::testing::Values(0, 1),
+                                            ::testing::Values(0, 1, 2)));
 
 // Dirty-lane tracking: construction marks everything dirty; churn marks
 // exactly the affected lanes; a lane at its floating-point fixed point
@@ -702,22 +877,6 @@ TEST(BatchWebWave, RejectsMalformedInput) {
                std::invalid_argument);
   const DemandMatrix wrong(5, 2);
   EXPECT_THROW(MakeCatalogBatch(tree, wrong), std::invalid_argument);
-  // A shared edge build carries its alpha options: passing one built
-  // under a different policy must be rejected, not silently diffused.
-  WebWaveOptions fixed;
-  fixed.alpha_policy = AlphaPolicy::kFixed;
-  fixed.alpha = 0.4;
-  const internal::SharedEdgeArrays mismatched =
-      internal::BuildSharedEdgeArrays(tree, fixed);
-  EXPECT_THROW(BatchWebWaveSimulator(tree, {{1, 2, 3}}, {}, mismatched),
-               std::invalid_argument);
-  // ... and one built for a different same-sized tree must be rejected
-  // too (wrong topology, not just wrong parameters).
-  const RoutingTree other = RoutingTree::FromParents({1, 2, kNoNode});
-  const internal::SharedEdgeArrays wrong_tree =
-      internal::BuildSharedEdgeArrays(other, WebWaveOptions{});
-  EXPECT_THROW(BatchWebWaveSimulator(tree, {{1, 2, 3}}, {}, wrong_tree),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -9,8 +9,9 @@
 // The oracle is frozen: it keeps its own copy of the two-phase round of
 // Figure 5 and of the churn projection, written for one lane, so a change
 // to the engine's kernel cannot move the reference with it.  It shares
-// only the flattened edge arrays (tree topology and per-edge alpha) and
-// the dead band with src/.
+// only internal::BuildEdgeArrays (tree topology and per-edge alpha) and
+// the dead band with src/.  It runs in original node ids, so it also
+// checks the engine's relabelling.
 //
 // Layout: the tree's edges in ascending child-id order
 // (internal::EdgeArrays); a node-indexed estimate plane that gossip
@@ -37,18 +38,13 @@ namespace webwave {
 
 class WebWaveSimulator {
  public:
-  // `edges` optionally shares the batch's flattened edge build (it must
-  // describe `tree` under `options`' alpha policy); null builds one.
   WebWaveSimulator(const RoutingTree& tree, std::vector<double> spontaneous,
-                   WebWaveOptions options = {},
-                   internal::SharedEdgeArrays edges = nullptr)
+                   WebWaveOptions options = {})
       : tree_(tree),
         spontaneous_(std::move(spontaneous)),
         options_(std::move(options)),
         rng_(options_.seed),
-        edges_(edges != nullptr
-                   ? std::move(edges)
-                   : internal::BuildSharedEdgeArrays(tree_, options_)) {
+        edges_(internal::BuildEdgeArrays(tree_, options_)) {
     const std::size_t n = static_cast<std::size_t>(tree_.size());
     capacity_ = options_.capacities.empty() ? std::vector<double>(n, 1.0)
                                             : options_.capacities;
@@ -64,7 +60,7 @@ class WebWaveSimulator {
     }
     forwarded_ = ForwardedRates(tree_, spontaneous_, served_);
     if (!InstantGossip()) est_plane_.assign(n, 0.0);
-    delta_.assign(edges_->size(), 0.0);
+    delta_.assign(edges_.size(), 0.0);
     if (options_.gossip_delay > 0) {
       history_.assign(
           (static_cast<std::size_t>(options_.gossip_delay) + 1) * n, 0.0);
@@ -77,7 +73,7 @@ class WebWaveSimulator {
   // snapshot, phase 2 applies them edge-atomically with feasibility
   // clamps (see webwave_kernel.h for the rule).
   void Step() {
-    const internal::EdgeArrays& edges = *edges_;
+    const internal::EdgeArrays& edges = edges_;
     const double* est =
         InstantGossip() ? served_.data() : est_plane_.data();
     for (std::size_t k = 0; k < edges.size(); ++k) {
@@ -206,7 +202,7 @@ class WebWaveSimulator {
   std::vector<double> spontaneous_;
   WebWaveOptions options_;
   Rng rng_;
-  internal::SharedEdgeArrays edges_;
+  internal::EdgeArrays edges_;
   std::vector<double> capacity_;
   std::vector<double> served_;     // L
   std::vector<double> forwarded_;  // A
