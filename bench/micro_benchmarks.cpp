@@ -177,21 +177,6 @@ void RunBlockedStepSweep(bool smoke) {
   bench::WriteArtifact(json, "BENCH_step_blocked.json");
 }
 
-void BM_DiffusionApplyDense(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(47);
-  const UndirectedGraph g = GraphFromTree(MakeRandomTree(n, rng));
-  const DiffusionMatrix d = DiffusionMatrix::DegreeBased(g);
-  std::vector<double> x(static_cast<std::size_t>(n));
-  for (auto& v : x) v = rng.NextDouble(0, 100);
-  for (auto _ : state) {
-    x = d.Apply(x);
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_DiffusionApplyDense)->Arg(256)->Arg(1024)->Arg(4096);
-
 void BM_DiffusionApplySparse(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(47);

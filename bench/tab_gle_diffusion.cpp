@@ -48,9 +48,9 @@ int main() {
   Rng rng(11);
   for (const Case& c : cases) {
     const UndirectedGraph g = c.make();
-    const DiffusionMatrix d = c.alpha > 0
-                                  ? DiffusionMatrix::Uniform(g, c.alpha)
-                                  : DiffusionMatrix::DegreeBased(g);
+    const SparseDiffusionMatrix d =
+        c.alpha > 0 ? SparseDiffusionMatrix::Uniform(g, c.alpha)
+                    : SparseDiffusionMatrix::DegreeBased(g);
     std::vector<double> x0(static_cast<std::size_t>(g.size()));
     for (auto& v : x0) v = rng.NextDouble(0, 100);
     const DiffusionRun run = RunDiffusion(d, x0, 1e-6, 100000);

@@ -215,7 +215,7 @@ int main() {
   loop_sopt.threads = threads;
   loop_sopt.block_size = std::max(65536, loop_nodes);
   // The generator total is epoch-invariant (the hot window only moves),
-  // so one fixed scale serves every epoch and keeps refreshes hinted.
+  // so one fixed scale serves every epoch.
   {
     RequestGenerator probe(
         loop_tree, loop_docs,
@@ -246,7 +246,7 @@ int main() {
     fold.Count(Span<Request>(window_buf.data(), half));
     const std::vector<DemandEvent> events = fold.Drain(half_seconds);
     // One call per control epoch: demand into the engine, diffusion,
-    // snapshot re-sync, attached-plane refresh hinted by the dirty lanes.
+    // snapshot re-sync, attached-plane refresh.
     driver.ApplyEpoch(events, {});
     plane.ResetMetrics();
     plane.Serve(Span<Request>(window_buf.data() + half, loop_window - half));
@@ -372,7 +372,6 @@ int main() {
     for (int s = 0; s < 8; ++s) snap_sim.Step();
     const int dirty = snap_sim.dirty_lane_count();
 
-    const std::vector<int> snap_dirty = snap_sim.DirtyLanes();
     const auto t_full = Clock::now();
     const QuotaSnapshot full = QuotaSnapshot::FromBatch(snap_sim,
                                                         snap_min_rate);
@@ -382,14 +381,13 @@ int main() {
     const double incr_ms = MillisSince(t_incr);
     snap_sim.ClearDirtyLanes();
 
-    // The serving-plane analogue: rebuild from scratch vs Refresh over
-    // the dirty documents' rows.
+    // The serving-plane analogue: rebuild from scratch vs Refresh in
+    // place.
     const auto t_plane_full = Clock::now();
     const ServingPlane full_plane(snap_tree, full, snap_sopt);
     const double plane_full_ms = MillisSince(t_plane_full);
     const auto t_plane_incr = Clock::now();
-    const bool plane_in_place = inc_plane.Refresh(
-        incr, Span<const std::int32_t>(snap_dirty.data(), snap_dirty.size()));
+    const bool plane_in_place = inc_plane.Refresh(incr);
     const double plane_incr_ms = MillisSince(t_plane_incr);
     if (!inc_plane.TablesEqual(full_plane)) {
       std::printf("FATAL: refreshed serving plane diverged from a fresh one\n");

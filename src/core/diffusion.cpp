@@ -135,84 +135,6 @@ UndirectedGraph GraphFromTree(const RoutingTree& tree) {
   return g;
 }
 
-DiffusionMatrix DiffusionMatrix::Uniform(const UndirectedGraph& graph,
-                                         double alpha) {
-  WEBWAVE_REQUIRE(alpha > 0, "alpha must be positive");
-  WEBWAVE_REQUIRE(alpha * graph.MaxDegree() < 1.0 + 1e-12,
-                  "alpha too large: diagonal would go negative");
-  DiffusionMatrix m(graph.size());
-  for (int i = 0; i < graph.size(); ++i) {
-    double off = 0;
-    for (const int j : graph.neighbors(i)) {
-      m.data_[static_cast<std::size_t>(i) * m.n_ + j] = alpha;
-      off += alpha;
-    }
-    m.data_[static_cast<std::size_t>(i) * m.n_ + i] = 1.0 - off;
-  }
-  return m;
-}
-
-DiffusionMatrix DiffusionMatrix::DegreeBased(const UndirectedGraph& graph) {
-  DiffusionMatrix m(graph.size());
-  for (int i = 0; i < graph.size(); ++i) {
-    double off = 0;
-    for (const int j : graph.neighbors(i)) {
-      const double a = 1.0 / (1.0 + std::max(graph.degree(i), graph.degree(j)));
-      m.data_[static_cast<std::size_t>(i) * m.n_ + j] = a;
-      off += a;
-    }
-    m.data_[static_cast<std::size_t>(i) * m.n_ + i] = 1.0 - off;
-  }
-  return m;
-}
-
-std::vector<double> DiffusionMatrix::Apply(const std::vector<double>& x) const {
-  WEBWAVE_REQUIRE(x.size() == static_cast<std::size_t>(n_), "size mismatch");
-  std::vector<double> y(x.size(), 0.0);
-  for (int i = 0; i < n_; ++i) {
-    double acc = 0;
-    const double* row = data_.data() + static_cast<std::size_t>(i) * n_;
-    for (int j = 0; j < n_; ++j) acc += row[j] * x[static_cast<std::size_t>(j)];
-    y[static_cast<std::size_t>(i)] = acc;
-  }
-  return y;
-}
-
-double DiffusionMatrix::SpectralGamma(int iterations) const {
-  if (n_ == 1) return 0;
-  // Power iteration orthogonal to the all-ones eigenvector (eigenvalue 1).
-  // D is symmetric for our constructors, so this converges to the
-  // second-largest |eigenvalue|.
-  std::vector<double> x(static_cast<std::size_t>(n_));
-  for (int i = 0; i < n_; ++i)
-    x[static_cast<std::size_t>(i)] =
-        std::sin(1.0 + 0.7 * i) + (i % 2 != 0 ? 0.3 : 0.0);
-  auto deflate = [&](std::vector<double>& v) {
-    double mean = 0;
-    for (const double e : v) mean += e;
-    mean /= static_cast<double>(n_);
-    for (double& e : v) e -= mean;
-  };
-  deflate(x);
-  double gamma = 0;
-  for (int it = 0; it < iterations; ++it) {
-    std::vector<double> y = Apply(x);
-    deflate(y);
-    double norm = 0;
-    for (const double e : y) norm += e * e;
-    norm = std::sqrt(norm);
-    if (norm < 1e-300) return 0;
-    // Rayleigh-style estimate of |λ₂| from the norm growth.
-    double xnorm = 0;
-    for (const double e : x) xnorm += e * e;
-    xnorm = std::sqrt(xnorm);
-    gamma = norm / xnorm;
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] /= norm;
-    x = std::move(y);
-  }
-  return gamma;
-}
-
 namespace {
 
 // Assembles CSR rows from a per-row list of (column, value) off-diagonal
@@ -269,23 +191,6 @@ SparseDiffusionMatrix SparseDiffusionMatrix::DegreeBased(
   return m;
 }
 
-SparseDiffusionMatrix SparseDiffusionMatrix::FromDense(
-    const DiffusionMatrix& dense) {
-  const int n = dense.size();
-  SparseDiffusionMatrix m(n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      const double a = dense.at(i, j);
-      if (a != 0.0 || i == j) {
-        m.col_.push_back(j);
-        m.values_.push_back(a);
-      }
-    }
-    m.row_ptr_[static_cast<std::size_t>(i) + 1] = m.col_.size();
-  }
-  return m;
-}
-
 double SparseDiffusionMatrix::at(int i, int j) const {
   WEBWAVE_REQUIRE(i >= 0 && i < n_ && j >= 0 && j < n_, "index out of range");
   for (std::size_t k = row_ptr_[static_cast<std::size_t>(i)];
@@ -319,8 +224,10 @@ std::vector<double> SparseDiffusionMatrix::Apply(
 
 double SparseDiffusionMatrix::SpectralGamma(int iterations) const {
   if (n_ == 1) return 0;
-  // Deflated power iteration, identical to the dense class but with one
-  // O(n + E) sweep per iteration and no per-iteration allocation.
+  // Power iteration orthogonal to the all-ones eigenvector (eigenvalue 1),
+  // one O(n + E) sweep per iteration and no per-iteration allocation.
+  // D is symmetric for the constructors above, so this converges to the
+  // second-largest |eigenvalue|; the norm growth estimates it.
   std::vector<double> x(static_cast<std::size_t>(n_));
   for (int i = 0; i < n_; ++i)
     x[static_cast<std::size_t>(i)] =
@@ -388,15 +295,6 @@ DiffusionRun RunDiffusion(const SparseDiffusionMatrix& matrix,
   if (run.distances.back() <= tol) run.reached_tolerance = true;
   run.final_load = std::move(x);
   return run;
-}
-
-DiffusionRun RunDiffusion(const DiffusionMatrix& matrix,
-                          std::vector<double> initial, double tol,
-                          int max_steps) {
-  // Compress once, iterate sparsely: identical arithmetic per sweep (CSR
-  // rows keep ascending column order, matching the dense summation).
-  return RunDiffusion(SparseDiffusionMatrix::FromDense(matrix),
-                      std::move(initial), tol, max_steps);
 }
 
 DiffusionRun RunAsyncDiffusion(const UndirectedGraph& graph, double alpha,

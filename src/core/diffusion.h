@@ -51,39 +51,15 @@ UndirectedGraph MakeTorusGraph(int width, int height);
 UndirectedGraph MakeKAryNCubeGraph(int k, int n);
 UndirectedGraph GraphFromTree(const RoutingTree& tree);
 
-// Dense row-major diffusion matrix.
-class DiffusionMatrix {
- public:
-  // Uniform α on every edge.  Requires α·max_degree < 1 so that the
-  // diagonal stays positive (Cybenko's condition (1)).
-  static DiffusionMatrix Uniform(const UndirectedGraph& graph, double alpha);
-
-  // α_ij = 1/(1 + max(deg i, deg j)) — always satisfies the condition.
-  static DiffusionMatrix DegreeBased(const UndirectedGraph& graph);
-
-  int size() const { return n_; }
-  double at(int i, int j) const { return data_[static_cast<std::size_t>(i) * n_ + j]; }
-
-  // One synchronous diffusion sweep: returns D·x.
-  std::vector<double> Apply(const std::vector<double>& x) const;
-
-  // γ: the second-largest eigenvalue magnitude, computed by power
-  // iteration on the subspace orthogonal to the all-ones eigenvector (D is
-  // symmetric and doubly stochastic for the constructors above).
-  double SpectralGamma(int iterations = 2000) const;
-
- private:
-  DiffusionMatrix(int n) : n_(n), data_(static_cast<std::size_t>(n) * n, 0) {}
-  int n_;
-  std::vector<double> data_;
-};
-
-// Sparse diffusion matrix in compressed-sparse-row (CSR) form.  Each row
+// The diffusion matrix in compressed-sparse-row (CSR) form.  Each row
 // stores its diagonal entry plus one entry per neighbor, in ascending
 // column order, so Apply costs O(n + E) and a million-node tree fits in a
-// few dozen megabytes where the dense matrix would need terabytes.  The
-// spectral machinery is matrix-free: SpectralGamma runs the same deflated
-// power iteration as the dense class, n² entries are never materialized.
+// few dozen megabytes where a dense matrix would need terabytes.  The
+// spectral machinery is matrix-free: SpectralGamma runs a deflated power
+// iteration, n² entries are never materialized.  The dense n × n matrix
+// survives only as the test reference (tests/diffusion_reference.h): the
+// CSR rows hold its nonzero entries in its column order, so every sweep
+// adds the same products in the same order and skips only exact zeros.
 class SparseDiffusionMatrix {
  public:
   // Uniform α on every edge; requires α·max_degree < 1 (Cybenko (1)).
@@ -92,10 +68,6 @@ class SparseDiffusionMatrix {
 
   // α_ij = 1/(1 + max(deg i, deg j)) — always satisfies the condition.
   static SparseDiffusionMatrix DegreeBased(const UndirectedGraph& graph);
-
-  // Compresses a dense matrix (drops exact zeros).  Used to route the
-  // dense iteration helpers through the sparse kernel.
-  static SparseDiffusionMatrix FromDense(const DiffusionMatrix& dense);
 
   int size() const { return n_; }
   // Stored entries (diagonal + one per edge endpoint).
@@ -136,12 +108,6 @@ struct DiffusionRun {
   bool reached_tolerance = false;
 };
 DiffusionRun RunDiffusion(const SparseDiffusionMatrix& matrix,
-                          std::vector<double> initial, double tol,
-                          int max_steps);
-
-// Dense convenience overload: compresses to CSR once and runs the sparse
-// iteration, so long runs cost O(n²) once instead of per sweep.
-DiffusionRun RunDiffusion(const DiffusionMatrix& matrix,
                           std::vector<double> initial, double tol,
                           int max_steps);
 

@@ -1,7 +1,6 @@
 #include "fault/fault_projector.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "util/check.h"
 
@@ -19,10 +18,6 @@ void FaultProjector::SetDown(Span<const NodeId> down) {
     WEBWAVE_REQUIRE(v >= 0 && v < tree_.size(), "down node out of range");
     WEBWAVE_REQUIRE(!tree_.is_root(v), "the home never crashes");
   }
-  // The nodes in exactly one of the old and new sets flipped status.
-  std::set_symmetric_difference(down_.begin(), down_.end(), next.begin(),
-                                next.end(),
-                                std::back_inserter(pending_transitions_));
   for (const NodeId v : down_) down_mask_[static_cast<std::size_t>(v)] = 0;
   for (const NodeId v : next) down_mask_[static_cast<std::size_t>(v)] = 1;
   down_ = std::move(next);
@@ -43,10 +38,7 @@ bool FaultProjector::KeepsAll(const QuotaSnapshot& /*base*/) const {
   return down_.empty();
 }
 
-void FaultProjector::Project(const QuotaSnapshot& base) {
-  pending_transitions_.clear();
-  ProjectAll(base);
-}
+void FaultProjector::Project(const QuotaSnapshot& base) { ProjectAll(base); }
 
 void FaultProjector::ApplyEvents(Span<const FaultEvent> events) {
   if (events.empty()) return;
@@ -62,7 +54,6 @@ void FaultProjector::ApplyEvents(Span<const FaultEvent> events) {
       WEBWAVE_REQUIRE(mask == 1, "recovery of a live node");
       mask = 0;
     }
-    pending_transitions_.push_back(v);
   }
   // Only the batch's nodes changed status: recovered nodes leave the down
   // set and crashed ones join it — no sweep of the tree.
@@ -78,30 +69,8 @@ void FaultProjector::ApplyEvents(Span<const FaultEvent> events) {
   down_.erase(std::unique(down_.begin(), down_.end()), down_.end());
 }
 
-bool FaultProjector::Refresh(const QuotaSnapshot& base,
-                             Span<const int> dirty_lanes) {
-  WEBWAVE_REQUIRE(projected(), "Refresh needs a prior Project");
-  WEBWAVE_REQUIRE(base.node_count() == tree_.size() &&
-                      base.doc_count() == clamped().doc_count(),
-                  "snapshot does not match the projection");
-
-  // The documents whose clamped cells can differ: the dirty lanes (their
-  // base cells moved) plus every document in a transitioned node's base
-  // row (its copies just vanished or came back, re-routing their spill).
-  affected_.InsertAll(dirty_lanes);
-  const std::int32_t* docs = base.cell_docs();
-  for (const NodeId v : pending_transitions_)
-    for (std::int64_t c = base.row_begin(v); c < base.row_end(v); ++c)
-      affected_.Insert(docs[c]);
-  pending_transitions_.clear();
-  return Reproject(base);
-}
-
-bool FaultProjector::Refresh(const QuotaSnapshot& base,
-                             Span<const FaultEvent> events,
-                             Span<const int> dirty_lanes) {
-  ApplyEvents(events);
-  return Refresh(base, dirty_lanes);
+bool FaultProjector::Refresh(const QuotaSnapshot& base) {
+  return ProjectAll(base);
 }
 
 }  // namespace webwave

@@ -115,23 +115,18 @@ EpochDriver::Report EpochDriver::ApplyEpoch(
   sim_.ClearDirtyLanes();
   mark(kRefresh);
 
-  // The affected-document set grows through the layers: demand-side
-  // dirty lanes, then whatever cells the capacity re-clamp rebuilt — its
-  // last_affected_docs(), which already covers the dirty lanes.
-  Span<const std::int32_t> affected(report.dirty);
   report.projections_in_place = true;
   if (capacity_ != nullptr) {
-    report.projections_in_place &= capacity_->Refresh(snap_, affected);
+    report.projections_in_place &= capacity_->Refresh(snap_, report.dirty);
     WEBWAVE_REQUIRE(capacity_->ConservesTotalRate(snap_),
                     "capacity clamping lost quota rate");
-    affected = capacity_->last_affected_docs();
   }
   mark(kClamp);
   if (faults_ != nullptr) {
     faults_->ApplyEvents(fault_events);
     const QuotaSnapshot& base = capacity_ != nullptr ? capacity_->clamped()
                                                      : snap_;
-    report.projections_in_place &= faults_->Refresh(base, affected);
+    report.projections_in_place &= faults_->Refresh(base);
     WEBWAVE_REQUIRE(faults_->ConservesTotalRate(base),
                     "re-homing lost quota rate");
   } else {
@@ -141,14 +136,8 @@ EpochDriver::Report EpochDriver::ApplyEpoch(
   mark(kRehome);
 
   if (plane_ != nullptr) {
-    // The plane serves serving(); hint its refresh with the epoch's
-    // affected columns when no projector rewrote the whole table shape.
-    if (capacity_ == nullptr && faults_ == nullptr) {
-      plane_->Refresh(snap_, affected);
-    } else {
-      plane_->Refresh(serving());
-      InstallDown(*plane_);
-    }
+    plane_->Refresh(serving());
+    InstallDown(*plane_);
   }
   mark(kInstall);
   ++epoch_index_;

@@ -7,14 +7,15 @@
 // and fault layers in order, and re-install the down set.  This class
 // owns that sequence — ApplyEpoch(churn_events, fault_events) does all
 // of it, in the one layering order that is correct (capacity clamps the
-// base, faults re-home the clamped result, the fault layer's affected
-// set unions the capacity layer's last_affected_docs), and asserts the
-// spill invariant (ConservesTotalRate) every projection.
+// base, faults re-home the clamped result), and asserts the spill
+// invariant (ConservesTotalRate) every projection.  Only the engine's
+// dirty lanes are handed down, to the snapshot re-sync and the capacity
+// re-rank; every later layer re-derives its output from its input.
 //
 // Attach whatever layers the harness uses:
 //   * nothing        — the maintained snapshot just tracks the engine;
-//   * AttachPlane    — a long-lived ServingPlane is hint-refreshed from
-//                      the snapshot each epoch (the tab_serving loop);
+//   * AttachPlane    — a long-lived ServingPlane is refreshed from
+//                      serving() each epoch (the tab_serving loop);
 //   * AttachCapacity — finite storage clamps the snapshot (serving_loop);
 //   * AttachFaults   — crash/recover events re-home quota (fault_loop,
 //                      tab_faults), and down() carries the live down set.
@@ -84,8 +85,8 @@ class EpochDriver {
   // the clamped base).  Attached objects must outlive the driver.
   void AttachCapacity(CapacityProjector* projector);
   void AttachFaults(FaultProjector* projector);
-  // A long-lived plane refreshed from serving() at the end of every
-  // ApplyEpoch (hinted by the epoch's affected documents).
+  // A long-lived plane refreshed from serving(), with the down set
+  // re-installed, at the end of every ApplyEpoch.
   void AttachPlane(ServingPlane* plane);
 
   // --- telemetry (src/obs/) ----------------------------------------------

@@ -145,27 +145,6 @@ QuotaSnapshot QuotaSnapshot::FromBatch(const BatchWebWaveSimulator& batch,
   return s;
 }
 
-void QuotaSnapshot::BuildColumnIndex() const {
-  // Counting sort of the cells by document: rows are node-ascending, so
-  // within one document the cells fall out node-ascending too.
-  const std::size_t dd = static_cast<std::size_t>(docs_);
-  col_off_.assign(dd + 1, 0);
-  for (const std::int32_t d : doc_)
-    ++col_off_[static_cast<std::size_t>(d) + 1];
-  for (std::size_t d = 0; d < dd; ++d) col_off_[d + 1] += col_off_[d];
-  col_cells_.resize(doc_.size());
-  col_nodes_.resize(doc_.size());
-  std::vector<std::int64_t> fill(col_off_.begin(), col_off_.end() - 1);
-  for (NodeId v = 0; v < nodes_; ++v)
-    for (std::int64_t cell = row_begin(v); cell < row_end(v); ++cell) {
-      const std::size_t d =
-          static_cast<std::size_t>(doc_[static_cast<std::size_t>(cell)]);
-      const std::int64_t slot = fill[d]++;
-      col_cells_[static_cast<std::size_t>(slot)] = cell;
-      col_nodes_[static_cast<std::size_t>(slot)] = v;
-    }
-}
-
 bool QuotaSnapshot::RefreshFromBatch(const BatchWebWaveSimulator& batch) {
   WEBWAVE_REQUIRE(incremental_,
                   "RefreshFromBatch needs a FromBatch-produced snapshot");
@@ -243,7 +222,6 @@ bool QuotaSnapshot::RefreshFromBatch(const BatchWebWaveSimulator& batch) {
   rate_.swap(x.rate);
   frac_.swap(x.frac);
   total_ = total;
-  col_off_.clear();  // the column index is rebuilt on demand
   return same_shape;
 }
 
@@ -264,26 +242,6 @@ double QuotaSnapshot::RateAt(NodeId v, std::int32_t d) const {
 double QuotaSnapshot::FractionAt(NodeId v, std::int32_t d) const {
   const std::int64_t cell = CellOf(v, d);
   return cell >= 0 ? frac_[static_cast<std::size_t>(cell)] : 0.0;
-}
-
-Span<const NodeId> QuotaSnapshot::DocNodes(std::int32_t d) const {
-  WEBWAVE_REQUIRE(d >= 0 && d < docs_, "document out of range");
-  if (col_off_.empty()) BuildColumnIndex();
-  const std::size_t begin =
-      static_cast<std::size_t>(col_off_[static_cast<std::size_t>(d)]);
-  const std::size_t end =
-      static_cast<std::size_t>(col_off_[static_cast<std::size_t>(d) + 1]);
-  return Span<const NodeId>(col_nodes_.data() + begin, end - begin);
-}
-
-Span<const std::int64_t> QuotaSnapshot::DocCells(std::int32_t d) const {
-  WEBWAVE_REQUIRE(d >= 0 && d < docs_, "document out of range");
-  if (col_off_.empty()) BuildColumnIndex();
-  const std::size_t begin =
-      static_cast<std::size_t>(col_off_[static_cast<std::size_t>(d)]);
-  const std::size_t end =
-      static_cast<std::size_t>(col_off_[static_cast<std::size_t>(d) + 1]);
-  return Span<const std::int64_t>(col_cells_.data() + begin, end - begin);
 }
 
 }  // namespace webwave

@@ -125,15 +125,6 @@ class QuotaSnapshot {
   // Serve fraction at (v, d); 0 when absent.
   double FractionAt(NodeId v, std::int32_t d) const;
 
-  // Column view for per-document readers (the serving plane's hinted
-  // refresh, tests): the nodes holding document d, ascending, and the
-  // matching cell indices.  Built lazily on first use; every refresh or
-  // projection that rewrites the snapshot drops it, and views are
-  // invalidated with it.  Not thread-safe against the lazy build — call
-  // once before handing the snapshot to parallel readers.
-  Span<const NodeId> DocNodes(std::int32_t d) const;
-  Span<const std::int64_t> DocCells(std::int32_t d) const;
-
  private:
   // The spill projectors (capacity clamping and the fault plane) own a
   // clamped QuotaSnapshot and write its CSR arrays directly
@@ -143,8 +134,6 @@ class QuotaSnapshot {
   // total_, which an Add-by-Add rebuild would re-sum in a different
   // association order (wire/quota_wire).
   friend class QuotaWireTable;
-
-  void BuildColumnIndex() const;
 
   int nodes_ = 0;
   int docs_ = 0;
@@ -177,14 +166,6 @@ class QuotaSnapshot {
   bool incremental_ = false;
   double min_rate_ = 0;
   RefreshScratch scratch_;
-
-  // Column index for the DocNodes/DocCells view: document d's cells are
-  // col_cells_[col_off_[d] .. col_off_[d+1]), node ascending, with
-  // col_nodes_ the matching node per cell.  Built lazily (mutable: the
-  // view is logically const); an empty col_off_ means "not built".
-  mutable std::vector<std::int64_t> col_off_;    // docs_ + 1 entries
-  mutable std::vector<std::int64_t> col_cells_;  // cell index per column entry
-  mutable std::vector<NodeId> col_nodes_;        // node per column entry
 };
 
 }  // namespace webwave

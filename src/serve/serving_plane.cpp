@@ -172,9 +172,7 @@ void ServingPlane::BuildTables() {
 }
 
 template <typename Snapshot>
-bool ServingPlane::RefreshImpl(Snapshot&& snapshot,
-                               Span<const std::int32_t> changed_docs,
-                               bool have_hint) {
+bool ServingPlane::RefreshImpl(Snapshot&& snapshot) {
   WEBWAVE_REQUIRE(snapshot.node_count() == snapshot_.node_count() &&
                       snapshot.doc_count() == snapshot_.doc_count(),
                   "a refresh cannot change the tree or the catalog");
@@ -201,80 +199,38 @@ bool ServingPlane::RefreshImpl(Snapshot&& snapshot,
     return false;
   }
 
-  // In-place: rewrite only the changed cells' admission words.  The node
-  // records depend on the row offsets and cell documents alone, which
-  // the shape check just proved unchanged, so they are kept as is.  When
-  // the budget scale moved (offered_rate tracking the snapshot total)
-  // every cell's token rate moved with it, so the hint no longer bounds
-  // the change set and the whole table is re-diffed.
-  const bool scale_held = per_block == per_block_;
+  // In-place: rewrite every cell's admission word.  The node records
+  // depend on the row offsets and cell documents alone, which the shape
+  // check just proved unchanged, so they are kept as is.
   per_block_ = per_block;
   const double* rates = snapshot_.cell_rates();
   const double* fracs = snapshot_.cell_fractions();
-  const auto update_cell = [&](std::size_t c) {
+  for (std::size_t c = 0; c < cells; ++c) {
     const double r = rates[c] * per_block_;
     const std::uint64_t word = admission_[c];
     const bool token = (word & kTokenCell) != 0;
-    if ((r >= 1.0) != token) return false;  // regime flip
+    if ((r >= 1.0) != token) {
+      // A cell crossed the token/thinning boundary: the compact token
+      // numbering shifts, so rebuild everything (the partial updates
+      // above are overwritten).
+      BuildTables();
+      return false;
+    }
     if (token)
       tokens_[static_cast<std::uint32_t>(word)].rate = r;
     else
       admission_[c] =
           UnitThreshold(std::min(1.0, options_.budget_slack * fracs[c]));
-    return true;
-  };
-  bool in_place = true;
-  if (have_hint && scale_held) {
-    for (const std::int32_t d : changed_docs) {
-      for (const std::int64_t cell : snapshot_.DocCells(d))
-        if (!update_cell(static_cast<std::size_t>(cell))) {
-          in_place = false;
-          break;
-        }
-      if (!in_place) break;
-    }
-  } else {
-    for (std::size_t c = 0; c < cells; ++c)
-      if (!update_cell(c)) {
-        in_place = false;
-        break;
-      }
-  }
-  if (!in_place) {
-    // A cell crossed the token/thinning boundary: the compact token
-    // numbering shifts, so rebuild everything (the partial updates above
-    // are overwritten).
-    BuildTables();
-    return false;
   }
   return true;
 }
 
 bool ServingPlane::Refresh(const QuotaSnapshot& snapshot) {
-  return RefreshImpl(snapshot, Span<const std::int32_t>(), false);
+  return RefreshImpl(snapshot);
 }
 
 bool ServingPlane::Refresh(QuotaSnapshot&& snapshot) {
-  return RefreshImpl(std::move(snapshot), Span<const std::int32_t>(), false);
-}
-
-// The hinted overloads re-wrap the span as a prvalue: Span<const T>
-// parameters must be copy-elided (an lvalue copy would instantiate
-// std::vector<const T> during overload resolution, which is ill-formed).
-bool ServingPlane::Refresh(const QuotaSnapshot& snapshot,
-                           Span<const std::int32_t> changed_docs) {
-  return RefreshImpl(
-      snapshot,
-      Span<const std::int32_t>(changed_docs.data(), changed_docs.size()),
-      true);
-}
-
-bool ServingPlane::Refresh(QuotaSnapshot&& snapshot,
-                           Span<const std::int32_t> changed_docs) {
-  return RefreshImpl(
-      std::move(snapshot),
-      Span<const std::int32_t>(changed_docs.data(), changed_docs.size()),
-      true);
+  return RefreshImpl(std::move(snapshot));
 }
 
 void ServingPlane::MarkNodes(std::uint64_t flag, Span<const NodeId> nodes,

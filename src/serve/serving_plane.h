@@ -192,26 +192,19 @@ class ServingPlane {
 
   // Installs a new snapshot without tearing the plane down — the
   // data-plane analogue of QuotaSnapshot::RefreshFromBatch.  When the
-  // CSR shape is unchanged, only the admission rows whose cells changed
-  // are recomputed: the hinted overloads touch just `changed_docs`'
-  // cells through the snapshot's column index (the caller promises every
-  // other cell is value-identical — the dirty/affected sets of the
-  // closed loop are exactly that promise); the unhinted overloads diff
-  // every cell.  A shape change, or a cell crossing the token/thinning
-  // regime boundary (which renumbers the compact token slots), falls
-  // back to a full table rebuild.  Either way the admission tables end
-  // up byte-identical to constructing a fresh plane from the snapshot
+  // CSR shape is unchanged, the node records are kept and every cell's
+  // admission word is re-derived from the new rates and fractions, in
+  // place.  A shape change, or a cell crossing the token/thinning regime
+  // boundary (which renumbers the compact token slots), falls back to a
+  // full table rebuild.  Either way the admission tables end up
+  // byte-identical to constructing a fresh plane from the snapshot
   // (asserted by serving_test via TablesEqual); accumulated metrics and
   // block numbering continue.  Returns true when the in-place path
   // sufficed.  The tree and catalog shape cannot change.  The const&
-  // overloads copy-assign into the plane's existing snapshot storage;
-  // the && overloads take the caller's arrays.
+  // overload copy-assigns into the plane's existing snapshot storage;
+  // the && overload takes the caller's arrays.
   bool Refresh(const QuotaSnapshot& snapshot);
   bool Refresh(QuotaSnapshot&& snapshot);
-  bool Refresh(const QuotaSnapshot& snapshot,
-               Span<const std::int32_t> changed_docs);
-  bool Refresh(QuotaSnapshot&& snapshot,
-               Span<const std::int32_t> changed_docs);
 
   // True iff the two planes would admit any request stream identically
   // from the same block position: same snapshot cells, admission tables
@@ -308,12 +301,11 @@ class ServingPlane {
   void BuildTables();
   // Sets `flag` to `rest` on every record, then to !rest on `nodes`.
   void MarkNodes(std::uint64_t flag, Span<const NodeId> nodes, bool rest);
-  // Every Refresh overload: `snapshot` is a const QuotaSnapshot& (copied
+  // Both Refresh overloads: `snapshot` is a const QuotaSnapshot& (copied
   // in) or a QuotaSnapshot&& (moved in).  Defined and instantiated in the
   // .cpp only.
   template <typename Snapshot>
-  bool RefreshImpl(Snapshot&& snapshot,
-                   Span<const std::int32_t> changed_docs, bool have_hint);
+  bool RefreshImpl(Snapshot&& snapshot);
 
   QuotaSnapshot snapshot_;
   ServingOptions options_;

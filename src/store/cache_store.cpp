@@ -118,26 +118,12 @@ void CacheStore::Admit(const QuotaSnapshot& snapshot) {
 }
 
 void CacheStore::Readmit(const QuotaSnapshot& snapshot,
-                         Span<const NodeId> nodes, MarkSet* changed_docs) {
+                         Span<const NodeId> nodes) {
   WEBWAVE_REQUIRE(snapshot.node_count() == node_count(),
                   "snapshot does not match the store");
   for (const NodeId v : nodes) {
     WEBWAVE_REQUIRE(v >= 0 && v < node_count(), "node out of range");
-    row_scratch_ = kept_[static_cast<std::size_t>(v)];
     AdmitRow(snapshot, v);
-    // Both lists are ascending: a linear merge finds the symmetric
-    // difference — the documents this node admitted or evicted.
-    const std::vector<DocId>& now = kept_[static_cast<std::size_t>(v)];
-    std::size_t a = 0, b = 0;
-    while (a < row_scratch_.size() || b < now.size()) {
-      if (b == now.size() ||
-          (a < row_scratch_.size() && row_scratch_[a] < now[b]))
-        changed_docs->Insert(row_scratch_[a++]);
-      else if (a == row_scratch_.size() || now[b] < row_scratch_[a])
-        changed_docs->Insert(now[b++]);
-      else
-        ++a, ++b;
-    }
   }
 }
 

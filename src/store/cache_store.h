@@ -21,14 +21,13 @@
 //
 // Admission is row-incremental: Admit re-ranks every node, Readmit only
 // the nodes whose snapshot rows changed (CapacityProjector feeds it the
-// nodes holding dirty-lane cells), reporting which documents' residency
-// actually moved, the documents whose clamped cells can change.
-// resident_cells() tells the projector when nothing was evicted at all.
+// nodes holding dirty-lane cells).  resident_cells() tells the projector
+// when nothing was evicted at all.
 //
-// Residency is the ascending keep list per node (ResidentDocs, and
-// Readmit's old/new diff).  CapacityProjector reads it one whole row at a
-// time, merged against the snapshot row the list was decided over, so
-// no per-(node, document) index is kept beside it.
+// Residency is the ascending keep list per node (ResidentDocs).
+// CapacityProjector reads it one whole row at a time, merged against the
+// snapshot row the list was decided over, so no per-(node, document)
+// index is kept beside it.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +36,6 @@
 #include "serve/quota_snapshot.h"
 #include "store/document_sizes.h"
 #include "tree/routing_tree.h"
-#include "util/mark_set.h"
 #include "util/span.h"
 
 namespace webwave {
@@ -94,13 +92,11 @@ class CacheStore {
   // all residency state.
   void Admit(const QuotaSnapshot& snapshot);
 
-  // Re-ranks only `nodes` (ascending, unique) against their current
-  // `snapshot` rows.  Documents whose residency changed at any of the
-  // nodes are inserted into `changed_docs`.  Rows not listed keep their
-  // keep sets — correct whenever their snapshot rows are unchanged,
-  // because the keep set is a pure function of the row.
-  void Readmit(const QuotaSnapshot& snapshot, Span<const NodeId> nodes,
-               MarkSet* changed_docs);
+  // Re-ranks only `nodes` against their current `snapshot` rows.  Rows
+  // not listed keep their keep sets — correct whenever their snapshot
+  // rows are unchanged, because the keep set is a pure function of the
+  // row.
+  void Readmit(const QuotaSnapshot& snapshot, Span<const NodeId> nodes);
 
  private:
   void AdmitRow(const QuotaSnapshot& snapshot, NodeId v);
@@ -112,7 +108,6 @@ class CacheStore {
   std::int64_t resident_cells_ = 0;
   NodeId home_;
   QuotaWeightedEviction policy_;
-  std::vector<DocId> row_scratch_;  // Readmit's old-keep-set copy
 };
 
 }  // namespace webwave

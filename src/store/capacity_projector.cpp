@@ -69,12 +69,8 @@ bool CapacityProjector::Refresh(const QuotaSnapshot& base,
       touched_nodes_.push_back(v);
   }
 
-  // The documents whose clamped cells can differ: the dirty lanes (their
-  // rates moved) plus every document some re-ranked node admitted or
-  // evicted (their spill routing moved).
-  affected_.InsertAll(dirty_lanes);
-  store_.Readmit(base, Span<const NodeId>(touched_nodes_), &affected_);
-  return Reproject(base);
+  store_.Readmit(base, Span<const NodeId>(touched_nodes_));
+  return ProjectAll(base);
 }
 
 }  // namespace webwave

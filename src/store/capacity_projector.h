@@ -17,20 +17,18 @@
 // SpillProjector (store/spill_projector.h), shared with the fault
 // plane's FaultProjector; this class contributes only the survivor
 // predicate (store residency, one row-merge against the keep list) and
-// the bookkeeping that decides which rows to re-rank.
+// the choice of which rows to re-rank.
 //
 // Refresh mirrors QuotaSnapshot::RefreshFromBatch one layer down: given
 // the freshly re-synced base snapshot and the engine's dirty-lane set, it
 // re-ranks admission only at nodes whose rows hold dirty cells (or held
 // resident ones) — found by one scan of the rows against a dirty-document
-// mark — then re-projects when the dirty lanes or the documents whose
-// residency moved are non-empty.  Capacity couples documents through the
-// shared byte budget, so a dirty lane can evict a clean lane's copy; that
-// union is exactly the set whose clamped cells can change, and it is what
-// last_affected_docs() reports.  The result is cell-identical to a full
-// Project(base) (asserted under ChurnSchedule churn by store_test).  When
-// the store evicted nothing the clamp copies the base in; otherwise one
-// node-major projection runs.  Either way an epoch costs O(cells), read
+// mark — and then projects the whole base again.  Re-ranking anywhere
+// else would reproduce the stored keep set, a pure function of an
+// unchanged row, so the result is cell-identical to a full Project(base)
+// (asserted under ChurnSchedule churn by store_test).  When the store
+// evicted nothing the clamp copies the base in; otherwise one node-major
+// projection runs.  Either way an epoch costs O(cells), read
 // sequentially, plus the re-ranked rows.
 //
 // Everything here is a pure serial function of (base, store state):
@@ -62,7 +60,6 @@ class CapacityProjector : public SpillProjector {
   // prior Project): `base` must be the maintained snapshot *after* its
   // RefreshFromBatch, `dirty_lanes` the engine's dirty set that drove
   // it (ascending).  Returns true when the clamped CSR shape held.
-  // last_affected_docs() afterwards covers every dirty lane.
   bool Refresh(const QuotaSnapshot& base, Span<const int> dirty_lanes);
 
   const CacheStore& store() const { return store_; }

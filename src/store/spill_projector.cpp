@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/check.h"
 
@@ -27,8 +26,6 @@ void SpillProjector::PublishMetrics(MetricRegistry* registry,
   registry->Set(registry->Gauge(prefix + "evicted_cells"), evicted_cells());
   registry->Set(registry->Gauge(prefix + "spilled_rate_micros"),
                 std::llround(spilled_rate() * 1e6));
-  registry->Set(registry->Gauge(prefix + "affected_docs"),
-                static_cast<std::int64_t>(last_affected_.size()));
 }
 
 bool SpillProjector::ConservesTotalRate(const QuotaSnapshot& base,
@@ -116,7 +113,6 @@ bool SpillProjector::Sweep(const QuotaSnapshot& base) {
   out.total_ = 0;
   out.incremental_ = false;
   out.min_rate_ = 0;
-  out.col_off_.clear();  // the column index is built on demand
   out.row_off_.resize(static_cast<std::size_t>(nodes) + 1);
   out.row_off_[0] = 0;
   out.doc_.resize(out_cells);
@@ -175,31 +171,15 @@ bool SpillProjector::PassThrough(const QuotaSnapshot& base) {
   clamped_ = base;  // copy-assigned: clamped_'s storage is reused
   clamped_.incremental_ = false;
   clamped_.min_rate_ = 0;
-  std::fill(doc_spill_.begin(), doc_spill_.end(), 0.0);
-  std::fill(doc_evicted_.begin(), doc_evicted_.end(), 0);
+  doc_spill_.assign(static_cast<std::size_t>(base.doc_count()), 0.0);
+  doc_evicted_.assign(static_cast<std::size_t>(base.doc_count()), 0);
   return same_shape;
 }
 
-void SpillProjector::ProjectAll(const QuotaSnapshot& base) {
+bool SpillProjector::ProjectAll(const QuotaSnapshot& base) {
   WEBWAVE_REQUIRE(base.node_count() == tree_.size(),
                   "snapshot does not match the tree");
-  const int docs = base.doc_count();
-  doc_spill_.assign(static_cast<std::size_t>(docs), 0.0);
-  doc_evicted_.assign(static_cast<std::size_t>(docs), 0);
-  affected_.Reset(docs);
-  last_affected_.resize(static_cast<std::size_t>(docs));
-  std::iota(last_affected_.begin(), last_affected_.end(), 0);
   projected_ = true;
-  if (KeepsAll(base))
-    PassThrough(base);
-  else
-    Sweep(base);
-}
-
-bool SpillProjector::Reproject(const QuotaSnapshot& base) {
-  WEBWAVE_REQUIRE(projected_, "Reproject needs a prior ProjectAll");
-  affected_.Drain(&last_affected_);
-  if (last_affected_.empty()) return true;
   return KeepsAll(base) ? PassThrough(base) : Sweep(base);
 }
 

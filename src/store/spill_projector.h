@@ -12,9 +12,8 @@
 // cells pass through bit-identical, and total rate is conserved by
 // construction.  SpillProjector is that law factored out once: a
 // subclass supplies only the survivor predicate, one base row at a time
-// (store residency, crash sets), and the incremental bookkeeping that
-// decides *whether* anything can have moved; the projection and the
-// conservation check live here.
+// (store residency, crash sets); the projection and the conservation
+// check live here.
 //
 // The projection is node-major: three sequential sweeps over the base
 // rows, whatever the document count.  The first asks the subclass which
@@ -33,6 +32,10 @@
 // subclass reports that (KeepsAll), the base is copied in as the clamped
 // snapshot directly, into the clamped snapshot's existing storage.
 //
+// Every projection re-derives the whole clamped snapshot from (base,
+// predicate state), so a subclass's refresh is cell-identical to a fresh
+// projection by construction and needs no record of what changed.
+//
 // Everything is a pure serial function of (base snapshot, predicate
 // state): deterministic across thread counts and lane_block widths, so
 // the engine's bit-identity guarantees carry through any projection
@@ -46,8 +49,6 @@
 #include "obs/metric_registry.h"
 #include "serve/quota_snapshot.h"
 #include "tree/routing_tree.h"
-#include "util/mark_set.h"
-#include "util/span.h"
 
 namespace webwave {
 
@@ -58,7 +59,7 @@ class SpillProjector {
   SpillProjector(const SpillProjector&) = delete;
   SpillProjector& operator=(const SpillProjector&) = delete;
 
-  // The clamped snapshot of the last ProjectAll/Reproject.
+  // The clamped snapshot of the last projection.
   const QuotaSnapshot& clamped() const { return clamped_; }
 
   // Stats of the last projection: total quota rate moved up-tree, and
@@ -66,20 +67,11 @@ class SpillProjector {
   double spilled_rate() const;
   std::int64_t evicted_cells() const;
 
-  // The documents the last ProjectAll/Reproject was asked to re-project
-  // (ascending) — every clamped cell outside these columns is
-  // unchanged.  Chained projectors feed this to the next layer's
-  // refresh.
-  Span<const std::int32_t> last_affected_docs() const {
-    return Span<const std::int32_t>(last_affected_.data(),
-                                    last_affected_.size());
-  }
-
   // Publishes the last projection's stats into `registry` as gauges:
-  // "<prefix>evicted_cells", "<prefix>spilled_rate_micros" (the spilled
-  // quota rate in integer micro-units — the registry is integer-only so
-  // identity assertions stay exact) and "<prefix>affected_docs".  The
-  // EpochDriver calls this each epoch with "capacity." / "fault.".
+  // "<prefix>evicted_cells" and "<prefix>spilled_rate_micros" (the
+  // spilled quota rate in integer micro-units — the registry is
+  // integer-only so identity assertions stay exact).  The EpochDriver
+  // calls this each epoch with "capacity." / "fault.".
   void PublishMetrics(MetricRegistry* registry,
                       const std::string& prefix) const;
 
@@ -97,8 +89,8 @@ class SpillProjector {
   // Fills keep[i] with 1 when the i-th cell of v's base row survives
   // this projection, 0 when it is excised.  Never asked about the root:
   // the home is the authoritative origin, keeps every copy, and ends
-  // every spill climb.  Called only while a ProjectAll/Reproject is
-  // consuming `base`.
+  // every spill climb.  Called only while a projection is consuming
+  // `base`.
   virtual void KeepRow(const QuotaSnapshot& base, NodeId v,
                        std::uint8_t* keep) const = 0;
 
@@ -106,25 +98,16 @@ class SpillProjector {
   // then installs `base` as is.
   virtual bool KeepsAll(const QuotaSnapshot& base) const = 0;
 
-  // Full projection of every document; replaces the clamped snapshot and
-  // all stats.  Requires base.node_count() == tree size.
-  void ProjectAll(const QuotaSnapshot& base);
-
-  // Incremental re-projection (requires a prior ProjectAll).  The
-  // subclass marks in affected_ every document whose base column or
-  // predicate outcomes may have moved, and promises the rest did not.
-  // An empty set is a no-op; otherwise the whole node-major projection
-  // runs again (or the pass-through, when KeepsAll), so the result is
-  // cell-identical to a full ProjectAll by construction.  Empties
-  // affected_ into last_affected_docs().  Returns true when the clamped
-  // CSR shape held.
-  bool Reproject(const QuotaSnapshot& base);
+  // Projects `base` against the subclass's current predicate — the
+  // pass-through when KeepsAll, the node-major sweep otherwise — and
+  // replaces the clamped snapshot and all stats.  Requires
+  // base.node_count() == tree size.  Returns true when the clamped CSR
+  // shape held.
+  bool ProjectAll(const QuotaSnapshot& base);
 
   bool projected() const { return projected_; }
 
   const RoutingTree& tree_;
-  // The documents the next Reproject re-projects; subclasses mark them.
-  MarkSet affected_;
 
  private:
   // The node-major projection of `base`, written over clamped_ in place
@@ -140,7 +123,6 @@ class SpillProjector {
 
   std::vector<double> doc_spill_;          // per document, last projection
   std::vector<std::int64_t> doc_evicted_;  // per document, last projection
-  std::vector<std::int32_t> last_affected_;  // see accessor
 
   // Sweep's scratch, sized by the base snapshot: per base cell, its
   // KeepState and the quota spilled onto it (nonzero only at a

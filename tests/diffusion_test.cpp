@@ -56,7 +56,7 @@ TEST(Graphs, TorusMatchesKAryNCube) {
 
 TEST(DiffusionMatrixTest, RowsSumToOneAndSymmetric) {
   const UndirectedGraph g = MakeRingGraph(8);
-  const DiffusionMatrix d = DiffusionMatrix::Uniform(g, 0.3);
+  const SparseDiffusionMatrix d = SparseDiffusionMatrix::Uniform(g, 0.3);
   for (int i = 0; i < 8; ++i) {
     double row = 0;
     for (int j = 0; j < 8; ++j) {
@@ -69,8 +69,8 @@ TEST(DiffusionMatrixTest, RowsSumToOneAndSymmetric) {
 
 TEST(DiffusionMatrixTest, RejectsUnstableAlpha) {
   const UndirectedGraph g = MakeRingGraph(5);
-  EXPECT_THROW(DiffusionMatrix::Uniform(g, 0.6), std::invalid_argument);
-  EXPECT_NO_THROW(DiffusionMatrix::Uniform(g, 0.49));
+  EXPECT_THROW(SparseDiffusionMatrix::Uniform(g, 0.6), std::invalid_argument);
+  EXPECT_NO_THROW(SparseDiffusionMatrix::Uniform(g, 0.49));
 }
 
 TEST(SpectralGamma, MatchesClosedFormOnRing) {
@@ -78,7 +78,7 @@ TEST(SpectralGamma, MatchesClosedFormOnRing) {
   const int n = 12;
   const double alpha = 0.3;
   const UndirectedGraph g = MakeRingGraph(n);
-  const DiffusionMatrix d = DiffusionMatrix::Uniform(g, alpha);
+  const SparseDiffusionMatrix d = SparseDiffusionMatrix::Uniform(g, alpha);
   double expected = 0;
   for (int k = 1; k < n; ++k) {
     const double lambda =
@@ -92,8 +92,8 @@ TEST(SpectralGamma, MatchesClosedFormOnHypercube) {
   // Hypercube with α = 1/(d+1): γ = (d−1)/(d+1).
   for (const int dim : {2, 3, 4}) {
     const UndirectedGraph g = MakeHypercubeGraph(dim);
-    const DiffusionMatrix d =
-        DiffusionMatrix::Uniform(g, 1.0 / (dim + 1));
+    const SparseDiffusionMatrix d =
+        SparseDiffusionMatrix::Uniform(g, 1.0 / (dim + 1));
     EXPECT_NEAR(d.SpectralGamma(),
                 static_cast<double>(dim - 1) / (dim + 1), 1e-6)
         << "dim=" << dim;
@@ -104,7 +104,7 @@ TEST(SpectralGamma, CompleteGraphWithAlphaOverNIsExact) {
   // Complete graph, α = 1/n: D = J/n, converges in one step (γ = 0).
   const int n = 6;
   const UndirectedGraph g = MakeCompleteGraph(n);
-  const DiffusionMatrix d = DiffusionMatrix::Uniform(g, 1.0 / n);
+  const SparseDiffusionMatrix d = SparseDiffusionMatrix::Uniform(g, 1.0 / n);
   EXPECT_NEAR(d.SpectralGamma(), 0.0, 1e-6);
 }
 
@@ -118,7 +118,7 @@ TEST(Diffusion, ConvergesToUniformAndCybenkoBoundHolds) {
       Rng tree_rng(9);
       return GraphFromTree(MakeRandomTree(12, tree_rng));
     }();
-    const DiffusionMatrix d = DiffusionMatrix::DegreeBased(g);
+    const SparseDiffusionMatrix d = SparseDiffusionMatrix::DegreeBased(g);
     std::vector<double> x(static_cast<std::size_t>(g.size()));
     for (auto& v : x) v = rng.NextDouble(0, 100);
     const DiffusionRun run = RunDiffusion(d, x, 1e-9, 20000);
@@ -133,7 +133,7 @@ TEST(Diffusion, MeasuredRateMatchesSpectralGamma) {
   // The asymptotic decay rate of ‖x(t) − u‖ equals γ (§2's  y^t bound is
   // tight for generic starting vectors).
   const UndirectedGraph g = MakeRingGraph(16);
-  const DiffusionMatrix d = DiffusionMatrix::Uniform(g, 0.25);
+  const SparseDiffusionMatrix d = SparseDiffusionMatrix::Uniform(g, 0.25);
   Rng rng(5);
   std::vector<double> x(16);
   for (auto& v : x) v = rng.NextDouble(0, 10);
@@ -150,12 +150,14 @@ TEST(OptimalAlpha, BeatsNeighboringAlphasOnKAryNCube) {
   for (const auto& [k, n] : std::vector<std::pair<int, int>>{{4, 2}, {3, 2}, {5, 1}}) {
     const UndirectedGraph g = MakeKAryNCubeGraph(k, n);
     const double a_star = OptimalAlphaKAryNCube(k, n);
-    const DiffusionMatrix best = DiffusionMatrix::Uniform(g, a_star);
+    const SparseDiffusionMatrix best =
+        SparseDiffusionMatrix::Uniform(g, a_star);
     const double gamma_star = best.SpectralGamma();
     for (const double delta : {-0.05, 0.05}) {
       const double a = a_star + delta;
       if (a <= 0 || a * g.MaxDegree() >= 1) continue;
-      const DiffusionMatrix other = DiffusionMatrix::Uniform(g, a);
+      const SparseDiffusionMatrix other =
+          SparseDiffusionMatrix::Uniform(g, a);
       EXPECT_LE(gamma_star, other.SpectralGamma() + 1e-9)
           << "k=" << k << " n=" << n << " delta=" << delta;
     }
@@ -166,8 +168,8 @@ TEST(Diffusion, GammaGrowsWithRingSize) {
   // Bigger rings mix slower: γ increases with n.
   double prev = 0;
   for (const int n : {4, 8, 16, 32}) {
-    const DiffusionMatrix d =
-        DiffusionMatrix::Uniform(MakeRingGraph(n), 0.25);
+    const SparseDiffusionMatrix d =
+        SparseDiffusionMatrix::Uniform(MakeRingGraph(n), 0.25);
     const double gamma = d.SpectralGamma();
     EXPECT_GT(gamma, prev);
     prev = gamma;
@@ -214,7 +216,7 @@ TEST(AsyncDiffusion, SlowerThanSynchronousButSameLimit) {
   std::vector<double> x0(12);
   for (auto& v : x0) v = rng.NextDouble(0, 50);
 
-  const DiffusionMatrix d = DiffusionMatrix::Uniform(g, 0.3);
+  const SparseDiffusionMatrix d = SparseDiffusionMatrix::Uniform(g, 0.3);
   const DiffusionRun sync = RunDiffusion(d, x0, 1e-6, 100000);
   AsyncDiffusionOptions opt;
   opt.activation = 0.4;
@@ -244,7 +246,7 @@ TEST(AsyncDiffusion, RejectsBadOptions) {
 
 TEST(Diffusion, PreservesTotalLoad) {
   const UndirectedGraph g = MakeTorusGraph(3, 3);
-  const DiffusionMatrix d = DiffusionMatrix::DegreeBased(g);
+  const SparseDiffusionMatrix d = SparseDiffusionMatrix::DegreeBased(g);
   std::vector<double> x = {10, 0, 0, 0, 0, 0, 0, 0, 0};
   double total = 10;
   for (int t = 0; t < 50; ++t) {

@@ -234,7 +234,7 @@ TEST(FaultProjector, SpillSynthesizesAHomeCellAndRecoveryRestoresIt) {
                std::invalid_argument);
 }
 
-// Event-proportional refresh ---------------------------------------------
+// Refresh across fault and churn epochs ----------------------------------
 
 TEST(FaultProjector, RefreshMatchesFullProjectionAcrossFaultAndChurnEpochs) {
   Rng rng(89);
@@ -278,15 +278,13 @@ TEST(FaultProjector, RefreshMatchesFullProjectionAcrossFaultAndChurnEpochs) {
       sim.ApplyDemandEvents({{0, gentle_leaf, 2.0 + 0.01 * (epoch - 6)}});
     }
     for (int s = 0; s < 8; ++s) sim.Step();
-    const std::vector<int> dirty = sim.DirtyLanes();
     base.RefreshFromBatch(sim);
     sim.ClearDirtyLanes();
 
     const std::vector<FaultEvent> events = faults.NextEvents();
     saw_transition = saw_transition || !events.empty();
-    const bool in_place =
-        incr.Refresh(base, Span<const FaultEvent>(events.data(), events.size()),
-                     Span<const int>(dirty.data(), dirty.size()));
+    incr.ApplyEvents(Span<const FaultEvent>(events.data(), events.size()));
+    const bool in_place = incr.Refresh(base);
     saw_in_place = saw_in_place || in_place;
     saw_rebuild = saw_rebuild || !in_place;
     EXPECT_EQ(incr.down(), faults.down()) << "epoch " << epoch;
@@ -305,8 +303,8 @@ TEST(FaultProjector, RefreshMatchesFullProjectionAcrossFaultAndChurnEpochs) {
   EXPECT_TRUE(saw_in_place) << "no epoch exercised the in-place rewrite";
 }
 
-// SetDown banks every node whose status flips, like ApplyEvents, so a
-// Refresh after it re-projects exactly what a fresh Project would.
+// SetDown replaces the down set, so a Refresh after it projects exactly
+// what a fresh Project against that set would.
 TEST(FaultProjector, SetDownThenRefreshEqualsProject) {
   Rng rng(71);
   const RoutingTree tree = MakeRandomTree(200, rng);
@@ -331,7 +329,7 @@ TEST(FaultProjector, SetDownThenRefreshEqualsProject) {
     if (std::find(down.begin(), down.end(), tree.root()) != down.end())
       continue;
     incr.SetDown(Span<const NodeId>(down.data(), down.size()));
-    incr.Refresh(base, Span<const int>());
+    incr.Refresh(base);
     FaultProjector full(tree);
     full.SetDown(Span<const NodeId>(down.data(), down.size()));
     full.Project(base);
@@ -417,7 +415,7 @@ TEST(FaultProjector, NodeMajorProjectionMatchesThePerDocumentOracle) {
           capacity.Refresh(base, Span<const int>(dirty.data(), dirty.size()));
           rehome.ApplyEvents(
               Span<const FaultEvent>(events.data(), events.size()));
-          rehome.Refresh(capacity.clamped(), capacity.last_affected_docs());
+          rehome.Refresh(capacity.clamped());
           expect_chain("refresh");
           saw_down = saw_down || !faults.down().empty();
         }

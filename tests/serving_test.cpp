@@ -1036,9 +1036,9 @@ TEST(ServingPlane, WireWalkMatchesBatchWalkInBothAdmissionRegimes) {
 
 // The data-plane analogue of RefreshFromBatch: installing a new snapshot
 // into a live plane must leave admission tables byte-identical to a
-// fresh construction, whether the hinted in-place path, the unhinted
-// diff, or the full rebuild ran — and two live planes refreshed through
-// different paths must keep serving bit-identically.
+// fresh construction, whether the in-place rewrite or the full rebuild
+// ran — and two live planes refreshed through different overloads (the
+// snapshot copied in, or moved in) must keep serving bit-identically.
 TEST(ServingPlane, RefreshMatchesFreshConstructionAcrossEpochs) {
   Rng rng(43);
   const RoutingTree tree = MakeRandomTree(500, rng);
@@ -1055,9 +1055,9 @@ TEST(ServingPlane, RefreshMatchesFreshConstructionAcrossEpochs) {
   sim.ClearDirtyLanes();
 
   ServingOptions opt;
-  opt.offered_rate = 60.0;  // fixed scale: refreshes keep the hint valid
-  ServingPlane hinted(tree, snap, opt);
-  ServingPlane diffed(tree, snap, opt);
+  opt.offered_rate = 60.0;  // fixed scale: only moved cells change budget
+  ServingPlane moved(tree, snap, opt);
+  ServingPlane copied(tree, snap, opt);
 
   RequestGenerator gen(tree, docs, {ZipfLeafComponent(tree, docs, 2.0, 1.0)},
                        19);
@@ -1065,13 +1065,13 @@ TEST(ServingPlane, RefreshMatchesFreshConstructionAcrossEpochs) {
   bool saw_in_place = false, saw_rebuild = false;
   for (int epoch = 0; epoch < 6; ++epoch) {
     gen.NextBatch(40000, &window);
-    hinted.Serve(window);
-    diffed.Serve(window);
-    ASSERT_TRUE(hinted.metrics() == diffed.metrics()) << "epoch " << epoch;
+    moved.Serve(window);
+    copied.Serve(window);
+    ASSERT_TRUE(moved.metrics() == copied.metrics()) << "epoch " << epoch;
 
     // Churn some lanes (gentle on even epochs, copy-set-moving on odd),
     // re-diffuse, re-snapshot, refresh both planes through different
-    // paths.
+    // overloads.
     std::vector<DemandEvent> events;
     if (epoch % 2 == 0) {
       events.push_back({epoch % docs, 5, rng.NextDouble(1, 8)});
@@ -1082,29 +1082,26 @@ TEST(ServingPlane, RefreshMatchesFreshConstructionAcrossEpochs) {
     }
     sim.ApplyDemandEvents(events);
     for (int s = 0; s < 6; ++s) sim.Step();
-    const std::vector<int> dirty = sim.DirtyLanes();
     snap.RefreshFromBatch(sim);
     sim.ClearDirtyLanes();
 
-    std::vector<std::int32_t> changed(dirty.begin(), dirty.end());
-    const bool a = hinted.Refresh(
-        snap, Span<const std::int32_t>(changed.data(), changed.size()));
-    const bool b = diffed.Refresh(snap);
+    const bool a = moved.Refresh(QuotaSnapshot(snap));
+    const bool b = copied.Refresh(snap);
     EXPECT_EQ(a, b) << "epoch " << epoch;
     saw_in_place = saw_in_place || a;
     saw_rebuild = saw_rebuild || !a;
 
     const ServingPlane fresh(tree, snap, opt);
-    EXPECT_TRUE(hinted.TablesEqual(fresh)) << "epoch " << epoch;
-    EXPECT_TRUE(diffed.TablesEqual(fresh)) << "epoch " << epoch;
+    EXPECT_TRUE(moved.TablesEqual(fresh)) << "epoch " << epoch;
+    EXPECT_TRUE(copied.TablesEqual(fresh)) << "epoch " << epoch;
   }
   EXPECT_TRUE(saw_in_place) << "no epoch exercised the in-place refresh";
   EXPECT_TRUE(saw_rebuild) << "no epoch exercised the full rebuild";
 }
 
-// The four Refresh overloads — copy or move, hinted or diffed — leave
-// tables identical to a freshly built plane, and the moved-from and
-// copied-from snapshots feed later refreshes normally.
+// The two Refresh overloads — copy or move — leave tables identical to a
+// freshly built plane, and the moved-from and copied-from snapshots feed
+// later refreshes normally.
 TEST(ServingPlane, RefreshOverloadsCopyOrMoveAndMatchAFreshPlane) {
   Rng rng(53);
   const RoutingTree tree = MakeRandomTree(150, rng);
@@ -1122,8 +1119,7 @@ TEST(ServingPlane, RefreshOverloadsCopyOrMoveAndMatchAFreshPlane) {
 
   ServingOptions opt;
   opt.offered_rate = 400.0;
-  ServingPlane copied(tree, snap, opt), moved(tree, snap, opt),
-      copied_hinted(tree, snap, opt), moved_hinted(tree, snap, opt);
+  ServingPlane copied(tree, snap, opt), moved(tree, snap, opt);
   for (int epoch = 0; epoch < 6; ++epoch) {
     std::vector<DemandEvent> events;
     for (NodeId v = 0; v < tree.size(); ++v)
@@ -1131,31 +1127,23 @@ TEST(ServingPlane, RefreshOverloadsCopyOrMoveAndMatchAFreshPlane) {
         events.push_back({epoch % docs, v, rng.NextDouble(0, 9)});
     sim.ApplyDemandEvents(events);
     for (int s = 0; s < 6; ++s) sim.Step();
-    const std::vector<int> dirty = sim.DirtyLanes();
     snap.RefreshFromBatch(sim);
     sim.ClearDirtyLanes();
-    const std::vector<std::int32_t> changed(dirty.begin(), dirty.end());
 
     copied.Refresh(snap);
     moved.Refresh(QuotaSnapshot(snap));
-    copied_hinted.Refresh(
-        snap, Span<const std::int32_t>(changed.data(), changed.size()));
-    moved_hinted.Refresh(
-        QuotaSnapshot(snap),
-        Span<const std::int32_t>(changed.data(), changed.size()));
 
     const ServingPlane fresh(tree, snap, opt);
     EXPECT_TRUE(copied.TablesEqual(fresh)) << "epoch " << epoch;
     EXPECT_TRUE(moved.TablesEqual(fresh)) << "epoch " << epoch;
-    EXPECT_TRUE(copied_hinted.TablesEqual(fresh)) << "epoch " << epoch;
-    EXPECT_TRUE(moved_hinted.TablesEqual(fresh)) << "epoch " << epoch;
   }
 }
 
 TEST(ServingPlane, RefreshTracksSnapshotTotalWhenOfferedRateFloats) {
   // offered_rate 0 scales budgets to the snapshot's own total, which
-  // moves with every refresh — the hint must be ignored and the tables
-  // still match a fresh construction.
+  // moves with every refresh — every cell's token rate moves with it, in
+  // the lanes that did not change too, and the tables still match a fresh
+  // construction.
   Rng rng(47);
   const RoutingTree tree = MakeRandomTree(200, rng);
   const int docs = 3;
@@ -1172,8 +1160,7 @@ TEST(ServingPlane, RefreshTracksSnapshotTotalWhenOfferedRateFloats) {
   for (int s = 0; s < 5; ++s) sim.Step();
   snap.RefreshFromBatch(sim);
   sim.ClearDirtyLanes();
-  const std::vector<std::int32_t> changed = {0};
-  plane.Refresh(snap, Span<const std::int32_t>(changed.data(), changed.size()));
+  plane.Refresh(snap);
   EXPECT_TRUE(plane.TablesEqual(ServingPlane(tree, snap, opt)));
 }
 
@@ -1357,15 +1344,22 @@ void ExpectDriverMatchesAFreshChain(double multiple) {
     for (const DemandEvent& e : churn.NextEvents())
       if (e.doc == epoch % docs) demand.push_back(e);
     const std::vector<FaultEvent> events = faults.NextEvents();
+    const QuotaSnapshot clamped_before = capacity.clamped();
     const EpochDriver::Report report = driver.ApplyEpoch(
         Span<DemandEvent>(demand.data(), demand.size()),
         Span<const FaultEvent>(events.data(), events.size()));
     EXPECT_LT(report.dirty.size(), static_cast<std::size_t>(docs));
-    // A dirty lane moved a clean document's residency, and no crash or
-    // recovery re-homes it anyway: the driver must hand it on.
+    // A dirty lane moved a clean document's clamped cells, and no crash
+    // or recovery re-homes it anyway: the fault layer must still see it.
+    const std::vector<std::int32_t> moved =
+        spill_reference::MovedDocs(clamped_before, capacity.clamped());
+    const auto clean = [&](std::int32_t d) {
+      return std::find(report.dirty.begin(), report.dirty.end(), d) ==
+             report.dirty.end();
+    };
     saw_coupling = saw_coupling ||
-                   (events.empty() && capacity.last_affected_docs().size() >
-                                          report.dirty.size());
+                   (events.empty() &&
+                    std::any_of(moved.begin(), moved.end(), clean));
 
     CapacityProjector fresh_capacity(
         tree, CacheStore::WorkingSetStore(tree, sizes, multiple));
@@ -1401,6 +1395,93 @@ void ExpectDriverMatchesAFreshChain(double multiple) {
 TEST(EpochDriver, ServingMatchesAFreshProjectionChainEveryEpoch) {
   ExpectDriverMatchesAFreshChain(1.0);   // zero eviction: the pass-through
   ExpectDriverMatchesAFreshChain(0.35);  // evicting: spill every epoch
+}
+
+// With a plane attached and no projector, ApplyEpoch refreshes the plane
+// from the maintained snapshot itself (the tab_serving loop).  At every
+// churn epoch the plane's tables equal a fresh plane built over FromBatch,
+// over epochs that keep the snapshot's shape and epochs that move it, at
+// lane blocks 1/8 and 1/2 threads, and every configuration serves the
+// same stream identically.
+TEST(EpochDriver, AttachedPlaneWithoutProjectorsMatchesAFreshPlane) {
+  Rng rng(79);
+  const RoutingTree tree = MakeRandomTree(200, rng);
+  const int docs = 7;
+  ChurnScheduleOptions copt;
+  copt.pattern = ChurnPattern::kRotatingHotSpot;
+  copt.doc_count = docs;
+  copt.hot_fraction = 0.2;
+  copt.rotation_epochs = 4;
+  NodeId leaf = 0;
+  while (!tree.is_leaf(leaf)) ++leaf;
+
+  std::vector<ServingMetrics> served;  // per config
+  for (const int threads : {1, 2})
+    for (const int block : {1, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " threads, lane_block " << block);
+      ChurnSchedule churn(tree, copt);
+      WebWaveOptions wopt;
+      wopt.threads = threads;
+      wopt.lane_block = block;
+      BatchWebWaveSimulator sim(tree, churn.Lanes(), wopt);
+      // Every lane at its fixed point, so a nudged epoch moves one lane.
+      for (int s = 0; s < 5000 && (s == 0 || sim.dirty_lane_count() > 0);
+           ++s) {
+        sim.ClearDirtyLanes();
+        sim.Step();
+      }
+      // Epochs long enough to get back to the fixed point.
+      EpochDriver::Options dopt;
+      dopt.steps_per_epoch = 1000;
+      dopt.min_rate = 0.05;
+      EpochDriver driver(sim, dopt);
+      ServingOptions sopt;
+      sopt.threads = threads;
+      sopt.offered_rate = 100.0;
+      sopt.block_size = 64;  // token and thinning cells side by side
+      ServingPlane plane(tree, driver.serving(), sopt);
+      driver.AttachPlane(&plane);
+      RequestGenerator gen(tree, docs,
+                           {ZipfLeafComponent(tree, docs, 2.0, 1.0)}, 29);
+      std::vector<Request> window;
+
+      bool saw_same_shape = false, saw_new_shape = false;
+      for (int epoch = 0; epoch < 8; ++epoch) {
+        const QuotaSnapshot before = driver.serving();
+        // Even epochs advance the hot spot; odd ones nudge one leaf's
+        // rate a little.
+        std::vector<DemandEvent> demand =
+            epoch % 2 == 0
+                ? churn.NextEvents()
+                : std::vector<DemandEvent>{{0, leaf, 1.0 + 1e-3 * epoch}};
+        const EpochDriver::Report report = driver.ApplyEpoch(
+            Span<DemandEvent>(demand.data(), demand.size()),
+            Span<const FaultEvent>());
+        EXPECT_FALSE(report.dirty.empty()) << "epoch " << epoch;
+        const QuotaSnapshot fresh_snapshot =
+            QuotaSnapshot::FromBatch(sim, dopt.min_rate);
+        spill_reference::ExpectBitIdentical(driver.serving(), fresh_snapshot,
+                                            "maintained snapshot");
+        EXPECT_TRUE(plane.TablesEqual(ServingPlane(tree, fresh_snapshot, sopt)))
+            << "epoch " << epoch;
+        bool same_shape = before.cell_count() == fresh_snapshot.cell_count();
+        for (NodeId v = 0; same_shape && v < tree.size(); ++v)
+          same_shape = before.row_end(v) == fresh_snapshot.row_end(v);
+        for (std::int64_t c = 0; same_shape && c < before.cell_count(); ++c)
+          same_shape = before.cell_docs()[c] == fresh_snapshot.cell_docs()[c];
+        saw_same_shape = saw_same_shape || same_shape;
+        saw_new_shape = saw_new_shape || !same_shape;
+
+        gen.NextBatch(20000, &window);
+        plane.Serve(window);
+      }
+      EXPECT_TRUE(saw_same_shape) << "no epoch kept the plane's shape";
+      EXPECT_TRUE(saw_new_shape) << "no epoch rebuilt the plane";
+      served.push_back(plane.metrics());
+    }
+  for (std::size_t i = 1; i < served.size(); ++i)
+    EXPECT_TRUE(served[i] == served[0]) << "configuration " << i;
 }
 
 // EpochDriver's whole chain against the per-document oracle

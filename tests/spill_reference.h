@@ -5,7 +5,9 @@
 // then the kept copies are emitted with their spill — and the columns are
 // assembled into a CSR whose total sums the rates in cell order.  The
 // node-major sweep must match it bit for bit: cells, fractions,
-// total_rate, spilled rate and evicted count.
+// total_rate, spilled rate and evicted count.  The columns are read out of
+// the base rows here, so the oracle depends on no per-document index in
+// src/.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -61,9 +63,22 @@ Projection Project(const RoutingTree& tree, const QuotaSnapshot& base,
   std::vector<Cell> cells;
   std::vector<double> spill(static_cast<std::size_t>(tree.size()), 0.0);
   std::vector<NodeId> touched;
+  // Each document's (node, cell) column, node ascending: one scan of the
+  // rows in node order.
+  std::vector<std::vector<NodeId>> column_nodes(static_cast<std::size_t>(docs));
+  std::vector<std::vector<std::int64_t>> column_cells(
+      static_cast<std::size_t>(docs));
+  for (NodeId v = 0; v < base.node_count(); ++v)
+    for (std::int64_t c = base.row_begin(v); c < base.row_end(v); ++c) {
+      const std::size_t d = static_cast<std::size_t>(base.cell_docs()[c]);
+      column_nodes[d].push_back(v);
+      column_cells[d].push_back(c);
+    }
   for (std::int32_t d = 0; d < docs; ++d) {
-    const Span<const NodeId> nodes = base.DocNodes(d);
-    const Span<const std::int64_t> col = base.DocCells(d);
+    const std::vector<NodeId>& nodes =
+        column_nodes[static_cast<std::size_t>(d)];
+    const std::vector<std::int64_t>& col =
+        column_cells[static_cast<std::size_t>(d)];
     // Pass 1: excised copies spill onto the nearest surviving ancestor
     // copy, the home at worst.
     double spilled = 0;
@@ -132,6 +147,23 @@ inline void ExpectBitIdentical(const QuotaSnapshot& got,
         << where << " cell " << c;
   }
   EXPECT_EQ(got.total_rate(), want.total_rate()) << where;
+}
+
+// The documents whose cells differ between two snapshots over the same
+// tree and catalog — a copy present in one only, or a rate or fraction
+// that moved — ascending.
+inline std::vector<std::int32_t> MovedDocs(const QuotaSnapshot& a,
+                                           const QuotaSnapshot& b) {
+  std::vector<std::int32_t> moved;
+  for (std::int32_t d = 0; d < a.doc_count(); ++d)
+    for (NodeId v = 0; v < a.node_count(); ++v)
+      if ((a.CellOf(v, d) >= 0) != (b.CellOf(v, d) >= 0) ||
+          a.RateAt(v, d) != b.RateAt(v, d) ||
+          a.FractionAt(v, d) != b.FractionAt(v, d)) {
+        moved.push_back(d);
+        break;
+      }
+  return moved;
 }
 
 // A projector's output and stats against the oracle's, bitwise.
