@@ -1,8 +1,6 @@
 #include "netd/cluster.h"
 
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -11,11 +9,11 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 
 #include "doc/catalog.h"
 #include "doc/placement.h"
+#include "netd/conn.h"
 #include "netd/daemon.h"
 #include "netd/loadgen.h"
 #include "util/check.h"
@@ -410,29 +408,6 @@ std::vector<std::string> FleetLawViolations(
 
 namespace {
 
-// A listening socket on an ephemeral loopback port.
-int ListenLoopback(std::uint16_t* port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  WEBWAVE_REQUIRE(fd >= 0, "socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof addr);
-  addr.sin_family = AF_INET;
-  addr.sin_port = 0;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  WEBWAVE_REQUIRE(
-      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0,
-      "bind(127.0.0.1:0) failed");
-  WEBWAVE_REQUIRE(::listen(fd, 128) == 0, "listen() failed");
-  socklen_t len = sizeof addr;
-  WEBWAVE_REQUIRE(
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
-      "getsockname() failed");
-  *port = ntohs(addr.sin_port);
-  return fd;
-}
-
 // The forked daemons of one run and the listen sockets they inherit.
 // The destructor is the failure path: daemons exit only on kShutdown, so
 // a run that does not end in a clean drain (a timeout, an unscheduled
@@ -531,7 +506,7 @@ NetdRunResult RunNetdCluster(const NetdClusterConfig& config) {
   // there is no startup ordering to get wrong.
   Fleet fleet(config);
   for (std::uint16_t& port : fleet.ports)
-    fleet.listen_fds.push_back(ListenLoopback(&port));
+    fleet.listen_fds.push_back(ListenTcp(&port));
   for (int s = 0; s < config.server_count; ++s) fleet.Spawn(s, {});
   // The parent keeps every listen socket open for the whole run: a
   // restarted daemon re-forks onto the SAME fd (and port), and while a

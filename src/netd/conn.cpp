@@ -1,7 +1,11 @@
 #include "netd/conn.h"
 
+#include <arpa/inet.h>
 #include <errno.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -20,6 +24,66 @@ int MakeNonBlocking(int fd) {
                   "fcntl(O_NONBLOCK) failed");
   ::fcntl(fd, F_SETFD, FD_CLOEXEC);
   return fd;
+}
+
+namespace {
+
+sockaddr_in LoopbackAddr(std::uint16_t port) {
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof addr);
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  return addr;
+}
+
+}  // namespace
+
+void SetNoDelay(int fd) {
+  const int one = 1;
+  WEBWAVE_REQUIRE(
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) == 0,
+      "setsockopt(TCP_NODELAY) failed");
+}
+
+int ListenTcp(std::uint16_t* port) {
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  WEBWAVE_REQUIRE(fd >= 0, "socket() failed");
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr = LoopbackAddr(0);
+  WEBWAVE_REQUIRE(
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0,
+      "bind(127.0.0.1:0) failed");
+  WEBWAVE_REQUIRE(::listen(fd, 128) == 0, "listen() failed");
+  socklen_t len = sizeof addr;
+  WEBWAVE_REQUIRE(
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
+      "getsockname() failed");
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
+int AcceptTcp(int listen_fd) {
+  const int fd =
+      ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  if (fd >= 0) SetNoDelay(fd);
+  return fd;
+}
+
+int DialTcp(std::uint16_t port, bool wait, int* err) {
+  const int fd = ::socket(
+      AF_INET, SOCK_STREAM | SOCK_CLOEXEC | (wait ? 0 : SOCK_NONBLOCK), 0);
+  WEBWAVE_REQUIRE(fd >= 0, "socket() failed");
+  SetNoDelay(fd);  // before connect: the option outlives the handshake
+  const sockaddr_in addr = LoopbackAddr(port);
+  int rc;
+  do {
+    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+  } while (rc < 0 && errno == EINTR);
+  *err = rc == 0 ? 0 : errno;
+  return wait ? MakeNonBlocking(fd) : fd;
 }
 
 void FrameConn::ResetFd(int new_fd) {

@@ -117,4 +117,27 @@ class FrameConn {
 // Makes fd non-blocking (and close-on-exec); returns fd.
 int MakeNonBlocking(int fd);
 
+// The socket factory: the only code under src/netd that calls ::socket or
+// ::accept.  Every TCP socket it hands out is non-blocking and
+// close-on-exec, and every connected one, dialed or accepted, has
+// TCP_NODELAY set.  The fleet's frames are small and each batch is one
+// write, so with Nagle on the last write of a burst would wait for the
+// peer's delayed ACK (up to 40 ms) before it left.
+
+// A listening socket on an ephemeral 127.0.0.1 port, stored in *port.
+int ListenTcp(std::uint16_t* port);
+
+// Accepts one pending connection.  Returns its fd, or -1 with errno set
+// as accept(2) leaves it (EAGAIN: nothing pending).
+int AcceptTcp(int listen_fd);
+
+// Connects a fresh socket to 127.0.0.1:port and returns it.  *err is 0
+// once connected, else the connect errno: EINPROGRESS while a
+// non-blocking handshake is in flight.  With `wait` the connect blocks
+// until the handshake resolves; the socket is non-blocking either way.
+int DialTcp(std::uint16_t port, bool wait, int* err);
+
+// Sets TCP_NODELAY on fd; throws when setsockopt fails.
+void SetNoDelay(int fd);
+
 }  // namespace webwave

@@ -1,7 +1,5 @@
 #include "netd/daemon.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -9,7 +7,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "util/check.h"
@@ -74,6 +71,8 @@ CacheServerDaemon::~CacheServerDaemon() {
 }
 
 int CacheServerDaemon::Run() {
+  // ListenTcp's listeners already are; one handed in from elsewhere may
+  // not be, and a blocking accept would stall the loop.
   MakeNonBlocking(listen_fd_);
   flight_.Note(FlightEventKind::kBoot, static_cast<std::uint64_t>(index_),
                epoch_);
@@ -86,7 +85,7 @@ int CacheServerDaemon::Run() {
 
 void CacheServerDaemon::OnAcceptable() {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = AcceptTcp(listen_fd_);
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
@@ -97,7 +96,6 @@ void CacheServerDaemon::OnAcceptable() {
 }
 
 void CacheServerDaemon::AdoptConn(int fd) {
-  MakeNonBlocking(fd);
   conns_[fd] = std::make_unique<FrameConn>(fd);
   flight_.Note(FlightEventKind::kConnUp, static_cast<std::uint64_t>(fd),
                /*arg=*/0);  // arg 0: accepted (incoming) conn
@@ -327,25 +325,16 @@ FrameConn* CacheServerDaemon::ConnTo(int s) {
 
 void CacheServerDaemon::StartConnect(int s) {
   PeerLink& link = peers_[static_cast<std::size_t>(s)];
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  WEBWAVE_REQUIRE(fd >= 0, "socket() failed");
-  MakeNonBlocking(fd);
+  int err = 0;
+  const int fd = DialTcp(ports_[static_cast<std::size_t>(s)], /*wait=*/false,
+                         &err);
   link.conn->ResetFd(fd);
   link.st = PeerLink::St::kConnecting;
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof addr);
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(ports_[static_cast<std::size_t>(s)]);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-  } while (rc < 0 && errno == EINTR);
-  if (rc == 0) {
+  if (err == 0) {
     FinishConnect(s);
     return;
   }
-  if (errno != EINPROGRESS) {
+  if (err != EINPROGRESS) {
     ConnectFailed(s);
     return;
   }

@@ -1,13 +1,6 @@
 #include "netd/loadgen.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 
 #include "util/check.h"
 
@@ -36,23 +29,14 @@ LoadgenClient::LoadgenClient(const NetdClusterConfig& config,
 }
 
 void LoadgenClient::ConnectOne(int s) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  WEBWAVE_REQUIRE(fd >= 0, "socket() failed");
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof addr);
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(ports_[static_cast<std::size_t>(s)]);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   // Blocking connect on purpose: the listen socket is held open by the
   // parent for the whole run, so the kernel completes the handshake
   // immediately (backlog) even if the daemon has not polled yet — true
   // for the initial fleet and for a just-restarted daemon alike.
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-  } while (rc < 0 && errno == EINTR);
-  WEBWAVE_REQUIRE(rc == 0, "connect() to a daemon failed");
-  MakeNonBlocking(fd);
+  int err = 0;
+  const int fd =
+      DialTcp(ports_[static_cast<std::size_t>(s)], /*wait=*/true, &err);
+  WEBWAVE_REQUIRE(err == 0, "connect() to a daemon failed");
   conns_[static_cast<std::size_t>(s)] = std::make_unique<FrameConn>(fd);
   loop_.WatchRead(fd, [this, s] {
     FrameConn* c = conns_[static_cast<std::size_t>(s)].get();

@@ -6,6 +6,8 @@
 //     past one wheel revolution) and CancelTimer really cancels.
 //   * FrameConn — frames survive a real socketpair byte stream, however
 //     the kernel slices it; sends queue until a flush or the threshold.
+//   * Socket factory — every connected TCP socket is non-blocking,
+//     close-on-exec and has TCP_NODELAY set, or the factory throws.
 //   * Segment fleet == oracle — the load-bearing theorem: K segment
 //     planes fed the stream by explicit message routing accumulate
 //     *identical* ServingMetrics (every counter, every vector) to one
@@ -17,6 +19,10 @@
 //     a run that fails reaps every daemon it forked.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <sys/socket.h>
@@ -24,6 +30,7 @@
 
 #include <cerrno>
 #include <csignal>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -546,6 +553,59 @@ TEST(NetdFrameConn, FramesStraddlingReadChunksDecodeInOrder) {
   }
   EXPECT_EQ(got, sent);
   EXPECT_EQ(a.outbox_bytes(), 0u);
+}
+
+// Every TCP socket of the fleet comes from the factory in conn.h: both
+// ends of a loopback connection, dialed blocking or not, run without
+// Nagle and are non-blocking and close-on-exec, like their listener.
+TEST(NetdSocketFactory, DialedAndAcceptedSocketsSetNoDelay) {
+  std::uint16_t port = 0;
+  const int listener = ListenTcp(&port);
+  ASSERT_GT(port, 0);
+  const auto expect_flags = [](int fd, bool connected) {
+    EXPECT_NE(::fcntl(fd, F_GETFL) & O_NONBLOCK, 0) << "fd " << fd;
+    EXPECT_NE(::fcntl(fd, F_GETFD) & FD_CLOEXEC, 0) << "fd " << fd;
+    if (!connected) return;
+    int on = 0;
+    socklen_t len = sizeof on;
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+    EXPECT_EQ(on, 1) << "fd " << fd;
+  };
+  expect_flags(listener, /*connected=*/false);
+  for (const bool wait : {true, false}) {
+    int err = -1;
+    const int dialed = DialTcp(port, wait, &err);
+    if (wait) {
+      EXPECT_EQ(err, 0);
+    } else {
+      EXPECT_TRUE(err == 0 || err == EINPROGRESS) << "connect errno " << err;
+    }
+    pollfd p{listener, POLLIN, 0};
+    ASSERT_EQ(::poll(&p, 1, 5000), 1) << "the connection never arrived";
+    const int accepted = AcceptTcp(listener);
+    ASSERT_GE(accepted, 0) << "accept errno " << errno;
+    expect_flags(dialed, /*connected=*/true);
+    expect_flags(accepted, /*connected=*/true);
+    ::close(accepted);
+    ::close(dialed);
+  }
+  // Nothing pending: accept(2)'s -1 and EAGAIN, not a throw or a block.
+  const int none = AcceptTcp(listener);
+  const int accept_errno = errno;
+  EXPECT_EQ(none, -1);
+  EXPECT_TRUE(accept_errno == EAGAIN || accept_errno == EWOULDBLOCK);
+  ::close(listener);
+}
+
+// The option does not apply to an AF_UNIX socket: the failed setsockopt
+// throws instead of leaving a socket with Nagle on.
+TEST(NetdSocketFactory, FailedSetNoDelayThrows) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  EXPECT_THROW(SetNoDelay(fds[0]), std::invalid_argument);
+  ::close(fds[0]);
+  ::close(fds[1]);
+  EXPECT_THROW(SetNoDelay(-1), std::invalid_argument);
 }
 
 TEST(NetdSegments, FleetOfSegmentPlanesMatchesOracleExactly) {

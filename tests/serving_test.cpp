@@ -1034,134 +1034,219 @@ TEST(ServingPlane, WireWalkMatchesBatchWalkInBothAdmissionRegimes) {
 
 // Incremental plane refresh ----------------------------------------------
 
+// The refresh tests run at the default block size, where every cell of
+// their snapshots earns at least one token per block, and at 64, where a
+// cell under one token per block is admitted by thinning instead: the
+// in-place path must rewrite both kinds of admission word.
+constexpr int kDefaultBlockSize = ServingOptions{}.block_size;
+constexpr int kRefreshBlockSizes[] = {kDefaultBlockSize, 64};
+
+// Thinning cells (under one token per block in `after`) whose admission
+// word an in-place refresh from `before` must rewrite: their thinning
+// probability min(1, slack · fraction) moved.  0 when the shapes differ.
+std::int64_t MovedThinningCells(const QuotaSnapshot& before,
+                                const QuotaSnapshot& after,
+                                const ServingOptions& opt) {
+  if (before.cell_count() != after.cell_count()) return 0;
+  const double per_block = opt.budget_slack * opt.block_size /
+                           (opt.offered_rate > 0 ? opt.offered_rate
+                                                 : after.total_rate());
+  const auto p = [&opt](const QuotaSnapshot& s, std::int64_t c) {
+    return std::min(1.0, opt.budget_slack * s.cell_fractions()[c]);
+  };
+  std::int64_t n = 0;
+  for (std::int64_t c = 0; c < after.cell_count(); ++c)
+    if (after.cell_rates()[c] * per_block < 1.0 && p(after, c) != p(before, c))
+      ++n;
+  return n;
+}
+
+// Steps every lane to its fixed point, so that an epoch's demand events
+// move only the lanes they touch: at block size 64 a lane still drifting
+// pushes some cell across the token/thinning boundary at every refresh,
+// and the in-place path never runs.
+void RunToFixedPoint(BatchWebWaveSimulator& sim) {
+  for (int s = 0; s < 20000 && (s == 0 || sim.dirty_lane_count() > 0); ++s) {
+    sim.ClearDirtyLanes();
+    sim.Step();
+  }
+  EXPECT_EQ(sim.dirty_lane_count(), 0) << "no fixed point in 20000 steps";
+  sim.ClearDirtyLanes();
+}
+
 // The data-plane analogue of RefreshFromBatch: installing a new snapshot
 // into a live plane must leave admission tables byte-identical to a
 // fresh construction, whether the in-place rewrite or the full rebuild
 // ran — and two live planes refreshed through different overloads (the
 // snapshot copied in, or moved in) must keep serving bit-identically.
 TEST(ServingPlane, RefreshMatchesFreshConstructionAcrossEpochs) {
-  Rng rng(43);
-  const RoutingTree tree = MakeRandomTree(500, rng);
-  const int docs = 6;
-  std::vector<std::vector<double>> lanes(static_cast<std::size_t>(docs));
-  for (auto& lane : lanes) {
-    lane.assign(static_cast<std::size_t>(tree.size()), 0.0);
-    for (auto& r : lane) r = rng.NextDouble(0, 4);
-  }
-  BatchWebWaveSimulator sim(tree, lanes, {});
-  for (int s = 0; s < 30; ++s) sim.Step();
-  const double min_rate = 1e-9;
-  QuotaSnapshot snap = QuotaSnapshot::FromBatch(sim, min_rate);
-  sim.ClearDirtyLanes();
-
-  ServingOptions opt;
-  opt.offered_rate = 60.0;  // fixed scale: only moved cells change budget
-  ServingPlane moved(tree, snap, opt);
-  ServingPlane copied(tree, snap, opt);
-
-  RequestGenerator gen(tree, docs, {ZipfLeafComponent(tree, docs, 2.0, 1.0)},
-                       19);
-  std::vector<Request> window;
-  bool saw_in_place = false, saw_rebuild = false;
-  for (int epoch = 0; epoch < 6; ++epoch) {
-    gen.NextBatch(40000, &window);
-    moved.Serve(window);
-    copied.Serve(window);
-    ASSERT_TRUE(moved.metrics() == copied.metrics()) << "epoch " << epoch;
-
-    // Churn some lanes (gentle on even epochs, copy-set-moving on odd),
-    // re-diffuse, re-snapshot, refresh both planes through different
-    // overloads.
-    std::vector<DemandEvent> events;
-    if (epoch % 2 == 0) {
-      events.push_back({epoch % docs, 5, rng.NextDouble(1, 8)});
-    } else {
-      for (NodeId v = 0; v < tree.size(); ++v)
-        if (rng.NextBernoulli(0.3))
-          events.push_back({(epoch * 2) % docs, v, rng.NextDouble(0, 9)});
+  for (const int block : kRefreshBlockSizes) {
+    SCOPED_TRACE(::testing::Message() << "block_size " << block);
+    Rng rng(43);
+    const RoutingTree tree = MakeRandomTree(500, rng);
+    const int docs = 6;
+    std::vector<std::vector<double>> lanes(static_cast<std::size_t>(docs));
+    for (auto& lane : lanes) {
+      lane.assign(static_cast<std::size_t>(tree.size()), 0.0);
+      for (auto& r : lane) r = rng.NextDouble(0, 4);
     }
-    sim.ApplyDemandEvents(events);
-    for (int s = 0; s < 6; ++s) sim.Step();
-    snap.RefreshFromBatch(sim);
-    sim.ClearDirtyLanes();
+    BatchWebWaveSimulator sim(tree, lanes, {});
+    RunToFixedPoint(sim);
+    // High enough that the odd epochs' churn moves cells in and out.
+    const double min_rate = 0.05;
+    QuotaSnapshot snap = QuotaSnapshot::FromBatch(sim, min_rate);
 
-    const bool a = moved.Refresh(QuotaSnapshot(snap));
-    const bool b = copied.Refresh(snap);
-    EXPECT_EQ(a, b) << "epoch " << epoch;
-    saw_in_place = saw_in_place || a;
-    saw_rebuild = saw_rebuild || !a;
+    ServingOptions opt;
+    opt.offered_rate = 60.0;  // fixed scale: only moved cells change budget
+    opt.block_size = block;
+    // Without slack a thinning probability stays below 1 and moves with
+    // its cell's share.
+    opt.budget_slack = 1.0;
+    ServingPlane moved(tree, snap, opt);
+    ServingPlane copied(tree, snap, opt);
 
-    const ServingPlane fresh(tree, snap, opt);
-    EXPECT_TRUE(moved.TablesEqual(fresh)) << "epoch " << epoch;
-    EXPECT_TRUE(copied.TablesEqual(fresh)) << "epoch " << epoch;
+    RequestGenerator gen(tree, docs,
+                         {ZipfLeafComponent(tree, docs, 2.0, 1.0)}, 19);
+    std::vector<Request> window;
+    bool saw_in_place = false, saw_rebuild = false, saw_thinning = false;
+    for (int epoch = 0; epoch < 6; ++epoch) {
+      gen.NextBatch(40000, &window);
+      moved.Serve(window);
+      copied.Serve(window);
+      ASSERT_TRUE(moved.metrics() == copied.metrics()) << "epoch " << epoch;
+
+      // Churn some lanes (gentle on even epochs, copy-set-moving on odd),
+      // re-diffuse, re-snapshot, refresh both planes through different
+      // overloads.
+      std::vector<DemandEvent> events;
+      if (epoch % 2 == 0) {
+        events.push_back({epoch % docs, 5, rng.NextDouble(1, 8)});
+      } else {
+        for (NodeId v = 0; v < tree.size(); ++v)
+          if (rng.NextBernoulli(0.3))
+            events.push_back({(epoch * 2) % docs, v, rng.NextDouble(0, 9)});
+      }
+      sim.ApplyDemandEvents(events);
+      for (int s = 0; s < 6; ++s) sim.Step();
+      const QuotaSnapshot before = snap;
+      snap.RefreshFromBatch(sim);
+      sim.ClearDirtyLanes();
+
+      const bool a = moved.Refresh(QuotaSnapshot(snap));
+      const bool b = copied.Refresh(snap);
+      EXPECT_EQ(a, b) << "epoch " << epoch;
+      saw_in_place = saw_in_place || a;
+      saw_rebuild = saw_rebuild || !a;
+      saw_thinning =
+          saw_thinning || (a && MovedThinningCells(before, snap, opt) > 0);
+
+      const ServingPlane fresh(tree, snap, opt);
+      EXPECT_TRUE(moved.TablesEqual(fresh)) << "epoch " << epoch;
+      EXPECT_TRUE(copied.TablesEqual(fresh)) << "epoch " << epoch;
+    }
+    EXPECT_TRUE(saw_in_place) << "no epoch exercised the in-place refresh";
+    EXPECT_TRUE(saw_rebuild) << "no epoch exercised the full rebuild";
+    if (block != kDefaultBlockSize) {
+      EXPECT_TRUE(saw_thinning) << "no in-place refresh moved a thinning cell";
+    }
   }
-  EXPECT_TRUE(saw_in_place) << "no epoch exercised the in-place refresh";
-  EXPECT_TRUE(saw_rebuild) << "no epoch exercised the full rebuild";
 }
 
 // The two Refresh overloads — copy or move — leave tables identical to a
 // freshly built plane, and the moved-from and copied-from snapshots feed
-// later refreshes normally.
+// later refreshes normally.  Even epochs nudge existing demand by ±5 %
+// (the shape holds: in place), odd ones rewrite 40 % of a lane (copies
+// appear: a rebuild).
 TEST(ServingPlane, RefreshOverloadsCopyOrMoveAndMatchAFreshPlane) {
-  Rng rng(53);
-  const RoutingTree tree = MakeRandomTree(150, rng);
-  const int docs = 5;
-  std::vector<std::vector<double>> lanes(static_cast<std::size_t>(docs));
-  for (auto& lane : lanes) {
-    lane.assign(static_cast<std::size_t>(tree.size()), 0.0);
-    for (auto& r : lane)
-      if (rng.NextBernoulli(0.6)) r = rng.NextDouble(0, 6);
-  }
-  BatchWebWaveSimulator sim(tree, lanes, {});
-  for (int s = 0; s < 30; ++s) sim.Step();
-  QuotaSnapshot snap = QuotaSnapshot::FromBatch(sim, 1e-6);
-  sim.ClearDirtyLanes();
+  for (const int block : kRefreshBlockSizes) {
+    SCOPED_TRACE(::testing::Message() << "block_size " << block);
+    Rng rng(53);
+    const RoutingTree tree = MakeRandomTree(150, rng);
+    const int docs = 5;
+    std::vector<std::vector<double>> lanes(static_cast<std::size_t>(docs));
+    for (auto& lane : lanes) {
+      lane.assign(static_cast<std::size_t>(tree.size()), 0.0);
+      for (auto& r : lane)
+        if (rng.NextBernoulli(0.6)) r = rng.NextDouble(0, 6);
+    }
+    BatchWebWaveSimulator sim(tree, lanes, {});
+    RunToFixedPoint(sim);
+    QuotaSnapshot snap = QuotaSnapshot::FromBatch(sim, 1e-6);
 
-  ServingOptions opt;
-  opt.offered_rate = 400.0;
-  ServingPlane copied(tree, snap, opt), moved(tree, snap, opt);
-  for (int epoch = 0; epoch < 6; ++epoch) {
-    std::vector<DemandEvent> events;
-    for (NodeId v = 0; v < tree.size(); ++v)
-      if (rng.NextBernoulli(epoch % 2 == 0 ? 0.05 : 0.4))
-        events.push_back({epoch % docs, v, rng.NextDouble(0, 9)});
-    sim.ApplyDemandEvents(events);
-    for (int s = 0; s < 6; ++s) sim.Step();
-    snap.RefreshFromBatch(sim);
-    sim.ClearDirtyLanes();
+    ServingOptions opt;
+    opt.offered_rate = 400.0;
+    opt.block_size = block;
+    ServingPlane copied(tree, snap, opt), moved(tree, snap, opt);
+    bool saw_in_place = false, saw_rebuild = false, saw_thinning = false;
+    for (int epoch = 0; epoch < 6; ++epoch) {
+      const int d = epoch % docs;
+      const std::vector<double> spont = sim.SpontaneousLane(d);
+      std::vector<DemandEvent> events;
+      for (NodeId v = 0; v < tree.size(); ++v) {
+        const double now = spont[static_cast<std::size_t>(v)];
+        if (epoch % 2 == 0 && now > 0 && rng.NextBernoulli(0.05))
+          events.push_back({d, v, now * rng.NextDouble(0.95, 1.05)});
+        if (epoch % 2 == 1 && rng.NextBernoulli(0.4))
+          events.push_back({d, v, rng.NextDouble(0, 9)});
+      }
+      sim.ApplyDemandEvents(events);
+      for (int s = 0; s < 6; ++s) sim.Step();
+      const QuotaSnapshot before = snap;
+      snap.RefreshFromBatch(sim);
+      sim.ClearDirtyLanes();
 
-    copied.Refresh(snap);
-    moved.Refresh(QuotaSnapshot(snap));
+      const bool in_place = copied.Refresh(snap);
+      EXPECT_EQ(moved.Refresh(QuotaSnapshot(snap)), in_place)
+          << "epoch " << epoch;
+      saw_in_place = saw_in_place || in_place;
+      saw_rebuild = saw_rebuild || !in_place;
+      saw_thinning = saw_thinning ||
+                     (in_place && MovedThinningCells(before, snap, opt) > 0);
 
-    const ServingPlane fresh(tree, snap, opt);
-    EXPECT_TRUE(copied.TablesEqual(fresh)) << "epoch " << epoch;
-    EXPECT_TRUE(moved.TablesEqual(fresh)) << "epoch " << epoch;
+      const ServingPlane fresh(tree, snap, opt);
+      EXPECT_TRUE(copied.TablesEqual(fresh)) << "epoch " << epoch;
+      EXPECT_TRUE(moved.TablesEqual(fresh)) << "epoch " << epoch;
+    }
+    EXPECT_TRUE(saw_in_place) << "no epoch exercised the in-place refresh";
+    EXPECT_TRUE(saw_rebuild) << "no epoch exercised the full rebuild";
+    if (block != kDefaultBlockSize) {
+      EXPECT_TRUE(saw_thinning) << "no in-place refresh moved a thinning cell";
+    }
   }
 }
 
+// offered_rate 0 scales budgets to the snapshot's own total, which moves
+// with every refresh — every cell's token rate moves with it, in the
+// lanes that did not change too, and the tables still match a fresh
+// construction.
 TEST(ServingPlane, RefreshTracksSnapshotTotalWhenOfferedRateFloats) {
-  // offered_rate 0 scales budgets to the snapshot's own total, which
-  // moves with every refresh — every cell's token rate moves with it, in
-  // the lanes that did not change too, and the tables still match a fresh
-  // construction.
-  Rng rng(47);
-  const RoutingTree tree = MakeRandomTree(200, rng);
-  const int docs = 3;
-  std::vector<std::vector<double>> lanes(
-      docs, std::vector<double>(static_cast<std::size_t>(tree.size()), 1.0));
-  BatchWebWaveSimulator sim(tree, lanes, {});
-  for (int s = 0; s < 20; ++s) sim.Step();
-  QuotaSnapshot snap = QuotaSnapshot::FromBatch(sim, 1e-9);
-  sim.ClearDirtyLanes();
+  for (const int block : kRefreshBlockSizes) {
+    SCOPED_TRACE(::testing::Message() << "block_size " << block);
+    Rng rng(47);
+    const RoutingTree tree = MakeRandomTree(200, rng);
+    const int docs = 3;
+    std::vector<std::vector<double>> lanes(
+        docs, std::vector<double>(static_cast<std::size_t>(tree.size()), 1.0));
+    BatchWebWaveSimulator sim(tree, lanes, {});
+    for (int s = 0; s < 20; ++s) sim.Step();
+    QuotaSnapshot snap = QuotaSnapshot::FromBatch(sim, 1e-9);
+    sim.ClearDirtyLanes();
 
-  ServingOptions opt;  // offered_rate stays 0
-  ServingPlane plane(tree, snap, opt);
-  sim.ApplyDemandEvents({{0, 7, 25.0}});
-  for (int s = 0; s < 5; ++s) sim.Step();
-  snap.RefreshFromBatch(sim);
-  sim.ClearDirtyLanes();
-  plane.Refresh(snap);
-  EXPECT_TRUE(plane.TablesEqual(ServingPlane(tree, snap, opt)));
+    ServingOptions opt;  // offered_rate stays 0
+    opt.block_size = block;
+    ServingPlane plane(tree, snap, opt);
+    sim.ApplyDemandEvents({{0, 7, 25.0}});
+    for (int s = 0; s < 5; ++s) sim.Step();
+    const QuotaSnapshot before = snap;
+    snap.RefreshFromBatch(sim);
+    sim.ClearDirtyLanes();
+    const bool in_place = plane.Refresh(snap);
+    EXPECT_TRUE(plane.TablesEqual(ServingPlane(tree, snap, opt)));
+    if (block != kDefaultBlockSize) {
+      EXPECT_TRUE(in_place && MovedThinningCells(before, snap, opt) > 0)
+          << "the refresh did not move thinning cells in place";
+    }
+  }
 }
 
 // The down set and the wire segment live in the node records, which a
