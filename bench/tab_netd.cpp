@@ -296,7 +296,6 @@ int main() {
     fc.down.clear();
     fc.serving.max_failover_attempts = 8;
     fc.serving.threads = oracle_threads;
-    fc.load_window_factor = 4.0;
     // Live daemons dump their flight ring to flight_<index>.txt on clean
     // shutdown; victims never get there — their rings arrive over the
     // wire (kFlightRequest) at the quiesced boundary before the SIGKILL.

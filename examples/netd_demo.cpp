@@ -151,7 +151,6 @@ int main() {
     NetdClusterConfig fc = config;
     fc.down.clear();
     fc.serving.max_failover_attempts = 8;
-    fc.load_window_factor = 4.0;
     const EpochPlanOptions eopt =
         KillRestartPlanOptions(servers, 5, requests / 5);
     const ProcessFaultPlan plan = BuildEpochPlan(&fc, eopt);

@@ -83,14 +83,11 @@ struct NetdClusterConfig {
   // Bounded backpressure: a forward that would push a peer connection's
   // outbox past this many queued bytes is shed (the origin gets a
   // kDropped reply and netd.shed_forwards counts it) instead of
-  // buffering unboundedly behind a slow or dead peer.
+  // buffering unboundedly behind a slow or dead peer.  The loadgen's
+  // in-flight window keeps every queue far below the default: at most
+  // 4096 requests are in flight, each one frame of at most 40 B
+  // somewhere in the fleet (~160 KiB).
   std::size_t outbox_watermark_bytes = std::size_t{1} << 20;
-  // Loadgen load-reactive window: when > 0, a GetReply whose piggybacked
-  // load exceeds factor x (completed / server_count) halves the live
-  // window (additive +1 recovery up to the loadgen's fixed window).
-  // Pacing only — the stream content and every admission decision are
-  // unaffected.
-  double load_window_factor = 0;
   // Where, when non-empty, a daemon dumps its flight-recorder ring on
   // *clean* shutdown ("flight_<index>.txt"); victims never reach that
   // path — their rings are scraped over the wire (kFlightRequest) at the

@@ -7,13 +7,13 @@
 // requests that terminate in the shard are replied to on the arriving
 // connection; walks that leave the shard are forwarded to the owning
 // peer's socket, with a pending map retracing the reply hop by hop back
-// to the client.  A timer-wheel cadence emits LoadGossip to the next
+// to the client.  A 20 ms event-loop timer emits LoadGossip to the next
 // server on the ring — the transport-plane heartbeat; gossip counters
 // are reported but (unlike the serving counters) not oracle-compared.
 //
 // Survivability (PR 9) — see src/netd/README.md for the full state
 // machine:
-//   * Peer connects are non-blocking with a timer-wheel deadline; while
+//   * Peer connects are non-blocking with an event-loop deadline; while
 //     connecting the FrameConn is corked, so forwards queue as whole
 //     frames and replay cleanly if the socket has to be remade.  A
 //     failed attempt schedules a retry under the same counter-hash

@@ -4,12 +4,11 @@
 #include <time.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "util/check.h"
 
 namespace webwave {
-
-EventLoop::EventLoop() : wheel_(kWheelSlots), wheel_time_ms_(NowMs()) {}
 
 std::int64_t EventLoop::NowMs() {
   timespec ts;
@@ -31,87 +30,43 @@ void EventLoop::Unwatch(int fd) { watches_.erase(fd); }
 
 std::uint64_t EventLoop::AddTimer(int delay_ms, TimerCallback cb) {
   WEBWAVE_REQUIRE(delay_ms >= 0, "timer delay must be non-negative");
-  const std::uint64_t ticks =
-      (static_cast<std::uint64_t>(delay_ms) + kTickMs - 1) / kTickMs;
-  Timer t;
-  t.id = next_timer_id_++;
-  t.rounds = static_cast<std::uint32_t>(ticks / kWheelSlots);
-  t.cb = std::move(cb);
-  // Hash into the slot `ticks` ahead of the cursor; a delay shorter than
-  // one tick fires on the next wheel advance.
-  const std::size_t slot =
-      (wheel_pos_ + std::max<std::uint64_t>(ticks, 1)) % kWheelSlots;
-  wheel_[slot].push_back(std::move(t));
-  ++active_timers_;
-  return next_timer_id_ - 1;
+  const std::uint64_t id = next_timer_id_++;
+  timers_.emplace(TimerKey{NowMs() + delay_ms, id}, std::move(cb));
+  return id;
 }
 
 void EventLoop::CancelTimer(std::uint64_t id) {
-  for (auto& slot : wheel_) {
-    for (auto it = slot.begin(); it != slot.end(); ++it) {
-      if (it->id == id) {
-        slot.erase(it);
-        --active_timers_;
-        return;
-      }
-    }
-  }
+  const auto it =
+      std::find_if(timers_.begin(), timers_.end(),
+                   [id](const auto& t) { return t.first.second == id; });
+  if (it != timers_.end()) timers_.erase(it);
 }
 
 int EventLoop::NextTimerDelayMs() const {
-  if (active_timers_ == 0) return -1;
-  // A timer in the slot the cursor sits on fires only after a full
-  // revolution (AdvanceWheel moves first, then drains), so offset 0
-  // means kWheelSlots ticks, not zero.
-  std::uint64_t best_ticks = ~std::uint64_t{0};
-  for (std::size_t s = 0; s < kWheelSlots; ++s) {
-    if (wheel_[s].empty()) continue;
-    const std::size_t off = (s + kWheelSlots - wheel_pos_) % kWheelSlots;
-    const std::uint64_t base = off == 0 ? kWheelSlots : off;
-    for (const Timer& t : wheel_[s])
-      best_ticks = std::min(
-          best_ticks,
-          base + static_cast<std::uint64_t>(t.rounds) * kWheelSlots);
-  }
-  const std::int64_t due =
-      wheel_time_ms_ + static_cast<std::int64_t>(best_ticks) * kTickMs;
-  const std::int64_t delay = due - NowMs();
+  if (timers_.empty()) return -1;
+  const std::int64_t delay = timers_.begin()->first.first - NowMs();
   return delay < 0 ? 0 : static_cast<int>(delay);
 }
 
-void EventLoop::AdvanceWheel() {
+void EventLoop::FireDueTimers() {
   const std::int64_t now = NowMs();
-  while (wheel_time_ms_ + kTickMs <= now) {
-    wheel_time_ms_ += kTickMs;
-    wheel_pos_ = (wheel_pos_ + 1) % kWheelSlots;
-    auto& slot = wheel_[wheel_pos_];
-    // Timers still owed whole revolutions stay; due ones fire.  Fire
-    // outside the slot mutation (a callback may AddTimer into any slot,
-    // including this one).
-    std::vector<Timer> due;
-    for (auto it = slot.begin(); it != slot.end();) {
-      if (it->rounds == 0) {
-        due.push_back(std::move(*it));
-        it = slot.erase(it);
-      } else {
-        --it->rounds;
-        ++it;
-      }
-    }
-    active_timers_ -= due.size();
-    // Timer lag: how far behind its slot deadline (the wheel's notion of
-    // now) real time had drifted when the timer fired.  Recorded per
-    // fired timer, through the attached clock's unit (nanoseconds).
-    if (sink_.clock != nullptr && sink_.timer_lag != nullptr &&
-        !due.empty()) {
-      const std::int64_t lag_ms = now - wheel_time_ms_;
-      const std::uint64_t lag_ns =
-          lag_ms > 0 ? static_cast<std::uint64_t>(lag_ms) * 1000000u : 0;
-      for (std::size_t i = 0; i < due.size(); ++i)
-        sink_.timer_lag->Record(lag_ns);
-    }
-    for (Timer& t : due) t.cb();
-    if (!running_) return;
+  // A timer added during this pass has id >= pass_end and a deadline >=
+  // now (the clock is monotonic), so it sorts after every timer due
+  // now: the first one reached ends the pass.
+  const std::uint64_t pass_end = next_timer_id_;
+  while (running_ && !timers_.empty()) {
+    const auto it = timers_.begin();
+    const auto [deadline, id] = it->first;
+    if (deadline > now || id >= pass_end) break;
+    // Extract before firing: the callback may add or cancel timers.
+    TimerCallback cb = std::move(it->second);
+    timers_.erase(it);
+    // Timer lag: how far real time had run past the deadline when the
+    // timer fired, through the attached clock's unit (nanoseconds).
+    if (sink_.clock != nullptr && sink_.timer_lag != nullptr)
+      sink_.timer_lag->Record(static_cast<std::uint64_t>(now - deadline) *
+                              1000000u);
+    cb();
   }
 }
 
@@ -130,23 +85,16 @@ int EventLoop::Run() {
       fds.push_back(p);
       order.push_back(fd);
     }
-    // Sleep until the nearest timer deadline (fd readiness wakes poll
-    // regardless), bounded by kIdleTimeoutMs so the wheel clock never
-    // drifts far; with nothing to wait for, a short nap keeps a bare
-    // loop responsive to Stop() from a signal-free test harness.
-    int timeout;
-    if (active_timers_ > 0)
-      timeout = std::min(NextTimerDelayMs(), kIdleTimeoutMs);
-    else
-      timeout = watches_.empty() ? 10 : kIdleTimeoutMs;
-    const int n = ::poll(fds.data(), fds.size(), timeout);
+    // Sleep until the nearest timer deadline, or on the fds alone when
+    // no timer is pending; fd readiness wakes poll regardless.
+    const int n = ::poll(fds.data(), fds.size(), NextTimerDelayMs());
     // One "poll iteration" is everything between poll(2) returning and
-    // the loop sleeping again: the wheel catch-up plus every ready-fd
+    // the loop sleeping again: the due timers plus every ready-fd
     // dispatch.  Its duration is the stall a peer frame can experience
     // behind this process, hence the max-stall gauge.
     const std::uint64_t iter_start =
         sink_.clock != nullptr ? sink_.clock->NowNanos() : 0;
-    AdvanceWheel();
+    FireDueTimers();
     if (!running_) break;
     if (n <= 0) {
       RecordIteration(iter_start);

@@ -5,12 +5,14 @@
 //   * fd readiness: WatchRead registers a callback fired whenever the fd
 //     is readable (or hung up); SetWriteInterest toggles POLLOUT for fds
 //     with queued output, so an idle connection costs nothing.
-//   * a hashed timer wheel: kWheelSlots slots of kTickMs each, one-shot
-//     timers hashed into (now + delay) % slots with a rounds counter for
-//     delays past one revolution.  O(1) insert/cancel, O(due) per tick —
-//     the classic Varghese–Lauck structure.  The daemons run their gossip
-//     cadence on it; the loadgen refreshes its injection token bucket
-//     from it.
+//   * one-shot timers in one map ordered by (deadline ms, id) — the same
+//     (time, seq) order as src/net/Simulator's event queue.  A timer
+//     fires on the first pass at or after its deadline; equal deadlines
+//     fire in AddTimer order; a timer added by a firing callback is due
+//     on a later pass, never the one that is firing.  The daemons run
+//     their gossip cadence, connect deadlines and 1 ms reconnect slots
+//     on it; the loadgen its scrape cadence, kill hand-off and run
+//     timeout.
 //
 // The loop is deliberately poll-based, not epoll: the netd fleet is a
 // handful of sockets per process, portability beats scalability, and the
@@ -19,8 +21,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "obs/clock.h"
 #include "obs/latency_histogram.h"
@@ -43,8 +46,6 @@ class EventLoop {
   };
   void AttachLatencyPlane(const LatencySink& sink) { sink_ = sink; }
 
-  EventLoop();
-
   // Registers `on_readable` for fd (replacing any previous registration).
   // The callback must drain the fd; it is invoked again on the next poll
   // round while data remains.
@@ -55,52 +56,42 @@ class EventLoop {
   // Drops all interest in fd (does not close it).
   void Unwatch(int fd);
 
-  // One-shot timer after delay_ms; returns an id usable with CancelTimer.
+  // One-shot timer due at NowMs() + delay_ms; returns an id usable with
+  // CancelTimer.  O(log timers).
   std::uint64_t AddTimer(int delay_ms, TimerCallback cb);
+  // O(timers): a netd process holds a handful.
   void CancelTimer(std::uint64_t id);
 
   // Milliseconds until the nearest pending timer is due (0 if overdue),
-  // or -1 when no timers are pending.  O(kWheelSlots + timers) — Run()
-  // calls it once per poll round to sleep exactly until the next
-  // deadline instead of ticking blindly, so sparse timers (reconnect
-  // backoff under light traffic) fire on schedule without busy-polling.
+  // or -1 when no timers are pending.  Run() sleeps in poll(2) for
+  // exactly this long, so sparse timers (reconnect backoff under light
+  // traffic) fire on schedule without busy-polling.
   int NextTimerDelayMs() const;
 
   // Dispatches until Stop() is called.  Returns the Stop code.
   int Run();
   void Stop(int code = 0);
 
-  // Monotonic milliseconds (the wheel's clock), for tests and pacing.
+  // Monotonic milliseconds (the timers' clock), for tests and pacing.
   static std::int64_t NowMs();
 
  private:
-  static constexpr int kTickMs = 4;
-  static constexpr std::size_t kWheelSlots = 256;
-  // Upper bound on one poll sleep: a watched fd can become readable any
-  // time, but poll wakes on readiness anyway — this only bounds how
-  // stale the wheel clock may get before an AdvanceWheel catch-up.
-  static constexpr int kIdleTimeoutMs = 100;
-
   struct Watch {
     IoCallback on_readable;
     IoCallback on_writable;
     bool want_write = false;
   };
-  struct Timer {
-    std::uint64_t id = 0;
-    std::uint32_t rounds = 0;  // whole wheel revolutions still to wait
-    TimerCallback cb;
-  };
+  // (deadline ms, id): ids grow with every AddTimer, so equal deadlines
+  // fire in insertion order.
+  using TimerKey = std::pair<std::int64_t, std::uint64_t>;
 
-  void AdvanceWheel();
+  // Fires every timer due by now that was added before this pass began.
+  void FireDueTimers();
   void RecordIteration(std::uint64_t iter_start);
 
   std::unordered_map<int, Watch> watches_;
-  std::vector<std::vector<Timer>> wheel_;
-  std::size_t wheel_pos_ = 0;
-  std::int64_t wheel_time_ms_ = 0;  // wheel's notion of now
+  std::map<TimerKey, TimerCallback> timers_;
   std::uint64_t next_timer_id_ = 1;
-  std::size_t active_timers_ = 0;
   bool running_ = false;
   int stop_code_ = 0;
   LatencySink sink_;

@@ -1,7 +1,5 @@
 #include "netd/loadgen.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace webwave {
@@ -10,13 +8,6 @@ namespace {
 // Hard ceiling on one fleet run; a hung daemon fails the run instead of
 // wedging the harness (and CI) forever.
 constexpr int kRunTimeoutMs = 120000;
-// The load-reactive window never shrinks below this: progress must
-// continue even when every reply reports a hot shard.
-constexpr std::uint64_t kMinWindow = 16;
-// Injection tokens per timer-wheel tick, and the in-flight window the
-// load-reactive window recovers up to.
-constexpr int kTokensPerTick = 2048;
-constexpr std::uint64_t kWindow = 4096;
 }  // namespace
 
 LoadgenClient::LoadgenClient(const NetdClusterConfig& config,
@@ -69,20 +60,13 @@ std::vector<int> LoadgenClient::LiveServers() const {
   return out;
 }
 
-void LoadgenClient::ScheduleRefill() {
-  loop_.AddTimer(0, [this] {
-    tokens_ = kTokensPerTick;
-    TrySend();
-    FlushAll();
-    if (next_ < config_.total_requests) ScheduleRefill();
-  });
-}
-
 void LoadgenClient::TrySend() {
   if (round_.kind == RoundKind::kVictims ||
       round_.kind == RoundKind::kRejoin || round_.kind == RoundKind::kBarrier)
     return;
-  while (next_ < epoch_end_ && tokens_ > 0 && in_flight_ < window_cur_) {
+  // Request i waits for request i - kWindow's reply, which frees slot
+  // i % kWindow.
+  while (next_ < epoch_end_ && stamps_[next_ % kWindow].req_id == kFreeSlot) {
     const Request r =
         NetdRequestAt(config_.stream_seed, next_, nodes_, config_.docs);
     GetRequest g;
@@ -95,53 +79,37 @@ void LoadgenClient::TrySend() {
         TraceSampled(kTraceSeed, next_, config_.serving.trace_sample_shift))
       g.flags |= kGetFlagTrace;
     const int s = OwnerMap()[static_cast<std::size_t>(r.node)];
-    sent_ns_[next_] = clock_.NowNanos();
+    stamps_[next_ % kWindow] = {next_, clock_.NowNanos()};
     conns_[static_cast<std::size_t>(s)]->Send(g);
     ++next_;
-    ++in_flight_;
-    --tokens_;
   }
-}
-
-void LoadgenClient::AdaptWindow(double load) {
-  if (config_.load_window_factor <= 0) return;
-  // `load` is the serving shard's own request tally; a fair share is
-  // completed / server_count.  Hot shard -> halve, otherwise creep back
-  // up.  Pacing only: decisions are order-free at block_size = 1.
-  const double fair = std::max(
-      static_cast<double>(completed_) /
-          static_cast<double>(config_.server_count),
-      1.0);
-  if (load > config_.load_window_factor * fair)
-    window_cur_ = std::max(window_cur_ / 2, kMinWindow);
-  else if (window_cur_ < kWindow)
-    ++window_cur_;
 }
 
 void LoadgenClient::OnFrame(int server, const WireMessage& msg) {
   switch (msg.type) {
     case MsgType::kGetReply: {
+      // The window keeps every in-flight req_id in its own slot, so a
+      // mismatch is a reply for a request not in flight: a duplicate, or
+      // one never sent.  Counting it could end an epoch block early.
+      SendStamp& stamp = stamps_[msg.reply.req_id % kWindow];
+      WEBWAVE_REQUIRE(stamp.req_id == msg.reply.req_id,
+                      "a GetReply for a request not in flight");
+      stamp.req_id = kFreeSlot;
       ++completed_;
-      --in_flight_;
       // Send->reply latency, attributed to the serving epoch block and
       // to the daemon that delivered the reply.  Observability only:
       // nothing downstream of these histograms affects pacing.
-      const auto sent = sent_ns_.find(msg.reply.req_id);
-      if (sent != sent_ns_.end()) {
-        const std::uint64_t now = clock_.NowNanos();
-        const std::uint64_t lat = now >= sent->second ? now - sent->second : 0;
-        result_->latency_per_epoch[epoch_].Record(lat);
-        result_->latency_per_server[static_cast<std::size_t>(server)].Record(
-            lat);
-        sent_ns_.erase(sent);
-      }
+      const std::uint64_t now = clock_.NowNanos();
+      const std::uint64_t lat = now >= stamp.sent_ns ? now - stamp.sent_ns : 0;
+      result_->latency_per_epoch[epoch_].Record(lat);
+      result_->latency_per_server[static_cast<std::size_t>(server)].Record(
+          lat);
       if (msg.reply.result == GetResult::kServed) {
         ++result_->client_served;
         result_->client_hop_sum += msg.reply.hops;
       } else {
         ++result_->client_dropped;
       }
-      AdaptWindow(msg.reply.load);
       TrySend();
       if (completed_ == epoch_end_) EndBlock();
       break;
@@ -399,7 +367,7 @@ bool LoadgenClient::Run(NetdRunResult* result) {
   epoch_ = 0;
   epoch_end_ = config_.epochs.empty() ? config_.total_requests
                                       : config_.epochs[0].requests;
-  window_cur_ = kWindow;
+  stamps_.assign(kWindow, SendStamp{});
   // The epoch tables every delta is diffed between (epoch 0 is the boot
   // table).
   snaps_.resize(config_.epochs.size());
@@ -411,8 +379,8 @@ bool LoadgenClient::Run(NetdRunResult* result) {
   }
   conns_.resize(static_cast<std::size_t>(config_.server_count));
   for (int s = 0; s < config_.server_count; ++s) ConnectOne(s);
+  TrySend();
   FlushAll();
-  ScheduleRefill();
   if (config_.stats_scrape_period_ms > 0) ScheduleScrape();
   loop_.AddTimer(kRunTimeoutMs, [this] {
     failed_ = true;

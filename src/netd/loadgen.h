@@ -3,9 +3,11 @@
 //
 // Request i is the pure function NetdRequestAt(seed, i, ...), numbered
 // req_id = i, and sent to the daemon owning its origin node.  Pacing is
-// a token bucket refilled from the event loop's timer wheel under an
-// in-flight window, so socket buffers stay bounded however long the
-// stream is.
+// one rule: request i is sent only after request i - kWindow has been
+// answered.  It bounds every queue however long the stream is (at most
+// kWindow requests in flight, each one frame of at most 40 B, ~160 KiB),
+// and it keeps each in-flight req_id alone in its slot of a kWindow-slot
+// send-stamp ring.
 //
 // Everything else is a control round: requests to some servers, a count
 // of replies still due, and one continuation when the last one lands.
@@ -21,10 +23,10 @@
 // At most one round is outstanding, so per-connection FIFO attributes
 // every reply.  With stats_scrape_period_ms > 0 a timer starts kScrape
 // rounds mid-run, skipped while another round is outstanding.  When an
-// epoch block drains, in-flight is zero (sends are capped at the block's
-// end), so the fleet is quiesced: the client starts the next boundary's
-// kVictims round, or kFinal after the last block, queued one deep
-// behind a scrape that is still outstanding.  Victims' replies are their
+// epoch block drains, nothing is in flight (sends are capped at the
+// block's end), so the fleet is quiesced: the client starts the next
+// boundary's kVictims round, or kFinal after the last block, queued one
+// deep behind a scrape that is still outstanding.  Victims' replies are their
 // final state (NetdRunResult::retired); the kills run off a 0 ms timer,
 // never inside the read callback of the conn that delivered the reply.
 // A daemon's delta is diffed from the table epoch it last acknowledged
@@ -34,14 +36,11 @@
 // Determinism note: pacing shapes *when* requests enter the fleet, never
 // *what* they are or how they are decided — admission runs block_size=1,
 // so the counters the fleet reports are invariant to all of this timing.
-// That includes the load-reactive window (load_window_factor), which
-// only throttles injection when replies report hot shards.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "netd/cluster.h"
@@ -95,9 +94,8 @@ class LoadgenClient {
   void ConnectOne(int s);
   std::vector<int> OpenConnFds() const;
   std::vector<int> LiveServers() const;
-  void ScheduleRefill();
+  // Sends the stream up to the block's end, while the window allows.
   void TrySend();
-  void AdaptWindow(double load);
   void OnFrame(int server, const WireMessage& msg);
   // Writes every conn's queued frames.  Sends only queue, so each read
   // batch and each timer callback ends with one FlushAll: a pass of
@@ -139,19 +137,23 @@ class LoadgenClient {
 
   std::uint64_t next_ = 0;       // next req_id to send
   std::uint64_t completed_ = 0;  // replies received
-  std::uint64_t in_flight_ = 0;
-  int tokens_ = 0;
-  std::uint64_t window_cur_ = 0;  // live window (load-reactive)
   Round round_;
   bool block_end_queued_ = false;  // the one-deep queue behind a scrape
   bool shutdown_sent_ = false;
   bool failed_ = false;
 
-  // Latency plane (PR 10): send timestamps per in-flight req_id, so a
-  // kGetReply can be bucketed into the per-epoch and per-server
-  // histograms.  Pure observation — pacing and admission never read it.
+  // The in-flight window: request i's send stamp lives in slot
+  // i % kWindow, and a free slot is the window's permission to send.
+  // The stamps feed the latency plane: a kGetReply is bucketed
+  // into the per-epoch and per-server histograms.
+  static constexpr std::uint64_t kWindow = 4096;
+  static constexpr std::uint64_t kFreeSlot = ~std::uint64_t{0};
+  struct SendStamp {
+    std::uint64_t req_id = kFreeSlot;  // the request in flight, if any
+    std::uint64_t sent_ns = 0;
+  };
   SteadyClock clock_;
-  std::unordered_map<std::uint64_t, std::uint64_t> sent_ns_;
+  std::vector<SendStamp> stamps_;
 
   // Multi-epoch state.
   std::size_t epoch_ = 0;        // epoch the stream is serving under

@@ -95,8 +95,10 @@ struct GetRequest {
 };
 
 // The answer travelling back down the request's path.  `load` is the
-// serving node's current measured load and `version` its quota-table
-// epoch — piggybacked state every reply carries for free.
+// serving node's cumulative served count in the replying plane
+// (ServingMetrics::served_per_node, this request included; 0 on a drop),
+// not a rate, and `version` its quota-table epoch — piggybacked state
+// every reply carries for free.  No netd code reads `load`.
 struct GetReply {
   std::uint64_t req_id = 0;
   std::int32_t doc = 0;

@@ -2,8 +2,9 @@
 //
 //   * CarveSubtree / PartitionOwners — carve a compact tree out of a big
 //     one and shard it so walks up the tree never revisit a shard.
-//   * EventLoop — the timer wheel fires in delay order (including delays
-//     past one wheel revolution) and CancelTimer really cancels.
+//   * EventLoop — timers fire in deadline order, at their deadline and
+//     not before, equal deadlines in AddTimer order, a timer added by a
+//     firing callback on a later pass; CancelTimer really cancels.
 //   * FrameConn — frames survive a real socketpair byte stream, however
 //     the kernel slices it; sends queue until a flush or the threshold.
 //   * Socket factory — every connected TCP socket is non-blocking,
@@ -221,8 +222,8 @@ TEST(NetdCluster, SumCountersTakesTheLargestOutboxPeak) {
 TEST(NetdEventLoop, TimersFireInDelayOrderAcrossRevolutions) {
   EventLoop loop;
   std::vector<int> fired;
-  // 4 ms ticks, 256 slots => 1024 ms per revolution; 1100 exercises the
-  // rounds counter.
+  // 1100 ms is a long delay among short ones: the timer map orders it
+  // last whatever the insertion order.
   loop.AddTimer(60, [&] { fired.push_back(2); });
   loop.AddTimer(20, [&] { fired.push_back(1); });
   loop.AddTimer(1100, [&] {
@@ -238,8 +239,8 @@ TEST(NetdEventLoop, TimersFireInDelayOrderAcrossRevolutions) {
 TEST(NetdEventLoop, NextTimerDelayTracksTheNearestDeadline) {
   EventLoop loop;
   EXPECT_EQ(loop.NextTimerDelayMs(), -1);  // no timers pending
-  // A delay past one wheel revolution (4 ms x 256 slots = 1024 ms)
-  // exercises the rounds counter in the nearest-deadline scan.
+  // A long delay: the nearest deadline is the map's first entry, however
+  // far out it is.
   loop.AddTimer(1100, [] {});
   int d = loop.NextTimerDelayMs();
   EXPECT_GT(d, 1024);
@@ -257,6 +258,60 @@ TEST(NetdEventLoop, NextTimerDelayTracksTheNearestDeadline) {
   d = loop.NextTimerDelayMs();
   EXPECT_GT(d, 20);
   EXPECT_LE(d, 60);
+}
+
+TEST(NetdEventLoop, TimerFiresAtItsDeadlineNotARoundedUpTick) {
+  EventLoop loop;
+  const std::int64_t start = EventLoop::NowMs();
+  std::int64_t fired_at = -1;
+  loop.AddTimer(5, [&] {
+    fired_at = EventLoop::NowMs();
+    loop.Stop(0);
+  });
+  const int d = loop.NextTimerDelayMs();
+  EXPECT_GE(d, 0);
+  EXPECT_LE(d, 5);
+  EXPECT_EQ(loop.Run(), 0);
+  EXPECT_GE(fired_at - start, 5);
+}
+
+TEST(NetdEventLoop, EqualDeadlinesFireInAddTimerOrder) {
+  EventLoop loop;
+  std::vector<int> fired;
+  // Same delay, added within one millisecond or not: either way every
+  // later timer's deadline is no earlier, and ties go to the earlier id.
+  for (int i = 0; i < 8; ++i) loop.AddTimer(10, [&, i] { fired.push_back(i); });
+  loop.AddTimer(10, [&] { loop.Stop(0); });
+  EXPECT_EQ(loop.Run(), 0);
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(NetdEventLoop, TimerAddedByACallbackFiresOnALaterPass) {
+  // A pass fires the due timers, then dispatches the ready fds.  A
+  // readable socket therefore marks the end of the first pass: the 0 ms
+  // timer added by the first timer is due at once, but must fire after
+  // the read callback, on the next pass.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  MakeNonBlocking(fds[0]);
+  ASSERT_EQ(::write(fds[1], "x", 1), 1);
+  EventLoop loop;
+  std::vector<std::string> fired;
+  loop.WatchRead(fds[0], [&] {
+    char byte;
+    if (::read(fds[0], &byte, 1) == 1) fired.push_back("read");
+  });
+  loop.AddTimer(0, [&] {
+    fired.push_back("outer");
+    loop.AddTimer(0, [&] {
+      fired.push_back("inner");
+      loop.Stop(0);
+    });
+  });
+  EXPECT_EQ(loop.Run(), 0);
+  EXPECT_EQ(fired, (std::vector<std::string>{"outer", "read", "inner"}));
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 TEST(NetdFrameConn, FramesSurviveASocketpairStream) {
@@ -713,10 +768,6 @@ TEST(NetdCluster, MultiEpochFleetMatchesOracleWithoutFaults) {
   opt.requests_per_epoch = 6000;
   opt.inject_faults = false;
   BuildEpochPlan(&c.config, opt);
-  // Exercise the load-reactive window: pacing only, so every counter
-  // must still match the oracle exactly.
-  c.config.load_window_factor = 4.0;
-
   const NetdRunResult run = RunNetdCluster(c.config);
   ASSERT_TRUE(run.ok);
   // One quiesced barrier sample per transition, each summing exactly to
@@ -774,7 +825,8 @@ TEST(NetdCluster, KilledAndRestartedFleetMatchesOracleBitForBit) {
   const NetdRunResult run = RunNetdCluster(c.config);
   ASSERT_TRUE(run.ok);
   EXPECT_GT(ExpectFleetLaws(c.config, run).size(), 0u);
-  // The gossip plane really did reconnect around the dead daemon.
+  // A live peer link to a victim (a forward link or the gossip link)
+  // went down at the kill: its conn-down counts a reconnect.
   EXPECT_GE(run.fleet.reconnects, 1u);
 }
 
@@ -789,7 +841,8 @@ TEST(NetdCluster, ScrapesInterleaveWithKillBoundaries) {
   const NetdRunResult run = RunNetdCluster(c.config);
   ASSERT_TRUE(run.ok);
   EXPECT_GT(ExpectFleetLaws(c.config, run).size(), 0u);
-  // The gossip plane really did reconnect around the dead daemon.
+  // A live peer link to a victim (a forward link or the gossip link)
+  // went down at the kill: its conn-down counts a reconnect.
   EXPECT_GE(run.fleet.reconnects, 1u);
 }
 
@@ -868,6 +921,51 @@ TEST(NetdCluster, FailedRunLeavesNoDaemonBehind) {
   errno = 0;
   EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
   EXPECT_EQ(errno, ECHILD);
+}
+
+// A daemon that answers a request twice fails the run by name: counted,
+// the duplicate would close the epoch block a request early.  The fake
+// daemon is a forked child that replies to every GetRequest twice.
+TEST(NetdCluster, DuplicateReplyFailsTheRunByName) {
+  Cluster c = MakeCluster(200, 8, 1, 100);
+  std::uint16_t port = 0;
+  const int listen_fd = ListenTcp(&port);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    pollfd p{listen_fd, POLLIN, 0};
+    ::poll(&p, 1, 10000);
+    FrameConn conn(AcceptTcp(listen_fd));
+    bool alive = conn.fd() >= 0;
+    while (alive) {
+      p = pollfd{conn.fd(), POLLIN, 0};
+      ::poll(&p, 1, 10000);
+      alive = conn.OnReadable([&conn](const WireMessage& m) {
+        if (m.type != MsgType::kGetRequest) return;
+        GetReply r;
+        r.req_id = m.get.req_id;
+        r.doc = m.get.doc;
+        conn.Send(r);
+        conn.Send(r);
+      });
+      conn.Flush();
+    }
+    ::_exit(0);
+  }
+  std::string error;
+  try {
+    LoadgenClient loadgen(c.config, {port});
+    NetdRunResult run;
+    loadgen.Run(&run);
+  } catch (const std::invalid_argument& e) {
+    error = e.what();
+  }
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, nullptr, 0);
+  ::close(listen_fd);
+  EXPECT_NE(error.find("a GetReply for a request not in flight"),
+            std::string::npos)
+      << error;
 }
 
 // A watermark smaller than one frame forces every cross-shard forward to
