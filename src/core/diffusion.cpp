@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/webwave_options.h"
 #include "stats/summary.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -185,7 +186,7 @@ SparseDiffusionMatrix SparseDiffusionMatrix::DegreeBased(
   BuildCsrRows(
       graph,
       [&graph](int i, int j) {
-        return 1.0 / (1.0 + std::max(graph.degree(i), graph.degree(j)));
+        return StableAlpha(graph.degree(i), graph.degree(j));
       },
       m.row_ptr_, m.col_, m.values_);
   return m;

@@ -107,8 +107,7 @@ struct EdgeArrays {
 inline double EdgeAlpha(const RoutingTree& tree, NodeId child,
                         const WebWaveOptions& options) {
   const double stable =
-      1.0 / (1.0 + std::max(tree.degree(tree.parent(child)),
-                            tree.degree(child)));
+      StableAlpha(tree.degree(tree.parent(child)), tree.degree(child));
   switch (options.alpha_policy) {
     case AlphaPolicy::kFixed:
       return std::min(options.alpha, stable);

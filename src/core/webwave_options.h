@@ -2,6 +2,7 @@
 // and its step kernel.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -21,6 +22,11 @@ enum class AlphaPolicy {
   // α_ij = 1 / (1 + max(deg(i), deg(j))) (the default).
   kDegree,
 };
+
+// The stable α of an edge whose endpoints have degrees `deg_a` and `deg_b`.
+inline double StableAlpha(int deg_a, int deg_b) {
+  return 1.0 / (1.0 + std::max(deg_a, deg_b));
+}
 
 // Where the load sits before the protocol starts.
 enum class InitialLoad {

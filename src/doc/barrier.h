@@ -9,8 +9,8 @@
 // that its parent j is a potential barrier if k remains underloaded,
 // relative to j, for more than two periods, and no action is taken by j."
 // The BarrierMonitor implements exactly that counter; the recovery —
-// *tunneling*, fetching a document from across the barrier — lives in
-// DocWebWave.
+// *tunneling*, fetching a document from across the barrier — is each
+// engine's Tunnel, run by the barrier pass in doc/quota_exchange.h.
 #pragma once
 
 #include <vector>

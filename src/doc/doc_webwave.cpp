@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 
+#include "doc/quota_exchange.h"
 #include "stats/summary.h"
 #include "util/check.h"
 
 namespace webwave {
-
-namespace {
-
-// Rates and quotas at or below this are treated as zero.
-constexpr double kEpsilon = 1e-9;
-
-}  // namespace
 
 DocWebWave::DocWebWave(const RoutingTree& tree, const DemandMatrix& demand,
                        DocWebWaveOptions options)
@@ -28,13 +20,11 @@ DocWebWave::DocWebWave(const RoutingTree& tree, const DemandMatrix& demand,
       forwarded_(quota_.size(), 0.0),
       cached_(quota_.size(), 0),
       loads_(static_cast<std::size_t>(tree.size()), 0.0),
-      barrier_monitor_(tree.size()),
-      received_this_period_(static_cast<std::size_t>(tree.size()), false) {
+      barrier_monitor_(tree.size()) {
   WEBWAVE_REQUIRE(demand.node_count() == tree.size(),
                   "demand matrix does not match tree");
   // The home server (root) holds the authoritative copy of every document.
-  for (DocId d = 0; d < docs_; ++d)
-    cached_[static_cast<std::size_t>(tree_.root()) * docs_ + d] = 1;
+  for (DocId d = 0; d < docs_; ++d) cached(tree_.root(), d) = 1;
   RecomputeFlows();
 }
 
@@ -44,7 +34,7 @@ void DocWebWave::SeedCopy(NodeId v, DocId d, double initial_quota) {
   WEBWAVE_REQUIRE(!tree_.is_root(v), "the root already caches everything");
   WEBWAVE_REQUIRE(initial_quota >= 0, "quota must be non-negative");
   WEBWAVE_REQUIRE(period_ == 0, "seed placements before the first Step()");
-  cached_[static_cast<std::size_t>(v) * docs_ + d] = 1;
+  cached(v, d) = 1;
   quota(v, d) = initial_quota;
   RecomputeFlows();
 }
@@ -57,12 +47,10 @@ void DocWebWave::RecomputeFlows() {
     for (DocId d = 0; d < docs_; ++d) {
       double arrive = demand_.at(v, d);
       for (const NodeId c : tree_.children(v)) arrive += fwd_at(c, d);
-      const bool has_copy =
-          cached_[static_cast<std::size_t>(v) * docs_ + d] != 0;
       double serve = 0;
       if (tree_.is_root(v)) {
         serve = arrive;
-      } else if (has_copy) {
+      } else if (cached_at(v, d)) {
         serve = std::min(quota_at(v, d), arrive);
       }
       served(v, d) = serve;
@@ -76,89 +64,7 @@ void DocWebWave::RecomputeFlows() {
   }
 }
 
-double DocWebWave::EdgeAlpha(NodeId parent, NodeId child) const {
-  return 1.0 / (1.0 + std::max(tree_.degree(parent), tree_.degree(child)));
-}
-
-double DocWebWave::DelegateDown(NodeId p, NodeId c, double amount) {
-  // Pick documents p caches whose requests flow through c, hottest flow
-  // first, and hand over copies plus quota.
-  std::vector<DocId> candidates;
-  for (DocId d = 0; d < docs_; ++d) {
-    if (cached_[static_cast<std::size_t>(p) * docs_ + d] == 0) continue;
-    if (fwd_at(c, d) <= kEpsilon) continue;
-    const double avail = tree_.is_root(p) ? served_at(p, d) : quota_at(p, d);
-    if (avail <= kEpsilon) continue;
-    candidates.push_back(d);
-  }
-  std::sort(candidates.begin(), candidates.end(), [&](DocId a, DocId b) {
-    if (fwd_at(c, a) != fwd_at(c, b)) return fwd_at(c, a) > fwd_at(c, b);
-    return a < b;
-  });
-  double moved = 0;
-  for (const DocId d : candidates) {
-    if (moved >= amount - kEpsilon) break;
-    // Quotas were tightened to realized service at the start of the
-    // period and are updated incrementally here, so a node that both
-    // receives and gives quota within one period keeps its books straight.
-    const double parent_available =
-        tree_.is_root(p) ? served_at(p, d) : quota_at(p, d);
-    const double delta =
-        std::min({amount - moved, fwd_at(c, d), parent_available});
-    if (delta <= kEpsilon) continue;
-    if (cached_[static_cast<std::size_t>(c) * docs_ + d] == 0) {
-      cached_[static_cast<std::size_t>(c) * docs_ + d] = 1;
-      ++replications_;
-    }
-    quota(c, d) += delta;
-    if (!tree_.is_root(p)) {
-      // The home server's quota is implicit (it absorbs); only interior
-      // caches track explicit quotas.
-      quota(p, d) = std::max(0.0, quota_at(p, d) - delta);
-      if (quota_at(p, d) <= kEpsilon) {
-        cached_[static_cast<std::size_t>(p) * docs_ + d] = 0;
-        quota(p, d) = 0;
-        ++evictions_;
-      }
-    }
-    moved += delta;
-  }
-  return moved;
-}
-
-double DocWebWave::RelinquishUp(NodeId p, NodeId c, double amount) {
-  // The child gives up quota, most-served documents first; freed requests
-  // flow toward the home server.  If the parent caches the document it
-  // raises its own quota to absorb them en route.
-  std::vector<DocId> candidates;
-  for (DocId d = 0; d < docs_; ++d)
-    if (quota_at(c, d) > kEpsilon) candidates.push_back(d);
-  std::sort(candidates.begin(), candidates.end(), [&](DocId a, DocId b) {
-    if (quota_at(c, a) != quota_at(c, b))
-      return quota_at(c, a) > quota_at(c, b);
-    return a < b;
-  });
-  double moved = 0;
-  for (const DocId d : candidates) {
-    if (moved >= amount - kEpsilon) break;
-    const double delta = std::min(amount - moved, quota_at(c, d));
-    if (delta <= kEpsilon) continue;
-    quota(c, d) = std::max(0.0, quota_at(c, d) - delta);
-    if (quota_at(c, d) <= kEpsilon) {
-      cached_[static_cast<std::size_t>(c) * docs_ + d] = 0;
-      quota(c, d) = 0;
-      ++evictions_;
-    }
-    if (!tree_.is_root(p) &&
-        cached_[static_cast<std::size_t>(p) * docs_ + d] != 0) {
-      quota(p, d) += delta;
-    }
-    moved += delta;
-  }
-  return moved;
-}
-
-void DocWebWave::Tunnel(NodeId k) {
+bool DocWebWave::Tunnel(NodeId k) {
   // "Server k identifies one or more documents for which it is forwarding
   // requests to its parent, and requests them directly."  Pick the
   // document k forwards at the highest rate; when k does not yet hold a
@@ -168,40 +74,38 @@ void DocWebWave::Tunnel(NodeId k) {
   // the passing flow.
   DocId best = -1;
   for (DocId d = 0; d < docs_; ++d) {
-    if (fwd_at(k, d) <= kEpsilon) continue;
+    if (fwd_at(k, d) <= kQuotaEpsilon) continue;
     if (best < 0 || fwd_at(k, d) > fwd_at(k, best)) best = d;
   }
-  if (best < 0) return;  // nothing flows past k at all
+  if (best < 0) return false;  // nothing flows past k at all
 
   const NodeId p = tree_.parent(k);
   const double gap = loads_[static_cast<std::size_t>(p)] -
                      loads_[static_cast<std::size_t>(k)];
   const double quota_grant =
-      std::min(fwd_at(k, best), EdgeAlpha(p, k) * gap);
-  if (quota_grant <= kEpsilon) return;
+      std::min(fwd_at(k, best),
+               StableAlpha(tree_.degree(p), tree_.degree(k)) * gap);
+  if (quota_grant <= kQuotaEpsilon) return false;
 
-  if (cached_[static_cast<std::size_t>(k) * docs_ + best] == 0) {
+  if (!cached_at(k, best)) {
     NodeId source = kNoNode;
-    for (NodeId a = tree_.parent(k); a != kNoNode; a = tree_.parent(a)) {
-      if (cached_[static_cast<std::size_t>(a) * docs_ + best] != 0) {
+    for (NodeId a = p; a != kNoNode; a = tree_.parent(a)) {
+      if (cached_at(a, best)) {
         source = a;
         break;
       }
     }
     WEBWAVE_ASSERT(source != kNoNode, "home server must cache everything");
-    cached_[static_cast<std::size_t>(k) * docs_ + best] = 1;
+    cached(k, best) = 1;
     ++replications_;
     tunnels_.push_back({period_, k, p, source, best, quota_grant});
   }
   quota(k, best) += quota_grant;
-  barrier_monitor_.Reset(k);
-  received_this_period_[static_cast<std::size_t>(k)] = true;
+  return true;
 }
 
 void DocWebWave::Step() {
   RecomputeFlows();
-  std::fill(received_this_period_.begin(), received_this_period_.end(),
-            false);
 
   // Tighten quotas to the service actually realized this period: quota
   // exchanges below are then exact increments, and a node that both
@@ -209,48 +113,43 @@ void DocWebWave::Step() {
   for (NodeId v = 0; v < tree_.size(); ++v) {
     if (tree_.is_root(v)) continue;
     for (DocId d = 0; d < docs_; ++d)
-      if (cached_[static_cast<std::size_t>(v) * docs_ + d] != 0)
-        quota(v, d) = served_at(v, d);
+      if (cached_at(v, d)) quota(v, d) = served_at(v, d);
   }
 
-  // Snapshot the loads the decisions are based on (synchronous rounds).
-  const std::vector<double> loads = loads_;
-
-  for (NodeId c = 0; c < tree_.size(); ++c) {
-    if (tree_.is_root(c)) continue;
-    const NodeId p = tree_.parent(c);
-    const double lp = loads[static_cast<std::size_t>(p)];
-    const double lc = loads[static_cast<std::size_t>(c)];
-    const double alpha = EdgeAlpha(p, c);
-    if (lp > lc + kEpsilon) {
-      const double want = alpha * (lp - lc);
-      const double moved = DelegateDown(p, c, want);
-      // "No action is taken by j" (§5.2): a trickle far below the
-      // prescribed diffusion shift does not count as action, or a barrier
-      // leaking a trifle would never be detected.
-      if (moved > 0.25 * want)
-        received_this_period_[static_cast<std::size_t>(c)] = true;
-    } else if (lc > lp + kEpsilon) {
-      RelinquishUp(p, c, alpha * (lc - lp));
+  // The exchange reads exact loads and flows from the last RecomputeFlows.
+  // The home's spare quota is what it serves (it absorbs); elsewhere it is
+  // the tightened quota.  A delegating parent evicts at zero quota.
+  struct Book {
+    DocWebWave& w;
+    double Load(NodeId v) { return w.loads_[static_cast<std::size_t>(v)]; }
+    double Estimate(NodeId, NodeId u) { return Load(u); }
+    double Flow(NodeId, NodeId c, DocId d) { return w.fwd_at(c, d); }
+    double Spare(NodeId p, DocId d) {
+      return w.tree_.is_root(p) ? w.served_at(p, d) : w.quota_at(p, d);
     }
-  }
-
+    double Rank(NodeId c, DocId d) { return w.quota_at(c, d); }
+    double Cap(NodeId c, DocId d) { return w.quota_at(c, d); }
+    bool Cached(NodeId v, DocId d) { return w.cached_at(v, d); }
+    double Quota(NodeId v, DocId d) { return w.quota_at(v, d); }
+    void SetQuota(NodeId v, DocId d, double q) { w.quota(v, d) = q; }
+    void Install(NodeId v, DocId d) {
+      w.cached(v, d) = 1;
+      ++w.replications_;
+    }
+    void Evict(NodeId v, DocId d) {
+      w.cached(v, d) = 0;
+      w.quota(v, d) = 0;
+      ++w.evictions_;
+    }
+    bool EvictsOnDelegate() { return true; }
+    bool Tunnel(NodeId k) { return w.Tunnel(k); }
+  } book{*this};
+  const std::vector<bool> received = ExchangeQuota(tree_, docs_, book);
   RecomputeFlows();
 
   // Barrier detection and tunneling, on the post-exchange state.
   if (options_.enable_tunneling) {
-    for (NodeId k = 0; k < tree_.size(); ++k) {
-      if (tree_.is_root(k)) continue;
-      const NodeId p = tree_.parent(k);
-      const bool underloaded =
-          loads_[static_cast<std::size_t>(k)] <
-          loads_[static_cast<std::size_t>(p)] - kEpsilon;
-      if (barrier_monitor_.Observe(
-              k, underloaded,
-              received_this_period_[static_cast<std::size_t>(k)])) {
-        Tunnel(k);
-      }
-    }
+    DetectBarriersAndTunnel(tree_, book, barrier_monitor_, received);
     RecomputeFlows();
   }
   ++period_;
@@ -269,13 +168,13 @@ double DocWebWave::ForwardedRate(NodeId v, DocId d) const {
 bool DocWebWave::IsCached(NodeId v, DocId d) const {
   WEBWAVE_REQUIRE(v >= 0 && v < tree_.size() && d >= 0 && d < docs_,
                   "index out of range");
-  return cached_[static_cast<std::size_t>(v) * docs_ + d] != 0;
+  return cached_at(v, d);
 }
 
 int DocWebWave::CopyCount(DocId d) const {
   int count = 0;
   for (NodeId v = 0; v < tree_.size(); ++v)
-    if (cached_[static_cast<std::size_t>(v) * docs_ + d] != 0) ++count;
+    if (cached_at(v, d)) ++count;
   return count;
 }
 
@@ -299,7 +198,7 @@ std::vector<std::vector<bool>> DocWebWave::CacheSnapshot() const {
     snap[static_cast<std::size_t>(v)].resize(static_cast<std::size_t>(docs_));
     for (DocId d = 0; d < docs_; ++d)
       snap[static_cast<std::size_t>(v)][static_cast<std::size_t>(d)] =
-          cached_[static_cast<std::size_t>(v) * docs_ + d] != 0;
+          cached_at(v, d);
   }
   return snap;
 }
@@ -324,15 +223,14 @@ void DocWebWave::CheckInvariants(double tol) const {
       WEBWAVE_ASSERT(served_at(v, d) >= -tol, "negative served rate");
       WEBWAVE_ASSERT(fwd_at(v, d) >= -tol, "negative forwarded rate (NSS)");
       if (served_at(v, d) > tol)
-        WEBWAVE_ASSERT(cached_[static_cast<std::size_t>(v) * docs_ + d] != 0,
+        WEBWAVE_ASSERT(cached_at(v, d),
                        "serving a document without a cache copy");
       total_served += served_at(v, d);
     }
   }
   for (DocId d = 0; d < docs_; ++d) {
-    WEBWAVE_ASSERT(
-        cached_[static_cast<std::size_t>(tree_.root()) * docs_ + d] != 0,
-        "home server must keep the authoritative copy");
+    WEBWAVE_ASSERT(cached_at(tree_.root(), d),
+                   "home server must keep the authoritative copy");
     WEBWAVE_ASSERT(fwd_at(tree_.root(), d) <= tol,
                    "the root must absorb all remaining requests");
   }

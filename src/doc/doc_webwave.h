@@ -18,6 +18,8 @@
 //   * L_c > L_p: c relinquishes quota; the freed requests travel up and
 //     are absorbed by the first ancestor caching the document (ultimately
 //     the home server).  A quota that reaches zero drops the copy.
+// That exchange and the barrier pass below are doc/quota_exchange.h,
+// shared with the packet-level simulator (proto/packet_sim.h).
 //
 // Tunneling (§5.2): a child underloaded w.r.t. its parent for more than
 // kBarrierPatience periods with no load received fetches a copy of a
@@ -113,15 +115,17 @@ class DocWebWave {
     return forwarded_[static_cast<std::size_t>(v) * docs_ + d];
   }
 
+  std::uint8_t& cached(NodeId v, DocId d) {
+    return cached_[static_cast<std::size_t>(v) * docs_ + d];
+  }
+  bool cached_at(NodeId v, DocId d) const {
+    return cached_[static_cast<std::size_t>(v) * docs_ + d] != 0;
+  }
+
   // Recomputes arrive/served/forwarded flows bottom-up from quotas.
   void RecomputeFlows();
-  double EdgeAlpha(NodeId parent, NodeId child) const;
-  // Moves up to `amount` of quota from p to c across documents p caches
-  // that flow through c; returns how much actually moved.
-  double DelegateDown(NodeId p, NodeId c, double amount);
-  // Relinquishes up to `amount` of c's quota upward; returns amount moved.
-  double RelinquishUp(NodeId p, NodeId c, double amount);
-  void Tunnel(NodeId k);
+  // Tunnels across k's barrier parent; false when nothing could move.
+  bool Tunnel(NodeId k);
 
   const RoutingTree& tree_;
   const DemandMatrix& demand_;
@@ -136,7 +140,6 @@ class DocWebWave {
   std::vector<double> loads_;      // per-node total served, after flows
 
   BarrierMonitor barrier_monitor_;
-  std::vector<bool> received_this_period_;
   std::vector<TunnelEvent> tunnels_;
   int replications_ = 0;
   int evictions_ = 0;

@@ -56,11 +56,6 @@ void CacheServer::SetQuota(DocId d, double rate) {
   quota_[static_cast<std::size_t>(d)] = rate;
 }
 
-void CacheServer::AddQuota(DocId d, double rate) {
-  quota_[static_cast<std::size_t>(d)] =
-      std::max(0.0, quota_[static_cast<std::size_t>(d)] + rate);
-}
-
 int CacheServer::copy_count() const {
   int count = 0;
   for (const auto c : cached_) count += c != 0;

@@ -6,8 +6,9 @@
 //   * EWMA arrival rate per (child, document) — the observed A_j^d,
 //   * EWMA served rate (its load L_i),
 //   * gossiped neighbor load estimates L_ij.
-// Control-plane decisions (delegate/relinquish/tunnel) are made by the
-// simulation's diffusion tick using these estimates.
+// Control-plane decisions (delegate/relinquish/tunnel) are the shared
+// quota exchange (doc/quota_exchange.h), which the simulation's diffusion
+// tick runs over these estimates.
 #pragma once
 
 #include <unordered_map>
@@ -41,7 +42,6 @@ class CacheServer {
   void DropCopy(DocId d);
   double quota(DocId d) const { return quota_[static_cast<std::size_t>(d)]; }
   void SetQuota(DocId d, double rate);
-  void AddQuota(DocId d, double rate);
   int copy_count() const;
 
   // --- measurement ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "doc/quota_exchange.h"
 #include "stats/summary.h"
 #include "util/check.h"
 #include "wire/codec.h"
@@ -418,44 +419,43 @@ void PacketSim::DiffusionTick() {
   for (NodeId v = 0; v < tree_.size(); ++v)
     servers_[static_cast<std::size_t>(v)].RollWindow(window_s,
                                                      kEwmaAlpha);
-  std::vector<bool> received(static_cast<std::size_t>(tree_.size()), false);
 
-  for (NodeId c = 0; c < tree_.size(); ++c) {
-    if (tree_.is_root(c)) continue;
-    const NodeId p = tree_.parent(c);
-    CacheServer& parent = servers_[static_cast<std::size_t>(p)];
-    CacheServer& child = servers_[static_cast<std::size_t>(c)];
-    const double alpha =
-        1.0 / (1.0 + std::max(tree_.degree(p), tree_.degree(c)));
-    // The parent acts on its own load and its *gossiped estimate* of the
-    // child; the child symmetrically.
-    const double lp = parent.load();
-    const double lc_est = parent.NeighborLoad(c);
-    const double lc = child.load();
-    const double lp_est = child.NeighborLoad(p);
-    if (lp > lc_est + 1e-9) {
-      // A trickle far below the prescribed shift does not count as
-      // "action taken" for barrier detection (see DocWebWave::Step).
-      const double want = alpha * (lp - lc_est);
-      if (DelegateDown(p, c, want) > 0.25 * want)
-        received[static_cast<std::size_t>(c)] = true;
-    } else if (lc > lp_est + 1e-9) {
-      RelinquishUp(p, c, alpha * (lc - lp_est));
+  // The exchange reads each server's own EWMA rates and its gossiped
+  // estimates of its neighbours.  Spare quota and the relinquish rank are
+  // the measured served rate; a delegating parent keeps a zero-quota copy,
+  // and a copy handed down costs one transfer over the edge.
+  struct Book {
+    PacketSim& s;
+    CacheServer& at(NodeId v) {
+      return s.servers_[static_cast<std::size_t>(v)];
     }
-  }
-
-  if (options_.enable_tunneling) {
-    for (NodeId k = 0; k < tree_.size(); ++k) {
-      if (tree_.is_root(k)) continue;
-      CacheServer& child = servers_[static_cast<std::size_t>(k)];
-      const bool underloaded =
-          child.load() < child.NeighborLoad(tree_.parent(k)) - 1e-9;
-      if (barrier_monitor_.Observe(k, underloaded,
-                                   received[static_cast<std::size_t>(k)]) &&
-          Tunnel(k))
-        barrier_monitor_.Reset(k);
+    double Load(NodeId v) { return at(v).load(); }
+    double Estimate(NodeId v, NodeId u) { return at(v).NeighborLoad(u); }
+    double Flow(NodeId p, NodeId c, DocId d) {
+      return at(p).child_arrival_rate(c, d);
     }
-  }
+    double Spare(NodeId p, DocId d) { return at(p).served_rate(d); }
+    double Rank(NodeId c, DocId d) { return at(c).served_rate(d); }
+    double Cap(NodeId c, DocId d) {
+      return std::min(at(c).quota(d), at(c).served_rate(d));
+    }
+    bool Cached(NodeId v, DocId d) { return at(v).IsCached(d); }
+    double Quota(NodeId v, DocId d) { return at(v).quota(d); }
+    void SetQuota(NodeId v, DocId d, double q) { at(v).SetQuota(d, q); }
+    void Install(NodeId v, DocId d) {
+      at(v).StoreCopy(d);
+      ++s.doc_transfers_;
+      ++s.control_messages_;  // the replicate instruction
+      ++s.link_traversals_;
+      s.network_kb_ += kDocSizeKb;  // one-hop parent->child copy
+      s.edge_kb_[static_cast<std::size_t>(v)] += kDocSizeKb;
+    }
+    void Evict(NodeId v, DocId d) { at(v).DropCopy(d); }
+    bool EvictsOnDelegate() { return false; }
+    bool Tunnel(NodeId k) { return s.Tunnel(k); }
+  } book{*this};
+  DetectBarriersAndTunnel(tree_, book, barrier_monitor_,
+                          ExchangeQuota(tree_, docs_, book));
 
   for (NodeId v = 0; v < tree_.size(); ++v)
     servers_[static_cast<std::size_t>(v)].RefreshFilter();
@@ -473,75 +473,11 @@ void PacketSim::DiffusionTick() {
   sim_.ScheduleIn(kDiffusionPeriod, [this] { DiffusionTick(); });
 }
 
-double PacketSim::DelegateDown(NodeId p, NodeId c, double amount) {
-  CacheServer& parent = servers_[static_cast<std::size_t>(p)];
-  CacheServer& child = servers_[static_cast<std::size_t>(c)];
-  // Candidate documents: cached at the parent, flowing up from c.
-  std::vector<DocId> candidates;
-  for (DocId d = 0; d < docs_; ++d)
-    if (parent.IsCached(d) && parent.child_arrival_rate(c, d) > 1e-9 &&
-        parent.served_rate(d) > 1e-9)
-      candidates.push_back(d);
-  std::sort(candidates.begin(), candidates.end(), [&](DocId a, DocId b) {
-    const double ra = parent.child_arrival_rate(c, a);
-    const double rb = parent.child_arrival_rate(c, b);
-    if (ra != rb) return ra > rb;
-    return a < b;
-  });
-  double moved = 0;
-  for (const DocId d : candidates) {
-    if (moved >= amount - 1e-9) break;
-    const double delta = std::min({amount - moved,
-                                   parent.child_arrival_rate(c, d),
-                                   parent.served_rate(d)});
-    if (delta <= 1e-9) continue;
-    if (!child.IsCached(d)) {
-      child.StoreCopy(d);
-      ++doc_transfers_;
-      ++control_messages_;  // the replicate instruction
-      ++link_traversals_;
-      network_kb_ += kDocSizeKb;  // one-hop parent->child copy
-      edge_kb_[static_cast<std::size_t>(c)] += kDocSizeKb;
-    }
-    child.AddQuota(d, delta);
-    if (!parent.is_home()) parent.AddQuota(d, -delta);
-    moved += delta;
-  }
-  return moved;
-}
-
-double PacketSim::RelinquishUp(NodeId p, NodeId c, double amount) {
-  CacheServer& parent = servers_[static_cast<std::size_t>(p)];
-  CacheServer& child = servers_[static_cast<std::size_t>(c)];
-  double moved = 0;
-  std::vector<DocId> candidates;
-  for (DocId d = 0; d < docs_; ++d)
-    if (child.served_rate(d) > 1e-9 && child.quota(d) > 1e-9)
-      candidates.push_back(d);
-  std::sort(candidates.begin(), candidates.end(), [&](DocId a, DocId b) {
-    const double ra = child.served_rate(a);
-    const double rb = child.served_rate(b);
-    if (ra != rb) return ra > rb;
-    return a < b;
-  });
-  for (const DocId d : candidates) {
-    if (moved >= amount - 1e-9) break;
-    const double delta =
-        std::min({amount - moved, child.quota(d), child.served_rate(d)});
-    if (delta <= 1e-9) continue;
-    child.AddQuota(d, -delta);
-    if (child.quota(d) <= 1e-9 && !child.is_home()) child.DropCopy(d);
-    if (parent.IsCached(d) && !parent.is_home()) parent.AddQuota(d, delta);
-    moved += delta;
-  }
-  return moved;
-}
-
 bool PacketSim::Tunnel(NodeId k) {
   CacheServer& child = servers_[static_cast<std::size_t>(k)];
   // The document k forwards at the highest rate but does not cache.
   DocId best = -1;
-  double best_rate = 1e-9;
+  double best_rate = kQuotaEpsilon;
   for (DocId d = 0; d < docs_; ++d) {
     if (child.IsCached(d)) continue;
     const double pass = child.arrival_rate(d) - child.served_rate(d);
@@ -554,7 +490,7 @@ bool PacketSim::Tunnel(NodeId k) {
   child.StoreCopy(best);
   const NodeId p = tree_.parent(k);
   const double gap = child.NeighborLoad(p) - child.load();
-  child.AddQuota(best, std::min(best_rate, 0.5 * gap));
+  child.SetQuota(best, child.quota(best) + std::min(best_rate, 0.5 * gap));
   ++doc_transfers_;
   control_messages_ += 2;  // direct request + transfer across the barrier
   ++tunnel_events_;

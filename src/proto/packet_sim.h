@@ -54,7 +54,6 @@ struct PacketSimOptions {
   SimTime duration = 60 * kMicrosPerSecond;
   SimTime warmup = 5 * kMicrosPerSecond;   // excluded from averages
   int lru_capacity = 4;                    // copies per node, LRU policies
-  bool enable_tunneling = true;
   // Failure injection: each gossip message is lost independently with
   // this probability (the estimate simply stays stale).
   double gossip_loss = 0.0;
@@ -191,8 +190,8 @@ class PacketSim {
   void ScheduleDiffusion();
   void DiffusionTick();
   void ScheduleStepHook();
-  double DelegateDown(NodeId p, NodeId c, double amount);
-  double RelinquishUp(NodeId p, NodeId c, double amount);
+  // Fetches the most-forwarded uncached document across k's barrier
+  // parent; false when k forwards nothing it lacks.
   bool Tunnel(NodeId k);
 
   // Wire round-trips: encode, decode, assert identity, return the decoded

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/load_model.h"
+#include "core/webwave_options.h"
 #include "util/check.h"
 
 namespace webwave {
@@ -48,7 +49,7 @@ ForestWebWave::ForestWebWave(const std::vector<RoutingTree>& trees,
       edge_alpha_.push_back(
           options_.alpha > 0
               ? options_.alpha
-              : 1.0 / (1.0 + std::max(tree.degree(p), tree.degree(c))));
+              : StableAlpha(tree.degree(p), tree.degree(c)));
     }
     edge_offset_.push_back(edge_parent_.size());
   }
