@@ -102,12 +102,13 @@ void ReportLatency(BenchJson* json, PrometheusWriter* prom,
 
 // Runs the fleet and then its oracle replay, timing each on its own,
 // and prints every fleet law the run breaks; true when it breaks none.
+// The fleet's time ends when the run has drained (NetdRunResult::
+// fleet_ms), before the daemons' shutdown file writes.
 bool RunAndCheck(const char* label, const NetdClusterConfig& config,
                  NetdRunResult* run, double* fleet_ms, double* oracle_ms) {
-  auto t0 = std::chrono::steady_clock::now();
   *run = RunNetdCluster(config);
-  *fleet_ms = bench::MillisSince(t0);
-  t0 = std::chrono::steady_clock::now();
+  *fleet_ms = run->fleet_ms;
+  const auto t0 = std::chrono::steady_clock::now();
   std::vector<TraceEvent> trace;
   std::vector<WireCounters> per_epoch;
   const ServingMetrics oracle = ReplayOracle(config, &trace, &per_epoch);

@@ -8,29 +8,59 @@
 
 namespace webwave {
 
-PlacementResult DerivePlacement(const RoutingTree& tree,
-                                const DemandMatrix& demand) {
-  WEBWAVE_REQUIRE(demand.node_count() == tree.size(),
-                  "demand matrix does not match tree");
-  const int docs = demand.doc_count();
-  const WebFoldResult tlb = WebFold(tree, demand.NodeTotals());
+namespace {
 
-  PlacementResult result;
-  result.node_loads = tlb.load;
-  result.quota.assign(static_cast<std::size_t>(tree.size()),
-                      std::vector<double>(static_cast<std::size_t>(docs), 0.0));
-  result.copies.assign(static_cast<std::size_t>(docs), {});
-  result.copy_count.assign(static_cast<std::size_t>(docs), 1);  // home copy
+// A document flow ranked by value: the higher rate first, ties to the
+// lower document.
+struct RankedFlow {
+  double rate;
+  DocId doc;
+};
+inline bool RanksBefore(const RankedFlow& a, const RankedFlow& b) {
+  if (a.rate != b.rate) return a.rate > b.rate;
+  return a.doc < b.doc;
+}
 
+// Sorts [first, last) by `before`.  Both sorts of the sweep see nearly
+// sorted input — a node's flows by rank (a catalog's popularity order
+// survives the sums up the tree) and its claims by document — which an
+// insertion sort finishes in about one pass; long runs, where its
+// quadratic worst case could bite, go to std::sort.
+template <typename T, typename Before>
+void SortNearlySorted(T* first, T* last, Before before) {
+  if (last - first > 64) {
+    std::sort(first, last, before);
+    return;
+  }
+  for (T* i = first; i != last; ++i) {
+    const T x = *i;
+    T* j = i;
+    for (; j != first && before(x, *(j - 1)); --j) *j = *(j - 1);
+    *j = x;
+  }
+}
+
+}  // namespace
+
+void SweepPlacement(
+    const RoutingTree& tree, const DemandMatrix& demand,
+    const std::vector<double>& load,
+    const std::function<void(NodeId, Span<const ClaimedCopy>)>& on_node) {
+  WEBWAVE_REQUIRE(demand.node_count() == tree.size() &&
+                      load.size() == static_cast<std::size_t>(tree.size()),
+                  "demand matrix or loads do not match tree");
   // Bottom-up: at each node the passing flow per document is its own
-  // demand plus what children forwarded; the node claims its TLB load
-  // from the hottest flows first, forwarding the rest.  v's flow row
-  // holds its arriving flow while v is placed and what it forwards once
-  // it is done; the parent's visit sums it and frees it.
-  const std::size_t dd = static_cast<std::size_t>(docs);
+  // demand plus what children forwarded; the node claims its load from
+  // the hottest flows first, forwarding the rest.  v's flow row holds its
+  // arriving flow while v is placed and what it forwards once it is
+  // done; the parent's visit sums it and frees it.
+  const std::size_t dd = static_cast<std::size_t>(demand.doc_count());
   RowPool fwd(dd);
   std::vector<std::int32_t> slot(static_cast<std::size_t>(tree.size()));
-  std::vector<DocId> order(dd);
+  std::vector<RankedFlow> ranked;
+  ranked.reserve(dd);
+  std::vector<ClaimedCopy> claims;
+  claims.reserve(dd);
   for (const NodeId v : tree.postorder()) {
     const std::int32_t s = fwd.Acquire();
     slot[static_cast<std::size_t>(v)] = s;
@@ -43,28 +73,30 @@ PlacementResult DerivePlacement(const RoutingTree& tree,
       fwd.Release(cs);
     }
 
-    for (DocId d = 0; d < docs; ++d) order[static_cast<std::size_t>(d)] = d;
-    std::sort(order.begin(), order.end(), [&](DocId a, DocId b) {
-      const double ra = arrive[static_cast<std::size_t>(a)];
-      const double rb = arrive[static_cast<std::size_t>(b)];
-      if (ra != rb) return ra > rb;
-      return a < b;
-    });
-    std::vector<double>& quota = result.quota[static_cast<std::size_t>(v)];
-    double remaining = tlb.load[static_cast<std::size_t>(v)];
-    for (const DocId d : order) {
+    // Flows of at most 1e-12 are never claimed, so they are not ranked.
+    ranked.clear();
+    for (std::size_t d = 0; d < dd; ++d)
+      if (arrive[d] > 1e-12)
+        ranked.push_back({arrive[d], static_cast<DocId>(d)});
+    SortNearlySorted(ranked.data(), ranked.data() + ranked.size(),
+                     RanksBefore);
+    claims.clear();
+    const double tlb_load = load[static_cast<std::size_t>(v)];
+    double remaining = tlb_load;
+    for (const RankedFlow& f : ranked) {
       if (remaining <= 1e-12) break;
-      const std::size_t di = static_cast<std::size_t>(d);
-      const double take = std::min(remaining, arrive[di]);
-      if (take <= 1e-12) continue;
-      quota[di] = take;
-      arrive[di] -= take;
+      const double take = std::min(remaining, f.rate);
+      arrive[static_cast<std::size_t>(f.doc)] -= take;
       remaining -= take;
-      result.copies[di].push_back({v, take});
-      if (!tree.is_root(v)) ++result.copy_count[di];
+      claims.push_back({f.doc, take, f.rate});
     }
-    WEBWAVE_ASSERT(remaining <= 1e-6 * (1 + tlb.load[static_cast<std::size_t>(v)]),
+    WEBWAVE_ASSERT(remaining <= 1e-6 * (1 + tlb_load),
                    "TLB load exceeded the flow passing the node");
+    SortNearlySorted(claims.data(), claims.data() + claims.size(),
+                     [](const ClaimedCopy& a, const ClaimedCopy& b) {
+                       return a.doc < b.doc;
+                     });
+    on_node(v, Span<const ClaimedCopy>(claims.data(), claims.size()));
   }
   // The root absorbs everything left over (it holds all copies).
   const double* root_fwd =
@@ -73,6 +105,44 @@ PlacementResult DerivePlacement(const RoutingTree& tree,
   for (std::size_t d = 0; d < dd; ++d)
     WEBWAVE_ASSERT(root_fwd[d] <= 1e-6 * (1 + total),
                    "flow escaped past the home server");
+}
+
+PlacementResult DerivePlacement(const RoutingTree& tree,
+                                const DemandMatrix& demand) {
+  WEBWAVE_REQUIRE(demand.node_count() == tree.size(),
+                  "demand matrix does not match tree");
+  const std::size_t dd = static_cast<std::size_t>(demand.doc_count());
+  PlacementResult result;
+  result.node_loads = WebFold(tree, demand.NodeTotals()).load;
+  result.quota.assign(static_cast<std::size_t>(tree.size()),
+                      std::vector<double>(dd, 0.0));
+  result.copy_count.assign(dd, 1);  // home copy
+
+  // Claims in sweep order; each document's copy list is sized from the
+  // count before it is filled.
+  struct Claim {
+    NodeId node;
+    DocId doc;
+    double rate;
+  };
+  std::vector<Claim> claims;
+  std::vector<std::size_t> per_doc(dd, 0);
+  SweepPlacement(tree, demand, result.node_loads,
+                 [&](NodeId v, Span<const ClaimedCopy> node_claims) {
+                   std::vector<double>& quota =
+                       result.quota[static_cast<std::size_t>(v)];
+                   for (const ClaimedCopy& c : node_claims) {
+                     const std::size_t di = static_cast<std::size_t>(c.doc);
+                     quota[di] = c.rate;
+                     claims.push_back({v, c.doc, c.rate});
+                     ++per_doc[di];
+                     if (!tree.is_root(v)) ++result.copy_count[di];
+                   }
+                 });
+  result.copies.resize(dd);
+  for (std::size_t d = 0; d < dd; ++d) result.copies[d].reserve(per_doc[d]);
+  for (const Claim& c : claims)
+    result.copies[static_cast<std::size_t>(c.doc)].push_back({c.node, c.rate});
   return result;
 }
 

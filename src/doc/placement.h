@@ -15,10 +15,12 @@
 // document's copies where its demand flows.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "doc/catalog.h"
 #include "tree/routing_tree.h"
+#include "util/span.h"
 
 namespace webwave {
 
@@ -42,5 +44,24 @@ struct PlacementResult {
 // Computes the TLB-realizing placement.  Throws on mismatched sizes.
 PlacementResult DerivePlacement(const RoutingTree& tree,
                                 const DemandMatrix& demand);
+
+// One copy a node claims in the placement sweep.
+struct ClaimedCopy {
+  DocId doc = 0;
+  double rate = 0;      // the quota the copy serves
+  double arriving = 0;  // the document's flow reaching the node, >= rate
+};
+
+// The placement rule itself, shared by DerivePlacement and the TLB
+// snapshot (WebWaveTlbPolicy): bottom-up over tree.postorder(), each node
+// v claims load[v] from the document flows passing it, hottest first
+// (rate descending, ties to the lower document), and forwards the rest.
+// on_node(v, claims) sees every node once, in postorder, with its claims
+// ascending by document.  `arriving` is the flow before the claim, so the
+// copy's serve fraction is rate / arriving.
+void SweepPlacement(
+    const RoutingTree& tree, const DemandMatrix& demand,
+    const std::vector<double>& load,
+    const std::function<void(NodeId, Span<const ClaimedCopy>)>& on_node);
 
 }  // namespace webwave

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -497,6 +498,7 @@ NetdRunResult RunNetdCluster(const NetdClusterConfig& config) {
                     "epoch 0 must equal the boot state");
   }
 
+  const auto start = std::chrono::steady_clock::now();
   // A daemon writing to a peer that already shut down must see EPIPE,
   // not die.  Set before forking so every process inherits it.
   ::signal(SIGPIPE, SIG_IGN);
@@ -527,6 +529,10 @@ NetdRunResult RunNetdCluster(const NetdClusterConfig& config) {
         fleet.Spawn(s, loadgen_fds);
       });
   bool ok = loadgen.Run(&result);
+  // The loadgen returns as soon as it has sent kShutdown.
+  result.fleet_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
   // A clean drain sent every live daemon kShutdown; after a failed one,
   // ~Fleet kills the daemons instead of waiting for them forever.
   if (ok)

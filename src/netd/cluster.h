@@ -204,6 +204,10 @@ struct NetdStatsSample {
 
 struct NetdRunResult {
   bool ok = false;  // fleet launched, drained and exited cleanly
+  // Wall time from RunNetdCluster's start (forks included) until the
+  // loadgen had drained the run and sent kShutdown: the daemons'
+  // shutdown writes and their reap are not in it.  Timing payload.
+  double fleet_ms = 0;
   std::vector<WireCounters> per_server;
   // per_server and `retired` totalled by SumCounters: outbox_peak_bytes
   // is the largest daemon's.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/webfold.h"
 #include "doc/placement.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -30,17 +31,23 @@ std::vector<double> DocTotals(const std::vector<std::vector<double>>& lanes) {
 
 DemandMatrix DemandFromLanes(const std::vector<std::vector<double>>& lanes) {
   WEBWAVE_REQUIRE(!lanes.empty(), "need at least one document lane");
-  const int docs = static_cast<int>(lanes.size());
-  const int nodes = static_cast<int>(lanes.front().size());
-  DemandMatrix demand(nodes, docs);
-  for (int d = 0; d < docs; ++d) {
-    const auto& lane = lanes[static_cast<std::size_t>(d)];
-    WEBWAVE_REQUIRE(lane.size() == static_cast<std::size_t>(nodes),
-                    "lanes differ in length");
-    // Only positive rates are written, so the matrix stays non-negative.
-    for (int v = 0; v < nodes; ++v)
-      if (lane[static_cast<std::size_t>(v)] > 0)
-        demand.row(v)[d] = lane[static_cast<std::size_t>(v)];
+  const std::size_t docs = lanes.size();
+  const std::size_t nodes = lanes.front().size();
+  for (const auto& lane : lanes)
+    WEBWAVE_REQUIRE(lane.size() == nodes, "lanes differ in length");
+  DemandMatrix demand(static_cast<int>(nodes), static_cast<int>(docs));
+  // A transpose in tiles of kTile nodes: each tile's rows stay in cache
+  // while every lane writes its column into them.  Only positive rates
+  // are written, so the matrix stays non-negative.
+  constexpr std::size_t kTile = 64;
+  for (std::size_t v0 = 0; v0 < nodes; v0 += kTile) {
+    const std::size_t v1 = std::min(nodes, v0 + kTile);
+    double* tile = demand.row(static_cast<NodeId>(v0));
+    for (std::size_t d = 0; d < docs; ++d) {
+      const double* lane = lanes[d].data();
+      for (std::size_t v = v0; v < v1; ++v)
+        if (lane[v] > 0) tile[(v - v0) * docs + d] = lane[v];
+    }
   }
   return demand;
 }
@@ -202,8 +209,33 @@ QuotaSnapshot WebWaveTlbPolicy::Place(
     const std::vector<std::vector<double>>& lanes) const {
   CheckLanes(tree, lanes);
   const DemandMatrix demand = DemandFromLanes(lanes);
-  const PlacementResult placement = DerivePlacement(tree, demand);
-  return QuotaSnapshot::FromPlacement(tree, placement, demand);
+  // The placement sweep visits nodes in postorder, so each node's cells
+  // are staged as one run (doc-ascending, as the sweep hands them over)
+  // and then written row by row in node order, the order Builder::Add
+  // checks and sums total_rate() in.  A copy's fraction is its claim
+  // over the flow it was claimed from.
+  struct Cell {
+    DocId doc;
+    double rate;
+    double fraction;
+  };
+  const std::size_t nn = static_cast<std::size_t>(tree.size());
+  std::vector<Cell> staged;
+  std::vector<std::size_t> run_begin(nn), run_end(nn);
+  SweepPlacement(tree, demand, WebFold(tree, demand.NodeTotals()).load,
+                 [&](NodeId v, Span<const ClaimedCopy> claims) {
+                   run_begin[static_cast<std::size_t>(v)] = staged.size();
+                   for (const ClaimedCopy& c : claims)
+                     staged.push_back({c.doc, c.rate, c.rate / c.arriving});
+                   run_end[static_cast<std::size_t>(v)] = staged.size();
+                 });
+  QuotaSnapshot::Builder b(tree.size(), static_cast<int>(lanes.size()));
+  b.Reserve(staged.size());
+  for (std::size_t v = 0; v < nn; ++v)
+    for (std::size_t i = run_begin[v]; i < run_end[v]; ++i)
+      b.Add(static_cast<NodeId>(v), staged[i].doc, staged[i].rate,
+            staged[i].fraction);
+  return std::move(b).Build();
 }
 
 std::vector<std::unique_ptr<PlacementPolicy>> StandardPolicies(

@@ -36,6 +36,12 @@ void QuotaSnapshot::Builder::Add(NodeId node, std::int32_t doc, double rate,
   total_ += rate;
 }
 
+void QuotaSnapshot::Builder::Reserve(std::size_t cells) {
+  doc_.reserve(cells);
+  rate_.reserve(cells);
+  frac_.reserve(cells);
+}
+
 QuotaSnapshot QuotaSnapshot::Builder::Build() && {
   QuotaSnapshot s;
   s.nodes_ = nodes_;

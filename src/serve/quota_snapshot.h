@@ -54,6 +54,8 @@ class QuotaSnapshot {
     // the token budget".
     void Add(NodeId node, std::int32_t doc, double rate,
              double fraction = 1.0);
+    // Capacity for `cells` cells, when the producer knows the count.
+    void Reserve(std::size_t cells);
     QuotaSnapshot Build() &&;
 
    private:

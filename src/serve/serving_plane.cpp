@@ -5,22 +5,13 @@
 #include <thread>
 #include <utility>
 
+#include "util/bits.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace webwave {
 
 namespace {
-
-// Set bits of x, branch-free (SWAR).  The default x86-64 target has no
-// popcnt instruction, so __builtin_popcountll would be a libgcc call on
-// the serve path; this is a dozen inline integer ops.
-inline std::int64_t PopCount64(std::uint64_t x) {
-  x -= (x >> 1) & 0x5555555555555555ULL;
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-  return static_cast<std::int64_t>((x * 0x0101010101010101ULL) >> 56);
-}
 
 // Adds each serving counter's growth since `base`, then `trace_events`,
 // to the attached registry (ids in AttachRegistry's order).
@@ -319,12 +310,8 @@ struct ServingPlane::TraceSink {
 std::int64_t ServingPlane::FindCell(const std::uint64_t* rec,
                                     std::int32_t d) {
   const std::uint64_t* row = rec + kHeaderWords;
-  const std::size_t w = static_cast<std::size_t>(d) >> 6;
-  const std::uint64_t bit = std::uint64_t{1} << (d & 63);
-  if ((row[w] & bit) == 0) return -1;
-  std::int64_t rank = PopCount64(row[w] & (bit - 1));
-  for (std::size_t i = 0; i < w; ++i) rank += PopCount64(row[i]);
-  return static_cast<std::int64_t>(rec[1]) + rank;
+  if ((row[BitWord(d)] & BitMask(d)) == 0) return -1;
+  return static_cast<std::int64_t>(rec[1]) + RankBelow(row, d);
 }
 
 // Token bucket: block k's grant is floor(r·(k+1)+u) − floor(r·k+u), a

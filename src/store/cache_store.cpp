@@ -25,25 +25,24 @@ void QuotaWeightedEviction::KeepSet(const QuotaSnapshot& snapshot, NodeId v,
     *bytes_used += row_bytes;
     return;
   }
+  // Decreasing rate/byte, each cell's density computed once; the
+  // tie-break on the cell index is a tie-break on the doc id (rows are
+  // doc-ascending), so the order — and with it the keep set — is fully
+  // deterministic.
   order_.clear();
-  for (std::int64_t c = begin; c < end; ++c) order_.push_back(c);
-  // Decreasing rate/byte; the tie-break on the cell index is a tie-break
-  // on the doc id (rows are doc-ascending), so the order — and with it
-  // the keep set — is fully deterministic.
+  for (std::int64_t c = begin; c < end; ++c)
+    order_.push_back(
+        {rates[c] / static_cast<double>(sizes.bytes(docs[c])), c});
   std::sort(order_.begin(), order_.end(),
-            [&](std::int64_t a, std::int64_t b) {
-              const double da =
-                  rates[a] / static_cast<double>(sizes.bytes(docs[a]));
-              const double db =
-                  rates[b] / static_cast<double>(sizes.bytes(docs[b]));
-              if (da != db) return da > db;
-              return a < b;
+            [](const RankedCell& a, const RankedCell& b) {
+              if (a.density != b.density) return a.density > b.density;
+              return a.cell < b.cell;
             });
-  for (const std::int64_t c : order_) {
-    const std::uint64_t size = sizes.bytes(docs[c]);
+  for (const RankedCell& r : order_) {
+    const std::uint64_t size = sizes.bytes(docs[r.cell]);
     if (*bytes_used + size <= budget) {
       *bytes_used += size;
-      kept->push_back(docs[c]);
+      kept->push_back(docs[r.cell]);
     }
   }
   std::sort(kept->begin(), kept->end());

@@ -57,7 +57,12 @@ class QuotaWeightedEviction {
                std::vector<DocId>* kept, std::uint64_t* bytes_used);
 
  private:
-  std::vector<std::int64_t> order_;  // sort scratch, per-row cell indices
+  // Sort scratch: per row cell, its rate/byte and its cell index.
+  struct RankedCell {
+    double density;
+    std::int64_t cell;
+  };
+  std::vector<RankedCell> order_;
 };
 
 class CacheStore {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/bits.h"
 #include "util/check.h"
 
 namespace webwave {
@@ -51,26 +52,50 @@ bool SpillProjector::Sweep(const QuotaSnapshot& base) {
   doc_evicted_.assign(static_cast<std::size_t>(docs), 0);
 
   // Sweep 1 — which base cells survive.  Every later sweep reads these
-  // flags, ancestors' included, so they are all decided first.
+  // flags, ancestors' included, so they are all decided first.  Each
+  // node's row is also summarized as two bitmaps over the documents:
+  // held_ (the row holds d) and held_kept_ (it holds d and the cell
+  // survives).
+  const std::size_t words = (static_cast<std::size_t>(docs) + 63) / 64;
+  held_.assign(static_cast<std::size_t>(nodes) * words, 0);
+  held_kept_.assign(static_cast<std::size_t>(nodes) * words, 0);
   for (NodeId v = 0; v < nodes; ++v) {
-    std::uint8_t* keep = keep_.data() + base.row_begin(v);
+    const std::int64_t begin = base.row_begin(v);
+    const std::int64_t end = base.row_end(v);
+    std::uint8_t* keep = keep_.data() + begin;
     if (v == home)
-      std::fill(keep, keep + (base.row_end(v) - base.row_begin(v)), kKept);
+      std::fill(keep, keep + (end - begin), kKept);
     else
       KeepRow(base, v, keep);
+    std::uint64_t* held = held_.data() + static_cast<std::size_t>(v) * words;
+    std::uint64_t* held_kept =
+        held_kept_.data() + static_cast<std::size_t>(v) * words;
+    for (std::int64_t c = begin; c < end; ++c) {
+      const std::size_t w = BitWord(doc[c]);
+      const std::uint64_t bit = BitMask(doc[c]);
+      held[w] |= bit;
+      if (keep[c - begin] != kExcised) held_kept[w] |= bit;
+    }
   }
 
   // Sweep 2 — each excised copy spills its whole quota onto the nearest
   // surviving ancestor copy, the home at worst, so the climb ends before
   // running off the root.  spill_target is that copy's base cell, or -1
-  // when the climb reaches a home holding no base cell of d.
-  const auto spill_target = [&](NodeId v, std::int32_t d) {
-    NodeId u = tree_.parent(v);
-    for (; !tree_.is_root(u); u = tree_.parent(u)) {
-      const std::int64_t t = base.CellOf(u, d);
-      if (t >= 0 && keep_[static_cast<std::size_t>(t)] != kExcised) return t;
+  // when the climb reaches a home holding no base cell of d.  An ancestor
+  // is tested by one held_kept_ bit; only the target's cell is computed,
+  // as its row start plus the rank of d among the row's held_ bits (the
+  // home keeps every cell, so there the two bitmaps agree).
+  const std::vector<NodeId>& parent = tree_.parents();
+  const auto spill_target = [&](NodeId v, std::int32_t d) -> std::int64_t {
+    const std::size_t w = BitWord(d);
+    const std::uint64_t bit = BitMask(d);
+    for (NodeId u = parent[static_cast<std::size_t>(v)];;
+         u = parent[static_cast<std::size_t>(u)]) {
+      const std::size_t row = static_cast<std::size_t>(u) * words;
+      if (held_kept_[row + w] & bit)
+        return base.row_begin(u) + RankBelow(held_.data() + row, d);
+      if (u == home) return -1;
     }
-    return base.CellOf(u, d);
   };
   std::int64_t kept = 0;
   for (NodeId v = 0; v < nodes; ++v)

@@ -36,12 +36,7 @@ void WorkerPool::Partition(std::size_t count, int parts, int part,
   *end = count * (p + 1) / n;
 }
 
-void WorkerPool::ParallelFor(std::size_t count, const Task& fn) {
-  if (count == 0) return;
-  if (threads_ == 1) {
-    fn(0, 0, count);  // a serial loop's exception propagates naturally
-    return;
-  }
+void WorkerPool::Dispatch(std::size_t count, TaskRef fn) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     WEBWAVE_REQUIRE(task_ == nullptr, "ParallelFor is not reentrant");
@@ -80,7 +75,7 @@ void WorkerPool::ParallelFor(std::size_t count, const Task& fn) {
 void WorkerPool::WorkerMain(int worker) {
   std::uint64_t seen = 0;
   for (;;) {
-    const Task* task = nullptr;
+    const TaskRef* task = nullptr;
     std::size_t count = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);

@@ -31,21 +31,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace webwave {
 
 class WorkerPool {
  public:
-  // The sweep callback: fn(worker, begin, end) processes indices
-  // [begin, end); `worker` in [0, thread_count()) identifies the block and
-  // may be used to index per-worker scratch.
-  using Task = std::function<void(int worker, std::size_t begin,
-                                  std::size_t end)>;
-
   // threads <= 0 picks one per hardware thread.  A pool of 1 spawns no
   // threads.
   explicit WorkerPool(int threads = 0);
@@ -57,12 +51,28 @@ class WorkerPool {
   int thread_count() const { return threads_; }
 
   // Runs fn over the static partition of [0, count) into thread_count()
-  // blocks and returns when every block is done.  Serial when the pool has
-  // one thread or the range is empty.  If fn throws in any block, the
-  // first captured exception is rethrown here once the sweep has drained
-  // (see file comment).  Not reentrant: fn must not call ParallelFor on
-  // the same pool.
-  void ParallelFor(std::size_t count, const Task& fn);
+  // blocks and returns when every block is done.  fn(worker, begin, end)
+  // processes indices [begin, end); `worker` in [0, thread_count())
+  // identifies the block and may be used to index per-worker scratch.
+  // With one thread fn is called inline, fn(0, 0, count), with nothing
+  // wrapped or allocated; nothing runs when the range is empty.  If fn
+  // throws in any block, the first captured exception is rethrown here
+  // once the sweep has drained (see file comment).  Not reentrant: fn
+  // must not call ParallelFor on the same pool.
+  template <typename Fn>
+  void ParallelFor(std::size_t count, Fn&& fn) {
+    if (count == 0) return;
+    if (threads_ == 1) {
+      fn(0, std::size_t{0}, count);  // a serial loop's exception propagates
+      return;
+    }
+    using F = std::remove_reference_t<Fn>;
+    Dispatch(count, {const_cast<void*>(static_cast<const void*>(&fn)),
+                     [](void* f, int worker, std::size_t begin,
+                        std::size_t end) {
+                       (*static_cast<F*>(f))(worker, begin, end);
+                     }});
+  }
 
   // Block `part` of the deterministic partition of [0, count) into `parts`
   // contiguous blocks: [count*part/parts, count*(part+1)/parts).  Block
@@ -71,6 +81,18 @@ class WorkerPool {
                         std::size_t* begin, std::size_t* end);
 
  private:
+  // A sweep callback by reference: the caller's callable and a function
+  // that invokes it.
+  struct TaskRef {
+    void* fn;
+    void (*call)(void* fn, int worker, std::size_t begin, std::size_t end);
+    void operator()(int worker, std::size_t begin, std::size_t end) const {
+      call(fn, worker, begin, end);
+    }
+  };
+
+  // The threaded sweep: wakes the workers, runs block 0 here, drains.
+  void Dispatch(std::size_t count, TaskRef task);
   void WorkerMain(int worker);
 
   int threads_;
@@ -79,7 +101,7 @@ class WorkerPool {
   std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable done_;
-  const Task* task_ = nullptr;   // valid while a sweep is in flight
+  const TaskRef* task_ = nullptr;  // valid while a sweep is in flight
   std::size_t task_count_ = 0;   // index range of the current sweep
   std::uint64_t generation_ = 0; // bumped once per sweep
   int pending_ = 0;              // workers still running the current sweep

@@ -423,6 +423,60 @@ TEST(FaultProjector, NodeMajorProjectionMatchesThePerDocumentOracle) {
       }
 }
 
+// The bit-tested climb under fault down-sets against the frozen row
+// search (spill_reference::ClimbProject): every fault pattern's down set,
+// re-homed straight off a random base and off a quarter-store clamp of
+// it, at catalog sizes that fill one bitmap word, cross into a second
+// (65) and a third (130).  Downed chains of ancestors make the climbs
+// long.
+TEST(FaultProjector, BitTestedClimbMatchesTheFrozenRowSearch) {
+  for (const FaultPattern pattern :
+       {FaultPattern::kSingleNodes, FaultPattern::kLeafCohort,
+        FaultPattern::kSubtreeOutage})
+    for (const int docs : {1, 16, 64, 65, 130}) {
+      SCOPED_TRACE(::testing::Message() << FaultPatternName(pattern) << ", "
+                                        << docs << " documents");
+      Rng rng(static_cast<std::uint64_t>(docs * 31 + 7) +
+              static_cast<std::uint64_t>(pattern));
+      const RoutingTree tree = spill_reference::ShuffledRandomTree(300, rng);
+      std::vector<std::uint64_t> column_seed(static_cast<std::size_t>(docs));
+      for (int d = 0; d < docs; ++d)
+        column_seed[static_cast<std::size_t>(d)] =
+            static_cast<std::uint64_t>(d);
+      const QuotaSnapshot base =
+          spill_reference::RandomBase(tree, column_seed, 17);
+      CapacityProjector capacity(
+          tree, CacheStore::WorkingSetStore(
+                    tree, DocumentSizes::LogNormal(docs, 2048, 1.1, 3), 0.25));
+      capacity.Project(base);
+
+      FaultScheduleOptions fopt;
+      fopt.pattern = pattern;
+      fopt.crash_fraction = 0.3;
+      fopt.max_subtree_fraction = 0.4;
+      fopt.outage_epochs = 2;
+      fopt.seed = static_cast<std::uint64_t>(docs) + 3;
+      FaultSchedule faults(tree, fopt);
+      FaultProjector rehome(tree);
+      bool saw_down = false;
+      for (int epoch = 0; epoch < 3; ++epoch) {
+        const std::vector<FaultEvent> events = faults.NextEvents();
+        rehome.ApplyEvents(Span<const FaultEvent>(events.data(), events.size()));
+        saw_down = saw_down || !faults.down().empty();
+        const auto live = [&](NodeId v, std::int32_t) {
+          return !rehome.IsDown(v);
+        };
+        for (const QuotaSnapshot* in : {&base, &capacity.clamped()}) {
+          rehome.Project(*in);
+          spill_reference::ExpectMatches(
+              rehome, spill_reference::ClimbProject(tree, *in, live),
+              in == &base ? "off the base" : "off the clamp");
+        }
+      }
+      EXPECT_TRUE(saw_down) << "no epoch had a crashed node";
+    }
+}
+
 TEST(FaultProjector, LayersOverCapacityClampingAndStillConserves) {
   Rng rng(97);
   const RoutingTree tree = MakeRandomTree(300, rng);

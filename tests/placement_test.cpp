@@ -10,6 +10,7 @@
 #include "serve/request_gen.h"
 #include "sim/churn.h"
 #include "tree/builders.h"
+#include "webfold_reference.h"
 
 #include <gtest/gtest.h>
 
@@ -141,15 +142,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlacementSweep,
 
 // The flat-array placement against the vector-of-vectors one -------------
 //
-// DerivePlacement and WebWaveTlbPolicy::Place sweep node-major flat
-// arrays.  ReferencePlacement and ReferencePlace are test-local copies of
-// the per-node-vector loops they replaced; every quota, copy list, copy
-// count and snapshot cell must come out bit-identical.
+// DerivePlacement and WebWaveTlbPolicy::Place share one placement sweep
+// over node-major flat arrays; Place writes each copy's cell and serve
+// fraction as the sweep takes it.  ReferencePlacement and ReferencePlace
+// are test-local copies of the per-node-vector loops they replaced (on
+// the frozen WebFold of tests/webfold_reference.h): Place was
+// DerivePlacement followed by FromPlacement's second flow sweep.  Every
+// quota, copy list, copy count and snapshot cell must come out
+// bit-identical, and so must FromPlacement's own snapshot at the
+// min_rate the fleet staging passes.
 
 PlacementResult ReferencePlacement(const RoutingTree& tree,
                                    const DemandMatrix& demand) {
   const int docs = demand.doc_count();
-  const WebFoldResult tlb = WebFold(tree, demand.NodeTotals());
+  const WebFoldResult tlb =
+      webfold_reference::WebFold(tree, demand.NodeTotals());
   PlacementResult result;
   result.node_loads = tlb.load;
   result.quota.assign(static_cast<std::size_t>(tree.size()),
@@ -193,16 +200,24 @@ PlacementResult ReferencePlacement(const RoutingTree& tree,
   return result;
 }
 
-QuotaSnapshot ReferencePlace(const RoutingTree& tree,
-                             const std::vector<std::vector<double>>& lanes) {
+DemandMatrix ReferenceDemand(const std::vector<std::vector<double>>& lanes) {
   const int docs = static_cast<int>(lanes.size());
-  const int nodes = tree.size();
+  const int nodes = static_cast<int>(lanes.front().size());
   DemandMatrix demand(nodes, docs);
   for (int d = 0; d < docs; ++d)
     for (int v = 0; v < nodes; ++v)
       if (lanes[static_cast<std::size_t>(d)][static_cast<std::size_t>(v)] > 0)
         demand.set(v, d,
                    lanes[static_cast<std::size_t>(d)][static_cast<std::size_t>(v)]);
+  return demand;
+}
+
+QuotaSnapshot ReferencePlace(const RoutingTree& tree,
+                             const std::vector<std::vector<double>>& lanes,
+                             double min_rate = 0) {
+  const int docs = static_cast<int>(lanes.size());
+  const int nodes = tree.size();
+  const DemandMatrix demand = ReferenceDemand(lanes);
   const PlacementResult placement = ReferencePlacement(tree, demand);
   const std::size_t dd = static_cast<std::size_t>(docs);
   std::vector<double> flow(static_cast<std::size_t>(nodes) * dd, 0.0);
@@ -230,15 +245,32 @@ QuotaSnapshot ReferencePlace(const RoutingTree& tree,
     for (std::int32_t d = 0; d < docs; ++d) {
       const double q =
           placement.quota[static_cast<std::size_t>(v)][static_cast<std::size_t>(d)];
-      if (q > 0)
+      if (q > min_rate)
         b.Add(v, d, q,
               fraction[static_cast<std::size_t>(v)][static_cast<std::size_t>(d)]);
     }
   return std::move(b).Build();
 }
 
+void ExpectSameSnapshot(const QuotaSnapshot& snap, const QuotaSnapshot& ref,
+                        int nodes) {
+  ASSERT_EQ(snap.cell_count(), ref.cell_count());
+  for (NodeId v = 0; v < nodes; ++v) {
+    ASSERT_EQ(snap.row_begin(v), ref.row_begin(v)) << "node " << v;
+    ASSERT_EQ(snap.row_end(v), ref.row_end(v)) << "node " << v;
+  }
+  for (std::int64_t c = 0; c < ref.cell_count(); ++c) {
+    ASSERT_EQ(snap.cell_docs()[c], ref.cell_docs()[c]) << "cell " << c;
+    ASSERT_EQ(snap.cell_rates()[c], ref.cell_rates()[c]) << "cell " << c;
+    ASSERT_EQ(snap.cell_fractions()[c], ref.cell_fractions()[c])
+        << "cell " << c;
+  }
+  ASSERT_EQ(snap.total_rate(), ref.total_rate());
+}
+
+// 65 and 130 documents put a node's flows past one 64-entry run.
 TEST(Placement, FlatArraysMatchTheVectorOfVectorsLoopBitForBit) {
-  for (const int docs : {1, 16, 64, 100}) {
+  for (const int docs : {1, 16, 64, 65, 100, 130}) {
     for (const std::uint64_t seed : {5u, 6u}) {
       Rng rng(seed);
       const RoutingTree tree = MakeRandomTree(seed == 5u ? 400 : 1500, rng);
@@ -258,6 +290,11 @@ TEST(Placement, FlatArraysMatchTheVectorOfVectorsLoopBitForBit) {
         SCOPED_TRACE(::testing::Message() << "docs " << docs << " seed "
                                           << seed << " demand " << k);
         const DemandMatrix demand = DemandFromLanes(lanes);
+        const DemandMatrix want_demand = ReferenceDemand(lanes);
+        for (NodeId v = 0; v < tree.size(); ++v)
+          ASSERT_TRUE(std::equal(demand.row(v), demand.row(v) + docs,
+                                 want_demand.row(v)))
+              << "demand row " << v;
         const PlacementResult got = DerivePlacement(tree, demand);
         const PlacementResult want = ReferencePlacement(tree, demand);
         ASSERT_EQ(got.quota, want.quota);
@@ -272,20 +309,17 @@ TEST(Placement, FlatArraysMatchTheVectorOfVectorsLoopBitForBit) {
           }
         }
 
-        const QuotaSnapshot snap = WebWaveTlbPolicy().Place(tree, lanes);
-        const QuotaSnapshot ref = ReferencePlace(tree, lanes);
-        ASSERT_EQ(snap.cell_count(), ref.cell_count());
-        for (NodeId v = 0; v < tree.size(); ++v) {
-          ASSERT_EQ(snap.row_begin(v), ref.row_begin(v)) << "node " << v;
-          ASSERT_EQ(snap.row_end(v), ref.row_end(v)) << "node " << v;
+        {
+          SCOPED_TRACE("WebWaveTlbPolicy::Place");
+          ExpectSameSnapshot(WebWaveTlbPolicy().Place(tree, lanes),
+                             ReferencePlace(tree, lanes), tree.size());
         }
-        for (std::int64_t c = 0; c < ref.cell_count(); ++c) {
-          ASSERT_EQ(snap.cell_docs()[c], ref.cell_docs()[c]) << "cell " << c;
-          ASSERT_EQ(snap.cell_rates()[c], ref.cell_rates()[c]) << "cell " << c;
-          ASSERT_EQ(snap.cell_fractions()[c], ref.cell_fractions()[c])
-              << "cell " << c;
+        {
+          SCOPED_TRACE("FromPlacement at min_rate 1e-9");
+          ExpectSameSnapshot(
+              QuotaSnapshot::FromPlacement(tree, got, demand, 1e-9),
+              ReferencePlace(tree, lanes, 1e-9), tree.size());
         }
-        ASSERT_EQ(snap.total_rate(), ref.total_rate());
       }
     }
   }

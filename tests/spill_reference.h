@@ -7,7 +7,8 @@
 // node-major sweep must match it bit for bit: cells, fractions,
 // total_rate, spilled rate and evicted count.  The columns are read out of
 // the base rows here, so the oracle depends on no per-document index in
-// src/.
+// src/.  ClimbProject, below, is the second oracle: the node-major sweep
+// itself, frozen with its row-searching ancestor climb.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -125,6 +126,94 @@ Projection Project(const RoutingTree& tree, const QuotaSnapshot& base,
   });
   QuotaSnapshot::Builder b(base.node_count(), docs);
   for (const Cell& c : cells) b.Add(c.node, c.doc, c.rate, c.frac);
+  out.clamped = std::move(b).Build();
+  return out;
+}
+
+// A frozen copy of the node-major sweep as it stood before its ancestor
+// climb tested per-node document bitmaps: sweep 1 decides every cell,
+// sweep 2 climbs each excised cell by binary-searching every ancestor's
+// row (QuotaSnapshot::CellOf), sweep 3 emits the kept cells with their
+// spill and synthesizes the home cells.  The projectors must match it bit
+// for bit.  keeps(v, d) is the survivor predicate; the home keeps all.
+template <typename Keeps>
+Projection ClimbProject(const RoutingTree& tree, const QuotaSnapshot& base,
+                        const Keeps& keeps) {
+  enum KeepState : std::uint8_t { kExcised = 0, kKept = 1, kSpillTarget = 2 };
+  const int nodes = base.node_count();
+  const int docs = base.doc_count();
+  const std::size_t cells = static_cast<std::size_t>(base.cell_count());
+  const std::int32_t* doc = base.cell_docs();
+  const double* rates = base.cell_rates();
+  const double* fracs = base.cell_fractions();
+  const NodeId home = tree.root();
+  std::vector<std::uint8_t> keep(cells);
+  std::vector<double> cell_spill(cells, 0.0);
+  std::vector<double> home_spill(static_cast<std::size_t>(docs), 0.0);
+  Projection out;
+  out.doc_spill.assign(static_cast<std::size_t>(docs), 0.0);
+  out.doc_evicted.assign(static_cast<std::size_t>(docs), 0);
+
+  for (NodeId v = 0; v < nodes; ++v)
+    for (std::int64_t c = base.row_begin(v); c < base.row_end(v); ++c)
+      keep[static_cast<std::size_t>(c)] =
+          v == home || keeps(v, doc[c]) ? kKept : kExcised;
+
+  const auto spill_target = [&](NodeId v, std::int32_t d) {
+    NodeId u = tree.parent(v);
+    for (; !tree.is_root(u); u = tree.parent(u)) {
+      const std::int64_t t = base.CellOf(u, d);
+      if (t >= 0 && keep[static_cast<std::size_t>(t)] != kExcised) return t;
+    }
+    return base.CellOf(u, d);
+  };
+  for (NodeId v = 0; v < nodes; ++v)
+    for (std::int64_t c = base.row_begin(v); c < base.row_end(v); ++c) {
+      if (keep[static_cast<std::size_t>(c)] != kExcised) continue;
+      const std::int32_t d = doc[c];
+      const double q = rates[c];
+      const std::int64_t target = spill_target(v, d);
+      if (target >= 0) {
+        keep[static_cast<std::size_t>(target)] = kSpillTarget;
+        cell_spill[static_cast<std::size_t>(target)] += q;
+      } else {
+        home_spill[static_cast<std::size_t>(d)] += q;
+      }
+      out.doc_spill[static_cast<std::size_t>(d)] += q;
+      ++out.doc_evicted[static_cast<std::size_t>(d)];
+    }
+
+  QuotaSnapshot::Builder b(nodes, docs);
+  const auto emit_cell = [&](NodeId v, std::int64_t c) {
+    const std::size_t i = static_cast<std::size_t>(c);
+    if (keep[i] == kKept) {
+      b.Add(v, doc[c], rates[c], fracs[c]);
+    } else if (keep[i] == kSpillTarget) {
+      const double q = rates[c];
+      const double s = cell_spill[i];
+      const double arrive = fracs[c] >= 1.0 ? q : q / fracs[c];
+      b.Add(v, doc[c], q + s, std::min(1.0, (q + s) / (arrive + s)));
+    }
+  };
+  for (NodeId v = 0; v < nodes; ++v) {
+    if (v != home) {
+      for (std::int64_t c = base.row_begin(v); c < base.row_end(v); ++c)
+        emit_cell(v, c);
+      continue;
+    }
+    std::int32_t synth = 0;
+    const auto emit_synthesized_below = [&](std::int32_t limit) {
+      for (; synth < limit; ++synth) {
+        const double s = home_spill[static_cast<std::size_t>(synth)];
+        if (s > 0.0) b.Add(v, synth, s, 1.0);
+      }
+    };
+    for (std::int64_t c = base.row_begin(v); c < base.row_end(v); ++c) {
+      emit_synthesized_below(doc[c]);
+      emit_cell(v, c);
+    }
+    emit_synthesized_below(docs);
+  }
   out.clamped = std::move(b).Build();
   return out;
 }

@@ -687,6 +687,56 @@ TEST(CapacityProjector, NodeMajorProjectionMatchesThePerDocumentOracle) {
     }
 }
 
+// The bit-tested climb against the frozen row search ---------------------
+//
+// The projection's climb tests one "holds a kept d" bit per ancestor and
+// ranks the target's cell with a popcount; spill_reference::ClimbProject
+// is the sweep as it was, binary-searching every ancestor's row.  Both
+// must agree bit for bit — clamped CSR, total, evicted cells, spilled
+// rate — on random bases and on TLB placements (the tlb_replay input),
+// at catalog sizes that fill one bitmap word, cross into a second (65)
+// and a third (130), and at stores from a tenth of the working set to
+// all of it.
+TEST(CapacityProjector, BitTestedClimbMatchesTheFrozenRowSearch) {
+  for (const int docs : {1, 16, 64, 65, 130})
+    for (const double multiple : {0.1, 0.25, 1.0}) {
+      SCOPED_TRACE(::testing::Message()
+                   << docs << " documents, " << multiple << "x store");
+      Rng rng(static_cast<std::uint64_t>(docs * 7919 + multiple * 1000));
+      const RoutingTree tree = spill_reference::ShuffledRandomTree(400, rng);
+      std::vector<std::uint64_t> column_seed(static_cast<std::size_t>(docs));
+      for (int d = 0; d < docs; ++d)
+        column_seed[static_cast<std::size_t>(d)] =
+            static_cast<std::uint64_t>(d);
+      std::vector<QuotaSnapshot> bases;
+      bases.push_back(spill_reference::RandomBase(tree, column_seed, 11));
+      bases.push_back(WebWaveTlbPolicy().Place(
+          tree, RequestGenerator(tree, docs,
+                                 {RotatingHotSpotComponent(tree, docs, 1.0,
+                                                           30.0, 0.1, 2, 8)},
+                                 13)
+                    .ExpectedLanes()));
+      for (const QuotaSnapshot& base : bases) {
+        CapacityProjector projector(
+            tree, CacheStore::WorkingSetStore(
+                      tree, DocumentSizes::LogNormal(docs, 2048, 1.1, 3),
+                      multiple));
+        projector.Project(base);
+        spill_reference::ExpectMatches(
+            projector,
+            spill_reference::ClimbProject(
+                tree, base,
+                [&](NodeId v, std::int32_t d) {
+                  return projector.store().Resident(v, d);
+                }),
+            "project");
+        if (multiple < 1.0) {
+          EXPECT_GT(projector.evicted_cells(), 0);
+        }
+      }
+    }
+}
+
 // Hand-built corners: a node whose every copy is evicted (zero budget),
 // documents with no home cell whose spill synthesizes one, and a climb
 // that passes a live node holding no copy.

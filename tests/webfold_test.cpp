@@ -8,10 +8,13 @@
 #include "core/tlb.h"
 #include "core/webfold.h"
 #include "tree/builders.h"
+#include "util/rng.h"
+#include "webfold_reference.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 namespace webwave {
 namespace {
@@ -213,6 +216,101 @@ TEST(WebFold, FoldMembersPartitionTheTree) {
   }
   for (NodeId v = 0; v < t.size(); ++v)
     EXPECT_EQ(seen[v], 1) << "node in exactly one fold";
+}
+
+// The flat-array fold bookkeeping against the frozen loop ----------------
+//
+// tests/webfold_reference.h keeps the folding loop as it was before its
+// bookkeeping went flat (child folds read from the tree until a fold
+// absorbs another, a heap built in one pass, a vector from representative
+// to fold index, a reserved trace).  Every field of the result must be
+// bit-identical, on trees whose labels are and are not their preorder,
+// with uniform and non-uniform capacities, and with many tied loads (the
+// heap's tie-break and the order child folds are re-examined then decide
+// the folding sequence).
+
+void ExpectSameFold(const WebFoldResult& got, const WebFoldResult& want) {
+  ASSERT_EQ(got.load, want.load);
+  ASSERT_EQ(got.fold_root, want.fold_root);
+  ASSERT_EQ(got.fold_index, want.fold_index);
+  ASSERT_EQ(got.folds.size(), want.folds.size());
+  for (std::size_t f = 0; f < want.folds.size(); ++f) {
+    ASSERT_EQ(got.folds[f].root, want.folds[f].root) << "fold " << f;
+    ASSERT_EQ(got.folds[f].members, want.folds[f].members) << "fold " << f;
+    ASSERT_EQ(got.folds[f].rate_sum, want.folds[f].rate_sum) << "fold " << f;
+    ASSERT_EQ(got.folds[f].capacity_sum, want.folds[f].capacity_sum)
+        << "fold " << f;
+    ASSERT_EQ(got.folds[f].per_node, want.folds[f].per_node) << "fold " << f;
+  }
+  ASSERT_EQ(got.trace.size(), want.trace.size());
+  for (std::size_t k = 0; k < want.trace.size(); ++k) {
+    const FoldStep& a = got.trace[k];
+    const FoldStep& b = want.trace[k];
+    ASSERT_EQ(a.folded_root, b.folded_root) << "step " << k;
+    ASSERT_EQ(a.into_root, b.into_root) << "step " << k;
+    ASSERT_EQ(a.folded_per_node, b.folded_per_node) << "step " << k;
+    ASSERT_EQ(a.into_per_node, b.into_per_node) << "step " << k;
+    ASSERT_EQ(a.merged_per_node, b.merged_per_node) << "step " << k;
+    ASSERT_EQ(a.merged_size, b.merged_size) << "step " << k;
+  }
+}
+
+// A random tree relabelled by a random permutation, so node ids follow
+// neither preorder nor depth.
+RoutingTree ShuffledTree(int n, Rng& rng) {
+  const RoutingTree tree = MakeRandomTree(n, rng);
+  std::vector<NodeId> label(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) label[static_cast<std::size_t>(v)] = v;
+  rng.Shuffle(label);
+  std::vector<NodeId> parents(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v)
+    parents[static_cast<std::size_t>(label[static_cast<std::size_t>(v)])] =
+        tree.is_root(v) ? kNoNode
+                        : label[static_cast<std::size_t>(tree.parent(v))];
+  return RoutingTree::FromParents(std::move(parents));
+}
+
+TEST(WebFold, FlatArraysMatchTheFrozenLoopBitForBit) {
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    Rng rng(seed);
+    std::vector<std::pair<const char*, RoutingTree>> trees;
+    trees.emplace_back("random", MakeRandomTree(700, rng));
+    trees.emplace_back("shuffled", ShuffledTree(900, rng));
+    trees.emplace_back("binary", MakeRandomBinaryTree(511, rng));
+    trees.emplace_back("chain", MakeChain(60));
+    trees.emplace_back("star", MakeStar(80));
+    trees.emplace_back("caterpillar", MakeCaterpillar(30, 3));
+    for (const auto& [name, tree] : trees) {
+      const std::size_t n = static_cast<std::size_t>(tree.size());
+      // Continuous rates, rates from a three-value set (most folds tie),
+      // and a few hot leaves over an all-zero background.
+      std::vector<std::vector<double>> rates(3, std::vector<double>(n, 0.0));
+      for (std::size_t v = 0; v < n; ++v) {
+        rates[0][v] = rng.NextDouble(0.0, 10.0);
+        rates[1][v] = static_cast<double>(rng.NextBelow(3));
+        if (tree.is_leaf(static_cast<NodeId>(v)) && rng.NextBernoulli(0.1))
+          rates[2][v] = 4.0;
+      }
+      // Uniform capacities, capacities from a two-value set, and
+      // continuous ones.
+      std::vector<std::vector<double>> caps(3, std::vector<double>(n, 1.0));
+      for (std::size_t v = 0; v < n; ++v) {
+        caps[1][v] = 1.0 + static_cast<double>(rng.NextBelow(2));
+        caps[2][v] = rng.NextDouble(0.5, 3.0);
+      }
+      for (std::size_t r = 0; r < rates.size(); ++r)
+        for (std::size_t c = 0; c < caps.size(); ++c) {
+          SCOPED_TRACE(::testing::Message() << name << " seed " << seed
+                                            << " rates " << r << " caps " << c);
+          ExpectSameFold(WebFoldWeighted(tree, rates[r], caps[c]),
+                         webfold_reference::WebFoldWeighted(tree, rates[r],
+                                                            caps[c]));
+        }
+      SCOPED_TRACE(name);
+      ExpectSameFold(WebFold(tree, rates[1]),
+                     webfold_reference::WebFold(tree, rates[1]));
+    }
+  }
 }
 
 TEST(LexCompare, OrdersBySortedDescendingVectors) {
