@@ -213,7 +213,9 @@ QuotaSnapshot WebWaveTlbPolicy::Place(
   // are staged as one run (doc-ascending, as the sweep hands them over)
   // and then written row by row in node order, the order Builder::Add
   // checks and sums total_rate() in.  A copy's fraction is its claim
-  // over the flow it was claimed from.
+  // over the flow it was claimed from.  The stage is reserved for every
+  // (node, document) pair at once: only the pages the cells touch are
+  // ever mapped, and no regrowth copies them.
   struct Cell {
     DocId doc;
     double rate;
@@ -221,6 +223,7 @@ QuotaSnapshot WebWaveTlbPolicy::Place(
   };
   const std::size_t nn = static_cast<std::size_t>(tree.size());
   std::vector<Cell> staged;
+  staged.reserve(nn * lanes.size());
   std::vector<std::size_t> run_begin(nn), run_end(nn);
   SweepPlacement(tree, demand, WebFold(tree, demand.NodeTotals()).load,
                  [&](NodeId v, Span<const ClaimedCopy> claims) {

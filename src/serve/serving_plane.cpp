@@ -310,8 +310,12 @@ struct ServingPlane::TraceSink {
 std::int64_t ServingPlane::FindCell(const std::uint64_t* rec,
                                     std::int32_t d) {
   const std::uint64_t* row = rec + kHeaderWords;
-  if ((row[BitWord(d)] & BitMask(d)) == 0) return -1;
-  return static_cast<std::int64_t>(rec[1]) + RankBelow(row, d);
+  const std::size_t w = static_cast<std::size_t>(d) >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (d & 63);
+  if ((row[w] & bit) == 0) return -1;
+  std::int64_t rank = PopCount64(row[w] & (bit - 1));
+  for (std::size_t i = 0; i < w; ++i) rank += PopCount64(row[i]);
+  return static_cast<std::int64_t>(rec[1]) + rank;
 }
 
 // Token bucket: block k's grant is floor(r·(k+1)+u) − floor(r·k+u), a

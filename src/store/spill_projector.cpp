@@ -52,48 +52,54 @@ bool SpillProjector::Sweep(const QuotaSnapshot& base) {
   doc_evicted_.assign(static_cast<std::size_t>(docs), 0);
 
   // Sweep 1 — which base cells survive.  Every later sweep reads these
-  // flags, ancestors' included, so they are all decided first.  Each
-  // node's row is also summarized as two bitmaps over the documents:
-  // held_ (the row holds d) and held_kept_ (it holds d and the cell
-  // survives).
-  const std::size_t words = (static_cast<std::size_t>(docs) + 63) / 64;
-  held_.assign(static_cast<std::size_t>(nodes) * words, 0);
-  held_kept_.assign(static_cast<std::size_t>(nodes) * words, 0);
+  // flags, ancestors' included, so they are all decided first.
   for (NodeId v = 0; v < nodes; ++v) {
-    const std::int64_t begin = base.row_begin(v);
-    const std::int64_t end = base.row_end(v);
-    std::uint8_t* keep = keep_.data() + begin;
+    std::uint8_t* keep = keep_.data() + base.row_begin(v);
     if (v == home)
-      std::fill(keep, keep + (end - begin), kKept);
+      std::fill(keep, keep + (base.row_end(v) - base.row_begin(v)), kKept);
     else
       KeepRow(base, v, keep);
-    std::uint64_t* held = held_.data() + static_cast<std::size_t>(v) * words;
-    std::uint64_t* held_kept =
-        held_kept_.data() + static_cast<std::size_t>(v) * words;
-    for (std::int64_t c = begin; c < end; ++c) {
-      const std::size_t w = BitWord(doc[c]);
-      const std::uint64_t bit = BitMask(doc[c]);
-      held[w] |= bit;
-      if (keep[c - begin] != kExcised) held_kept[w] |= bit;
-    }
   }
 
   // Sweep 2 — each excised copy spills its whole quota onto the nearest
   // surviving ancestor copy, the home at worst, so the climb ends before
   // running off the root.  spill_target is that copy's base cell, or -1
   // when the climb reaches a home holding no base cell of d.  An ancestor
-  // is tested by one held_kept_ bit; only the target's cell is computed,
-  // as its row start plus the rank of d among the row's held_ bits (the
-  // home keeps every cell, so there the two bitmaps agree).
+  // is tested by one bit of its row's summary, two bitmaps over the
+  // documents: "held" (the row holds d) and "held kept" (it holds d and
+  // the cell survives).  Only the target's cell is computed, as its row
+  // start plus the rank of d among the row's held bits (the home keeps
+  // every cell, so there the two bitmaps agree).  A row is summarized
+  // when a climb first reaches it; the flags it reads are final, since a
+  // cell only ever turns from kept into a spill target.
+  const std::size_t words = (static_cast<std::size_t>(docs) + 63) / 64;
+  summary_of_.assign(static_cast<std::size_t>(nodes), -1);
+  summaries_.clear();
+  // u's row summary: its held words, then its held-kept words.
+  const auto summary = [&](NodeId u) -> const std::uint64_t* {
+    std::int32_t& ordinal = summary_of_[static_cast<std::size_t>(u)];
+    if (ordinal < 0) {
+      ordinal = static_cast<std::int32_t>(summaries_.size() / (2 * words));
+      summaries_.resize(summaries_.size() + 2 * words, 0);
+      std::uint64_t* held = summaries_.data() + summaries_.size() - 2 * words;
+      std::uint64_t* held_kept = held + words;
+      for (std::int64_t c = base.row_begin(u); c < base.row_end(u); ++c) {
+        const std::size_t w = BitWord(doc[c]);
+        const std::uint64_t bit = BitMask(doc[c]);
+        held[w] |= bit;
+        if (keep_[static_cast<std::size_t>(c)] != kExcised) held_kept[w] |= bit;
+      }
+    }
+    return summaries_.data() + static_cast<std::size_t>(ordinal) * 2 * words;
+  };
   const std::vector<NodeId>& parent = tree_.parents();
   const auto spill_target = [&](NodeId v, std::int32_t d) -> std::int64_t {
     const std::size_t w = BitWord(d);
     const std::uint64_t bit = BitMask(d);
     for (NodeId u = parent[static_cast<std::size_t>(v)];;
          u = parent[static_cast<std::size_t>(u)]) {
-      const std::size_t row = static_cast<std::size_t>(u) * words;
-      if (held_kept_[row + w] & bit)
-        return base.row_begin(u) + RankBelow(held_.data() + row, d);
+      const std::uint64_t* held = summary(u);
+      if (held[words + w] & bit) return base.row_begin(u) + RankBelow(held, d);
       if (u == home) return -1;
     }
   };

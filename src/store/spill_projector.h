@@ -17,12 +17,12 @@
 //
 // The projection is node-major: three sequential sweeps over the base
 // rows, whatever the document count.  The first asks the subclass which
-// cells of each row survive and records, per node, two document bitmaps:
-// which documents the row holds, and which of those copies survive.  The
-// second climbs every excised cell to its nearest surviving ancestor copy
-// — one bit test per ancestor — and adds its quota to that target
-// *cell* (its row start plus a popcount rank), or to a per-document home
-// accumulator when the home holds no base cell.  The third writes the kept cells, grown by their spill,
+// cells of each row survive.  The second climbs every excised cell to
+// its nearest surviving ancestor copy — one bit test per ancestor, in two
+// per-node document bitmaps (the row holds d; it holds d and the copy
+// survives) built when a climb first reaches the row — and adds its
+// quota to that target *cell* (its row start plus a popcount rank), or
+// to a per-document home accumulator when the home holds no base cell.  The third writes the kept cells, grown by their spill,
 // straight over the previous clamped CSR and synthesizes the home cells.
 // Rows are walked in node order, so each (target, document) sum
 // accumulates its sources node-ascending — the association order of a
@@ -134,10 +134,12 @@ class SpillProjector {
   std::vector<std::uint8_t> keep_;
   std::vector<double> cell_spill_;
   std::vector<double> home_spill_;
-  // Per node, ceil(D/64) words: bit d of held_ is set when the base row
-  // holds d, of held_kept_ when that cell survives (the climb's test).
-  std::vector<std::uint64_t> held_;
-  std::vector<std::uint64_t> held_kept_;
+  // The climb's row summaries, one per row some climb reached, in the
+  // order reached: two bitmaps of ceil(D/64) words, bit d set when the
+  // base row holds d, then when it holds d and that cell survives.
+  // summary_of_[v] is v's ordinal among them, -1 while v has none.
+  std::vector<std::int32_t> summary_of_;
+  std::vector<std::uint64_t> summaries_;
 };
 
 }  // namespace webwave

@@ -1,8 +1,8 @@
 // Per-node document bitmaps: bit d of a row of ceil(D/64) words says
 // whether the node holds document d, and the rank of that bit (the set
 // bits below it) is d's index within the node's doc-ascending row.  The
-// serving plane finds cells this way on the request path, and the spill
-// projector on its ancestor climb.
+// serving plane finds cells this way on the request path (its FindCell
+// inlines the same rank), and the spill projector on its ancestor climb.
 #pragma once
 
 #include <cstddef>
