@@ -21,25 +21,6 @@ inline bool RanksBefore(const RankedFlow& a, const RankedFlow& b) {
   return a.doc < b.doc;
 }
 
-// Sorts [first, last) by `before`.  Both sorts of the sweep see nearly
-// sorted input — a node's flows by rank (a catalog's popularity order
-// survives the sums up the tree) and its claims by document — which an
-// insertion sort finishes in about one pass; long runs, where its
-// quadratic worst case could bite, go to std::sort.
-template <typename T, typename Before>
-void SortNearlySorted(T* first, T* last, Before before) {
-  if (last - first > 64) {
-    std::sort(first, last, before);
-    return;
-  }
-  for (T* i = first; i != last; ++i) {
-    const T x = *i;
-    T* j = i;
-    for (; j != first && before(x, *(j - 1)); --j) *j = *(j - 1);
-    *j = x;
-  }
-}
-
 }  // namespace
 
 void SweepPlacement(
@@ -61,6 +42,9 @@ void SweepPlacement(
   ranked.reserve(dd);
   std::vector<ClaimedCopy> claims;
   claims.reserve(dd);
+  // v's claims indexed by document (rate 0: no claim), read back
+  // doc-ascending.
+  std::vector<ClaimedCopy> claim_of(dd);
   for (const NodeId v : tree.postorder()) {
     const std::int32_t s = fwd.Acquire();
     slot[static_cast<std::size_t>(v)] = s;
@@ -78,8 +62,7 @@ void SweepPlacement(
     for (std::size_t d = 0; d < dd; ++d)
       if (arrive[d] > 1e-12)
         ranked.push_back({arrive[d], static_cast<DocId>(d)});
-    SortNearlySorted(ranked.data(), ranked.data() + ranked.size(),
-                     RanksBefore);
+    std::sort(ranked.begin(), ranked.end(), RanksBefore);
     claims.clear();
     const double tlb_load = load[static_cast<std::size_t>(v)];
     double remaining = tlb_load;
@@ -88,14 +71,15 @@ void SweepPlacement(
       const double take = std::min(remaining, f.rate);
       arrive[static_cast<std::size_t>(f.doc)] -= take;
       remaining -= take;
-      claims.push_back({f.doc, take, f.rate});
+      claim_of[static_cast<std::size_t>(f.doc)] = {f.doc, take, f.rate};
     }
     WEBWAVE_ASSERT(remaining <= 1e-6 * (1 + tlb_load),
                    "TLB load exceeded the flow passing the node");
-    SortNearlySorted(claims.data(), claims.data() + claims.size(),
-                     [](const ClaimedCopy& a, const ClaimedCopy& b) {
-                       return a.doc < b.doc;
-                     });
+    for (ClaimedCopy& c : claim_of)
+      if (c.rate > 0) {
+        claims.push_back(c);
+        c.rate = 0;
+      }
     on_node(v, Span<const ClaimedCopy>(claims.data(), claims.size()));
   }
   // The root absorbs everything left over (it holds all copies).
@@ -118,15 +102,7 @@ PlacementResult DerivePlacement(const RoutingTree& tree,
                       std::vector<double>(dd, 0.0));
   result.copy_count.assign(dd, 1);  // home copy
 
-  // Claims in sweep order; each document's copy list is sized from the
-  // count before it is filled.
-  struct Claim {
-    NodeId node;
-    DocId doc;
-    double rate;
-  };
-  std::vector<Claim> claims;
-  std::vector<std::size_t> per_doc(dd, 0);
+  result.copies.resize(dd);
   SweepPlacement(tree, demand, result.node_loads,
                  [&](NodeId v, Span<const ClaimedCopy> node_claims) {
                    std::vector<double>& quota =
@@ -134,15 +110,10 @@ PlacementResult DerivePlacement(const RoutingTree& tree,
                    for (const ClaimedCopy& c : node_claims) {
                      const std::size_t di = static_cast<std::size_t>(c.doc);
                      quota[di] = c.rate;
-                     claims.push_back({v, c.doc, c.rate});
-                     ++per_doc[di];
+                     result.copies[di].push_back({v, c.rate});
                      if (!tree.is_root(v)) ++result.copy_count[di];
                    }
                  });
-  result.copies.resize(dd);
-  for (std::size_t d = 0; d < dd; ++d) result.copies[d].reserve(per_doc[d]);
-  for (const Claim& c : claims)
-    result.copies[static_cast<std::size_t>(c.doc)].push_back({c.node, c.rate});
   return result;
 }
 

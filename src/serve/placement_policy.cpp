@@ -1,6 +1,7 @@
 #include "serve/placement_policy.h"
 
 #include <algorithm>
+#include <deque>
 #include <utility>
 
 #include "core/webfold.h"
@@ -213,17 +214,16 @@ QuotaSnapshot WebWaveTlbPolicy::Place(
   // are staged as one run (doc-ascending, as the sweep hands them over)
   // and then written row by row in node order, the order Builder::Add
   // checks and sums total_rate() in.  A copy's fraction is its claim
-  // over the flow it was claimed from.  The stage is reserved for every
-  // (node, document) pair at once: only the pages the cells touch are
-  // ever mapped, and no regrowth copies them.
+  // over the flow it was claimed from.  A deque stages the cells: it
+  // grows by blocks, so no regrowth copies them and nothing is reserved
+  // beyond the cells claimed.
   struct Cell {
     DocId doc;
     double rate;
     double fraction;
   };
   const std::size_t nn = static_cast<std::size_t>(tree.size());
-  std::vector<Cell> staged;
-  staged.reserve(nn * lanes.size());
+  std::deque<Cell> staged;
   std::vector<std::size_t> run_begin(nn), run_end(nn);
   SweepPlacement(tree, demand, WebFold(tree, demand.NodeTotals()).load,
                  [&](NodeId v, Span<const ClaimedCopy> claims) {
@@ -235,9 +235,10 @@ QuotaSnapshot WebWaveTlbPolicy::Place(
   QuotaSnapshot::Builder b(tree.size(), static_cast<int>(lanes.size()));
   b.Reserve(staged.size());
   for (std::size_t v = 0; v < nn; ++v)
-    for (std::size_t i = run_begin[v]; i < run_end[v]; ++i)
-      b.Add(static_cast<NodeId>(v), staged[i].doc, staged[i].rate,
-            staged[i].fraction);
+    for (auto it = staged.begin() + run_begin[v],
+              end = staged.begin() + run_end[v];
+         it != end; ++it)
+      b.Add(static_cast<NodeId>(v), it->doc, it->rate, it->fraction);
   return std::move(b).Build();
 }
 

@@ -73,13 +73,17 @@ bool SpillProjector::Sweep(const QuotaSnapshot& base) {
   // when a climb first reaches it; the flags it reads are final, since a
   // cell only ever turns from kept into a spill target.
   const std::size_t words = (static_cast<std::size_t>(docs) + 63) / 64;
-  summary_of_.assign(static_cast<std::size_t>(nodes), -1);
+  // Every entry of summary_of_ is -1 between sweeps: a sweep resets the
+  // entries of the rows it summarized, not the whole index.
+  summary_of_.resize(static_cast<std::size_t>(nodes), -1);
   summaries_.clear();
+  summarized_.clear();
   // u's row summary: its held words, then its held-kept words.
   const auto summary = [&](NodeId u) -> const std::uint64_t* {
     std::int32_t& ordinal = summary_of_[static_cast<std::size_t>(u)];
     if (ordinal < 0) {
-      ordinal = static_cast<std::int32_t>(summaries_.size() / (2 * words));
+      ordinal = static_cast<std::int32_t>(summarized_.size());
+      summarized_.push_back(u);
       summaries_.resize(summaries_.size() + 2 * words, 0);
       std::uint64_t* held = summaries_.data() + summaries_.size() - 2 * words;
       std::uint64_t* held_kept = held + words;
@@ -122,6 +126,8 @@ bool SpillProjector::Sweep(const QuotaSnapshot& base) {
       doc_spill_[static_cast<std::size_t>(d)] += q;
       ++doc_evicted_[static_cast<std::size_t>(d)];
     }
+  for (const NodeId u : summarized_)
+    summary_of_[static_cast<std::size_t>(u)] = -1;
   std::int64_t synthesized = 0;
   for (const double s : home_spill_) synthesized += s > 0.0;
 

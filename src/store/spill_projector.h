@@ -22,8 +22,9 @@
 // per-node document bitmaps (the row holds d; it holds d and the copy
 // survives) built when a climb first reaches the row — and adds its
 // quota to that target *cell* (its row start plus a popcount rank), or
-// to a per-document home accumulator when the home holds no base cell.  The third writes the kept cells, grown by their spill,
-// straight over the previous clamped CSR and synthesizes the home cells.
+// to a per-document home accumulator when the home holds no base cell.
+// The third writes the kept cells, grown by their spill, straight over
+// the previous clamped CSR and synthesizes the home cells.
 // Rows are walked in node order, so each (target, document) sum
 // accumulates its sources node-ascending — the association order of a
 // per-document column walk — and the result does not depend on how the
@@ -137,8 +138,10 @@ class SpillProjector {
   // The climb's row summaries, one per row some climb reached, in the
   // order reached: two bitmaps of ceil(D/64) words, bit d set when the
   // base row holds d, then when it holds d and that cell survives.
-  // summary_of_[v] is v's ordinal among them, -1 while v has none.
+  // summary_of_[v] is v's ordinal among them, -1 while v has none;
+  // summarized_ lists the rows in that order.
   std::vector<std::int32_t> summary_of_;
+  std::vector<NodeId> summarized_;
   std::vector<std::uint64_t> summaries_;
 };
 
